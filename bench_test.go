@@ -8,7 +8,8 @@
 //	go run ./cmd/nxbench -exp all         # full harness
 //
 // Absolute times differ from the paper (scaled datasets, simulated
-// disks); EXPERIMENTS.md records the paper-vs-measured comparison.
+// disks); benchmark/README.md describes the repository's own measured
+// benchmark and its recorded results.
 package nxgraph_test
 
 import (

@@ -13,6 +13,12 @@ func NewPageRankProgram(n uint32, damping float64) engine.Program {
 	return &pageRankProg{n: float64(n), damping: damping}
 }
 
+// NewPPRProgram returns the personalized PageRank program that teleports
+// to root.
+func NewPPRProgram(root uint32, damping float64) engine.Program {
+	return &pprProg{root: root, damping: damping}
+}
+
 // NewBFSProgram returns the minimum-depth BFS program rooted at root.
 func NewBFSProgram(root uint32) engine.Program { return &bfsProg{root: root} }
 

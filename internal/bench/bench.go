@@ -6,8 +6,9 @@
 //
 // Absolute numbers differ from the paper — the datasets are scaled
 // stand-ins and the disks are simulated — but the comparisons (who wins,
-// by what factor, where curves bend) are the reproduction targets;
-// EXPERIMENTS.md records both sides.
+// by what factor, where curves bend) are the reproduction targets. The
+// repository's own regression benchmark, with recorded results, is
+// described in benchmark/README.md.
 package bench
 
 import (

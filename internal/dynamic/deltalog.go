@@ -3,6 +3,7 @@ package dynamic
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync"
 
 	"nxgraph/internal/diskio"
@@ -28,9 +29,9 @@ type Op struct {
 // ordered operation log and serves them two ways:
 //
 //   - Overlay compiles the pending ops into an immutable engine.Overlay
-//     snapshot — per-cell sub-shards of inserted edges plus tombstones
-//     for removed base edges — so queries observe the mutated graph
-//     immediately, with no preprocessing;
+//     snapshot — per-cell sub-shards of inserted edges plus per-cell
+//     tombstone keys for removed base edges — so queries observe the
+//     mutated graph immediately, with no preprocessing;
 //   - Rebuild merges a checkpointed prefix of the log into a fresh store
 //     (background compaction), after which Advance rebases the remaining
 //     ops onto the new store.
@@ -62,6 +63,13 @@ type DeltaLog struct {
 	// check makes re-application a no-op, so replay is idempotent.
 	lastSeq uint64
 
+	// baseCopies memoizes, per removed dense pair (pairKey), how many
+	// base copies the removal kills. The base store is immutable for the
+	// life of the log (Advance builds a new log over the new store), so
+	// entries never need invalidating and a re-compile after an ack
+	// reads only the cells of pairs it has not resolved yet.
+	baseCopies map[uint64]uint32
+
 	snap      *overlaySnapshot // compiled cache for the current ops
 	snapLen   int              // ops length the cache was compiled at
 	snapEmpty bool             // cache compiled to "no servable deltas"
@@ -81,7 +89,8 @@ func NewDeltaLog(base *storage.Store) (*DeltaLog, error) {
 	for id, orig := range idmap {
 		denseOf[orig] = uint32(id)
 	}
-	return &DeltaLog{base: base, idmap: idmap, denseOf: denseOf, baseOut: out, baseIn: in}, nil
+	return &DeltaLog{base: base, idmap: idmap, denseOf: denseOf, baseOut: out, baseIn: in,
+		baseCopies: make(map[uint64]uint32)}, nil
 }
 
 // Base returns the store the log is anchored to.
@@ -175,14 +184,13 @@ func pairKey(src, dst uint32) uint64 { return uint64(src)<<32 | uint64(dst) }
 // Overlay compiles the pending ops into an engine-consumable snapshot.
 // It returns (nil, nil) when nothing servable is pending. The snapshot
 // is cached until the log changes, so repeated runs between ingests pay
-// the compile once. Compilation reads the base cells touched by
-// removals (to count the base copies a tombstone kills, for degree
-// accounting), which is why it can fail; that disk I/O — and the
-// O(NumVertices) degree-array copies — happen *outside* l.mu, so
-// concurrent ingest appends never stall behind a compile. (The compile
-// itself is from-scratch per delta state; the compaction threshold
-// bounds the op walk, but the degree copies scale with the graph —
-// incremental snapshot maintenance is the known future optimization.)
+// the compile once. Compilation reads a base cell only to resolve
+// removed pairs it has not seen before (how many base copies each one
+// kills — see baseCopies), which is why it can fail; that disk I/O —
+// and the O(NumVertices) degree-array copies — happen *outside* l.mu, so
+// concurrent ingest appends never stall behind a compile. A re-compile
+// after an ack is therefore O(pending ops) plus the degree copies, not
+// O(base edges of the touched cells).
 func (l *DeltaLog) Overlay() (engine.Overlay, error) {
 	l.mu.Lock()
 	n := len(l.ops)
@@ -244,15 +252,15 @@ type denseAdd struct {
 }
 
 // compile walks ops (a stable prefix of the log) and builds the overlay
-// snapshot. It touches only immutable DeltaLog state (denseOf, base
-// degrees, the base store) and so runs without l.mu.
+// snapshot. Apart from the baseCopies memo (see resolveBaseCopies) it
+// touches only immutable DeltaLog state (denseOf, base degrees, the base
+// store) and so runs without l.mu.
 func (l *DeltaLog) compile(ops []Op) (*overlaySnapshot, error) {
 	// A removal kills every insertion of its pair logged before it, so
 	// an insertion survives iff no removal of its pair appears later in
 	// the log. Recording each pair's last removal position keeps the
 	// walk O(ops) instead of filtering the adds list per removal.
 	lastRemove := make(map[uint64]int)
-	tombs := make(map[uint64]struct{})
 	for idx, op := range ops {
 		if !op.Remove {
 			continue
@@ -262,9 +270,7 @@ func (l *DeltaLog) compile(ops []Op) (*overlaySnapshot, error) {
 		if !sok || !dok {
 			continue // pair cannot exist in the base id space
 		}
-		k := pairKey(s, d)
-		lastRemove[k] = idx
-		tombs[k] = struct{}{}
+		lastRemove[pairKey(s, d)] = idx
 	}
 	var adds []denseAdd
 	for idx, op := range ops {
@@ -281,57 +287,48 @@ func (l *DeltaLog) compile(ops []Op) (*overlaySnapshot, error) {
 		}
 		adds = append(adds, denseAdd{s, d, op.Weight})
 	}
-	if len(adds) == 0 && len(tombs) == 0 {
+	// Only a removal that kills at least one base copy leaves a
+	// tombstone; removing an edge that only ever existed as a pending
+	// insertion is fully served by dropping that insertion above.
+	dead, err := l.resolveBaseCopies(lastRemove)
+	if err != nil {
+		return nil, err
+	}
+	if len(adds) == 0 && len(dead) == 0 {
 		return nil, nil
 	}
 
 	meta := l.base.Meta()
 	P := meta.P
 	snap := &overlaySnapshot{
-		p:        P,
-		cells:    make(map[int]*storage.SubShard),
-		tcells:   make(map[int]*storage.SubShard),
-		tombs:    tombs,
-		delCells: make(map[int]struct{}),
-		out:      append([]uint32(nil), l.baseOut...),
-		in:       append([]uint32(nil), l.baseIn...),
+		p:      P,
+		cells:  make(map[int]*storage.SubShard),
+		tcells: make(map[int]*storage.SubShard),
+		tombs:  make(map[int][]uint64),
+		out:    append([]uint32(nil), l.baseOut...),
+		in:     append([]uint32(nil), l.baseIn...),
 	}
 	if meta.HasTranspose {
-		snap.tdelCells = make(map[int]struct{})
+		snap.ttombs = make(map[int][]uint64)
 	}
 
-	// Tombstones: locate each pair's forward cell, count the base copies
-	// it kills (degree and edge-count accounting), and mark the cell —
-	// in both replicas — as needing the per-edge skip check.
-	tombCells := make(map[int][]uint64)
-	for key := range tombs {
+	// Tombstones: degree and edge-count accounting, and each replica's
+	// per-cell key list (in that replica's own orientation: the
+	// transposed replica stores the edge reversed).
+	for key, copies := range dead {
 		s, d := uint32(key>>32), uint32(key)
-		ci := meta.IntervalOf(s)*P + meta.IntervalOf(d)
-		tombCells[ci] = append(tombCells[ci], key)
-		snap.delCells[ci] = struct{}{}
+		snap.out[s] -= copies
+		snap.in[d] -= copies
+		snap.deltaEdges -= int64(copies)
+		si, di := meta.IntervalOf(s), meta.IntervalOf(d)
+		snap.tombs[si*P+di] = append(snap.tombs[si*P+di], engine.TombKey(s, d))
 		if meta.HasTranspose {
-			snap.tdelCells[meta.IntervalOf(d)*P+meta.IntervalOf(s)] = struct{}{}
+			snap.ttombs[di*P+si] = append(snap.ttombs[di*P+si], engine.TombKey(d, s))
 		}
 	}
-	for ci := range tombCells {
-		i, j := ci/P, ci%P
-		if meta.SubShards[ci].Edges == 0 {
-			continue
-		}
-		ss, err := l.base.ReadSubShard(i, j, false)
-		if err != nil {
-			return nil, err
-		}
-		for k := range ss.Dsts {
-			d := ss.Dsts[k]
-			for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
-				s := ss.Srcs[t]
-				if _, dead := tombs[pairKey(s, d)]; dead {
-					snap.out[s]--
-					snap.in[d]--
-					snap.deltaEdges--
-				}
-			}
+	for _, m := range []map[int][]uint64{snap.tombs, snap.ttombs} {
+		for _, keys := range m {
+			slices.Sort(keys)
 		}
 	}
 
@@ -376,15 +373,85 @@ func (l *DeltaLog) compile(ops []Op) (*overlaySnapshot, error) {
 	return snap, nil
 }
 
+// resolveBaseCopies returns, for every removed pair in removed that has
+// at least one copy in the base store, that copy count. Counts come from
+// the baseCopies memo; pairs not resolved yet are grouped by forward
+// cell, each such cell is read once, and every pair is located by two
+// binary searches (the destination in Dsts, then the source in that
+// destination's ascending Srcs run — parallel edges are an equal run).
+// Two concurrent compiles may resolve the same pair; both store the same
+// count. The cell reads run without l.mu.
+func (l *DeltaLog) resolveBaseCopies(removed map[uint64]int) (map[uint64]uint32, error) {
+	meta := l.base.Meta()
+	P := meta.P
+	dead := make(map[uint64]uint32)
+	unresolved := make(map[int][]uint64) // forward cell -> pair keys
+	l.mu.Lock()
+	for key := range removed {
+		copies, ok := l.baseCopies[key]
+		if !ok {
+			ci := meta.IntervalOf(uint32(key>>32))*P + meta.IntervalOf(uint32(key))
+			unresolved[ci] = append(unresolved[ci], key)
+		} else if copies > 0 {
+			dead[key] = copies
+		}
+	}
+	l.mu.Unlock()
+	if len(unresolved) == 0 {
+		return dead, nil
+	}
+
+	resolved := make(map[uint64]uint32)
+	for ci, keys := range unresolved {
+		var ss *storage.SubShard
+		if meta.SubShards[ci].Edges > 0 {
+			var err error
+			if ss, err = l.base.ReadSubShard(ci/P, ci%P, false); err != nil {
+				return nil, err
+			}
+		}
+		for _, key := range keys {
+			resolved[key] = baseCopiesIn(ss, uint32(key>>32), uint32(key))
+		}
+	}
+	l.mu.Lock()
+	for key, copies := range resolved {
+		l.baseCopies[key] = copies
+		if copies > 0 {
+			dead[key] = copies
+		}
+	}
+	l.mu.Unlock()
+	return dead, nil
+}
+
+// baseCopiesIn counts the copies of edge (src, dst) in destination-sorted
+// sub-shard ss (nil: an empty cell).
+func baseCopiesIn(ss *storage.SubShard, src, dst uint32) uint32 {
+	if ss == nil {
+		return 0
+	}
+	k, ok := slices.BinarySearch(ss.Dsts, dst)
+	if !ok {
+		return 0
+	}
+	run := ss.Srcs[ss.Offsets[k]:ss.Offsets[k+1]]
+	lo, _ := slices.BinarySearch(run, src)
+	n := uint32(0)
+	for lo+int(n) < len(run) && run[lo+int(n)] == src {
+		n++
+	}
+	return n
+}
+
 // overlaySnapshot is the compiled, immutable form of a DeltaLog handed
 // to engine runs.
 type overlaySnapshot struct {
-	p                   int
-	cells, tcells       map[int]*storage.SubShard
-	tombs               map[uint64]struct{}
-	delCells, tdelCells map[int]struct{}
-	out, in             []uint32
-	deltaEdges          int64
+	p             int
+	cells, tcells map[int]*storage.SubShard
+	tombs, ttombs map[int][]uint64 // cell -> ascending engine.TombKeys of dead base edges
+	out, in       []uint32
+	deltaEdges    int64
 }
 
 func (s *overlaySnapshot) Cell(i, j int, transpose bool) *storage.SubShard {
@@ -394,21 +461,11 @@ func (s *overlaySnapshot) Cell(i, j int, transpose bool) *storage.SubShard {
 	return s.cells[i*s.p+j]
 }
 
-func (s *overlaySnapshot) CellHasDeletes(i, j int, transpose bool) bool {
-	m := s.delCells
+func (s *overlaySnapshot) CellTombstones(i, j int, transpose bool) []uint64 {
 	if transpose {
-		m = s.tdelCells
+		return s.ttombs[i*s.p+j]
 	}
-	_, ok := m[i*s.p+j]
-	return ok
-}
-
-func (s *overlaySnapshot) Deleted(src, dst uint32, transpose bool) bool {
-	if transpose {
-		src, dst = dst, src
-	}
-	_, ok := s.tombs[pairKey(src, dst)]
-	return ok
+	return s.tombs[i*s.p+j]
 }
 
 func (s *overlaySnapshot) Degrees() (out, in []uint32) { return s.out, s.in }

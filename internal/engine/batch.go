@@ -561,17 +561,6 @@ func (b *BatchRun) ovCell(d, i, j int) *storage.SubShard {
 	return b.ov.Cell(i, j, d == 1)
 }
 
-// cellDel returns the overlay tombstone predicate for base cell (i, j),
-// or nil when the cell has no pending removals.
-func (b *BatchRun) cellDel(d, i, j int) func(src, dst uint32) bool {
-	if b.ov == nil || !b.ov.CellHasDeletes(i, j, d == 1) {
-		return nil
-	}
-	t := d == 1
-	ov := b.ov
-	return func(src, dst uint32) bool { return ov.Deleted(src, dst, t) }
-}
-
 // cellHasEdges reports whether cell (i, j) of traversal flag d holds any
 // edges to gather — base or overlay.
 func (b *BatchRun) cellHasEdges(d, i, j int) bool {
@@ -748,7 +737,7 @@ func (b *BatchRun) processRow(i int, rowLanes []int, dirs []int, blocks *fetchBa
 					return err
 				}
 				b.countEdges(rowLanes, int64(ss.NumEdges()))
-				resident[d][0] = append(resident[d][0], b.gatherTasks(ss, deg, sc, b.cellDel(d, i, j), rowLanes, j)...)
+				resident[d][0] = append(resident[d][0], b.gatherTasks(ss, deg, sc, cellTombsOf(b.ov, d, i, j, ss), rowLanes, j)...)
 			}
 			if ovc != nil {
 				b.countEdges(rowLanes, int64(ovc.NumEdges()))
@@ -780,14 +769,36 @@ func (b *BatchRun) countEdges(rowLanes []int, n int64) {
 // gatherTasks builds the fine-grained (callback) or interval-locked
 // (lock) tasks folding sub-shard ss into every lane's accumulator.
 // scaled is the direction's hoisted rank-sum Gather array (nil unless
-// the batch has the KernelRankSum hint).
-func (b *BatchRun) gatherTasks(ss *storage.SubShard, deg []uint32, scaled []float64, del func(src, dst uint32) bool, rowLanes []int, j int) []func() {
+// the batch has the KernelRankSum hint); tombs is the cell's resolved
+// tombstones (nil for overlay cells and cells without removals), walked
+// per task as clean runs and single dirty destinations exactly like the
+// scalar Run.gatherTasks.
+func (b *BatchRun) gatherTasks(ss *storage.SubShard, deg []uint32, scaled []float64, tombs *cellTombs, rowLanes []int, j int) []func() {
 	lanes := append([]int(nil), rowLanes...) // rowLanes is reused per row
+	// contig: lanes is a run of consecutive lane ids, letting the
+	// specialized kernels slice the SoA arrays directly instead of
+	// indirecting through the lane list. This is the common shape for
+	// dense programs (PPR lanes never deactivate).
+	contig := true
+	for x, l := range lanes {
+		if l != lanes[0]+x {
+			contig = false
+			break
+		}
+	}
+	// One task is one or more gatherCell calls (a dirty destination
+	// splits its chunk), all sharing the task's per-destination buffer.
+	task := func(k0, k1 int) {
+		local := make([]float64, len(lanes))
+		tombs.gather(k0, k1, func(del delPred, k0, k1 int) {
+			b.gatherCell(ss, deg, scaled, del, lanes, contig, local, k0, k1)
+		})
+	}
 	if b.e.cfg.Sync == Lock {
 		lock := &b.locks[j]
 		return []func(){func() {
 			lock.Lock()
-			b.gatherCell(ss, deg, scaled, del, lanes, 0, ss.NumDsts())
+			task(0, ss.NumDsts())
 			lock.Unlock()
 		}}
 	}
@@ -795,9 +806,7 @@ func (b *BatchRun) gatherTasks(ss *storage.SubShard, deg []uint32, scaled []floa
 	tasks := make([]func(), 0, len(bounds)-1)
 	for c := 0; c < len(bounds)-1; c++ {
 		k0, k1 := bounds[c], bounds[c+1]
-		tasks = append(tasks, func() {
-			b.gatherCell(ss, deg, scaled, del, lanes, k0, k1)
-		})
+		tasks = append(tasks, func() { task(k0, k1) })
 	}
 	return tasks
 }

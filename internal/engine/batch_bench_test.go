@@ -4,6 +4,7 @@ import (
 	"testing"
 
 	"nxgraph/internal/algorithms"
+	"nxgraph/internal/dynamic"
 	"nxgraph/internal/engine"
 	"nxgraph/internal/gen"
 	"nxgraph/internal/testutil"
@@ -62,6 +63,46 @@ func BenchmarkPPRBatch64Sequential(b *testing.B) {
 			if _, err := algorithms.PersonalizedPageRank(e, r, 0.85, 5); err != nil {
 				b.Fatal(err)
 			}
+		}
+	}
+	b.StopTimer()
+	b.ReportMetric(float64(len(roots)*b.N)/b.Elapsed().Seconds(), "queries/s")
+}
+
+// BenchmarkPPRBatch16OverlayRemovals runs 16 fused PPR queries per op
+// over an overlay carrying 1024 insertions and 128 removals of real base
+// edges, two in every cell — the serving shape under ingest, where every
+// base cell is tombstoned. The fused rank kernel's dense path must stay
+// on for all but the 128 dirty destinations.
+func BenchmarkPPRBatch16OverlayRemovals(b *testing.B) {
+	e, _ := benchBatchEngine(b) // block cache arrives warm
+	st := e.Store()
+	log, err := dynamic.NewDeltaLog(st)
+	if err != nil {
+		b.Fatal(err)
+	}
+	ids, err := st.IDMap()
+	if err != nil {
+		b.Fatal(err)
+	}
+	n := uint64(len(ids))
+	for k := uint64(0); k < 1024; k++ {
+		log.Add(ids[(k*13)%n], ids[(k*31+7)%n], 1)
+	}
+	for _, cell := range testutil.BaseEdgesByCell(b, st, 2) {
+		for _, v := range cell {
+			log.Remove(v[0], v[1])
+		}
+	}
+	if _, err := log.Overlay(); err != nil { // compile outside the loop
+		b.Fatal(err)
+	}
+	e.SetOverlayProvider(log.Overlay)
+	roots := benchRoots(16, st.Meta().NumVertices)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := algorithms.PersonalizedPageRankBatch(e, roots, 0.85, 5); err != nil {
+			b.Fatal(err)
 		}
 	}
 	b.StopTimer()

@@ -16,28 +16,18 @@ import (
 // When every lane declares the same KernelHint, the per-edge Program
 // interface dispatch (two calls per edge per lane in the generic path)
 // is replaced by direct arithmetic on the SoA arrays. This is where the
-// fused throughput win comes from: the edge decode, degree load, and
-// tombstone check are paid once per edge, and the per-lane work shrinks
-// to one or two FP operations on consecutive memory.
+// fused throughput win comes from: the edge decode and degree load are
+// paid once per edge, and the per-lane work shrinks to one or two FP
+// operations on consecutive memory.
 
 // gatherCell folds destinations [k0, k1) of sub-shard ss into the SoA
-// accumulator b.next for the given lanes. del is the overlay tombstone
-// predicate for base cells (nil when the cell has no pending removals);
-// scaled is the direction's hoisted rank-sum Gather array, non-nil
-// exactly when the batch hint is KernelRankSum.
-func (b *BatchRun) gatherCell(ss *storage.SubShard, deg []uint32, scaled []float64, del func(src, dst uint32) bool, lanes []int, k0, k1 int) {
-	// contig: lanes is a run of consecutive lane ids, letting the
-	// specialized kernels slice the SoA arrays directly instead of
-	// indirecting through the lane list. This is the common shape for
-	// dense programs (PPR lanes never deactivate).
-	contig := true
-	for x, l := range lanes {
-		if l != lanes[0]+x {
-			contig = false
-			break
-		}
-	}
-	local := make([]float64, len(lanes))
+// accumulator b.next for the given lanes. del is the tombstone predicate
+// when [k0, k1) is a single dirty destination of a base cell, nil for
+// every clean run; scaled is the direction's hoisted rank-sum Gather
+// array, non-nil exactly when the batch hint is KernelRankSum. contig
+// and local (one float64 per lane of scratch) are per-task facts the
+// caller computes once — see BatchRun.gatherTasks.
+func (b *BatchRun) gatherCell(ss *storage.SubShard, deg []uint32, scaled []float64, del delPred, lanes []int, contig bool, local []float64, k0, k1 int) {
 	switch b.hint {
 	case KernelRankSum:
 		b.gatherRankSum(ss, scaled, del, lanes, contig, local, k0, k1)

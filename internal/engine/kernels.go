@@ -25,8 +25,9 @@ func (v view) at(id uint32) float64 { return v.vals[id-v.base] }
 //
 // del, when non-nil, is the delta-overlay tombstone predicate: base edges
 // it reports as removed are skipped, so a run serves the post-mutation
-// graph without rewriting the sub-shard on disk. Cells without pending
-// removals pass nil and pay nothing.
+// graph without rewriting the sub-shard on disk. Only a range that is a
+// single dirty destination carries one (see cellTombs.gather); every
+// other range passes nil and pays nothing.
 func gatherCSR(p Program, deg []uint32, mask *bitset.Set, del func(src, dst uint32) bool, ss *storage.SubShard, src view, acc view, k0, k1 int) {
 	zero := p.Zero()
 	for k := k0; k < k1; k++ {

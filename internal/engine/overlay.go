@@ -18,8 +18,11 @@ import (
 // Inserted edges are exposed as per-cell destination-sorted sub-shards in
 // the same dense-id space as the base store; they flow through the same
 // gather kernels as base edges. Removed edges are exposed as tombstones:
-// a predicate the kernels consult to skip base edges. Tombstones never
-// apply to overlay-inserted edges — a remove-then-re-add sequence
+// per-cell data — the short sorted list of the cell's dead base edges —
+// which the task builders resolve to the few destinations that lose an
+// edge before any kernel runs (see tombstones.go); every other
+// destination gathers exactly as it would without an overlay. Tombstones
+// never apply to overlay-inserted edges — a remove-then-re-add sequence
 // tombstones the base copies and re-inserts through the overlay.
 type Overlay interface {
 	// Cell returns the pending inserted edges whose (source, destination)
@@ -28,13 +31,12 @@ type Overlay interface {
 	// the transpose replica the edges are reversed, mirroring the
 	// on-disk transposed sub-shards.
 	Cell(i, j int, transpose bool) *storage.SubShard
-	// CellHasDeletes reports whether cell (i, j) of the given replica may
-	// contain tombstoned base edges. It gates the per-edge Deleted check
-	// so cells without removals gather at full speed.
-	CellHasDeletes(i, j int, transpose bool) bool
-	// Deleted reports whether the base edge (src, dst) — in the replica's
-	// own orientation — is tombstoned and must be skipped.
-	Deleted(src, dst uint32, transpose bool) bool
+	// CellTombstones returns the dead base edges of cell (i, j) of the
+	// given replica as ascending dst<<32|src keys (TombKey) in the
+	// replica's own orientation, or nil when the cell has none. A key kills every base
+	// copy of its pair (parallel edges die together), and only pairs
+	// that kill at least one base copy are listed.
+	CellTombstones(i, j int, transpose bool) []uint64
 	// Degrees returns the overlay-adjusted out- and in-degree arrays
 	// (dense-id order, length NumVertices). Gather normalizes by source
 	// degree, so serving deltas without adjusting degrees would skew
@@ -84,17 +86,6 @@ func (r *Run) ovCell(d, i, j int) *storage.SubShard {
 		return nil
 	}
 	return r.ov.Cell(i, j, d == 1)
-}
-
-// cellDel returns the tombstone predicate the kernels apply to base
-// edges of cell (i, j), or nil when the cell has no pending removals.
-func (r *Run) cellDel(d, i, j int) func(src, dst uint32) bool {
-	if r.ov == nil || !r.ov.CellHasDeletes(i, j, d == 1) {
-		return nil
-	}
-	t := d == 1
-	ov := r.ov
-	return func(src, dst uint32) bool { return ov.Deleted(src, dst, t) }
 }
 
 // cellHasEdges reports whether cell (i, j) of traversal flag d holds any

@@ -15,11 +15,10 @@ type stubOverlay struct {
 	out, in []uint32
 }
 
-func (s *stubOverlay) Cell(i, j int, transpose bool) *storage.SubShard { return nil }
-func (s *stubOverlay) CellHasDeletes(i, j int, transpose bool) bool    { return false }
-func (s *stubOverlay) Deleted(src, dst uint32, transpose bool) bool    { return false }
-func (s *stubOverlay) Degrees() (out, in []uint32)                     { return s.out, s.in }
-func (s *stubOverlay) DeltaEdges() int64                               { return 0 }
+func (s *stubOverlay) Cell(i, j int, transpose bool) *storage.SubShard  { return nil }
+func (s *stubOverlay) CellTombstones(i, j int, transpose bool) []uint64 { return nil }
+func (s *stubOverlay) Degrees() (out, in []uint32)                      { return s.out, s.in }
+func (s *stubOverlay) DeltaEdges() int64                                { return 0 }
 
 func overlayTestStore(t *testing.T) *storage.Store {
 	t.Helper()

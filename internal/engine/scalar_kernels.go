@@ -96,17 +96,15 @@ func sumFoldFor(hint KernelHint) scalarFold {
 	return foldNone
 }
 
-// delPred is the overlay tombstone predicate threaded through the gather
-// kernels (nil for cells without pending removals).
-type delPred = func(src, dst uint32) bool
-
 // gatherSpec is the specialized counterpart of gatherCSR and gatherToHub
 // in one: it folds destinations [k0, k1) of ss with fold f. When hub is
 // non-nil the per-destination partial is assigned to hub[k] (the ToHub
 // kernel); otherwise it is Sum-folded into acc. The fold dispatch and
-// the mask/del presence check run once per call — a task covers
-// thousands of edges — so the inner loops carry no per-edge nil tests
-// beyond what filtering itself requires.
+// the mask/del presence check run once per call, so the inner loops
+// carry no per-edge nil tests beyond what filtering itself requires. A
+// call covers a run of clean destinations — thousands of edges, del ==
+// nil, the unfiltered loops — or one dirty destination of a tombstoned
+// base cell with its predicate (see cellTombs.gather).
 func gatherSpec(f scalarFold, deg []uint32, mask *bitset.Set, del delPred, ss *storage.SubShard, src view, acc view, hub []float64, k0, k1 int) {
 	switch f {
 	case foldCopySum:

@@ -311,7 +311,6 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 				})
 				continue
 			}
-			del := r.cellDel(d, i, j)
 			if j < Q {
 				if base {
 					ss, err := r.batchSubShard(blocks, cellID{d, i, j, false})
@@ -319,7 +318,7 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 						return err
 					}
 					r.edges += int64(ss.NumEdges())
-					resident[d][0] = append(resident[d][0], r.gatherTasks(ss, deg, del, src, view{r.next, 0}, j)...)
+					resident[d][0] = append(resident[d][0], r.gatherTasks(ss, deg, cellTombsOf(r.ov, d, i, j, ss), src, view{r.next, 0}, j)...)
 				}
 				if ovc != nil {
 					r.edges += int64(ovc.NumEdges())
@@ -333,7 +332,12 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 					return err
 				}
 				r.edges += int64(ss.NumEdges())
-				free = append(free, r.hubTasks(d, i, j, ss, deg, del, src)...)
+				vals := make([]float64, ss.NumDsts())
+				free = append(free, r.hubTasks(ss, deg, cellTombsOf(r.ov, d, i, j, ss), src, vals, func() {
+					if err := r.hubs[d].Write(i, j, ss.Dsts, vals); err != nil {
+						r.setErr(err)
+					}
+				})...)
 			}
 			if ovc != nil {
 				// Overlay contributions to an on-disk destination
@@ -341,7 +345,7 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 				// are sized from the base meta); the column phase folds
 				// them alongside the disk hub.
 				r.edges += int64(ovc.NumEdges())
-				free = append(free, r.ovHubTasks(d, i, j, ovc, deg, src)...)
+				free = append(free, r.hubTasks(ovc, deg, nil, src, r.ovHubVals(d, i, j, ovc), func() {})...)
 			}
 		}
 	}
@@ -364,24 +368,29 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 }
 
 // gatherTasks builds the fine-grained (callback) or interval-locked (lock)
-// tasks that fold sub-shard ss into a dense accumulator. del is the
-// overlay tombstone predicate for base sub-shards (nil for overlay cells
-// and cells without pending removals). Cells whose Gather/Sum match the
-// run's kernel hint go through the devirtualized fold loops; chunk
-// boundaries balance edges, not destinations, so a hub destination does
-// not serialize its whole chunk's worth of sparse neighbours behind it.
-func (r *Run) gatherTasks(ss *storage.SubShard, deg []uint32, del func(src, dst uint32) bool, src, acc view, j int) []func() {
+// tasks that fold sub-shard ss into a dense accumulator. tombs is the
+// cell's resolved tombstones (nil for overlay cells and base cells
+// without pending removals): each task walks its destinations as clean
+// runs and single dirty destinations, so only the latter see a
+// predicate. Cells whose Gather/Sum match the run's kernel hint go
+// through the devirtualized fold loops; chunk boundaries balance edges,
+// not destinations, so a hub destination does not serialize its whole
+// chunk's worth of sparse neighbours behind it.
+func (r *Run) gatherTasks(ss *storage.SubShard, deg []uint32, tombs *cellTombs, src, acc view, j int) []func() {
 	p := r.p
 	f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil)
+	kernel := func(del delPred, k0, k1 int) {
+		if f != foldNone {
+			gatherSpec(f, deg, r.mask, del, ss, src, acc, nil, k0, k1)
+		} else {
+			gatherCSR(p, deg, r.mask, del, ss, src, acc, k0, k1)
+		}
+	}
 	if r.e.cfg.Sync == Lock {
 		lock := &r.locks[j]
 		return []func(){func() {
 			lock.Lock()
-			if f != foldNone {
-				gatherSpec(f, deg, r.mask, del, ss, src, acc, nil, 0, ss.NumDsts())
-			} else {
-				gatherCSR(p, deg, r.mask, del, ss, src, acc, 0, ss.NumDsts())
-			}
+			tombs.gather(0, ss.NumDsts(), kernel)
 			lock.Unlock()
 		}}
 	}
@@ -389,32 +398,19 @@ func (r *Run) gatherTasks(ss *storage.SubShard, deg []uint32, del func(src, dst 
 	tasks := make([]func(), 0, len(bounds)-1)
 	for c := 0; c < len(bounds)-1; c++ {
 		k0, k1 := bounds[c], bounds[c+1]
-		if f != foldNone {
-			tasks = append(tasks, func() {
-				gatherSpec(f, deg, r.mask, del, ss, src, acc, nil, k0, k1)
-			})
-		} else {
-			tasks = append(tasks, func() {
-				gatherCSR(p, deg, r.mask, del, ss, src, acc, k0, k1)
-			})
-		}
+		tasks = append(tasks, func() { tombs.gather(k0, k1, kernel) })
 	}
 	return tasks
 }
 
-// hubTasks builds the ToHub tasks for sub-shard SS[i][j]: gather partials
-// into a value array and write hub H[i][j] once the last chunk completes
-// (the callback mechanism).
-func (r *Run) hubTasks(d, i, j int, ss *storage.SubShard, deg []uint32, del func(src, dst uint32) bool, src view) []func() {
+// hubTasks builds the ToHub tasks for sub-shard ss — base SS[i][j] with
+// its resolved tombstones, or an overlay cell with none: gather partials
+// into vals (parallel to ss.Dsts), then run done once the last chunk
+// completes (the callback mechanism).
+func (r *Run) hubTasks(ss *storage.SubShard, deg []uint32, tombs *cellTombs, src view, vals []float64, done func()) []func() {
 	p := r.p
-	vals := make([]float64, ss.NumDsts())
-	write := func() {
-		if err := r.hubs[d].Write(i, j, ss.Dsts, vals); err != nil {
-			r.setErr(err)
-		}
-	}
 	f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil)
-	gather := func(k0, k1 int) {
+	kernel := func(del delPred, k0, k1 int) {
 		if f != foldNone {
 			gatherSpec(f, deg, r.mask, del, ss, src, view{}, vals, k0, k1)
 		} else {
@@ -423,8 +419,8 @@ func (r *Run) hubTasks(d, i, j int, ss *storage.SubShard, deg []uint32, del func
 	}
 	if r.e.cfg.Sync == Lock {
 		return []func(){func() {
-			gather(0, ss.NumDsts())
-			write()
+			tombs.gather(0, ss.NumDsts(), kernel)
+			done()
 		}}
 	}
 	bounds := edgeChunkRanges(ss.Offsets, r.chunkCost)
@@ -434,39 +430,10 @@ func (r *Run) hubTasks(d, i, j int, ss *storage.SubShard, deg []uint32, del func
 	for c := 0; c < len(bounds)-1; c++ {
 		k0, k1 := bounds[c], bounds[c+1]
 		tasks = append(tasks, func() {
-			gather(k0, k1)
+			tombs.gather(k0, k1, kernel)
 			if pending.Add(-1) == 0 {
-				write()
+				done()
 			}
-		})
-	}
-	return tasks
-}
-
-// ovHubTasks gathers overlay cell (i,j) into its in-memory partials
-// array — the overlay counterpart of hubTasks, with no disk write.
-func (r *Run) ovHubTasks(d, i, j int, cell *storage.SubShard, deg []uint32, src view) []func() {
-	p := r.p
-	vals := r.ovHubVals(d, i, j, cell)
-	f := scalarFoldFor(r.hint, r.useScaled, cell.Weights != nil)
-	gather := func(k0, k1 int) {
-		if f != foldNone {
-			gatherSpec(f, deg, r.mask, nil, cell, src, view{}, vals, k0, k1)
-		} else {
-			gatherToHub(p, deg, r.mask, nil, cell, src, vals, k0, k1)
-		}
-	}
-	if r.e.cfg.Sync == Lock {
-		return []func(){func() {
-			gather(0, cell.NumDsts())
-		}}
-	}
-	bounds := edgeChunkRanges(cell.Offsets, r.chunkCost)
-	tasks := make([]func(), 0, len(bounds)-1)
-	for c := 0; c < len(bounds)-1; c++ {
-		k0, k1 := bounds[c], bounds[c+1]
-		tasks = append(tasks, func() {
-			gather(k0, k1)
 		})
 	}
 	return tasks
@@ -527,7 +494,7 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 						return false, err
 					}
 					r.edges += int64(ss.NumEdges())
-					tasks := r.gatherTasks(ss, deg, r.cellDel(d, i, j), r.srcView(), accV, j)
+					tasks := r.gatherTasks(ss, deg, cellTombsOf(r.ov, d, i, j, ss), r.srcView(), accV, j)
 					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
 				}
 				if ovc := r.ovCell(d, i, j); ovc != nil {

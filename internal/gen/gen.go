@@ -173,7 +173,8 @@ type Preset struct {
 	Scale      int
 	EdgeFactor int
 	// PaperVertices / PaperEdges record the size of the original dataset
-	// for the EXPERIMENTS.md bookkeeping.
+	// (the scaled graphs the repository actually measures are described
+	// in benchmark/README.md).
 	PaperVertices int64
 	PaperEdges    int64
 }

@@ -130,3 +130,30 @@ func SamePartition(t testing.TB, a, b []uint32) {
 		}
 	}
 }
+
+// BaseEdgesByCell samples real edges of the store's forward replica for
+// removal fixtures: up to perCell edges from every cell (indexed
+// i*P+j), on distinct destinations spread evenly over the cell, as
+// original-index (src, dst) pairs. Distinct destinations make the pairs
+// distinct, so each one is a removal that kills at least one base copy.
+func BaseEdgesByCell(t testing.TB, st *storage.Store, perCell int) [][][2]uint64 {
+	t.Helper()
+	ids, err := st.IDMap()
+	if err != nil {
+		t.Fatalf("id map: %v", err)
+	}
+	P := st.Meta().P
+	cells := make([][][2]uint64, P*P)
+	for ci := range cells {
+		ss, err := st.ReadSubShard(ci/P, ci%P, false)
+		if err != nil {
+			t.Fatalf("read SS[%d][%d]: %v", ci/P, ci%P, err)
+		}
+		n := min(perCell, ss.NumDsts())
+		for x := 0; x < n; x++ {
+			k := x * ss.NumDsts() / n
+			cells[ci] = append(cells[ci], [2]uint64{ids[ss.Srcs[ss.Offsets[k]]], ids[ss.Dsts[k]]})
+		}
+	}
+	return cells
+}
