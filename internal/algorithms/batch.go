@@ -7,12 +7,13 @@ import (
 	"nxgraph/internal/engine"
 )
 
-// This file provides the fused multi-query entry points: each builds one
-// program per query root, runs them as lanes of a single engine
-// BatchRun, and returns per-query results in submission order. A nil
-// slot in the returned slice is a lane cancelled via the BatchControl
-// handle; every other slot is bit-identical to the corresponding
-// single-query run.
+// This file holds the one run loop every root- or rank-parameterized
+// entry point goes through (runLanes) and the multi-query entry points:
+// each builds one program per query root, runs them as the lanes of a
+// single engine Run, and returns per-query results in submission order.
+// A nil slot in the returned slice is a lane cancelled via the
+// BatchControl handle; every other slot is bit-identical to the
+// corresponding single-query run.
 //
 // ctrl, when non-nil, is invoked once with the run's per-lane control
 // surface before the first iteration — the serving layer uses it to wire
@@ -32,9 +33,12 @@ func validateRoots(e *engine.Engine, algo string, roots []uint32) error {
 	return nil
 }
 
-// runBatch drives a fused run of ps until every lane finishes, capped at
-// iters when iters > 0.
-func runBatch(ctx context.Context, e *engine.Engine, ps []engine.Program, iters int, progress engine.ProgressFunc, ctrl func(engine.BatchControl)) ([]*engine.Result, error) {
+// runLanes drives one forward run of ps (one lane each; a single-query
+// entry point passes one program and takes slot 0) until every lane
+// finishes, capped at iters when iters > 0. stop, when non-nil, is
+// consulted after every completed iteration and ends the run early when
+// it reports true.
+func runLanes(ctx context.Context, e *engine.Engine, ps []engine.Program, iters int, progress engine.ProgressFunc, ctrl func(engine.BatchControl), stop func() bool) ([]*engine.Result, error) {
 	run, err := e.NewBatchRun(ps, engine.Forward)
 	if err != nil {
 		return nil, err
@@ -49,11 +53,20 @@ func runBatch(ctx context.Context, e *engine.Engine, ps []engine.Program, iters 
 		if err != nil {
 			return nil, err
 		}
-		if !more {
+		if !more || stop != nil && stop() {
 			break
 		}
 	}
-	return run.Finish()
+	return run.FinishLanes()
+}
+
+// runOne is runLanes for a single program.
+func runOne(ctx context.Context, e *engine.Engine, p engine.Program, iters int, progress engine.ProgressFunc, stop func() bool) (*engine.Result, error) {
+	res, err := runLanes(ctx, e, []engine.Program{p}, iters, progress, nil, stop)
+	if err != nil {
+		return nil, err
+	}
+	return res[0], nil
 }
 
 // PersonalizedPageRankBatch runs iters iterations of personalized
@@ -76,7 +89,7 @@ func PersonalizedPageRankBatchContext(ctx context.Context, e *engine.Engine, roo
 	for i, r := range roots {
 		ps[i] = &pprProg{root: r, damping: damping}
 	}
-	return runBatch(ctx, e, ps, iters, progress, ctrl)
+	return runLanes(ctx, e, ps, iters, progress, ctrl, nil)
 }
 
 // BFSBatch computes hop distances from every root in one fused sweep,
@@ -95,7 +108,7 @@ func BFSBatchContext(ctx context.Context, e *engine.Engine, roots []uint32, prog
 	for i, r := range roots {
 		ps[i] = &bfsProg{root: r}
 	}
-	return runBatch(ctx, e, ps, 0, progress, ctrl)
+	return runLanes(ctx, e, ps, 0, progress, ctrl, nil)
 }
 
 // SSSPBatch computes shortest-path distances from every root in one
@@ -114,5 +127,5 @@ func SSSPBatchContext(ctx context.Context, e *engine.Engine, roots []uint32, pro
 	for i, r := range roots {
 		ps[i] = &ssspProg{root: r}
 	}
-	return runBatch(ctx, e, ps, 0, progress, ctrl)
+	return runLanes(ctx, e, ps, 0, progress, ctrl, nil)
 }

@@ -125,22 +125,7 @@ func PageRankContext(ctx context.Context, e *engine.Engine, damping float64, ite
 		return nil, fmt.Errorf("algorithms: pagerank needs iters > 0")
 	}
 	prog := &pageRankProg{n: float64(e.Store().Meta().NumVertices), damping: damping}
-	run, err := e.NewRun(prog, engine.Forward)
-	if err != nil {
-		return nil, err
-	}
-	defer run.Close()
-	run.SetProgress(progress)
-	for it := 0; it < iters; it++ {
-		more, err := run.StepContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !more {
-			break
-		}
-	}
-	return run.Finish()
+	return runOne(ctx, e, prog, iters, progress, nil)
 }
 
 // PageRankConverge iterates until the largest per-vertex change drops
@@ -153,23 +138,5 @@ func PageRankConverge(e *engine.Engine, damping, eps float64, maxIters int) (*en
 // progress reporting.
 func PageRankConvergeContext(ctx context.Context, e *engine.Engine, damping, eps float64, maxIters int, progress engine.ProgressFunc) (*engine.Result, error) {
 	prog := &pageRankProg{n: float64(e.Store().Meta().NumVertices), damping: damping}
-	run, err := e.NewRun(prog, engine.Forward)
-	if err != nil {
-		return nil, err
-	}
-	defer run.Close()
-	run.SetProgress(progress)
-	for it := 0; maxIters <= 0 || it < maxIters; it++ {
-		more, err := run.StepContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !more {
-			break
-		}
-		if prog.takeDelta() < eps {
-			break
-		}
-	}
-	return run.Finish()
+	return runOne(ctx, e, prog, maxIters, progress, func() bool { return prog.takeDelta() < eps })
 }

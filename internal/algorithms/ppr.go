@@ -130,21 +130,5 @@ func PersonalizedPageRankContext(ctx context.Context, e *engine.Engine, root uin
 	if iters <= 0 {
 		return nil, fmt.Errorf("algorithms: ppr needs iters > 0")
 	}
-	prog := &pprProg{root: root, damping: damping}
-	run, err := e.NewRun(prog, engine.Forward)
-	if err != nil {
-		return nil, err
-	}
-	defer run.Close()
-	run.SetProgress(progress)
-	for it := 0; it < iters; it++ {
-		more, err := run.StepContext(ctx)
-		if err != nil {
-			return nil, err
-		}
-		if !more {
-			break
-		}
-	}
-	return run.Finish()
+	return runOne(ctx, e, &pprProg{root: root, damping: damping}, iters, progress, nil)
 }

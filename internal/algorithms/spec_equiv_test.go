@@ -9,6 +9,7 @@ package algorithms
 // the engine falls back to per-edge interface dispatch.
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -50,8 +51,8 @@ func (h hideSpecAgg) AggLane(curr []float64, stride, off int, deg []uint32) floa
 }
 
 // hideLaneAgg keeps GlobalAggregator but hides LaneAggregator, forcing
-// the engine's chunked-partials parallel aggregate (the path programs
-// without a lane aggregate take).
+// the engine's serial AggVertex fold (the path programs without a lane
+// aggregate take).
 type hideLaneAgg struct{ engine.Program }
 
 func (h hideLaneAgg) AggZero() float64 { return h.Program.(engine.GlobalAggregator).AggZero() }
@@ -220,52 +221,54 @@ func TestScalarSpecEquivalence(t *testing.T) {
 	}
 }
 
-// TestParallelAggregateMatchesSerial covers the chunked-partials global
-// aggregate: for a PageRank run whose lane aggregate is hidden, the
-// parallel per-chunk combine must (a) be bitwise deterministic across
-// thread counts and (b) agree with the serial-fold reference to float
-// tolerance (chunk-boundary association is the only difference).
-func TestParallelAggregateMatchesSerial(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 33))
+// TestAggregateHasOneRule: a GlobalAggregator folds the same way — and
+// so to the same bits — whether or not the program also declares a
+// LaneAggregator, at every thread count, strategy and run width. The
+// graph is larger than any chunk size the engine ever summed partials
+// over (32768 vertices), so a chunk-wise combine would show.
+func TestAggregateHasOneRule(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(16, 4, 33))
 	if err != nil {
 		t.Fatal(err)
 	}
 	st, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4})
+	if oracle.NumVertices <= 1<<15 {
+		t.Fatalf("fixture has %d vertices, want more than 32768", oracle.NumVertices)
+	}
 	prN := float64(oracle.NumVertices)
-	const iters = 8
+	const iters = 4
+	hidden := func() engine.Program { return hideLaneAgg{&pageRankProg{n: prN, damping: 0.85}} }
 
-	serial := runSpecProg(t, st, engine.Config{Threads: 3},
+	want := runSpecProg(t, st, engine.Config{Threads: 3},
 		&pageRankProg{n: prN, damping: 0.85}, engine.Forward, iters, nil, nil)
-	chunked1 := runSpecProg(t, st, engine.Config{Threads: 1},
-		hideLaneAgg{&pageRankProg{n: prN, damping: 0.85}}, engine.Forward, iters, nil, nil)
-	chunked8 := runSpecProg(t, st, engine.Config{Threads: 8},
-		hideLaneAgg{&pageRankProg{n: prN, damping: 0.85}}, engine.Forward, iters, nil, nil)
-
-	assertBitsEqual(t, "chunked aggregate thread determinism", chunked1, chunked8)
-	for v := range serial {
-		diff := math.Abs(chunked1[v] - serial[v])
-		tol := 1e-12 * math.Max(1, math.Abs(serial[v]))
-		if diff > tol {
-			t.Fatalf("vertex %d: chunked %g vs serial %g (diff %g)", v, chunked1[v], serial[v], diff)
-		}
+	for _, threads := range []int{1, 8} {
+		got := runSpecProg(t, st, engine.Config{Threads: threads}, hidden(), engine.Forward, iters, nil, nil)
+		assertBitsEqual(t, "serial fold vs AggLane", want, got)
+	}
+	for name, cfg := range specConfigs(int(oracle.NumVertices)) {
+		got := runSpecProg(t, st, cfg, hidden(), engine.Forward, iters, nil, nil)
+		assertBitsEqual(t, name+" width 1", want, got)
 	}
 
-	// The user-facing driver on the same store: PageRankConverge's
-	// convergence loop rides the serial-bits lane aggregate; it must land
-	// on the same ranks as the chunked run within the same tolerance.
+	// One lane of a three-lane run (the siblings keep their AggLane).
 	e, err := engine.New(st, engine.Config{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
-	res, err := PageRankConverge(e, 0.85, 0, iters)
+	res, err := runLanes(context.Background(), e, []engine.Program{
+		&pageRankProg{n: prN, damping: 0.85}, hidden(), &pageRankProg{n: prN, damping: 0.85},
+	}, iters, nil, nil, nil)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for v := range res.Attrs {
-		diff := math.Abs(chunked1[v] - res.Attrs[v])
-		tol := 1e-12 * math.Max(1, math.Abs(res.Attrs[v]))
-		if diff > tol {
-			t.Fatalf("vertex %d: chunked %g vs converge %g (diff %g)", v, chunked1[v], res.Attrs[v], diff)
-		}
+	for l := range res {
+		assertBitsEqual(t, "width 3 lane", want, res[l].Attrs)
 	}
+
+	// The user-facing convergence driver rides the same aggregate.
+	conv, err := PageRankConverge(e, 0.85, 0, iters)
+	if err != nil {
+		t.Fatal(err)
+	}
+	assertBitsEqual(t, "PageRankConverge", want, conv.Attrs)
 }

@@ -1,14 +1,18 @@
 package engine_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"strings"
+	"sync"
 	"testing"
 
 	"nxgraph/internal/algorithms"
 	"nxgraph/internal/dynamic"
 	"nxgraph/internal/engine"
 	"nxgraph/internal/gen"
+	"nxgraph/internal/graph"
 	"nxgraph/internal/testutil"
 )
 
@@ -168,7 +172,7 @@ func TestFusedGenericKernelEquivalence(t *testing.T) {
 			break
 		}
 	}
-	fused, err := run.Finish()
+	fused, err := run.FinishLanes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -259,7 +263,7 @@ func TestFusedLaneCancellation(t *testing.T) {
 			break
 		}
 	}
-	fused, err := run.Finish()
+	fused, err := run.FinishLanes()
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -278,36 +282,226 @@ func TestFusedLaneCancellation(t *testing.T) {
 	}
 }
 
-// TestFusedWidthOne: batch width 1 must behave exactly like the scalar
-// path for every algorithm family (the bit-identical-at-width-1 floor).
-func TestFusedWidthOne(t *testing.T) {
-	g, err := gen.Uniform(400, 3600, 21)
+// TestCancelLaneOnSingleRun: a NewRun run is a one-lane run, so lane
+// control works on it — cancelling lane 0 stops the run at the next
+// iteration boundary, FinishLanes yields a nil slot and Finish (which
+// has no slot to leave empty) reports the cancellation.
+func TestCancelLaneOnSingleRun(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 5))
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2})
-	fused, err := algorithms.PersonalizedPageRankBatch(e, []uint32{17}, 0.9, 8)
-	if err != nil {
-		t.Fatal(err)
+	for _, strat := range []engine.Strategy{engine.SPU, engine.DPU} { // resident and streamed attributes
+		e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2, Strategy: strat})
+		run, err := e.NewRun(algorithms.NewPageRankProgram(e.Store().Meta().NumVertices, 0.85), engine.Forward)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer run.Close()
+		if run.Width() != 1 {
+			t.Fatalf("NewRun width = %d, want 1", run.Width())
+		}
+		if more, err := run.Step(); err != nil || !more {
+			t.Fatalf("%v: first step: more=%v err=%v", strat, more, err)
+		}
+		run.CancelLane(0)
+		if more, err := run.Step(); err != nil || more {
+			t.Fatalf("%v: step after CancelLane(0): more=%v err=%v, want the run to stop", strat, more, err)
+		}
+		if !run.LaneCancelled(0) || run.LaneIterations(0) != 1 {
+			t.Fatalf("%v: LaneCancelled=%v LaneIterations=%d, want cancelled after 1 iteration", strat, run.LaneCancelled(0), run.LaneIterations(0))
+		}
+		lanes, err := run.FinishLanes()
+		if err != nil || len(lanes) != 1 || lanes[0] != nil {
+			t.Fatalf("%v: FinishLanes = %v, %v; want one nil slot", strat, lanes, err)
+		}
+		if res, err := run.Finish(); err == nil || res != nil {
+			t.Fatalf("%v: Finish = %v, %v; want a cancellation error", strat, res, err)
+		}
 	}
-	seq, err := algorithms.PersonalizedPageRank(e, 17, 0.9, 8)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "width-1 ppr", fused[0].Attrs, seq.Attrs)
-	fusedB, err := algorithms.BFSBatch(e, []uint32{17})
-	if err != nil {
-		t.Fatal(err)
-	}
-	seqB, err := algorithms.BFS(e, 17)
-	if err != nil {
-		t.Fatal(err)
-	}
-	assertBitIdentical(t, "width-1 bfs", fusedB[0].Attrs, seqB.Attrs)
 }
 
-// TestFusedRejections: mismatched Zero values and the source-sorted
-// ablation order must be refused at construction.
+// TestWideRunIsAllResident: what a wide run may not do is decided from
+// its width, not from the engine's settings — under a forced DPU strategy
+// a one-program run is DPU, a three-lane run keeps every interval
+// resident and says so, and both agree bit for bit.
+func TestWideRunIsAllResident(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := buildEngine(t, g, 5, engine.Config{Threads: 2, Strategy: engine.DPU, ChunkDsts: 16})
+	P := e.Store().Meta().P
+	progs := func() []engine.Program {
+		return []engine.Program{algorithms.NewBFSProgram(0), algorithms.NewBFSProgram(3), algorithms.NewBFSProgram(7)}
+	}
+	wide, err := e.NewBatchRun(progs(), engine.Forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	if wide.Strategy() != engine.SPU || wide.ResidentIntervals() != P {
+		t.Fatalf("3-lane run under DPU: strategy %v, Q=%d; want spu, Q=%d", wide.Strategy(), wide.ResidentIntervals(), P)
+	}
+	for more := true; more; {
+		if more, err = wide.Step(); err != nil {
+			t.Fatal(err)
+		}
+	}
+	res, err := wide.FinishLanes()
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, p := range progs() {
+		if res[l].Strategy != engine.SPU || res[l].ResidentIntervals != P {
+			t.Fatalf("lane %d result: strategy %v, Q=%d", l, res[l].Strategy, res[l].ResidentIntervals)
+		}
+		one, err := e.NewBatchRun([]engine.Program{p}, engine.Forward)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if one.Strategy() != engine.DPU || one.ResidentIntervals() != 0 {
+			t.Fatalf("1-lane run under DPU: strategy %v, Q=%d; want dpu, Q=0", one.Strategy(), one.ResidentIntervals())
+		}
+		for more := true; more; {
+			if more, err = one.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		seq, err := one.Finish()
+		one.Close()
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, "dpu lane", res[l].Attrs, seq.Attrs)
+	}
+}
+
+// TestSkewedStarAtWidth16: gather tasks are cut by edge mass at every
+// width, so on a star whose hub destination dwarfs the sparse rest the
+// hub gets a task of its own — and, chunking being invisible in the
+// results, all 16 lanes still match their one-lane runs bit for bit.
+func TestSkewedStarAtWidth16(t *testing.T) {
+	const n, hub, chunk = 600, 300, 4
+	g := &graph.EdgeList{NumVertices: n}
+	for v := uint32(0); v < n; v++ {
+		g.Edges = append(g.Edges, graph.Edge{Src: v, Dst: (v + 1) % n, Weight: 1})
+		if v != hub {
+			g.Edges = append(g.Edges, graph.Edge{Src: v, Dst: hub, Weight: 1})
+		}
+	}
+	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 2})
+	ss, err := st.ReadSubShard(0, 1, false) // interval 0 -> the hub's interval
+	if err != nil {
+		t.Fatal(err)
+	}
+	bounds := engine.EdgeChunkRanges(ss.Offsets, engine.GatherChunkCost(16, chunk))
+	alone := false
+	for c := 0; c+1 < len(bounds); c++ {
+		if ss.Dsts[bounds[c]] == hub && bounds[c+1] == bounds[c]+1 {
+			alone = true
+		}
+	}
+	if !alone {
+		t.Fatalf("hub destination shares its width-16 gather task (bounds %v)", bounds)
+	}
+	e, err := engine.New(st, engine.Config{Threads: 3, ChunkDsts: chunk})
+	if err != nil {
+		t.Fatal(err)
+	}
+	roots := make([]uint32, 16)
+	for l := range roots {
+		roots[l] = uint32(l * 37 % n)
+	}
+	fused, err := algorithms.PersonalizedPageRankBatch(e, roots, 0.85, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for l, root := range roots {
+		seq, err := algorithms.PersonalizedPageRank(e, root, 0.85, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		assertBitIdentical(t, "star ppr", fused[l].Attrs, seq.Attrs)
+	}
+}
+
+// cancelOnGather is a hint-free program that cancels a context from its
+// first Gather — i.e. in the middle of a row, after which the rest of the
+// row still folds into the accumulator before the next row's check
+// aborts the step.
+type cancelOnGather struct {
+	genericProg
+	once   *sync.Once
+	cancel context.CancelFunc
+}
+
+func (p *cancelOnGather) Gather(a float64, deg uint32, w float32) float64 {
+	p.once.Do(p.cancel)
+	return p.genericProg.Gather(a, deg, w)
+}
+
+// TestAbortedStepLeavesNoDirtyAccumulator: a step aborted mid-row leaves
+// partial folds in the accumulator slab; Close returns that slab to the
+// engine's pool, and the next wide run draws it. Its results must not
+// see the leftovers.
+func TestAbortedStepLeavesNoDirtyAccumulator(t *testing.T) {
+	g, err := gen.Uniform(300, 2400, 9)
+	if err != nil {
+		t.Fatal(err)
+	}
+	e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2, ChunkDsts: 32})
+	ctx, cancel := context.WithCancel(context.Background())
+	defer cancel()
+	once := new(sync.Once)
+	aborted, err := e.NewBatchRun([]engine.Program{
+		&cancelOnGather{genericProg{0}, once, cancel},
+		&cancelOnGather{genericProg{3}, once, cancel},
+	}, engine.Forward)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// Iteration one gathers only from the roots' interval; step until the
+	// frontier spans several rows so the abort lands between two of them.
+	for {
+		more, err := aborted.StepContext(ctx)
+		if errors.Is(err, context.Canceled) {
+			break
+		}
+		if err != nil || !more {
+			t.Fatalf("run ended before the cancel fired: more=%v err=%v", more, err)
+		}
+	}
+	aborted.Close()
+
+	fresh := func(e *engine.Engine) []*engine.Result {
+		run, err := e.NewBatchRun([]engine.Program{&genericProg{root: 0}, &genericProg{root: 3}}, engine.Forward)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer run.Close()
+		for more := true; more; {
+			if more, err = run.Step(); err != nil {
+				t.Fatal(err)
+			}
+		}
+		res, err := run.FinishLanes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		return res
+	}
+	got := fresh(e) // draws the aborted run's slabs
+	clean, _ := buildEngine(t, g, 4, engine.Config{Threads: 2, ChunkDsts: 32})
+	want := fresh(clean)
+	for l := range want {
+		assertBitIdentical(t, "after aborted run", got[l].Attrs, want[l].Attrs)
+	}
+}
+
+// TestFusedRejections: mismatched Zero values and a wide run under the
+// source-sorted ablation order must be refused at construction (one lane
+// under the ablation is an ordinary ablation run).
 func TestFusedRejections(t *testing.T) {
 	g, err := gen.Uniform(100, 800, 2)
 	if err != nil {
@@ -327,8 +521,13 @@ func TestFusedRejections(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	_, err = eAbl.NewBatchRun([]engine.Program{algorithms.NewBFSProgram(0)}, engine.Forward)
+	_, err = eAbl.NewBatchRun([]engine.Program{algorithms.NewBFSProgram(0), algorithms.NewBFSProgram(1)}, engine.Forward)
 	if err == nil || !strings.Contains(err.Error(), "source-sorted") {
 		t.Fatalf("ablation batch: err = %v, want source-sorted rejection", err)
 	}
+	one, err := eAbl.NewBatchRun([]engine.Program{algorithms.NewBFSProgram(0)}, engine.Forward)
+	if err != nil {
+		t.Fatalf("one-lane ablation run: %v", err)
+	}
+	one.Close()
 }

@@ -179,40 +179,48 @@ type Engine struct {
 	// snapshot (see SetOverlayProvider).
 	overlayProvider OverlayProvider
 
-	// batchMu guards batchBufs, a free list of SoA float64 arrays
-	// recycled across fused batch runs. The arrays are tens of megabytes
-	// (vertices × lanes); reusing them spares every fused job after the
-	// first the allocation and first-touch page faults.
-	batchMu   sync.Mutex
-	batchBufs [][]float64
+	// slabMu guards slabs, a free list of the lane-minor float64 arrays of
+	// wide (L > 1) runs. Those are tens of megabytes (vertices × lanes);
+	// reusing them spares every fused job after the first the allocation
+	// and first-touch page faults. One-lane runs never touch the list:
+	// their arrays are small, short-lived garbage the collector handles,
+	// whereas retaining them would show up in a library user's live heap —
+	// and a one-lane request must not walk off with a 16-lane slab.
+	slabMu sync.Mutex
+	slabs  [][]float64
 }
 
-// getBatchBuf returns a float64 buffer of length size, reusing a pooled
-// one when capacity allows. Contents are unspecified — callers must
-// initialize every slot they read.
-func (e *Engine) getBatchBuf(size int) []float64 {
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	for i, b := range e.batchBufs {
-		if cap(b) >= size {
-			last := len(e.batchBufs) - 1
-			e.batchBufs[i] = e.batchBufs[last]
-			e.batchBufs = e.batchBufs[:last]
-			return b[:size]
+// getSlab returns a float64 slab of length size for a run of L lanes,
+// reusing a pooled one when L > 1 and capacity allows. Contents are
+// unspecified — callers must initialize every slot they read.
+func (e *Engine) getSlab(L, size int) []float64 {
+	if L > 1 {
+		e.slabMu.Lock()
+		defer e.slabMu.Unlock()
+		for i, b := range e.slabs {
+			if cap(b) >= size {
+				last := len(e.slabs) - 1
+				e.slabs[i] = e.slabs[last]
+				e.slabs = e.slabs[:last]
+				return b[:size]
+			}
 		}
 	}
 	return make([]float64, size)
 }
 
-// putBatchBuf returns buffers to the fused-run free list. The list is
-// bounded only by the number of concurrent batch runs (each holds a
-// handful of arrays), so no explicit cap is needed.
-func (e *Engine) putBatchBuf(bufs ...[]float64) {
-	e.batchMu.Lock()
-	defer e.batchMu.Unlock()
-	for _, b := range bufs {
+// putSlab returns an L-lane run's slabs to the free list (a no-op at
+// L = 1). The list is bounded only by the number of concurrent wide runs
+// (each holds a handful of slabs), so no explicit cap is needed.
+func (e *Engine) putSlab(L int, slabs ...[]float64) {
+	if L == 1 {
+		return
+	}
+	e.slabMu.Lock()
+	defer e.slabMu.Unlock()
+	for _, b := range slabs {
 		if b != nil {
-			e.batchBufs = append(e.batchBufs, b)
+			e.slabs = append(e.slabs, b)
 		}
 	}
 }
@@ -367,10 +375,4 @@ func (e *Engine) validateDirection(dir Direction) error {
 		return fmt.Errorf("engine: direction %s requires a store preprocessed with Transpose", dir)
 	}
 	return nil
-}
-
-// degreesFor returns the source-degree array for gathering in the given
-// traversal direction.
-func (e *Engine) degreesFor(dir Direction) (fwd, rev []uint32) {
-	return e.outDeg, e.inDeg
 }

@@ -1,6 +1,10 @@
 package engine
 
-// EdgeChunkRanges exposes the scalar run's task chunker to the external
-// test package, so placement-sensitive suites can aim at real chunk
-// boundaries instead of guessing them.
-var EdgeChunkRanges = edgeChunkRanges
+// EdgeChunkRanges and GatherChunkCost expose the run's gather-task
+// chunker and its cost rule to the external test package, so
+// placement-sensitive suites can aim at real chunk boundaries instead of
+// guessing them.
+var (
+	EdgeChunkRanges = edgeChunkRanges
+	GatherChunkCost = gatherChunkCost
+)

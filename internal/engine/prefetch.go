@@ -4,7 +4,6 @@ import (
 	"fmt"
 	"strconv"
 	"sync"
-	"sync/atomic"
 
 	"nxgraph/internal/blockcache"
 	"nxgraph/internal/storage"
@@ -73,28 +72,6 @@ func (c cellID) name() string {
 	return s
 }
 
-// fetcher is the read-path state one executing run carries: the engine
-// whose cache and store blocks come from, the run's trace, and the
-// per-iteration counters the prefetch goroutines accumulate into. Both
-// the scalar Run and the fused BatchRun embed a fetcher, so the block
-// cache, the double-buffered pipeline, and the fetch tracing below are
-// written once and promoted into both.
-type fetcher struct {
-	e *Engine
-
-	// tr records the run's span timeline (nil when Config.TraceSpans is
-	// negative — every instrumentation call below is then inert).
-	// iterSpanID is the current iteration's span, read by the prefetch
-	// goroutines to parent their block-load spans; iterHits/iterMisses
-	// count block acquisitions from those goroutines. stallNS accumulates
-	// fetch-batch wait time and is touched only by the step loop.
-	tr         *trace.Trace
-	iterSpanID atomic.Uint64
-	iterHits   atomic.Int64
-	iterMisses atomic.Int64
-	stallNS    int64
-}
-
 // loadBlock pins cell c's decoded block through the shared cache,
 // reporting whether the pin went to disk and, if so, the decoded size.
 // All read paths (traced or not) funnel through here. The cache is
@@ -102,7 +79,7 @@ type fetcher struct {
 // closure often runs on bytes already in RAM — those count as hits in
 // the run trace (no disk stall) even though Stats tallies them as
 // L2Hits.
-func (r *fetcher) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded int64, err error) {
+func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded int64, err error) {
 	key := blockcache.Key{Gen: r.e.cacheGen, I: c.i, J: c.j, Transpose: c.d == 1, Flat: c.flat}
 	h, err = r.e.cache.GetTiered(key,
 		func() ([]byte, error) {
@@ -130,7 +107,7 @@ func (r *fetcher) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decode
 // getBlock pins cell c's block with an individually recorded block-load
 // span. It serves the step loop's batchBlock fallbacks — rare,
 // unplanned loads — so the trace counters it touches are atomics.
-func (r *fetcher) getBlock(c cellID) (*blockcache.Handle, error) {
+func (r *Run) getBlock(c cellID) (*blockcache.Handle, error) {
 	var sp trace.Span
 	if r.tr != nil {
 		sp = r.tr.Start(trace.KindBlockLoad, c.name(), r.iterSpanID.Load())
@@ -168,7 +145,7 @@ type fetchTrace struct {
 // getBlockBatched is the fetch goroutine's traced load: it samples the
 // trace clock around loadBlock and folds the result into ft, deferring
 // all recording and counter updates to flushFetchTrace.
-func (r *fetcher) getBlockBatched(c cellID, ft *fetchTrace) (*blockcache.Handle, error) {
+func (r *Run) getBlockBatched(c cellID, ft *fetchTrace) (*blockcache.Handle, error) {
 	began := r.tr.Clock()
 	h, missed, decoded, err := r.loadBlock(c)
 	if err != nil {
@@ -194,7 +171,7 @@ func (r *fetcher) getBlockBatched(c cellID, ft *fetchTrace) (*blockcache.Handle,
 // flushFetchTrace records a batch's buffered spans — one coalesced hit
 // span plus any miss spans — under a single trace lock, and settles the
 // iteration's hit/miss counters with one atomic RMW each.
-func (r *fetcher) flushFetchTrace(ft *fetchTrace) {
+func (r *Run) flushFetchTrace(ft *fetchTrace) {
 	if ft.hits > 0 {
 		sp := r.tr.Make(trace.KindBlockLoad, "hits", r.iterSpanID.Load(), ft.firstNS, ft.hitDurNS)
 		sp.Tag = trace.TagHit
@@ -214,7 +191,7 @@ func (r *fetcher) flushFetchTrace(ft *fetchTrace) {
 // time as a fetch-batch span and charging it to the iteration's
 // prefetch-stall total. Only the step loop calls it, so stallNS needs no
 // synchronization.
-func (r *fetcher) waitBatch(b *fetchBatch, phase string, id int) error {
+func (r *Run) waitBatch(b *fetchBatch, phase string, id int) error {
 	if r.tr == nil {
 		return b.wait()
 	}
@@ -248,7 +225,7 @@ func emptyBatch() *fetchBatch {
 // startFetch pins the given cells on a background goroutine. Cells are
 // loaded in slice order — ascending j within a row, matching the
 // physical row-major layout of shards.dat, so misses read sequentially.
-func (r *fetcher) startFetch(cells []cellID) *fetchBatch {
+func (r *Run) startFetch(cells []cellID) *fetchBatch {
 	if len(cells) == 0 {
 		return emptyBatch()
 	}
@@ -308,7 +285,7 @@ func (b *fetchBatch) release() {
 // to a synchronous load (recorded in the batch so release covers it)
 // when the planner did not anticipate the cell. Callers must have
 // wait()ed on the batch.
-func (r *fetcher) batchBlock(b *fetchBatch, c cellID) (*blockcache.Handle, error) {
+func (r *Run) batchBlock(b *fetchBatch, c cellID) (*blockcache.Handle, error) {
 	if h, ok := b.handles[c]; ok {
 		return h, nil
 	}
@@ -321,7 +298,7 @@ func (r *fetcher) batchBlock(b *fetchBatch, c cellID) (*blockcache.Handle, error
 }
 
 // batchSubShard is batchBlock typed for CSR sub-shards.
-func (r *fetcher) batchSubShard(b *fetchBatch, c cellID) (*storage.SubShard, error) {
+func (r *Run) batchSubShard(b *fetchBatch, c cellID) (*storage.SubShard, error) {
 	h, err := r.batchBlock(b, c)
 	if err != nil {
 		return nil, err
@@ -330,7 +307,7 @@ func (r *fetcher) batchSubShard(b *fetchBatch, c cellID) (*storage.SubShard, err
 }
 
 // batchFlat is batchBlock typed for the source-sorted ablation form.
-func (r *fetcher) batchFlat(b *fetchBatch, c cellID) (*srcSortedEdges, error) {
+func (r *Run) batchFlat(b *fetchBatch, c cellID) (*srcSortedEdges, error) {
 	h, err := r.batchBlock(b, c)
 	if err != nil {
 		return nil, err
@@ -364,14 +341,14 @@ type fetchPlan struct {
 // batches: at any time the batch being computed on is pinned and the
 // next one is loading.
 type pipeline struct {
-	r        *fetcher
+	r        *Run
 	plans    []fetchPlan
 	next     int
 	inflight *fetchBatch
 }
 
 // newPipeline starts fetching the first planned batch.
-func (r *fetcher) newPipeline(plans []fetchPlan) *pipeline {
+func (r *Run) newPipeline(plans []fetchPlan) *pipeline {
 	p := &pipeline{r: r, plans: plans}
 	if len(plans) > 0 {
 		p.inflight = r.startFetch(plans[0].cells)
@@ -406,16 +383,21 @@ func (p *pipeline) drain() {
 	}
 }
 
-// rowPlans lists, in execution order, the rows the row phase will
-// process and the base-store blocks each needs. Overlay cells are
-// in-memory and never planned.
-func (r *Run) rowPlans(dirs []int) []fetchPlan {
+// rowPlans lists, in execution order, the rows this iteration's row
+// phase will sweep (the union frontier over the participating lanes) and
+// the base-store blocks each needs. Overlay cells are in-memory and never
+// planned.
+func (r *Run) rowPlans(dirs, lanes []int) []fetchPlan {
 	m := r.e.store.Meta()
 	P, Q := m.P, r.q
 	flat := r.e.cfg.Order == SrcSortedCoarse
 	var plans []fetchPlan
 	for i := 0; i < P; i++ {
-		if !r.active[i] {
+		anyActive := false
+		for _, l := range lanes {
+			anyActive = anyActive || r.lanes[l].active[i]
+		}
+		if !anyActive {
 			continue
 		}
 		jmax := P
@@ -444,9 +426,9 @@ func (r *Run) colPlans(dirs []int) []fetchPlan {
 	m := r.e.store.Meta()
 	P, Q := m.P, r.q
 	var plans []fetchPlan
-	for j := Q; j < P; j++ {
+	for j := Q; j < P; j++ { // Q < P implies one lane
 		touched := r.columnTouched(j, dirs)
-		if !touched && !r.dense {
+		if !touched && !r.lanes[0].dense {
 			continue
 		}
 		var cells []cellID
@@ -454,7 +436,7 @@ func (r *Run) colPlans(dirs []int) []fetchPlan {
 			for _, d := range dirs {
 				infos := r.subShardInfosFor(d)
 				for i := 0; i < Q; i++ {
-					if r.active[i] && infos[i*P+j].Edges > 0 {
+					if r.lanes[0].active[i] && infos[i*P+j].Edges > 0 {
 						cells = append(cells, cellID{d, i, j, false})
 					}
 				}

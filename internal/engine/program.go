@@ -25,7 +25,9 @@ type Program interface {
 	Name() string
 	// Zero is the identity of Sum.
 	Zero() float64
-	// Init supplies vertex v's initial attribute and activity.
+	// Init supplies vertex v's initial attribute and activity. Like
+	// Gather, Sum and Apply it may be called from several goroutines at
+	// once (for distinct vertices).
 	Init(v uint32) (attr float64, active bool)
 	// Gather computes the contribution of one edge. srcDeg is the
 	// source's degree in the traversal direction (out-degree for forward
@@ -61,10 +63,10 @@ type DenseApply interface {
 	DenseApply()
 }
 
-// KernelHint names the functional form of a Program's Gather/Sum pair.
-// Both single-query runs (Run) and fused batch runs (BatchRun) use the
-// hint to select a specialized inner loop with no per-edge interface
-// dispatch (see scalar_kernels.go and batch_kernels.go). Each
+// KernelHint names the functional form of a Program's Gather/Sum pair. A
+// Run uses the hint its lanes share to select a specialized inner loop
+// with no per-edge interface dispatch (scalar_kernels.go for one lane,
+// batch_kernels.go for several). Each
 // specialized kernel performs exactly the floating-point operations the
 // declared Gather/Sum would, in the same order, so results stay
 // bit-identical to the generic interface path; a program must only
@@ -102,16 +104,16 @@ const (
 )
 
 // FusedKernel is an optional Program extension declaring the kernel
-// hint a run (single-query or fused batch) may specialize on.
+// hint a run of any width may specialize on.
 type FusedKernel interface {
 	FusedKernelHint() KernelHint
 }
 
 // LaneApplier is an optional Program extension that applies a whole
 // strided vertex range in one call instead of one Apply call per vertex.
-// Fused batch runs pass their SoA arrays with stride = lane count;
-// single-query runs pass their flat attribute arrays with stride 1 (off
-// may then be negative: a window with base b uses off = -b). curr/next
+// A Run passes its lane-minor slabs with stride = lane count (stride 1
+// for a one-lane run), and for an interval streamed from disk a window
+// with stride 1 and a negative off (base b uses off = -b). curr/next
 // hold the program's state for vertex v at index int(v)*stride+off. The
 // implementation must perform, per vertex in ascending order, exactly
 // the floating-point operations Apply(v, curr[idx], next[idx]) would and
@@ -122,12 +124,14 @@ type LaneApplier interface {
 	ApplyLane(curr, next []float64, stride, off int, v0, v1 uint32) bool
 }
 
-// LaneAggregator is an optional GlobalAggregator extension for fused
-// batch runs: it computes the whole global reduction over one strided
-// attribute lane in a single call. deg has one entry per vertex; the
-// result must be bit-identical to folding AggCombine over AggVertex in
-// ascending vertex order starting from AggZero. The engine still calls
-// SetGlobal with the returned value.
+// LaneAggregator is an optional GlobalAggregator extension: it computes
+// the whole global reduction over one strided attribute lane in a single
+// call, used at every width whenever all attributes are memory-resident.
+// deg has one entry per vertex; the result must be bit-identical to
+// folding AggCombine over AggVertex in ascending vertex order starting
+// from AggZero — which is what the engine does for aggregators without
+// one, and for this one when intervals stream from disk. The engine still
+// calls SetGlobal with the returned value.
 type LaneAggregator interface {
 	AggLane(curr []float64, stride, off int, deg []uint32) float64
 }

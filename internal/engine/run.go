@@ -3,7 +3,10 @@ package engine
 import (
 	"context"
 	"fmt"
+	"math"
+	"slices"
 	"sync"
+	"sync/atomic"
 	"time"
 
 	"nxgraph/internal/bitset"
@@ -12,14 +15,68 @@ import (
 	"nxgraph/internal/trace"
 )
 
-// Run is one program execution in progress. It exposes iteration-level
+// BatchControl is the per-lane control surface of a run, handed to
+// callers that need to steer individual queries (the serving layer
+// cancels one job's lane without touching its siblings).
+type BatchControl interface {
+	// Width returns the number of lanes.
+	Width() int
+	// CancelLane requests cancellation of lane l. The request takes
+	// effect at the next iteration boundary: the lane stops computing,
+	// its FinishLanes slot becomes nil, and sibling lanes are unaffected.
+	// Cancelling a lane that already converged is a no-op (its result
+	// stands). Safe to call from any goroutine.
+	CancelLane(l int)
+}
+
+// lane is one program of a Run and everything that belongs to that
+// program alone: its optional extensions, its frontier, and its
+// lifecycle. Lanes share the run's sweep over the graph and nothing else.
+type lane struct {
+	p     Program
+	agg   GlobalAggregator
+	la    LaneApplier    // nil: per-vertex Apply
+	laggr LaneAggregator // nil: serial AggVertex fold
+	dense bool
+
+	// active[i] reports that interval i holds vertices this lane changed
+	// last iteration (the frontier). A lane with no active interval
+	// retires: done is set and its values carry forward while siblings
+	// continue. cancelReq is written by CancelLane (any goroutine) and
+	// folded into done/cancelled at iteration boundaries.
+	active    []bool
+	done      bool
+	cancelled bool
+	cancelReq atomic.Bool
+
+	iters  int
+	edges  int64
+	aggVal float64 // this iteration's global aggregate while it is folded
+
+	span      trace.Span // zero for one-lane runs
+	spanEnded bool
+}
+
+func (ln *lane) hasWork() bool { return slices.Contains(ln.active, true) }
+
+// Run is one execution in progress: L programs ("lanes", L = 1 included)
+// advanced together by one iteration loop. It exposes iteration-level
 // stepping so algorithms can orchestrate multi-phase computations (SCC's
 // alternating forward/backward fixpoints, HITS' alternating half-steps).
 //
-// The implementation realizes all three update strategies in one body,
-// exactly as the paper frames them: MPU with Q resident intervals, where
-// Q = P degenerates to SPU (no hubs, no attribute I/O) and Q = 0 to DPU
-// (every interval via hubs). Each iteration runs:
+// Per-vertex state is a lane-minor slab — state[v*L+l] is lane l's
+// attribute of vertex v, which at L = 1 is the plain attribute array — so
+// one decoded sub-shard block feeds every lane while it is hot in cache:
+// the edge decode, degree load and loop bookkeeping are paid once per
+// edge instead of once per edge per query. Every lane keeps its own
+// frontier, counters, global aggregate and convergence state, and the
+// per-destination fold order never depends on L, so each lane's result
+// is bit-identical to running its program alone.
+//
+// The loop realizes all three update strategies in one body, exactly as
+// the paper frames them: MPU with Q resident intervals, where Q = P
+// degenerates to SPU (no hubs, no attribute I/O) and Q = 0 to DPU (every
+// interval via hubs). Each iteration runs:
 //
 //	row phase     — Algorithm 7 lines 1–16: for every active source
 //	                interval, gather into resident accumulators
@@ -30,19 +87,19 @@ import (
 //	                write back (FromHub);
 //	apply phase   — finalize resident intervals and ping-pong swap.
 //
+// What one lane can do and several cannot is decided from L alone: a run
+// with L > 1 keeps every interval resident (Q = P whatever the engine's
+// strategy says), and SetMask, SetAttrs and the source-sorted ablation
+// need L = 1. Lanes must share one Zero value and one direction.
+//
 // Sub-shard reads flow through the engine's shared block cache with a
 // double-buffered prefetch pipeline per phase (see prefetch.go): runs on
 // the same store reuse each other's decoded blocks, and misses load in
 // the background while the previous batch computes.
 type Run struct {
-	// fetcher carries the read path (block cache access, prefetch
-	// pipeline, fetch tracing) shared with BatchRun; its e field is the
-	// owning engine, promoted as r.e.
-	fetcher
+	e *Engine
 
-	p       Program
-	agg     GlobalAggregator
-	dense   bool
+	lanes   []lane // L of them
 	dir     Direction
 	strat   Strategy
 	q       int
@@ -50,43 +107,44 @@ type Run struct {
 	threads int
 	chunk   int
 
-	// hint is the program's declared kernel form (KernelGeneric without
-	// one); la/laggr are its optional lane-wise apply and aggregate
-	// specializations. chunkCost is the edge-balanced task size: a gather
-	// chunk closes once edges + destinations reaches it (see
-	// edgeChunkRanges).
+	// hint is the kernel form every lane declares (KernelGeneric unless
+	// they all agree), zero their shared Sum identity. chunkCost is the
+	// edge-balanced gather task size (see gatherChunkCost).
 	hint      KernelHint
-	la        LaneApplier
-	laggr     LaneAggregator
+	zero      float64
 	chunkCost int
 
-	// useScaled marks a single-direction RankSum run: the per-edge
-	// division Gather performs is hoisted into scaled (resident vertices)
-	// and scaledBuf (streamed-interval scratch), refreshed each iteration
-	// with exactly the operands Gather would use, so the edge loop
-	// degenerates to the copy-sum fold.
-	useScaled bool
-	scaled    []float64
-	scaledBuf []float64
-
-	// nextZeroed records the invariant "r.next holds Zero everywhere in
-	// [0, resEnd)": true after a completed step (the apply phase re-zeroes
-	// the outgoing curr array cache-hot), false initially and after an
-	// aborted step.
-	nextZeroed bool
-
+	// curr/next are the ping-pong slabs over the resident vertices, index
+	// v*L+l. accClean records "next holds Zero everywhere": true after a
+	// completed step (the apply phase re-zeroes the outgoing curr chunk by
+	// chunk while it is cache-hot), false initially — pooled slabs arrive
+	// dirty — and after an aborted step.
 	curr, next []float64
-	active     []bool
-	mask       *bitset.Set
+	accClean   bool
+
+	// useScaled marks a RankSum run: the per-edge division Gather performs
+	// is hoisted into scaled[d] (resident vertices, one slab per traversal
+	// flag because each divides by its own degree array) with exactly the
+	// operands Gather would use, so the edge loop is additions only. The
+	// apply phase refreshes it chunk-hot (scaledReady); the standalone
+	// sweep runs only when no apply has primed it. scaledBuf is the same
+	// for an interval streamed from disk (Q < P).
+	useScaled   bool
+	scaled      [2][]float64
+	scaledBuf   [2][]float64
+	scaledReady bool
+
+	mask *bitset.Set
 
 	attrs       *storage.AttrStore
 	hubs        [2]*storage.HubStore
 	hubRowValid [2][]bool
 
-	// ov is the delta-overlay snapshot captured at NewRun (nil without
-	// pending deltas); ovOut/ovIn are its adjusted degree arrays, and
-	// ovHub holds in-memory per-cell partials for overlay edges whose
-	// destination interval is on disk (keyed i*P+j per traversal flag).
+	// ov is the delta-overlay snapshot captured at construction (nil
+	// without pending deltas) and shared by every lane; ovOut/ovIn are its
+	// adjusted degree arrays, and ovHub holds in-memory per-cell partials
+	// for overlay edges whose destination interval is on disk (keyed
+	// i*P+j per traversal flag).
 	ov    Overlay
 	ovOut []uint32
 	ovIn  []uint32
@@ -95,16 +153,16 @@ type Run struct {
 	locks []sync.Mutex
 
 	iter     int
-	edges    int64
+	edges    int64 // summed over lanes
 	finished bool
 	closed   bool
 
 	ctx      context.Context // nil outside StepContext
 	progress ProgressFunc
 
-	loadBuf []float64 // reusable interval attr buffer (row phase)
-	accBuf  []float64 // reusable column accumulator
-	oldBuf  []float64 // reusable column old-attr buffer
+	loadBuf []float64 // streamed interval attributes (row phase, Q < P)
+	accBuf  []float64 // column accumulator
+	oldBuf  []float64 // column old attributes
 
 	errMu    sync.Mutex
 	asyncErr error
@@ -112,37 +170,77 @@ type Run struct {
 	startIO diskio.StatsSnapshot
 	started time.Time
 
-	// runSpan is the whole-run trace span (see fetcher for the rest of
-	// the trace state); runEnded guards against double-ending it.
-	runSpan  trace.Span
-	runEnded bool
+	// tr records the run's span timeline (nil when Config.TraceSpans is
+	// negative — every instrumentation call is then inert). iterSpanID is
+	// the current iteration's span, read by the prefetch goroutines to
+	// parent their block-load spans; iterHits/iterMisses count block
+	// acquisitions from those goroutines. stallNS accumulates fetch-batch
+	// wait time and is touched only by the step loop.
+	tr         *trace.Trace
+	runSpan    trace.Span
+	runEnded   bool
+	iterSpanID atomic.Uint64
+	iterHits   atomic.Int64
+	iterMisses atomic.Int64
+	stallNS    int64
 }
 
 // NewRun initializes a run of p over the engine's store in direction dir.
 func (e *Engine) NewRun(p Program, dir Direction) (*Run, error) {
+	return e.NewBatchRun([]Program{p}, dir)
+}
+
+// NewBatchRun initializes a run of the given programs, one lane each,
+// over the engine's store in direction dir. All programs must share the
+// same Zero value. The delta-overlay snapshot, if any, is captured once
+// and shared by every lane — callers fusing queries must ensure they may
+// legally observe the same graph version.
+func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
+	L := len(ps)
+	if L == 0 {
+		return nil, fmt.Errorf("engine: a run needs at least one program")
+	}
 	if err := e.validateDirection(dir); err != nil {
 		return nil, err
 	}
 	m := e.store.Meta()
-	strat, q := e.chooseStrategy()
-	if e.cfg.Order == SrcSortedCoarse && q < m.P {
+	strat, q := SPU, m.P
+	if L == 1 {
+		strat, q = e.chooseStrategy()
+	}
+	flat := e.cfg.Order == SrcSortedCoarse
+	switch {
+	case flat && L > 1:
+		return nil, fmt.Errorf("engine: source-sorted ablation does not support fused batch runs")
+	case flat && q < m.P:
 		return nil, fmt.Errorf("engine: source-sorted ablation requires SPU (all intervals resident)")
 	}
+	zero := ps[0].Zero()
+	for l := 1; l < L; l++ {
+		if math.Float64bits(ps[l].Zero()) != math.Float64bits(zero) {
+			return nil, fmt.Errorf("engine: batch lanes must share one Zero value (lane %d: %v, lane 0: %v)", l, ps[l].Zero(), zero)
+		}
+	}
 	r := &Run{
-		p:       p,
+		e:       e,
+		lanes:   make([]lane, L),
 		dir:     dir,
 		strat:   strat,
 		q:       q,
 		threads: e.cfg.threads(),
 		chunk:   e.cfg.chunk(),
-		active:  make([]bool, m.P),
+		hint:    commonHint(ps),
+		zero:    zero,
 		started: time.Now(),
 		startIO: e.store.Disk().Stats().Snapshot(),
 	}
-	r.fetcher.e = e
 	if e.cfg.TraceSpans >= 0 {
 		r.tr = trace.New(e.cfg.TraceSpans)
-		r.runSpan = r.tr.Start(trace.KindRun, p.Name(), 0)
+		name := ps[0].Name()
+		if L > 1 {
+			name += "-batch"
+		}
+		r.runSpan = r.tr.Start(trace.KindRun, name, 0)
 		r.iterSpanID.Store(r.runSpan.ID)
 	}
 	osp := r.tr.Start(trace.KindOverlay, "overlay-snapshot", r.runSpan.ID)
@@ -152,54 +250,49 @@ func (e *Engine) NewRun(p Program, dir Direction) (*Run, error) {
 	if r.ov != nil {
 		r.tr.End(osp)
 	}
-	if a, ok := p.(GlobalAggregator); ok {
-		r.agg = a
+	for l, p := range ps {
+		ln := &r.lanes[l]
+		ln.p = p
+		ln.agg, _ = p.(GlobalAggregator)
+		ln.la, _ = p.(LaneApplier)
+		ln.laggr, _ = p.(LaneAggregator)
+		_, dense := p.(DenseApply)
+		ln.dense = dense || ln.agg != nil
+		ln.active = make([]bool, m.P)
+		if L > 1 && r.tr != nil {
+			ln.span = r.tr.Start(trace.KindLane, spanName("lane-", l), r.runSpan.ID)
+		}
 	}
-	if _, ok := p.(DenseApply); ok || r.agg != nil {
-		r.dense = true
+	r.chunkCost = gatherChunkCost(L, r.chunk)
+	// The source-sorted ablation keeps the paper's unmodified per-edge form.
+	r.useScaled = r.hint == KernelRankSum && !flat
+	r.resEnd = min(uint32(q)*m.IntervalSize(), m.NumVertices)
+	size := int(r.resEnd) * L
+	r.curr, r.next = e.getSlab(L, size), e.getSlab(L, size)
+	if r.useScaled {
+		for _, d := range r.dirsUsed() {
+			// Dirty pooled contents are fine: the refresh overwrites every
+			// slot the gather reads before the first row phase.
+			r.scaled[d] = e.getSlab(L, size)
+		}
 	}
-	if fk, ok := p.(FusedKernel); ok {
-		r.hint = fk.FusedKernelHint()
-	}
-	if la, ok := p.(LaneApplier); ok {
-		r.la = la
-	}
-	if lg, ok := p.(LaneAggregator); ok {
-		r.laggr = lg
-	}
-	// One destination costs ~1 unit of task overhead plus one unit per
-	// in-edge; 4x the destination-count chunk size keeps task counts
-	// comparable to the old chunking on typical sparse cells while
-	// splitting hub-heavy ranges by edge mass.
-	r.chunkCost = 4 * r.chunk
-	// The division hoist needs one degree array per source attribute, so
-	// it is limited to single-direction runs; the source-sorted ablation
-	// keeps the paper's unmodified per-edge form.
-	r.useScaled = r.hint == KernelRankSum && len(r.dirsUsed()) == 1 && e.cfg.Order != SrcSortedCoarse
-	size := m.IntervalSize()
-	r.resEnd = uint32(q) * size
-	if r.resEnd > m.NumVertices {
-		r.resEnd = m.NumVertices
-	}
-	r.curr = make([]float64, r.resEnd)
-	r.next = make([]float64, r.resEnd)
 	// Locks exist in every mode: Lock-mode gathering and the coarse
 	// source-sorted ablation both serialize on destination intervals.
 	r.locks = make([]sync.Mutex, m.P)
-	maxLen := 0
-	for k := 0; k < m.P; k++ {
-		if l := m.IntervalLen(k); l > maxLen {
-			maxLen = l
+	if q < m.P {
+		maxLen := 0
+		for k := 0; k < m.P; k++ {
+			maxLen = max(maxLen, m.IntervalLen(k))
+		}
+		r.loadBuf = make([]float64, maxLen)
+		r.accBuf = make([]float64, maxLen)
+		r.oldBuf = make([]float64, maxLen)
+		if r.useScaled {
+			for _, d := range r.dirsUsed() {
+				r.scaledBuf[d] = make([]float64, maxLen)
+			}
 		}
 	}
-	r.loadBuf = make([]float64, maxLen)
-	r.accBuf = make([]float64, maxLen)
-	r.oldBuf = make([]float64, maxLen)
-	if r.useScaled {
-		r.scaled = make([]float64, r.resEnd)
-		r.scaledBuf = make([]float64, maxLen)
-	}
-
 	if err := r.initAttrs(); err != nil {
 		r.Close()
 		return nil, err
@@ -209,6 +302,35 @@ func (e *Engine) NewRun(p Program, dir Direction) (*Run, error) {
 		return nil, err
 	}
 	return r, nil
+}
+
+// commonHint resolves the run's kernel specialization: the shared hint
+// if every lane declares the same one, else generic.
+func commonHint(ps []Program) KernelHint {
+	h := KernelGeneric
+	if fk, ok := ps[0].(FusedKernel); ok {
+		h = fk.FusedKernelHint()
+	}
+	for _, p := range ps[1:] {
+		fk, ok := p.(FusedKernel)
+		if !ok || fk.FusedKernelHint() != h {
+			return KernelGeneric
+		}
+	}
+	return h
+}
+
+// gatherChunkCost sizes a gather task: a chunk closes once its edges +
+// destinations reach the returned cost (see edgeChunkRanges). One
+// destination costs about one unit of task overhead plus one unit per
+// in-edge; 4x the destination-count chunk size keeps task counts
+// comparable to destination-count chunking on typical sparse cells while
+// splitting hub-heavy ranges by edge mass. A lane kernel's edge is
+// several times dearer than a scalar kernel's (it touches L attributes;
+// ~5x at L = 16), so the budget shrinks with L — but never below chunk,
+// which still amortizes a task's closure, atomic and scratch buffer.
+func gatherChunkCost(L, chunk int) int {
+	return max(1, 4*chunk/min(L, 4))
 }
 
 // dirsUsed lists the transpose flags the run traverses (index 0 =
@@ -239,19 +361,12 @@ func (r *Run) degOf(d int) []uint32 {
 	return r.e.outDeg
 }
 
-// primaryDeg is the degree array handed to the GlobalAggregator,
-// overlay-adjusted when a delta snapshot is installed.
+// primaryDeg is the degree array handed to lane GlobalAggregators.
 func (r *Run) primaryDeg() []uint32 {
 	if r.dir == Reverse {
-		if r.ovIn != nil {
-			return r.ovIn
-		}
-		return r.e.inDeg
+		return r.degOf(1)
 	}
-	if r.ovOut != nil {
-		return r.ovOut
-	}
-	return r.e.outDeg
+	return r.degOf(0)
 }
 
 func (r *Run) setErr(err error) {
@@ -270,32 +385,51 @@ func (r *Run) takeErr() error {
 	return err
 }
 
-// initAttrs runs Program.Init over every vertex, populating resident
-// attributes in memory and on-disk intervals through the attribute store.
+// initAttrs runs every lane's Init over every vertex, populating the
+// resident slab in memory (in parallel vertex chunks, interval activity
+// reduced per chunk) and on-disk intervals through the attribute store.
 func (r *Run) initAttrs() error {
 	m := r.e.store.Meta()
-	for v := uint32(0); v < r.resEnd; v++ {
-		attr, act := r.p.Init(v)
-		r.curr[v] = attr
-		if act {
-			r.active[m.IntervalOf(v)] = true
+	L, P := len(r.lanes), m.P
+	bounds := chunkRanges(int(r.resEnd), 1<<14)
+	act := make([][]bool, len(bounds)-1) // per chunk: [l*P+k] activity
+	parallelFor(r.threads, len(bounds)-1, func(c int) {
+		local := make([]bool, L*P)
+		for v := bounds[c]; v < bounds[c+1]; v++ {
+			k := m.IntervalOf(uint32(v))
+			for l := range r.lanes {
+				attr, a := r.lanes[l].p.Init(uint32(v))
+				r.curr[v*L+l] = attr
+				if a {
+					local[l*P+k] = true
+				}
+			}
+		}
+		act[c] = local
+	})
+	for _, local := range act {
+		for x, a := range local {
+			if a {
+				r.lanes[x/P].active[x%P] = true
+			}
 		}
 	}
-	if r.q == m.P {
+	if r.q == P {
 		return nil
 	}
 	var err error
 	if r.attrs, err = r.e.store.OpenAttrs(); err != nil {
 		return err
 	}
-	for k := r.q; k < m.P; k++ {
+	ln := &r.lanes[0] // Q < P implies one lane
+	for k := r.q; k < P; k++ {
 		lo, hi := m.IntervalRange(k)
 		buf := r.loadBuf[:hi-lo]
 		for v := lo; v < hi; v++ {
-			attr, act := r.p.Init(v)
+			attr, act := ln.p.Init(v)
 			buf[v-lo] = attr
 			if act {
-				r.active[k] = true
+				ln.active[k] = true
 			}
 		}
 		if err := r.attrs.WriteInterval(k, buf); err != nil {
@@ -321,6 +455,8 @@ func (r *Run) openHubs() error {
 }
 
 // SetProgress installs a per-iteration progress observer (nil to clear).
+// Progress aggregates over the lanes: Edges is the summed per-lane
+// traversal count and ActiveIntervals the union frontier size.
 func (r *Run) SetProgress(f ProgressFunc) { r.progress = f }
 
 // checkCtx reports the context's error, if any. It is consulted at
@@ -340,14 +476,21 @@ func (r *Run) checkCtx() error {
 }
 
 // notifyProgress reports the completed iteration to the observer.
-func (r *Run) notifyProgress(activeNext []bool) {
+func (r *Run) notifyProgress() {
 	if r.progress == nil {
 		return
 	}
+	seen := make([]bool, r.e.store.Meta().P)
 	n := 0
-	for _, a := range activeNext {
-		if a {
-			n++
+	for l := range r.lanes {
+		if r.lanes[l].done {
+			continue
+		}
+		for k, a := range r.lanes[l].active {
+			if a && !seen[k] {
+				seen[k] = true
+				n++
+			}
 		}
 	}
 	r.progress(Progress{
@@ -364,57 +507,128 @@ func (r *Run) Strategy() Strategy { return r.strat }
 // ResidentIntervals returns Q.
 func (r *Run) ResidentIntervals() int { return r.q }
 
-// Iterations returns the number of iterations executed so far.
+// Iterations returns the number of iterations executed so far (the
+// maximum over lanes; see LaneIterations for one lane's count).
 func (r *Run) Iterations() int { return r.iter }
 
+// Width returns the number of lanes.
+func (r *Run) Width() int { return len(r.lanes) }
+
+// CancelLane implements BatchControl.
+func (r *Run) CancelLane(l int) {
+	if l >= 0 && l < len(r.lanes) {
+		r.lanes[l].cancelReq.Store(true)
+	}
+}
+
+// LaneCancelled reports whether lane l's cancellation took effect (its
+// FinishLanes slot will be nil).
+func (r *Run) LaneCancelled(l int) bool { return r.lanes[l].cancelled }
+
+// LaneIterations returns the number of iterations lane l participated in.
+func (r *Run) LaneIterations(l int) int { return r.lanes[l].iters }
+
 // SetMask installs a frozen-vertex mask: masked vertices neither emit nor
-// accept updates and keep their attribute. Pass nil to clear.
+// accept updates and keep their attribute. Pass nil to clear. Only a
+// one-lane run may be masked; Step reports the misuse otherwise.
 func (r *Run) SetMask(m *bitset.Set) { r.mask = m }
 
-// ActivateAll marks every interval active, forcing at least one more full
-// iteration.
-func (r *Run) ActivateAll() {
-	for k := range r.active {
-		r.active[k] = true
+// revive lets retired (not cancelled) lanes step again.
+func (r *Run) revive() {
+	r.finished = false
+	for l := range r.lanes {
+		r.lanes[l].done = r.lanes[l].cancelled
 	}
-	r.finished = false
 }
 
-// ActivateVertex marks the interval owning v active.
+// ActivateAll marks every interval active in every lane, forcing at
+// least one more full iteration.
+func (r *Run) ActivateAll() {
+	for l := range r.lanes {
+		for k := range r.lanes[l].active {
+			r.lanes[l].active[k] = true
+		}
+	}
+	r.revive()
+}
+
+// ActivateVertex marks the interval owning v active in every lane.
 func (r *Run) ActivateVertex(v uint32) {
-	r.active[r.e.store.Meta().IntervalOf(v)] = true
-	r.finished = false
+	k := r.e.store.Meta().IntervalOf(v)
+	for l := range r.lanes {
+		r.lanes[l].active[k] = true
+	}
+	r.revive()
 }
 
-// ResetIterations zeroes the iteration counter (the MaxIterations budget),
-// for callers that drive multiple phases through one Run.
-func (r *Run) ResetIterations() { r.iter = 0; r.finished = false }
+// ResetIterations zeroes the iteration counters (the MaxIterations
+// budget), for callers that drive multiple phases through one Run.
+func (r *Run) ResetIterations() {
+	r.iter = 0
+	for l := range r.lanes {
+		r.lanes[l].iters = 0
+	}
+	r.revive()
+}
 
-// Attrs returns a snapshot of all vertex attributes.
+// Attrs returns a snapshot of all vertex attributes of lane 0 — the only
+// lane of a NewRun run.
 func (r *Run) Attrs() ([]float64, error) {
+	out := make([][]float64, len(r.lanes))
+	out[0] = make([]float64, r.e.store.Meta().NumVertices)
+	if err := r.copyOut(out); err != nil {
+		return nil, err
+	}
+	return out[0], nil
+}
+
+// copyOut fills every non-nil out[l] with lane l's attributes.
+func (r *Run) copyOut(out [][]float64) error {
 	m := r.e.store.Meta()
-	out := make([]float64, m.NumVertices)
-	copy(out, r.curr)
-	for k := r.q; k < m.P; k++ {
+	L, n := len(r.lanes), int(r.resEnd)
+	// Wide slabs copy out in vertex chunks: within a chunk the slab stays
+	// cache-resident while each lane's strided reads sweep it, and each
+	// lane's writes run sequentially — against both a full lane-major
+	// pass (strided reads miss on every vertex) and a vertex-major pass
+	// (re-walks all L slice headers per vertex).
+	const chunkV = 1 << 10 // ≈512KiB of slab per chunk at L=64
+	if L == 1 {
+		copy(out[0], r.curr)
+	}
+	for v0 := 0; L > 1 && v0 < n; v0 += chunkV {
+		v1 := min(v0+chunkV, n)
+		for l, a := range out {
+			if a == nil {
+				continue
+			}
+			for v := v0; v < v1; v++ {
+				a[v] = r.curr[v*L+l]
+			}
+		}
+	}
+	for k := r.q; k < m.P && out[0] != nil; k++ { // Q < P implies one lane
 		lo, hi := m.IntervalRange(k)
 		if lo == hi {
 			continue
 		}
-		buf := out[lo:hi]
-		if err := r.attrs.ReadInterval(k, buf); err != nil {
-			return nil, err
+		if err := r.attrs.ReadInterval(k, out[0][lo:hi]); err != nil {
+			return err
 		}
 	}
-	return out, nil
+	return nil
 }
 
-// SetAttrs overwrites all vertex attributes.
+// SetAttrs overwrites all vertex attributes of a one-lane run.
 func (r *Run) SetAttrs(a []float64) error {
 	m := r.e.store.Meta()
+	if len(r.lanes) != 1 {
+		return fmt.Errorf("engine: SetAttrs needs a one-lane run, this one has %d", len(r.lanes))
+	}
 	if len(a) != int(m.NumVertices) {
 		return fmt.Errorf("engine: SetAttrs got %d values, want %d", len(a), m.NumVertices)
 	}
 	copy(r.curr, a[:r.resEnd])
+	r.scaledReady = false
 	for k := r.q; k < m.P; k++ {
 		lo, hi := m.IntervalRange(k)
 		if lo == hi {
@@ -427,7 +641,8 @@ func (r *Run) SetAttrs(a []float64) error {
 	return nil
 }
 
-// Close releases run resources.
+// Close releases run resources: attribute and hub files close, and a
+// wide run's slabs return to the engine's pool.
 func (r *Run) Close() {
 	if r.closed {
 		return
@@ -441,30 +656,76 @@ func (r *Run) Close() {
 			h.Close()
 		}
 	}
+	r.e.putSlab(len(r.lanes), r.curr, r.next, r.scaled[0], r.scaled[1])
+	r.curr, r.next, r.scaled = nil, nil, [2][]float64{}
 }
 
 // Trace returns the run's trace, nil when tracing is disabled.
 func (r *Run) Trace() *trace.Trace { return r.tr }
 
-// Finish assembles the Result (final attributes plus counters). The run
-// remains usable afterwards.
-func (r *Run) Finish() (*Result, error) {
-	attrs, err := r.Attrs()
-	if err != nil {
+// endLaneSpan closes a lane's trace span. tag is empty for normal
+// completion, "cancelled" for a cancelled lane.
+func (r *Run) endLaneSpan(ln *lane, tag string) {
+	if ln.span.ID == 0 || ln.spanEnded {
+		return
+	}
+	ln.spanEnded = true
+	ln.span.Tag = tag
+	ln.span.Count = int64(ln.iters)
+	r.tr.End(ln.span)
+}
+
+// FinishLanes assembles one Result per lane: final attributes plus the
+// lane's own iteration and edge counters. Cancelled lanes yield nil. The
+// IO snapshot, elapsed time, and trace are shared — they describe the
+// run that served every lane. The run remains usable afterwards.
+func (r *Run) FinishLanes() ([]*Result, error) {
+	out := make([]*Result, len(r.lanes))
+	attrs := make([][]float64, len(r.lanes))
+	for l := range r.lanes {
+		if !r.lanes[l].cancelled {
+			attrs[l] = make([]float64, r.e.store.Meta().NumVertices)
+		}
+	}
+	if err := r.copyOut(attrs); err != nil {
 		return nil, err
+	}
+	for l := range r.lanes {
+		r.endLaneSpan(&r.lanes[l], "") // lanes still running (fixed-iteration drivers) close here
 	}
 	if r.tr != nil && !r.runEnded {
 		r.runEnded = true
 		r.tr.End(r.runSpan)
 	}
-	return &Result{
-		Attrs:             attrs,
-		Iterations:        r.iter,
-		Strategy:          r.strat,
-		ResidentIntervals: r.q,
-		EdgesTraversed:    r.edges,
-		IO:                r.e.store.Disk().Stats().Snapshot().Sub(r.startIO),
-		Elapsed:           time.Since(r.started),
-		Trace:             r.tr,
-	}, nil
+	io := r.e.store.Disk().Stats().Snapshot().Sub(r.startIO)
+	elapsed := time.Since(r.started)
+	for l := range r.lanes {
+		if attrs[l] == nil {
+			continue
+		}
+		out[l] = &Result{
+			Attrs:             attrs[l],
+			Iterations:        r.lanes[l].iters,
+			Strategy:          r.strat,
+			ResidentIntervals: r.q,
+			EdgesTraversed:    r.lanes[l].edges,
+			IO:                io,
+			Elapsed:           elapsed,
+			Trace:             r.tr,
+		}
+	}
+	return out, nil
+}
+
+// Finish is FinishLanes for the caller of a one-program run: lane 0's
+// Result, or an error when that lane was cancelled.
+func (r *Run) Finish() (*Result, error) {
+	res, err := r.FinishLanes()
+	if err != nil {
+		return nil, err
+	}
+	if res[0] == nil {
+		return nil, fmt.Errorf("engine: lane 0 was cancelled")
+	}
+	return res[0], nil
 }

@@ -7,19 +7,21 @@ import (
 	"nxgraph/internal/storage"
 )
 
-// This file holds the devirtualized single-query gather kernels: the
-// scalar counterpart of batch_kernels.go. A Program that declares a
-// KernelHint gets its per-edge Gather/Sum pair compiled into a direct
-// arithmetic loop — no interface dispatch per edge — selected once per
-// task at build time (see gatherTasks/hubTasks in step.go).
+// This file holds the devirtualized one-lane gather kernels: what a Run
+// of a single program folds a sub-shard through (a wider run uses
+// batch_kernels.go). A Program that declares a KernelHint gets its
+// per-edge Gather/Sum pair compiled into a direct arithmetic loop — no
+// interface dispatch per edge — selected once per task at build time
+// (see Run.gatherTasks in step.go).
 //
 // Each hint maps to a scalarFold, the concrete fold loop for one
 // (Gather, Sum, Zero) triple. The mapping happens per sub-shard cell, so
 // per-cell facts fold into the selection too: KernelDistMin on an
 // unweighted cell resolves to the hop fold (float64(float32(1)) == 1),
-// and KernelRankSum resolves to the plain copy-sum fold when the run
-// hoisted the per-edge division into a scaled attribute array (see
-// Run.refreshScaled).
+// and KernelRankSum resolves to the plain copy-sum fold because the run
+// hoists the per-edge division into a scaled attribute view (see
+// refreshScaled); only the source-sorted ablation keeps the paper's
+// per-edge division.
 //
 // Every fold performs, per destination, exactly the floating-point
 // operations the generic gatherCSR/gatherToHub would: a left-associative
@@ -44,7 +46,7 @@ type scalarFold uint8
 const (
 	foldNone     scalarFold = iota // no specialization: generic interface path
 	foldCopySum                    // Gather a        Sum +    Zero 0
-	foldRankSum                    // Gather a/deg    Sum +    Zero 0
+	foldRankSum                    // Gather a/deg    Sum +    Zero 0 (source-sorted ablation only)
 	foldCountSum                   // Gather 1        Sum +    Zero 0
 	foldMin                        // Gather a        Sum min  Zero +Inf
 	foldMax                        // Gather a        Sum max  Zero -Inf
@@ -97,7 +99,8 @@ func sumFoldFor(hint KernelHint) scalarFold {
 }
 
 // gatherSpec is the specialized counterpart of gatherCSR and gatherToHub
-// in one: it folds destinations [k0, k1) of ss with fold f. When hub is
+// in one: it folds destinations [k0, k1) of ss with fold f (any but
+// foldRankSum, which no destination-sorted cell resolves to). When hub is
 // non-nil the per-destination partial is assigned to hub[k] (the ToHub
 // kernel); otherwise it is Sum-folded into acc. The fold dispatch and
 // the mask/del presence check run once per call, so the inner loops
@@ -105,12 +108,10 @@ func sumFoldFor(hint KernelHint) scalarFold {
 // call covers a run of clean destinations — thousands of edges, del ==
 // nil, the unfiltered loops — or one dirty destination of a tombstoned
 // base cell with its predicate (see cellTombs.gather).
-func gatherSpec(f scalarFold, deg []uint32, mask *bitset.Set, del delPred, ss *storage.SubShard, src view, acc view, hub []float64, k0, k1 int) {
+func gatherSpec(f scalarFold, mask *bitset.Set, del delPred, ss *storage.SubShard, src view, acc view, hub []float64, k0, k1 int) {
 	switch f {
 	case foldCopySum:
 		gatherCopySum(mask, del, ss, src, acc, hub, k0, k1)
-	case foldRankSum:
-		gatherRankSumScalar(deg, mask, del, ss, src, acc, hub, k0, k1)
 	case foldCountSum:
 		gatherCountSum(mask, del, ss, acc, hub, k0, k1)
 	case foldMin:
@@ -167,60 +168,6 @@ func gatherCopySum(mask *bitset.Set, del delPred, ss *storage.SubShard, src view
 			local = 0
 			for t := lo; t < hi; t++ {
 				local += vals[srcs[t]-base]
-			}
-		}
-		if hub != nil {
-			hub[k] = local
-		} else {
-			acc.vals[ss.Dsts[k]-acc.base] += local
-		}
-	}
-}
-
-// gatherRankSumScalar: local = 0 + a1/deg1 + a2/deg2 + ... — the
-// un-hoisted rank fold, used when the run cannot maintain a scaled view
-// (multi-direction runs; the source-sorted ablation).
-func gatherRankSumScalar(deg []uint32, mask *bitset.Set, del delPred, ss *storage.SubShard, src view, acc view, hub []float64, k0, k1 int) {
-	if mask != nil || del != nil {
-		for k := k0; k < k1; k++ {
-			d := ss.Dsts[k]
-			local := 0.0
-			for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
-				s := ss.Srcs[t]
-				if mask != nil && mask.Test(int(s)) {
-					continue
-				}
-				if del != nil && del(s, d) {
-					continue
-				}
-				local += src.at(s) / float64(deg[s])
-			}
-			if hub != nil {
-				hub[k] = local
-			} else {
-				acc.vals[d-acc.base] += local
-			}
-		}
-		return
-	}
-	srcs, vals, base := ss.Srcs, src.vals, src.base
-	for k := k0; k < k1; k++ {
-		lo, hi := ss.Offsets[k], ss.Offsets[k+1]
-		var local float64
-		switch hi - lo {
-		case 0:
-			local = 0
-		case 1:
-			s0 := srcs[lo]
-			local = 0 + vals[s0-base]/float64(deg[s0])
-		case 2:
-			s0, s1 := srcs[lo], srcs[lo+1]
-			local = 0 + vals[s0-base]/float64(deg[s0]) + vals[s1-base]/float64(deg[s1])
-		default:
-			local = 0
-			for t := lo; t < hi; t++ {
-				s := srcs[t]
-				local += vals[s-base] / float64(deg[s])
 			}
 		}
 		if hub != nil {

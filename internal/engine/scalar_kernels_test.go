@@ -209,15 +209,20 @@ func TestScalarKernelsMatchGeneric(t *testing.T) {
 				accA[v] = c.prog.zero
 				accB[v] = c.prog.zero
 			}
-			gatherCSR(c.prog, deg, fl.mask, fl.del, ss, src, view{accA, 0}, 0, ss.NumDsts())
-			gatherSpec(c.f, deg, fl.mask, fl.del, ss, src, view{accB, 0}, nil, 0, ss.NumDsts())
-			assertSameBits(t, name+"/csr", accA, accB)
+			// The per-edge rank fold exists only in the source-sorted
+			// ablation: destination-sorted cells always see the hoisted
+			// division, i.e. foldCopySum.
+			if c.f != foldRankSum {
+				gatherCSR(c.prog, deg, fl.mask, fl.del, ss, src, view{accA, 0}, 0, ss.NumDsts())
+				gatherSpec(c.f, fl.mask, fl.del, ss, src, view{accB, 0}, nil, 0, ss.NumDsts())
+				assertSameBits(t, name+"/csr", accA, accB)
 
-			hubA := make([]float64, ss.NumDsts())
-			hubB := make([]float64, ss.NumDsts())
-			gatherToHub(c.prog, deg, fl.mask, fl.del, ss, src, hubA, 0, ss.NumDsts())
-			gatherSpec(c.f, deg, fl.mask, fl.del, ss, src, view{}, hubB, 0, ss.NumDsts())
-			assertSameBits(t, name+"/hub", hubA, hubB)
+				hubA := make([]float64, ss.NumDsts())
+				hubB := make([]float64, ss.NumDsts())
+				gatherToHub(c.prog, deg, fl.mask, fl.del, ss, src, hubA, 0, ss.NumDsts())
+				gatherSpec(c.f, fl.mask, fl.del, ss, src, view{}, hubB, 0, ss.NumDsts())
+				assertSameBits(t, name+"/hub", hubA, hubB)
+			}
 
 			if fl.del == nil { // the source-sorted path has no overlay
 				flat := toSrcSorted(ss)
@@ -333,8 +338,10 @@ func BenchmarkGatherKernel(b *testing.B) {
 	edges := int64(ss.NumEdges())
 
 	for _, c := range scalarFoldCases() {
-		if c.weighted {
-			continue // weight array omitted; distMin covered by equivalence tests
+		if c.weighted || c.f == foldRankSum {
+			// Weight array omitted (distMin is covered by the equivalence
+			// tests); a hoisted rank sum is the copySum row.
+			continue
 		}
 		b.Run("generic/"+c.name, func(b *testing.B) {
 			b.SetBytes(edges * 8)
@@ -345,7 +352,7 @@ func BenchmarkGatherKernel(b *testing.B) {
 		b.Run("spec/"+c.name, func(b *testing.B) {
 			b.SetBytes(edges * 8)
 			for i := 0; i < b.N; i++ {
-				gatherSpec(c.f, deg, nil, nil, ss, src, view{acc, 0}, nil, 0, ss.NumDsts())
+				gatherSpec(c.f, nil, nil, ss, src, view{acc, 0}, nil, 0, ss.NumDsts())
 			}
 		})
 	}
@@ -395,7 +402,7 @@ func BenchmarkApplyKernel(b *testing.B) {
 	b.Run("generic", func(b *testing.B) {
 		b.SetBytes(n * 16)
 		for i := 0; i < b.N; i++ {
-			applyRange(p, nil, view{old, 0}, view{acc, 0}, view{acc, 0}, 0, n)
+			applyRange(p, nil, old, acc, 1, 0, 0, n)
 		}
 	})
 	b.Run("lane", func(b *testing.B) {
@@ -442,7 +449,6 @@ func BenchmarkChunkingSkewed(b *testing.B) {
 	}
 	src := view{attrs, 0}
 	acc := make([]float64, n)
-	deg := make([]uint32, n)
 	edges := int64(ss.NumEdges())
 	const threads, chunk = 4, 2048
 
@@ -462,7 +468,7 @@ func BenchmarkChunkingSkewed(b *testing.B) {
 		b.SetBytes(edges * 8)
 		for i := 0; i < b.N; i++ {
 			parallelFor(threads, len(bounds)-1, func(c int) {
-				gatherSpec(foldCopySum, deg, nil, nil, ss, src, view{acc, 0}, nil, bounds[c], bounds[c+1])
+				gatherSpec(foldCopySum, nil, nil, ss, src, view{acc, 0}, nil, bounds[c], bounds[c+1])
 			})
 		}
 	}
@@ -470,6 +476,6 @@ func BenchmarkChunkingSkewed(b *testing.B) {
 		run(b, chunkRanges(ss.NumDsts(), chunk))
 	})
 	b.Run(fmt.Sprintf("edgeBalanced/t%d", threads), func(b *testing.B) {
-		run(b, edgeChunkRanges(ss.Offsets, 4*chunk))
+		run(b, edgeChunkRanges(ss.Offsets, gatherChunkCost(1, chunk)))
 	})
 }

@@ -11,18 +11,20 @@ import (
 	"nxgraph/internal/trace"
 )
 
-// Step executes one iteration (Algorithm 1's repeat body). It returns
-// false when the computation has terminated: every interval inactive, or
-// the MaxIterations budget exhausted.
+// Step executes one iteration (Algorithm 1's repeat body) across every
+// unfinished lane. It returns false when the computation has terminated:
+// every lane converged or cancelled, or the MaxIterations budget
+// exhausted.
 func (r *Run) Step() (bool, error) {
 	return r.step()
 }
 
-// StepContext is Step with cancellation: ctx is consulted before the
-// iteration and between sub-shard batches (each row of the row phase, each
-// destination interval of the column phase). On cancellation it returns
-// ctx.Err() without corrupting run state; the run may not be stepped
-// further, but the engine and store remain reusable.
+// StepContext is Step with cancellation of the whole run: ctx is
+// consulted before the iteration and between sub-shard batches (each row
+// of the row phase, each destination interval of the column phase). On
+// cancellation it returns ctx.Err() without corrupting run state; the run
+// may not be stepped further, but the engine and store remain reusable.
+// Per-lane cancellation is CancelLane, observed at iteration boundaries.
 func (r *Run) StepContext(ctx context.Context) (bool, error) {
 	if ctx != nil && ctx != context.Background() {
 		r.ctx = ctx
@@ -38,27 +40,20 @@ func (r *Run) step() (bool, error) {
 	if r.finished {
 		return false, nil
 	}
+	if r.mask != nil && len(r.lanes) > 1 {
+		return false, fmt.Errorf("engine: SetMask needs a one-lane run, this one has %d", len(r.lanes))
+	}
 	if err := r.checkCtx(); err != nil {
 		return false, err
 	}
-	if max := r.e.cfg.MaxIterations; max > 0 && r.iter >= max {
-		r.finished = true
-		return false, nil
-	}
-	anyActive := false
-	for _, a := range r.active {
-		if a {
-			anyActive = true
-			break
-		}
-	}
-	if !anyActive {
+	lanes := r.retireLanes()
+	if len(lanes) == 0 {
 		r.finished = true
 		return false, nil
 	}
 
 	m := r.e.store.Meta()
-	P, Q := m.P, r.q
+	P, Q, L := m.P, r.q, len(r.lanes)
 	dirs := r.dirsUsed()
 
 	// Open the iteration span and reset the per-iteration counters the
@@ -76,113 +71,102 @@ func (r *Run) step() (bool, error) {
 		edges0 = r.edges
 	}
 
-	// InitializeIteration: the resident accumulators must hold Zero.
-	// After a completed step this is already true — the apply phase
-	// re-zeroes the outgoing attribute array while its cache lines are
-	// hot (see applyResident) — so the sweep below only runs on the first
-	// step and after an aborted one.
-	if !r.nextZeroed {
-		zero := r.p.Zero()
-		bounds := chunkRanges(int(r.resEnd), 1<<16)
+	// InitializeIteration: the resident accumulator must hold Zero. After
+	// a completed step it already does (see accClean), so this sweep runs
+	// on the first step and after an aborted one.
+	if !r.accClean {
+		bounds := chunkRanges(len(r.next), 1<<16)
 		parallelFor(r.threads, len(bounds)-1, func(c int) {
-			fill(r.next[bounds[c]:bounds[c+1]], zero)
+			zeroSlab(r.next[bounds[c]:bounds[c+1]], r.zero)
 		})
 	}
-	r.nextZeroed = false
+	r.accClean = false
 
-	// RankSum division hoist: refresh the per-iteration scaled view of
-	// the resident attributes before any gathering reads it.
-	if r.useScaled {
-		r.refreshScaled(r.scaled, r.curr[:r.resEnd], 0, r.degOf(dirs[0]))
-	}
+	plans := r.rowPlans(dirs, lanes)
 
-	// Global aggregate over current attributes (resident part now,
+	// Global aggregates over current attributes (resident part now,
 	// on-disk intervals as the row phase streams them through memory).
-	var aggVal float64
-	if r.agg != nil {
-		aggVal = r.agg.AggZero()
-		deg := r.primaryDeg()
-		switch {
-		case r.laggr != nil && r.resEnd == m.NumVertices:
-			// Every attribute is resident (SPU): one lane-aggregate call,
-			// bit-identical to the serial fold by LaneAggregator's
-			// contract and free to exploit program structure (PageRank's
-			// skips every non-dangling vertex).
-			aggVal = r.laggr.AggLane(r.curr, 1, 0, deg)
-		case r.laggr != nil:
-			// A LaneAggregator promises serial-fold bits and fused runs
-			// rely on them, so partial-array strategies keep the exact
-			// serial order: resident vertices now, streamed intervals as
-			// the row phase flows them through memory.
-			for v := uint32(0); v < r.resEnd; v++ {
-				aggVal = r.agg.AggCombine(aggVal, r.agg.AggVertex(v, r.curr[v], deg[v]))
-			}
-		default:
-			aggVal = r.aggRange(aggVal, r.curr[:r.resEnd], 0, deg)
+	r.foldResidentAggregates(lanes)
+
+	// RankSum division hoist: the scaled view of the resident attributes
+	// must be current before any gathering reads it.
+	if r.useScaled && !r.scaledReady {
+		for _, d := range dirs {
+			sc, deg := r.scaled[d], r.degOf(d)
+			bounds := chunkRanges(int(r.resEnd), 1<<13)
+			parallelFor(r.threads, len(bounds)-1, func(c int) {
+				refreshScaled(sc, r.curr, deg, L, uint32(bounds[c]), uint32(bounds[c+1]))
+			})
 		}
 	}
+	r.scaledReady = false
 
-	// Row phase: SPU-like updates into resident accumulators, ToHub for
-	// on-disk destinations (Algorithm 7 lines 1-16). Each row's blocks
-	// are pinned by the prefetch pipeline one row ahead, so row i's
-	// gathering overlaps row i+1's reads.
-	rowPipe := r.newPipeline(r.rowPlans(dirs))
+	// Row phase: one pass over the sub-shard grid; each decoded block is
+	// gathered into every participating lane before the next block —
+	// SPU-like updates into resident accumulators, ToHub for on-disk
+	// destinations (Algorithm 7 lines 1-16). Each row's blocks are pinned
+	// by the prefetch pipeline one row ahead, so row i's gathering
+	// overlaps row i+1's reads.
+	rowPipe := r.newPipeline(plans)
 	defer rowPipe.drain()
+	var resident [2]view
+	for _, d := range dirs {
+		resident[d] = r.srcView(d)
+	}
+	rowLanes := make([]int, 0, len(lanes))
 	for i := 0; i < P; i++ {
 		if err := r.checkCtx(); err != nil {
 			return false, err
 		}
-		srcActive := r.active[i]
-		if i < Q {
-			if !srcActive {
+		rowLanes = rowLanes[:0]
+		for _, l := range lanes {
+			if r.lanes[l].active[i] {
+				rowLanes = append(rowLanes, l)
+			}
+		}
+		src := resident
+		if i >= Q { // streamed interval: one lane
+			ln := &r.lanes[0]
+			for _, d := range dirs {
+				r.hubRowValid[d][i] = len(rowLanes) > 0
+			}
+			if len(rowLanes) == 0 && ln.agg == nil {
 				continue
 			}
-			if err := r.processRow(i, r.srcView(), dirs, rowPipe.take(i)); err != nil {
+			lo, hi := m.IntervalRange(i)
+			buf := r.loadBuf[:hi-lo]
+			if err := r.attrs.ReadInterval(i, buf); err != nil {
 				return false, err
 			}
-			continue
-		}
-		for _, d := range dirs {
-			if r.hubRowValid[d] != nil {
-				r.hubRowValid[d][i] = srcActive
+			if ln.agg != nil {
+				ln.aggVal = foldAggregate(ln.agg, ln.aggVal, buf, 1, 0, lo, r.primaryDeg())
 			}
-		}
-		if !srcActive && r.agg == nil {
-			continue
-		}
-		lo, hi := m.IntervalRange(i)
-		buf := r.loadBuf[:hi-lo]
-		if err := r.attrs.ReadInterval(i, buf); err != nil {
-			return false, err
-		}
-		if r.agg != nil {
-			deg := r.primaryDeg()
-			if r.laggr != nil { // serial-fold bits, see the resident case
-				for v := lo; v < hi; v++ {
-					aggVal = r.agg.AggCombine(aggVal, r.agg.AggVertex(v, buf[v-lo], deg[v]))
+			for _, d := range dirs {
+				src[d] = view{buf, lo}
+				if r.useScaled {
+					sbuf := r.scaledBuf[d][:hi-lo]
+					refreshScaled(sbuf, buf, r.degOf(d)[lo:hi], 1, 0, hi-lo)
+					src[d] = view{sbuf, lo}
 				}
-			} else {
-				aggVal = r.aggRange(aggVal, buf, lo, deg)
 			}
 		}
-		if !srcActive {
+		if len(rowLanes) == 0 {
 			continue
 		}
-		srcV := view{buf, lo}
-		if r.useScaled {
-			sbuf := r.scaledBuf[:hi-lo]
-			r.refreshScaled(sbuf, buf, lo, r.degOf(dirs[0]))
-			srcV = view{sbuf, lo}
-		}
-		if err := r.processRow(i, srcV, dirs, rowPipe.take(i)); err != nil {
+		if err := r.processRow(i, src, rowLanes, dirs, rowPipe.take(i)); err != nil {
 			return false, err
 		}
 	}
-	if r.agg != nil {
-		r.agg.SetGlobal(aggVal)
+	for _, l := range lanes {
+		if ln := &r.lanes[l]; ln.agg != nil {
+			ln.agg.SetGlobal(ln.aggVal)
+		}
 	}
 
-	activeNext := make([]bool, P)
+	activeNext := make([][]bool, L)
+	for _, l := range lanes {
+		activeNext[l] = make([]bool, P)
+	}
 
 	// Column phase: FromHub plus resident-source gathering for on-disk
 	// destination intervals (Algorithm 7 lines 17-26), pipelined like the
@@ -200,29 +184,28 @@ func (r *Run) step() (bool, error) {
 		if err != nil {
 			return false, err
 		}
-		activeNext[plan.id] = changed
+		activeNext[0][plan.id] = changed
 	}
 
 	// Apply phase for resident intervals, then ping-pong swap.
 	applySpan := r.tr.Start(trace.KindApply, "apply-resident", iterSpan.ID)
-	if err := r.applyResident(activeNext); err != nil {
-		return false, err
-	}
+	r.applyResident(lanes, dirs, activeNext)
 	r.tr.End(applySpan)
 	r.curr, r.next = r.next, r.curr
-	r.nextZeroed = true // apply tasks re-zeroed what is now r.next
-	copy(r.active, activeNext)
+	r.accClean = true           // apply tasks re-zeroed what is now r.next
+	r.scaledReady = r.useScaled // ... and refreshed scaled from the new curr
+	for _, l := range lanes {
+		r.lanes[l].active = activeNext[l]
+		r.lanes[l].iters++
+	}
 	r.iter++
-	r.notifyProgress(activeNext)
+	r.notifyProgress()
 
 	if r.tr != nil {
 		dur := r.tr.End(iterSpan)
 		io := r.e.store.Disk().Stats().Snapshot().Sub(iterIO)
 		stall := time.Duration(r.stallNS)
-		compute := dur - stall
-		if compute < 0 {
-			compute = 0
-		}
+		compute := max(dur-stall, 0)
 		r.tr.AddStep(trace.StepStats{
 			Iteration:    r.iter - 1,
 			Edges:        r.edges - edges0,
@@ -239,6 +222,30 @@ func (r *Run) step() (bool, error) {
 	return true, nil
 }
 
+// retireLanes folds lane-cancellation requests, retires lanes that
+// converged (or all of them once the MaxIterations budget is spent), and
+// returns the lanes that take part in this iteration.
+func (r *Run) retireLanes() []int {
+	limit := r.e.cfg.MaxIterations
+	exhausted := limit > 0 && r.iter >= limit
+	var lanes []int
+	for l := range r.lanes {
+		ln := &r.lanes[l]
+		switch {
+		case ln.done:
+		case ln.cancelReq.Load():
+			ln.done, ln.cancelled = true, true
+			r.endLaneSpan(ln, "cancelled")
+		case exhausted || !ln.hasWork():
+			ln.done = true
+			r.endLaneSpan(ln, "")
+		default:
+			lanes = append(lanes, l)
+		}
+	}
+	return lanes
+}
+
 // subShardInfosFor returns the sub-shard index for a traversal flag.
 func (r *Run) subShardInfosFor(d int) []storage.SubShardInfo {
 	m := r.e.store.Meta()
@@ -248,8 +255,19 @@ func (r *Run) subShardInfosFor(d int) []storage.SubShardInfo {
 	return m.SubShards
 }
 
-// processRow executes row i of the sub-shard matrix with source attributes
-// src: destinations in resident intervals accumulate into r.next;
+// countEdges charges one visited cell's edge count to every lane
+// gathering it, so per-lane EdgesTraversed matches a run of that lane
+// alone.
+func (r *Run) countEdges(rowLanes []int, n int) {
+	r.edges += int64(n * len(rowLanes))
+	for _, l := range rowLanes {
+		r.lanes[l].edges += int64(n)
+	}
+}
+
+// processRow executes row i of the sub-shard matrix for the lanes in
+// rowLanes, with source attributes src (one view per traversal flag):
+// destinations in resident intervals accumulate into r.next;
 // destinations in on-disk intervals are gathered into hubs (ToHub).
 // blocks is the row's prefetched batch; processRow owns it — blocks stay
 // pinned until every gather task has run, then the whole batch releases.
@@ -257,7 +275,7 @@ func (r *Run) subShardInfosFor(d int) []storage.SubShardInfo {
 // callback mode runs each group lock-free; groups that can collide on a
 // destination (forward vs transposed replica, base vs overlay) are
 // separated by barriers — see the scheduling comment below.
-func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error {
+func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetchBatch) error {
 	defer blocks.release()
 	if err := r.waitBatch(blocks, "row-", i); err != nil {
 		return err
@@ -272,6 +290,7 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 	if i < Q {
 		jmax = Q // SS[i][j>=Q] with resident source is handled by the column phase
 	}
+	acc := view{r.next, 0}
 	// Tasks are scheduled in conflict-free groups. Hub-side tasks
 	// (j >= Q) write private per-cell value arrays and can run with
 	// anything. Resident-destination gathers (j < Q) fold into the
@@ -280,11 +299,11 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 	// forward and transposed replicas — and a cell's base sub-shard vs
 	// its overlay cell — can hit the same destination vertex, so each
 	// (replica, base|overlay) group gets its own barrier. Forward-only
-	// runs without deltas still execute exactly one parallelFor.
+	// runs without deltas still execute exactly one parallelFor. The
+	// grouping fixes every destination's fold order whatever L is.
 	var free []func()           // hub-side: no shared accumulator
 	var resident [2][2][]func() // [traversal flag][0 = base, 1 = overlay]
 	for _, d := range dirs {
-		deg := r.degOf(d)
 		infos := r.subShardInfosFor(d)
 		for j := 0; j < jmax; j++ {
 			base := infos[i*P+j].Edges > 0
@@ -292,60 +311,58 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 			if !base && ovc == nil {
 				continue
 			}
-			if r.e.cfg.Order == SrcSortedCoarse { // overlay rejected at NewRun
+			if r.e.cfg.Order == SrcSortedCoarse { // one lane, no overlay: see NewBatchRun
 				flat, err := r.batchFlat(blocks, cellID{d, i, j, true})
 				if err != nil {
 					return err
 				}
-				r.edges += int64(len(flat.srcs))
+				r.countEdges(rowLanes, len(flat.srcs))
 				lock := &r.locks[j]
-				acc := view{r.next, 0}
-				p, dd := r.p, deg
+				p, deg, s := r.lanes[0].p, r.degOf(d), src[d]
 				f := scalarFoldFor(r.hint, false, flat.ws != nil)
 				free = append(free, func() { // interval lock serializes
 					lock.Lock()
-					if !gatherSrcSortedSpec(f, dd, r.mask, flat, src, acc) {
-						gatherSrcSorted(p, dd, r.mask, flat, src, acc)
+					if !gatherSrcSortedSpec(f, deg, r.mask, flat, s, acc) {
+						gatherSrcSorted(p, deg, r.mask, flat, s, acc)
 					}
 					lock.Unlock()
 				})
 				continue
 			}
+			var ss *storage.SubShard
+			if base {
+				var err error
+				if ss, err = r.batchSubShard(blocks, cellID{d, i, j, false}); err != nil {
+					return err
+				}
+				r.countEdges(rowLanes, ss.NumEdges())
+			}
+			if ovc != nil {
+				r.countEdges(rowLanes, ovc.NumEdges())
+			}
 			if j < Q {
 				if base {
-					ss, err := r.batchSubShard(blocks, cellID{d, i, j, false})
-					if err != nil {
-						return err
-					}
-					r.edges += int64(ss.NumEdges())
-					resident[d][0] = append(resident[d][0], r.gatherTasks(ss, deg, cellTombsOf(r.ov, d, i, j, ss), src, view{r.next, 0}, j)...)
+					resident[d][0] = append(resident[d][0], r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], acc, nil, nil, rowLanes, j)...)
 				}
 				if ovc != nil {
-					r.edges += int64(ovc.NumEdges())
-					resident[d][1] = append(resident[d][1], r.gatherTasks(ovc, deg, nil, src, view{r.next, 0}, j)...)
+					resident[d][1] = append(resident[d][1], r.gatherTasks(ovc, d, nil, src[d], acc, nil, nil, rowLanes, j)...)
 				}
 				continue
 			}
 			if base {
-				ss, err := r.batchSubShard(blocks, cellID{d, i, j, false})
-				if err != nil {
-					return err
-				}
-				r.edges += int64(ss.NumEdges())
 				vals := make([]float64, ss.NumDsts())
-				free = append(free, r.hubTasks(ss, deg, cellTombsOf(r.ov, d, i, j, ss), src, vals, func() {
+				free = append(free, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], view{}, vals, func() {
 					if err := r.hubs[d].Write(i, j, ss.Dsts, vals); err != nil {
 						r.setErr(err)
 					}
-				})...)
+				}, rowLanes, j)...)
 			}
 			if ovc != nil {
 				// Overlay contributions to an on-disk destination
 				// interval accumulate in memory (the hub file's regions
 				// are sized from the base meta); the column phase folds
 				// them alongside the disk hub.
-				r.edges += int64(ovc.NumEdges())
-				free = append(free, r.hubTasks(ovc, deg, nil, src, r.ovHubVals(d, i, j, ovc), func() {})...)
+				free = append(free, r.gatherTasks(ovc, d, nil, src[d], view{}, r.ovHubVals(d, i, j, ovc), nil, rowLanes, j)...)
 			}
 		}
 	}
@@ -357,69 +374,73 @@ func (r *Run) processRow(i int, src view, dirs []int, blocks *fetchBatch) error 
 				free = nil
 				first = false
 			}
-			if len(g) == 0 {
-				continue
-			}
 			parallelFor(r.threads, len(g), func(t int) { g[t]() })
 		}
 	}
-	parallelFor(r.threads, len(free), func(t int) { free[t]() }) // no resident groups ran
 	return r.takeErr()
 }
 
-// gatherTasks builds the fine-grained (callback) or interval-locked (lock)
-// tasks that fold sub-shard ss into a dense accumulator. tombs is the
-// cell's resolved tombstones (nil for overlay cells and base cells
-// without pending removals): each task walks its destinations as clean
-// runs and single dirty destinations, so only the latter see a
-// predicate. Cells whose Gather/Sum match the run's kernel hint go
-// through the devirtualized fold loops; chunk boundaries balance edges,
-// not destinations, so a hub destination does not serialize its whole
-// chunk's worth of sparse neighbours behind it.
-func (r *Run) gatherTasks(ss *storage.SubShard, deg []uint32, tombs *cellTombs, src, acc view, j int) []func() {
-	p := r.p
-	f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil)
-	kernel := func(del delPred, k0, k1 int) {
-		if f != foldNone {
-			gatherSpec(f, deg, r.mask, del, ss, src, acc, nil, k0, k1)
-		} else {
-			gatherCSR(p, deg, r.mask, del, ss, src, acc, k0, k1)
+// gatherTasks builds the fine-grained (callback) or interval-locked
+// (lock) tasks that fold sub-shard ss of traversal flag d into every
+// lane in lanes: into the dense accumulator acc, or — hub non-nil, the
+// ToHub side of a one-lane run — into per-destination partials hub
+// (parallel to ss.Dsts), with done (may be nil) run once the last chunk
+// completes (the callback mechanism). src is the source view the kernels
+// read (srcView, or a streamed interval).
+//
+// tombs is the cell's resolved tombstones (nil for overlay cells and base
+// cells without pending removals): each task walks its destinations as
+// clean runs and single dirty destinations, so only the latter see a
+// predicate. The kernel family is chosen here from what the run is — one
+// lane folds through the devirtualized scalar loops (or the generic
+// interface kernels without a hint), several through the lane kernels —
+// and chunk boundaries balance edges, not destinations, so a hub
+// destination does not serialize its whole chunk's worth of sparse
+// neighbours behind it.
+func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, acc view, hub []float64, done func(), lanes []int, j int) []func() {
+	deg := r.degOf(d)
+	var body func(k0, k1 int) // one task: destinations [k0, k1)
+	if len(r.lanes) == 1 {
+		p := r.lanes[0].p
+		f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil)
+		kernel := func(del delPred, k0, k1 int) {
+			switch {
+			case f != foldNone:
+				gatherSpec(f, r.mask, del, ss, src, acc, hub, k0, k1)
+			case hub != nil:
+				gatherToHub(p, deg, r.mask, del, ss, src, hub, k0, k1)
+			default:
+				gatherCSR(p, deg, r.mask, del, ss, src, acc, k0, k1)
+			}
 		}
+		body = func(k0, k1 int) { tombs.gather(k0, k1, kernel) }
+	} else {
+		// contig: lanes is a run of consecutive lane ids, letting the
+		// specialized kernels slice the slabs directly instead of
+		// indirecting through the lane list. This is the common shape for
+		// dense programs (PPR lanes never deactivate).
+		contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
+		body = func(k0, k1 int) {
+			// One task is one or more gatherCell calls (a dirty
+			// destination splits its chunk), all sharing the task's
+			// per-destination buffer.
+			local := make([]float64, len(lanes))
+			tombs.gather(k0, k1, func(del delPred, k0, k1 int) {
+				r.gatherCell(ss, deg, src.vals, del, lanes, contig, local, k0, k1)
+			})
+		}
+	}
+	if done == nil {
+		done = func() {}
 	}
 	if r.e.cfg.Sync == Lock {
 		lock := &r.locks[j]
 		return []func(){func() {
-			lock.Lock()
-			tombs.gather(0, ss.NumDsts(), kernel)
-			lock.Unlock()
-		}}
-	}
-	bounds := edgeChunkRanges(ss.Offsets, r.chunkCost)
-	tasks := make([]func(), 0, len(bounds)-1)
-	for c := 0; c < len(bounds)-1; c++ {
-		k0, k1 := bounds[c], bounds[c+1]
-		tasks = append(tasks, func() { tombs.gather(k0, k1, kernel) })
-	}
-	return tasks
-}
-
-// hubTasks builds the ToHub tasks for sub-shard ss — base SS[i][j] with
-// its resolved tombstones, or an overlay cell with none: gather partials
-// into vals (parallel to ss.Dsts), then run done once the last chunk
-// completes (the callback mechanism).
-func (r *Run) hubTasks(ss *storage.SubShard, deg []uint32, tombs *cellTombs, src view, vals []float64, done func()) []func() {
-	p := r.p
-	f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil)
-	kernel := func(del delPred, k0, k1 int) {
-		if f != foldNone {
-			gatherSpec(f, deg, r.mask, del, ss, src, view{}, vals, k0, k1)
-		} else {
-			gatherToHub(p, deg, r.mask, del, ss, src, vals, k0, k1)
-		}
-	}
-	if r.e.cfg.Sync == Lock {
-		return []func(){func() {
-			tombs.gather(0, ss.NumDsts(), kernel)
+			if hub == nil { // hub partials are private to the cell
+				lock.Lock()
+				defer lock.Unlock()
+			}
+			body(0, ss.NumDsts())
 			done()
 		}}
 	}
@@ -430,7 +451,7 @@ func (r *Run) hubTasks(ss *storage.SubShard, deg []uint32, tombs *cellTombs, src
 	for c := 0; c < len(bounds)-1; c++ {
 		k0, k1 := bounds[c], bounds[c+1]
 		tasks = append(tasks, func() {
-			tombs.gather(k0, k1, kernel)
+			body(k0, k1)
 			if pending.Add(-1) == 0 {
 				done()
 			}
@@ -443,10 +464,11 @@ func (r *Run) hubTasks(ss *storage.SubShard, deg []uint32, tombs *cellTombs, src
 // destination interval j this iteration.
 func (r *Run) columnTouched(j int, dirs []int) bool {
 	P, Q := r.e.store.Meta().P, r.q
+	active := r.lanes[0].active
 	for _, d := range dirs {
 		infos := r.subShardInfosFor(d)
 		for i := 0; i < Q; i++ {
-			if r.active[i] && r.cellHasEdges(d, i, j) {
+			if active[i] && r.cellHasEdges(d, i, j) {
 				return true
 			}
 		}
@@ -459,9 +481,10 @@ func (r *Run) columnTouched(j int, dirs []int) bool {
 	return false
 }
 
-// processColumn runs the FromHub side for on-disk destination interval j:
-// gather resident-source sub-shards, fold hubs, apply, and persist.
-// blocks is the column's prefetched batch; processColumn owns it.
+// processColumn runs the FromHub side for on-disk destination interval j
+// (one-lane runs only — wider runs keep every interval resident): gather
+// resident-source sub-shards, fold hubs, apply, and persist. blocks is
+// the column's prefetched batch; processColumn owns it.
 func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch) (bool, error) {
 	defer blocks.release()
 	if err := r.waitBatch(blocks, "col-", j); err != nil {
@@ -477,15 +500,16 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 	if lo == hi {
 		return false, nil
 	}
+	ln := &r.lanes[0]
+	lane0 := []int{0}
 	acc := r.accBuf[:hi-lo]
-	fill(acc, r.p.Zero())
+	fill(acc, r.zero)
 	accV := view{acc, lo}
 	if touched {
 		for _, d := range dirs {
-			deg := r.degOf(d)
 			infos := r.subShardInfosFor(d)
 			for i := 0; i < Q; i++ {
-				if !r.active[i] {
+				if !ln.active[i] {
 					continue
 				}
 				if infos[i*P+j].Edges > 0 {
@@ -493,13 +517,13 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 					if err != nil {
 						return false, err
 					}
-					r.edges += int64(ss.NumEdges())
-					tasks := r.gatherTasks(ss, deg, cellTombsOf(r.ov, d, i, j, ss), r.srcView(), accV, j)
+					r.countEdges(lane0, ss.NumEdges())
+					tasks := r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), r.srcView(d), accV, nil, nil, lane0, j)
 					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
 				}
 				if ovc := r.ovCell(d, i, j); ovc != nil {
-					r.edges += int64(ovc.NumEdges())
-					tasks := r.gatherTasks(ovc, deg, nil, r.srcView(), accV, j)
+					r.countEdges(lane0, ovc.NumEdges())
+					tasks := r.gatherTasks(ovc, d, nil, r.srcView(d), accV, nil, nil, lane0, j)
 					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
 				}
 			}
@@ -533,19 +557,15 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 	if err := r.attrs.ReadInterval(j, old); err != nil {
 		return false, err
 	}
-	oldV := view{old, lo}
 	bounds := chunkRanges(int(hi-lo), r.chunk)
 	changed := make([]bool, len(bounds)-1)
 	parallelFor(r.threads, len(bounds)-1, func(c int) {
 		v0, v1 := lo+uint32(bounds[c]), lo+uint32(bounds[c+1])
-		changed[c] = r.applyChunk(oldV, accV, v0, v1)
+		changed[c] = r.applyChunk(ln, old, acc, 1, -int(lo), v0, v1)
 	})
 	anyChanged := false
 	for _, c := range changed {
-		if c {
-			anyChanged = true
-			break
-		}
+		anyChanged = anyChanged || c
 	}
 	if err := r.attrs.WriteInterval(j, acc); err != nil {
 		return false, err
@@ -553,111 +573,153 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 	return anyChanged, nil
 }
 
-// applyResident finalizes resident intervals: Apply where contributions
-// (or a global aggregate) demand it, plain copy elsewhere. Every task —
-// apply or copy — re-zeroes its slice of what is about to become the
-// next iteration's accumulator (r.curr, pre-swap) while the cache lines
-// are still hot, so step() never needs a separate zeroing sweep.
-func (r *Run) applyResident(activeNext []bool) error {
+// applyResident finalizes resident intervals for the participating
+// lanes, recording each lane's next frontier in activeNext: Apply where
+// the lane is dense or an active source interval has edges into the
+// interval, plain carry-forward elsewhere (and for retired lanes). Tasks
+// are vertex chunks that every lane sweeps in turn, sized so a chunk's
+// whole block (all L lanes of curr and next) stays cache-resident across
+// the per-lane passes — one lane's walk is L-strided, which over an
+// unbounded range would miss on every vertex. Every task then refreshes
+// the hoisted rank-sum view from the freshly written attributes and
+// re-zeroes its slice of what is about to become the next iteration's
+// accumulator (r.curr, pre-swap) while the cache lines are still hot, so
+// step() needs no separate sweep for either.
+func (r *Run) applyResident(lanes, dirs []int, activeNext [][]bool) {
 	m := r.e.store.Meta()
-	P, Q := m.P, r.q
-	dirs := r.dirsUsed()
+	P, Q, L := m.P, r.q, len(r.lanes)
+	// applies[j*L+l]: does lane l Apply over interval j?
+	applies := make([]bool, Q*L)
+	for _, l := range lanes {
+		ln := &r.lanes[l]
+		for j := 0; j < Q; j++ {
+			apply := ln.dense
+			for _, d := range dirs {
+				for i := 0; i < P && !apply; i++ {
+					apply = ln.active[i] && r.cellHasEdges(d, i, j)
+				}
+			}
+			applies[j*L+l] = apply
+		}
+	}
 	type task struct {
 		j      int
 		v0, v1 uint32
-		copy   bool
 	}
+	chunkV := min(r.chunk, max(64, (1<<15)/L)) // ≈256KiB of curr+next per chunk
 	var tasks []task
 	for j := 0; j < Q; j++ {
 		lo, hi := m.IntervalRange(j)
-		if lo == hi {
-			continue
-		}
-		touched := r.dense
-		if !touched {
-			for _, d := range dirs {
-				for i := 0; i < P; i++ {
-					if r.active[i] && r.cellHasEdges(d, i, j) {
-						touched = true
-						break
-					}
-				}
-				if touched {
-					break
-				}
-			}
-		}
-		bounds := chunkRanges(int(hi-lo), r.chunk)
+		bounds := chunkRanges(int(hi-lo), chunkV)
 		for c := 0; c < len(bounds)-1; c++ {
-			tasks = append(tasks, task{j, lo + uint32(bounds[c]), lo + uint32(bounds[c+1]), !touched})
+			tasks = append(tasks, task{j, lo + uint32(bounds[c]), lo + uint32(bounds[c+1])})
 		}
 	}
-	changed := make([]bool, len(tasks))
-	zero := r.p.Zero()
-	currV, nextV := view{r.curr, 0}, view{r.next, 0}
+	changed := make([]bool, len(tasks)*L)
 	parallelFor(r.threads, len(tasks), func(t int) {
 		tk := tasks[t]
-		if tk.copy {
-			copy(r.next[tk.v0:tk.v1], r.curr[tk.v0:tk.v1])
-		} else {
-			changed[t] = r.applyChunk(currV, nextV, tk.v0, tk.v1)
+		for l := 0; l < L; l++ {
+			if applies[tk.j*L+l] {
+				changed[t*L+l] = r.applyChunk(&r.lanes[l], r.curr, r.next, L, l, tk.v0, tk.v1)
+			} else {
+				copyLane(r.curr, r.next, L, l, tk.v0, tk.v1)
+			}
 		}
-		fill(r.curr[tk.v0:tk.v1], zero)
+		if r.useScaled {
+			for _, d := range dirs {
+				refreshScaled(r.scaled[d], r.next, r.degOf(d), L, tk.v0, tk.v1)
+			}
+		}
+		zeroSlab(r.curr[int(tk.v0)*L:int(tk.v1)*L], r.zero)
 	})
-	for t, ch := range changed {
-		if ch {
-			activeNext[tasks[t].j] = true
+	for t, tk := range tasks {
+		for _, l := range lanes {
+			if changed[t*L+l] {
+				activeNext[l][tk.j] = true
+			}
 		}
 	}
-	return nil
 }
 
-// srcView is the resident source-attribute window the gather kernels
-// read: the per-iteration scaled array under the RankSum division hoist,
-// the raw attributes otherwise.
-func (r *Run) srcView() view {
+// applyChunk applies lane ln's vertices [v0, v1): old and acc hold the
+// lane's attribute and accumulated contribution of vertex v at index
+// int(v)*stride+off (a slab lane, or a window with base b as stride 1,
+// off -b), and the new attribute replaces the contribution in acc. With
+// no mask installed it uses the program's LaneApplier to skip per-vertex
+// interface dispatch.
+func (r *Run) applyChunk(ln *lane, old, acc []float64, stride, off int, v0, v1 uint32) bool {
+	if ln.la != nil && r.mask == nil {
+		return ln.la.ApplyLane(old, acc, stride, off, v0, v1)
+	}
+	return applyRange(ln.p, r.mask, old, acc, stride, off, v0, v1)
+}
+
+// srcView is the resident source window the gather kernels of traversal
+// flag d read: the per-iteration scaled slab under the RankSum division
+// hoist, the raw attributes otherwise.
+func (r *Run) srcView(d int) view {
 	if r.useScaled {
-		return view{r.scaled, 0}
+		return view{r.scaled[d], 0}
 	}
 	return view{r.curr, 0}
 }
 
-// refreshScaled recomputes dst[i] = vals[i] / float64(deg[lo+i]) in
-// parallel chunks — the RankSum division hoist, performed with exactly
-// the operands Gather(vals[i], deg[lo+i], w) would use so the hoisted
-// fold stays bit-identical. Zero-degree vertices yield Inf entries that
-// are never read: a gathered edge from source s implies s's
-// overlay-adjusted degree is at least 1 (tombstoned edges are filtered
-// before the attribute read).
-func (r *Run) refreshScaled(dst, vals []float64, lo uint32, deg []uint32) {
-	bounds := chunkRanges(len(vals), 1<<15)
-	parallelFor(r.threads, len(bounds)-1, func(c int) {
-		for i := bounds[c]; i < bounds[c+1]; i++ {
-			dst[i] = vals[i] / float64(deg[lo+uint32(i)])
+// refreshScaled recomputes the hoisted rank-sum Gather values
+// scaled[v*L+l] = attrs[v*L+l] / float64(deg[v]) for vertices [v0, v1) —
+// with exactly the operands Gather would use, so the hoisted fold stays
+// bit-identical. Zero-degree rows are skipped: a gathered edge from
+// source s implies s's overlay-adjusted degree is at least 1 (tombstoned
+// edges are filtered before the attribute read), so those slots are
+// never read and whatever they hold is immaterial.
+func refreshScaled(scaled, attrs []float64, deg []uint32, L int, v0, v1 uint32) {
+	for v := v0; v < v1; v++ {
+		if deg[v] == 0 {
+			continue
 		}
+		dd := float64(deg[v])
+		base := int(v) * L
+		as := attrs[base : base+L]
+		sc := scaled[base : base+L]
+		for x := range as {
+			sc[x] = as[x] / dd
+		}
+	}
+}
+
+// foldResidentAggregates starts every participating lane's global
+// aggregate over the resident attributes. There is one rule at every
+// width and strategy: a LaneAggregator answers in one call when the
+// whole attribute array is resident; everything else is the serial
+// ascending-vertex fold, resident vertices here and streamed intervals as
+// the row phase reads them. step() publishes the value via SetGlobal
+// after the row phase. Lanes reduce independently, so they parallelize.
+func (r *Run) foldResidentAggregates(lanes []int) {
+	var aggLanes []int
+	for _, l := range lanes {
+		if r.lanes[l].agg != nil {
+			aggLanes = append(aggLanes, l)
+		}
+	}
+	deg := r.primaryDeg()
+	allResident := r.resEnd == r.e.store.Meta().NumVertices
+	parallelFor(r.threads, len(aggLanes), func(t int) {
+		l := aggLanes[t]
+		ln := &r.lanes[l]
+		if ln.laggr != nil && allResident {
+			ln.aggVal = ln.laggr.AggLane(r.curr, len(r.lanes), l, deg)
+			return
+		}
+		ln.aggVal = foldAggregate(ln.agg, ln.agg.AggZero(), r.curr, len(r.lanes), l, 0, deg)
 	})
 }
 
-// aggRange folds the global aggregate over the vertex range
-// [lo, lo+len(vals)) whose attributes sit in vals, computing per-chunk
-// partials in parallel and combining them with AggCombine in ascending
-// chunk order. The fixed chunk size makes the result deterministic for
-// any thread count, though the chunked combine is not the serial fold's
-// float association — programs that need serial bits declare a
-// LaneAggregator and never reach this path.
-func (r *Run) aggRange(val float64, vals []float64, lo uint32, deg []uint32) float64 {
-	bounds := chunkRanges(len(vals), 1<<15)
-	parts := make([]float64, len(bounds)-1)
-	parallelFor(r.threads, len(parts), func(c int) {
-		pv := r.agg.AggZero()
-		for i := bounds[c]; i < bounds[c+1]; i++ {
-			v := lo + uint32(i)
-			pv = r.agg.AggCombine(pv, r.agg.AggVertex(v, vals[i], deg[v]))
-		}
-		parts[c] = pv
-	})
-	for _, pv := range parts {
-		val = r.agg.AggCombine(val, pv)
+// foldAggregate continues the serial global-aggregate fold from val over
+// the vertices whose attributes sit in vals at stride/off, the first of
+// them being vertex lo.
+func foldAggregate(a GlobalAggregator, val float64, vals []float64, stride, off int, lo uint32, deg []uint32) float64 {
+	for x, n := 0, len(vals)/stride; x < n; x++ {
+		v := lo + uint32(x)
+		val = a.AggCombine(val, a.AggVertex(v, vals[x*stride+off], deg[v]))
 	}
 	return val
 }
@@ -667,17 +729,6 @@ func (r *Run) aggRange(val float64, vals []float64, lo uint32, deg []uint32) flo
 // generic per-entry path otherwise.
 func (r *Run) foldHubRange(dsts []uint32, vals []float64, acc view, k0, k1 int) {
 	if !foldHubSpec(sumFoldFor(r.hint), dsts, vals, acc, k0, k1) {
-		foldHub(r.p, dsts, vals, acc, k0, k1)
+		foldHub(r.lanes[0].p, dsts, vals, acc, k0, k1)
 	}
-}
-
-// applyChunk applies vertices [v0, v1), reading old attributes from old
-// and folding into acc in place. With no mask installed it uses the
-// program's LaneApplier (stride 1; both views share a base, so one
-// offset indexes both arrays) to skip per-vertex interface dispatch.
-func (r *Run) applyChunk(old, acc view, v0, v1 uint32) bool {
-	if r.la != nil && r.mask == nil {
-		return r.la.ApplyLane(old.vals, acc.vals, 1, -int(old.base), v0, v1)
-	}
-	return applyRange(r.p, r.mask, old, acc, acc, v0, v1)
 }

@@ -19,15 +19,17 @@ import (
 
 // The tombstone-equivalence suite: a base store served through an
 // overlay that carries removals must produce, bit for bit, what the
-// compacted (Rebuild) store produces — for both step drivers, every
-// update strategy, both sync modes, both replicas and every kernel
-// family — with the tombstones aimed at the places where splitting a
-// chunk into clean runs and dirty destinations could go wrong.
+// compacted (Rebuild) store produces through the generic interface
+// kernels — at run widths 1, 3 and 16 (the scalar and the lane kernel
+// families), every update strategy, both sync modes, both replicas and
+// every kernel hint — with the tombstones aimed at the places where
+// splitting a chunk into clean runs and dirty destinations could go
+// wrong.
 
 const (
 	tombN        = 96 // vertices; P = 4 gives 24-vertex intervals
 	tombP        = 4
-	tombChunk    = 2 // Config.ChunkDsts; the scalar chunk cost is 4x this
+	tombChunk    = 2 // Config.ChunkDsts; see engine.GatherChunkCost
 	tombHubFirst = 30
 	tombHubLast  = 32
 )
@@ -109,7 +111,8 @@ func planTombstones(t *testing.T, st *storage.Store) tombPlan {
 		lo, hi := int(ss.Offsets[k]), int(ss.Offsets[k+1])
 		return ss.Srcs[[]int{lo, (lo + hi) / 2, hi - 1}[which]], ss.Dsts[k]
 	}
-	bounds := engine.EdgeChunkRanges(ss.Offsets, 4*tombChunk)
+	chunkCost := uint32(engine.GatherChunkCost(1, tombChunk))
+	bounds := engine.EdgeChunkRanges(ss.Offsets, int(chunkCost))
 	if len(bounds) < 5 {
 		t.Fatalf("hub cell has %d chunks, fixture wants several", len(bounds)-1)
 	}
@@ -133,7 +136,7 @@ func planTombstones(t *testing.T, st *storage.Store) tombPlan {
 	placed = false
 	for c := 0; c+1 < len(bounds); c++ {
 		k := bounds[c]
-		if bounds[c+1] == k+1 && ss.Offsets[k+1]-ss.Offsets[k] >= 4*tombChunk && !used[ss.Dsts[k]] {
+		if bounds[c+1] == k+1 && ss.Offsets[k+1]-ss.Offsets[k] >= chunkCost && !used[ss.Dsts[k]] {
 			remove(edgeOf(k, 1))
 			placed = true
 			break
@@ -231,52 +234,68 @@ func (p sumProg) Apply(v uint32, old, acc float64) (float64, bool) {
 }
 func (sumProg) DenseApply() {}
 
-// runPrograms drives ps for at most iters iterations (0: to
-// termination): one scalar Run per program, or all of them as the lanes
-// of one fused BatchRun.
-func runPrograms(t *testing.T, e *engine.Engine, ps []engine.Program, dir engine.Direction, iters int, fused bool) [][]float64 {
+// noHint and noHintAgg strip a program's specializations — FusedKernel,
+// LaneApplier, LaneAggregator — so a run of it goes through the generic
+// interface kernels: the oracle every specialized path is held to.
+// noHintAgg keeps the GlobalAggregator a rank program's Apply depends on.
+type noHint struct{ engine.Program }
+
+type noHintAgg struct{ engine.Program }
+
+func (h noHintAgg) AggZero() float64 { return h.Program.(engine.GlobalAggregator).AggZero() }
+func (h noHintAgg) AggVertex(v uint32, attr float64, deg uint32) float64 {
+	return h.Program.(engine.GlobalAggregator).AggVertex(v, attr, deg)
+}
+func (h noHintAgg) AggCombine(a, b float64) float64 {
+	return h.Program.(engine.GlobalAggregator).AggCombine(a, b)
+}
+func (h noHintAgg) SetGlobal(g float64) { h.Program.(engine.GlobalAggregator).SetGlobal(g) }
+
+func stripHint(p engine.Program) engine.Program {
+	if _, ok := p.(engine.FusedKernel); !ok {
+		return p // sumProg: generic already, and its DenseApply must stay
+	}
+	if _, ok := p.(engine.GlobalAggregator); ok {
+		return noHintAgg{p}
+	}
+	return noHint{p}
+}
+
+// runLanes drives ps as the lanes of one run for at most iters
+// iterations (0: to termination) and returns each lane's attributes.
+func runLanes(t *testing.T, e *engine.Engine, ps []engine.Program, dir engine.Direction, iters int) [][]float64 {
 	t.Helper()
-	step := func(s func() (bool, error)) {
-		for it := 0; iters <= 0 || it < iters; it++ {
-			more, err := s()
-			if err != nil {
-				t.Fatal(err)
-			}
-			if !more {
-				break
-			}
-		}
-	}
-	if !fused {
-		out := make([][]float64, len(ps))
-		for l, p := range ps {
-			run, err := e.NewRun(p, dir)
-			if err != nil {
-				t.Fatal(err)
-			}
-			step(run.Step)
-			res, err := run.Finish()
-			run.Close()
-			if err != nil {
-				t.Fatal(err)
-			}
-			out[l] = res.Attrs
-		}
-		return out
-	}
 	run, err := e.NewBatchRun(ps, dir)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer run.Close()
-	step(run.Step)
-	res, err := run.Finish()
+	for it := 0; iters <= 0 || it < iters; it++ {
+		more, err := run.Step()
+		if err != nil {
+			t.Fatal(err)
+		}
+		if !more {
+			break
+		}
+	}
+	res, err := run.FinishLanes()
 	if err != nil {
 		t.Fatal(err)
 	}
 	out := make([][]float64, len(res))
 	for l := range res {
 		out[l] = res[l].Attrs
+	}
+	return out
+}
+
+// runEach runs every program as a run of its own.
+func runEach(t *testing.T, e *engine.Engine, ps []engine.Program, dir engine.Direction, iters int) [][]float64 {
+	t.Helper()
+	out := make([][]float64, len(ps))
+	for l, p := range ps {
+		out[l] = runLanes(t, e, []engine.Program{p}, dir, iters)[0]
 	}
 	return out
 }
@@ -402,24 +421,27 @@ func TestTombstoneEquivalence(t *testing.T) {
 		{"generic", engine.Forward, 5, func(r uint32) engine.Program { return sumProg{seed: r} }},
 		{"generic-both", engine.Both, 4, func(r uint32) engine.Program { return sumProg{seed: r} }},
 	}
-	progs := func(f family, w int) []engine.Program {
+	progs := func(f family, w int, oracle bool) []engine.Program {
 		ps := make([]engine.Program, w)
 		for l := range ps {
 			ps[l] = f.prog(roots[l])
+			if oracle {
+				ps[l] = stripHint(ps[l])
+			}
 		}
 		return ps
 	}
-	// The fused driver always sweeps SPU-style, so its oracle is the
-	// scalar SPU run on the compacted store whatever the config says
-	// (a sum fold over both replicas associates differently under the
-	// hub strategies; the min folds and forward runs do not care).
+	// A wide run always sweeps SPU-style, so its oracle is the SPU run on
+	// the compacted store whatever the config says (a sum fold over both
+	// replicas associates differently under the hub strategies; the min
+	// folds and forward runs do not care).
 	eSPU, err := engine.New(rb, configs["spu"])
 	if err != nil {
 		t.Fatal(err)
 	}
-	wantFused := make([][][]float64, len(families))
+	wantWide := make([][][]float64, len(families))
 	for x, f := range families {
-		wantFused[x] = runPrograms(t, eSPU, progs(f, len(roots)), f.dir, f.iters, false)
+		wantWide[x] = runEach(t, eSPU, progs(f, len(roots), true), f.dir, f.iters)
 	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
@@ -433,13 +455,14 @@ func TestTombstoneEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			for x, f := range families {
-				// Scalar runs: the same config on the compacted store.
-				want := runPrograms(t, eRb, progs(f, 4), f.dir, f.iters, false)
-				got := runPrograms(t, eOv, progs(f, 4), f.dir, f.iters, false)
-				sameBits(t, f.name+" run", got, want)
-				for _, w := range []int{1, 3, 16} {
-					got := runPrograms(t, eOv, progs(f, w), f.dir, f.iters, true)
-					sameBits(t, fmt.Sprintf("%s batch%d", f.name, w), got, wantFused[x][:w])
+				// One lane follows the config's strategy, so its oracle
+				// is the same config on the compacted store.
+				want := runEach(t, eRb, progs(f, 4, true), f.dir, f.iters)
+				got := runEach(t, eOv, progs(f, 4, false), f.dir, f.iters)
+				sameBits(t, f.name+" width1", got, want)
+				for _, w := range []int{3, 16} {
+					got := runLanes(t, eOv, progs(f, w, false), f.dir, f.iters)
+					sameBits(t, fmt.Sprintf("%s width%d", f.name, w), got, wantWide[x][:w])
 				}
 			}
 			// The whole-graph rank program (global aggregate, scaled
