@@ -46,6 +46,7 @@ package blockcache
 import (
 	"container/list"
 	"fmt"
+	"slices"
 	"sync"
 	"sync/atomic"
 )
@@ -196,6 +197,13 @@ type Cache struct {
 	l2resident int64
 	l2pinned   int64
 
+	// spares are decoded blocks the cache has let go of — evicted or
+	// invalidated at refs == 0, so no handle can reach them — kept for
+	// GetTiered to hand to the next decode instead of to the garbage
+	// collector. See recycleLocked for the bound.
+	spares     []*entry
+	spareBytes int64
+
 	hits, l2hits, misses                  atomic.Int64
 	evictions, l2evictions, invalidations atomic.Int64
 }
@@ -335,14 +343,21 @@ func (c *Cache) Get(key Key, load func() (val any, size int64, err error)) (*Han
 // The blob stays pinned until decode returns, so eviction can never free
 // it mid-decode. With the L2 tier disabled this is Get with a composed
 // loader.
-func (c *Cache) GetTiered(key Key, loadRaw func() ([]byte, error), decode func(blob []byte) (val any, size int64, err error)) (*Handle, error) {
+//
+// want is the size the caller expects decode to report, or 0. decode's
+// spare is then the smallest block of at least that size (and at most
+// twice it) the cache has let go of at refs == 0, or nil: a value no
+// handle reaches any more, whose memory decode may overwrite and return
+// as val. Ownership passes to decode; a spare it does not return is
+// garbage.
+func (c *Cache) GetTiered(key Key, want int64, loadRaw func() ([]byte, error), decode func(blob []byte, spare any) (val any, size int64, err error)) (*Handle, error) {
 	if c.l2budget == 0 {
 		return c.Get(key, func() (any, int64, error) {
 			blob, err := loadRaw()
 			if err != nil {
 				return nil, 0, err
 			}
-			return decode(blob)
+			return decode(blob, c.takeSpare(want))
 		})
 	}
 
@@ -369,7 +384,7 @@ func (c *Cache) GetTiered(key Key, loadRaw func() ([]byte, error), decode func(b
 	var val any
 	var size int64
 	if err == nil {
-		val, size, err = decode(le.blob)
+		val, size, err = decode(le.blob, c.takeSpare(want))
 		c.mu.Lock()
 		c.l2unref(le)
 		c.mu.Unlock()
@@ -462,10 +477,48 @@ func (c *Cache) unref(e *entry) {
 	c.pinned -= e.size
 	if e.doomed {
 		c.resident -= e.size
+		c.recycleLocked(e)
 		return
 	}
 	e.elem = c.lru.PushFront(e)
 	c.evictLocked()
+}
+
+// recycleLocked keeps the block of e — unmapped and unpinned, so out of
+// every handle's reach — as the newest spare, then drops the oldest
+// until the spares are no larger than what is pinned right now. Misses
+// come from a pipeline that pins one fetch batch while it loads the
+// next: a released batch's worth of evictions is what its next batch of
+// misses can use, so one batch's pins is the measure, and nothing
+// pinned means nothing kept. There is no setting. Caller holds mu.
+func (c *Cache) recycleLocked(e *entry) {
+	c.spares = append(c.spares, e)
+	c.spareBytes += e.size
+	n := 0
+	for ; c.spareBytes > c.pinned; n++ {
+		c.spareBytes -= c.spares[n].size
+	}
+	c.spares = slices.Delete(c.spares, 0, n) // clears the vacated tail: dropped means collectable
+}
+
+// takeSpare removes and returns the best-fitting spare for a block of
+// want bytes (see GetTiered), or nil.
+func (c *Cache) takeSpare(want int64) any {
+	c.mu.Lock()
+	defer c.mu.Unlock()
+	best := -1
+	for i, e := range c.spares {
+		if e.size >= want && e.size <= 2*want && (best < 0 || e.size < c.spares[best].size) {
+			best = i
+		}
+	}
+	if best < 0 {
+		return nil
+	}
+	e := c.spares[best]
+	c.spares = slices.Delete(c.spares, best, best+1)
+	c.spareBytes -= e.size
+	return e.val
 }
 
 // evictLocked drops least-recently-used unpinned entries until resident
@@ -485,6 +538,7 @@ func (c *Cache) evictLocked() {
 		delete(c.entries, e.key)
 		c.resident -= e.size
 		c.evictions.Add(1)
+		c.recycleLocked(e)
 	}
 }
 
@@ -553,6 +607,7 @@ func (c *Cache) InvalidateGeneration(gen uint64) {
 			c.lru.Remove(e.elem)
 			e.elem = nil
 			c.resident -= e.size
+			c.recycleLocked(e)
 		} else {
 			e.doomed = true
 		}

@@ -236,8 +236,8 @@ func rawLoad(reads *atomic.Int64, blob []byte) func() ([]byte, error) {
 
 // sizedDecode models decoding: the value is the blob, the accounted size
 // is an expansion of the encoded size (decoded blocks are bigger).
-func sizedDecode(decodes *atomic.Int64, expand int64) func([]byte) (any, int64, error) {
-	return func(blob []byte) (any, int64, error) {
+func sizedDecode(decodes *atomic.Int64, expand int64) func([]byte, any) (any, int64, error) {
+	return func(blob []byte, _ any) (any, int64, error) {
 		decodes.Add(1)
 		return blob, int64(len(blob)) * expand, nil
 	}
@@ -249,12 +249,12 @@ func TestTieredL2HitAvoidsDisk(t *testing.T) {
 	c := NewTiered(0, 1<<20) // L1 keeps nothing beyond pins
 	var reads, decodes atomic.Int64
 	blob := make([]byte, 100)
-	h, err := c.GetTiered(key(1, 0, 0), rawLoad(&reads, blob), sizedDecode(&decodes, 4))
+	h, err := c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, blob), sizedDecode(&decodes, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Release() // zero L1 budget: the decoded block is dropped here
-	h, err = c.GetTiered(key(1, 0, 0), rawLoad(&reads, blob), sizedDecode(&decodes, 4))
+	h, err = c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, blob), sizedDecode(&decodes, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -280,11 +280,11 @@ func TestTieredSharedBlobAcrossForms(t *testing.T) {
 	blob := make([]byte, 64)
 	csr := Key{Gen: 1, I: 2, J: 3}
 	flat := Key{Gen: 1, I: 2, J: 3, Flat: true}
-	h1, err := c.GetTiered(csr, rawLoad(&reads, blob), sizedDecode(&decodes, 2))
+	h1, err := c.GetTiered(csr, 0, rawLoad(&reads, blob), sizedDecode(&decodes, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
-	h2, err := c.GetTiered(flat, rawLoad(&reads, blob), sizedDecode(&decodes, 2))
+	h2, err := c.GetTiered(flat, 0, rawLoad(&reads, blob), sizedDecode(&decodes, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -307,7 +307,7 @@ func TestTieredNoDoubleCharge(t *testing.T) {
 	c := NewTiered(1<<20, 1<<20)
 	var reads, decodes atomic.Int64
 	blob := make([]byte, 100)
-	h, err := c.GetTiered(key(1, 0, 0), rawLoad(&reads, blob), sizedDecode(&decodes, 4))
+	h, err := c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, blob), sizedDecode(&decodes, 4))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -334,10 +334,10 @@ func TestTieredDecodePinsBlob(t *testing.T) {
 	var reads atomic.Int64
 	blobA := []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa") // 60 B
 	blobB := make([]byte, 60)
-	decodeA := func(blob []byte) (any, int64, error) {
+	decodeA := func(blob []byte, _ any) (any, int64, error) {
 		// While A's blob is pinned by this decode, load B: 120 resident
 		// bytes against a 100-byte budget forces an eviction pass.
-		hB, err := c.GetTiered(key(1, 0, 1), rawLoad(&reads, blobB), sizedDecode(new(atomic.Int64), 1))
+		hB, err := c.GetTiered(key(1, 0, 1), 0, rawLoad(&reads, blobB), sizedDecode(new(atomic.Int64), 1))
 		if err != nil {
 			t.Error(err)
 		}
@@ -350,7 +350,7 @@ func TestTieredDecodePinsBlob(t *testing.T) {
 		}
 		return string(blob), int64(len(blob)), nil
 	}
-	hA, err := c.GetTiered(key(1, 0, 0), rawLoad(&reads, blobA), decodeA)
+	hA, err := c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, blobA), decodeA)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -361,7 +361,7 @@ func TestTieredDecodePinsBlob(t *testing.T) {
 		t.Fatalf("stats = %+v, want blob B evicted and A resident", st)
 	}
 	var decodes atomic.Int64
-	h, err := c.GetTiered(Key{Gen: 1, Flat: true}, rawLoad(&reads, blobA), sizedDecode(&decodes, 1))
+	h, err := c.GetTiered(Key{Gen: 1, Flat: true}, 0, rawLoad(&reads, blobA), sizedDecode(&decodes, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -378,7 +378,7 @@ func TestTieredInvalidateBothTiers(t *testing.T) {
 	c := NewTiered(-1, -1)
 	var reads atomic.Int64
 	for j := 0; j < 3; j++ {
-		h, err := c.GetTiered(key(1, 0, j), rawLoad(&reads, make([]byte, 10)), sizedDecode(new(atomic.Int64), 1))
+		h, err := c.GetTiered(key(1, 0, j), 0, rawLoad(&reads, make([]byte, 10)), sizedDecode(new(atomic.Int64), 1))
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -392,7 +392,7 @@ func TestTieredInvalidateBothTiers(t *testing.T) {
 	if st.Invalidations != 6 { // 3 decoded blocks + 3 blobs
 		t.Fatalf("invalidations = %d, want 6", st.Invalidations)
 	}
-	h, err := c.GetTiered(key(1, 0, 0), rawLoad(&reads, make([]byte, 10)), sizedDecode(new(atomic.Int64), 1))
+	h, err := c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, make([]byte, 10)), sizedDecode(new(atomic.Int64), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -416,7 +416,7 @@ func TestTieredSingleFlight(t *testing.T) {
 			defer wg.Done()
 			<-start
 			k := Key{Gen: 1, I: 3, J: 4, Flat: w%2 == 0}
-			h, err := c.GetTiered(k, rawLoad(&reads, make([]byte, 8)), sizedDecode(&decodes, 2))
+			h, err := c.GetTiered(k, 0, rawLoad(&reads, make([]byte, 8)), sizedDecode(&decodes, 2))
 			if err != nil {
 				t.Error(err)
 				return
@@ -440,7 +440,7 @@ func TestTieredErrors(t *testing.T) {
 	c := NewTiered(-1, -1)
 	boom := errors.New("boom")
 	var reads atomic.Int64
-	_, err := c.GetTiered(key(1, 0, 0),
+	_, err := c.GetTiered(key(1, 0, 0), 0,
 		func() ([]byte, error) { reads.Add(1); return nil, boom },
 		sizedDecode(new(atomic.Int64), 1))
 	if !errors.Is(err, boom) {
@@ -449,8 +449,8 @@ func TestTieredErrors(t *testing.T) {
 	if st := c.Stats(); st.Blocks != 0 || st.L2Blocks != 0 {
 		t.Fatalf("error cached: %+v", st)
 	}
-	_, err = c.GetTiered(key(1, 0, 0), rawLoad(&reads, make([]byte, 8)),
-		func([]byte) (any, int64, error) { return nil, 0, boom })
+	_, err = c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, make([]byte, 8)),
+		func([]byte, any) (any, int64, error) { return nil, 0, boom })
 	if !errors.Is(err, boom) {
 		t.Fatalf("decode err = %v", err)
 	}
@@ -458,7 +458,7 @@ func TestTieredErrors(t *testing.T) {
 	if st.Blocks != 0 || st.L2Blocks != 1 {
 		t.Fatalf("after decode error: %+v, want blob kept, block not", st)
 	}
-	h, err := c.GetTiered(key(1, 0, 0), rawLoad(&reads, make([]byte, 8)), sizedDecode(new(atomic.Int64), 1))
+	h, err := c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, make([]byte, 8)), sizedDecode(new(atomic.Int64), 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -473,12 +473,12 @@ func TestTieredErrors(t *testing.T) {
 func TestTieredDisabledFallsBack(t *testing.T) {
 	c := New(1 << 20)
 	var reads, decodes atomic.Int64
-	h, err := c.GetTiered(key(1, 0, 0), rawLoad(&reads, make([]byte, 8)), sizedDecode(&decodes, 2))
+	h, err := c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, make([]byte, 8)), sizedDecode(&decodes, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
 	h.Release()
-	h, err = c.GetTiered(key(1, 0, 0), rawLoad(&reads, make([]byte, 8)), sizedDecode(&decodes, 2))
+	h, err = c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, make([]byte, 8)), sizedDecode(&decodes, 2))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -524,9 +524,9 @@ func TestTieredConcurrentChurn(t *testing.T) {
 			defer wg.Done()
 			for n := 0; n < 300; n++ {
 				k := Key{Gen: uint64(1 + n%3), I: n % 5, J: (n + w) % 5, Flat: n%2 == 0}
-				h, err := c.GetTiered(k,
+				h, err := c.GetTiered(k, 0,
 					func() ([]byte, error) { return make([]byte, 16), nil },
-					func(b []byte) (any, int64, error) { return b, 64, nil })
+					func(b []byte, _ any) (any, int64, error) { return b, 64, nil })
 				if err != nil {
 					t.Error(err)
 					return
@@ -558,5 +558,107 @@ func TestHitRatio(t *testing.T) {
 	// L2 hits dilute the ratio: they are cheaper than disk but not free.
 	if r := (Stats{Hits: 2, L2Hits: 1, Misses: 1}).HitRatio(); r != 0.5 {
 		t.Fatalf("tiered ratio = %v, want 0.5", r)
+	}
+}
+
+// spareDecode is a decode closure that records the spare it was offered
+// and returns a fresh value of the given size.
+func spareDecode(offered *any, val string, size int64) func([]byte, any) (any, int64, error) {
+	return func(_ []byte, spare any) (any, int64, error) {
+		*offered = spare
+		return val, size, nil
+	}
+}
+
+// getSized loads key through GetTiered as a block of the given size,
+// asking for a spare of at least want bytes, and reports what decode was
+// offered.
+func getSized(t *testing.T, c *Cache, k Key, want, size int64) (*Handle, any) {
+	t.Helper()
+	var reads atomic.Int64
+	var offered any
+	h, err := c.GetTiered(k, want, rawLoad(&reads, []byte{1}), spareDecode(&offered, fmt.Sprint(k.J), size))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return h, offered
+}
+
+// TestSparesAreEvictedBlocksWithinOnePinnedBatch pins down the hand-back:
+// a block evicted at refs == 0 is offered to the next decode that wants
+// its size, once; the spares never exceed the bytes pinned when a block
+// is let go (oldest dropped first, nothing kept when nothing is pinned);
+// and a fit is at least want and at most twice it, smallest first.
+func TestSparesAreEvictedBlocksWithinOnePinnedBatch(t *testing.T) {
+	for _, l2 := range []int64{0, 1 << 20} { // both GetTiered paths
+		c := NewTiered(0, l2) // L1 keeps nothing unpinned: Release evicts
+
+		// Nothing pinned: the evicted block is not kept.
+		h, _ := getSized(t, c, key(1, 0, 0), 0, 100)
+		h.Release()
+		if h, got := getSized(t, c, key(1, 0, 1), 100, 100); got != nil {
+			t.Fatalf("l2=%d: spare %v offered though nothing was pinned at eviction", l2, got)
+		} else {
+			h.Release()
+		}
+
+		pin, _ := getSized(t, c, key(1, 9, 9), 0, 250) // bounds the spares at 250 B
+		for j, size := range []int64{100, 120, 80} {   // 100 is dropped when 80 arrives: 300 > 250
+			h, _ := getSized(t, c, key(1, 1, j), 0, size)
+			h.Release()
+		}
+		if c.spareBytes != 200 || len(c.spares) != 2 {
+			t.Fatalf("l2=%d: %d spares of %d B, want the newest two (200 B) under 250 B pinned", l2, len(c.spares), c.spareBytes)
+		}
+		// want 70: 80 and 120 both fit (≤ 140); the smaller is taken.
+		h1, got := getSized(t, c, key(1, 2, 0), 70, 70)
+		if got != "2" {
+			t.Fatalf("l2=%d: want=70 was offered %v, want the 80 B block", l2, got)
+		}
+		// want 50: 120 is more than twice it. want 130: nothing that large.
+		for _, want := range []int64{50, 130} {
+			h, got := getSized(t, c, key(1, 3, int(want)), want, want)
+			if got != nil {
+				t.Fatalf("l2=%d: want=%d was offered %v", l2, want, got)
+			}
+			defer h.Release()
+		}
+		// A spare is handed out once.
+		h2, got := getSized(t, c, key(1, 2, 1), 110, 110)
+		if got != "1" {
+			t.Fatalf("l2=%d: want=110 was offered %v, want the 120 B block", l2, got)
+		}
+		if h3, got := getSized(t, c, key(1, 2, 2), 110, 110); got != nil {
+			t.Fatalf("l2=%d: the 120 B block was offered twice", l2)
+		} else {
+			h3.Release()
+		}
+		h1.Release()
+		h2.Release()
+		pin.Release()
+	}
+}
+
+// TestSparesFromInvalidation: blocks dropped by InvalidateGeneration are
+// recycled like evicted ones — at once when unpinned, at the final
+// Release when pinned — and never while a handle still reaches them.
+func TestSparesFromInvalidation(t *testing.T) {
+	c := NewTiered(1<<20, 0)
+	keep, _ := getSized(t, c, key(2, 0, 0), 0, 500) // another generation, pinned throughout
+	defer keep.Release()
+	idle, _ := getSized(t, c, key(1, 0, 0), 0, 100)
+	idle.Release()
+	held, _ := getSized(t, c, key(1, 0, 1), 0, 200)
+
+	c.InvalidateGeneration(1)
+	if len(c.spares) != 1 || c.spares[0].val != "0" {
+		t.Fatalf("after invalidation: spares %v, want only the unpinned block", c.spares)
+	}
+	if _, got := getSized(t, c, key(2, 1, 0), 200, 200); got != nil {
+		t.Fatalf("a block still pinned was offered as a spare: %v", got)
+	}
+	held.Release()
+	if _, got := getSized(t, c, key(2, 1, 1), 200, 200); got != "1" {
+		t.Fatalf("the doomed block was not recycled at its final release: offered %v", got)
 	}
 }

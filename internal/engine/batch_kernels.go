@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"nxgraph/internal/storage"
-)
+import "nxgraph/internal/storage"
 
 // This file holds the multi-lane gather kernels: what a Run of L > 1
 // lanes folds a sub-shard through (a one-lane run uses scalar_kernels.go;
@@ -214,9 +210,10 @@ func addLanes(dst, src []float64) {
 }
 
 // gatherMin is the KernelHopMin/KernelDistMin specialization:
-// Gather = attr+1 (hops) or attr+float64(w) (distances), Sum = math.Min.
-// Zero is +Inf for both programs, so local starts at the lanes' shared
-// Zero value.
+// Gather = attr+1 (hops) or attr+float64(w) (distances), Sum = min — the
+// builtin, which compiles inline where math.Min is a call per lane per
+// edge (see KernelHopMin for the contract). Zero is +Inf for both
+// programs, so local starts at the lanes' shared Zero value.
 func (r *Run) gatherMin(ss *storage.SubShard, del delPred, lanes []int, contig bool, local []float64, k0, k1 int, weighted bool) {
 	L, zero := len(r.lanes), r.zero
 	off, w := 0, len(local)
@@ -246,11 +243,11 @@ func (r *Run) gatherMin(ss *storage.SubShard, del delPred, lanes []int, contig b
 			if contig {
 				cs := r.curr[sb+off : sb+off+w]
 				for x := range local {
-					local[x] = math.Min(local[x], cs[x]+step)
+					local[x] = min(local[x], cs[x]+step)
 				}
 			} else {
 				for x, l := range lanes {
-					local[x] = math.Min(local[x], r.curr[sb+l]+step)
+					local[x] = min(local[x], r.curr[sb+l]+step)
 				}
 			}
 		}
@@ -258,11 +255,11 @@ func (r *Run) gatherMin(ss *storage.SubShard, del delPred, lanes []int, contig b
 		if contig {
 			ns := r.next[db+off : db+off+w]
 			for x := range local {
-				ns[x] = math.Min(ns[x], local[x])
+				ns[x] = min(ns[x], local[x])
 			}
 		} else {
 			for x, l := range lanes {
-				r.next[db+l] = math.Min(r.next[db+l], local[x])
+				r.next[db+l] = min(r.next[db+l], local[x])
 			}
 		}
 	}

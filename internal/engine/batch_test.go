@@ -4,11 +4,13 @@ import (
 	"context"
 	"errors"
 	"math"
+	"math/rand"
 	"strings"
 	"sync"
 	"testing"
 
 	"nxgraph/internal/algorithms"
+	"nxgraph/internal/bitset"
 	"nxgraph/internal/dynamic"
 	"nxgraph/internal/engine"
 	"nxgraph/internal/gen"
@@ -530,4 +532,147 @@ func TestFusedRejections(t *testing.T) {
 		t.Fatalf("one-lane ablation run: %v", err)
 	}
 	one.Close()
+}
+
+// specialProg is a min-fold program whose vertices start from arbitrary
+// attributes — signed zeros, infinities, denormals, NaNs — instead of a
+// root's 0. It declares no kernel hint, so it gathers through the
+// generic per-edge interface path: the reference. Its Sum is math.Min
+// with a NaN operand winning outright, which is what KernelHopMin's
+// contract promises of the kernels' min builtin (math.Min alone lets
+// -Inf beat a NaN).
+type specialProg struct {
+	attrs    []float64
+	weighted bool // Gather a+float64(w) (KernelDistMin) rather than a+1 (KernelHopMin)
+}
+
+func (p *specialProg) Name() string                  { return "special-min" }
+func (p *specialProg) Zero() float64                 { return inf() }
+func (p *specialProg) Init(v uint32) (float64, bool) { return p.attrs[v], true }
+func (p *specialProg) Gather(a float64, _ uint32, w float32) float64 {
+	if p.weighted {
+		return a + float64(w)
+	}
+	return a + 1
+}
+func (p *specialProg) Sum(a, b float64) float64 {
+	if math.IsNaN(a) || math.IsNaN(b) {
+		return math.NaN()
+	}
+	return math.Min(a, b)
+}
+func (p *specialProg) Apply(v uint32, old, acc float64) (float64, bool) {
+	m := p.Sum(old, acc)
+	return m, math.Float64bits(m) != math.Float64bits(old)
+}
+
+// hintedSpecialProg is specialProg claiming the matching kernel hint, so
+// a one-lane run folds it through gatherSpec and a wider one through the
+// lane kernel gatherMin.
+type hintedSpecialProg struct{ specialProg }
+
+func (p *hintedSpecialProg) FusedKernelHint() engine.KernelHint {
+	if p.weighted {
+		return engine.KernelDistMin
+	}
+	return engine.KernelHopMin
+}
+
+// TestMinKernelsSpecialValues is the run-level half of the special-value
+// gate (TestScalarKernelsMatchGeneric is the kernel-level half): hopMin
+// and distMin at widths 1, 3 and 16, over a store with pending removals
+// (tombstoned dirty destinations) and, at width 1, a vertex mask, must
+// leave every lane with the bits the hint-free program leaves when run
+// alone — NaN for NaN, whatever its payload.
+func TestMinKernelsSpecialValues(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 7, EdgeFactor: 6, A: 0.57, B: 0.19, C: 0.19, Seed: 5, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 3, Weighted: true})
+	log, err := dynamic.NewDeltaLog(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for i := 0; i < 40; i++ {
+		ed := oracle.Edges[i*11%len(oracle.Edges)]
+		log.Remove(uint64(ed.Src), uint64(ed.Dst))
+	}
+	n := int(oracle.NumVertices)
+	special := engine.SpecialValues
+	rng := rand.New(rand.NewSource(17))
+	lanes := make([][]float64, 16)
+	for l := range lanes {
+		lanes[l] = make([]float64, n)
+		for v := range lanes[l] {
+			lanes[l][v] = special[rng.Intn(len(special))]
+		}
+	}
+	mask := bitset.New(n)
+	for v := 0; v < n; v += 7 {
+		mask.Set(v)
+	}
+	run := func(e *engine.Engine, ps []engine.Program, mask *bitset.Set) [][]float64 {
+		t.Helper()
+		r, err := e.NewBatchRun(ps, engine.Forward)
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer r.Close()
+		if mask != nil {
+			r.SetMask(mask)
+		}
+		for it := 0; it < 3; it++ {
+			if more, err := r.Step(); err != nil {
+				t.Fatal(err)
+			} else if !more {
+				break
+			}
+		}
+		res, err := r.FinishLanes()
+		if err != nil {
+			t.Fatal(err)
+		}
+		out := make([][]float64, len(res))
+		for l := range res {
+			out[l] = res[l].Attrs
+		}
+		return out
+	}
+	for _, weighted := range []bool{false, true} {
+		for _, overlay := range []bool{false, true} {
+			e, err := engine.New(st, engine.Config{Threads: 2, ChunkDsts: 8})
+			if err != nil {
+				t.Fatal(err)
+			}
+			if overlay {
+				e.SetOverlayProvider(log.Overlay)
+			}
+			for _, width := range []int{1, 3, 16} {
+				for _, m := range []*bitset.Set{nil, mask} {
+					if m != nil && width > 1 {
+						continue // SetMask is a one-lane facility
+					}
+					ps := make([]engine.Program, width)
+					for l := range ps {
+						ps[l] = &hintedSpecialProg{specialProg{attrs: lanes[l], weighted: weighted}}
+					}
+					got := run(e, ps, m)
+					for l := range ps {
+						want := run(e, []engine.Program{&specialProg{attrs: lanes[l], weighted: weighted}}, m)[0]
+						for v := range want {
+							if math.IsNaN(want[v]) && math.IsNaN(got[l][v]) {
+								continue
+							}
+							if math.Float64bits(want[v]) != math.Float64bits(got[l][v]) {
+								t.Fatalf("weighted=%v overlay=%v width=%d mask=%v lane %d vertex %d: %x (%g), generic path has %x (%g)",
+									weighted, overlay, width, m != nil, l, v,
+									math.Float64bits(got[l][v]), got[l][v], math.Float64bits(want[v]), want[v])
+							}
+						}
+					}
+				}
+			}
+		}
+	}
 }

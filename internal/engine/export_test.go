@@ -8,3 +8,7 @@ var (
 	EdgeChunkRanges = edgeChunkRanges
 	GatherChunkCost = gatherChunkCost
 )
+
+// SpecialValues exposes the kernel-level special-value vector to the
+// run-level suite in the external test package.
+var SpecialValues = specialValues

@@ -72,24 +72,47 @@ func (c cellID) name() string {
 	return s
 }
 
+// poisonSpare is nil outside this package's tests, which set it to
+// overwrite an evicted block's arrays just before they are decoded into
+// again: a *storage.SubShard kept past its handle's Release then reads
+// garbage in every suite instead of another block's plausible edges.
+var poisonSpare func(*storage.SubShard)
+
 // loadBlock pins cell c's decoded block through the shared cache,
 // reporting whether the pin went to disk and, if so, the decoded size.
 // All read paths (traced or not) funnel through here. The cache is
 // tiered: an L1 miss first tries the encoded-blob tier, so the decode
 // closure often runs on bytes already in RAM — those count as hits in
 // the run trace (no disk stall) even though Stats tallies them as
-// L2Hits.
+// L2Hits. A CSR miss decodes into the arrays of a block the cache has
+// evicted, when it has one the right size, so a cold scan stops paying
+// for a fresh zeroed allocation per block; the rule that makes this
+// safe is the one Handle already states — nothing may keep a
+// *storage.SubShard past its handle's Release.
 func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded int64, err error) {
 	key := blockcache.Key{Gen: r.e.cacheGen, I: c.i, J: c.j, Transpose: c.d == 1, Flat: c.flat}
-	h, err = r.e.cache.GetTiered(key,
+	m := r.e.store.Meta()
+	var want int64 // SubShard.MemBytes of the block about to be decoded
+	if !c.flat {
+		info := r.subShardInfosFor(c.d)[c.i*m.P+c.j]
+		want = 4 * (2*info.Dsts + 1 + info.Edges)
+		if m.Weighted {
+			want += 4 * info.Edges
+		}
+	}
+	h, err = r.e.cache.GetTiered(key, want,
 		func() ([]byte, error) {
 			// The disk read: single-flighted per sub-shard across both
 			// decoded forms; reaching it is exactly one Stats miss.
 			missed = true
 			return r.e.store.ReadSubShardRaw(c.i, c.j, c.d == 1)
 		},
-		func(blob []byte) (any, int64, error) {
-			ss, err := r.e.store.DecodeSubShardBlob(blob)
+		func(blob []byte, spare any) (any, int64, error) {
+			into, _ := spare.(*storage.SubShard)
+			if into != nil && poisonSpare != nil {
+				poisonSpare(into)
+			}
+			ss, err := storage.DecodeSubShardAs(into, blob, m.Weighted, m.Version)
 			if err != nil {
 				return nil, 0, fmt.Errorf("decode %s: %w", c.name(), err)
 			}
@@ -98,8 +121,8 @@ func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded in
 				decoded = fl.memBytes()
 				return fl, decoded, nil
 			}
-			decoded = ss.MemBytes()
-			return ss, decoded, nil
+			decoded = want
+			return ss, ss.MemBytes(), nil
 		})
 	return
 }

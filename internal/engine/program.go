@@ -71,7 +71,12 @@ type DenseApply interface {
 // declared Gather/Sum would, in the same order, so results stay
 // bit-identical to the generic interface path; a program must only
 // declare a hint whose form its methods — including Zero, the identity
-// of Sum — match exactly.
+// of Sum — match exactly. The min and max folds (KernelHopMin, DistMin,
+// MinFold, MaxFold) are computed with the min/max builtins, which are
+// bit-identical to math.Min/math.Max on every non-NaN input, signed
+// zeros and infinities included; a NaN attribute yields a NaN, of
+// unspecified payload, where math.Min would still let -Inf (math.Max,
+// +Inf) win over it.
 type KernelHint int
 
 const (

@@ -216,17 +216,18 @@ func gatherCountSum(mask *bitset.Set, del delPred, ss *storage.SubShard, acc vie
 
 // gatherMinMax: local = min(...min(Zero, a1)..., ae) (or max), the label
 // propagation folds of WCC and SCC coloring. Min chains are a dependent
-// sequence, so there is nothing to unroll — the win is the direct
-// math.Min call in place of two interface dispatches.
+// sequence, so there is nothing to unroll; what matters is that the fold
+// is the min builtin, expanded in the loop — math.Min is a call per edge
+// (math.archMin was a quarter of a warm round's CPU, ADR-007). The max
+// fold runs as a min over negated attributes, negated back per
+// destination: max(a, b) and -min(-a, -b) are the same bits for every
+// non-NaN pair, either zero included, and the compiler's max is that
+// identity per call — two sign flips on every link of the chain.
 func gatherMinMax(mask *bitset.Set, del delPred, ss *storage.SubShard, src view, acc view, hub []float64, k0, k1 int, isMax bool) {
-	zero := math.Inf(1)
-	if isMax {
-		zero = math.Inf(-1)
-	}
 	filtered := mask != nil || del != nil
 	for k := k0; k < k1; k++ {
 		d := ss.Dsts[k]
-		local := zero
+		local := math.Inf(1)
 		for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
 			s := ss.Srcs[t]
 			if filtered {
@@ -237,18 +238,21 @@ func gatherMinMax(mask *bitset.Set, del delPred, ss *storage.SubShard, src view,
 					continue
 				}
 			}
+			a := src.at(s)
 			if isMax {
-				local = math.Max(local, src.at(s))
-			} else {
-				local = math.Min(local, src.at(s))
+				a = -a
 			}
+			local = min(local, a)
+		}
+		if isMax {
+			local = -local
 		}
 		if hub != nil {
 			hub[k] = local
 		} else if isMax {
-			acc.vals[d-acc.base] = math.Max(acc.vals[d-acc.base], local)
+			acc.vals[d-acc.base] = max(acc.vals[d-acc.base], local)
 		} else {
-			acc.vals[d-acc.base] = math.Min(acc.vals[d-acc.base], local)
+			acc.vals[d-acc.base] = min(acc.vals[d-acc.base], local)
 		}
 	}
 }
@@ -270,12 +274,12 @@ func gatherHopMin(mask *bitset.Set, del delPred, ss *storage.SubShard, src view,
 					continue
 				}
 			}
-			local = math.Min(local, src.at(s)+1)
+			local = min(local, src.at(s)+1)
 		}
 		if hub != nil {
 			hub[k] = local
 		} else {
-			acc.vals[d-acc.base] = math.Min(acc.vals[d-acc.base], local)
+			acc.vals[d-acc.base] = min(acc.vals[d-acc.base], local)
 		}
 	}
 }
@@ -298,12 +302,12 @@ func gatherDistMin(mask *bitset.Set, del delPred, ss *storage.SubShard, src view
 					continue
 				}
 			}
-			local = math.Min(local, src.at(s)+float64(ws[t]))
+			local = min(local, src.at(s)+float64(ws[t]))
 		}
 		if hub != nil {
 			hub[k] = local
 		} else {
-			acc.vals[d-acc.base] = math.Min(acc.vals[d-acc.base], local)
+			acc.vals[d-acc.base] = min(acc.vals[d-acc.base], local)
 		}
 	}
 }
@@ -345,7 +349,7 @@ func gatherSrcSortedSpec(f scalarFold, deg []uint32, mask *bitset.Set, e *srcSor
 				continue
 			}
 			i := e.dsts[t] - acc.base
-			acc.vals[i] = math.Min(acc.vals[i], src.at(s))
+			acc.vals[i] = min(acc.vals[i], src.at(s))
 		}
 	case foldMax:
 		for t := range e.srcs {
@@ -354,7 +358,7 @@ func gatherSrcSortedSpec(f scalarFold, deg []uint32, mask *bitset.Set, e *srcSor
 				continue
 			}
 			i := e.dsts[t] - acc.base
-			acc.vals[i] = math.Max(acc.vals[i], src.at(s))
+			acc.vals[i] = max(acc.vals[i], src.at(s))
 		}
 	case foldHopMin:
 		for t := range e.srcs {
@@ -363,7 +367,7 @@ func gatherSrcSortedSpec(f scalarFold, deg []uint32, mask *bitset.Set, e *srcSor
 				continue
 			}
 			i := e.dsts[t] - acc.base
-			acc.vals[i] = math.Min(acc.vals[i], src.at(s)+1)
+			acc.vals[i] = min(acc.vals[i], src.at(s)+1)
 		}
 	case foldDistMin:
 		for t := range e.srcs {
@@ -372,7 +376,7 @@ func gatherSrcSortedSpec(f scalarFold, deg []uint32, mask *bitset.Set, e *srcSor
 				continue
 			}
 			i := e.dsts[t] - acc.base
-			acc.vals[i] = math.Min(acc.vals[i], src.at(s)+float64(e.ws[t]))
+			acc.vals[i] = min(acc.vals[i], src.at(s)+float64(e.ws[t]))
 		}
 	default:
 		return false
@@ -392,12 +396,12 @@ func foldHubSpec(f scalarFold, dsts []uint32, vals []float64, acc view, k0, k1 i
 	case foldMin:
 		for k := k0; k < k1; k++ {
 			i := dsts[k] - acc.base
-			acc.vals[i] = math.Min(acc.vals[i], vals[k])
+			acc.vals[i] = min(acc.vals[i], vals[k])
 		}
 	case foldMax:
 		for k := k0; k < k1; k++ {
 			i := dsts[k] - acc.base
-			acc.vals[i] = math.Max(acc.vals[i], vals[k])
+			acc.vals[i] = max(acc.vals[i], vals[k])
 		}
 	default:
 		return false

@@ -4,6 +4,7 @@ import (
 	"fmt"
 	"math"
 	"math/rand"
+	"slices"
 	"testing"
 
 	"nxgraph/internal/bitset"
@@ -136,15 +137,31 @@ func makeTestSubShard(rng *rand.Rand, n, numDsts int, weighted bool) *storage.Su
 	return ss
 }
 
-func scalarFoldCases() []struct {
+// nanFirst makes a NaN operand win outright, as it does in the min and
+// max builtins the kernels fold with. math.Min and math.Max differ in
+// one corner — Min(NaN, -Inf) is -Inf and Max(NaN, +Inf) is +Inf — so on
+// vectors holding NaNs the reference is the documented kernel contract
+// (KernelMinFold in program.go), not the bare math function.
+func nanFirst(f func(a, b float64) float64) func(a, b float64) float64 {
+	return func(a, b float64) float64 {
+		if math.IsNaN(a) || math.IsNaN(b) {
+			return math.NaN()
+		}
+		return f(a, b)
+	}
+}
+
+func scalarFoldCases(nan bool) []struct {
 	name     string
 	f        scalarFold
 	prog     *foldTestProg
 	weighted bool
 } {
 	add := func(a, b float64) float64 { return a + b }
-	min := func(a, b float64) float64 { return math.Min(a, b) }
-	max := func(a, b float64) float64 { return math.Max(a, b) }
+	min, max := math.Min, math.Max
+	if nan {
+		min, max = nanFirst(min), nanFirst(max)
+	}
 	return []struct {
 		name     string
 		f        scalarFold
@@ -168,18 +185,60 @@ func scalarFoldCases() []struct {
 	}
 }
 
+// specialValues is what the min/max folds must agree with math.Min and
+// math.Max on beyond ordinary numbers: both zeros (min(-0, +0) is -0),
+// both infinities (the folds' own Zero values among them), denormals, and
+// NaN, which every fold must propagate as a NaN (assertSameBits accepts
+// any payload: the builtins leave it unspecified).
+var specialValues = []float64{
+	0, math.Copysign(0, -1), math.Inf(1), math.Inf(-1),
+	math.SmallestNonzeroFloat64, -math.SmallestNonzeroFloat64, 0x1p-1030, -0x1p-1030,
+	1, -1, 2.5, math.MaxFloat64, -math.MaxFloat64, math.NaN(),
+}
+
+// specialAttrs draws n attributes from specialValues, NaN included or
+// not.
+func specialAttrs(rng *rand.Rand, n int, nan bool) []float64 {
+	vals := specialValues
+	if !nan {
+		vals = vals[:len(vals)-1]
+	}
+	attrs := make([]float64, n)
+	for v := range attrs {
+		attrs[v] = vals[rng.Intn(len(vals))]
+	}
+	return attrs
+}
+
 // TestScalarKernelsMatchGeneric is the kernel-level bit-identity gate:
 // every specialized fold, across the CSR, ToHub, FromHub and
 // source-sorted kernels, with and without mask/tombstone filtering, must
-// reproduce the generic interface path exactly.
+// reproduce the generic interface path exactly — on ordinary attributes
+// and on vectors of signed zeros, infinities, denormals and NaNs, where
+// the kernels' min/max builtins meet the programs' math.Min/math.Max.
 func TestScalarKernelsMatchGeneric(t *testing.T) {
-	const n = 96
 	rng := rand.New(rand.NewSource(42))
+	normal := make([]float64, 96)
+	for v := range normal {
+		normal[v] = rng.NormFloat64() // negative values catch sign bugs
+	}
+	for _, set := range []struct {
+		name  string
+		attrs []float64
+	}{
+		{"normal", normal},
+		{"special", specialAttrs(rng, 96, false)},
+		{"special+nan", specialAttrs(rng, 96, true)},
+	} {
+		t.Run(set.name, func(t *testing.T) { checkScalarKernels(t, rng, set.attrs) })
+	}
+}
+
+func checkScalarKernels(t *testing.T, rng *rand.Rand, attrs []float64) {
+	n := len(attrs)
 	deg := make([]uint32, n)
-	attrs := make([]float64, n)
-	for v := range attrs {
+	for v := range deg {
 		deg[v] = uint32(1 + rng.Intn(5))
-		attrs[v] = rng.NormFloat64() // negative values catch sign bugs
 	}
 	mask := bitset.New(n)
 	for v := 0; v < n; v += 5 {
@@ -188,7 +247,7 @@ func TestScalarKernelsMatchGeneric(t *testing.T) {
 	del := func(s, d uint32) bool { return (s+d)%3 == 0 }
 	src := view{attrs, 0}
 
-	for _, c := range scalarFoldCases() {
+	for _, c := range scalarFoldCases(slices.ContainsFunc(attrs, math.IsNaN)) {
 		ss := makeTestSubShard(rng, n, 48, c.weighted)
 		filters := []struct {
 			name string
@@ -300,6 +359,9 @@ func TestScalarFoldFor(t *testing.T) {
 func assertSameBits(t *testing.T, name string, want, got []float64) {
 	t.Helper()
 	for i := range want {
+		if math.IsNaN(want[i]) && math.IsNaN(got[i]) {
+			continue // a NaN in, a NaN out; which one is unspecified
+		}
 		if math.Float64bits(want[i]) != math.Float64bits(got[i]) {
 			t.Fatalf("%s: [%d] = %x (%g), want %x (%g)", name, i,
 				math.Float64bits(got[i]), got[i], math.Float64bits(want[i]), want[i])
@@ -337,7 +399,7 @@ func BenchmarkGatherKernel(b *testing.B) {
 	acc := make([]float64, n)
 	edges := int64(ss.NumEdges())
 
-	for _, c := range scalarFoldCases() {
+	for _, c := range scalarFoldCases(false) {
 		if c.weighted || c.f == foldRankSum {
 			// Weight array omitted (distMin is covered by the equivalence
 			// tests); a hoisted rank sum is the copySum row.

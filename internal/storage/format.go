@@ -165,19 +165,24 @@ type SubShard struct {
 	Offsets []uint32 // len(Dsts)+1
 	Srcs    []uint32
 	Weights []float32 // nil when unweighted
+
+	// arena backs Dsts, Offsets and Srcs of a decoded sub-shard, so a
+	// decoder handed the sub-shard back (see sized) finds its capacity.
+	arena []uint32
 }
 
 // NumEdges returns the edge count of the sub-shard.
 func (ss *SubShard) NumEdges() int { return len(ss.Srcs) }
 
 // MemBytes returns the decoded in-memory footprint of the sub-shard's
-// arrays — the unit the shared block cache budgets.
+// arrays — the unit the shared block cache budgets. For a sub-shard
+// decoded into re-used arrays (see sized) that is their capacity, which
+// may exceed what this decode filled.
 func (ss *SubShard) MemBytes() int64 {
-	b := int64(len(ss.Dsts)+len(ss.Offsets)+len(ss.Srcs)) * 4
-	if ss.Weights != nil {
-		b += int64(len(ss.Weights)) * 4
+	if ss.arena != nil {
+		return int64(cap(ss.arena)+cap(ss.Weights)) * 4
 	}
-	return b
+	return int64(len(ss.Dsts)+len(ss.Offsets)+len(ss.Srcs)+len(ss.Weights)) * 4
 }
 
 // NumDsts returns the number of distinct destination vertices.
@@ -241,6 +246,11 @@ func EncodeSubShard(ss *SubShard, weighted bool) []byte {
 
 // DecodeSubShard parses a FormatV1 blob produced by EncodeSubShard.
 func DecodeSubShard(buf []byte, weighted bool) (*SubShard, error) {
+	return decodeSubShardV1(nil, buf, weighted)
+}
+
+// decodeSubShardV1 is DecodeSubShard into the arrays of into (see sized).
+func decodeSubShardV1(into *SubShard, buf []byte, weighted bool) (*SubShard, error) {
 	if len(buf) < 8 {
 		return nil, fmt.Errorf("storage: sub-shard blob too short (%d bytes)", len(buf))
 	}
@@ -251,16 +261,13 @@ func DecodeSubShard(buf []byte, weighted bool) (*SubShard, error) {
 		return nil, fmt.Errorf("storage: sub-shard blob is %d bytes, want %d (dsts=%d edges=%d)",
 			len(buf), want, dstCount, edgeCount)
 	}
-	ss := &SubShard{
-		Dsts:    make([]uint32, dstCount),
-		Offsets: make([]uint32, dstCount+1),
-		Srcs:    make([]uint32, edgeCount),
-	}
+	ss := sized(into, dstCount, edgeCount, weighted)
 	p := 8
 	for k := 0; k < dstCount; k++ {
 		ss.Dsts[k] = binary.LittleEndian.Uint32(buf[p:])
 		p += 4
 	}
+	ss.Offsets[0] = 0
 	var sum uint32
 	for k := 0; k < dstCount; k++ {
 		c := binary.LittleEndian.Uint32(buf[p:])
@@ -275,12 +282,9 @@ func DecodeSubShard(buf []byte, weighted bool) (*SubShard, error) {
 		ss.Srcs[k] = binary.LittleEndian.Uint32(buf[p:])
 		p += 4
 	}
-	if weighted {
-		ss.Weights = make([]float32, edgeCount)
-		for k := 0; k < edgeCount; k++ {
-			ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(buf[p:]))
-			p += 4
-		}
+	for k := range ss.Weights {
+		ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(buf[p:]))
+		p += 4
 	}
 	return ss, nil
 }
@@ -345,21 +349,34 @@ func EncodeSubShardV2(ss *SubShard, weighted bool) []byte {
 	return buf
 }
 
-// DecodeSubShardV2 parses a blob produced by EncodeSubShardV2. It
-// validates every structural invariant (monotone destinations, monotone
-// sources, counts summing to the edge count, the varint region ending
-// exactly at the weight section), so arbitrary bytes produce an error,
-// never a panic — the contract the fuzz target exercises.
+// DecodeSubShardV2 parses a blob produced by EncodeSubShardV2 into a
+// fresh sub-shard. It validates every structural invariant (monotone
+// destinations, monotone sources, counts summing to the edge count, the
+// varint region ending exactly at the weight section), so arbitrary
+// bytes produce an error, never a panic — the contract the fuzz target
+// exercises.
 func DecodeSubShardV2(buf []byte, weighted bool) (*SubShard, error) {
-	dc, p := uvarint32(buf, 0)
+	return decodeSubShardV2(nil, buf, weighted)
+}
+
+// decodeSubShardV2 is DecodeSubShardV2 into the arrays of a sub-shard
+// nobody references any more (see sized). Every stream of the format is
+// one or more lists of a first value followed by gaps, and is decoded by
+// the same call-free loop (runs, in varint.go) straight to running sums:
+// the header is two lists of one value, the destinations one list, the
+// counts one list whose sums are Offsets[1:], and the sources one list
+// per destination, delimited by those offsets. What the sums cannot show
+// — a zero dst gap, a zero count — is an array that fails to ascend,
+// checked in one pass each. The accept/reject set is exactly that of the
+// value-at-a-time decoder this replaced, which format_v2_test.go keeps
+// as the oracle.
+func decodeSubShardV2(into *SubShard, buf []byte, weighted bool) (*SubShard, error) {
+	var hdr [2]uint32
+	p := runs(buf, 0, []uint32{1, 2}, hdr[:])
 	if p < 0 {
-		return nil, fmt.Errorf("storage: v2 blob: truncated dst count")
+		return nil, fmt.Errorf("storage: v2 blob: truncated dst or edge count")
 	}
-	ec, p := uvarint32(buf, p)
-	if p < 0 {
-		return nil, fmt.Errorf("storage: v2 blob: truncated edge count")
-	}
-	dstCount, edgeCount := int(dc), int(ec)
+	dstCount, edgeCount := int(hdr[0]), int(hdr[1])
 	end := len(buf)
 	if weighted {
 		end -= 4 * edgeCount
@@ -371,110 +388,61 @@ func DecodeSubShardV2(buf []byte, weighted bool) (*SubShard, error) {
 		return nil, fmt.Errorf("storage: v2 blob: %d bytes cannot hold %d dsts / %d edges",
 			len(buf), dstCount, edgeCount)
 	}
-	ss := &SubShard{
-		Dsts:    make([]uint32, dstCount),
-		Offsets: make([]uint32, dstCount+1),
-		Srcs:    make([]uint32, edgeCount),
-	}
+	ss := sized(into, dstCount, edgeCount, weighted)
 	v := buf[:end] // varint region; p never legally reaches past it
-	var d uint32
-	for k := 0; k < dstCount; k++ {
-		gap, np := uvarint32(v, p)
-		if np < 0 {
-			return nil, fmt.Errorf("storage: v2 blob: truncated dst gap %d", k)
-		}
-		p = np
-		if k == 0 {
-			d = gap
-		} else {
-			nd := uint64(d) + uint64(gap)
-			if gap == 0 || nd > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: dst %d not ascending", k)
-			}
-			d = uint32(nd)
-		}
-		ss.Dsts[k] = d
+	one := hdr[:1] // the ends of one list of dstCount values
+	if p = runs(v, p, one, ss.Dsts); p < 0 || !ascending(ss.Dsts) {
+		return nil, fmt.Errorf("storage: v2 blob: dsts truncated or not ascending")
 	}
-	var sum uint64
-	for k := 0; k < dstCount; k++ {
-		c, np := uvarint32(v, p)
-		if np < 0 {
-			return nil, fmt.Errorf("storage: v2 blob: truncated count %d", k)
-		}
-		p = np
-		if c == 0 {
-			// A destination is listed only if it has sources; rejecting
-			// zero keeps the encoding bijective and the source loop's
-			// first-raw-then-gaps shape unconditional.
-			return nil, fmt.Errorf("storage: v2 blob: dst %d has zero sources", k)
-		}
-		sum += uint64(c)
-		if sum > uint64(edgeCount) {
-			return nil, fmt.Errorf("storage: v2 blob: counts exceed %d edges", edgeCount)
-		}
-		ss.Offsets[k+1] = uint32(sum)
+	// A destination is listed only if it has sources; rejecting a zero
+	// count keeps the encoding bijective, and offsets that ascend from 0
+	// to edgeCount are what lets the source lists be decoded by them.
+	ss.Offsets[0] = 0
+	if p = runs(v, p, one, ss.Offsets[1:]); p < 0 || !ascending(ss.Offsets) || int(ss.Offsets[dstCount]) != edgeCount {
+		return nil, fmt.Errorf("storage: v2 blob: counts truncated, zero, or not summing to %d edges", edgeCount)
 	}
-	if sum != uint64(edgeCount) {
-		return nil, fmt.Errorf("storage: v2 blob: counts sum to %d, want %d edges", sum, edgeCount)
-	}
-	srcs, t := ss.Srcs, 0
-	for k := 0; k < dstCount; k++ {
-		n := int(ss.Offsets[k+1]) - t
-		s, np := uvarint32(v, p)
-		if np < 0 {
-			return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
-		}
-		p = np
-		// Short-run fast paths: the skewed graphs DSSS targets give most
-		// destinations 1–3 sources per sub-shard cell, so the common runs
-		// decode straight-line with no inner loop.
-		switch n {
-		case 1:
-			srcs[t] = s
-			t++
-			continue
-		case 2:
-			srcs[t] = s
-			g, np := uvarint32(v, p)
-			if np < 0 {
-				return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
-			}
-			p = np
-			s2 := uint64(s) + uint64(g)
-			if s2 > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: source overflow at dst %d", k)
-			}
-			srcs[t+1] = uint32(s2)
-			t += 2
-			continue
-		}
-		srcs[t] = s
-		t++
-		for i := 1; i < n; i++ {
-			g, np := uvarint32(v, p)
-			if np < 0 {
-				return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
-			}
-			p = np
-			ns := uint64(s) + uint64(g)
-			if ns > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: source overflow at dst %d", k)
-			}
-			s = uint32(ns)
-			srcs[t] = s
-			t++
-		}
+	if p = runs(v, p, ss.Offsets[1:], ss.Srcs); p < 0 {
+		return nil, fmt.Errorf("storage: v2 blob: sources truncated or past uint32")
 	}
 	if p != end {
 		return nil, fmt.Errorf("storage: v2 blob: %d trailing bytes", end-p)
 	}
-	if weighted {
-		ss.Weights = make([]float32, edgeCount)
-		for k := 0; k < edgeCount; k++ {
-			ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(buf[end+4*k:]))
-		}
+	for k := range ss.Weights {
+		ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(buf[end+4*k:]))
 	}
 	return ss, nil
+}
+
+// ascending reports whether a[k-1] < a[k] throughout.
+func ascending(a []uint32) bool {
+	var bad uint64 // top bit: some a[k] - a[k-1] - 1 was negative
+	for k := 1; k < len(a); k++ {
+		bad |= uint64(a[k]) - uint64(a[k-1]) - 1
+	}
+	return bad>>63 == 0
+}
+
+// sized returns a sub-shard with room for dsts destinations and edges
+// edges: into with its arrays re-sliced when their capacity allows, else
+// a new one whose Dsts, Offsets and Srcs are carved from one allocation.
+// Re-used arrays are not cleared — both decoders write every element of
+// every array they return.
+func sized(into *SubShard, dsts, edges int, weighted bool) *SubShard {
+	n := 2*dsts + 1 + edges
+	if into == nil || cap(into.arena) < n || (weighted && cap(into.Weights) < edges) {
+		into = &SubShard{arena: make([]uint32, n)}
+		if weighted {
+			into.Weights = make([]float32, edges)
+		}
+	}
+	a := into.arena[:n]
+	into.Dsts, into.Offsets, into.Srcs = a[:dsts:dsts], a[dsts:2*dsts+1:2*dsts+1], a[2*dsts+1:]
+	if weighted {
+		into.Weights = into.Weights[:edges]
+	} else {
+		into.Weights = nil
+	}
+	return into
 }
 
 // EncodeSubShardAs serializes ss in the given format version.
@@ -486,10 +454,17 @@ func EncodeSubShardAs(ss *SubShard, weighted bool, version int) []byte {
 	return EncodeSubShardV2(ss, weighted)
 }
 
-// DecodeSubShardAs parses a blob written in the given format version.
-func DecodeSubShardAs(buf []byte, weighted bool, version int) (*SubShard, error) {
-	if version == FormatV1 {
-		return DecodeSubShard(buf, weighted)
+// DecodeSubShardAs parses a blob written in the given format version. A
+// nil (empty sub-shard) blob decodes to the canonical empty sub-shard.
+// into, when non-nil, is a decoded sub-shard no one references any more:
+// the result reuses its arrays if they are large enough, and is then
+// into itself.
+func DecodeSubShardAs(into *SubShard, buf []byte, weighted bool, version int) (*SubShard, error) {
+	switch {
+	case len(buf) == 0:
+		return &SubShard{Offsets: []uint32{0}}, nil
+	case version == FormatV1:
+		return decodeSubShardV1(into, buf, weighted)
 	}
-	return DecodeSubShardV2(buf, weighted)
+	return decodeSubShardV2(into, buf, weighted)
 }

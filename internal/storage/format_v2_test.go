@@ -1,6 +1,8 @@
 package storage
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
 	"os"
 	"strings"
@@ -92,8 +94,8 @@ func TestV2MatchesV1(t *testing.T) {
 		b2 := EncodeSubShardV2(ss, false)
 		v1Bytes += len(b1)
 		v2Bytes += len(b2)
-		d1, err1 := DecodeSubShardAs(b1, false, FormatV1)
-		d2, err2 := DecodeSubShardAs(b2, false, FormatV2)
+		d1, err1 := DecodeSubShardAs(nil, b1, false, FormatV1)
+		d2, err2 := DecodeSubShardAs(nil, b2, false, FormatV2)
 		if err1 != nil || err2 != nil {
 			t.Fatal(err1, err2)
 		}
@@ -262,4 +264,225 @@ func TestCompressionRatio(t *testing.T) {
 	if enc >= fixed || enc <= 0 {
 		t.Fatalf("v2 store: encoded %d, fixed-width %d — expected compression", enc, fixed)
 	}
+}
+
+// TestDecodeIntoRecycled covers the contract the engine's L1 miss path
+// relies on: a decode handed a sub-shard nobody references re-slices its
+// arrays without clearing them and then writes every element it returns
+// — so a poisoned spare comes back holding exactly the fresh decode's
+// values — allocates nothing, and falls back to fresh arrays (leaving the
+// spare alone) when the spare is too small.
+func TestDecodeIntoRecycled(t *testing.T) {
+	const poison = 0xFFFFFFFF // no id, offset or weight bits of the fixtures
+	for _, version := range []int{FormatV1, FormatV2} {
+		for _, weighted := range []bool{false, true} {
+			rng := rand.New(rand.NewSource(int64(version)))
+			var big, small *SubShard
+			for big == nil || small == nil || small.NumEdges() == 0 || big.NumEdges() < 2*small.NumEdges() {
+				big, small = canonicalSubShard(rng, weighted), canonicalSubShard(rng, weighted)
+			}
+			bigBlob := EncodeSubShardAs(big, weighted, version)
+			smallBlob := EncodeSubShardAs(small, weighted, version)
+			spare, err := DecodeSubShardAs(nil, bigBlob, weighted, version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			for i := range spare.arena {
+				spare.arena[i] = poison
+			}
+			for i := range spare.Weights {
+				spare.Weights[i] = float32frombits(poison)
+			}
+			got, err := DecodeSubShardAs(spare, smallBlob, weighted, version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got != spare {
+				t.Fatalf("v%d weighted=%v: a spare with room was not reused", version, weighted)
+			}
+			sameSubShard(t, got, small, weighted)
+			written := len(got.Dsts) + len(got.Offsets) + len(got.Srcs)
+			if want := 2*small.NumDsts() + 1 + small.NumEdges(); written != want {
+				t.Fatalf("arrays hold %d elements, want %d", written, want)
+			}
+			for i, x := range got.arena[:written] {
+				if x == poison {
+					t.Fatalf("v%d weighted=%v: element %d of %d returned unwritten", version, weighted, i, written)
+				}
+			}
+			if tail := got.arena[written:]; len(tail) == 0 || tail[0] != poison {
+				t.Fatalf("v%d: the arrays past the decode were cleared or not kept (%d left)", version, len(tail))
+			}
+			if n := testing.AllocsPerRun(20, func() {
+				if _, err := DecodeSubShardAs(spare, smallBlob, weighted, version); err != nil {
+					t.Fatal(err)
+				}
+			}); n != 0 {
+				t.Fatalf("v%d weighted=%v: decode into a spare allocates %v times", version, weighted, n)
+			}
+			// Too small: fresh arrays, spare untouched.
+			tiny, err := DecodeSubShardAs(nil, smallBlob, weighted, version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			got, err = DecodeSubShardAs(tiny, bigBlob, weighted, version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got == tiny {
+				t.Fatalf("v%d: decoded %d edges into arrays sized for %d", version, big.NumEdges(), small.NumEdges())
+			}
+			sameSubShard(t, got, big, weighted)
+			sameSubShard(t, tiny, small, weighted)
+		}
+	}
+}
+
+// decodeSubShardV2Ref is the v2 decoder as it stood before issue 17,
+// verbatim: one loop, a uvarint32 call per value, every check at the
+// value it concerns. It is the oracle the decoder in format.go is
+// differentially tested and benchmarked against — same accept/reject
+// set, same arrays.
+func decodeSubShardV2Ref(buf []byte, weighted bool) (*SubShard, error) {
+	dc, p := uvarint32(buf, 0)
+	if p < 0 {
+		return nil, fmt.Errorf("storage: v2 blob: truncated dst count")
+	}
+	ec, p := uvarint32(buf, p)
+	if p < 0 {
+		return nil, fmt.Errorf("storage: v2 blob: truncated edge count")
+	}
+	dstCount, edgeCount := int(dc), int(ec)
+	end := len(buf)
+	if weighted {
+		end -= 4 * edgeCount
+	}
+	// Every destination needs at least one gap byte, one count byte and
+	// one source byte; rejecting impossible counts up front also bounds
+	// the allocations below against hostile headers.
+	if end < p || end-p < 2*dstCount+edgeCount || edgeCount < dstCount {
+		return nil, fmt.Errorf("storage: v2 blob: %d bytes cannot hold %d dsts / %d edges",
+			len(buf), dstCount, edgeCount)
+	}
+	ss := &SubShard{
+		Dsts:    make([]uint32, dstCount),
+		Offsets: make([]uint32, dstCount+1),
+		Srcs:    make([]uint32, edgeCount),
+	}
+	v := buf[:end] // varint region; p never legally reaches past it
+	var d uint32
+	for k := 0; k < dstCount; k++ {
+		gap, np := uvarint32(v, p)
+		if np < 0 {
+			return nil, fmt.Errorf("storage: v2 blob: truncated dst gap %d", k)
+		}
+		p = np
+		if k == 0 {
+			d = gap
+		} else {
+			nd := uint64(d) + uint64(gap)
+			if gap == 0 || nd > 1<<32-1 {
+				return nil, fmt.Errorf("storage: v2 blob: dst %d not ascending", k)
+			}
+			d = uint32(nd)
+		}
+		ss.Dsts[k] = d
+	}
+	var sum uint64
+	for k := 0; k < dstCount; k++ {
+		c, np := uvarint32(v, p)
+		if np < 0 {
+			return nil, fmt.Errorf("storage: v2 blob: truncated count %d", k)
+		}
+		p = np
+		if c == 0 {
+			// A destination is listed only if it has sources; rejecting
+			// zero keeps the encoding bijective and the source loop's
+			// first-raw-then-gaps shape unconditional.
+			return nil, fmt.Errorf("storage: v2 blob: dst %d has zero sources", k)
+		}
+		sum += uint64(c)
+		if sum > uint64(edgeCount) {
+			return nil, fmt.Errorf("storage: v2 blob: counts exceed %d edges", edgeCount)
+		}
+		ss.Offsets[k+1] = uint32(sum)
+	}
+	if sum != uint64(edgeCount) {
+		return nil, fmt.Errorf("storage: v2 blob: counts sum to %d, want %d edges", sum, edgeCount)
+	}
+	srcs, t := ss.Srcs, 0
+	for k := 0; k < dstCount; k++ {
+		n := int(ss.Offsets[k+1]) - t
+		s, np := uvarint32(v, p)
+		if np < 0 {
+			return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
+		}
+		p = np
+		// Short-run fast paths: the skewed graphs DSSS targets give most
+		// destinations 1–3 sources per sub-shard cell, so the common runs
+		// decode straight-line with no inner loop.
+		switch n {
+		case 1:
+			srcs[t] = s
+			t++
+			continue
+		case 2:
+			srcs[t] = s
+			g, np := uvarint32(v, p)
+			if np < 0 {
+				return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
+			}
+			p = np
+			s2 := uint64(s) + uint64(g)
+			if s2 > 1<<32-1 {
+				return nil, fmt.Errorf("storage: v2 blob: source overflow at dst %d", k)
+			}
+			srcs[t+1] = uint32(s2)
+			t += 2
+			continue
+		}
+		srcs[t] = s
+		t++
+		for i := 1; i < n; i++ {
+			g, np := uvarint32(v, p)
+			if np < 0 {
+				return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
+			}
+			p = np
+			ns := uint64(s) + uint64(g)
+			if ns > 1<<32-1 {
+				return nil, fmt.Errorf("storage: v2 blob: source overflow at dst %d", k)
+			}
+			s = uint32(ns)
+			srcs[t] = s
+			t++
+		}
+	}
+	if p != end {
+		return nil, fmt.Errorf("storage: v2 blob: %d trailing bytes", end-p)
+	}
+	if weighted {
+		ss.Weights = make([]float32, edgeCount)
+		for k := 0; k < edgeCount; k++ {
+			ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(buf[end+4*k:]))
+		}
+	}
+	return ss, nil
+}
+
+// uvarint32 is the per-value entry point of decodeSubShardV2Ref, moved
+// here with it: it decodes one varint at offset p of b, returning the
+// value and the offset past it. A truncated, uint32-overflowing or non-minimal
+// (zero-padded) encoding returns a negative offset — rejecting padding
+// means every value has exactly one accepted encoding, so any blob the
+// v2 decoder accepts re-encodes byte-identically. The common single-byte
+// case is the only code a caller's loop executes; everything else
+// tail-calls uvarint32Slow.
+func uvarint32(b []byte, p int) (uint32, int) {
+	if uint(p) < uint(len(b)) {
+		if c := b[p]; c < 0x80 {
+			return uint32(c), p + 1
+		}
+	}
+	return uvarint32Slow(b, p)
 }

@@ -2,11 +2,13 @@ package storage
 
 import (
 	"bytes"
+	"slices"
 	"testing"
 )
 
-// FuzzUvarint32 round-trips the varint codec and cross-checks the
-// decoder against re-encoding.
+// FuzzUvarint32 round-trips the varint codec through both decode paths:
+// uvarint32Slow directly, and runs with bytes to spare after the value,
+// which takes encodings of up to three bytes inline.
 func FuzzUvarint32(f *testing.F) {
 	for _, v := range []uint32{0, 1, 0x7f, 0x80, 0x3fff, 0x4000, 1 << 21, 1 << 28, 1<<32 - 1} {
 		f.Add(v)
@@ -16,15 +18,22 @@ func FuzzUvarint32(f *testing.F) {
 		if len(buf) > maxUvarint32Len {
 			t.Fatalf("%d encoded to %d bytes", v, len(buf))
 		}
-		got, p := uvarint32(buf, 0)
+		got, p := uvarint32Slow(buf, 0)
 		if p != len(buf) || got != v {
 			t.Fatalf("round trip of %d: got %d, consumed %d of %d", v, got, p, len(buf))
+		}
+		var out [1]uint32
+		if p := runs(append(buf, 0xff, 0xff, 0xff), 0, []uint32{1}, out[:]); p != len(buf) || out[0] != v {
+			t.Fatalf("inline round trip of %d: got %d, consumed %d of %d", v, out[0], p, len(buf))
 		}
 		// Every truncation ends on a continuation byte (or is empty), so
 		// all of them must fail rather than read out of bounds.
 		for cut := 0; cut < len(buf); cut++ {
-			if _, p := uvarint32(buf[:cut], 0); p >= 0 {
+			if _, p := uvarint32Slow(buf[:cut], 0); p >= 0 {
 				t.Fatalf("truncated encoding of %d (len %d) decoded", v, cut)
+			}
+			if runs(buf[:cut], 0, []uint32{1}, out[:]) >= 0 {
+				t.Fatalf("truncated encoding of %d (len %d) decoded by runs", v, cut)
 			}
 		}
 	})
@@ -59,18 +68,128 @@ func fuzzSeedBlobs(weighted bool) [][]byte {
 	return out
 }
 
+// rawV2Blob assembles a v2 blob from literal stream values with no
+// validity checks, so seeds can put any varint anywhere — including
+// where only a rejection is possible.
+func rawV2Blob(dstCount, edgeCount uint32, dsts, counts, srcs []uint32, weighted bool) []byte {
+	b := appendUvarint(appendUvarint(nil, dstCount), edgeCount)
+	for _, stream := range [][]uint32{dsts, counts, srcs} {
+		for _, v := range stream {
+			b = appendUvarint(b, v)
+		}
+	}
+	if weighted {
+		b = append(b, make([]byte, 4*edgeCount)...)
+	}
+	return b
+}
+
+// edgeSeedBlobs aims at the inline path's boundaries: for n = 2..5 an
+// n-byte varint as the last value of the dst, the count and the source
+// stream — the last of which also ends the varint region, so it starts
+// inside or just before the final three bytes, where the four-byte load
+// stops and uvarint32Slow takes over — and, after it, one- and two-byte
+// values that start inside those three bytes. A 4- or 5-byte count cannot
+// be valid in a blob of seed size; those two seeds are there to be
+// rejected identically.
+func edgeSeedBlobs(weighted bool) [][]byte {
+	var out [][]byte
+	ones := func(n int, first uint32) []uint32 {
+		s := make([]uint32, n)
+		s[0] = first
+		return s // first id, then gap-0 parallel edges
+	}
+	for n := 2; n <= maxUvarint32Len; n++ {
+		v := uint32(1) << (7 * (n - 1)) // smallest n-byte value
+		// Last dst gap, and last source, are n bytes.
+		out = append(out, rawV2Blob(2, 2, []uint32{5, v}, []uint32{1, 1}, []uint32{9, v}, weighted))
+		// One- and two-byte values after an n-byte one, inside the tail.
+		out = append(out, rawV2Blob(1, 3, []uint32{5}, []uint32{3}, []uint32{v, 1, 300}, weighted))
+		out = append(out, rawV2Blob(1, 3, []uint32{5}, []uint32{3}, []uint32{v, 300, 1}, weighted))
+		// Last count is n bytes: valid while the blob stays small.
+		if n <= 3 {
+			out = append(out, rawV2Blob(2, 1+v, []uint32{5, 1}, []uint32{1, v}, append([]uint32{7}, ones(int(v), 3)...), weighted))
+		} else {
+			out = append(out, rawV2Blob(2, 2, []uint32{5, 1}, []uint32{1, v}, []uint32{7, 3}, weighted))
+		}
+	}
+	return out
+}
+
+// sameDecode fails unless the decoder under test and the reference
+// agree on blob: both reject, or both accept with identical arrays.
+func sameDecode(t *testing.T, blob []byte, weighted bool) *SubShard {
+	t.Helper()
+	ss, err := DecodeSubShardV2(blob, weighted)
+	ref, refErr := decodeSubShardV2Ref(blob, weighted)
+	if (err == nil) != (refErr == nil) {
+		t.Fatalf("accept/reject differs: new %v, ref %v", err, refErr)
+	}
+	if err != nil {
+		return nil
+	}
+	if !slices.Equal(ss.Dsts, ref.Dsts) || !slices.Equal(ss.Offsets, ref.Offsets) ||
+		!slices.Equal(ss.Srcs, ref.Srcs) || (ss.Weights == nil) != (ref.Weights == nil) {
+		t.Fatalf("arrays differ from the reference decoder's")
+	}
+	for i, w := range ss.Weights { // bitwise: fuzzed weight bytes may be NaN
+		if float32bits(w) != float32bits(ref.Weights[i]) {
+			t.Fatalf("weight %d: %x, ref %x", i, float32bits(w), float32bits(ref.Weights[i]))
+		}
+	}
+	return ss
+}
+
+// TestDecodeV2MatchesRef runs the differential check where `go test`
+// reaches it without fuzzing: every cell of the RMAT store, the seed
+// corpus, and each seed truncated at every length and with every byte
+// of its varint region disturbed.
+func TestDecodeV2MatchesRef(t *testing.T) {
+	for _, ss := range rmatCells() {
+		if ss != nil {
+			sameDecode(t, EncodeSubShardV2(ss, false), false)
+		}
+	}
+	accepted := 0
+	for _, weighted := range []bool{false, true} {
+		for _, blob := range append(fuzzSeedBlobs(weighted), edgeSeedBlobs(weighted)...) {
+			if sameDecode(t, blob, weighted) != nil {
+				accepted++
+			}
+			if len(blob) > 64 {
+				continue // the mutations below are quadratic
+			}
+			for cut := range blob {
+				sameDecode(t, blob[:cut], weighted)
+			}
+			for i := range blob {
+				for _, x := range []byte{0x80, 0x7f, 0xff} {
+					m := slices.Clone(blob)
+					m[i] ^= x
+					sameDecode(t, m, weighted)
+				}
+			}
+		}
+	}
+	if accepted < 30 {
+		t.Fatalf("only %d seed blobs decode; the edge seeds are meant to be valid", accepted)
+	}
+}
+
 // FuzzDecodeSubShardV2 throws arbitrary bytes at the v2 decoder: it must
-// never panic, and whatever it accepts must re-encode to the identical
-// blob (a canonical-order sub-shard has exactly one v2 encoding).
+// never panic, it must agree with decodeSubShardV2Ref on accept/reject
+// and on every array, and whatever it accepts must re-encode to the
+// identical blob (a canonical-order sub-shard has exactly one v2
+// encoding).
 func FuzzDecodeSubShardV2(f *testing.F) {
 	for _, weighted := range []bool{false, true} {
-		for _, blob := range fuzzSeedBlobs(weighted) {
+		for _, blob := range append(fuzzSeedBlobs(weighted), edgeSeedBlobs(weighted)...) {
 			f.Add(blob, weighted)
 		}
 	}
 	f.Fuzz(func(t *testing.T, blob []byte, weighted bool) {
-		ss, err := DecodeSubShardV2(blob, weighted)
-		if err != nil {
+		ss := sameDecode(t, blob, weighted)
+		if ss == nil {
 			return
 		}
 		// Structural invariants the decoder promises.

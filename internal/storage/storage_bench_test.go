@@ -73,17 +73,40 @@ func BenchmarkEncodeSubShardV2(b *testing.B) {
 // BenchmarkSubShardDecodeV2 measures the varint decode that runs on
 // every L2 hit and every cold read of a v2 store; ns/op here is the
 // price paid for the ~3x byte reduction BenchmarkDecodeSubShard's
-// fixed-width layout avoids.
+// fixed-width layout avoids. fixture is the synthetic sub-shard
+// (8.5 sources per destination, small ids); rmatcell is cell (4, 1) of
+// the benchmark's own graph shape (5.2 sources per destination, first
+// sources split between two and three bytes), what a cold round decodes;
+// rmatcell-ref is the pre-issue-17 decoder on the same blob, and
+// recycled is the engine's L1 miss path: decoding into a sub-shard the
+// block cache evicted, no allocation.
 func BenchmarkSubShardDecodeV2(b *testing.B) {
-	ss := benchSubShard(b, false)
-	blob := EncodeSubShardV2(ss, false)
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSubShardV2(blob, false); err != nil {
-			b.Fatal(err)
-		}
+	run := func(name string, ss *SubShard, decode func(blob []byte) (*SubShard, error)) {
+		b.Run(name, func(b *testing.B) {
+			blob := EncodeSubShardV2(ss, false)
+			b.SetBytes(int64(len(blob)))
+			b.ReportAllocs()
+			b.ResetTimer()
+			for i := 0; i < b.N; i++ {
+				if _, err := decode(blob); err != nil {
+					b.Fatal(err)
+				}
+			}
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/float64(ss.NumEdges()), "ns/edge")
+		})
 	}
+	fresh := func(blob []byte) (*SubShard, error) { return DecodeSubShardV2(blob, false) }
+	ref := func(blob []byte) (*SubShard, error) { return decodeSubShardV2Ref(blob, false) }
+	spare := &SubShard{}
+	recycled := func(blob []byte) (ss *SubShard, err error) {
+		spare, err = decodeSubShardV2(spare, blob, false)
+		return spare, err
+	}
+	run("fixture", benchSubShard(b, false), fresh)
+	cell := rmatCell(b, 4, 1)
+	run("rmatcell", cell, fresh)
+	run("rmatcell-ref", cell, ref)
+	run("recycled", cell, recycled)
 }
 
 func BenchmarkSubShardDecodeV2Weighted(b *testing.B) {

@@ -150,13 +150,9 @@ func (s *Store) ReadSubShardRaw(i, j int, transpose bool) ([]byte, error) {
 }
 
 // DecodeSubShardBlob decodes a blob returned by ReadSubShardRaw in the
-// store's format version. A nil (empty sub-shard) blob decodes to the
-// canonical empty sub-shard.
+// store's format version, into fresh arrays (see DecodeSubShardAs).
 func (s *Store) DecodeSubShardBlob(blob []byte) (*SubShard, error) {
-	if len(blob) == 0 {
-		return &SubShard{Offsets: []uint32{0}}, nil
-	}
-	return DecodeSubShardAs(blob, s.meta.Weighted, s.meta.Version)
+	return DecodeSubShardAs(nil, blob, s.meta.Weighted, s.meta.Version)
 }
 
 // Degrees reads the degree file: out-degrees then in-degrees, each n

@@ -1,12 +1,22 @@
 package storage
 
 // Unsigned LEB128 varints, the integer encoding of format-v2 sub-shard
-// blobs (see EncodeSubShardV2). The decoder here is hand-tuned for the
-// blob decode loop: values in a delta-encoded sub-shard are overwhelmingly
-// one byte (a destination gap, a per-destination count of 1–3, a small
-// source gap), so the single-byte case is a compare-and-return fast path
-// and the multi-byte continuation lives in a separate, rarely-taken
-// function that stays out of the hot path's inlining budget.
+// blobs (see EncodeSubShardV2). What the decoder is shaped around is the
+// measured byte-length mix of each stream of a real store (RMAT scale
+// 16 x 16, P = 12, every forward cell; TestVarintLengthMix re-measures):
+//
+//	stream          1 byte   2 bytes  3 bytes  4-5 bytes
+//	dst gaps        1.000    0.000    -        -
+//	counts          0.995    0.005    -        -
+//	first sources   0.100    0.423    0.477    -
+//	source gaps     0.683    0.317    -        -
+//
+// Dst gaps and counts are one byte, but the first source of every
+// destination is a raw vertex id and a cell averages under six sources
+// per destination, so two source values in five need a second or third
+// byte. One to three bytes covers everything; runs3 decodes those
+// lengths in line, and uvarint32Slow — a call — is left with ids past
+// 2^21, malformed input and the last bytes of a blob.
 
 // maxUvarint32Len is the longest encoding of a uint32 (5 × 7 bits).
 const maxUvarint32Len = 5
@@ -20,23 +30,12 @@ func appendUvarint(buf []byte, v uint32) []byte {
 	return append(buf, byte(v))
 }
 
-// uvarint32 decodes one varint at offset p of b, returning the value and
-// the offset past it. A truncated, uint32-overflowing or non-minimal
-// (zero-padded) encoding returns a negative offset — rejecting padding
-// means every value has exactly one accepted encoding, so any blob the
-// v2 decoder accepts re-encodes byte-identically. The common single-byte
-// case is the only code a caller's loop executes; everything else
-// tail-calls uvarint32Slow.
-func uvarint32(b []byte, p int) (uint32, int) {
-	if uint(p) < uint(len(b)) {
-		if c := b[p]; c < 0x80 {
-			return uint32(c), p + 1
-		}
-	}
-	return uvarint32Slow(b, p)
-}
-
-// uvarint32Slow handles multi-byte encodings, truncation and overflow.
+// uvarint32Slow decodes one varint of any length at offset p of b,
+// returning the value and the offset past it. A truncated,
+// uint32-overflowing or non-minimal (zero-padded) encoding returns a
+// negative offset — rejecting padding means every value has exactly one
+// accepted encoding, so any blob the v2 decoder accepts re-encodes
+// byte-identically.
 func uvarint32Slow(b []byte, p int) (uint32, int) {
 	var v uint32
 	var shift uint
@@ -59,4 +58,70 @@ func uvarint32Slow(b []byte, p int) (uint32, int) {
 		shift += 7
 	}
 	return 0, -1 // 5 continuation bytes: not a uint32
+}
+
+// runs decodes lists of varints — each a first value followed by gaps —
+// from b at offset p into out as running sums, list k ending at out
+// index ends[k], and returns the offset past them: negative on a
+// truncated, zero-padded or uint32-overflowing encoding or a sum past
+// uint32. ends must ascend to at most len(out).
+func runs(b []byte, p int, ends, out []uint32) int {
+	var over, s uint64
+	t := 0
+	for {
+		k, t2, s2, o, rest := runs3(b[p:], ends, out, t, s)
+		over |= o
+		if ends, t, s, p = ends[k:], t2, s2, len(b)-rest; len(ends) == 0 {
+			break
+		}
+		var x uint32
+		if x, p = uvarint32Slow(b, p); p < 0 {
+			return -1
+		}
+		s += uint64(x)
+		out[t] = uint32(s)
+		t++
+	}
+	if over>>32 != 0 {
+		return -1
+	}
+	return p
+}
+
+// runs3 is the call-free inner loop of runs. It takes one-, two- and
+// three-byte minimal encodings from the front of b, each from one
+// four-byte load, continuing at out[t] with s the sum so far of the
+// list in progress, and stops when every list is done or at anything
+// else — a longer or zero-padded value, fewer than four bytes left —
+// which runs hands to uvarint32Slow to accept or reject. It returns the
+// lists completed, the new t and s, the OR of the completed lists'
+// final sums (bits past 31: an id overflowed) and the bytes of b left.
+// Re-slicing b instead of indexing it is what lets the compiler drop
+// every bounds check in the loop.
+func runs3(b []byte, ends, out []uint32, t int, s uint64) (k, t2 int, s2, over uint64, rest int) {
+	for ; k < len(ends); k++ {
+		for hi := int(ends[k]); t < hi; t++ {
+			if len(b) < 4 || t >= len(out) {
+				return k, t, s, over, len(b)
+			}
+			w := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
+			switch {
+			case w&0x80 == 0:
+				s += uint64(w & 0x7f)
+				b = b[1:]
+			case w&0x8000 == 0 && w&0x7f00 != 0:
+				s += uint64(w&0x7f | w>>1&0x3f80)
+				b = b[2:]
+			case w&0x808000 == 0x8000 && w&0x7f0000 != 0:
+				s += uint64(w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000)
+				b = b[3:]
+			default:
+				return k, t, s, over, len(b)
+			}
+			out[t] = uint32(s)
+		}
+		over |= s
+		s = 0
+	}
+	return k, t, s, over, len(b)
 }
