@@ -30,7 +30,7 @@ func main() {
 		iters      = flag.Int("iters", 10, "PageRank iterations")
 		seed       = flag.Int64("seed", 42, "generator seed")
 		cacheMB    = flag.Int("cache-mb", -1, "sub-shard block cache budget in MiB per engine (-1 = derive from each experiment's budget, 0 = disable)")
-		l2Frac     = flag.Float64("cache-l2-frac", 0, "fraction of each cache budget held as encoded blobs (0 = default quarter, negative = disable the encoded tier)")
+		l2Frac     = flag.Float64("cache-l2-frac", 0, "fraction of each cache budget held as encoded blobs (0 or negative = none, the default: fastest on page-cached files; 0.5-0.9 wins where a read costs more than a decode, see docs/adr/ADR-008)")
 		format     = flag.Int("format", 0, "store format the suite builds: 0 = current default, 1 = fixed-width, 2 = delta+varint compressed")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
 		showTrace  = flag.Bool("trace", false, "run a traced PageRank and print its per-iteration compute-vs-stall breakdown")

@@ -31,7 +31,7 @@ func main() {
 		threads  = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		mem      = flag.String("mem", "0", "memory budget (e.g. 512MiB; 0 = unlimited)")
 		cacheMB  = flag.Int("cache-mb", -1, "sub-shard block cache budget in MiB (-1 = derive from -mem, 0 = disable)")
-		l2Frac   = flag.Float64("cache-l2-frac", 0, "fraction of the cache budget held as encoded blobs (0 = default quarter, negative = disable the encoded tier)")
+		l2Frac   = flag.Float64("cache-l2-frac", 0, "fraction of the cache budget held as encoded blobs (0 or negative = none, the default: fastest on page-cached files; 0.5-0.9 wins where a read costs more than a decode, see docs/adr/ADR-008)")
 		strategy = flag.String("strategy", "auto", "auto | spu | dpu | mpu")
 		lockSync = flag.Bool("lock", false, "use interval-lock sync instead of callback")
 		profile  = flag.String("disk", "none", "simulated disk: none | ssd | hdd")

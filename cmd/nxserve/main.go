@@ -119,7 +119,7 @@ func main() {
 		maxBatch  = flag.Int("max-batch", 0, "max compatible queued jobs fused into one engine run (0 = default 16, 1 disables)")
 		cache     = flag.String("cache", "256MiB", "result cache budget (0 disables caching)")
 		cacheMB   = flag.Int("cache-mb", 256, "shared decoded sub-shard block cache budget in MiB, 0 disables (distinct from -cache, the result cache)")
-		l2Frac    = flag.Float64("cache-l2-frac", 0, "fraction of -cache-mb held as encoded blobs (0 = default quarter, negative = disable the encoded tier)")
+		l2Frac    = flag.Float64("cache-l2-frac", 0, "fraction of -cache-mb held as encoded blobs (0 or negative = none, the default: fastest on page-cached files; 0.5-0.9 wins where a read costs more than a decode, see docs/adr/ADR-008)")
 		mem       = flag.String("mem", "0", "per-graph engine memory budget (0 = unlimited)")
 		threads   = flag.Int("threads", 0, "engine worker threads per run (0 = GOMAXPROCS)")
 		deltaThr  = flag.Int("delta-threshold", 0, "pending deltas that trigger auto-compaction (0 = default 8192, negative disables)")

@@ -50,7 +50,7 @@ type Suite struct {
 	// positive sets the budget in bytes, negative disables caching.
 	CacheBytes int64
 	// CacheL2Frac is every engine's encoded-tier share of the cache
-	// budget (0 = default quarter, negative = decoded tier only).
+	// budget (zero or negative = decoded tier only, the default).
 	CacheL2Frac float64
 	// Format selects the store encoding the suite writes; 0 picks
 	// storage.DefaultFormatVersion.

@@ -14,10 +14,19 @@
 //   - a miss runs the caller's loader exactly once per key
 //     (concurrent misses coalesce on the in-flight load) and publishes
 //     the result;
-//   - Release unpins; unpinned blocks are evicted in LRU order whenever
-//     resident bytes exceed the budget. Pinned blocks are never evicted,
-//     so a pipeline that pins the next batch while computing on the
-//     current one may transiently exceed the budget by the pinned set.
+//   - the budget bounds what the cache retains, and what it retains is
+//     decided once, when a load completes, by access count (see admit):
+//     the block joins the retained set if it fits, or if it has been
+//     asked for more often than the retained blocks it would displace.
+//     Otherwise it is served pinned to whoever asked and let go at its
+//     last Release. Every engine iteration is the same sweep over the
+//     rows, and LRU under a cyclic sweep longer than the cache evicts
+//     each block just before it is asked for again, so the budget buys
+//     nothing at any size; with admission a budget of half the blocks
+//     keeps that half resident and streams only the rest;
+//   - Release unpins. Pinned blocks are never dropped, so a pipeline that
+//     pins the next batch while computing on the current one exceeds the
+//     budget transiently by the pins that were not admitted.
 //
 // With the v2 store format the encoded blob is 3-4x smaller than the
 // decoded block, which makes holding encoded bytes a much cheaper way to
@@ -26,9 +35,12 @@
 // encoded blobs keyed without the decoded-form bit, so the CSR and flat
 // forms of one sub-shard share a single blob. An L1 miss that finds its
 // blob in L2 re-decodes from RAM instead of re-reading from disk; only an
-// L2 miss touches the store. Each tier has its own budget and LRU; the
-// blob is pinned (refcounted) for the duration of the decode, so L2
-// eviction can never free bytes a decode is still reading.
+// L2 miss touches the store. Both tiers are one type (tier) with its own
+// budget; the blob is pinned (refcounted) for the duration of the decode,
+// so L2 eviction can never free bytes a decode is still reading. The
+// encoded tier is off unless asked for (SplitBudget): on page-cached
+// files a read costs an eighth of a decode, and the tier is a second
+// copy of the OS page cache paid for with decoded blocks.
 //
 // Keys carry a store generation: when a store's content is replaced
 // (background compaction swapping a rebuilt store in), the owner
@@ -75,6 +87,16 @@ func (k Key) l2() L2Key {
 	return L2Key{Gen: k.Gen, I: k.I, J: k.J, Transpose: k.Transpose}
 }
 
+func (k Key) gen() uint64   { return k.Gen }
+func (k L2Key) gen() uint64 { return k.Gen }
+
+// cacheKey is what a tier needs of its keys: map identity and the store
+// generation InvalidateGeneration selects by.
+type cacheKey interface {
+	comparable
+	gen() uint64
+}
+
 // generation is the process-wide store-generation counter.
 var generation atomic.Uint64
 
@@ -83,38 +105,239 @@ var generation atomic.Uint64
 // own, so one shared cache can serve many stores without aliasing.
 func NextGeneration() uint64 { return generation.Add(1) }
 
-// entry is one cached block. An entry is born with refs = 1 (the loading
-// Get); waiters block on ready. refs > 0 pins the entry; at refs == 0 it
-// moves to the LRU list and becomes evictable. doomed marks an entry
-// whose generation was invalidated while pinned: it is already removed
-// from the map (no future Get can find it) and its bytes are returned on
-// the final release.
-type entry struct {
-	key   Key
+// entry is one cached value. An entry is born with refs = 1 (the loading
+// get); waiters block on ready. refs > 0 pins the entry. At refs == 0 a
+// retained entry moves to the LRU list and may be displaced by a later
+// admission; one that was not admitted is unmapped and dropped. doomed
+// marks an entry whose generation was invalidated while pinned: it is
+// already removed from the map (no future get can find it) and its bytes
+// are returned on the final release.
+type entry[K comparable, V any] struct {
+	key   K
 	ready chan struct{}
-	val   any
+	val   V
 	size  int64
 	err   error
 
-	refs   int
-	doomed bool
-	elem   *list.Element // non-nil iff refs == 0 and the entry is evictable
+	refs     int
+	retained bool // counted against the budget
+	doomed   bool
+	elem     *list.Element // non-nil iff refs == 0 and the entry is retained
 }
 
-// l2entry is one cached encoded blob. It has the same lifecycle as entry
-// (born pinned by the loading GetTiered, waiters block on ready, refs ==
-// 0 moves it to the L2 LRU, doomed defers the byte return of an
-// invalidated-while-pinned blob to the final unref).
-type l2entry struct {
-	key   L2Key
-	ready chan struct{}
-	blob  []byte
-	size  int64
-	err   error
+// The admission rule's two constants. Counts are aged — halved, zeroes
+// forgotten — every agePeriod Gets per tracked key, so a key asked for
+// once per sweep holds a count between agePeriod and twice that, and a
+// key that is no longer asked for falls below every live one within two
+// ageings. maxCount bounds how long a history can be: a saturated key
+// that dies is forgotten after log2(maxCount)+1 ageings. It is four
+// times the 2·agePeriod a key asked for at the average rate peaks at,
+// so keys up to four times hotter than average still rank by count (a
+// round of PageRank, WCC and BFS asks for forward blocks 1.6 times as
+// often as for the average block, four times as often as for transpose
+// ones). maxTracked is not part of the rule: it bounds the counters
+// when a caller floods the cache with keys it never asks for twice (a
+// live key space is 2·P² per store).
+const (
+	agePeriod  = 8
+	maxCount   = 63
+	maxTracked = 1 << 14
+)
 
-	refs   int
-	doomed bool
-	elem   *list.Element
+// tier is one level of the cache — reference counts, single-flight
+// loads, the LRU order of the unpinned and admission by access count —
+// written once and instantiated for decoded blocks and for encoded
+// blobs. Every method is called with the owning Cache's mu held.
+type tier[K cacheKey, V any] struct {
+	budget    int64 // < 0 unlimited; >= 0 retained-byte budget (0 = pins only)
+	entries   map[K]*entry[K, V]
+	lru       *list.List // retained unpinned entries, most recently used at front
+	resident  int64      // bytes of every entry a handle or the map reaches
+	retained  int64      // the subset the budget bounds
+	pinned    int64
+	evictions int64
+
+	// count is how often each key was asked for lately, resident or not:
+	// a key that is streamed past every sweep must be able to out-count a
+	// retained one that is never asked for again.
+	count map[K]uint8
+	gets  int // since the last ageing
+
+	// drop receives an entry the tier has let go of at refs == 0,
+	// unmapped: nothing reaches its value any more.
+	drop func(*entry[K, V])
+}
+
+func newTier[K cacheKey, V any](budget int64, drop func(*entry[K, V])) *tier[K, V] {
+	return &tier[K, V]{budget: budget, entries: make(map[K]*entry[K, V]), lru: list.New(), count: make(map[K]uint8), drop: drop}
+}
+
+// get returns the entry of k with one reference held, running load with
+// mu released if none is mapped; hit reports that it did not. Concurrent
+// gets of one key coalesce on the first one's load. A load error is
+// returned to every waiter, no reference is held and nothing is cached.
+// Called with mu held; returns with it released.
+func (t *tier[K, V]) get(mu *sync.Mutex, k K, load func() (V, int64, error)) (e *entry[K, V], hit bool, err error) {
+	t.touch(k)
+	e, hit = t.entries[k]
+	if hit {
+		if e.refs == 0 {
+			// Entries at refs == 0 are always ready and on the LRU list.
+			t.lru.Remove(e.elem)
+			e.elem = nil
+			t.pinned += e.size
+		}
+		e.refs++
+		mu.Unlock()
+		<-e.ready
+	} else {
+		e = &entry[K, V]{key: k, ready: make(chan struct{}), refs: 1}
+		t.entries[k] = e
+		mu.Unlock()
+		e.val, e.size, e.err = load()
+		mu.Lock()
+		if e.err != nil {
+			// Only remove the mapping if it is still ours — an
+			// invalidation may have dropped it and a successor entry may
+			// own the key now.
+			if t.entries[k] == e {
+				delete(t.entries, k)
+			}
+		} else {
+			t.resident += e.size
+			t.pinned += e.size
+			t.admit(e)
+		}
+		mu.Unlock()
+		close(e.ready)
+	}
+	if e.err != nil {
+		mu.Lock()
+		e.refs-- // never resident: no accounting to unwind
+		mu.Unlock()
+		return nil, hit, e.err
+	}
+	return e, hit, nil
+}
+
+// touch counts one get of k. Nothing is counted where nothing is ever
+// decided: an unlimited tier admits everything, a zero budget nothing.
+func (t *tier[K, V]) touch(k K) {
+	if t.budget <= 0 {
+		return
+	}
+	if n := t.count[k]; n < maxCount {
+		t.count[k] = n + 1
+	}
+	if t.gets++; t.gets < agePeriod*len(t.count) && len(t.count) <= maxTracked {
+		return
+	}
+	t.gets = 0
+	for k, n := range t.count {
+		if n < 2 {
+			delete(t.count, k)
+		} else {
+			t.count[k] = n / 2
+		}
+	}
+}
+
+// admit decides, once, whether the just-loaded e joins the retained set:
+// it does if it fits the budget, or if dropping least-recently-used
+// unpinned entries makes it fit and e's count beats each of theirs by
+// more than one. Ties keep the incumbent — under a cyclic sweep every
+// count is equal and whatever fitted first stays, which is the hit ratio
+// budget/working-set that LRU turns into zero — and so does a lead of
+// one, which is all that an ageing in the middle of a sweep can open up
+// between two keys asked for equally often.
+func (t *tier[K, V]) admit(e *entry[K, V]) {
+	if e.doomed {
+		return
+	}
+	if t.budget >= 0 {
+		over, n, victims := t.retained+e.size-t.budget, t.count[e.key], 0
+		for el := t.lru.Back(); over > 0; el = el.Prev() {
+			if el == nil {
+				return // nothing is dropped for a block that will not fit
+			}
+			v := el.Value.(*entry[K, V])
+			if n <= t.count[v.key]+1 {
+				return
+			}
+			over -= v.size
+			victims++
+		}
+		for ; victims > 0; victims-- {
+			v := t.lru.Remove(t.lru.Back()).(*entry[K, V])
+			v.elem = nil
+			t.evict(v)
+		}
+	}
+	e.retained = true
+	t.retained += e.size
+}
+
+// evict unmaps the unpinned e and frees it, counting a block dropped to
+// fit the budget, admitted earlier or not.
+func (t *tier[K, V]) evict(e *entry[K, V]) {
+	delete(t.entries, e.key)
+	t.evictions++
+	t.free(e)
+}
+
+// free returns the bytes of e, which is unmapped and unpinned.
+func (t *tier[K, V]) free(e *entry[K, V]) {
+	t.resident -= e.size
+	if e.retained {
+		t.retained -= e.size
+	}
+	if t.drop != nil {
+		t.drop(e)
+	}
+}
+
+// unref unpins e: a retained entry becomes the most recently used
+// displaceable one, any other is let go of at its last reference.
+func (t *tier[K, V]) unref(e *entry[K, V]) {
+	e.refs--
+	if e.refs > 0 || e.err != nil {
+		return
+	}
+	t.pinned -= e.size
+	switch {
+	case e.doomed:
+		t.free(e)
+	case !e.retained:
+		t.evict(e)
+	default:
+		e.elem = t.lru.PushFront(e)
+	}
+}
+
+// invalidate unmaps every entry of the generation and forgets its
+// counts, returning how many entries it dropped. Unpinned entries are
+// let go of at once; pinned ones at their final unref.
+func (t *tier[K, V]) invalidate(gen uint64) (n int64) {
+	for k := range t.count {
+		if k.gen() == gen {
+			delete(t.count, k)
+		}
+	}
+	for k, e := range t.entries {
+		if k.gen() != gen {
+			continue
+		}
+		delete(t.entries, k)
+		n++
+		if e.refs == 0 {
+			t.lru.Remove(e.elem)
+			e.elem = nil
+			t.free(e)
+		} else {
+			e.doomed = true
+		}
+	}
+	return n
 }
 
 // Stats is a point-in-time copy of the cache counters.
@@ -129,9 +352,12 @@ type Stats struct {
 	L2Hits int64
 	// Misses counts Gets that went to disk.
 	Misses int64
-	// Evictions counts decoded blocks dropped to fit the L1 budget.
+	// Evictions counts decoded blocks dropped to fit the L1 budget:
+	// retained ones displaced by an admission, and ones that were not
+	// admitted, at their last Release.
 	Evictions int64
-	// L2Evictions counts encoded blobs dropped to fit the L2 budget.
+	// L2Evictions counts encoded blobs dropped to fit the L2 budget, the
+	// same way.
 	L2Evictions int64
 	// Invalidations counts blocks and blobs dropped by generation
 	// invalidation, across both tiers.
@@ -183,32 +409,21 @@ func (s Stats) Summary() string {
 // Cache is the shared block cache. The zero value is not usable; use New
 // or NewTiered.
 type Cache struct {
-	budget   int64 // < 0 unlimited; >= 0 resident-byte budget (0 = pins only)
-	l2budget int64 // 0 disables the L2 tier; < 0 unlimited
+	mu sync.Mutex
+	l1 *tier[Key, any]      // decoded blocks
+	l2 *tier[L2Key, []byte] // encoded blobs; budget 0 disables the tier
 
-	mu       sync.Mutex
-	entries  map[Key]*entry
-	lru      *list.List // unpinned entries, most recently used at front
-	resident int64
-	pinned   int64
-
-	l2entries  map[L2Key]*l2entry
-	l2lru      *list.List
-	l2resident int64
-	l2pinned   int64
-
-	// spares are decoded blocks the cache has let go of — evicted or
+	// spares are decoded blocks the cache has let go of — dropped or
 	// invalidated at refs == 0, so no handle can reach them — kept for
 	// GetTiered to hand to the next decode instead of to the garbage
 	// collector. See recycleLocked for the bound.
-	spares     []*entry
+	spares     []*entry[Key, any]
 	spareBytes int64
 
-	hits, l2hits, misses                  atomic.Int64
-	evictions, l2evictions, invalidations atomic.Int64
+	hits, l2hits, misses, invalidations atomic.Int64
 }
 
-// New creates a single-tier cache with the given resident-byte budget. A
+// New creates a single-tier cache with the given retained-byte budget. A
 // negative budget means unlimited; zero keeps nothing beyond the
 // currently pinned blocks (caching disabled, but loads still coalesce
 // and handles still pin, so pipelined prefetch works unchanged).
@@ -220,53 +435,37 @@ func New(budget int64) *Cache {
 // (l1) and encoded blobs (l2). l2 == 0 disables the encoded tier —
 // GetTiered then behaves exactly like Get with a composed loader.
 func NewTiered(l1, l2 int64) *Cache {
-	return &Cache{
-		budget:    l1,
-		l2budget:  l2,
-		entries:   make(map[Key]*entry),
-		lru:       list.New(),
-		l2entries: make(map[L2Key]*l2entry),
-		l2lru:     list.New(),
-	}
+	c := &Cache{l2: newTier[L2Key, []byte](l2, nil)}
+	c.l1 = newTier(l1, c.recycleLocked)
+	return c
 }
 
-// DefaultL2Frac is the fraction of a combined cache budget given to the
-// encoded tier when the caller does not choose one. Encoded blobs are
-// 3-4x denser than decoded blocks, so a quarter of the bytes holds
-// roughly as many sub-shards as the decoded three quarters.
-const DefaultL2Frac = 0.25
-
 // SplitBudget divides a combined cache budget between the tiers. frac is
-// the L2 share: 0 picks DefaultL2Frac, negative disables L2, and values
-// are capped at 0.9 so L1 always keeps working room. An unlimited
-// (negative) total disables L2 outright — with no eviction pressure in
-// L1 the encoded tier would only duplicate bytes.
+// the encoded tier's share: zero or negative gives the whole budget to
+// decoded blocks, and values are capped at 0.9 so L1 always keeps
+// working room. An unlimited (negative) total disables L2 outright —
+// with nothing ever dropped from L1 the encoded tier would only
+// duplicate bytes.
 func SplitBudget(total int64, frac float64) (l1, l2 int64) {
-	if total < 0 || frac < 0 {
+	if total < 0 || frac <= 0 {
 		return total, 0
 	}
-	if frac == 0 {
-		frac = DefaultL2Frac
-	}
-	if frac > 0.9 {
-		frac = 0.9
-	}
-	l2 = int64(float64(total) * frac)
+	l2 = int64(float64(total) * min(frac, 0.9))
 	return total - l2, l2
 }
 
-// Budget returns the configured L1 resident-byte budget (< 0 = unlimited).
-func (c *Cache) Budget() int64 { return c.budget }
+// Budget returns the configured L1 retained-byte budget (< 0 = unlimited).
+func (c *Cache) Budget() int64 { return c.l1.budget }
 
 // L2Budget returns the configured L2 budget (0 = tier disabled).
-func (c *Cache) L2Budget() int64 { return c.l2budget }
+func (c *Cache) L2Budget() int64 { return c.l2.budget }
 
 // Handle is a pinned reference to a cached block. The block cannot be
-// evicted until Release; the value must not be mutated (it is shared by
+// dropped until Release; the value must not be mutated (it is shared by
 // every concurrent holder).
 type Handle struct {
 	c        *Cache
-	e        *entry
+	e        *entry[Key, any]
 	released atomic.Bool
 }
 
@@ -282,7 +481,7 @@ func (h *Handle) Release() {
 		return
 	}
 	h.c.mu.Lock()
-	h.c.unref(h.e)
+	h.c.l1.unref(h.e)
 	h.c.mu.Unlock()
 }
 
@@ -291,45 +490,21 @@ func (h *Handle) Release() {
 // load, the rest wait and share the result. A load error is returned to
 // every waiter and nothing is cached.
 func (c *Cache) Get(key Key, load func() (val any, size int64, err error)) (*Handle, error) {
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.ref(e)
-		c.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			c.mu.Lock()
-			e.refs-- // never resident: no accounting to unwind
-			c.mu.Unlock()
-			return nil, e.err
-		}
-		c.hits.Add(1)
-		return &Handle{c: c, e: e}, nil
-	}
-	e := &entry{key: key, ready: make(chan struct{}), refs: 1}
-	c.entries[key] = e
-	c.mu.Unlock()
+	return c.getL1(key, load, true)
+}
 
-	val, size, err := load()
-
+// getL1 is Get; disk says that load reads the store, so a successful one
+// is a miss.
+func (c *Cache) getL1(key Key, load func() (any, int64, error), disk bool) (*Handle, error) {
 	c.mu.Lock()
-	e.val, e.size, e.err = val, size, err
-	if err != nil {
-		// Only remove the mapping if it is still ours — an invalidation
-		// may have dropped it and a successor entry may own the key now.
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		e.refs--
-	} else {
-		c.resident += size
-		c.pinned += size
-		c.misses.Add(1)
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.ready)
+	e, hit, err := c.l1.get(&c.mu, key, load)
 	if err != nil {
 		return nil, err
+	}
+	if hit {
+		c.hits.Add(1)
+	} else if disk {
+		c.misses.Add(1)
 	}
 	return &Handle{c: c, e: e}, nil
 }
@@ -351,151 +526,54 @@ func (c *Cache) Get(key Key, load func() (val any, size int64, err error)) (*Han
 // as val. Ownership passes to decode; a spare it does not return is
 // garbage.
 func (c *Cache) GetTiered(key Key, want int64, loadRaw func() ([]byte, error), decode func(blob []byte, spare any) (val any, size int64, err error)) (*Handle, error) {
-	if c.l2budget == 0 {
-		return c.Get(key, func() (any, int64, error) {
+	if c.l2.budget == 0 {
+		return c.getL1(key, func() (any, int64, error) {
 			blob, err := loadRaw()
 			if err != nil {
 				return nil, 0, err
 			}
 			return decode(blob, c.takeSpare(want))
-		})
+		}, true)
 	}
-
-	c.mu.Lock()
-	if e, ok := c.entries[key]; ok {
-		c.ref(e)
-		c.mu.Unlock()
-		<-e.ready
-		if e.err != nil {
-			c.mu.Lock()
-			e.refs--
-			c.mu.Unlock()
-			return nil, e.err
-		}
-		c.hits.Add(1)
-		return &Handle{c: c, e: e}, nil
-	}
-	// L1 miss: claim the key (single-flight for this decoded form), then
-	// fetch the blob with an L2 ref held across the decode.
-	e := &entry{key: key, ready: make(chan struct{}), refs: 1}
-	c.entries[key] = e
-
-	le, err := c.l2get(key.l2(), loadRaw) // unlocks c.mu
-	var val any
-	var size int64
-	if err == nil {
-		val, size, err = decode(le.blob, c.takeSpare(want))
+	// The L1 entry is claimed first (single-flight for this decoded
+	// form); its load fetches the blob with an L2 reference held across
+	// the decode.
+	return c.getL1(key, func() (any, int64, error) {
 		c.mu.Lock()
-		c.l2unref(le)
+		le, hit, err := c.l2.get(&c.mu, key.l2(), func() ([]byte, int64, error) {
+			blob, err := loadRaw()
+			return blob, int64(len(blob)), err
+		})
+		if err != nil {
+			return nil, 0, err
+		}
+		if hit {
+			// Served from RAM even if we waited on another caller's disk
+			// read: only one read happened.
+			c.l2hits.Add(1)
+		} else {
+			c.misses.Add(1)
+		}
+		val, size, err := decode(le.val, c.takeSpare(want))
+		c.mu.Lock()
+		c.l2.unref(le)
 		c.mu.Unlock()
-	}
-
-	c.mu.Lock()
-	e.val, e.size, e.err = val, size, err
-	if err != nil {
-		if c.entries[key] == e {
-			delete(c.entries, key)
-		}
-		e.refs--
-	} else {
-		c.resident += size
-		c.pinned += size
-		c.evictLocked()
-	}
-	c.mu.Unlock()
-	close(e.ready)
-	if err != nil {
-		return nil, err
-	}
-	return &Handle{c: c, e: e}, nil
-}
-
-// l2get returns the blob entry for k with one reference held by the
-// caller, loading it via loadRaw on an L2 miss. Called with c.mu held;
-// returns with it released. On error no reference is held.
-func (c *Cache) l2get(k L2Key, loadRaw func() ([]byte, error)) (*l2entry, error) {
-	if le, ok := c.l2entries[k]; ok {
-		c.l2ref(le)
-		c.mu.Unlock()
-		<-le.ready
-		if le.err != nil {
-			c.mu.Lock()
-			le.refs--
-			c.mu.Unlock()
-			return nil, le.err
-		}
-		// Served from RAM even if we waited on another caller's disk
-		// read: only one read happened.
-		c.l2hits.Add(1)
-		return le, nil
-	}
-	le := &l2entry{key: k, ready: make(chan struct{}), refs: 1}
-	c.l2entries[k] = le
-	c.mu.Unlock()
-
-	blob, err := loadRaw()
-
-	c.mu.Lock()
-	le.blob, le.size, le.err = blob, int64(len(blob)), err
-	if err != nil {
-		if c.l2entries[k] == le {
-			delete(c.l2entries, k)
-		}
-		le.refs--
-	} else {
-		c.l2resident += le.size
-		c.l2pinned += le.size
-		c.misses.Add(1)
-		c.evictL2Locked()
-	}
-	c.mu.Unlock()
-	close(le.ready)
-	if err != nil {
-		return nil, err
-	}
-	return le, nil
-}
-
-// ref pins e. Caller holds mu.
-func (c *Cache) ref(e *entry) {
-	if e.refs == 0 {
-		// Entries at refs == 0 are always ready and on the LRU list.
-		c.lru.Remove(e.elem)
-		e.elem = nil
-		c.pinned += e.size
-	}
-	e.refs++
-}
-
-// unref unpins e, retiring it if doomed or enqueueing it for eviction.
-// Caller holds mu.
-func (c *Cache) unref(e *entry) {
-	e.refs--
-	if e.refs > 0 || e.err != nil {
-		return
-	}
-	c.pinned -= e.size
-	if e.doomed {
-		c.resident -= e.size
-		c.recycleLocked(e)
-		return
-	}
-	e.elem = c.lru.PushFront(e)
-	c.evictLocked()
+		return val, size, err
+	}, false)
 }
 
 // recycleLocked keeps the block of e — unmapped and unpinned, so out of
 // every handle's reach — as the newest spare, then drops the oldest
 // until the spares are no larger than what is pinned right now. Misses
 // come from a pipeline that pins one fetch batch while it loads the
-// next: a released batch's worth of evictions is what its next batch of
-// misses can use, so one batch's pins is the measure, and nothing
-// pinned means nothing kept. There is no setting. Caller holds mu.
-func (c *Cache) recycleLocked(e *entry) {
+// next: a released batch's worth of dropped blocks is what its next
+// batch of misses can use, so one batch's pins is the measure, and
+// nothing pinned means nothing kept. There is no setting. Caller holds mu.
+func (c *Cache) recycleLocked(e *entry[Key, any]) {
 	c.spares = append(c.spares, e)
 	c.spareBytes += e.size
 	n := 0
-	for ; c.spareBytes > c.pinned; n++ {
+	for ; c.spareBytes > c.l1.pinned; n++ {
 		c.spareBytes -= c.spares[n].size
 	}
 	c.spares = slices.Delete(c.spares, 0, n) // clears the vacated tail: dropped means collectable
@@ -521,73 +599,6 @@ func (c *Cache) takeSpare(want int64) any {
 	return e.val
 }
 
-// evictLocked drops least-recently-used unpinned entries until resident
-// bytes fit the budget. Caller holds mu.
-func (c *Cache) evictLocked() {
-	if c.budget < 0 {
-		return
-	}
-	for c.resident > c.budget {
-		el := c.lru.Back()
-		if el == nil {
-			return // everything else is pinned; transient overage
-		}
-		e := el.Value.(*entry)
-		c.lru.Remove(el)
-		e.elem = nil
-		delete(c.entries, e.key)
-		c.resident -= e.size
-		c.evictions.Add(1)
-		c.recycleLocked(e)
-	}
-}
-
-// l2ref pins le. Caller holds mu.
-func (c *Cache) l2ref(le *l2entry) {
-	if le.refs == 0 {
-		c.l2lru.Remove(le.elem)
-		le.elem = nil
-		c.l2pinned += le.size
-	}
-	le.refs++
-}
-
-// l2unref unpins le. Caller holds mu.
-func (c *Cache) l2unref(le *l2entry) {
-	le.refs--
-	if le.refs > 0 || le.err != nil {
-		return
-	}
-	c.l2pinned -= le.size
-	if le.doomed {
-		c.l2resident -= le.size
-		return
-	}
-	le.elem = c.l2lru.PushFront(le)
-	c.evictL2Locked()
-}
-
-// evictL2Locked drops least-recently-used unpinned blobs until the tier
-// fits its budget. Blobs pinned by an in-flight decode are skipped the
-// same way pinned blocks are in L1. Caller holds mu.
-func (c *Cache) evictL2Locked() {
-	if c.l2budget < 0 {
-		return
-	}
-	for c.l2resident > c.l2budget {
-		el := c.l2lru.Back()
-		if el == nil {
-			return
-		}
-		le := el.Value.(*l2entry)
-		c.l2lru.Remove(el)
-		le.elem = nil
-		delete(c.l2entries, le.key)
-		c.l2resident -= le.size
-		c.l2evictions.Add(1)
-	}
-}
-
 // InvalidateGeneration drops every block of the given store generation.
 // Unpinned blocks are freed immediately; pinned ones are unmapped now
 // (no future Get can return them) and their bytes are returned when the
@@ -597,57 +608,25 @@ func (c *Cache) evictL2Locked() {
 func (c *Cache) InvalidateGeneration(gen uint64) {
 	c.mu.Lock()
 	defer c.mu.Unlock()
-	for k, e := range c.entries {
-		if k.Gen != gen {
-			continue
-		}
-		delete(c.entries, k)
-		c.invalidations.Add(1)
-		if e.refs == 0 {
-			c.lru.Remove(e.elem)
-			e.elem = nil
-			c.resident -= e.size
-			c.recycleLocked(e)
-		} else {
-			e.doomed = true
-		}
-	}
-	for k, le := range c.l2entries {
-		if k.Gen != gen {
-			continue
-		}
-		delete(c.l2entries, k)
-		c.invalidations.Add(1)
-		if le.refs == 0 {
-			c.l2lru.Remove(le.elem)
-			le.elem = nil
-			c.l2resident -= le.size
-		} else {
-			le.doomed = true
-		}
-	}
+	c.invalidations.Add(c.l1.invalidate(gen) + c.l2.invalidate(gen))
 }
 
 // Stats returns a snapshot of the cache counters.
 func (c *Cache) Stats() Stats {
 	c.mu.Lock()
-	blocks := int64(len(c.entries))
-	resident, pinned := c.resident, c.pinned
-	l2blocks := int64(len(c.l2entries))
-	l2resident, l2pinned := c.l2resident, c.l2pinned
-	c.mu.Unlock()
+	defer c.mu.Unlock()
 	return Stats{
 		Hits:            c.hits.Load(),
 		L2Hits:          c.l2hits.Load(),
 		Misses:          c.misses.Load(),
-		Evictions:       c.evictions.Load(),
-		L2Evictions:     c.l2evictions.Load(),
+		Evictions:       c.l1.evictions,
+		L2Evictions:     c.l2.evictions,
 		Invalidations:   c.invalidations.Load(),
-		Blocks:          blocks,
-		L2Blocks:        l2blocks,
-		ResidentBytes:   resident,
-		PinnedBytes:     pinned,
-		L2ResidentBytes: l2resident,
-		L2PinnedBytes:   l2pinned,
+		Blocks:          int64(len(c.l1.entries)),
+		L2Blocks:        int64(len(c.l2.entries)),
+		ResidentBytes:   c.l1.resident,
+		PinnedBytes:     c.l1.pinned,
+		L2ResidentBytes: c.l2.resident,
+		L2PinnedBytes:   c.l2.pinned,
 	}
 }

@@ -55,7 +55,11 @@ func TestHitMissAndRefcounting(t *testing.T) {
 	}
 }
 
-func TestLRUEvictionRespectsBudgetAndPins(t *testing.T) {
+// TestAdmissionRespectsBudgetAndPins: what the cache retains never
+// exceeds the budget, a pinned block is never dropped whether it was
+// admitted or not, and the one that did not fit is let go of at its
+// last Release.
+func TestAdmissionRespectsBudgetAndPins(t *testing.T) {
 	c := New(250)
 	var calls atomic.Int64
 	var handles []*Handle
@@ -67,25 +71,40 @@ func TestLRUEvictionRespectsBudgetAndPins(t *testing.T) {
 		handles = append(handles, h)
 	}
 	// All three pinned: 300 resident bytes exceed the 250 budget, but
-	// pins are never evicted.
-	if st := c.Stats(); st.ResidentBytes != 300 || st.Evictions != 0 {
-		t.Fatalf("pinned overage stats = %+v", st)
+	// pins are never dropped. The third did not fit and was not admitted.
+	if st := c.Stats(); st.ResidentBytes != 300 || st.Evictions != 0 || c.l1.retained != 200 {
+		t.Fatalf("pinned overage stats = %+v, retained %d", st, c.l1.retained)
+	}
+	if h, err := c.Get(key(1, 0, 2), load(&calls, "again", 100)); err != nil || h.Value() != "2" {
+		t.Fatalf("a pinned, unadmitted block was not shared: %v %v", h, err)
+	} else {
+		handles = append(handles, h)
 	}
 	for _, h := range handles {
+		if h.Value() == nil {
+			t.Fatal("pinned value dropped")
+		}
 		h.Release()
 	}
-	// Releasing lets eviction trim to the budget, oldest-released first.
+	// The last Release lets go of the block that was never admitted.
 	st := c.Stats()
 	if st.ResidentBytes != 200 || st.Blocks != 2 || st.Evictions != 1 {
 		t.Fatalf("post-release stats = %+v", st)
 	}
-	// Block 0 was the first released, so it is the LRU victim: a re-Get
-	// must miss.
-	if _, err := c.Get(key(1, 0, 0), load(&calls, "0", 100)); err != nil {
-		t.Fatal(err)
+	// The two that fitted are hits; the third is loaded again, and again
+	// not admitted: its count does not beat theirs by more than one.
+	for j, want := range []int64{3, 3, 4} {
+		h, err := c.Get(key(1, 0, j), load(&calls, fmt.Sprint(j), 100))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+		if calls.Load() != want {
+			t.Fatalf("after re-Get of block %d: %d loader calls, want %d", j, calls.Load(), want)
+		}
 	}
-	if calls.Load() != 4 {
-		t.Fatalf("loader calls = %d, want 4 (evicted block re-decoded)", calls.Load())
+	if st := c.Stats(); st.ResidentBytes != 200 || st.PinnedBytes != 0 {
+		t.Fatalf("final stats = %+v", st)
 	}
 }
 
@@ -102,6 +121,9 @@ func TestZeroBudgetKeepsNothingBeyondPins(t *testing.T) {
 	h.Release()
 	if st := c.Stats(); st.ResidentBytes != 0 || st.Blocks != 0 {
 		t.Fatalf("zero-budget cache retained a block: %+v", st)
+	}
+	if len(c.l1.count) != 0 {
+		t.Fatalf("zero-budget cache counts accesses it can never act on: %v", c.l1.count)
 	}
 }
 
@@ -468,10 +490,13 @@ func TestTieredErrors(t *testing.T) {
 	}
 }
 
-// TestTieredDisabledFallsBack: New() leaves the L2 tier off and GetTiered
-// degrades to plain Get semantics.
+// TestTieredDisabledFallsBack: New() and the default split leave the L2
+// tier off and GetTiered degrades to plain Get semantics.
 func TestTieredDisabledFallsBack(t *testing.T) {
-	c := New(1 << 20)
+	c := NewTiered(SplitBudget(1<<20, 0))
+	if New(1<<20).L2Budget() != 0 || c.L2Budget() != 0 || c.Budget() != 1<<20 {
+		t.Fatalf("default budgets: L1 %d, L2 %d", c.Budget(), c.L2Budget())
+	}
 	var reads, decodes atomic.Int64
 	h, err := c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, make([]byte, 8)), sizedDecode(&decodes, 2))
 	if err != nil {
@@ -498,9 +523,9 @@ func TestSplitBudget(t *testing.T) {
 		frac   float64
 		l1, l2 int64
 	}{
-		{1000, 0, 750, 250},   // default split
-		{1000, 0.5, 500, 500}, // explicit
-		{1000, -1, 1000, 0},   // negative frac disables L2
+		{1000, 0, 1000, 0},    // default: the whole budget decoded
+		{1000, 0.5, 500, 500}, // opt-in
+		{1000, -1, 1000, 0},   // negative frac still means off
 		{-1, 0.5, -1, 0},      // unlimited L1 disables L2
 		{1000, 2, 100, 900},   // clamped to 0.9
 		{0, 0.5, 0, 0},        // zero budget stays zero

@@ -117,9 +117,11 @@ type Config struct {
 	CacheBytes int64
 	// CacheL2Frac is the fraction of the block-cache budget held as
 	// encoded blobs instead of decoded blocks (see blockcache.SplitBudget):
-	// 0 picks blockcache.DefaultL2Frac, a negative value disables the
-	// encoded tier. Encoded v2 blobs are 3-4x denser, so the tier turns
-	// many would-be disk reads into in-RAM decodes.
+	// zero or negative, the default, gives the whole budget to decoded
+	// blocks. Encoded v2 blobs are 3-4x denser, so a positive share turns
+	// would-be disk reads into in-RAM decodes — a loss on page-cached
+	// files, where a read costs an eighth of a decode, and a win where
+	// reads are the cost (diskio.SSD and HDD; the sweep is in ADR-008).
 	CacheL2Frac float64
 	// TraceSpans bounds each run's span ring buffer (see internal/trace):
 	// 0 selects trace.DefaultCapacity, a positive value sets the bound,

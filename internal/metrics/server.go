@@ -133,7 +133,7 @@ var blockCacheMetrics = []struct {
 		func(s blockcache.Stats) int64 { return s.Hits }},
 	{"nxserve_blockcache_misses_total", "Sub-shard reads that decoded from disk.", "counter",
 		func(s blockcache.Stats) int64 { return s.Misses }},
-	{"nxserve_blockcache_evictions_total", "Blocks evicted to fit the cache budget.", "counter",
+	{"nxserve_blockcache_evictions_total", "Blocks dropped to fit the cache budget, admitted or not.", "counter",
 		func(s blockcache.Stats) int64 { return s.Evictions }},
 	{"nxserve_blockcache_invalidations_total", "Blocks dropped by store-generation invalidation.", "counter",
 		func(s blockcache.Stats) int64 { return s.Invalidations }},
@@ -145,7 +145,7 @@ var blockCacheMetrics = []struct {
 		func(s blockcache.Stats) int64 { return s.PinnedBytes }},
 	{"nxserve_blockcache_l2_hits_total", "Sub-shard reads decoded from the encoded-blob tier instead of disk.", "counter",
 		func(s blockcache.Stats) int64 { return s.L2Hits }},
-	{"nxserve_blockcache_l2_evictions_total", "Encoded blobs evicted to fit the L2 budget.", "counter",
+	{"nxserve_blockcache_l2_evictions_total", "Encoded blobs dropped to fit the L2 budget, admitted or not.", "counter",
 		func(s blockcache.Stats) int64 { return s.L2Evictions }},
 	{"nxserve_blockcache_l2_blocks", "Encoded sub-shard blobs resident.", "gauge",
 		func(s blockcache.Stats) int64 { return s.L2Blocks }},

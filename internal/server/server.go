@@ -52,8 +52,9 @@ type Config struct {
 	BlockCacheBytes int64
 	// BlockCacheL2Frac is the fraction of BlockCacheBytes held as encoded
 	// sub-shard blobs instead of decoded blocks (see
-	// blockcache.SplitBudget): 0 picks the default quarter, negative
-	// disables the encoded tier.
+	// blockcache.SplitBudget): zero or negative, the default, gives the
+	// whole budget to decoded blocks; a positive share pays where a
+	// disk read costs more than a decode (docs/adr/ADR-008).
 	BlockCacheL2Frac float64
 	// GraphOptions is applied when opening graphs via the API.
 	GraphOptions nxgraph.Options

@@ -147,8 +147,11 @@ type Options struct {
 	// CacheL2Frac is the fraction of the cache budget held as encoded
 	// blobs rather than decoded blocks: an L1 miss whose blob is still
 	// resident re-decodes from RAM instead of re-reading from disk.
-	// 0 picks the default split (a quarter); negative disables the
-	// encoded tier.
+	// Zero or negative, the default, gives the whole budget to decoded
+	// blocks, which is faster on the default Profile (Unthrottled:
+	// page-cached files, where a read costs an eighth of a decode). Set
+	// it when reads are the cost: under the SSD and HDD profiles half
+	// the budget or more as blobs wins (docs/adr/ADR-008).
 	CacheL2Frac float64
 	// Strategy overrides adaptive strategy selection.
 	Strategy Strategy
