@@ -31,7 +31,6 @@ func main() {
 		seed       = flag.Int64("seed", 42, "generator seed")
 		cacheMB    = flag.Int("cache-mb", -1, "sub-shard block cache budget in MiB per engine (-1 = derive from each experiment's budget, 0 = disable)")
 		l2Frac     = flag.Float64("cache-l2-frac", 0, "fraction of each cache budget held as encoded blobs (0 or negative = none, the default: fastest on page-cached files; 0.5-0.9 wins where a read costs more than a decode, see docs/adr/ADR-008)")
-		format     = flag.Int("format", 0, "store format the suite builds: 0 = current default, 1 = fixed-width, 2 = delta+varint compressed")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
 		showTrace  = flag.Bool("trace", false, "run a traced PageRank and print its per-iteration compute-vs-stall breakdown")
 		batch      = flag.Int("batch", 0, "run N personalized PageRank queries sequentially vs as one fused batch and print the speedup (0 = skip)")
@@ -52,7 +51,6 @@ func main() {
 		s.CacheBytes = -1 // disable
 	}
 	s.CacheL2Frac = *l2Frac
-	s.Format = *format
 	if !*quiet {
 		s.Log = os.Stderr
 	}

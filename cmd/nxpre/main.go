@@ -23,7 +23,6 @@ func main() {
 		weighted  = flag.Bool("weighted", false, "retain edge weights")
 		transpose = flag.Bool("transpose", false, "also materialize reverse edges (needed by wcc/scc/hits/kcore)")
 		verify    = flag.Bool("verify", false, "verify every store invariant after building")
-		format    = flag.Int("format", nxgraph.FormatV2, "store format version: 1 = fixed-width, 2 = delta+varint compressed")
 	)
 	flag.Parse()
 	if *in == "" || *store == "" {
@@ -33,7 +32,7 @@ func main() {
 	}
 	start := time.Now()
 	g, err := nxgraph.BuildFromFile(*store, *in, nxgraph.Options{
-		P: *p, Weighted: *weighted, Transpose: *transpose, Format: *format,
+		P: *p, Weighted: *weighted, Transpose: *transpose,
 	})
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nxpre:", err)

@@ -52,9 +52,6 @@ type Suite struct {
 	// CacheL2Frac is every engine's encoded-tier share of the cache
 	// budget (zero or negative = decoded tier only, the default).
 	CacheL2Frac float64
-	// Format selects the store encoding the suite writes; 0 picks
-	// storage.DefaultFormatVersion.
-	Format int
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 
@@ -120,7 +117,7 @@ func (s *Suite) buildStore(g *graph.EdgeList, p int, transpose bool, prof diskio
 	dir := fmt.Sprintf("store-%04d", s.nstore)
 	build := diskio.MustNew(wd, diskio.Unthrottled)
 	res, err := preprocess.FromEdgeList(build, dir, g, preprocess.Options{
-		Name: dir, P: p, Transpose: transpose, Format: s.Format,
+		Name: dir, P: p, Transpose: transpose,
 	})
 	if err != nil {
 		return nil, err

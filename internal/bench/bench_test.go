@@ -1,10 +1,15 @@
 package bench
 
 import (
+	"math"
 	"strings"
 	"testing"
 
+	"nxgraph/internal/algorithms"
+	"nxgraph/internal/engine"
+	"nxgraph/internal/gen"
 	"nxgraph/internal/metrics"
+	"nxgraph/internal/testutil"
 )
 
 // tinySuite shrinks every dataset far enough that the full experiment
@@ -43,6 +48,36 @@ func TestFig6(t *testing.T) {
 func TestTable4(t *testing.T) {
 	tab, err := tinySuite(t).Table4()
 	checkTable(t, tab, err, 3)
+}
+
+// TestSrcSortedAblationMatchesResults: Table IV's source-sorted side
+// computes the engine's PageRank on the same store — to rounding, as it
+// associates each destination's sum differently.
+func TestSrcSortedAblationMatchesResults(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 6))
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, p := range []int{4, 12} {
+		st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: p})
+		e, err := engine.New(st, engine.Config{Strategy: engine.SPU, Threads: 3})
+		if err != nil {
+			t.Fatal(err)
+		}
+		want, err := algorithms.PageRank(e, 0.85, 5)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, _, err := srcSortedPageRank(st, 0.85, 5, 3)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for v := range want.Attrs {
+			if math.Abs(got[v]-want.Attrs[v]) > 1e-12 {
+				t.Fatalf("P=%d: orderings disagree at %d: %v vs %v", p, v, got[v], want.Attrs[v])
+			}
+		}
+	}
 }
 
 func TestFig7(t *testing.T) {

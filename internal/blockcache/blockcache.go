@@ -32,10 +32,9 @@
 // decoded block, which makes holding encoded bytes a much cheaper way to
 // avoid disk than holding decoded ones. GetTiered exploits this with a
 // second tier: L1 holds decoded blocks (as above), L2 holds the raw
-// encoded blobs keyed without the decoded-form bit, so the CSR and flat
-// forms of one sub-shard share a single blob. An L1 miss that finds its
-// blob in L2 re-decodes from RAM instead of re-reading from disk; only an
-// L2 miss touches the store. Both tiers are one type (tier) with its own
+// encoded blobs under the same keys. An L1 miss that finds its blob in L2
+// re-decodes from RAM instead of re-reading from disk; only an L2 miss
+// touches the store. Both tiers are one type (tier) with its own
 // budget; the blob is pinned (refcounted) for the duration of the decode,
 // so L2 eviction can never free bytes a decode is still reading. The
 // encoded tier is off unless asked for (SplitBudget): on page-cached
@@ -50,9 +49,8 @@
 // NextGeneration, which lets many stores share one cache (one budget)
 // without key collisions.
 //
-// Values are opaque to the cache (`any` plus an explicit byte size), so
-// the same cache holds CSR sub-shards and the source-sorted ablation's
-// flattened form side by side.
+// Values are opaque to the cache (`any` plus an explicit byte size): it
+// knows nothing of the store format it holds blocks of.
 package blockcache
 
 import (
@@ -63,38 +61,13 @@ import (
 	"sync/atomic"
 )
 
-// Key identifies one decoded block: sub-shard (I, J) of the given
-// replica of the store generation Gen. Flat distinguishes the
-// source-sorted (Table IV ablation) form from the CSR form of the same
-// sub-shard.
+// Key identifies one block: sub-shard (I, J) of the given replica of the
+// store generation Gen. It keys both the decoded block in L1 and its
+// encoded blob in L2.
 type Key struct {
 	Gen       uint64
 	I, J      int
 	Transpose bool
-	Flat      bool
-}
-
-// L2Key identifies one encoded blob in the L2 tier. It is Key without
-// the Flat bit: the CSR and source-sorted forms of a sub-shard decode
-// from the same bytes, so they share one L2 entry.
-type L2Key struct {
-	Gen       uint64
-	I, J      int
-	Transpose bool
-}
-
-func (k Key) l2() L2Key {
-	return L2Key{Gen: k.Gen, I: k.I, J: k.J, Transpose: k.Transpose}
-}
-
-func (k Key) gen() uint64   { return k.Gen }
-func (k L2Key) gen() uint64 { return k.Gen }
-
-// cacheKey is what a tier needs of its keys: map identity and the store
-// generation InvalidateGeneration selects by.
-type cacheKey interface {
-	comparable
-	gen() uint64
 }
 
 // generation is the process-wide store-generation counter.
@@ -112,8 +85,8 @@ func NextGeneration() uint64 { return generation.Add(1) }
 // marks an entry whose generation was invalidated while pinned: it is
 // already removed from the map (no future get can find it) and its bytes
 // are returned on the final release.
-type entry[K comparable, V any] struct {
-	key   K
+type entry[V any] struct {
+	key   Key
 	ready chan struct{}
 	val   V
 	size  int64
@@ -148,9 +121,9 @@ const (
 // loads, the LRU order of the unpinned and admission by access count —
 // written once and instantiated for decoded blocks and for encoded
 // blobs. Every method is called with the owning Cache's mu held.
-type tier[K cacheKey, V any] struct {
+type tier[V any] struct {
 	budget    int64 // < 0 unlimited; >= 0 retained-byte budget (0 = pins only)
-	entries   map[K]*entry[K, V]
+	entries   map[Key]*entry[V]
 	lru       *list.List // retained unpinned entries, most recently used at front
 	resident  int64      // bytes of every entry a handle or the map reaches
 	retained  int64      // the subset the budget bounds
@@ -160,16 +133,16 @@ type tier[K cacheKey, V any] struct {
 	// count is how often each key was asked for lately, resident or not:
 	// a key that is streamed past every sweep must be able to out-count a
 	// retained one that is never asked for again.
-	count map[K]uint8
+	count map[Key]uint8
 	gets  int // since the last ageing
 
 	// drop receives an entry the tier has let go of at refs == 0,
 	// unmapped: nothing reaches its value any more.
-	drop func(*entry[K, V])
+	drop func(*entry[V])
 }
 
-func newTier[K cacheKey, V any](budget int64, drop func(*entry[K, V])) *tier[K, V] {
-	return &tier[K, V]{budget: budget, entries: make(map[K]*entry[K, V]), lru: list.New(), count: make(map[K]uint8), drop: drop}
+func newTier[V any](budget int64, drop func(*entry[V])) *tier[V] {
+	return &tier[V]{budget: budget, entries: make(map[Key]*entry[V]), lru: list.New(), count: make(map[Key]uint8), drop: drop}
 }
 
 // get returns the entry of k with one reference held, running load with
@@ -177,7 +150,7 @@ func newTier[K cacheKey, V any](budget int64, drop func(*entry[K, V])) *tier[K, 
 // gets of one key coalesce on the first one's load. A load error is
 // returned to every waiter, no reference is held and nothing is cached.
 // Called with mu held; returns with it released.
-func (t *tier[K, V]) get(mu *sync.Mutex, k K, load func() (V, int64, error)) (e *entry[K, V], hit bool, err error) {
+func (t *tier[V]) get(mu *sync.Mutex, k Key, load func() (V, int64, error)) (e *entry[V], hit bool, err error) {
 	t.touch(k)
 	e, hit = t.entries[k]
 	if hit {
@@ -191,7 +164,7 @@ func (t *tier[K, V]) get(mu *sync.Mutex, k K, load func() (V, int64, error)) (e 
 		mu.Unlock()
 		<-e.ready
 	} else {
-		e = &entry[K, V]{key: k, ready: make(chan struct{}), refs: 1}
+		e = &entry[V]{key: k, ready: make(chan struct{}), refs: 1}
 		t.entries[k] = e
 		mu.Unlock()
 		e.val, e.size, e.err = load()
@@ -222,7 +195,7 @@ func (t *tier[K, V]) get(mu *sync.Mutex, k K, load func() (V, int64, error)) (e 
 
 // touch counts one get of k. Nothing is counted where nothing is ever
 // decided: an unlimited tier admits everything, a zero budget nothing.
-func (t *tier[K, V]) touch(k K) {
+func (t *tier[V]) touch(k Key) {
 	if t.budget <= 0 {
 		return
 	}
@@ -250,7 +223,7 @@ func (t *tier[K, V]) touch(k K) {
 // budget/working-set that LRU turns into zero — and so does a lead of
 // one, which is all that an ageing in the middle of a sweep can open up
 // between two keys asked for equally often.
-func (t *tier[K, V]) admit(e *entry[K, V]) {
+func (t *tier[V]) admit(e *entry[V]) {
 	if e.doomed {
 		return
 	}
@@ -260,7 +233,7 @@ func (t *tier[K, V]) admit(e *entry[K, V]) {
 			if el == nil {
 				return // nothing is dropped for a block that will not fit
 			}
-			v := el.Value.(*entry[K, V])
+			v := el.Value.(*entry[V])
 			if n <= t.count[v.key]+1 {
 				return
 			}
@@ -268,7 +241,7 @@ func (t *tier[K, V]) admit(e *entry[K, V]) {
 			victims++
 		}
 		for ; victims > 0; victims-- {
-			v := t.lru.Remove(t.lru.Back()).(*entry[K, V])
+			v := t.lru.Remove(t.lru.Back()).(*entry[V])
 			v.elem = nil
 			t.evict(v)
 		}
@@ -279,14 +252,14 @@ func (t *tier[K, V]) admit(e *entry[K, V]) {
 
 // evict unmaps the unpinned e and frees it, counting a block dropped to
 // fit the budget, admitted earlier or not.
-func (t *tier[K, V]) evict(e *entry[K, V]) {
+func (t *tier[V]) evict(e *entry[V]) {
 	delete(t.entries, e.key)
 	t.evictions++
 	t.free(e)
 }
 
 // free returns the bytes of e, which is unmapped and unpinned.
-func (t *tier[K, V]) free(e *entry[K, V]) {
+func (t *tier[V]) free(e *entry[V]) {
 	t.resident -= e.size
 	if e.retained {
 		t.retained -= e.size
@@ -298,7 +271,7 @@ func (t *tier[K, V]) free(e *entry[K, V]) {
 
 // unref unpins e: a retained entry becomes the most recently used
 // displaceable one, any other is let go of at its last reference.
-func (t *tier[K, V]) unref(e *entry[K, V]) {
+func (t *tier[V]) unref(e *entry[V]) {
 	e.refs--
 	if e.refs > 0 || e.err != nil {
 		return
@@ -317,14 +290,14 @@ func (t *tier[K, V]) unref(e *entry[K, V]) {
 // invalidate unmaps every entry of the generation and forgets its
 // counts, returning how many entries it dropped. Unpinned entries are
 // let go of at once; pinned ones at their final unref.
-func (t *tier[K, V]) invalidate(gen uint64) (n int64) {
+func (t *tier[V]) invalidate(gen uint64) (n int64) {
 	for k := range t.count {
-		if k.gen() == gen {
+		if k.Gen == gen {
 			delete(t.count, k)
 		}
 	}
 	for k, e := range t.entries {
-		if k.gen() != gen {
+		if k.Gen != gen {
 			continue
 		}
 		delete(t.entries, k)
@@ -410,14 +383,14 @@ func (s Stats) Summary() string {
 // or NewTiered.
 type Cache struct {
 	mu sync.Mutex
-	l1 *tier[Key, any]      // decoded blocks
-	l2 *tier[L2Key, []byte] // encoded blobs; budget 0 disables the tier
+	l1 *tier[any]    // decoded blocks
+	l2 *tier[[]byte] // encoded blobs; budget 0 disables the tier
 
 	// spares are decoded blocks the cache has let go of — dropped or
 	// invalidated at refs == 0, so no handle can reach them — kept for
 	// GetTiered to hand to the next decode instead of to the garbage
 	// collector. See recycleLocked for the bound.
-	spares     []*entry[Key, any]
+	spares     []*entry[any]
 	spareBytes int64
 
 	hits, l2hits, misses, invalidations atomic.Int64
@@ -435,7 +408,7 @@ func New(budget int64) *Cache {
 // (l1) and encoded blobs (l2). l2 == 0 disables the encoded tier —
 // GetTiered then behaves exactly like Get with a composed loader.
 func NewTiered(l1, l2 int64) *Cache {
-	c := &Cache{l2: newTier[L2Key, []byte](l2, nil)}
+	c := &Cache{l2: newTier[[]byte](l2, nil)}
 	c.l1 = newTier(l1, c.recycleLocked)
 	return c
 }
@@ -465,7 +438,7 @@ func (c *Cache) L2Budget() int64 { return c.l2.budget }
 // every concurrent holder).
 type Handle struct {
 	c        *Cache
-	e        *entry[Key, any]
+	e        *entry[any]
 	released atomic.Bool
 }
 
@@ -513,11 +486,10 @@ func (c *Cache) getL1(key Key, load func() (any, int64, error), disk bool) (*Han
 // tier between the decoded tier and disk: an L1 hit returns the decoded
 // block; an L1 miss with the blob in L2 runs decode on the in-RAM bytes;
 // only an L2 miss runs loadRaw (the disk read). Both tiers single-flight
-// — concurrent callers coalesce per Key on the decode and per L2Key on
-// the disk read, so two decoded forms of one sub-shard share one read.
-// The blob stays pinned until decode returns, so eviction can never free
-// it mid-decode. With the L2 tier disabled this is Get with a composed
-// loader.
+// — concurrent callers of one Key coalesce on the decode and on the disk
+// read. The blob stays pinned until decode returns, so eviction can never
+// free it mid-decode. With the L2 tier disabled this is Get with a
+// composed loader.
 //
 // want is the size the caller expects decode to report, or 0. decode's
 // spare is then the smallest block of at least that size (and at most
@@ -535,12 +507,11 @@ func (c *Cache) GetTiered(key Key, want int64, loadRaw func() ([]byte, error), d
 			return decode(blob, c.takeSpare(want))
 		}, true)
 	}
-	// The L1 entry is claimed first (single-flight for this decoded
-	// form); its load fetches the blob with an L2 reference held across
-	// the decode.
+	// The L1 entry is claimed first (single-flight for the decode); its
+	// load fetches the blob with an L2 reference held across the decode.
 	return c.getL1(key, func() (any, int64, error) {
 		c.mu.Lock()
-		le, hit, err := c.l2.get(&c.mu, key.l2(), func() ([]byte, int64, error) {
+		le, hit, err := c.l2.get(&c.mu, key, func() ([]byte, int64, error) {
 			blob, err := loadRaw()
 			return blob, int64(len(blob)), err
 		})
@@ -569,7 +540,7 @@ func (c *Cache) GetTiered(key Key, want int64, loadRaw func() ([]byte, error), d
 // next: a released batch's worth of dropped blocks is what its next
 // batch of misses can use, so one batch's pins is the measure, and
 // nothing pinned means nothing kept. There is no setting. Caller holds mu.
-func (c *Cache) recycleLocked(e *entry[Key, any]) {
+func (c *Cache) recycleLocked(e *entry[any]) {
 	c.spares = append(c.spares, e)
 	c.spareBytes += e.size
 	n := 0

@@ -293,34 +293,6 @@ func TestTieredL2HitAvoidsDisk(t *testing.T) {
 	}
 }
 
-// TestTieredSharedBlobAcrossForms: the CSR and flat decoded forms of one
-// sub-shard differ only in Key.Flat, so they must share one L2 blob and
-// one disk read.
-func TestTieredSharedBlobAcrossForms(t *testing.T) {
-	c := NewTiered(1<<20, 1<<20)
-	var reads, decodes atomic.Int64
-	blob := make([]byte, 64)
-	csr := Key{Gen: 1, I: 2, J: 3}
-	flat := Key{Gen: 1, I: 2, J: 3, Flat: true}
-	h1, err := c.GetTiered(csr, 0, rawLoad(&reads, blob), sizedDecode(&decodes, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	h2, err := c.GetTiered(flat, 0, rawLoad(&reads, blob), sizedDecode(&decodes, 2))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if reads.Load() != 1 {
-		t.Fatalf("two decoded forms cost %d disk reads, want 1", reads.Load())
-	}
-	st := c.Stats()
-	if st.Blocks != 2 || st.L2Blocks != 1 || st.Misses != 1 || st.L2Hits != 1 {
-		t.Fatalf("stats = %+v", st)
-	}
-	h1.Release()
-	h2.Release()
-}
-
 // TestTieredNoDoubleCharge audits the accounting when a sub-shard is
 // resident in both tiers: each tier charges its own representation, a
 // pinned decoded handle pins L1 bytes only, and the blob is unpinned the
@@ -352,7 +324,7 @@ func TestTieredNoDoubleCharge(t *testing.T) {
 // a decode callback: the blob being decoded is pinned and must survive
 // the eviction pressure; the idle blob is the victim.
 func TestTieredDecodePinsBlob(t *testing.T) {
-	c := NewTiered(-1, 100)
+	c := NewTiered(0, 100) // L1 keeps no unpinned block: a re-Get decodes from L2
 	var reads atomic.Int64
 	blobA := []byte("aaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaaa") // 60 B
 	blobB := make([]byte, 60)
@@ -383,7 +355,7 @@ func TestTieredDecodePinsBlob(t *testing.T) {
 		t.Fatalf("stats = %+v, want blob B evicted and A resident", st)
 	}
 	var decodes atomic.Int64
-	h, err := c.GetTiered(Key{Gen: 1, Flat: true}, 0, rawLoad(&reads, blobA), sizedDecode(&decodes, 1))
+	h, err := c.GetTiered(key(1, 0, 0), 0, rawLoad(&reads, blobA), sizedDecode(&decodes, 1))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -424,9 +396,8 @@ func TestTieredInvalidateBothTiers(t *testing.T) {
 	}
 }
 
-// TestTieredSingleFlight: concurrent callers for both decoded forms of
-// one sub-shard coalesce to one disk read and at most one decode per
-// form.
+// TestTieredSingleFlight: concurrent callers for the two replicas of one
+// sub-shard coalesce to one disk read and one decode per replica.
 func TestTieredSingleFlight(t *testing.T) {
 	c := NewTiered(-1, -1)
 	var reads, decodes atomic.Int64
@@ -437,7 +408,7 @@ func TestTieredSingleFlight(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			<-start
-			k := Key{Gen: 1, I: 3, J: 4, Flat: w%2 == 0}
+			k := Key{Gen: 1, I: 3, J: 4, Transpose: w%2 == 0}
 			h, err := c.GetTiered(k, 0, rawLoad(&reads, make([]byte, 8)), sizedDecode(&decodes, 2))
 			if err != nil {
 				t.Error(err)
@@ -448,11 +419,8 @@ func TestTieredSingleFlight(t *testing.T) {
 	}
 	close(start)
 	wg.Wait()
-	if reads.Load() != 1 {
-		t.Fatalf("disk read %d times under concurrency, want 1", reads.Load())
-	}
-	if decodes.Load() != 2 {
-		t.Fatalf("decoded %d times, want 2 (one per form)", decodes.Load())
+	if reads.Load() != 2 || decodes.Load() != 2 {
+		t.Fatalf("read %d and decoded %d times under concurrency, want 2 each (one per replica)", reads.Load(), decodes.Load())
 	}
 }
 
@@ -548,7 +516,7 @@ func TestTieredConcurrentChurn(t *testing.T) {
 		go func(w int) {
 			defer wg.Done()
 			for n := 0; n < 300; n++ {
-				k := Key{Gen: uint64(1 + n%3), I: n % 5, J: (n + w) % 5, Flat: n%2 == 0}
+				k := Key{Gen: uint64(1 + n%3), I: n % 5, J: (n + w) % 5, Transpose: n%2 == 0}
 				h, err := c.GetTiered(k, 0,
 					func() ([]byte, error) { return make([]byte, 16), nil },
 					func(b []byte, _ any) (any, int64, error) { return b, 64, nil })

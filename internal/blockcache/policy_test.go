@@ -53,7 +53,7 @@ var tierProbes = []tierProbe{
 			return hit
 		},
 		held:   func(c *Cache) (int64, int) { return c.l2.retained, len(c.l2.count) },
-		tracks: func(c *Cache, k Key) bool { return c.l2.count[k.l2()] > 0 },
+		tracks: func(c *Cache, k Key) bool { return c.l2.count[k] > 0 },
 	},
 }
 

@@ -501,9 +501,8 @@ func TestAbortedStepLeavesNoDirtyAccumulator(t *testing.T) {
 	}
 }
 
-// TestFusedRejections: mismatched Zero values and a wide run under the
-// source-sorted ablation order must be refused at construction (one lane
-// under the ablation is an ordinary ablation run).
+// TestFusedRejections: mismatched Zero values must be refused at
+// construction.
 func TestFusedRejections(t *testing.T) {
 	g, err := gen.Uniform(100, 800, 2)
 	if err != nil {
@@ -517,21 +516,6 @@ func TestFusedRejections(t *testing.T) {
 	if err == nil || !strings.Contains(err.Error(), "Zero") {
 		t.Fatalf("mixed-Zero batch: err = %v, want Zero mismatch", err)
 	}
-
-	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 3})
-	eAbl, err := engine.New(st, engine.Config{Threads: 1, Order: engine.SrcSortedCoarse, Strategy: engine.SPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	_, err = eAbl.NewBatchRun([]engine.Program{algorithms.NewBFSProgram(0), algorithms.NewBFSProgram(1)}, engine.Forward)
-	if err == nil || !strings.Contains(err.Error(), "source-sorted") {
-		t.Fatalf("ablation batch: err = %v, want source-sorted rejection", err)
-	}
-	one, err := eAbl.NewBatchRun([]engine.Program{algorithms.NewBFSProgram(0)}, engine.Forward)
-	if err != nil {
-		t.Fatalf("one-lane ablation run: %v", err)
-	}
-	one.Close()
 }
 
 // specialProg is a min-fold program whose vertices start from arbitrary

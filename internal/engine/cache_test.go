@@ -1,42 +1,30 @@
 package engine_test
 
 import (
-	"fmt"
 	"testing"
 
 	"nxgraph/internal/algorithms"
 	"nxgraph/internal/engine"
 	"nxgraph/internal/gen"
-	"nxgraph/internal/graph"
 	"nxgraph/internal/storage"
 	"nxgraph/internal/testutil"
 )
 
 // TestCacheEquivalenceAcrossStrategies is the block-cache and store-
 // format correctness gate: PageRank and WCC must produce bit-identical
-// attributes on v1 and v2 stores, with the cache unlimited, tightly
+// attributes on the checked-in v1 store (testutil.V1Store) and on a v2
+// store built from the same edge list, with the cache unlimited, tightly
 // budgeted (evicting mid-iteration), disabled, and tiered (encoded blobs
 // re-decoding on L1 misses), under SPU, DPU and MPU. The read path is
 // the only thing the cache and the encoding change, so any divergence
 // means a stale, corrupted, or mis-decoded block.
 func TestCacheEquivalenceAcrossStrategies(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 11))
-	if err != nil {
-		t.Fatal(err)
-	}
+	v1, g := testutil.V1Store(t)
+	v2, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4, Weighted: true, Transpose: true})
 	stores := []struct {
 		name string
 		st   *storage.Store
-	}{}
-	var oracle *graph.EdgeList
-	for _, f := range []int{storage.FormatV1, storage.FormatV2} {
-		st, o := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4, Transpose: true, Format: f})
-		stores = append(stores, struct {
-			name string
-			st   *storage.Store
-		}{fmt.Sprintf("v%d", f), st})
-		oracle = o
-	}
+	}{{"v1", v1}, {"v2", v2}}
 	pingPong := 2 * int64(oracle.NumVertices) * engine.Ba
 
 	strategies := []struct {
@@ -256,7 +244,7 @@ func TestTieredCacheCutsDiskReads(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4, Format: storage.FormatV2})
+	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4})
 	e, err := engine.New(st, engine.Config{
 		Threads:     2,
 		CacheBytes:  64 << 10, // far below the decoded edge set

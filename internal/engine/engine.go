@@ -66,26 +66,6 @@ func (m SyncMode) String() string {
 	return "callback"
 }
 
-// Order is the Table IV ablation knob: how edges inside a sub-shard are
-// traversed and parallelized.
-type Order int
-
-const (
-	// DstSortedFine is NXgraph's destination-sorted order with
-	// fine-grained (per destination range) parallelism.
-	DstSortedFine Order = iota
-	// SrcSortedCoarse emulates the GraphChi-style source-sorted order
-	// with coarse-grained (per sub-shard, interval-locked) parallelism.
-	SrcSortedCoarse
-)
-
-func (o Order) String() string {
-	if o == SrcSortedCoarse {
-		return "src-sorted-coarse"
-	}
-	return "dst-sorted-fine"
-}
-
 // Ba is the attribute size in bytes (float64), matching the paper's
 // PageRank accounting.
 const Ba = 8
@@ -100,8 +80,6 @@ type Config struct {
 	Strategy Strategy
 	// Sync picks the synchronization mechanism.
 	Sync SyncMode
-	// Order is the Table IV ablation (destination- vs source-sorted).
-	Order Order
 	// MaxIterations caps the number of iterations; 0 means run until
 	// every interval is inactive.
 	MaxIterations int

@@ -83,32 +83,6 @@ func BenchmarkSyncModes(b *testing.B) {
 	}
 }
 
-// BenchmarkOrderAblation is the micro version of Table IV: destination-
-// sorted fine-grained vs source-sorted coarse-grained processing.
-func BenchmarkOrderAblation(b *testing.B) {
-	g := benchGraph(b)
-	for _, order := range []engine.Order{engine.DstSortedFine, engine.SrcSortedCoarse} {
-		b.Run(order.String(), func(b *testing.B) {
-			st, oracle := testutil.BuildStore(b, g, testutil.StoreOptions{P: 8})
-			e, err := engine.New(st, engine.Config{Order: order, Threads: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			run, err := e.NewRun(algorithms.NewPageRankProgram(oracle.NumVertices, 0.85), engine.Forward)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer run.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := run.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkChunkSizes probes the fine-grained task granularity knob.
 func BenchmarkChunkSizes(b *testing.B) {
 	g := benchGraph(b)

@@ -276,38 +276,6 @@ func TestSetAttrsRoundTrip(t *testing.T) {
 	}
 }
 
-func TestSrcSortedAblationMatchesResults(t *testing.T) {
-	g, _ := gen.RMAT(gen.DefaultRMAT(9, 8, 6))
-	run := func(order engine.Order) []float64 {
-		e, oracle := buildEngine(t, g, 4, engine.Config{Order: order, Threads: 3})
-		res, err := algorithms.PageRank(e, 0.85, 5)
-		if err != nil {
-			t.Fatal(err)
-		}
-		_ = oracle
-		return res.Attrs
-	}
-	a := run(engine.DstSortedFine)
-	b := run(engine.SrcSortedCoarse)
-	for v := range a {
-		if math.Abs(a[v]-b[v]) > 1e-12 {
-			t.Fatalf("orderings disagree at %d: %v vs %v", v, a[v], b[v])
-		}
-	}
-}
-
-func TestSrcSortedRequiresSPU(t *testing.T) {
-	g, _ := gen.Uniform(100, 500, 3)
-	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4})
-	e, err := engine.New(st, engine.Config{Order: engine.SrcSortedCoarse, Strategy: engine.DPU})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := e.NewRun(algorithms.NewPageRankProgram(100, 0.85), engine.Forward); err == nil {
-		t.Fatal("src-sorted DPU accepted")
-	}
-}
-
 func TestReverseRequiresTranspose(t *testing.T) {
 	g, _ := gen.Uniform(100, 500, 3)
 	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4, Transpose: false})
@@ -373,8 +341,5 @@ func TestStringers(t *testing.T) {
 	if engine.Forward.String() != "forward" || engine.Reverse.String() != "reverse" ||
 		engine.Both.String() != "both" {
 		t.Fatal("Direction strings")
-	}
-	if engine.DstSortedFine.String() == engine.SrcSortedCoarse.String() {
-		t.Fatal("Order strings")
 	}
 }

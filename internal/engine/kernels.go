@@ -2,7 +2,6 @@ package engine
 
 import (
 	"math"
-	"sort"
 
 	"nxgraph/internal/bitset"
 	"nxgraph/internal/storage"
@@ -17,11 +16,16 @@ type view struct {
 
 func (v view) at(id uint32) float64 { return v.vals[id-v.base] }
 
-// gatherCSR processes destinations k0 ≤ k < k1 of a destination-sorted
-// sub-shard: for each distinct destination it folds the Gather
-// contributions of its (source-sorted) in-edges with Sum and folds the
-// result into acc. Distinct destination ranges are disjoint, so concurrent
-// calls with non-overlapping [k0,k1) need no synchronization — this is the
+// gatherCSR is the interface-path gather kernel, the reference the
+// specialized kernels are checked against: for each distinct destination
+// k0 ≤ k < k1 of a destination-sorted sub-shard it folds the Gather
+// contributions of its (source-sorted) in-edges with Sum, starting from
+// Zero. When hub is non-nil the partial is assigned to hub[k] (parallel
+// to ss.Dsts — the ToHub kernel; every k is assigned, so reused arrays
+// need no zeroing, and a destination whose base edges are all tombstoned
+// stores Zero, which folds as a no-op); otherwise it is Sum-folded into
+// acc. Distinct destination ranges are disjoint, so concurrent calls with
+// non-overlapping [k0,k1) need no synchronization — this is the
 // fine-grained parallelism of paper §III-D.
 //
 // del, when non-nil, is the delta-overlay tombstone predicate: base edges
@@ -29,7 +33,7 @@ func (v view) at(id uint32) float64 { return v.vals[id-v.base] }
 // graph without rewriting the sub-shard on disk. Only a range that is a
 // single dirty destination carries one (see cellTombs.gather); every
 // other range passes nil and pays nothing.
-func gatherCSR(p Program, deg []uint32, mask *bitset.Set, del func(src, dst uint32) bool, ss *storage.SubShard, src view, acc view, k0, k1 int) {
+func gatherCSR(p Program, deg []uint32, mask *bitset.Set, del delPred, ss *storage.SubShard, src, acc view, hub []float64, k0, k1 int) {
 	zero := p.Zero()
 	for k := k0; k < k1; k++ {
 		local := zero
@@ -49,106 +53,11 @@ func gatherCSR(p Program, deg []uint32, mask *bitset.Set, del func(src, dst uint
 			}
 			local = p.Sum(local, p.Gather(src.at(s), deg[s], w))
 		}
-		acc.vals[d-acc.base] = p.Sum(acc.vals[d-acc.base], local)
-	}
-}
-
-// gatherToHub is gatherCSR writing per-destination partials into out[k]
-// (parallel to ss.Dsts) instead of a dense accumulator — the ToHub
-// kernel. Every k in [k0, k1) is assigned (not accumulated), so reused
-// out arrays need no zeroing. del is the same tombstone predicate as in
-// gatherCSR; a destination whose base edges are all tombstoned stores
-// Zero, which folds as a no-op.
-func gatherToHub(p Program, deg []uint32, mask *bitset.Set, del func(src, dst uint32) bool, ss *storage.SubShard, src view, out []float64, k0, k1 int) {
-	zero := p.Zero()
-	for k := k0; k < k1; k++ {
-		local := zero
-		d := ss.Dsts[k]
-		lo, hi := ss.Offsets[k], ss.Offsets[k+1]
-		for t := lo; t < hi; t++ {
-			s := ss.Srcs[t]
-			if mask != nil && mask.Test(int(s)) {
-				continue
-			}
-			if del != nil && del(s, d) {
-				continue
-			}
-			w := float32(1)
-			if ss.Weights != nil {
-				w = ss.Weights[t]
-			}
-			local = p.Sum(local, p.Gather(src.at(s), deg[s], w))
+		if hub != nil {
+			hub[k] = local
+		} else {
+			acc.vals[d-acc.base] = p.Sum(acc.vals[d-acc.base], local)
 		}
-		out[k] = local
-	}
-}
-
-// srcSortedEdges is the Table IV ablation form of a sub-shard: plain edge
-// triples ordered by source id (GraphChi's ordering).
-type srcSortedEdges struct {
-	srcs, dsts []uint32
-	ws         []float32
-}
-
-// toSrcSorted flattens a destination-sorted sub-shard into source order.
-func toSrcSorted(ss *storage.SubShard) *srcSortedEdges {
-	m := ss.NumEdges()
-	e := &srcSortedEdges{
-		srcs: make([]uint32, m),
-		dsts: make([]uint32, m),
-	}
-	if ss.Weights != nil {
-		e.ws = make([]float32, m)
-	}
-	idx := 0
-	for k := range ss.Dsts {
-		for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
-			e.srcs[idx] = ss.Srcs[t]
-			e.dsts[idx] = ss.Dsts[k]
-			if e.ws != nil {
-				e.ws[idx] = ss.Weights[t]
-			}
-			idx++
-		}
-	}
-	order := make([]int, m)
-	for i := range order {
-		order[i] = i
-	}
-	sort.SliceStable(order, func(a, b int) bool { return e.srcs[order[a]] < e.srcs[order[b]] })
-	out := &srcSortedEdges{
-		srcs: make([]uint32, m),
-		dsts: make([]uint32, m),
-	}
-	if e.ws != nil {
-		out.ws = make([]float32, m)
-	}
-	for i, o := range order {
-		out.srcs[i] = e.srcs[o]
-		out.dsts[i] = e.dsts[o]
-		if e.ws != nil {
-			out.ws[i] = e.ws[o]
-		}
-	}
-	return out
-}
-
-// gatherSrcSorted scatters contributions edge-by-edge in source order —
-// the coarse-grained comparison point of Table IV. The caller must hold
-// the destination interval's lock; destinations are visited in effectively
-// random order, so per-destination folding cannot be batched.
-func gatherSrcSorted(p Program, deg []uint32, mask *bitset.Set, e *srcSortedEdges, src view, acc view) {
-	for t := range e.srcs {
-		s := e.srcs[t]
-		if mask != nil && mask.Test(int(s)) {
-			continue
-		}
-		w := float32(1)
-		if e.ws != nil {
-			w = e.ws[t]
-		}
-		d := e.dsts[t]
-		acc.vals[d-acc.base] = p.Sum(acc.vals[d-acc.base], p.Gather(src.at(s), deg[s], w))
 	}
 }
 

@@ -71,9 +71,6 @@ func (r *Run) initOverlay() error {
 	if ov == nil {
 		return nil
 	}
-	if r.e.cfg.Order == SrcSortedCoarse {
-		return fmt.Errorf("engine: source-sorted ablation does not support delta overlays")
-	}
 	r.ov = ov
 	r.ovOut, r.ovIn = ov.Degrees()
 	return nil

@@ -19,12 +19,8 @@ import (
 // map lookup; misses decode once and publish for every run on the store.
 
 // cellID names one block a phase needs: sub-shard (i, j) of traversal
-// flag d (1 = transpose), optionally in the source-sorted flat form of
-// the Table IV ablation.
-type cellID struct {
-	d, i, j int
-	flat    bool
-}
+// flag d (1 = transpose).
+type cellID struct{ d, i, j int }
 
 // spanNames interns span label strings across runs: block labels keyed
 // by cellID, indexed labels (iter-3, row-0, ...) by nameKey. The label
@@ -53,9 +49,9 @@ func spanName(prefix string, n int) string {
 	return s
 }
 
-// name renders the cell for span labels: f/t for forward/transpose, *
-// for the flat ablation form. Interned — this runs once per block
-// acquisition on the traced read path.
+// name renders the cell for span labels: f/t for forward/transpose.
+// Interned — this runs once per block acquisition on the traced read
+// path.
 func (c cellID) name() string {
 	if v, ok := spanNames.Load(c); ok {
 		return v.(string)
@@ -63,9 +59,6 @@ func (c cellID) name() string {
 	p := "f"
 	if c.d == 1 {
 		p = "t"
-	}
-	if c.flat {
-		p += "*"
 	}
 	s := p + "[" + strconv.Itoa(c.i) + "," + strconv.Itoa(c.j) + "]"
 	spanNames.Store(c, s)
@@ -90,20 +83,17 @@ var poisonSpare func(*storage.SubShard)
 // safe is the one Handle already states — nothing may keep a
 // *storage.SubShard past its handle's Release.
 func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded int64, err error) {
-	key := blockcache.Key{Gen: r.e.cacheGen, I: c.i, J: c.j, Transpose: c.d == 1, Flat: c.flat}
+	key := blockcache.Key{Gen: r.e.cacheGen, I: c.i, J: c.j, Transpose: c.d == 1}
 	m := r.e.store.Meta()
-	var want int64 // SubShard.MemBytes of the block about to be decoded
-	if !c.flat {
-		info := r.subShardInfosFor(c.d)[c.i*m.P+c.j]
-		want = 4 * (2*info.Dsts + 1 + info.Edges)
-		if m.Weighted {
-			want += 4 * info.Edges
-		}
+	info := r.subShardInfosFor(c.d)[c.i*m.P+c.j]
+	want := 4 * (2*info.Dsts + 1 + info.Edges) // SubShard.MemBytes of the block about to be decoded
+	if m.Weighted {
+		want += 4 * info.Edges
 	}
 	h, err = r.e.cache.GetTiered(key, want,
 		func() ([]byte, error) {
-			// The disk read: single-flighted per sub-shard across both
-			// decoded forms; reaching it is exactly one Stats miss.
+			// The disk read: single-flighted per sub-shard; reaching it
+			// is exactly one Stats miss.
 			missed = true
 			return r.e.store.ReadSubShardRaw(c.i, c.j, c.d == 1)
 		},
@@ -116,11 +106,6 @@ func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded in
 			if err != nil {
 				return nil, 0, fmt.Errorf("decode %s: %w", c.name(), err)
 			}
-			if c.flat {
-				fl := toSrcSorted(ss)
-				decoded = fl.memBytes()
-				return fl, decoded, nil
-			}
 			decoded = want
 			return ss, ss.MemBytes(), nil
 		})
@@ -128,7 +113,7 @@ func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded in
 }
 
 // getBlock pins cell c's block with an individually recorded block-load
-// span. It serves the step loop's batchBlock fallbacks — rare,
+// span. It serves the step loop's batchSubShard fallbacks — rare,
 // unplanned loads — so the trace counters it touches are atomics.
 func (r *Run) getBlock(c cellID) (*blockcache.Handle, error) {
 	var sp trace.Span
@@ -238,7 +223,7 @@ type fetchBatch struct {
 
 // emptyBatch returns a completed batch with no blocks, for consumers
 // whose batch was not planned (all their loads fall back to synchronous
-// pins via batchBlock).
+// pins via batchSubShard).
 func emptyBatch() *fetchBatch {
 	b := &fetchBatch{done: make(chan struct{})}
 	close(b.done)
@@ -304,48 +289,20 @@ func (b *fetchBatch) release() {
 	b.handles, b.extra = nil, nil
 }
 
-// batchBlock returns cell c's pinned block from the batch, falling back
-// to a synchronous load (recorded in the batch so release covers it)
-// when the planner did not anticipate the cell. Callers must have
-// wait()ed on the batch.
-func (r *Run) batchBlock(b *fetchBatch, c cellID) (*blockcache.Handle, error) {
-	if h, ok := b.handles[c]; ok {
-		return h, nil
-	}
-	h, err := r.getBlock(c)
-	if err != nil {
-		return nil, err
-	}
-	b.extra = append(b.extra, h)
-	return h, nil
-}
-
-// batchSubShard is batchBlock typed for CSR sub-shards.
+// batchSubShard returns cell c's pinned sub-shard from the batch,
+// falling back to a synchronous load (recorded in the batch so release
+// covers it) when the planner did not anticipate the cell. Callers must
+// have wait()ed on the batch.
 func (r *Run) batchSubShard(b *fetchBatch, c cellID) (*storage.SubShard, error) {
-	h, err := r.batchBlock(b, c)
-	if err != nil {
-		return nil, err
+	h, ok := b.handles[c]
+	if !ok {
+		var err error
+		if h, err = r.getBlock(c); err != nil {
+			return nil, err
+		}
+		b.extra = append(b.extra, h)
 	}
 	return h.Value().(*storage.SubShard), nil
-}
-
-// batchFlat is batchBlock typed for the source-sorted ablation form.
-func (r *Run) batchFlat(b *fetchBatch, c cellID) (*srcSortedEdges, error) {
-	h, err := r.batchBlock(b, c)
-	if err != nil {
-		return nil, err
-	}
-	return h.Value().(*srcSortedEdges), nil
-}
-
-// memBytes returns the flat form's in-memory footprint for cache
-// accounting.
-func (e *srcSortedEdges) memBytes() int64 {
-	b := int64(len(e.srcs)+len(e.dsts)) * 4
-	if e.ws != nil {
-		b += int64(len(e.ws)) * 4
-	}
-	return b
 }
 
 // fetchPlan is one batch of the pipeline: the blocks batch id (a row
@@ -413,7 +370,6 @@ func (p *pipeline) drain() {
 func (r *Run) rowPlans(dirs, lanes []int) []fetchPlan {
 	m := r.e.store.Meta()
 	P, Q := m.P, r.q
-	flat := r.e.cfg.Order == SrcSortedCoarse
 	var plans []fetchPlan
 	for i := 0; i < P; i++ {
 		anyActive := false
@@ -432,7 +388,7 @@ func (r *Run) rowPlans(dirs, lanes []int) []fetchPlan {
 			infos := r.subShardInfosFor(d)
 			for j := 0; j < jmax; j++ {
 				if infos[i*P+j].Edges > 0 {
-					cells = append(cells, cellID{d, i, j, flat})
+					cells = append(cells, cellID{d, i, j})
 				}
 			}
 		}
@@ -460,7 +416,7 @@ func (r *Run) colPlans(dirs []int) []fetchPlan {
 				infos := r.subShardInfosFor(d)
 				for i := 0; i < Q; i++ {
 					if r.lanes[0].active[i] && infos[i*P+j].Edges > 0 {
-						cells = append(cells, cellID{d, i, j, false})
+						cells = append(cells, cellID{d, i, j})
 					}
 				}
 			}

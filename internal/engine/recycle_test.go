@@ -71,7 +71,7 @@ func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 	for i := 0; i < m.P; i++ {
 		for j := 0; j < m.P; j++ {
 			if m.SubShardAt(i, j).Edges > 0 {
-				cells = append(cells, cellID{0, i, j, false})
+				cells = append(cells, cellID{0, i, j})
 			}
 		}
 	}

@@ -89,8 +89,8 @@ func (ln *lane) hasWork() bool { return slices.Contains(ln.active, true) }
 //
 // What one lane can do and several cannot is decided from L alone: a run
 // with L > 1 keeps every interval resident (Q = P whatever the engine's
-// strategy says), and SetMask, SetAttrs and the source-sorted ablation
-// need L = 1. Lanes must share one Zero value and one direction.
+// strategy says), and SetMask and SetAttrs need L = 1. Lanes must share
+// one Zero value and one direction.
 //
 // Sub-shard reads flow through the engine's shared block cache with a
 // double-buffered prefetch pipeline per phase (see prefetch.go): runs on
@@ -208,13 +208,6 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 	if L == 1 {
 		strat, q = e.chooseStrategy()
 	}
-	flat := e.cfg.Order == SrcSortedCoarse
-	switch {
-	case flat && L > 1:
-		return nil, fmt.Errorf("engine: source-sorted ablation does not support fused batch runs")
-	case flat && q < m.P:
-		return nil, fmt.Errorf("engine: source-sorted ablation requires SPU (all intervals resident)")
-	}
 	zero := ps[0].Zero()
 	for l := 1; l < L; l++ {
 		if math.Float64bits(ps[l].Zero()) != math.Float64bits(zero) {
@@ -264,8 +257,7 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 		}
 	}
 	r.chunkCost = gatherChunkCost(L, r.chunk)
-	// The source-sorted ablation keeps the paper's unmodified per-edge form.
-	r.useScaled = r.hint == KernelRankSum && !flat
+	r.useScaled = r.hint == KernelRankSum
 	r.resEnd = min(uint32(q)*m.IntervalSize(), m.NumVertices)
 	size := int(r.resEnd) * L
 	r.curr, r.next = e.getSlab(L, size), e.getSlab(L, size)
@@ -276,9 +268,9 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 			r.scaled[d] = e.getSlab(L, size)
 		}
 	}
-	// Locks exist in every mode: Lock-mode gathering and the coarse
-	// source-sorted ablation both serialize on destination intervals.
-	r.locks = make([]sync.Mutex, m.P)
+	if e.cfg.Sync == Lock {
+		r.locks = make([]sync.Mutex, m.P) // one per destination interval
+	}
 	if q < m.P {
 		maxLen := 0
 		for k := 0; k < m.P; k++ {

@@ -20,13 +20,12 @@ import (
 // unweighted cell resolves to the hop fold (float64(float32(1)) == 1),
 // and KernelRankSum resolves to the plain copy-sum fold because the run
 // hoists the per-edge division into a scaled attribute view (see
-// refreshScaled); only the source-sorted ablation keeps the paper's
-// per-edge division.
+// refreshScaled).
 //
 // Every fold performs, per destination, exactly the floating-point
-// operations the generic gatherCSR/gatherToHub would: a left-associative
-// fold over the destination's in-edges starting from Zero, then one Sum
-// into the accumulator (or an assignment into the hub array). The
+// operations the generic gatherCSR would: a left-associative fold over
+// the destination's in-edges starting from Zero, then one Sum into the
+// accumulator (or an assignment into the hub array). The
 // e = 1/2/3 unrolls in the add-family folds write that exact chain out
 // literally — 0 + g1 + g2 is ((0+g1)+g2), identity additions included,
 // so results stay bit-identical even for -0 inputs. Equivalence is
@@ -45,8 +44,7 @@ type scalarFold uint8
 
 const (
 	foldNone     scalarFold = iota // no specialization: generic interface path
-	foldCopySum                    // Gather a        Sum +    Zero 0
-	foldRankSum                    // Gather a/deg    Sum +    Zero 0 (source-sorted ablation only)
+	foldCopySum                    // Gather a        Sum +    Zero 0 (RankSum: a = the scaled view)
 	foldCountSum                   // Gather 1        Sum +    Zero 0
 	foldMin                        // Gather a        Sum min  Zero +Inf
 	foldMax                        // Gather a        Sum max  Zero -Inf
@@ -54,17 +52,14 @@ const (
 	foldDistMin                    // Gather a+w      Sum min  Zero +Inf (weighted cells)
 )
 
-// scalarFoldFor maps a program hint to the fold loop for one cell.
-// scaled reports whether the source view holds pre-divided rank
-// contributions (RankSum's division hoisted per iteration); weighted
-// reports whether the cell carries per-edge weights.
-func scalarFoldFor(hint KernelHint, scaled, weighted bool) scalarFold {
+// scalarFoldFor maps a program hint to the fold loop for one cell;
+// weighted reports whether the cell carries per-edge weights. A RankSum
+// run reads the scaled view (its division hoisted per iteration), so it
+// folds as a copy-sum.
+func scalarFoldFor(hint KernelHint, weighted bool) scalarFold {
 	switch hint {
-	case KernelRankSum:
-		if scaled {
-			return foldCopySum
-		}
-		return foldRankSum
+	case KernelRankSum, KernelCopySum:
+		return foldCopySum
 	case KernelHopMin:
 		return foldHopMin
 	case KernelDistMin:
@@ -78,8 +73,6 @@ func scalarFoldFor(hint KernelHint, scaled, weighted bool) scalarFold {
 		return foldMax
 	case KernelCountSum:
 		return foldCountSum
-	case KernelCopySum:
-		return foldCopySum
 	}
 	return foldNone
 }
@@ -98,13 +91,12 @@ func sumFoldFor(hint KernelHint) scalarFold {
 	return foldNone
 }
 
-// gatherSpec is the specialized counterpart of gatherCSR and gatherToHub
-// in one: it folds destinations [k0, k1) of ss with fold f (any but
-// foldRankSum, which no destination-sorted cell resolves to). When hub is
-// non-nil the per-destination partial is assigned to hub[k] (the ToHub
-// kernel); otherwise it is Sum-folded into acc. The fold dispatch and
-// the mask/del presence check run once per call, so the inner loops
-// carry no per-edge nil tests beyond what filtering itself requires. A
+// gatherSpec is the specialized counterpart of gatherCSR: it folds
+// destinations [k0, k1) of ss with fold f. When hub is non-nil the
+// per-destination partial is assigned to hub[k] (the ToHub kernel);
+// otherwise it is Sum-folded into acc. The fold dispatch and the
+// mask/del presence check run once per call, so the inner loops carry
+// no per-edge nil tests beyond what filtering itself requires. A
 // call covers a run of clean destinations — thousands of edges, del ==
 // nil, the unfiltered loops — or one dirty destination of a tombstoned
 // base cell with its predicate (see cellTombs.gather).
@@ -310,78 +302,6 @@ func gatherDistMin(mask *bitset.Set, del delPred, ss *storage.SubShard, src view
 			acc.vals[d-acc.base] = min(acc.vals[d-acc.base], local)
 		}
 	}
-}
-
-// gatherSrcSortedSpec is the specialized counterpart of gatherSrcSorted
-// (the Table IV ablation path): per-edge scatter in source order.
-// Destinations arrive in effectively random order, so the per-edge
-// filter checks stay, but the fold ops are direct. Reports false when f
-// has no specialization (caller falls back to the generic scatter).
-func gatherSrcSortedSpec(f scalarFold, deg []uint32, mask *bitset.Set, e *srcSortedEdges, src, acc view) bool {
-	switch f {
-	case foldCopySum:
-		for t := range e.srcs {
-			s := e.srcs[t]
-			if mask != nil && mask.Test(int(s)) {
-				continue
-			}
-			acc.vals[e.dsts[t]-acc.base] += src.at(s)
-		}
-	case foldRankSum:
-		for t := range e.srcs {
-			s := e.srcs[t]
-			if mask != nil && mask.Test(int(s)) {
-				continue
-			}
-			acc.vals[e.dsts[t]-acc.base] += src.at(s) / float64(deg[s])
-		}
-	case foldCountSum:
-		for t := range e.srcs {
-			if mask != nil && mask.Test(int(e.srcs[t])) {
-				continue
-			}
-			acc.vals[e.dsts[t]-acc.base]++
-		}
-	case foldMin:
-		for t := range e.srcs {
-			s := e.srcs[t]
-			if mask != nil && mask.Test(int(s)) {
-				continue
-			}
-			i := e.dsts[t] - acc.base
-			acc.vals[i] = min(acc.vals[i], src.at(s))
-		}
-	case foldMax:
-		for t := range e.srcs {
-			s := e.srcs[t]
-			if mask != nil && mask.Test(int(s)) {
-				continue
-			}
-			i := e.dsts[t] - acc.base
-			acc.vals[i] = max(acc.vals[i], src.at(s))
-		}
-	case foldHopMin:
-		for t := range e.srcs {
-			s := e.srcs[t]
-			if mask != nil && mask.Test(int(s)) {
-				continue
-			}
-			i := e.dsts[t] - acc.base
-			acc.vals[i] = min(acc.vals[i], src.at(s)+1)
-		}
-	case foldDistMin:
-		for t := range e.srcs {
-			s := e.srcs[t]
-			if mask != nil && mask.Test(int(s)) {
-				continue
-			}
-			i := e.dsts[t] - acc.base
-			acc.vals[i] = min(acc.vals[i], src.at(s)+float64(e.ws[t]))
-		}
-	default:
-		return false
-	}
-	return true
 }
 
 // foldHubSpec is the specialized FromHub kernel: Sum pre-gathered hub

@@ -170,8 +170,6 @@ func scalarFoldCases(nan bool) []struct {
 	}{
 		{"copySum", foldCopySum, &foldTestProg{0,
 			func(a float64, _ uint32, _ float32) float64 { return a }, add}, false},
-		{"rankSum", foldRankSum, &foldTestProg{0,
-			func(a float64, deg uint32, _ float32) float64 { return a / float64(deg) }, add}, false},
 		{"countSum", foldCountSum, &foldTestProg{0,
 			func(_ float64, _ uint32, _ float32) float64 { return 1 }, add}, false},
 		{"min", foldMin, &foldTestProg{math.Inf(1),
@@ -211,9 +209,9 @@ func specialAttrs(rng *rand.Rand, n int, nan bool) []float64 {
 }
 
 // TestScalarKernelsMatchGeneric is the kernel-level bit-identity gate:
-// every specialized fold, across the CSR, ToHub, FromHub and
-// source-sorted kernels, with and without mask/tombstone filtering, must
-// reproduce the generic interface path exactly — on ordinary attributes
+// every specialized fold, across the CSR, ToHub and FromHub kernels,
+// with and without mask/tombstone filtering, must reproduce the generic
+// interface path exactly — on ordinary attributes
 // and on vectors of signed zeros, infinities, denormals and NaNs, where
 // the kernels' min/max builtins meet the programs' math.Min/math.Max.
 func TestScalarKernelsMatchGeneric(t *testing.T) {
@@ -268,40 +266,22 @@ func checkScalarKernels(t *testing.T, rng *rand.Rand, attrs []float64) {
 				accA[v] = c.prog.zero
 				accB[v] = c.prog.zero
 			}
-			// The per-edge rank fold exists only in the source-sorted
-			// ablation: destination-sorted cells always see the hoisted
-			// division, i.e. foldCopySum.
-			if c.f != foldRankSum {
-				gatherCSR(c.prog, deg, fl.mask, fl.del, ss, src, view{accA, 0}, 0, ss.NumDsts())
-				gatherSpec(c.f, fl.mask, fl.del, ss, src, view{accB, 0}, nil, 0, ss.NumDsts())
-				assertSameBits(t, name+"/csr", accA, accB)
+			gatherCSR(c.prog, deg, fl.mask, fl.del, ss, src, view{accA, 0}, nil, 0, ss.NumDsts())
+			gatherSpec(c.f, fl.mask, fl.del, ss, src, view{accB, 0}, nil, 0, ss.NumDsts())
+			assertSameBits(t, name+"/csr", accA, accB)
 
-				hubA := make([]float64, ss.NumDsts())
-				hubB := make([]float64, ss.NumDsts())
-				gatherToHub(c.prog, deg, fl.mask, fl.del, ss, src, hubA, 0, ss.NumDsts())
-				gatherSpec(c.f, fl.mask, fl.del, ss, src, view{}, hubB, 0, ss.NumDsts())
-				assertSameBits(t, name+"/hub", hubA, hubB)
-			}
-
-			if fl.del == nil { // the source-sorted path has no overlay
-				flat := toSrcSorted(ss)
-				for v := range accA {
-					accA[v] = c.prog.zero
-					accB[v] = c.prog.zero
-				}
-				gatherSrcSorted(c.prog, deg, fl.mask, flat, src, view{accA, 0})
-				if !gatherSrcSortedSpec(c.f, deg, fl.mask, flat, src, view{accB, 0}) {
-					t.Fatalf("%s: no srcsorted specialization", name)
-				}
-				assertSameBits(t, name+"/srcsorted", accA, accB)
-			}
+			hubA := make([]float64, ss.NumDsts())
+			hubB := make([]float64, ss.NumDsts())
+			gatherCSR(c.prog, deg, fl.mask, fl.del, ss, src, view{}, hubA, 0, ss.NumDsts())
+			gatherSpec(c.f, fl.mask, fl.del, ss, src, view{}, hubB, 0, ss.NumDsts())
+			assertSameBits(t, name+"/hub", hubA, hubB)
 		}
 
 		// FromHub: only Sum matters, so exercise the sum fold over the
 		// hub partials just produced.
 		if sf := sumFoldFor(hintForFold(c.f)); sf != foldNone {
 			hub := make([]float64, ss.NumDsts())
-			gatherToHub(c.prog, deg, nil, nil, ss, src, hub, 0, ss.NumDsts())
+			gatherCSR(c.prog, deg, nil, nil, ss, src, view{}, hub, 0, ss.NumDsts())
 			accA := make([]float64, n)
 			accB := make([]float64, n)
 			for v := range accA {
@@ -321,7 +301,7 @@ func checkScalarKernels(t *testing.T, rng *rand.Rand, attrs []float64) {
 // any hint whose Sum matches the fold's combine.
 func hintForFold(f scalarFold) KernelHint {
 	switch f {
-	case foldCopySum, foldRankSum, foldCountSum:
+	case foldCopySum, foldCountSum:
 		return KernelCopySum
 	case foldMin, foldHopMin, foldDistMin:
 		return KernelMinFold
@@ -333,25 +313,23 @@ func hintForFold(f scalarFold) KernelHint {
 
 func TestScalarFoldFor(t *testing.T) {
 	cases := []struct {
-		hint             KernelHint
-		scaled, weighted bool
-		want             scalarFold
+		hint     KernelHint
+		weighted bool
+		want     scalarFold
 	}{
-		{KernelGeneric, false, false, foldNone},
-		{KernelRankSum, false, false, foldRankSum},
-		{KernelRankSum, true, false, foldCopySum}, // division hoisted
-		{KernelHopMin, false, true, foldHopMin},
-		{KernelDistMin, false, true, foldDistMin},
-		{KernelDistMin, false, false, foldHopMin}, // unweighted cell: w == 1
-		{KernelMinFold, false, false, foldMin},
-		{KernelMaxFold, false, false, foldMax},
-		{KernelCountSum, false, false, foldCountSum},
-		{KernelCopySum, false, false, foldCopySum},
+		{KernelGeneric, false, foldNone},
+		{KernelRankSum, false, foldCopySum}, // division hoisted
+		{KernelHopMin, true, foldHopMin},
+		{KernelDistMin, true, foldDistMin},
+		{KernelDistMin, false, foldHopMin}, // unweighted cell: w == 1
+		{KernelMinFold, false, foldMin},
+		{KernelMaxFold, false, foldMax},
+		{KernelCountSum, false, foldCountSum},
+		{KernelCopySum, false, foldCopySum},
 	}
 	for _, c := range cases {
-		if got := scalarFoldFor(c.hint, c.scaled, c.weighted); got != c.want {
-			t.Errorf("scalarFoldFor(%v, %v, %v) = %v, want %v",
-				c.hint, c.scaled, c.weighted, got, c.want)
+		if got := scalarFoldFor(c.hint, c.weighted); got != c.want {
+			t.Errorf("scalarFoldFor(%v, %v) = %v, want %v", c.hint, c.weighted, got, c.want)
 		}
 	}
 }
@@ -400,15 +378,13 @@ func BenchmarkGatherKernel(b *testing.B) {
 	edges := int64(ss.NumEdges())
 
 	for _, c := range scalarFoldCases(false) {
-		if c.weighted || c.f == foldRankSum {
-			// Weight array omitted (distMin is covered by the equivalence
-			// tests); a hoisted rank sum is the copySum row.
-			continue
+		if c.weighted {
+			continue // weight array omitted; distMin is covered by the equivalence tests
 		}
 		b.Run("generic/"+c.name, func(b *testing.B) {
 			b.SetBytes(edges * 8)
 			for i := 0; i < b.N; i++ {
-				gatherCSR(c.prog, deg, nil, nil, ss, src, view{acc, 0}, 0, ss.NumDsts())
+				gatherCSR(c.prog, deg, nil, nil, ss, src, view{acc, 0}, nil, 0, ss.NumDsts())
 			}
 		})
 		b.Run("spec/"+c.name, func(b *testing.B) {

@@ -311,28 +311,10 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 			if !base && ovc == nil {
 				continue
 			}
-			if r.e.cfg.Order == SrcSortedCoarse { // one lane, no overlay: see NewBatchRun
-				flat, err := r.batchFlat(blocks, cellID{d, i, j, true})
-				if err != nil {
-					return err
-				}
-				r.countEdges(rowLanes, len(flat.srcs))
-				lock := &r.locks[j]
-				p, deg, s := r.lanes[0].p, r.degOf(d), src[d]
-				f := scalarFoldFor(r.hint, false, flat.ws != nil)
-				free = append(free, func() { // interval lock serializes
-					lock.Lock()
-					if !gatherSrcSortedSpec(f, deg, r.mask, flat, s, acc) {
-						gatherSrcSorted(p, deg, r.mask, flat, s, acc)
-					}
-					lock.Unlock()
-				})
-				continue
-			}
 			var ss *storage.SubShard
 			if base {
 				var err error
-				if ss, err = r.batchSubShard(blocks, cellID{d, i, j, false}); err != nil {
+				if ss, err = r.batchSubShard(blocks, cellID{d, i, j}); err != nil {
 					return err
 				}
 				r.countEdges(rowLanes, ss.NumEdges())
@@ -402,15 +384,12 @@ func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, ac
 	var body func(k0, k1 int) // one task: destinations [k0, k1)
 	if len(r.lanes) == 1 {
 		p := r.lanes[0].p
-		f := scalarFoldFor(r.hint, r.useScaled, ss.Weights != nil)
+		f := scalarFoldFor(r.hint, ss.Weights != nil)
 		kernel := func(del delPred, k0, k1 int) {
-			switch {
-			case f != foldNone:
+			if f != foldNone {
 				gatherSpec(f, r.mask, del, ss, src, acc, hub, k0, k1)
-			case hub != nil:
-				gatherToHub(p, deg, r.mask, del, ss, src, hub, k0, k1)
-			default:
-				gatherCSR(p, deg, r.mask, del, ss, src, acc, k0, k1)
+			} else {
+				gatherCSR(p, deg, r.mask, del, ss, src, acc, hub, k0, k1)
 			}
 		}
 		body = func(k0, k1 int) { tombs.gather(k0, k1, kernel) }
@@ -513,7 +492,7 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 					continue
 				}
 				if infos[i*P+j].Edges > 0 {
-					ss, err := r.batchSubShard(blocks, cellID{d, i, j, false})
+					ss, err := r.batchSubShard(blocks, cellID{d, i, j})
 					if err != nil {
 						return false, err
 					}

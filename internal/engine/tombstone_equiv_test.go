@@ -216,7 +216,8 @@ func planTombstones(t *testing.T, st *storage.Store) tombPlan {
 }
 
 // sumProg is a hint-free sum-based program: it drives the generic
-// interface kernels (gatherCSR / gatherToHub / gatherGeneric) with a
+// interface kernels (gatherCSR, to accumulator and hub, and
+// gatherGeneric) with a
 // non-associative fold that also reads degrees and weights.
 type sumProg struct{ seed uint32 }
 

@@ -35,9 +35,6 @@ type Options struct {
 	// Transpose additionally materializes the transposed sub-shard set,
 	// needed by algorithms that traverse reverse edges (WCC, SCC, HITS).
 	Transpose bool
-	// Format selects the on-disk sub-shard encoding
-	// (storage.FormatV1/FormatV2); 0 picks storage.DefaultFormatVersion.
-	Format int
 	// MaxRunEdges bounds the external sorter's in-memory run size.
 	// Zero selects a default of 1<<22 edges (~48 MB).
 	MaxRunEdges int
@@ -51,13 +48,6 @@ func (o *Options) maxRun() int {
 		return 1 << 22
 	}
 	return o.MaxRunEdges
-}
-
-func (o *Options) format() int {
-	if o.Format == 0 {
-		return storage.DefaultFormatVersion
-	}
-	return o.Format
 }
 
 // Result reports what preprocessing produced.
@@ -198,7 +188,7 @@ func shard(disk *diskio.Disk, dir string, dense []graph.Edge, d *degreeing, opt 
 		return nil, fmt.Errorf("preprocess: P=%d exceeds vertex count %d", P, n)
 	}
 	size := (n + uint32(P) - 1) / uint32(P)
-	w, err := storage.NewWriterFormat(disk, dir, opt.Name, n, int64(len(dense)), P, opt.Weighted, opt.format())
+	w, err := storage.NewWriter(disk, dir, opt.Name, n, int64(len(dense)), P, opt.Weighted)
 	if err != nil {
 		return nil, err
 	}

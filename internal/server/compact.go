@@ -12,7 +12,6 @@ import (
 	nxgraph "nxgraph"
 	"nxgraph/internal/blockcache"
 	"nxgraph/internal/preprocess"
-	"nxgraph/internal/storage"
 	"nxgraph/internal/wal"
 )
 
@@ -136,15 +135,13 @@ func (s *scheduler) runCompaction(ctx context.Context, e *graphEntry) (*Result, 
 	disk := st.Disk()
 	tmpAbs := disk.Path(compactDirName)
 	os.RemoveAll(tmpAbs)
+	// The rebuild is written in the current format, so a v1 store
+	// upgrades to v2 on its first compaction.
 	res, err := delta.Rebuild(ctx, mark, disk, compactDirName, preprocess.Options{
 		Name:      meta.Name,
 		P:         meta.P,
 		Weighted:  meta.Weighted,
 		Transpose: meta.HasTranspose,
-		// Compaction always writes the current default format, so a v1
-		// store silently upgrades to the compressed encoding on its first
-		// compaction (the meta version travels with the rebuilt store).
-		Format: storage.DefaultFormatVersion,
 	})
 	if err != nil {
 		os.RemoveAll(tmpAbs)

@@ -5,24 +5,32 @@ import (
 	"math"
 	"net/http"
 	"net/http/httptest"
+	"slices"
 	"strings"
 	"testing"
 
 	nxgraph "nxgraph"
 	"nxgraph/internal/graph"
+	"nxgraph/internal/storage"
+	"nxgraph/internal/testutil"
 )
 
-// buildTinyStoreDir writes a 5-vertex cycle-with-chord graph whose
-// original ids are the literal 0..4, so ingestion requests can address
-// vertices without consulting the remap table.
-func buildTinyStoreDir(t *testing.T) string {
-	t.Helper()
-	dir := t.TempDir()
+// tinyGraph is a 5-vertex cycle with a chord whose original ids are the
+// literal 0..4, so ingestion requests can address vertices without
+// consulting the remap table.
+func tinyGraph() *graph.EdgeList {
 	g := &graph.EdgeList{NumVertices: 5}
 	for _, e := range [][2]uint32{{0, 1}, {1, 2}, {2, 3}, {3, 4}, {4, 0}, {1, 3}} {
 		g.Edges = append(g.Edges, graph.Edge{Src: e[0], Dst: e[1], Weight: 1})
 	}
-	gr, err := nxgraph.Build(dir, g, nxgraph.Options{P: 2})
+	return g
+}
+
+// buildTinyStoreDir writes tinyGraph's store and returns its directory.
+func buildTinyStoreDir(t *testing.T) string {
+	t.Helper()
+	dir := t.TempDir()
+	gr, err := nxgraph.Build(dir, tinyGraph(), nxgraph.Options{P: 2})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -32,7 +40,12 @@ func buildTinyStoreDir(t *testing.T) string {
 
 func newIngestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 	t.Helper()
-	dir := buildTinyStoreDir(t)
+	return newIngestServerAt(t, cfg, buildTinyStoreDir(t))
+}
+
+// newIngestServerAt serves the store in dir as graph "g".
+func newIngestServerAt(t *testing.T, cfg Config, dir string) (*Server, *httptest.Server) {
+	t.Helper()
 	s := New(cfg)
 	if err := s.OpenGraph("g", dir, nxgraph.Options{}); err != nil {
 		t.Fatal(err)
@@ -49,7 +62,14 @@ func newIngestServer(t *testing.T, cfg Config) (*Server, *httptest.Server) {
 // returns (values, cacheHit).
 func pagerankValues(t *testing.T, ts *httptest.Server) ([]float64, bool) {
 	t.Helper()
-	id := submit(t, ts, "g", "pagerank", map[string]any{"iters": 15})
+	return jobValues(t, ts, "pagerank", map[string]any{"iters": 15})
+}
+
+// jobValues submits an algo job on graph "g", waits for completion, and
+// returns (values, cacheHit).
+func jobValues(t *testing.T, ts *httptest.Server, algo string, params map[string]any) ([]float64, bool) {
+	t.Helper()
+	id := submit(t, ts, "g", algo, params)
 	body := pollUntil(t, ts, id, terminal)
 	if body["state"] != "done" {
 		t.Fatalf("job ended %v (error %v)", body["state"], body["error"])
@@ -70,73 +90,139 @@ func pagerankValues(t *testing.T, ts *httptest.Server) ([]float64, bool) {
 // TestIngestServedLive is the end-to-end acceptance path: ingested
 // edges change PageRank results with no restart, compaction folds them
 // into the store, and post-compaction results match the overlay-served
-// ones within 1e-6.
+// ones within 1e-6 and a fresh build of the same edges bit for bit. The
+// "v1" input is the checked-in v1 store (testutil.V1Store), which
+// nothing else upgrades: compaction must rewrite it in the current
+// format.
 func TestIngestServedLive(t *testing.T) {
-	_, ts := newIngestServer(t, Config{Workers: 2})
+	for _, in := range []struct {
+		name   string
+		open   func(t *testing.T) (dir string, base *graph.EdgeList)
+		opt    nxgraph.Options // what the store was built with
+		funnel []uint64        // sources of the edges ingested into target
+		target uint64
+		algos  []string // compared with the fresh build after compaction
+	}{
+		{"tiny", func(t *testing.T) (string, *graph.EdgeList) { return buildTinyStoreDir(t), tinyGraph() },
+			nxgraph.Options{P: 2}, []uint64{0, 3, 4}, 2, []string{"pagerank"}},
+		{"v1", func(t *testing.T) (string, *graph.EdgeList) {
+			st, g := testutil.V1Store(t)
+			st.Close()
+			return st.Disk().Root(), g
+		}, nxgraph.Options{P: 4, Weighted: true, Transpose: true}, []uint64{144, 8, 168}, 1, []string{"pagerank", "wcc"}},
+	} {
+		t.Run(in.name, func(t *testing.T) {
+			dir, base := in.open(t)
+			s, ts := newIngestServerAt(t, Config{Workers: 2}, dir)
 
-	before, _ := pagerankValues(t, ts)
+			// What compaction must produce: the base edges plus the
+			// funnel, built fresh in the current format.
+			full := &graph.EdgeList{NumVertices: base.NumVertices, Weighted: base.Weighted, Edges: slices.Clone(base.Edges)}
+			var add []map[string]any
+			for _, src := range in.funnel {
+				add = append(add, map[string]any{"src": src, "dst": in.target})
+				full.Edges = append(full.Edges, graph.Edge{Src: uint32(src), Dst: uint32(in.target), Weight: 1})
+			}
+			fresh, err := nxgraph.Build(t.TempDir(), full, in.opt)
+			if err != nil {
+				t.Fatal(err)
+			}
+			defer fresh.Close()
+			ids, err := fresh.RemapTable()
+			if err != nil {
+				t.Fatal(err)
+			}
+			target := slices.Index(ids, in.target)
 
-	// Funnel extra links into vertex 2; its rank must rise.
-	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/edges", map[string]any{
-		"add": []map[string]any{
-			{"src": 0, "dst": 2}, {"src": 3, "dst": 2}, {"src": 4, "dst": 2},
-		},
-	})
-	if code != http.StatusAccepted {
-		t.Fatalf("ingest: status %d, body %v", code, body)
-	}
-	if got := body["pending_deltas"].(float64); got != 3 {
-		t.Fatalf("pending_deltas = %v, want 3", got)
-	}
+			before, _ := pagerankValues(t, ts)
 
-	overlay, hit := pagerankValues(t, ts)
-	if hit {
-		t.Fatal("post-ingest job served from the pre-ingest cache")
-	}
-	if len(overlay) != len(before) {
-		t.Fatalf("vertex count changed: %d vs %d", len(overlay), len(before))
-	}
-	if overlay[2] <= before[2] {
-		t.Fatalf("rank of vertex 2 did not rise: %g -> %g", before[2], overlay[2])
-	}
+			// Funnel extra links into the target; its rank must rise.
+			code, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/edges", map[string]any{"add": add})
+			if code != http.StatusAccepted {
+				t.Fatalf("ingest: status %d, body %v", code, body)
+			}
+			if got := body["pending_deltas"].(float64); got != float64(len(add)) {
+				t.Fatalf("pending_deltas = %v, want %d", got, len(add))
+			}
 
-	// Cache works within one delta state.
-	_, hit = pagerankValues(t, ts)
-	if !hit {
-		t.Fatal("identical re-submission missed the cache")
-	}
+			overlay, hit := pagerankValues(t, ts)
+			if hit {
+				t.Fatal("post-ingest job served from the pre-ingest cache")
+			}
+			if len(overlay) != len(before) {
+				t.Fatalf("vertex count changed: %d vs %d", len(overlay), len(before))
+			}
+			if overlay[target] <= before[target] {
+				t.Fatalf("rank of vertex %d did not rise: %g -> %g", in.target, before[target], overlay[target])
+			}
 
-	// Compact and compare: rebuilt-store results must match the overlay
-	// within 1e-6, served from a fresh engine run (cache invalidated).
-	code, snap := doJSON(t, "POST", ts.URL+"/v1/graphs/g/compact", nil)
-	if code != http.StatusAccepted {
-		t.Fatalf("compact: status %d, body %v", code, snap)
-	}
-	id, _ := snap["id"].(string)
-	end := pollUntil(t, ts, id, terminal)
-	if end["state"] != "done" {
-		t.Fatalf("compaction ended %v (error %v)", end["state"], end["error"])
-	}
+			// Cache works within one delta state.
+			_, hit = pagerankValues(t, ts)
+			if !hit {
+				t.Fatal("identical re-submission missed the cache")
+			}
 
-	code, info := doJSON(t, "GET", ts.URL+"/v1/graphs/g", nil)
-	if code != http.StatusOK {
-		t.Fatalf("info: status %d", code)
-	}
-	if pd, _ := info["pending_deltas"].(float64); pd != 0 {
-		t.Fatalf("pending_deltas after compaction = %v, want 0", pd)
-	}
-	if ne, _ := info["num_edges"].(float64); ne != 9 {
-		t.Fatalf("num_edges after compaction = %v, want 9", ne)
-	}
+			// Compact and compare: rebuilt-store results must match the
+			// overlay within 1e-6, served from a fresh engine run (cache
+			// invalidated).
+			code, snap := doJSON(t, "POST", ts.URL+"/v1/graphs/g/compact", nil)
+			if code != http.StatusAccepted {
+				t.Fatalf("compact: status %d, body %v", code, snap)
+			}
+			id, _ := snap["id"].(string)
+			end := pollUntil(t, ts, id, terminal)
+			if end["state"] != "done" {
+				t.Fatalf("compaction ended %v (error %v)", end["state"], end["error"])
+			}
 
-	after, hit := pagerankValues(t, ts)
-	if hit {
-		t.Fatal("post-compaction job served from the pre-compaction cache")
-	}
-	for v := range after {
-		if math.Abs(after[v]-overlay[v]) > 1e-6 {
-			t.Fatalf("vertex %d: compacted rank %g vs overlay rank %g", v, after[v], overlay[v])
-		}
+			code, info := doJSON(t, "GET", ts.URL+"/v1/graphs/g", nil)
+			if code != http.StatusOK {
+				t.Fatalf("info: status %d", code)
+			}
+			if pd, _ := info["pending_deltas"].(float64); pd != 0 {
+				t.Fatalf("pending_deltas after compaction = %v, want 0", pd)
+			}
+			if ne, _ := info["num_edges"].(float64); int64(ne) != full.NumEdges() {
+				t.Fatalf("num_edges after compaction = %v, want %d", ne, full.NumEdges())
+			}
+
+			after, hit := pagerankValues(t, ts)
+			if hit {
+				t.Fatal("post-compaction job served from the pre-compaction cache")
+			}
+			for v := range after {
+				if math.Abs(after[v]-overlay[v]) > 1e-6 {
+					t.Fatalf("vertex %d: compacted rank %g vs overlay rank %g", v, after[v], overlay[v])
+				}
+			}
+
+			e, _ := s.reg.get("g")
+			if v := e.live().Engine().Store().Meta().Version; v != storage.DefaultFormatVersion {
+				t.Fatalf("compacted store is format v%d, want v%d", v, storage.DefaultFormatVersion)
+			}
+			for _, algo := range in.algos {
+				var want *nxgraph.Result
+				var err error
+				switch algo {
+				case "pagerank":
+					want, err = fresh.PageRank(0.85, 15)
+				case "wcc":
+					want, err = fresh.WCC()
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got, _ := jobValues(t, ts, algo, map[string]any{"iters": 15})
+				if len(got) != len(want.Attrs) {
+					t.Fatalf("%s: %d values, fresh build has %d", algo, len(got), len(want.Attrs))
+				}
+				for v := range got {
+					if math.Float64bits(got[v]) != math.Float64bits(want.Attrs[v]) {
+						t.Fatalf("%s: vertex %d is %g after compaction, %g on a fresh build", algo, v, got[v], want.Attrs[v])
+					}
+				}
+			}
+		})
 	}
 }
 

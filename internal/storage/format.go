@@ -132,9 +132,9 @@ func (m *Meta) Validate() error {
 	}
 	if m.Version < FormatV1 || m.Version > maxSupportedVersion {
 		// No "storage:" prefix — Open wraps this with the store path.
-		return fmt.Errorf("store format version %d found, this build reads v%d..v%d"+
-			" (v1 fixed-width stores come from `nxpre -format 1`,"+
-			" v2 delta+varint stores from `nxpre -format 2` or any default build)",
+		return fmt.Errorf("store format version %d found, this build reads v%d..v%d:"+
+			" open the store with the newer build that wrote it,"+
+			" or rebuild it from its edge list with this build's nxpre",
 			m.Version, FormatV1, maxSupportedVersion)
 	}
 	if m.P <= 0 {

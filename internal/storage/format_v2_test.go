@@ -2,6 +2,7 @@ package storage
 
 import (
 	"encoding/binary"
+	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -188,7 +189,7 @@ func setMaxSupportedVersion(t *testing.T, v int) {
 
 // TestOpenRejectsNewerVersionCleanly opens a v2 store with a build
 // capped at v1: the error must name the path, the found and supported
-// versions, and the nxpre remedy — and no shard byte may be read.
+// versions, and the remedy — and no shard byte may be read.
 func TestOpenRejectsNewerVersionCleanly(t *testing.T) {
 	disk, st := buildTinyStore(t, false) // default format = v2
 	st.Close()
@@ -200,7 +201,7 @@ func TestOpenRejectsNewerVersionCleanly(t *testing.T) {
 		t.Fatal("v1-capped build opened a v2 store")
 	}
 	msg := err.Error()
-	for _, want := range []string{disk.Path("st"), "version 2", "v1..v1", "nxpre -format"} {
+	for _, want := range []string{disk.Path("st"), "version 2", "v1..v1", "newer build", "rebuild it from its edge list"} {
 		if !strings.Contains(msg, want) {
 			t.Fatalf("error %q does not mention %q", msg, want)
 		}
@@ -210,79 +211,39 @@ func TestOpenRejectsNewerVersionCleanly(t *testing.T) {
 	}
 }
 
-// TestOpenRejectsMixedShardVersion corrupts the shard header version so
-// it disagrees with meta.json.
-func TestOpenRejectsMixedShardVersion(t *testing.T) {
-	disk, st := buildTinyStore(t, false)
-	st.Close()
-	path := disk.Path("st/" + ShardsFile)
-	raw, err := os.ReadFile(path)
-	if err != nil {
-		t.Fatal(err)
-	}
-	raw[4] = 1 // header says v1, meta says v2
-	if err := os.WriteFile(path, raw, 0o644); err != nil {
-		t.Fatal(err)
-	}
-	_, err = Open(disk, "st")
-	if err == nil {
-		t.Fatal("mixed-version store accepted")
-	}
-	if !strings.Contains(err.Error(), ShardsFile) || !strings.Contains(err.Error(), "meta.json says 2") {
-		t.Fatalf("unhelpful mixed-version error: %v", err)
-	}
-}
-
-// TestV1StoreStillReadable writes a v1 store and reads it back through
-// the dispatching path.
-func TestV1StoreStillReadable(t *testing.T) {
-	_, st := buildTinyStoreFormat(t, true, FormatV1)
-	if st.Meta().Version != FormatV1 {
-		t.Fatalf("meta version %d", st.Meta().Version)
-	}
-	ss, err := st.ReadSubShard(0, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if ss.NumEdges() != 1 || ss.Dsts[0] != 2 || ss.Weights[0] != 2 {
-		t.Fatalf("SS[0][1]: %+v", ss)
-	}
-	if err := Verify(st); err != nil {
-		t.Fatal(err)
-	}
-}
-
-// TestCompressionRatio checks the accounting helper on both formats.
-func TestCompressionRatio(t *testing.T) {
-	_, v1 := buildTinyStoreFormat(t, false, FormatV1)
-	enc, fixed := v1.CompressionRatio()
-	if enc != fixed {
-		t.Fatalf("v1 store: encoded %d != fixed-width %d", enc, fixed)
-	}
-	_, v2 := buildTinyStore(t, false)
-	enc, fixed = v2.CompressionRatio()
-	if enc >= fixed || enc <= 0 {
-		t.Fatalf("v2 store: encoded %d, fixed-width %d — expected compression", enc, fixed)
-	}
-}
-
 // TestDecodeIntoRecycled covers the contract the engine's L1 miss path
 // relies on: a decode handed a sub-shard nobody references re-slices its
 // arrays without clearing them and then writes every element it returns
 // — so a poisoned spare comes back holding exactly the fresh decode's
 // values — allocates nothing, and falls back to fresh arrays (leaving the
-// spare alone) when the spare is too small.
+// spare alone) when the spare is too small. The v1 blobs are the checked-in
+// fixture's; the references are fresh decodes of the same blobs.
 func TestDecodeIntoRecycled(t *testing.T) {
 	const poison = 0xFFFFFFFF // no id, offset or weight bits of the fixtures
 	for _, version := range []int{FormatV1, FormatV2} {
 		for _, weighted := range []bool{false, true} {
-			rng := rand.New(rand.NewSource(int64(version)))
-			var big, small *SubShard
-			for big == nil || small == nil || small.NumEdges() == 0 || big.NumEdges() < 2*small.NumEdges() {
-				big, small = canonicalSubShard(rng, weighted), canonicalSubShard(rng, weighted)
+			var bigBlob, smallBlob []byte
+			if version == FormatV1 {
+				bigBlob, smallBlob = v1FixtureBlobs(t, weighted)
+			} else {
+				rng := rand.New(rand.NewSource(int64(version)))
+				var big, small *SubShard
+				for big == nil || small == nil || small.NumEdges() == 0 || big.NumEdges() < 2*small.NumEdges() {
+					big, small = canonicalSubShard(rng, weighted), canonicalSubShard(rng, weighted)
+				}
+				bigBlob, smallBlob = EncodeSubShardV2(big, weighted), EncodeSubShardV2(small, weighted)
 			}
-			bigBlob := EncodeSubShardAs(big, weighted, version)
-			smallBlob := EncodeSubShardAs(small, weighted, version)
+			big, err := DecodeSubShardAs(nil, bigBlob, weighted, version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			small, err := DecodeSubShardAs(nil, smallBlob, weighted, version)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if small.NumEdges() == 0 || big.NumEdges() < 2*small.NumEdges() {
+				t.Fatalf("v%d: fixture blobs of %d and %d edges", version, big.NumEdges(), small.NumEdges())
+			}
 			spare, err := DecodeSubShardAs(nil, bigBlob, weighted, version)
 			if err != nil {
 				t.Fatal(err)
@@ -336,6 +297,44 @@ func TestDecodeIntoRecycled(t *testing.T) {
 			sameSubShard(t, tiny, small, weighted)
 		}
 	}
+}
+
+// v1FixtureBlobs returns the largest and the smallest non-empty forward
+// sub-shard blob of the v1 store under testdata/v1, written by an older
+// build (testutil.V1Store copies the whole store). The fixture is
+// weighted; unweighted, a v1 blob is the same bytes without the trailing
+// weight section of 4 bytes per edge.
+func v1FixtureBlobs(t *testing.T, weighted bool) (big, small []byte) {
+	t.Helper()
+	raw, err := os.ReadFile("testdata/v1/dsss/" + MetaFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var m Meta
+	if err := json.Unmarshal(raw, &m); err != nil {
+		t.Fatal(err)
+	}
+	shards, err := os.ReadFile("testdata/v1/dsss/" + ShardsFile)
+	if err != nil {
+		t.Fatal(err)
+	}
+	var bi, si SubShardInfo
+	for _, info := range m.SubShards {
+		if info.Edges > bi.Edges {
+			bi = info
+		}
+		if info.Edges > 0 && (si.Edges == 0 || info.Edges < si.Edges) {
+			si = info
+		}
+	}
+	blob := func(info SubShardInfo) []byte {
+		b := shards[info.Offset : info.Offset+info.Length]
+		if !weighted {
+			b = b[:len(b)-4*int(info.Edges)]
+		}
+		return b
+	}
+	return blob(bi), blob(si)
 }
 
 // decodeSubShardV2Ref is the v2 decoder as it stood before issue 17,

@@ -28,15 +28,6 @@ func benchSubShard(b *testing.B, weighted bool) *SubShard {
 	return ss
 }
 
-func BenchmarkEncodeSubShard(b *testing.B) {
-	ss := benchSubShard(b, false)
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		blob := EncodeSubShard(ss, false)
-		b.SetBytes(int64(len(blob)))
-	}
-}
-
 func BenchmarkDecodeSubShard(b *testing.B) {
 	ss := benchSubShard(b, false)
 	blob := EncodeSubShard(ss, false)

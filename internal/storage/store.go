@@ -74,8 +74,8 @@ func checkShardHeader(f *diskio.File, path string, version int) error {
 	}
 	if v := binary.LittleEndian.Uint32(hdr[4:8]); v != uint32(version) {
 		return fmt.Errorf("storage: %s: shard file format version %d, meta.json says %d"+
-			" — store is corrupt or mixed; rebuild it with `nxpre -format %d`",
-			path, v, version, version)
+			" — store is corrupt or mixed; rebuild it from its edge list with nxpre",
+			path, v, version)
 	}
 	return nil
 }

@@ -26,27 +26,18 @@ type Writer struct {
 	finished  bool
 }
 
-// NewWriter creates (truncating) a store at dir in the default format.
+// NewWriter creates (truncating) a store at dir. Stores are written in
+// DefaultFormatVersion only; older versions are read, never written.
 func NewWriter(disk *diskio.Disk, dir, name string, numVertices uint32, numEdges int64, p int, weighted bool) (*Writer, error) {
-	return NewWriterFormat(disk, dir, name, numVertices, numEdges, p, weighted, DefaultFormatVersion)
-}
-
-// NewWriterFormat is NewWriter with an explicit store format version
-// (FormatV1 keeps the fixed-width layout readable by older builds).
-func NewWriterFormat(disk *diskio.Disk, dir, name string, numVertices uint32, numEdges int64, p int, weighted bool, format int) (*Writer, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("storage: P must be positive, got %d", p)
-	}
-	if format < FormatV1 || format > maxSupportedVersion {
-		return nil, fmt.Errorf("storage: cannot write format version %d (valid: %d..%d)",
-			format, FormatV1, maxSupportedVersion)
 	}
 	if err := os.MkdirAll(disk.Path(dir), 0o755); err != nil {
 		return nil, fmt.Errorf("storage: create store dir: %w", err)
 	}
 	w := &Writer{disk: disk, dir: dir, meta: Meta{
 		Magic:       MetaMagic,
-		Version:     format,
+		Version:     DefaultFormatVersion,
 		Name:        name,
 		NumVertices: numVertices,
 		NumEdges:    numEdges,
@@ -93,7 +84,7 @@ func (w *Writer) AppendSubShard(ss *SubShard) error {
 	}
 	info := SubShardInfo{Edges: int64(ss.NumEdges()), Dsts: int64(ss.NumDsts())}
 	if ss.NumDsts() > 0 {
-		blob := EncodeSubShardAs(ss, w.meta.Weighted, w.meta.Version)
+		blob := EncodeSubShardV2(ss, w.meta.Weighted)
 		if _, err := w.f.WriteAt(blob, w.off); err != nil {
 			return fmt.Errorf("storage: write sub-shard: %w", err)
 		}

@@ -116,24 +116,11 @@ const (
 	MPU = engine.MPU
 )
 
-// Store format versions for Options.Format.
-const (
-	// FormatV1 is the fixed-width uint32 sub-shard encoding.
-	FormatV1 = storage.FormatV1
-	// FormatV2 is the delta+varint compressed encoding (the default):
-	// 3-4x fewer bytes per edge on disk and in the encoded cache tier.
-	FormatV2 = storage.FormatV2
-)
-
 // Options configures Build and Open.
 type Options struct {
 	// P is the number of vertex intervals (default 12, the paper's
 	// sweet spot).
 	P int
-	// Format selects the on-disk sub-shard encoding written by Build
-	// (FormatV1 or FormatV2); 0 picks the current default, FormatV2.
-	// Open reads either format regardless of this setting.
-	Format int
 	// Threads sizes the worker pool (default GOMAXPROCS).
 	Threads int
 	// MemoryBudget is BM in bytes; 0 means unlimited (SPU with all
@@ -221,7 +208,6 @@ func Build(dir string, g *EdgeList, opt Options) (*Graph, error) {
 		P:         opt.p(),
 		Weighted:  opt.Weighted,
 		Transpose: opt.Transpose,
-		Format:    opt.Format,
 	})
 	if err != nil {
 		return nil, err
@@ -250,7 +236,6 @@ func BuildFromFile(dir, path string, opt Options) (*Graph, error) {
 		P:         opt.p(),
 		Weighted:  opt.Weighted,
 		Transpose: opt.Transpose,
-		Format:    opt.Format,
 	})
 	if err != nil {
 		return nil, err
