@@ -1,13 +1,13 @@
 // nxbench regenerates the paper's tables and figures (§IV) on scaled
 // stand-in datasets. Each experiment prints a text table whose rows
-// mirror the corresponding paper artifact.
+// mirror the corresponding paper artifact. It is the one source of the
+// paper's numbers; the repository's own speed numbers come from
+// benchmark/ (see docs/adr/ADR-010-one-way-per-number.md).
 //
 // Usage:
 //
 //	nxbench -exp all
 //	nxbench -exp table4,fig7 -scale-delta -2 -threads 8
-//	nxbench -exp none -trace
-//	nxbench -exp none -batch 64
 package main
 
 import (
@@ -16,15 +16,19 @@ import (
 	"os"
 	"runtime"
 	"runtime/pprof"
+	"slices"
 	"strings"
 
 	"nxgraph/internal/bench"
 	"nxgraph/internal/metrics"
 )
 
+// experiments names the paper artifacts -exp selects, in output order.
+var experiments = []string{"table2", "fig6", "table4", "fig7", "fig8", "fig9", "fig10", "fig11", "fig12", "table5", "table6"}
+
 func main() {
 	var (
-		exps       = flag.String("exp", "all", "comma-separated: table2,fig6,table4,fig7,fig8,fig9,fig10,fig11,fig12,table5,table6,soak, 'all' (everything except soak), or 'none' (with -trace)")
+		exps       = flag.String("exp", "all", "comma-separated experiments ("+strings.Join(experiments, ",")+") or 'all'")
 		scaleDelta = flag.Int("scale-delta", 0, "dataset scale adjustment (negative shrinks)")
 		threads    = flag.Int("threads", 4, "worker threads")
 		iters      = flag.Int("iters", 10, "PageRank iterations")
@@ -32,12 +36,22 @@ func main() {
 		cacheMB    = flag.Int("cache-mb", -1, "sub-shard block cache budget in MiB per engine (-1 = derive from each experiment's budget, 0 = disable)")
 		l2Frac     = flag.Float64("cache-l2-frac", 0, "fraction of each cache budget held as encoded blobs (0 or negative = none, the default: fastest on page-cached files; 0.5-0.9 wins where a read costs more than a decode, see docs/adr/ADR-008)")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
-		showTrace  = flag.Bool("trace", false, "run a traced PageRank and print its per-iteration compute-vs-stall breakdown")
-		batch      = flag.Int("batch", 0, "run N personalized PageRank queries sequentially vs as one fused batch and print the speedup (0 = skip)")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
 	)
 	flag.Parse()
+
+	want := map[string]bool{}
+	all := *exps == "all"
+	for _, e := range strings.Split(*exps, ",") {
+		e = strings.TrimSpace(e)
+		if !all && !slices.Contains(experiments, e) {
+			fmt.Fprintf(os.Stderr, "nxbench: unknown experiment %q (want %s, or all)\n", e, strings.Join(experiments, ","))
+			os.Exit(2)
+		}
+		want[e] = true
+	}
+	sel := func(name string) bool { return all || want[name] }
 
 	s := bench.NewSuite()
 	s.ScaleDelta = *scaleDelta
@@ -68,13 +82,6 @@ func main() {
 		}
 		defer pprof.StopCPUProfile()
 	}
-
-	want := map[string]bool{}
-	all := *exps == "all"
-	for _, e := range strings.Split(*exps, ",") {
-		want[strings.TrimSpace(e)] = true
-	}
-	sel := func(name string) bool { return all || want[name] }
 
 	show := func(t *metrics.Table, err error) {
 		if err != nil {
@@ -117,17 +124,6 @@ func main() {
 	}
 	if sel("table6") {
 		show(s.Table6())
-	}
-	// The soak profile streams hundreds of MB through the simulated
-	// disk, so it only runs when named explicitly, never under 'all'.
-	if want["soak"] {
-		show(s.Soak())
-	}
-	if *showTrace {
-		show(s.TraceRun())
-	}
-	if *batch > 0 {
-		show(s.Batch(*batch))
 	}
 	if sum := s.CacheSummary(); sum != "" {
 		fmt.Println(sum)

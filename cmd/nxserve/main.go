@@ -51,6 +51,17 @@ import (
 	"nxgraph/internal/wal"
 )
 
+// How long one connection may take to send a request, and stay open
+// between requests. Request bodies are small (the server caps them at
+// 1 MiB), so a client slower than this is stuck or hostile. There is no
+// write timeout: /debug/pprof/profile streams for as long as it is asked
+// to, and a slow client may take a while to read a full result array.
+const (
+	readHeaderTimeout = 10 * time.Second
+	readTimeout       = time.Minute
+	idleTimeout       = 2 * time.Minute
+)
+
 // graphFlags collects repeated -graph name=dir arguments.
 type graphFlags []struct{ name, dir string }
 
@@ -124,8 +135,6 @@ func main() {
 		threads   = flag.Int("threads", 0, "engine worker threads per run (0 = GOMAXPROCS)")
 		deltaThr  = flag.Int("delta-threshold", 0, "pending deltas that trigger auto-compaction (0 = default 8192, negative disables)")
 		fsync     = flag.String("fsync", "batch", "WAL durability policy: off (no fsync), batch (one fsync per group commit) or always (one fsync per batch)")
-		walDelay  = flag.Duration("wal-max-delay", 0, "max time the WAL committer waits to widen a group commit (0 = ack-coalescing only)")
-		walBatch  = flag.Int("wal-max-batch", 0, "max batches fsynced per group commit (0 = default 256)")
 		walSeg    = flag.String("wal-segment", "64MiB", "WAL segment roll size")
 		noWAL     = flag.Bool("no-wal", false, "disable the write-ahead log entirely: ingest acks mean visibility only, crashes lose uncompacted deltas")
 		graceSecs = flag.Int("grace", 10, "seconds to drain in-flight HTTP requests on shutdown")
@@ -180,8 +189,6 @@ func main() {
 		BlockCacheL2Frac: *l2Frac,
 		DeltaThreshold:   *deltaThr,
 		WALSync:          syncPolicy,
-		WALMaxDelay:      *walDelay,
-		WALMaxBatch:      *walBatch,
 		WALSegmentBytes:  segBytes,
 		DisableWAL:       *noWAL,
 		GraphOptions:     nxgraph.Options{Threads: *threads, MemoryBudget: budget},
@@ -196,7 +203,13 @@ func main() {
 		}
 	}
 
-	httpSrv := &http.Server{Addr: *listen, Handler: srv.Handler()}
+	httpSrv := &http.Server{
+		Addr:              *listen,
+		Handler:           srv.Handler(),
+		ReadHeaderTimeout: readHeaderTimeout,
+		ReadTimeout:       readTimeout,
+		IdleTimeout:       idleTimeout,
+	}
 	serveErr := make(chan error, 1)
 	go func() {
 		logger.Info("nxserve listening",

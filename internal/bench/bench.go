@@ -1,8 +1,9 @@
 // Package bench is the experiment harness that regenerates every table
 // and figure of the paper's evaluation (§IV). Each Exp* method builds the
 // scaled stand-in datasets, runs the relevant systems, and returns a
-// text table whose rows mirror what the paper reports. The cmd/nxbench
-// binary and the repository-level Go benchmarks both drive this package.
+// text table whose rows mirror what the paper reports. cmd/nxbench
+// drives this package and its tests check every experiment at a reduced
+// scale.
 //
 // Absolute numbers differ from the paper — the datasets are scaled
 // stand-ins and the disks are simulated — but the comparisons (who wins,

@@ -235,31 +235,3 @@ func (s *Suite) oneIterPageRankXStream(budget int64, prof diskio.Profile) (float
 	}
 	return res.Elapsed.Seconds(), nil
 }
-
-// TraceRun runs the standard PageRank measurement on the livejournal
-// stand-in with run tracing on and returns the per-iteration
-// compute-vs-stall breakdown (nxbench -trace). A tight memory budget
-// would hide cold-start misses behind the resident set, so the run uses
-// the suite defaults: the first iteration shows the cold block loads,
-// later ones the warm-cache steady state.
-func (s *Suite) TraceRun() (*metrics.Table, error) {
-	g, err := s.Graph("livejournal")
-	if err != nil {
-		return nil, err
-	}
-	e, done, err := s.nxEngine(g, 12, false, engine.Config{Strategy: engine.SPU}, s.Profile)
-	if err != nil {
-		return nil, err
-	}
-	defer done()
-	res, err := s.pagerank(e)
-	if err != nil {
-		return nil, err
-	}
-	if res.Trace == nil {
-		return nil, fmt.Errorf("bench: trace run returned no trace")
-	}
-	s.logf("trace: %d iterations in %s", res.Iterations, res.Elapsed)
-	return metrics.StepTable("PageRank per-iteration trace (livejournal stand-in)",
-		res.Trace.Steps()), nil
-}

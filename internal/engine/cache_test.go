@@ -121,7 +121,9 @@ func decodedBytes(st *storage.Store) (n int64) {
 // three ratios were 1.00: a cyclic sweep longer than the cache evicted
 // every block before its next use. The thresholds leave room for the
 // largest cell, which a budget cannot split (0.54 / 0.78 / 0.89 at scale
-// 16), and the attributes must not notice any of it.
+// 16), and the attributes must not notice any of it. Every partial
+// budget must still read: a budget that held the whole edge set would
+// pass the ratios without measuring them.
 func TestPartialBudgetReadsProportionally(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(13, 16, 7))
 	if err != nil {
@@ -154,6 +156,9 @@ func TestPartialBudgetReadsProportionally(t *testing.T) {
 		read, attrs := run(decoded / b.div)
 		ratio := float64(read) / float64(streamed)
 		t.Logf("budget 1/%d of %d decoded bytes: read %d of %d B (%.2f)", b.div, decoded, read, streamed, ratio)
+		if read == 0 {
+			t.Errorf("budget 1/%d: read no disk bytes: the cache budget did not overflow", b.div)
+		}
 		if ratio > b.bound {
 			t.Errorf("budget 1/%d: read %.2f of a full sweep per iteration, want <= %.2f", b.div, ratio, b.bound)
 		}

@@ -1,7 +1,6 @@
 package server
 
 import (
-	"encoding/json"
 	"errors"
 	"math"
 	"net/http"
@@ -45,8 +44,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 		Add    []edgeSpec `json:"add"`
 		Remove []edgeSpec `json:"remove"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if len(req.Add)+len(req.Remove) == 0 {

@@ -21,8 +21,6 @@ const walDirName = "wal"
 type walConfig struct {
 	disabled bool
 	policy   wal.SyncPolicy
-	maxDelay time.Duration
-	maxBatch int
 	segment  int64
 	stats    *wal.Stats
 	observe  func(time.Duration)
@@ -97,8 +95,6 @@ func (e *graphEntry) openWAL(cfg walConfig, log *slog.Logger) error {
 	l, err := wal.Open(filepath.Join(e.dir, walDirName), wal.Options{
 		Policy:       cfg.policy,
 		SegmentBytes: cfg.segment,
-		MaxDelay:     cfg.maxDelay,
-		MaxBatch:     cfg.maxBatch,
 		Stats:        cfg.stats,
 		ObserveFsync: cfg.observe,
 		Commit:       e.commitBatch,

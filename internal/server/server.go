@@ -62,13 +62,6 @@ type Config struct {
 	// wal.SyncBatch (default — group commit, one fsync per coalesced
 	// batch of concurrent appends), wal.SyncAlways, or wal.SyncOff.
 	WALSync wal.SyncPolicy
-	// WALMaxDelay stretches the group-commit window: after picking up
-	// work the committer waits up to this long for more appends before
-	// syncing. 0 (default) coalesces only what queued during the
-	// previous fsync, adding no latency.
-	WALMaxDelay time.Duration
-	// WALMaxBatch caps ingest batches per fsync (default 256).
-	WALMaxBatch int
 	// WALSegmentBytes rolls WAL segment files at this size (default
 	// 64 MiB).
 	WALSegmentBytes int64
@@ -145,8 +138,6 @@ func New(cfg Config) *Server {
 	walCfg := walConfig{
 		disabled: cfg.DisableWAL,
 		policy:   cfg.WALSync,
-		maxDelay: cfg.WALMaxDelay,
-		maxBatch: cfg.WALMaxBatch,
 		segment:  cfg.WALSegmentBytes,
 		stats:    walStats,
 		observe:  func(d time.Duration) { hist.WALFsync.Observe(d.Seconds()) },
@@ -238,6 +229,29 @@ func writeErr(w http.ResponseWriter, status int, format string, args ...any) {
 	writeJSON(w, status, map[string]string{"error": fmt.Sprintf(format, args...)})
 }
 
+// maxBodyBytes bounds every request body. The largest one anything in
+// this repository sends is benchmark/'s serve-mixed ingest batch (128
+// edges in under 4 KiB); 1 MiB holds an ingest batch of some 30 000
+// edges.
+const maxBodyBytes = 1 << 20
+
+// decodeBody decodes r's JSON body into v, reading at most maxBodyBytes.
+// On failure it writes the error response — 413 for a body over the
+// bound, 400 for one that is not valid JSON for v — and reports false.
+func decodeBody(w http.ResponseWriter, r *http.Request, v any) bool {
+	err := json.NewDecoder(http.MaxBytesReader(w, r.Body, maxBodyBytes)).Decode(v)
+	var tooLarge *http.MaxBytesError
+	switch {
+	case err == nil:
+		return true
+	case errors.As(err, &tooLarge):
+		writeErr(w, http.StatusRequestEntityTooLarge, "request body exceeds %d bytes", tooLarge.Limit)
+	default:
+		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	}
+	return false
+}
+
 func (s *Server) handleListGraphs(w http.ResponseWriter, r *http.Request) {
 	writeJSON(w, http.StatusOK, map[string]any{"graphs": s.reg.list()})
 }
@@ -247,8 +261,7 @@ func (s *Server) handleOpenGraph(w http.ResponseWriter, r *http.Request) {
 		Name string `json:"name"`
 		Dir  string `json:"dir"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	if req.Name == "" || req.Dir == "" {
@@ -315,8 +328,7 @@ func (s *Server) handleSubmit(w http.ResponseWriter, r *http.Request) {
 		Algo   string `json:"algo"`
 		Params Params `json:"params"`
 	}
-	if err := json.NewDecoder(r.Body).Decode(&req); err != nil {
-		writeErr(w, http.StatusBadRequest, "bad request body: %v", err)
+	if !decodeBody(w, r, &req) {
 		return
 	}
 	j, err := s.sched.submit(e, req.Algo, req.Params)

@@ -5,6 +5,7 @@ import (
 	"encoding/json"
 	"fmt"
 	"io"
+	"maps"
 	"net/http"
 	"net/http/httptest"
 	"strings"
@@ -442,6 +443,32 @@ func TestSubmitValidation(t *testing.T) {
 		code, body := doJSON(t, "POST", ts.URL+"/v1/graphs/fwd/jobs", map[string]any{"algo": algo})
 		if code != http.StatusBadRequest {
 			t.Fatalf("%s on forward-only store: status %d (%v), want 400", algo, code, body)
+		}
+	}
+}
+
+// TestOversizedBodyRejected: a body over maxBodyBytes gets 413 on every
+// POST that reads one, and the server keeps serving — the same request
+// with a normal body succeeds right after.
+func TestOversizedBodyRejected(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 1})
+	pad := strings.Repeat("x", maxBodyBytes)
+	for _, c := range []struct {
+		path string
+		body map[string]any
+		want int
+	}{
+		{"/v1/graphs/g/jobs", map[string]any{"algo": "pagerank", "params": map[string]any{"iters": 2}}, http.StatusAccepted},
+		{"/v1/graphs/g/edges", map[string]any{"add": []map[string]any{{"src": 0, "dst": 1}}}, http.StatusAccepted},
+		{"/v1/graphs", map[string]any{"name": "g2", "dir": buildStoreDir(t, 8)}, http.StatusCreated},
+	} {
+		big := map[string]any{"pad": pad}
+		maps.Copy(big, c.body)
+		if code, body := doJSON(t, "POST", ts.URL+c.path, big); code != http.StatusRequestEntityTooLarge {
+			t.Errorf("POST %s with a %d-byte pad: status %d (%v), want 413", c.path, len(pad), code, body)
+		}
+		if code, body := doJSON(t, "POST", ts.URL+c.path, c.body); code != c.want {
+			t.Errorf("POST %s after a 413: status %d (%v), want %d", c.path, code, body, c.want)
 		}
 	}
 }

@@ -115,12 +115,6 @@ type Options struct {
 	// SegmentBytes rolls to a new segment once the current one reaches
 	// this size (default 64 MiB).
 	SegmentBytes int64
-	// MaxDelay optionally stretches the group-commit window: after
-	// picking up a batch the committer waits up to MaxDelay for more
-	// appends before syncing, trading latency for fewer fsyncs. 0
-	// (default) coalesces only what queued during the previous fsync,
-	// adding no latency.
-	MaxDelay time.Duration
 	// MaxBatch caps appends per fsync (default 256).
 	MaxBatch int
 	// Commit, if set, is invoked by the committer for each batch in
@@ -444,13 +438,6 @@ func (l *Log) committer() {
 		l.queue = nil
 		l.mu.Unlock()
 
-		if l.opt.Policy == SyncBatch && l.opt.MaxDelay > 0 && len(batch) < l.opt.MaxBatch {
-			time.Sleep(l.opt.MaxDelay)
-			l.mu.Lock()
-			batch = append(batch, l.queue...)
-			l.queue = nil
-			l.mu.Unlock()
-		}
 		for len(batch) > 0 {
 			n := len(batch)
 			if n > l.opt.MaxBatch {
