@@ -120,7 +120,8 @@ type ServerHistograms struct {
 	IngestBatch *Histogram
 	// HTTPRequest is HTTP handler latency across all routes.
 	HTTPRequest *Histogram
-	// BatchWidth is the lane count distribution of fused engine runs.
+	// BatchWidth is the lane count distribution of fused engine runs
+	// (width >= 2).
 	BatchWidth *Histogram
 	// WALFsync is write-ahead-log fsync latency (one observation per
 	// group-commit flush, not per appended batch).
@@ -135,7 +136,7 @@ func NewServerHistograms() *ServerHistograms {
 		BlockLoad:         NewHistogram("nxserve_block_load_seconds", "Sub-shard block acquisition time (cache hits and misses).", DurationBuckets),
 		IngestBatch:       NewHistogram("nxserve_ingest_batch_edges", "Edge operations per accepted ingest batch.", SizeBuckets),
 		HTTPRequest:       NewHistogram("nxserve_http_request_seconds", "HTTP request handling latency.", DurationBuckets),
-		BatchWidth:        NewHistogram("nxserve_fused_batch_width", "Lane count of fused engine runs.", SizeBuckets),
+		BatchWidth:        NewHistogram("nxserve_fused_batch_width", "Lane count of fused engine runs (width >= 2).", SizeBuckets),
 		WALFsync:          NewHistogram("nxserve_wal_fsync_seconds", "Write-ahead-log fsync latency per group-commit flush.", FsyncBuckets),
 	}
 }

@@ -39,7 +39,8 @@ type ServerStats struct {
 	GraphsOpen atomic.Int64
 	// EdgesTraversed accumulates engine edge traversals across all jobs.
 	EdgesTraversed atomic.Int64
-	// FusedRuns counts fused engine runs (one per coalesced batch).
+	// FusedRuns counts fused engine runs: runs of width >= 2 (a job
+	// that runs alone is a width-1 run and does not count).
 	FusedRuns atomic.Int64
 	// FusedJobs counts jobs executed as lanes of a fused run.
 	FusedJobs atomic.Int64
@@ -93,9 +94,9 @@ var serverMetrics = []promMetric{
 		func(s *ServerStats) int64 { return s.GraphsOpen.Load() }},
 	{"nxserve_edges_traversed_total", "Engine edge traversals across all jobs.", "counter",
 		func(s *ServerStats) int64 { return s.EdgesTraversed.Load() }},
-	{"nxserve_fused_runs_total", "Fused engine runs (one per coalesced query batch).", "counter",
+	{"nxserve_fused_runs_total", "Fused engine runs: runs of two or more lanes (one per coalesced query batch).", "counter",
 		func(s *ServerStats) int64 { return s.FusedRuns.Load() }},
-	{"nxserve_fused_jobs_total", "Jobs executed as lanes of a fused run.", "counter",
+	{"nxserve_fused_jobs_total", "Jobs executed as lanes of a fused run (width >= 2).", "counter",
 		func(s *ServerStats) int64 { return s.FusedJobs.Load() }},
 	{"nxserve_edges_ingested_total", "Edge insertions accepted into delta logs.", "counter",
 		func(s *ServerStats) int64 { return s.EdgesIngested.Load() }},

@@ -10,14 +10,24 @@ import (
 	nxgraph "nxgraph"
 )
 
-// algoFunc executes one algorithm over an opened graph under ctx,
-// reporting per-iteration progress, and shapes the outcome as a Result.
+// algoFunc executes one whole-graph algorithm over an opened graph
+// under ctx, reporting per-iteration progress, and shapes the outcome as
+// a Result.
 type algoFunc func(ctx context.Context, g *nxgraph.Graph, p Params, progress nxgraph.ProgressFunc) (*Result, error)
+
+// laneFunc executes a root-parameterized algorithm as one engine run
+// with one lane per root, all sharing p's other parameters, and shapes
+// each lane's outcome as a Result. A nil slot is a lane cancelled
+// mid-run through the BatchControl handed to ctrl.
+type laneFunc func(ctx context.Context, g *nxgraph.Graph, roots []uint32, p Params, progress nxgraph.ProgressFunc, ctrl func(nxgraph.BatchControl)) ([]*Result, error)
 
 // Algorithms lists the algorithm names the server accepts.
 func Algorithms() []string {
-	names := make([]string, 0, len(algos))
+	names := make([]string, 0, len(algos)+len(laneAlgos))
 	for name := range algos {
+		names = append(names, name)
+	}
+	for name := range laneAlgos {
 		names = append(names, name)
 	}
 	sort.Strings(names)
@@ -26,13 +36,19 @@ func Algorithms() []string {
 
 var algos = map[string]algoFunc{
 	"pagerank": runPageRank,
-	"ppr":      runPPR,
-	"bfs":      runBFS,
-	"sssp":     runSSSP,
 	"wcc":      runWCC,
 	"scc":      runSCC,
 	"hits":     runHITS,
 	"kcore":    runKCore,
+}
+
+// laneAlgos are the algorithms whose queued jobs can fuse into one run
+// (jobs that differ only in their root vertex). A job that runs alone is
+// a one-lane run of the same entry point.
+var laneAlgos = map[string]laneFunc{
+	"ppr":  pprLanes,
+	"bfs":  bfsLanes,
+	"sssp": ssspLanes,
 }
 
 // fromEngineResult shapes an engine result into the serving form.
@@ -49,15 +65,45 @@ func fromEngineResult(algo, label string, res *nxgraph.Result) *Result {
 	}
 }
 
-// sanitizeInf rewrites +Inf (unreachable in bfs/sssp) to -1 in place so
-// the array is JSON-encodable.
-func sanitizeInf(vals []float64) []float64 {
-	for i, v := range vals {
-		if math.IsInf(v, 1) {
-			vals[i] = -1
+// shapeLanes shapes each lane's engine result into the serving form,
+// leaving cancelled lanes nil. Distance-like (ascending) results have
+// +Inf (unreachable) rewritten to -1 in place so the array is
+// JSON-encodable.
+func shapeLanes(res []*nxgraph.Result, err error, algo, label string, ascending bool) ([]*Result, error) {
+	if err != nil {
+		return nil, err
+	}
+	out := make([]*Result, len(res))
+	for i, r := range res {
+		if r == nil {
+			continue
+		}
+		out[i] = fromEngineResult(algo, label, r)
+		if ascending {
+			for v, x := range out[i].Values {
+				if math.IsInf(x, 1) {
+					out[i].Values[v] = -1
+				}
+			}
+			out[i].Ascending = true
 		}
 	}
-	return vals
+	return out, nil
+}
+
+func pprLanes(ctx context.Context, g *nxgraph.Graph, roots []uint32, p Params, progress nxgraph.ProgressFunc, ctrl func(nxgraph.BatchControl)) ([]*Result, error) {
+	res, err := g.PersonalizedPageRankBatchContext(ctx, roots, p.Damping, p.Iters, progress, ctrl)
+	return shapeLanes(res, err, "ppr", "score", false)
+}
+
+func bfsLanes(ctx context.Context, g *nxgraph.Graph, roots []uint32, p Params, progress nxgraph.ProgressFunc, ctrl func(nxgraph.BatchControl)) ([]*Result, error) {
+	res, err := g.BFSBatchContext(ctx, roots, progress, ctrl)
+	return shapeLanes(res, err, "bfs", "depth", true)
+}
+
+func ssspLanes(ctx context.Context, g *nxgraph.Graph, roots []uint32, p Params, progress nxgraph.ProgressFunc, ctrl func(nxgraph.BatchControl)) ([]*Result, error) {
+	res, err := g.SSSPBatchContext(ctx, roots, progress, ctrl)
+	return shapeLanes(res, err, "sssp", "distance", true)
 }
 
 func runPageRank(ctx context.Context, g *nxgraph.Graph, p Params, progress nxgraph.ProgressFunc) (*Result, error) {
@@ -74,36 +120,6 @@ func runPageRank(ctx context.Context, g *nxgraph.Graph, p Params, progress nxgra
 		return nil, err
 	}
 	return fromEngineResult("pagerank", "rank", res), nil
-}
-
-func runPPR(ctx context.Context, g *nxgraph.Graph, p Params, progress nxgraph.ProgressFunc) (*Result, error) {
-	res, err := g.PersonalizedPageRankContext(ctx, p.Root, p.Damping, p.Iters, progress)
-	if err != nil {
-		return nil, err
-	}
-	return fromEngineResult("ppr", "score", res), nil
-}
-
-func runBFS(ctx context.Context, g *nxgraph.Graph, p Params, progress nxgraph.ProgressFunc) (*Result, error) {
-	res, err := g.BFSContext(ctx, p.Root, progress)
-	if err != nil {
-		return nil, err
-	}
-	out := fromEngineResult("bfs", "depth", res)
-	out.Values = sanitizeInf(out.Values)
-	out.Ascending = true
-	return out, nil
-}
-
-func runSSSP(ctx context.Context, g *nxgraph.Graph, p Params, progress nxgraph.ProgressFunc) (*Result, error) {
-	res, err := g.SSSPContext(ctx, p.Root, progress)
-	if err != nil {
-		return nil, err
-	}
-	out := fromEngineResult("sssp", "distance", res)
-	out.Values = sanitizeInf(out.Values)
-	out.Ascending = true
-	return out, nil
 }
 
 func runWCC(ctx context.Context, g *nxgraph.Graph, p Params, progress nxgraph.ProgressFunc) (*Result, error) {
@@ -197,7 +213,8 @@ func runKCore(ctx context.Context, g *nxgraph.Graph, p Params, progress nxgraph.
 // for the target graph before the job is queued, so obvious mistakes
 // fail synchronously at submit time.
 func validateAlgo(algo string, p Params, g *nxgraph.Graph) error {
-	if _, ok := algos[algo]; !ok {
+	_, whole := algos[algo]
+	if _, lanes := laneAlgos[algo]; !whole && !lanes {
 		return fmt.Errorf("unknown algorithm %q (have %v)", algo, Algorithms())
 	}
 	switch algo {

@@ -25,64 +25,35 @@ const (
 	compactPrevName = "dsss.prev"
 )
 
-// executeCompact drives a compaction job to a terminal state — the
-// jobCompact counterpart of execute.
+// executeCompact drives a compaction job to a terminal state through
+// the same Running and terminal transitions as an algorithm run.
 func (s *scheduler) executeCompact(j *Job) {
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 
-	j.mu.Lock()
-	if j.state != Pending { // cancelled while queued
-		j.mu.Unlock()
+	if !s.begin(j, time.Now(), cancel) { // cancelled while queued
 		return
 	}
-	j.state = Running
-	j.started = time.Now()
-	j.cancel = cancel
-	j.mu.Unlock()
-	s.stats.JobsStarted.Add(1)
-	s.stats.RunningJobs.Add(1)
-	defer s.stats.RunningJobs.Add(-1)
 	s.stats.CompactionsStarted.Add(1)
 	s.log.Info("compaction started", "job", j.ID, "graph", j.Graph,
 		"pending_deltas", j.entry.deltaCount())
 
 	res, err := s.runCompaction(ctx, j.entry)
 
-	j.mu.Lock()
-	j.cancel = nil
-	j.finished = time.Now()
-	switch {
-	case err == nil:
-		j.state = Done
-		j.result = res
-		s.stats.JobsCompleted.Add(1)
+	now := time.Now()
+	switch s.finish(j, now, res, err, false) {
+	case Done:
 		s.stats.CompactionsCompleted.Add(1)
-	case errors.Is(err, context.Canceled):
-		j.state = Cancelled
-		j.err = context.Canceled
-		s.stats.JobsCancelled.Add(1)
-	default:
-		j.state = Failed
-		j.err = err
-		s.stats.JobsFailed.Add(1)
-		s.stats.CompactionsFailed.Add(1)
-	}
-	close(j.done)
-	j.mu.Unlock()
-	s.retire(j, res)
-
-	switch {
-	case err == nil:
 		attrs := []any{"job", j.ID, "graph", j.Graph,
-			"duration_ms", j.finished.Sub(j.started).Milliseconds()}
+			"duration_ms", now.Sub(j.started).Milliseconds()}
 		if res != nil {
 			attrs = append(attrs, "compacted_ops", int64(res.Stats["compacted_ops"]))
 		}
 		s.log.Info("compaction completed", attrs...)
-	case errors.Is(err, context.Canceled):
+	case Cancelled:
 		s.log.Info("compaction cancelled", "job", j.ID, "graph", j.Graph)
 	default:
+		s.stats.CompactionsFailed.Add(1)
 		s.log.Error("compaction failed", "job", j.ID, "graph", j.Graph, "error", err.Error())
 	}
 }

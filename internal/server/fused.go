@@ -2,9 +2,7 @@ package server
 
 import (
 	"context"
-	"errors"
 	"sync"
-	"time"
 
 	nxgraph "nxgraph"
 )
@@ -18,17 +16,10 @@ import (
 // graph traversal instead of b. Per-lane results are bit-identical to
 // sequential runs and fan out into the result cache under each job's own
 // key; cancellation stays per-job (a cancelled job's lane stops at the
-// next iteration boundary while its siblings run on).
-
-// fusableAlgo reports whether algo supports multi-query fusion (queries
-// that differ only in their root vertex).
-func fusableAlgo(algo string) bool {
-	switch algo {
-	case "ppr", "bfs", "sssp":
-		return true
-	}
-	return false
-}
+// next iteration boundary while its siblings run on). A job that finds
+// no compatible company runs through the same path as a one-lane run;
+// only an engine run of width >= 2 counts as fused (fused_width, the
+// nxserve_fused_* metrics, the "fused run finished" log line).
 
 // fuseCompatible reports whether pending job q can join a fused batch
 // led by j. Mixed algorithms never fuse, and neither do jobs that acked
@@ -52,7 +43,7 @@ func fuseCompatible(j, q *Job) bool {
 // s.mu and has already claimed j's graph slot; the claimed jobs share
 // j's entry, so the one claim covers them all.
 func (s *scheduler) claimCompatibleLocked(j *Job) []*Job {
-	if s.maxBatch <= 1 || j.kind != jobAlgo || !fusableAlgo(j.Algo) {
+	if _, ok := laneAlgos[j.Algo]; s.maxBatch <= 1 || j.kind != jobAlgo || !ok {
 		return nil
 	}
 	var extra []*Job
@@ -73,11 +64,12 @@ func (s *scheduler) claimCompatibleLocked(j *Job) []*Job {
 	return extra
 }
 
-// laneCanceller routes per-job cancellation into a fused run. Requests
-// arriving before the engine binds its BatchControl are buffered and
-// replayed at bind time; once every lane has been cancelled the whole
-// run's context is cancelled so the engine stops instead of iterating a
-// fully-dead batch.
+// laneCanceller routes per-job cancellation into an engine run.
+// Requests arriving before the engine binds its BatchControl (or, for a
+// whole-graph algorithm, never binds one) are buffered and replayed at
+// bind time; once every lane has been cancelled the whole run's context
+// is cancelled so the engine stops instead of iterating a fully-dead
+// batch. At width 1 cancelling the only lane therefore cancels the run.
 type laneCanceller struct {
 	mu        sync.Mutex
 	ctrl      nxgraph.BatchControl
@@ -113,242 +105,4 @@ func (lc *laneCanceller) bind(ctrl nxgraph.BatchControl) {
 	}
 	lc.buffered = nil
 	lc.mu.Unlock()
-}
-
-// fusedResult shapes one lane's engine result into the serving form,
-// mirroring the scalar algoFunc for the same algorithm.
-func fusedResult(algo string, res *nxgraph.Result) *Result {
-	switch algo {
-	case "bfs":
-		out := fromEngineResult("bfs", "depth", res)
-		out.Values = sanitizeInf(out.Values)
-		out.Ascending = true
-		return out
-	case "sssp":
-		out := fromEngineResult("sssp", "distance", res)
-		out.Values = sanitizeInf(out.Values)
-		out.Ascending = true
-		return out
-	default: // ppr
-		return fromEngineResult("ppr", "score", res)
-	}
-}
-
-// executeFused runs lead plus the claimed compatible jobs as one fused
-// engine batch. The caller (worker) holds the entry's busy claim, which
-// is released here exactly as in execute.
-func (s *scheduler) executeFused(lead *Job, extra []*Job) {
-	defer func() {
-		s.mu.Lock()
-		lead.entry.busy.Store(false)
-		s.cond.Broadcast()
-		s.mu.Unlock()
-	}()
-	ctx, cancel := context.WithCancel(s.baseCtx)
-	defer cancel()
-
-	// Transition every claimed job to Running; jobs cancelled while
-	// queued are already terminal and drop out of the batch.
-	start := time.Now()
-	var live []*Job
-	for _, j := range append([]*Job{lead}, extra...) {
-		j.mu.Lock()
-		if j.state != Pending {
-			j.mu.Unlock()
-			continue
-		}
-		j.state = Running
-		j.started = start
-		j.mu.Unlock()
-		live = append(live, j)
-	}
-	if len(live) == 0 {
-		return
-	}
-	s.stats.JobsStarted.Add(int64(len(live)))
-	s.stats.RunningJobs.Add(int64(len(live)))
-	defer s.stats.RunningJobs.Add(int64(-len(live)))
-
-	e := lead.entry
-	e.runMu.Lock()
-	if e.closed || e.draining.Load() {
-		e.runMu.Unlock()
-		now := time.Now()
-		for _, j := range live {
-			s.failJob(j, now, errors.New("server: graph closed"))
-		}
-		return
-	}
-
-	// Per-job execution-time cache check: an identical job that queued
-	// ahead may have produced a lane's result already. The delta count is
-	// read once — all lanes share one overlay snapshot, so their keys
-	// must agree on the delta state (see cacheKey for why execution-time
-	// counting is safe).
-	delta := e.deltaCount()
-	var runJobs []*Job
-	var keys []string
-	var hits []*Job
-	var hitRes []*Result
-	for _, j := range live {
-		key := cacheKey(e.uid, delta, j.Algo, j.Params)
-		if cached, ok := s.cache.get(key); ok {
-			hits = append(hits, j)
-			hitRes = append(hitRes, cached)
-			continue
-		}
-		runJobs = append(runJobs, j)
-		keys = append(keys, key)
-	}
-	s.stats.CacheHits.Add(int64(len(hits)))
-
-	var engResults []*nxgraph.Result
-	var runErr error
-	if len(runJobs) > 0 {
-		s.stats.CacheMisses.Add(int64(len(runJobs)))
-		s.stats.FusedRuns.Add(1)
-		s.stats.FusedJobs.Add(int64(len(runJobs)))
-		s.hist.BatchWidth.Observe(float64(len(runJobs)))
-
-		roots := make([]uint32, len(runJobs))
-		lc := &laneCanceller{width: len(runJobs), cancelAll: cancel}
-		for i, j := range runJobs {
-			roots[i] = j.Params.Root
-			lane := i
-			j.mu.Lock()
-			j.fusedWidth = len(runJobs)
-			if j.cancelReq {
-				// Cancelled between the Running transition and lane
-				// binding — forward the request now.
-				lc.cancelLane(lane)
-			} else {
-				j.cancel = func() { lc.cancelLane(lane) }
-			}
-			j.mu.Unlock()
-		}
-		progress := func(p nxgraph.Progress) {
-			for _, j := range runJobs {
-				j.setProgress(p)
-			}
-		}
-		g := e.live()
-		switch lead.Algo {
-		case "bfs":
-			engResults, runErr = g.BFSBatchContext(ctx, roots, progress, lc.bind)
-		case "sssp":
-			engResults, runErr = g.SSSPBatchContext(ctx, roots, progress, lc.bind)
-		default: // ppr
-			engResults, runErr = g.PersonalizedPageRankBatchContext(ctx, roots, lead.Params.Damping, lead.Params.Iters, progress, lc.bind)
-		}
-		if runErr == nil {
-			for i := range runJobs {
-				if engResults[i] != nil {
-					s.cache.put(keys[i], fusedResult(lead.Algo, engResults[i]))
-				}
-			}
-		}
-	}
-	e.runMu.Unlock()
-
-	now := time.Now()
-	elapsed := now.Sub(start)
-	for i, j := range hits {
-		s.finishJob(j, now, hitRes[i], true)
-	}
-	var width, done int
-	if len(runJobs) > 0 {
-		width = len(runJobs)
-		var tracedOnce bool
-		for i, j := range runJobs {
-			switch {
-			case runErr != nil && errors.Is(runErr, context.Canceled):
-				s.cancelFinishedJob(j, now)
-			case runErr != nil:
-				s.failJob(j, now, runErr)
-			case engResults[i] == nil: // lane cancelled mid-run
-				s.cancelFinishedJob(j, now)
-			default:
-				res := fusedResult(lead.Algo, engResults[i])
-				s.finishJob(j, now, res, false)
-				s.stats.EdgesTraversed.Add(res.EdgesTraversed)
-				done++
-				if !tracedOnce {
-					// The batch shares one trace; fold it into the
-					// histograms once, not once per lane.
-					s.hist.JobDuration.Observe(elapsed.Seconds())
-					s.observeTrace(engResults[i].Trace)
-					tracedOnce = true
-				}
-			}
-		}
-	}
-	s.log.Info("fused run finished",
-		"graph", lead.Graph, "algo", lead.Algo,
-		"width", width, "cache_hits", len(hits), "completed", done,
-		"duration_ms", elapsed.Milliseconds(),
-	)
-}
-
-// finishJob marks j Done with res and retires it.
-func (s *scheduler) finishJob(j *Job, now time.Time, res *Result, cacheHit bool) {
-	j.mu.Lock()
-	j.cancel = nil
-	j.finished = now
-	j.state = Done
-	j.result = res
-	j.cacheHit = cacheHit
-	close(j.done)
-	j.mu.Unlock()
-	s.retire(j, res)
-	s.stats.JobsCompleted.Add(1)
-	s.logJob(j, Done, cacheHit, nil, res)
-}
-
-// cancelFinishedJob marks j Cancelled and retires it.
-func (s *scheduler) cancelFinishedJob(j *Job, now time.Time) {
-	j.mu.Lock()
-	j.cancel = nil
-	j.finished = now
-	j.state = Cancelled
-	j.err = context.Canceled
-	close(j.done)
-	j.mu.Unlock()
-	s.retire(j, nil)
-	s.stats.JobsCancelled.Add(1)
-	s.logJob(j, Cancelled, false, context.Canceled, nil)
-}
-
-// failJob marks j Failed with err and retires it.
-func (s *scheduler) failJob(j *Job, now time.Time, err error) {
-	j.mu.Lock()
-	j.cancel = nil
-	j.finished = now
-	j.state = Failed
-	j.err = err
-	close(j.done)
-	j.mu.Unlock()
-	s.retire(j, nil)
-	s.stats.JobsFailed.Add(1)
-	s.logJob(j, Failed, false, err, nil)
-}
-
-// logJob emits the per-job completion log line shared by the scalar and
-// fused paths.
-func (s *scheduler) logJob(j *Job, state State, cacheHit bool, err error, res *Result) {
-	j.mu.Lock()
-	elapsed := j.finished.Sub(j.started)
-	j.mu.Unlock()
-	attrs := []any{
-		"job", j.ID, "graph", j.Graph, "algo", j.Algo,
-		"state", string(state), "cache_hit", cacheHit,
-		"duration_ms", elapsed.Milliseconds(),
-	}
-	if err != nil && !errors.Is(err, context.Canceled) {
-		s.log.Error("job finished", append(attrs, "error", err.Error())...)
-		return
-	}
-	if res != nil {
-		attrs = append(attrs, "iterations", res.Iterations, "edges", res.EdgesTraversed)
-	}
-	s.log.Info("job finished", attrs...)
 }

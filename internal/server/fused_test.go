@@ -1,6 +1,7 @@
 package server
 
 import (
+	"math"
 	"net/http/httptest"
 	"testing"
 
@@ -100,6 +101,34 @@ func TestFusedCoalescing(t *testing.T) {
 			}
 		}
 	}
+
+	// A claimed batch whose siblings all turn out to be result-cache
+	// hits at execution time runs the engine at width 1: not fused.
+	release = holdRunSlot(s, e)
+	lone := submit(t, ts, "g", "ppr", map[string]any{"root": 8})
+	hitID := submit(t, ts, "g", "ppr", map[string]any{"root": 9})
+	want, err := gr.PersonalizedPageRank(9, 0.85, 20)
+	if err != nil {
+		t.Fatal(err)
+	}
+	s.cache.put(cacheKey(e.uid, 0, "ppr", Params{Damping: 0.85, Iters: 20, Root: 9}),
+		&Result{Algo: "ppr", ValueLabel: "score", Values: want.Attrs})
+	release()
+	for _, id := range []string{lone, hitID} {
+		b := pollUntil(t, ts, id, terminal)
+		if b["state"] != "done" || fusedWidth(b) != 0 {
+			t.Fatalf("job %s: state %v fused_width %d, want done alone", id, b["state"], fusedWidth(b))
+		}
+		if hit := b["cache_hit"] == true; hit != (id == hitID) {
+			t.Fatalf("job %s: cache_hit %v", id, hit)
+		}
+	}
+	if got := s.stats.FusedRuns.Load(); got != 1 {
+		t.Fatalf("FusedRuns = %d after a batch of one run and cache hits, want 1", got)
+	}
+	if got := s.stats.FusedJobs.Load(); got != int64(len(roots)) {
+		t.Fatalf("FusedJobs = %d after a batch of one run and cache hits, want %d", got, len(roots))
+	}
 }
 
 // TestFusedMixedAlgosNeverFuse: only same-algorithm jobs coalesce; the
@@ -163,65 +192,115 @@ func TestFusedDeltaMismatchNeverFuses(t *testing.T) {
 	}
 }
 
-// TestFusedCancelLeavesSiblings: cancelling one job of a fused batch
-// yields a cancelled job while its siblings complete with values
-// identical to independent sequential runs. Holding runMu parks the
-// batch between the Running transition and the engine run, so the
-// cancellation deterministically lands mid-batch.
+// TestFusedCancelLeavesSiblings: cancelling one job of a batch yields a
+// cancelled job while its siblings complete with values identical to
+// independent sequential runs. Holding runMu parks the batch between the
+// Running transition and the engine run, so the cancellation
+// deterministically lands mid-batch. The solo case is the same trick at
+// width 1.
 func TestFusedCancelLeavesSiblings(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1})
-	e, _ := s.reg.get("g")
-	release := holdRunSlot(s, e)
-	roots := []uint32{5, 6, 7}
-	ids := make([]string, len(roots))
-	for i, r := range roots {
-		ids[i] = submit(t, ts, "g", "ppr", map[string]any{"root": r})
-	}
-	e.runMu.Lock()
-	release()
-	pollUntil(t, ts, ids[1], stateIs("running"))
-	if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs/"+ids[1]+"/cancel", nil); code != 200 {
-		t.Fatalf("cancel: status %d, body %v", code, body)
-	}
-	e.runMu.Unlock()
-
-	if b := pollUntil(t, ts, ids[1], terminal); b["state"] != "cancelled" {
-		t.Fatalf("cancelled job: state %v, want cancelled", b["state"])
-	}
-	gr := oracleGraph(t)
-	for _, i := range []int{0, 2} {
-		b := pollUntil(t, ts, ids[i], terminal)
-		if b["state"] != "done" {
-			t.Fatalf("sibling %s: state %v, want done (%v)", ids[i], b["state"], b["error"])
-		}
-		want, err := gr.PersonalizedPageRank(roots[i], 0.85, 20)
-		if err != nil {
-			t.Fatal(err)
-		}
-		got := fusedResultValues(t, ts, ids[i])
-		for v := range got {
-			if got[v] != want.Attrs[v] {
-				t.Fatalf("sibling root %d vertex %d: %v, want %v", roots[i], v, got[v], want.Attrs[v])
+	for _, tc := range []struct {
+		name   string
+		roots  []uint32
+		cancel int
+	}{
+		{"solo", []uint32{5}, 0},
+		{"fused", []uint32{5, 6, 7}, 1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1})
+			e, _ := s.reg.get("g")
+			release := holdRunSlot(s, e)
+			ids := make([]string, len(tc.roots))
+			for i, r := range tc.roots {
+				ids[i] = submit(t, ts, "g", "ppr", map[string]any{"root": r})
 			}
-		}
+			e.runMu.Lock()
+			release()
+			victim := ids[tc.cancel]
+			pollUntil(t, ts, victim, stateIs("running"))
+			if code, body := doJSON(t, "POST", ts.URL+"/v1/jobs/"+victim+"/cancel", nil); code != 200 {
+				t.Fatalf("cancel: status %d, body %v", code, body)
+			}
+			e.runMu.Unlock()
+
+			if b := pollUntil(t, ts, victim, terminal); b["state"] != "cancelled" {
+				t.Fatalf("cancelled job: state %v, want cancelled", b["state"])
+			}
+			gr := oracleGraph(t)
+			for i, r := range tc.roots {
+				if i == tc.cancel {
+					continue
+				}
+				b := pollUntil(t, ts, ids[i], terminal)
+				if b["state"] != "done" {
+					t.Fatalf("sibling %s: state %v, want done (%v)", ids[i], b["state"], b["error"])
+				}
+				want, err := gr.PersonalizedPageRank(r, 0.85, 20)
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fusedResultValues(t, ts, ids[i])
+				for v := range got {
+					if got[v] != want.Attrs[v] {
+						t.Fatalf("sibling root %d vertex %d: %v, want %v", r, v, got[v], want.Attrs[v])
+					}
+				}
+			}
+		})
 	}
 }
 
-// TestFusedDisabled: MaxBatch 1 turns coalescing off entirely.
+// TestFusedDisabled: MaxBatch 1 turns coalescing off entirely, and each
+// job's one-lane run is bitwise equal to the library's single-query
+// entry point (unreachable +Inf served as -1).
 func TestFusedDisabled(t *testing.T) {
-	s, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1})
-	e, _ := s.reg.get("g")
-	release := holdRunSlot(s, e)
-	a := submit(t, ts, "g", "bfs", map[string]any{"root": 1})
-	b := submit(t, ts, "g", "bfs", map[string]any{"root": 2})
-	release()
-	for _, id := range []string{a, b} {
-		st := pollUntil(t, ts, id, terminal)
-		if st["state"] != "done" || fusedWidth(st) != 0 {
-			t.Fatalf("job %s: state %v fused_width %d, want done alone", id, st["state"], fusedWidth(st))
-		}
-	}
-	if got := s.stats.FusedRuns.Load(); got != 0 {
-		t.Fatalf("FusedRuns = %d, want 0", got)
+	for _, algo := range []string{"ppr", "bfs", "sssp"} {
+		t.Run(algo, func(t *testing.T) {
+			s, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1})
+			e, _ := s.reg.get("g")
+			release := holdRunSlot(s, e)
+			roots := []uint32{1, 2}
+			ids := make([]string, len(roots))
+			for i, r := range roots {
+				ids[i] = submit(t, ts, "g", algo, map[string]any{"root": r})
+			}
+			release()
+			gr := oracleGraph(t)
+			for i, id := range ids {
+				st := pollUntil(t, ts, id, terminal)
+				if st["state"] != "done" || fusedWidth(st) != 0 {
+					t.Fatalf("job %s: state %v fused_width %d, want done alone", id, st["state"], fusedWidth(st))
+				}
+				var want *nxgraph.Result
+				var err error
+				switch algo {
+				case "ppr":
+					want, err = gr.PersonalizedPageRank(roots[i], 0.85, 20)
+				case "bfs":
+					want, err = gr.BFS(roots[i])
+				case "sssp":
+					want, err = gr.SSSP(roots[i])
+				}
+				if err != nil {
+					t.Fatal(err)
+				}
+				got := fusedResultValues(t, ts, id)
+				if len(got) != len(want.Attrs) {
+					t.Fatalf("root %d: %d values, want %d", roots[i], len(got), len(want.Attrs))
+				}
+				for v, w := range want.Attrs {
+					if math.IsInf(w, 1) {
+						w = -1
+					}
+					if math.Float64bits(got[v]) != math.Float64bits(w) {
+						t.Fatalf("root %d vertex %d: served %v, library %v", roots[i], v, got[v], w)
+					}
+				}
+			}
+			if got := s.stats.FusedRuns.Load(); got != 0 {
+				t.Fatalf("FusedRuns = %d, want 0", got)
+			}
+		})
 	}
 }

@@ -11,6 +11,7 @@ import (
 	"sync"
 	"time"
 
+	nxgraph "nxgraph"
 	"nxgraph/internal/metrics"
 	"nxgraph/internal/trace"
 )
@@ -65,12 +66,6 @@ func newScheduler(workers, queueCap, retainJobs, maxBatch int, retainBytes int64
 	}
 	if maxBatch <= 0 {
 		maxBatch = 16
-	}
-	if hist == nil {
-		hist = metrics.NewServerHistograms()
-	}
-	if log == nil {
-		log = slog.Default()
 	}
 	if queueCap <= 0 {
 		queueCap = 64
@@ -374,12 +369,12 @@ func (s *scheduler) cancelJob(j *Job) bool {
 	}
 }
 
-// worker drains the pending list, executing one job at a time. It takes
-// the oldest job whose graph is not already running (claimed via the
-// entry's busy flag) so one graph's backlog never idles a pool slot
+// worker drains the pending list, executing one claim at a time. It
+// takes the oldest job whose graph is not already running (claimed via
+// the entry's busy flag) so one graph's backlog never idles a pool slot
 // that another graph's job could use. After claiming a fusable job it
 // also claims every compatible queued job (up to the maxBatch fairness
-// cap) and runs them all as one fused engine batch.
+// cap) and runs them all as the lanes of one engine run.
 func (s *scheduler) worker() {
 	defer s.wg.Done()
 	for {
@@ -409,129 +404,230 @@ func (s *scheduler) worker() {
 		extra := s.claimCompatibleLocked(j)
 		s.stats.QueueDepth.Store(int64(len(s.pending)))
 		s.mu.Unlock()
-		if len(extra) > 0 {
-			s.executeFused(j, extra)
+		if j.kind == jobCompact {
+			s.executeCompact(j)
 		} else {
-			s.execute(j)
+			s.run(append([]*Job{j}, extra...))
 		}
 	}
 }
 
-// execute runs one job to a terminal state. For algorithm jobs the
-// caller (worker) holds the entry's busy claim; it is released here,
-// waking waiters that may have skipped this graph's queued jobs. The
-// release happens under s.mu — a worker that saw busy=true does so
-// while holding the lock, so the release (and its broadcast) cannot
-// slip between that observation and the worker's cond.Wait (the classic
-// lost-wakeup window). Compaction jobs never claimed busy and dispatch
-// to their own path.
-func (s *scheduler) execute(j *Job) {
-	if j.kind == jobCompact {
-		s.executeCompact(j)
-		return
-	}
+// run takes a claimed batch of algorithm jobs — the worker's pick plus
+// the compatible jobs it claimed, so a job that ran alone is a batch of
+// one — to terminal states. The worker holds the entry's busy claim for
+// the whole batch; it is released here under s.mu — a worker that saw
+// busy=true does so while holding the lock, so the release (and its
+// broadcast) cannot slip between that observation and the worker's
+// cond.Wait (the classic lost-wakeup window).
+func (s *scheduler) run(batch []*Job) {
+	e := batch[0].entry
 	defer func() {
 		s.mu.Lock()
-		j.entry.busy.Store(false)
+		e.busy.Store(false)
 		s.cond.Broadcast()
 		s.mu.Unlock()
 	}()
 	ctx, cancel := context.WithCancel(s.baseCtx)
 	defer cancel()
 
-	j.mu.Lock()
-	if j.state != Pending { // cancelled while queued
-		j.mu.Unlock()
+	// Jobs cancelled while queued are already terminal and drop out.
+	start := time.Now()
+	var live []*Job
+	for _, j := range batch {
+		if s.begin(j, start, nil) {
+			live = append(live, j)
+		}
+	}
+	if len(live) == 0 {
 		return
 	}
-	j.state = Running
-	j.started = time.Now()
-	j.cancel = cancel
-	j.mu.Unlock()
-	s.stats.JobsStarted.Add(1)
-	s.stats.RunningJobs.Add(1)
-	defer s.stats.RunningJobs.Add(-1)
 
 	// Serialize engine runs per graph; fail fast if the graph was
-	// closed while the job waited. The cache insert happens inside the
+	// closed while the jobs waited. The cache inserts happen inside the
 	// same critical section: graph closure takes runMu before its
 	// post-close cache invalidation, so an in-flight result keyed by
 	// this registration's uid is always inserted before the uid's
 	// entries are purged — nothing lingers after close. (Stale serving
 	// to a rebound name is impossible regardless: the new registration
 	// has a fresh uid.)
-	j.entry.runMu.Lock()
-	var res *Result
-	var err error
-	cacheHit := false
-	// The key is rebuilt here with the delta count current at execution:
-	// the run's overlay snapshot includes at least these ops, so the
-	// inserted result can never be served to a job that acked more.
-	key := cacheKey(j.entry.uid, j.entry.deltaCount(), j.Algo, j.Params)
-	if j.entry.closed || j.entry.draining.Load() {
+	e.runMu.Lock()
+	res := make([]*Result, len(live))
+	hit := make([]bool, len(live))
+	var lanes []*Job // the jobs the engine runs, in lane order
+	var runErr error
+	if e.closed || e.draining.Load() {
 		// draining catches a job that raced past both submit's check
 		// and the close sweep — it must not start a run the close
 		// would then wait out.
-		err = fmt.Errorf("server: graph %q closed", j.Graph)
-	} else if cached, ok := s.cache.get(key); ok {
-		// An identical job that queued behind ours may have already
-		// produced this result; don't repeat a full engine run.
-		res, cacheHit = cached, true
-		s.stats.CacheHits.Add(1)
+		runErr = fmt.Errorf("server: graph %q closed", e.name)
 	} else {
-		s.stats.CacheMisses.Add(1)
-		res, err = algos[j.Algo](ctx, j.entry.live(), j.Params, j.setProgress)
-		if err == nil {
-			s.cache.put(key, res)
+		// Per-job execution-time cache check: an identical job that
+		// queued ahead may have produced a result already. The key is
+		// rebuilt with the delta count current now, read once — the
+		// lanes share one overlay snapshot including at least these
+		// ops, so an inserted result can never be served to a job that
+		// acked more.
+		delta := e.deltaCount()
+		var keys []string
+		var slots []int
+		for i, j := range live {
+			key := cacheKey(e.uid, delta, j.Algo, j.Params)
+			if cached, ok := s.cache.get(key); ok {
+				res[i], hit[i] = cached, true
+				continue
+			}
+			lanes, keys, slots = append(lanes, j), append(keys, key), append(slots, i)
+		}
+		s.stats.CacheHits.Add(int64(len(live) - len(lanes)))
+		s.stats.CacheMisses.Add(int64(len(lanes)))
+		if len(lanes) > 0 {
+			var out []*Result
+			out, runErr = s.engineRun(ctx, cancel, lanes)
+			for k, r := range out {
+				res[slots[k]] = r
+				if r != nil {
+					s.cache.put(keys[k], r)
+				}
+			}
 		}
 	}
-	j.entry.runMu.Unlock()
+	e.runMu.Unlock()
 
+	now := time.Now()
+	elapsed := now.Sub(start)
+	completed, traced := 0, false
+	for i, j := range live {
+		err := runErr
+		switch {
+		case hit[i]:
+			err = nil
+		case err == nil && res[i] == nil: // lane cancelled mid-run
+			err = context.Canceled
+		}
+		if s.finish(j, now, res[i], err, hit[i]) == Done && !hit[i] {
+			completed++
+			s.stats.EdgesTraversed.Add(res[i].EdgesTraversed)
+			if !traced {
+				// Lanes share one trace; fold it into the histograms
+				// once per engine run, not once per lane.
+				s.hist.JobDuration.Observe(elapsed.Seconds())
+				s.observeTrace(res[i].Trace)
+				traced = true
+			}
+		}
+		s.logJob(j, res[i], err)
+	}
+	if width := len(lanes); width >= 2 {
+		s.stats.FusedRuns.Add(1)
+		s.stats.FusedJobs.Add(int64(width))
+		s.hist.BatchWidth.Observe(float64(width))
+		s.log.Info("fused run finished",
+			"graph", e.name, "algo", lanes[0].Algo,
+			"width", width, "cache_hits", len(live)-width, "completed", completed,
+			"duration_ms", elapsed.Milliseconds(),
+		)
+	}
+}
+
+// engineRun runs jobs — one algorithm, parameters differing at most in
+// the root — as the lanes of one engine run over their graph, returning
+// one result per job (nil for a lane cancelled mid-run). Each job's
+// cancel is wired to its own lane. Caller holds the graph's runMu.
+func (s *scheduler) engineRun(ctx context.Context, cancel context.CancelFunc, jobs []*Job) ([]*Result, error) {
+	width := len(jobs)
+	lc := &laneCanceller{width: width, cancelAll: cancel}
+	for lane, j := range jobs {
+		j.mu.Lock()
+		if width >= 2 {
+			j.fusedWidth = width
+		}
+		if j.cancelReq {
+			// Cancelled between the Running transition and lane
+			// binding — forward the request now.
+			lc.cancelLane(lane)
+		} else {
+			j.cancel = func() { lc.cancelLane(lane) }
+		}
+		j.mu.Unlock()
+	}
+	progress := func(p nxgraph.Progress) {
+		for _, j := range jobs {
+			j.setProgress(p)
+		}
+	}
+	lead := jobs[0]
+	g := lead.entry.live()
+	if run, ok := laneAlgos[lead.Algo]; ok {
+		roots := make([]uint32, width)
+		for i, j := range jobs {
+			roots[i] = j.Params.Root
+		}
+		return run(ctx, g, roots, lead.Params, progress, lc.bind)
+	}
+	res, err := algos[lead.Algo](ctx, g, lead.Params, progress)
+	return []*Result{res}, err
+}
+
+// begin moves j from Pending to Running, reporting false (and leaving j
+// alone) when it was cancelled while queued. cancel, when non-nil,
+// becomes the job's cancellation hook for the run.
+func (s *scheduler) begin(j *Job, now time.Time, cancel func()) bool {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	if j.state != Pending {
+		return false
+	}
+	j.state = Running
+	j.started = now
+	j.cancel = cancel
+	s.stats.JobsStarted.Add(1)
+	s.stats.RunningJobs.Add(1)
+	return true
+}
+
+// finish moves a Running job to its terminal state — Done with res when
+// err is nil, Cancelled when err is a cancellation, Failed otherwise —
+// retires it and returns the state.
+func (s *scheduler) finish(j *Job, now time.Time, res *Result, err error, cacheHit bool) State {
 	j.mu.Lock()
 	j.cancel = nil
-	j.finished = time.Now()
-	elapsed := j.finished.Sub(j.started)
-	var state State
+	j.finished = now
 	switch {
 	case err == nil:
-		j.state = Done
-		j.result = res
-		j.cacheHit = cacheHit
+		j.state, j.result, j.cacheHit = Done, res, cacheHit
 		s.stats.JobsCompleted.Add(1)
-		if !cacheHit {
-			s.stats.EdgesTraversed.Add(res.EdgesTraversed)
-		}
 	case errors.Is(err, context.Canceled):
-		j.state = Cancelled
-		j.err = context.Canceled
+		j.state, j.err, res = Cancelled, context.Canceled, nil
 		s.stats.JobsCancelled.Add(1)
 	default:
-		j.state = Failed
-		j.err = err
+		j.state, j.err, res = Failed, err, nil
 		s.stats.JobsFailed.Add(1)
 	}
-	state = j.state
+	state := j.state
 	close(j.done)
 	j.mu.Unlock()
+	s.stats.RunningJobs.Add(-1)
 	s.retire(j, res)
+	return state
+}
 
-	if err == nil && !cacheHit {
-		s.hist.JobDuration.Observe(elapsed.Seconds())
-		s.observeTrace(res.Trace)
-	}
+// logJob emits a finished algorithm job's log line.
+func (s *scheduler) logJob(j *Job, res *Result, err error) {
+	j.mu.Lock()
 	attrs := []any{
 		"job", j.ID, "graph", j.Graph, "algo", j.Algo,
-		"state", string(state), "cache_hit", cacheHit,
-		"duration_ms", elapsed.Milliseconds(),
+		"state", string(j.state), "cache_hit", j.cacheHit,
+		"duration_ms", j.finished.Sub(j.started).Milliseconds(),
 	}
+	j.mu.Unlock()
 	if err != nil && !errors.Is(err, context.Canceled) {
 		s.log.Error("job finished", append(attrs, "error", err.Error())...)
-	} else {
-		if res != nil {
-			attrs = append(attrs, "iterations", res.Iterations, "edges", res.EdgesTraversed)
-		}
-		s.log.Info("job finished", attrs...)
+		return
 	}
+	if res != nil {
+		attrs = append(attrs, "iterations", res.Iterations, "edges", res.EdgesTraversed)
+	}
+	s.log.Info("job finished", attrs...)
 }
 
 // observeTrace folds one engine run's trace into the iteration-time and

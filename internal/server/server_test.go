@@ -8,6 +8,7 @@ import (
 	"maps"
 	"net/http"
 	"net/http/httptest"
+	"runtime"
 	"strings"
 	"sync"
 	"testing"
@@ -218,35 +219,46 @@ func TestConcurrentJobs(t *testing.T) {
 	}
 }
 
-// TestCancelMidFlight submits an effectively unbounded PageRank, waits
-// for it to make progress, cancels, and observes state cancelled.
+// TestCancelMidFlight submits an effectively unbounded job — a
+// whole-graph PageRank, or a root query running as a one-lane batch —
+// waits for it to make progress, cancels, and observes state cancelled.
 func TestCancelMidFlight(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
-	id := submit(t, ts, "g", "pagerank", map[string]any{"iters": 1000000})
-	pollUntil(t, ts, id, func(b map[string]any) bool {
-		if b["state"] != "running" {
-			return false
-		}
-		p, _ := b["progress"].(map[string]any)
-		return p != nil && p["iteration"].(float64) >= 1
-	})
-	code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs/"+id+"/cancel", nil)
-	if code != http.StatusOK {
-		t.Fatalf("cancel: status %d", code)
-	}
-	body := pollUntil(t, ts, id, terminal)
-	if body["state"] != "cancelled" {
-		t.Fatalf("job ended %v, want cancelled", body["state"])
-	}
-	// Result retrieval for a cancelled job is a conflict.
-	code, _ = doJSON(t, "GET", ts.URL+"/v1/jobs/"+id+"/result", nil)
-	if code != http.StatusConflict {
-		t.Fatalf("result of cancelled job: status %d, want 409", code)
-	}
-	// The graph remains serviceable after cancellation.
-	id2 := submit(t, ts, "g", "bfs", map[string]any{"root": 0})
-	if body := pollUntil(t, ts, id2, terminal); body["state"] != "done" {
-		t.Fatalf("post-cancel job ended %v", body["state"])
+	for _, tc := range []struct {
+		algo   string
+		params map[string]any
+	}{
+		{"pagerank", map[string]any{"iters": 1000000}},
+		{"ppr", map[string]any{"iters": 1000000, "root": 0}},
+	} {
+		t.Run(tc.algo, func(t *testing.T) {
+			_, ts := newTestServer(t, Config{Workers: 1})
+			id := submit(t, ts, "g", tc.algo, tc.params)
+			pollUntil(t, ts, id, func(b map[string]any) bool {
+				if b["state"] != "running" {
+					return false
+				}
+				p, _ := b["progress"].(map[string]any)
+				return p != nil && p["iteration"].(float64) >= 1
+			})
+			code, _ := doJSON(t, "POST", ts.URL+"/v1/jobs/"+id+"/cancel", nil)
+			if code != http.StatusOK {
+				t.Fatalf("cancel: status %d", code)
+			}
+			body := pollUntil(t, ts, id, terminal)
+			if body["state"] != "cancelled" {
+				t.Fatalf("job ended %v, want cancelled", body["state"])
+			}
+			// Result retrieval for a cancelled job is a conflict.
+			code, _ = doJSON(t, "GET", ts.URL+"/v1/jobs/"+id+"/result", nil)
+			if code != http.StatusConflict {
+				t.Fatalf("result of cancelled job: status %d, want 409", code)
+			}
+			// The graph remains serviceable after cancellation.
+			id2 := submit(t, ts, "g", "bfs", map[string]any{"root": 0})
+			if body := pollUntil(t, ts, id2, terminal); body["state"] != "done" {
+				t.Fatalf("post-cancel job ended %v", body["state"])
+			}
+		})
 	}
 }
 
@@ -294,7 +306,7 @@ func TestCacheHit(t *testing.T) {
 }
 
 func TestGraphLifecycle(t *testing.T) {
-	_, ts := newTestServer(t, Config{Workers: 1})
+	s, ts := newTestServer(t, Config{Workers: 1})
 	dir := buildStoreDir(t, 8)
 
 	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{"name": "h", "dir": dir})
@@ -333,6 +345,57 @@ func TestGraphLifecycle(t *testing.T) {
 	code, _ = doJSON(t, "POST", ts.URL+"/v1/graphs/h/jobs", map[string]any{"algo": "bfs"})
 	if code != http.StatusNotFound {
 		t.Fatalf("submit to closed graph: status %d, want 404", code)
+	}
+
+	// Jobs already running when their graph closes fail with one named
+	// error, whether they run alone or as a fused batch. Parking runMu
+	// holds them between the Running transition and the engine run
+	// until the close has deregistered the graph.
+	for _, roots := range [][]uint32{{1}, {1, 2}} {
+		code, body := doJSON(t, "POST", ts.URL+"/v1/graphs", map[string]any{"name": "h", "dir": dir})
+		if code != http.StatusCreated {
+			t.Fatalf("reopen: status %d, body %v", code, body)
+		}
+		e, _ := s.reg.get("h")
+		release := holdRunSlot(s, e)
+		ids := make([]string, len(roots))
+		for i, r := range roots {
+			ids[i] = submit(t, ts, "h", "ppr", map[string]any{"root": r})
+		}
+		e.runMu.Lock()
+		release()
+		for _, id := range ids {
+			pollUntil(t, ts, id, stateIs("running"))
+		}
+		closed := make(chan int)
+		go func() { // plain request: t.Fatal must stay on the test goroutine
+			req, _ := http.NewRequest("DELETE", ts.URL+"/v1/graphs/h", nil)
+			resp, err := http.DefaultClient.Do(req)
+			if err != nil {
+				closed <- 0
+				return
+			}
+			resp.Body.Close()
+			closed <- resp.StatusCode
+		}()
+		for deadline := time.Now().Add(30 * time.Second); ; time.Sleep(time.Millisecond) {
+			if _, open := s.reg.get("h"); !open {
+				break
+			}
+			if time.Now().After(deadline) {
+				t.Fatal("close never deregistered the graph")
+			}
+		}
+		e.runMu.Unlock()
+		if code := <-closed; code != http.StatusNoContent {
+			t.Fatalf("close: status %d", code)
+		}
+		for _, id := range ids {
+			b := pollUntil(t, ts, id, terminal)
+			if b["state"] != "failed" || b["error"] != `server: graph "h" closed` {
+				t.Fatalf("width %d job on closed graph: state %v error %v", len(roots), b["state"], b["error"])
+			}
+		}
 	}
 }
 
@@ -521,4 +584,57 @@ func TestQueueFull(t *testing.T) {
 	}
 	// Unblock the pool so Cleanup shuts down promptly.
 	doJSON(t, "POST", ts.URL+"/v1/jobs/"+blocker+"/cancel", nil)
+}
+
+// TestCloseLeaksNoGoroutines drives every kind of work — a solo job, a
+// fused batch, an ingest and a compaction — then closes the server and
+// waits for the goroutine count to fall back to its pre-New baseline.
+func TestCloseLeaksNoGoroutines(t *testing.T) {
+	dir := buildStoreDir(t, 9)
+	http.DefaultClient.CloseIdleConnections()
+	baseline := runtime.NumGoroutine()
+
+	s := New(Config{Workers: 2})
+	if err := s.OpenGraph("g", dir, nxgraph.Options{}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	solo := submit(t, ts, "g", "pagerank", map[string]any{"iters": 5})
+	pollUntil(t, ts, solo, terminal)
+	e, _ := s.reg.get("g")
+	release := holdRunSlot(s, e)
+	batch := []string{
+		submit(t, ts, "g", "ppr", map[string]any{"root": 1}),
+		submit(t, ts, "g", "ppr", map[string]any{"root": 2}),
+	}
+	release()
+	for _, id := range batch {
+		if b := pollUntil(t, ts, id, terminal); fusedWidth(b) != 2 {
+			t.Fatalf("batch job %s: fused_width %d, want 2", id, fusedWidth(b))
+		}
+	}
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/edges",
+		map[string]any{"add": []map[string]any{{"src": 1, "dst": 2}}}); code != http.StatusAccepted {
+		t.Fatalf("ingest: status %d, body %v", code, body)
+	}
+	code, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/compact", nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("compact: status %d, body %v", code, body)
+	}
+	if b := pollUntil(t, ts, body["id"].(string), terminal); b["state"] != "done" {
+		t.Fatalf("compaction ended %v (%v)", b["state"], b["error"])
+	}
+	ts.Close()
+	s.Close()
+	http.DefaultClient.CloseIdleConnections()
+
+	deadline := time.Now().Add(10 * time.Second)
+	for runtime.NumGoroutine() > baseline {
+		if time.Now().After(deadline) {
+			buf := make([]byte, 1<<20)
+			buf = buf[:runtime.Stack(buf, true)]
+			t.Fatalf("%d goroutines after Close, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf)
+		}
+		time.Sleep(10 * time.Millisecond)
+	}
 }
