@@ -6,17 +6,29 @@ import (
 	"testing"
 )
 
+// render returns r's exposition, failing t if it is not well-formed.
+func render(t *testing.T, r *Registry) string {
+	t.Helper()
+	var b strings.Builder
+	if err := r.WritePrometheus(&b); err != nil {
+		t.Fatal(err)
+	}
+	if err := ValidateExposition(strings.NewReader(b.String())); err != nil {
+		t.Fatalf("own exposition rejected: %v\n%s", err, b.String())
+	}
+	return b.String()
+}
+
 func TestHistogramBuckets(t *testing.T) {
-	h := NewHistogram("test_seconds", "help text", []float64{0.1, 1, 10})
+	r := &Registry{}
+	h := r.Histogram("test_seconds", "help text", []float64{0.1, 1, 10})
 	for _, v := range []float64{0.05, 0.1, 0.5, 2, 100} {
 		h.Observe(v)
 	}
-	var b strings.Builder
-	if err := h.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
+	out := render(t, r)
 	want := []string{
+		"# HELP test_seconds help text",
+		"# TYPE test_seconds histogram",
 		`test_seconds_bucket{le="0.1"} 2`, // 0.05 and 0.1 (le is inclusive)
 		`test_seconds_bucket{le="1"} 3`,
 		`test_seconds_bucket{le="10"} 4`,
@@ -29,16 +41,11 @@ func TestHistogramBuckets(t *testing.T) {
 			t.Fatalf("exposition missing %q:\n%s", w, out)
 		}
 	}
-	if err := ValidateExposition(strings.NewReader(out)); err != nil {
-		t.Fatalf("own exposition rejected: %v", err)
-	}
-	if h.Count() != 5 {
-		t.Fatalf("Count = %d, want 5", h.Count())
-	}
 }
 
 func TestHistogramConcurrent(t *testing.T) {
-	h := NewHistogram("c_seconds", "h", DurationBuckets)
+	r := &Registry{}
+	h := r.Histogram("c_seconds", "h", DurationBuckets)
 	var wg sync.WaitGroup
 	for g := 0; g < 8; g++ {
 		wg.Add(1)
@@ -50,8 +57,8 @@ func TestHistogramConcurrent(t *testing.T) {
 		}(g)
 	}
 	wg.Wait()
-	if h.Count() != 8000 {
-		t.Fatalf("Count = %d, want 8000", h.Count())
+	if out := render(t, r); !strings.Contains(out, "c_seconds_count 8000\n") {
+		t.Fatalf("lost observations:\n%s", out)
 	}
 }
 
@@ -63,35 +70,8 @@ func TestHistogramInvalidBounds(t *testing.T) {
 					t.Fatalf("bounds %v did not panic", bounds)
 				}
 			}()
-			NewHistogram("x", "y", bounds)
+			(&Registry{}).Histogram("x", "y", bounds)
 		}()
-	}
-}
-
-func TestServerHistogramsExposition(t *testing.T) {
-	s := NewServerHistograms()
-	s.JobDuration.Observe(0.5)
-	s.IngestBatch.Observe(128)
-	var b strings.Builder
-	if err := s.WritePrometheus(&b); err != nil {
-		t.Fatal(err)
-	}
-	if err := ValidateExposition(strings.NewReader(b.String())); err != nil {
-		t.Fatalf("server histograms exposition invalid: %v", err)
-	}
-}
-
-func TestWriteBuildInfoEscaping(t *testing.T) {
-	var b strings.Builder
-	if err := WriteBuildInfo(&b, "v1\"2\\3\n4"); err != nil {
-		t.Fatal(err)
-	}
-	out := b.String()
-	if !strings.Contains(out, `version="v1\"2\\3\n4"`) {
-		t.Fatalf("label escaping wrong:\n%s", out)
-	}
-	if err := ValidateExposition(strings.NewReader(out)); err != nil {
-		t.Fatalf("build info exposition invalid: %v", err)
 	}
 }
 

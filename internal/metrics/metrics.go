@@ -1,6 +1,8 @@
-// Package metrics provides the measurement and reporting substrate for
-// the benchmark harness: throughput metrics and plain-text tables that
-// mirror the paper's tables and figure series.
+// Package metrics is nxgraph's instrumentation. Registry declares the
+// counters, gauges and histograms nxserve publishes on /metrics and
+// renders them in the Prometheus text format, which ValidateExposition
+// checks. Table, StepTable, MTEPS and the byte-size helpers format the
+// numbers the CLIs print.
 package metrics
 
 import (

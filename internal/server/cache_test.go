@@ -12,7 +12,7 @@ func mkResult(nVals int) *Result {
 }
 
 func TestCacheLRUEviction(t *testing.T) {
-	stats := &metrics.ServerStats{}
+	stats := metrics.NewServerStats()
 	// Each 100-value result is 800 + 256 bytes; budget fits three.
 	c := newResultCache(3*1056+10, stats)
 	for i := 0; i < 4; i++ {

@@ -89,7 +89,7 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	}
 	s.stats.EdgesIngested.Add(int64(len(req.Add)))
 	s.stats.EdgesRemoved.Add(int64(len(req.Remove)))
-	s.hist.IngestBatch.Observe(float64(len(ops)))
+	s.stats.IngestBatch.Observe(float64(len(ops)))
 	// No cache purge here: the delta-versioned keys already make every
 	// pre-batch entry unreachable (the pending count only grows between
 	// compactions), and size-based LRU eviction reclaims the memory —

@@ -2,14 +2,20 @@ package server
 
 import (
 	"flag"
+	"fmt"
+	"net/http"
 	"net/http/httptest"
 	"os"
 	"regexp"
 	"sort"
+	"strconv"
 	"strings"
+	"sync"
 	"testing"
+	"time"
 
 	nxgraph "nxgraph"
+	"nxgraph/internal/metrics"
 	"nxgraph/internal/testutil"
 )
 
@@ -99,6 +105,116 @@ func TestMetricsGolden(t *testing.T) {
 	for name := range got {
 		if _, ok := want[name]; !ok {
 			t.Errorf("family %s is not in %s", name, goldenPath)
+		}
+	}
+}
+
+// sampleValue returns the value of the sample line named name in an
+// exposition, failing t when there is none.
+func sampleValue(t *testing.T, text, name string) float64 {
+	t.Helper()
+	for _, line := range strings.Split(text, "\n") {
+		if v, ok := strings.CutPrefix(line, name+" "); ok {
+			f, err := strconv.ParseFloat(v, 64)
+			if err != nil {
+				t.Fatalf("sample %s: %v", name, err)
+			}
+			return f
+		}
+	}
+	t.Fatalf("no sample %s in:\n%s", name, text)
+	return 0
+}
+
+// TestQueueWaitObserved runs a job behind a blocker on one worker: both
+// are observed when a worker starts them, and the second one's wait is
+// the blocker's run.
+func TestQueueWaitObserved(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1})
+	blocker := submit(t, ts, "g", "pagerank", map[string]any{"iters": 1000000})
+	pollUntil(t, ts, blocker, stateIs("running"))
+	queued := submit(t, ts, "g", "pagerank", map[string]any{"iters": 3})
+	time.Sleep(5 * time.Millisecond)
+	doJSON(t, "POST", ts.URL+"/v1/jobs/"+blocker+"/cancel", nil)
+	pollUntil(t, ts, queued, stateIs("done"))
+
+	text := scrape(t, s)
+	if n := sampleValue(t, text, "nxserve_queue_wait_seconds_count"); n != 2 {
+		t.Errorf("queue-wait count %g, want 2", n)
+	}
+	if sum := sampleValue(t, text, "nxserve_queue_wait_seconds_sum"); sum < 0.005 {
+		t.Errorf("queue-wait sum %gs, want at least the 5ms the second job queued", sum)
+	}
+}
+
+// TestConcurrentScrapes scrapes /metrics from four goroutines while PPR
+// jobs and an ingest batch run: every payload must be a valid exposition.
+// Under -race this covers the registry's scrape serialization and the
+// block-cache snapshot its func families share.
+func TestConcurrentScrapes(t *testing.T) {
+	_, ts := newTestServer(t, Config{Workers: 2})
+	stop := make(chan struct{})
+	var wg sync.WaitGroup
+	for range 4 {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			for n := 0; ; n++ {
+				select {
+				case <-stop:
+					if n == 0 {
+						t.Error("scraper never scraped")
+					}
+					return
+				default:
+				}
+				resp, err := http.Get(ts.URL + "/metrics")
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				err = metrics.ValidateExposition(resp.Body)
+				resp.Body.Close()
+				if err != nil {
+					t.Errorf("scrape %d: %v", n, err)
+					return
+				}
+			}
+		}()
+	}
+	var ids []string
+	for root := range 6 {
+		ids = append(ids, submit(t, ts, "g", "ppr", map[string]any{"root": root}))
+	}
+	if code, body := doJSON(t, "POST", ts.URL+"/v1/graphs/g/edges",
+		map[string]any{"add": []map[string]any{{"src": 1, "dst": 2}, {"src": 3, "dst": 4}}}); code != http.StatusAccepted {
+		t.Errorf("ingest: status %d, body %v", code, body)
+	}
+	ids = append(ids, submit(t, ts, "g", "ppr", map[string]any{"root": 7}))
+	for _, id := range ids {
+		if b := pollUntil(t, ts, id, terminal); b["state"] != "done" {
+			t.Errorf("job %s ended %v (%v)", id, b["state"], b["error"])
+		}
+	}
+	close(stop)
+	wg.Wait()
+}
+
+// TestMetricsDocumented fails when a family the server exposes has no
+// row in docs/http-api.md's table giving its name, type and help string.
+func TestMetricsDocumented(t *testing.T) {
+	doc, err := os.ReadFile("../../docs/http-api.md")
+	if err != nil {
+		t.Fatal(err)
+	}
+	s := New(Config{Workers: 1})
+	t.Cleanup(s.Close)
+	for name, block := range expositionFamilies(t, scrape(t, s)) {
+		lines := strings.SplitN(block, "\n", 3)
+		help := strings.TrimPrefix(lines[0], "# HELP "+name+" ")
+		typ := strings.TrimPrefix(lines[1], "# TYPE "+name+" ")
+		if row := fmt.Sprintf("| `%s` | %s | %s |", name, typ, help); !strings.Contains(string(doc), row) {
+			t.Errorf("docs/http-api.md lacks the row %s", row)
 		}
 	}
 }

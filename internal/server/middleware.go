@@ -47,7 +47,7 @@ func (s *Server) middleware(next http.Handler) http.Handler {
 			rec.status = http.StatusOK
 		}
 		elapsed := time.Since(start)
-		s.hist.HTTPRequest.Observe(elapsed.Seconds())
+		s.stats.HTTPRequest.Observe(elapsed.Seconds())
 		logf := s.log.Info
 		if isScrapePath(r.URL.Path) {
 			logf = s.log.Debug

@@ -39,7 +39,6 @@ var errGraphClosing = errors.New("server: graph is closing")
 type scheduler struct {
 	cache *resultCache
 	stats *metrics.ServerStats
-	hist  *metrics.ServerHistograms
 	log   *slog.Logger
 
 	mu            sync.Mutex
@@ -60,7 +59,7 @@ type scheduler struct {
 	wg        sync.WaitGroup
 }
 
-func newScheduler(workers, queueCap, retainJobs, maxBatch int, retainBytes int64, cache *resultCache, stats *metrics.ServerStats, hist *metrics.ServerHistograms, log *slog.Logger) *scheduler {
+func newScheduler(workers, queueCap, retainJobs, maxBatch int, retainBytes int64, cache *resultCache, stats *metrics.ServerStats, log *slog.Logger) *scheduler {
 	if workers <= 0 {
 		workers = 2
 	}
@@ -80,7 +79,6 @@ func newScheduler(workers, queueCap, retainJobs, maxBatch int, retainBytes int64
 	s := &scheduler{
 		cache:       cache,
 		stats:       stats,
-		hist:        hist,
 		log:         log,
 		queueCap:    queueCap,
 		maxBatch:    maxBatch,
@@ -510,7 +508,7 @@ func (s *scheduler) run(batch []*Job) {
 			if !traced {
 				// Lanes share one trace; fold it into the histograms
 				// once per engine run, not once per lane.
-				s.hist.JobDuration.Observe(elapsed.Seconds())
+				s.stats.JobDuration.Observe(elapsed.Seconds())
 				s.observeTrace(res[i].Trace)
 				traced = true
 			}
@@ -520,7 +518,7 @@ func (s *scheduler) run(batch []*Job) {
 	if width := len(lanes); width >= 2 {
 		s.stats.FusedRuns.Add(1)
 		s.stats.FusedJobs.Add(int64(width))
-		s.hist.BatchWidth.Observe(float64(width))
+		s.stats.BatchWidth.Observe(float64(width))
 		s.log.Info("fused run finished",
 			"graph", e.name, "algo", lanes[0].Algo,
 			"width", width, "cache_hits", len(live)-width, "completed", completed,
@@ -580,6 +578,7 @@ func (s *scheduler) begin(j *Job, now time.Time, cancel func()) bool {
 	j.state = Running
 	j.started = now
 	j.cancel = cancel
+	s.stats.QueueWait.Observe(now.Sub(j.submitted).Seconds())
 	s.stats.JobsStarted.Add(1)
 	s.stats.RunningJobs.Add(1)
 	return true
@@ -638,11 +637,11 @@ func (s *scheduler) observeTrace(tr *trace.Trace) {
 		return
 	}
 	for _, st := range tr.Steps() {
-		s.hist.IterationDuration.Observe(float64(st.DurUS) / 1e6)
+		s.stats.IterationDuration.Observe(float64(st.DurUS) / 1e6)
 	}
 	for _, sp := range tr.Spans() {
 		if sp.Kind == trace.KindBlockLoad {
-			s.hist.BlockLoad.Observe(float64(sp.DurUS) / 1e6)
+			s.stats.BlockLoad.Observe(float64(sp.DurUS) / 1e6)
 		}
 	}
 }

@@ -104,8 +104,6 @@ type Server struct {
 	cache  *resultCache
 	blocks *blockcache.Cache // shared sub-shard block cache
 	stats  *metrics.ServerStats
-	walSt  *wal.Stats // WAL counters pooled across all graphs
-	hist   *metrics.ServerHistograms
 	log    *slog.Logger
 	mux    *http.ServeMux
 	ready  atomic.Bool   // true between New and Close; drives /readyz
@@ -126,8 +124,7 @@ func New(cfg Config) *Server {
 	}
 	// A negative budget flows through to the cache, where every result
 	// exceeds it and nothing is stored — caching disabled.
-	stats := &metrics.ServerStats{}
-	hist := metrics.NewServerHistograms()
+	stats := metrics.NewServerStats()
 	logger := cfg.Logger
 	if logger == nil {
 		logger = slog.Default()
@@ -140,23 +137,48 @@ func New(cfg Config) *Server {
 		policy:   cfg.WALSync,
 		segment:  cfg.WALSegmentBytes,
 		stats:    walStats,
-		observe:  func(d time.Duration) { hist.WALFsync.Observe(d.Seconds()) },
+		observe:  func(d time.Duration) { stats.WALFsync.Observe(d.Seconds()) },
 	}
 	s := &Server{
 		cfg:    cfg,
 		reg:    newRegistry(stats, blocks, walCfg, logger),
-		sched:  newScheduler(cfg.Workers, cfg.QueueCap, cfg.RetainJobs, cfg.MaxBatch, cfg.RetainBytes, cache, stats, hist, logger),
+		sched:  newScheduler(cfg.Workers, cfg.QueueCap, cfg.RetainJobs, cfg.MaxBatch, cfg.RetainBytes, cache, stats, logger),
 		cache:  cache,
 		blocks: blocks,
 		stats:  stats,
-		walSt:  walStats,
-		hist:   hist,
 		log:    logger,
 		mux:    http.NewServeMux(),
 	}
+	declareMetrics(stats.Registry, blocks, walStats, cfg.Version)
 	s.ready.Store(true)
 	s.routes()
 	return s
+}
+
+// declareMetrics declares the /metrics families whose values the block
+// cache and the WAL own, and the build info. The block-cache families
+// read one Stats snapshot per scrape: Stats takes the lock the engine's
+// Get takes, so it must not run once per family.
+func declareMetrics(r *metrics.Registry, blocks *blockcache.Cache, walSt *wal.Stats, version string) {
+	var bc blockcache.Stats
+	r.OnScrape(func() { bc = blocks.Stats() })
+	r.CounterFunc("nxserve_blockcache_hits_total", "Sub-shard reads served from the shared block cache.", func() int64 { return bc.Hits })
+	r.CounterFunc("nxserve_blockcache_misses_total", "Sub-shard reads that decoded from disk.", func() int64 { return bc.Misses })
+	r.CounterFunc("nxserve_blockcache_evictions_total", "Blocks dropped to fit the cache budget, admitted or not.", func() int64 { return bc.Evictions })
+	r.CounterFunc("nxserve_blockcache_invalidations_total", "Blocks dropped by store-generation invalidation.", func() int64 { return bc.Invalidations })
+	r.GaugeFunc("nxserve_blockcache_blocks", "Decoded sub-shard blocks resident.", func() int64 { return bc.Blocks })
+	r.GaugeFunc("nxserve_blockcache_resident_bytes", "Decoded bytes held by the block cache.", func() int64 { return bc.ResidentBytes })
+	r.GaugeFunc("nxserve_blockcache_pinned_bytes", "Resident bytes pinned by running iterations.", func() int64 { return bc.PinnedBytes })
+	r.CounterFunc("nxserve_blockcache_l2_hits_total", "Sub-shard reads decoded from the encoded-blob tier instead of disk.", func() int64 { return bc.L2Hits })
+	r.CounterFunc("nxserve_blockcache_l2_evictions_total", "Encoded blobs dropped to fit the L2 budget, admitted or not.", func() int64 { return bc.L2Evictions })
+	r.GaugeFunc("nxserve_blockcache_l2_blocks", "Encoded sub-shard blobs resident.", func() int64 { return bc.L2Blocks })
+	r.GaugeFunc("nxserve_blockcache_l2_resident_bytes", "Encoded bytes held by the L2 tier.", func() int64 { return bc.L2ResidentBytes })
+	r.GaugeFunc("nxserve_blockcache_l2_pinned_bytes", "Encoded bytes pinned by in-flight decodes.", func() int64 { return bc.L2PinnedBytes })
+	r.CounterFunc("nxserve_wal_appends_total", "Batches durably appended to write-ahead logs and acked to their appenders.", walSt.Appends.Load)
+	r.CounterFunc("nxserve_wal_fsyncs_total", "Write-ahead-log fsyncs (group commit coalesces batches per fsync).", walSt.Fsyncs.Load)
+	r.CounterFunc("nxserve_wal_replayed_batches_total", "Batches replayed from write-ahead logs on graph open.", walSt.ReplayedBatches.Load)
+	r.CounterFunc("nxserve_wal_torn_tails_total", "Torn write-ahead-log tails truncated on graph open.", walSt.TornTails.Load)
+	r.BuildInfo("nxserve_build_info", "Build metadata (constant 1; inspect the labels).", version)
 }
 
 // BlockCacheStats returns the shared block cache counters.
@@ -546,10 +568,4 @@ func (s *Server) handleReadyz(w http.ResponseWriter, r *http.Request) {
 func (s *Server) handleMetrics(w http.ResponseWriter, r *http.Request) {
 	w.Header().Set("Content-Type", "text/plain; version=0.0.4")
 	s.stats.WritePrometheus(w)
-	metrics.WriteBlockCachePrometheus(w, s.blocks.Stats())
-	metrics.WriteWALPrometheus(w,
-		s.walSt.Appends.Load(), s.walSt.Fsyncs.Load(),
-		s.walSt.ReplayedBatches.Load(), s.walSt.TornTails.Load())
-	s.hist.WritePrometheus(w)
-	metrics.WriteBuildInfo(w, s.cfg.Version)
 }
