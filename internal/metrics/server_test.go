@@ -35,6 +35,27 @@ func TestServerStatsPrometheus(t *testing.T) {
 	}
 }
 
+func TestServerHistogramsExposition(t *testing.T) {
+	s := NewServerStats()
+	s.JobDuration.Observe(0.5)
+	s.IngestBatch.Observe(128)
+	out := render(t, s.Registry)
+	for _, want := range []string{
+		"# TYPE nxserve_job_duration_seconds histogram",
+		`nxserve_job_duration_seconds_bucket{le="+Inf"} 1`,
+		"nxserve_job_duration_seconds_sum 0.5",
+		"# TYPE nxserve_ingest_batch_edges histogram",
+		`nxserve_ingest_batch_edges_bucket{le="+Inf"} 1`,
+		"nxserve_ingest_batch_edges_count 1",
+		"# TYPE nxserve_queue_wait_seconds histogram",
+		"nxserve_queue_wait_seconds_count 0",
+	} {
+		if !strings.Contains(out, want) {
+			t.Errorf("output missing %q", want)
+		}
+	}
+}
+
 func TestFuncFamiliesShareOneScrapeSnapshot(t *testing.T) {
 	r := &Registry{}
 	var snap, reads int64
