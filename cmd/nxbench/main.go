@@ -34,7 +34,6 @@ func main() {
 		iters      = flag.Int("iters", 10, "PageRank iterations")
 		seed       = flag.Int64("seed", 42, "generator seed")
 		cacheMB    = flag.Int("cache-mb", -1, "sub-shard block cache budget in MiB per engine (-1 = derive from each experiment's budget, 0 = disable)")
-		l2Frac     = flag.Float64("cache-l2-frac", 0, "fraction of each cache budget held as encoded blobs (0 or negative = none, the default: fastest on page-cached files; 0.5-0.9 wins where a read costs more than a decode, see docs/adr/ADR-008)")
 		quiet      = flag.Bool("q", false, "suppress progress logging")
 		cpuProfile = flag.String("cpuprofile", "", "write a CPU profile of the selected experiments to this file")
 		memProfile = flag.String("memprofile", "", "write a heap profile taken after the selected experiments to this file")
@@ -64,7 +63,6 @@ func main() {
 	case *cacheMB == 0:
 		s.CacheBytes = -1 // disable
 	}
-	s.CacheL2Frac = *l2Frac
 	if !*quiet {
 		s.Log = os.Stderr
 	}

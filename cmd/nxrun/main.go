@@ -31,7 +31,6 @@ func main() {
 		threads  = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
 		mem      = flag.String("mem", "0", "memory budget (e.g. 512MiB; 0 = unlimited)")
 		cacheMB  = flag.Int("cache-mb", -1, "sub-shard block cache budget in MiB (-1 = derive from -mem, 0 = disable)")
-		l2Frac   = flag.Float64("cache-l2-frac", 0, "fraction of the cache budget held as encoded blobs (0 or negative = none, the default: fastest on page-cached files; 0.5-0.9 wins where a read costs more than a decode, see docs/adr/ADR-008)")
 		strategy = flag.String("strategy", "auto", "auto | spu | dpu | mpu")
 		lockSync = flag.Bool("lock", false, "use interval-lock sync instead of callback")
 		profile  = flag.String("disk", "none", "simulated disk: none | ssd | hdd")
@@ -76,7 +75,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nxrun:", err)
 		os.Exit(2)
 	}
-	opt := nxgraph.Options{Threads: *threads, MemoryBudget: budget, LockSync: *lockSync, CacheL2Frac: *l2Frac}
+	opt := nxgraph.Options{Threads: *threads, MemoryBudget: budget, LockSync: *lockSync}
 	switch {
 	case *cacheMB > 0:
 		opt.CacheBytes = int64(*cacheMB) << 20

@@ -50,9 +50,6 @@ type Suite struct {
 	// budget (so budgeted experiments still measure streaming I/O),
 	// positive sets the budget in bytes, negative disables caching.
 	CacheBytes int64
-	// CacheL2Frac is every engine's encoded-tier share of the cache
-	// budget (zero or negative = decoded tier only, the default).
-	CacheL2Frac float64
 	// Log, when non-nil, receives progress lines.
 	Log io.Writer
 
@@ -149,7 +146,6 @@ func (s *Suite) nxEngine(g *graph.EdgeList, p int, transpose bool, cfg engine.Co
 	if s.CacheBytes != 0 {
 		cfg.CacheBytes = s.CacheBytes
 	}
-	cfg.CacheL2Frac = s.CacheL2Frac
 	e, err := engine.New(st, cfg)
 	if err != nil {
 		st.Close()
@@ -158,10 +154,8 @@ func (s *Suite) nxEngine(g *graph.EdgeList, p int, transpose bool, cfg engine.Co
 	return e, func() {
 		cs := e.CacheStats()
 		s.cacheTotals.Hits += cs.Hits
-		s.cacheTotals.L2Hits += cs.L2Hits
 		s.cacheTotals.Misses += cs.Misses
 		s.cacheTotals.Evictions += cs.Evictions
-		s.cacheTotals.L2Evictions += cs.L2Evictions
 		st.Close()
 	}, nil
 }

@@ -136,9 +136,6 @@ func TestDeltaOverlayMatchesRebuild(t *testing.T) {
 		{"dpu-nocache", engine.Config{Threads: 2, Strategy: engine.DPU, CacheBytes: -1}},
 		{"mpu-nocache", engine.Config{Threads: 2, Strategy: engine.MPU, MemoryBudget: pingPong / 2, CacheBytes: -1}},
 		{"spu-tinycache", engine.Config{Threads: 2, Strategy: engine.SPU, CacheBytes: 4096}},
-		// A thrashing L1 over an encoded L2 tier: overlay gathers must be
-		// identical when base blocks are re-decoded from cached blobs.
-		{"spu-tinycache-l2", engine.Config{Threads: 2, Strategy: engine.SPU, CacheBytes: 4096, CacheL2Frac: 0.5}},
 	}
 	for _, tc := range cases {
 		t.Run(tc.name, func(t *testing.T) {

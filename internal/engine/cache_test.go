@@ -14,8 +14,8 @@ import (
 // format correctness gate: PageRank and WCC must produce bit-identical
 // attributes on the checked-in v1 store (testutil.V1Store) and on a v2
 // store built from the same edge list, with the cache unlimited, tightly
-// budgeted (evicting mid-iteration), disabled, and tiered (encoded blobs
-// re-decoding on L1 misses), under SPU, DPU and MPU. The read path is
+// budgeted (evicting mid-iteration), half the decoded bytes, and
+// disabled, under SPU, DPU and MPU. The read path is
 // the only thing the cache and the encoding change, so any divergence
 // means a stale, corrupted, or mis-decoded block.
 func TestCacheEquivalenceAcrossStrategies(t *testing.T) {
@@ -39,13 +39,11 @@ func TestCacheEquivalenceAcrossStrategies(t *testing.T) {
 		name       string
 		cacheBytes int64 // or, when decodedDiv > 0, the store's decoded forward bytes / decodedDiv
 		decodedDiv int64
-		l2Frac     float64
 	}{
-		{"unlimited", 0, 0, 0},
-		{"tiny", 4096, 0, -1},     // drops blocks every iteration, no L2
-		{"tiny+l2", 4096, 0, 0.5}, // misses re-decode from the encoded tier
-		{"half", 0, 2, 0},         // a stable retained set and a streamed set at once
-		{"disabled", -1, 0, 0},
+		{"unlimited", 0, 0},
+		{"tiny", 4096, 0}, // drops blocks every iteration
+		{"half", 0, 2},    // a stable retained set and a streamed set at once
+		{"disabled", -1, 0},
 	}
 	for _, algo := range []string{"pagerank", "wcc"} {
 		for _, sc := range strategies {
@@ -59,7 +57,6 @@ func TestCacheEquivalenceAcrossStrategies(t *testing.T) {
 					if cc.decodedDiv > 0 {
 						cfg.CacheBytes = decodedBytes(store.st) / cc.decodedDiv
 					}
-					cfg.CacheL2Frac = cc.l2Frac
 					e, err := engine.New(store.st, cfg)
 					if err != nil {
 						t.Fatal(err)
@@ -237,43 +234,6 @@ func TestWarmRunZeroBaseReads(t *testing.T) {
 	}
 	if m := em.CacheStats().Misses; m != missesAfterCold {
 		t.Fatalf("warm MPU run re-decoded %d blocks", m-missesAfterCold)
-	}
-}
-
-// TestTieredCacheCutsDiskReads pins the L2 tier's value on the engine
-// read path: with an L1 too small for the edge set but an L2 that holds
-// every encoded blob, the second run decodes from RAM and reads zero
-// disk bytes.
-func TestTieredCacheCutsDiskReads(t *testing.T) {
-	g, err := gen.RMAT(gen.DefaultRMAT(10, 8, 17))
-	if err != nil {
-		t.Fatal(err)
-	}
-	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4})
-	e, err := engine.New(st, engine.Config{
-		Threads:     2,
-		CacheBytes:  64 << 10, // far below the decoded edge set
-		CacheL2Frac: 0.95,     // capped to 0.9 by SplitBudget; most bytes encoded
-	})
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := algorithms.PageRank(e, 0.85, 3); err != nil {
-		t.Fatal(err)
-	}
-	cs := e.CacheStats()
-	if cs.L2Hits == 0 {
-		t.Fatalf("thrashing L1 never hit the encoded tier: %+v", cs)
-	}
-	if cs.L2ResidentBytes == 0 || cs.L2PinnedBytes != 0 {
-		t.Fatalf("L2 accounting at rest = %+v", cs)
-	}
-	before := st.Disk().Stats().Snapshot()
-	if _, err := algorithms.PageRank(e, 0.85, 3); err != nil {
-		t.Fatal(err)
-	}
-	if d := st.Disk().Stats().Snapshot().Sub(before); d.BytesRead != 0 {
-		t.Fatalf("second run read %d disk bytes despite a fully resident L2", d.BytesRead)
 	}
 }
 

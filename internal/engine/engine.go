@@ -93,14 +93,6 @@ type Config struct {
 	// negative value disables caching — blocks are held only while
 	// pinned by the running iteration's prefetch pipeline.
 	CacheBytes int64
-	// CacheL2Frac is the fraction of the block-cache budget held as
-	// encoded blobs instead of decoded blocks (see blockcache.SplitBudget):
-	// zero or negative, the default, gives the whole budget to decoded
-	// blocks. Encoded v2 blobs are 3-4x denser, so a positive share turns
-	// would-be disk reads into in-RAM decodes — a loss on page-cached
-	// files, where a read costs an eighth of a decode, and a win where
-	// reads are the cost (diskio.SSD and HDD; the sweep is in ADR-008).
-	CacheL2Frac float64
 	// TraceSpans bounds each run's span ring buffer (see internal/trace):
 	// 0 selects trace.DefaultCapacity, a positive value sets the bound,
 	// and a negative value disables run tracing entirely (Result.Trace is
@@ -211,13 +203,12 @@ func New(store *storage.Store, cfg Config) (*Engine, error) {
 	if err != nil {
 		return nil, err
 	}
-	l1, l2 := blockcache.SplitBudget(cfg.cacheBudget(store.Meta().NumVertices), cfg.CacheL2Frac)
 	return &Engine{
 		store:    store,
 		cfg:      cfg,
 		outDeg:   out,
 		inDeg:    in,
-		cache:    blockcache.NewTiered(l1, l2),
+		cache:    blockcache.New(cfg.cacheBudget(store.Meta().NumVertices)),
 		cacheGen: blockcache.NextGeneration(),
 	}, nil
 }

@@ -73,15 +73,12 @@ var poisonSpare func(*storage.SubShard)
 
 // loadBlock pins cell c's decoded block through the shared cache,
 // reporting whether the pin went to disk and, if so, the decoded size.
-// All read paths (traced or not) funnel through here. The cache is
-// tiered: an L1 miss first tries the encoded-blob tier, so the decode
-// closure often runs on bytes already in RAM — those count as hits in
-// the run trace (no disk stall) even though Stats tallies them as
-// L2Hits. A CSR miss decodes into the arrays of a block the cache has
-// evicted, when it has one the right size, so a cold scan stops paying
-// for a fresh zeroed allocation per block; the rule that makes this
-// safe is the one Handle already states — nothing may keep a
-// *storage.SubShard past its handle's Release.
+// All read paths (traced or not) funnel through here. A miss reads the
+// blob and decodes it into the arrays of a block the cache has evicted,
+// when it has one the right size, so a cold scan stops paying for a
+// fresh zeroed allocation per block; the rule that makes this safe is
+// the one Handle already states — nothing may keep a *storage.SubShard
+// past its handle's Release.
 func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded int64, err error) {
 	key := blockcache.Key{Gen: r.e.cacheGen, I: c.i, J: c.j, Transpose: c.d == 1}
 	m := r.e.store.Meta()
@@ -90,25 +87,25 @@ func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded in
 	if m.Weighted {
 		want += 4 * info.Edges
 	}
-	h, err = r.e.cache.GetTiered(key, want,
-		func() ([]byte, error) {
-			// The disk read: single-flighted per sub-shard; reaching it
-			// is exactly one Stats miss.
-			missed = true
-			return r.e.store.ReadSubShardRaw(c.i, c.j, c.d == 1)
-		},
-		func(blob []byte, spare any) (any, int64, error) {
-			into, _ := spare.(*storage.SubShard)
-			if into != nil && poisonSpare != nil {
-				poisonSpare(into)
-			}
-			ss, err := storage.DecodeSubShardAs(into, blob, m.Weighted, m.Version)
-			if err != nil {
-				return nil, 0, fmt.Errorf("decode %s: %w", c.name(), err)
-			}
-			decoded = want
-			return ss, ss.MemBytes(), nil
-		})
+	h, err = r.e.cache.Get(key, want, func(spare any) (any, int64, error) {
+		// The disk read and the decode: single-flighted per sub-shard; a
+		// load that succeeds is exactly one Stats miss.
+		missed = true
+		blob, err := r.e.store.ReadSubShardRaw(c.i, c.j, c.d == 1)
+		if err != nil {
+			return nil, 0, err
+		}
+		into, _ := spare.(*storage.SubShard)
+		if into != nil && poisonSpare != nil {
+			poisonSpare(into)
+		}
+		ss, err := storage.DecodeSubShardAs(into, blob, m.Weighted, m.Version)
+		if err != nil {
+			return nil, 0, fmt.Errorf("decode %s: %w", c.name(), err)
+		}
+		decoded = want
+		return ss, ss.MemBytes(), nil
+	})
 	return
 }
 

@@ -43,12 +43,12 @@ func TestMain(m *testing.M) {
 	os.Exit(m.Run())
 }
 
-// TestMissDecodesIntoEvictedBlock drives the L1 miss path by hand over a
+// TestMissDecodesIntoEvictedBlock drives the miss path by hand over a
 // cache that keeps nothing unpinned: a released block becomes a spare
 // (while something else is pinned to bound the spares by), the next miss
 // of a similar size decodes into its arrays, a reference kept past
-// Release sees them change, and a steady-state miss allocates nothing
-// that grows with the block.
+// Release sees them change, and a steady-state miss allocates no decoded
+// arrays — only the blob it reads and the cache's bookkeeping.
 func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(12, 8, 5))
 	if err != nil {
@@ -59,7 +59,7 @@ func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e.SetBlockCache(blockcache.NewTiered(0, -1), blockcache.NextGeneration())
+	e.SetBlockCache(blockcache.New(0), blockcache.NextGeneration())
 	run, err := e.NewRun(&foldTestProg{sum: func(a, b float64) float64 { return a + b }}, Forward)
 	if err != nil {
 		t.Fatal(err)
@@ -121,9 +121,10 @@ func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 	h.Release()
 
 	// Steady state: the same cell missing again and again finds its own
-	// arrays among the spares. What a miss still allocates is the cache's
-	// bookkeeping (entry, ready channel, handle, closures), a few hundred
-	// bytes whatever the block's size.
+	// arrays among the spares. What a miss still allocates is the blob
+	// ReadSubShardRaw returns (never recycled) and the cache's bookkeeping
+	// (entry, ready channel, handle, closures), a few hundred bytes
+	// whatever the block's size.
 	const rounds = 64
 	var m0, m1 runtime.MemStats
 	runtime.ReadMemStats(&m0)
@@ -132,10 +133,13 @@ func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 	}
 	runtime.ReadMemStats(&m1)
 	perMiss := (m1.TotalAlloc - m0.TotalAlloc) / rounds
-	blockBytes := uint64(fresh.MemBytes())
-	t.Logf("steady-state miss: %d B and %.1f allocations for a %d B block",
-		perMiss, float64(m1.Mallocs-m0.Mallocs)/rounds, blockBytes)
-	if blockBytes < 16<<10 || perMiss*16 > blockBytes {
-		t.Fatalf("a steady-state miss allocates %d B for a %d B block: the edge arrays are not being recycled", perMiss, blockBytes)
+	blockBytes, blob := uint64(fresh.MemBytes()), uint64(m.SubShardAt(small.i, small.j).Length)
+	t.Logf("steady-state miss: %d B and %.1f allocations for a %d B block read as a %d B blob",
+		perMiss, float64(m1.Mallocs-m0.Mallocs)/rounds, blockBytes, blob)
+	if blockBytes < 16<<10 || blockBytes < blob+4<<10 {
+		t.Fatalf("fixture: a %d B block from a %d B blob cannot tell a recycled miss from a fresh one", blockBytes, blob)
+	}
+	if perMiss > blob+1<<10 {
+		t.Fatalf("a steady-state miss allocates %d B for a %d B block read as a %d B blob: the edge arrays are not being recycled", perMiss, blockBytes, blob)
 	}
 }

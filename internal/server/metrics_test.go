@@ -200,8 +200,14 @@ func TestConcurrentScrapes(t *testing.T) {
 	wg.Wait()
 }
 
-// TestMetricsDocumented fails when a family the server exposes has no
-// row in docs/http-api.md's table giving its name, type and help string.
+// docFamilyRe matches a metrics-table row of docs/http-api.md and
+// captures the family it names.
+var docFamilyRe = regexp.MustCompile("(?m)^\\| `(nxserve_[^`]*)` \\|")
+
+// TestMetricsDocumented holds docs/http-api.md's table and /metrics to
+// each other in both directions: every family the server exposes has a
+// row giving its name, type and help string, and every row names a
+// family the server exposes.
 func TestMetricsDocumented(t *testing.T) {
 	doc, err := os.ReadFile("../../docs/http-api.md")
 	if err != nil {
@@ -209,12 +215,18 @@ func TestMetricsDocumented(t *testing.T) {
 	}
 	s := New(Config{Workers: 1})
 	t.Cleanup(s.Close)
-	for name, block := range expositionFamilies(t, scrape(t, s)) {
+	live := expositionFamilies(t, scrape(t, s))
+	for name, block := range live {
 		lines := strings.SplitN(block, "\n", 3)
 		help := strings.TrimPrefix(lines[0], "# HELP "+name+" ")
 		typ := strings.TrimPrefix(lines[1], "# TYPE "+name+" ")
 		if row := fmt.Sprintf("| `%s` | %s | %s |", name, typ, help); !strings.Contains(string(doc), row) {
 			t.Errorf("docs/http-api.md lacks the row %s", row)
+		}
+	}
+	for _, m := range docFamilyRe.FindAllStringSubmatch(string(doc), -1) {
+		if _, ok := live[m[1]]; !ok {
+			t.Errorf("docs/http-api.md documents %s, which /metrics does not expose", m[1])
 		}
 	}
 }

@@ -50,12 +50,6 @@ type Config struct {
 	// negative disables caching (blocks live only while pinned by a
 	// running iteration).
 	BlockCacheBytes int64
-	// BlockCacheL2Frac is the fraction of BlockCacheBytes held as encoded
-	// sub-shard blobs instead of decoded blocks (see
-	// blockcache.SplitBudget): zero or negative, the default, gives the
-	// whole budget to decoded blocks; a positive share pays where a
-	// disk read costs more than a decode (docs/adr/ADR-008).
-	BlockCacheL2Frac float64
 	// GraphOptions is applied when opening graphs via the API.
 	GraphOptions nxgraph.Options
 	// WALSync selects the ingestion write-ahead log's fsync policy:
@@ -130,7 +124,7 @@ func New(cfg Config) *Server {
 		logger = slog.Default()
 	}
 	cache := newResultCache(cfg.CacheBytes, stats)
-	blocks := blockcache.NewTiered(blockcache.SplitBudget(blockBudget, cfg.BlockCacheL2Frac))
+	blocks := blockcache.New(blockBudget)
 	walStats := &wal.Stats{}
 	walCfg := walConfig{
 		disabled: cfg.DisableWAL,
@@ -169,11 +163,6 @@ func declareMetrics(r *metrics.Registry, blocks *blockcache.Cache, walSt *wal.St
 	r.GaugeFunc("nxserve_blockcache_blocks", "Decoded sub-shard blocks resident.", func() int64 { return bc.Blocks })
 	r.GaugeFunc("nxserve_blockcache_resident_bytes", "Decoded bytes held by the block cache.", func() int64 { return bc.ResidentBytes })
 	r.GaugeFunc("nxserve_blockcache_pinned_bytes", "Resident bytes pinned by running iterations.", func() int64 { return bc.PinnedBytes })
-	r.CounterFunc("nxserve_blockcache_l2_hits_total", "Sub-shard reads decoded from the encoded-blob tier instead of disk.", func() int64 { return bc.L2Hits })
-	r.CounterFunc("nxserve_blockcache_l2_evictions_total", "Encoded blobs dropped to fit the L2 budget, admitted or not.", func() int64 { return bc.L2Evictions })
-	r.GaugeFunc("nxserve_blockcache_l2_blocks", "Encoded sub-shard blobs resident.", func() int64 { return bc.L2Blocks })
-	r.GaugeFunc("nxserve_blockcache_l2_resident_bytes", "Encoded bytes held by the L2 tier.", func() int64 { return bc.L2ResidentBytes })
-	r.GaugeFunc("nxserve_blockcache_l2_pinned_bytes", "Encoded bytes pinned by in-flight decodes.", func() int64 { return bc.L2PinnedBytes })
 	r.CounterFunc("nxserve_wal_appends_total", "Batches durably appended to write-ahead logs and acked to their appenders.", walSt.Appends.Load)
 	r.CounterFunc("nxserve_wal_fsyncs_total", "Write-ahead-log fsyncs (group commit coalesces batches per fsync).", walSt.Fsyncs.Load)
 	r.CounterFunc("nxserve_wal_replayed_batches_total", "Batches replayed from write-ahead logs on graph open.", walSt.ReplayedBatches.Load)

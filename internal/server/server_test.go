@@ -6,8 +6,10 @@ import (
 	"fmt"
 	"io"
 	"maps"
+	"math"
 	"net/http"
 	"net/http/httptest"
+	"os"
 	"runtime"
 	"strings"
 	"sync"
@@ -15,6 +17,7 @@ import (
 	"time"
 
 	nxgraph "nxgraph"
+	"nxgraph/internal/storage"
 )
 
 // buildStoreDir preprocesses a deterministic RMAT graph into a DSSS
@@ -636,5 +639,60 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 			t.Fatalf("%d goroutines after Close, baseline %d:\n%s", runtime.NumGoroutine(), baseline, buf)
 		}
 		time.Sleep(10 * time.Millisecond)
+	}
+}
+
+// TestCorruptSubShardFailsOneJob overwrites one forward cell of the
+// served store with 0xFF, which does not decode. The job that reads it
+// fails by the cell's name, and the shared block cache is left with no
+// entry and no pin for it. Once the bytes are restored, the next job on
+// the graph reads them afresh and matches a run that never saw the
+// fault bit for bit.
+func TestCorruptSubShardFailsOneJob(t *testing.T) {
+	s, ts := newTestServer(t, Config{Workers: 1, CacheBytes: -1}) // no result cache: every job runs the engine
+	e, _ := s.reg.get("g")
+	st := e.graph.Load().Engine().Store()
+	const i, j = 1, 2
+	info := st.Meta().SubShardAt(i, j)
+	if info.Length == 0 {
+		t.Fatalf("fixture: f[%d,%d] is empty", i, j)
+	}
+	f, err := os.OpenFile(st.Disk().Path(st.Dir()+"/"+storage.ShardsFile), os.O_RDWR, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer f.Close()
+	orig := make([]byte, info.Length)
+	if _, err := f.ReadAt(orig, info.Offset); err != nil {
+		t.Fatal(err)
+	}
+	if _, err := f.WriteAt(bytes.Repeat([]byte{0xFF}, len(orig)), info.Offset); err != nil {
+		t.Fatal(err)
+	}
+
+	id := submit(t, ts, "g", "pagerank", map[string]any{"iters": 10})
+	body := pollUntil(t, ts, id, terminal)
+	if msg, _ := body["error"].(string); body["state"] != "failed" || !strings.Contains(msg, fmt.Sprintf("decode f[%d,%d]: ", i, j)) {
+		t.Fatalf("job over a corrupt cell ended %v (error %q), want failed naming f[%d,%d]", body["state"], msg, i, j)
+	}
+	if bc := s.BlockCacheStats(); bc.PinnedBytes != 0 {
+		t.Fatalf("the failed job left %d bytes pinned: %+v", bc.PinnedBytes, bc)
+	}
+
+	if _, err := f.WriteAt(orig, info.Offset); err != nil {
+		t.Fatal(err)
+	}
+	got, _ := jobValues(t, ts, "pagerank", map[string]any{"iters": 10})
+	want, err := oracleGraph(t).PageRank(0.85, 10)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(got) != len(want.Attrs) {
+		t.Fatalf("%d values after the fault, want %d", len(got), len(want.Attrs))
+	}
+	for v := range got {
+		if math.Float64bits(got[v]) != math.Float64bits(want.Attrs[v]) {
+			t.Fatalf("vertex %d after the fault: %v, want %v", v, got[v], want.Attrs[v])
+		}
 	}
 }

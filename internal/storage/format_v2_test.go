@@ -211,7 +211,7 @@ func TestOpenRejectsNewerVersionCleanly(t *testing.T) {
 	}
 }
 
-// TestDecodeIntoRecycled covers the contract the engine's L1 miss path
+// TestDecodeIntoRecycled covers the contract the engine's miss path
 // relies on: a decode handed a sub-shard nobody references re-slices its
 // arrays without clearing them and then writes every element it returns
 // — so a poisoned spare comes back holding exactly the fresh decode's

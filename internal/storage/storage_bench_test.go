@@ -62,14 +62,14 @@ func BenchmarkEncodeSubShardV2(b *testing.B) {
 }
 
 // BenchmarkSubShardDecodeV2 measures the varint decode that runs on
-// every L2 hit and every cold read of a v2 store; ns/op here is the
+// every block-cache miss on a v2 store; ns/op here is the
 // price paid for the ~3x byte reduction BenchmarkDecodeSubShard's
 // fixed-width layout avoids. fixture is the synthetic sub-shard
 // (8.5 sources per destination, small ids); rmatcell is cell (4, 1) of
 // the benchmark's own graph shape (5.2 sources per destination, first
 // sources split between two and three bytes), what a cold round decodes;
 // rmatcell-ref is the pre-issue-17 decoder on the same blob, and
-// recycled is the engine's L1 miss path: decoding into a sub-shard the
+// recycled is the engine's miss path: decoding into a sub-shard the
 // block cache evicted, no allocation.
 func BenchmarkSubShardDecodeV2(b *testing.B) {
 	run := func(name string, ss *SubShard, decode func(blob []byte) (*SubShard, error)) {

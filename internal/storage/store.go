@@ -122,10 +122,10 @@ func (s *Store) ReadSubShard(i, j int, transpose bool) (*SubShard, error) {
 	return ss, nil
 }
 
-// ReadSubShardRaw reads SS[i][j]'s encoded blob without decoding it —
-// the unit the block cache's L2 tier holds (a v2 blob is 3–4× denser
-// than its decoded arrays). Empty sub-shards return a nil blob and cost
-// no disk read. The blob's format version is the store's Meta().Version.
+// ReadSubShardRaw reads SS[i][j]'s encoded blob without decoding it, so
+// the engine can decode a block-cache miss into recycled arrays. Empty
+// sub-shards return a nil blob and cost no disk read. The blob's format
+// version is the store's Meta().Version.
 func (s *Store) ReadSubShardRaw(i, j int, transpose bool) ([]byte, error) {
 	P := s.meta.P
 	if i < 0 || i >= P || j < 0 || j >= P {

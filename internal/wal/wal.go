@@ -300,6 +300,10 @@ func (l *Log) scanSegment(path string, prevSeq uint64) (segScan, error) {
 		return segScan{}, fmt.Errorf("wal: scan %s: %w", path, err)
 	}
 	defer rf.Close()
+	size, err := rf.Size()
+	if err != nil {
+		return segScan{}, fmt.Errorf("wal: scan %s: %w", path, err)
+	}
 	var sc segScan
 	br := bufio.NewReaderSize(rf, 1<<16)
 	hdr := make([]byte, recHeaderSize)
@@ -313,7 +317,9 @@ func (l *Log) scanSegment(path string, prevSeq uint64) (segScan, error) {
 		seq := binary.LittleEndian.Uint64(hdr[0:8])
 		length := binary.LittleEndian.Uint32(hdr[8:12])
 		crc := binary.LittleEndian.Uint32(hdr[12:16])
-		if length < 4 || length > maxPayload || (length-4)%opSize != 0 {
+		// A length running past the end of the file is a torn record,
+		// not an allocation request.
+		if length < 4 || length > maxPayload || (length-4)%opSize != 0 || sc.goodBytes+recHeaderSize+int64(length) > size {
 			sc.torn = true
 			return sc, nil
 		}

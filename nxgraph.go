@@ -131,15 +131,6 @@ type Options struct {
 	// MemoryBudget (unlimited when MemoryBudget is 0), a positive value
 	// sets it in bytes, and a negative value disables caching.
 	CacheBytes int64
-	// CacheL2Frac is the fraction of the cache budget held as encoded
-	// blobs rather than decoded blocks: an L1 miss whose blob is still
-	// resident re-decodes from RAM instead of re-reading from disk.
-	// Zero or negative, the default, gives the whole budget to decoded
-	// blocks, which is faster on the default Profile (Unthrottled:
-	// page-cached files, where a read costs an eighth of a decode). Set
-	// it when reads are the cost: under the SSD and HDD profiles half
-	// the budget or more as blobs wins (docs/adr/ADR-008).
-	CacheL2Frac float64
 	// Strategy overrides adaptive strategy selection.
 	Strategy Strategy
 	// LockSync switches worker synchronization from conflict-free
@@ -181,7 +172,6 @@ func (o Options) engineConfig() engine.Config {
 		Threads:      o.Threads,
 		MemoryBudget: o.MemoryBudget,
 		CacheBytes:   o.CacheBytes,
-		CacheL2Frac:  o.CacheL2Frac,
 		Strategy:     o.Strategy,
 		Sync:         sync,
 		TraceSpans:   o.TraceSpans,
