@@ -139,9 +139,7 @@ func TestLoadErrorNotCached(t *testing.T) {
 		t.Fatalf("retry after error: err=%v calls=%d", err, calls.Load())
 	}
 	h.Release()
-	// The failed load cached nothing and counted no miss: only the retry
-	// published a block.
-	if st := c.Stats(); st.ResidentBytes != 8 || st.PinnedBytes != 0 || st.Misses != 1 || st.Blocks != 1 {
+	if st := c.Stats(); st.ResidentBytes != 8 || st.PinnedBytes != 0 {
 		t.Fatalf("stats = %+v", st)
 	}
 }
@@ -181,9 +179,113 @@ func TestInvalidateGeneration(t *testing.T) {
 	}
 }
 
-// TestConcurrentGetSingleFlight: concurrent Gets for the two replicas of
-// one sub-shard coalesce to one load per replica.
 func TestConcurrentGetSingleFlight(t *testing.T) {
+	c := New(-1)
+	var calls atomic.Int64
+	var wg sync.WaitGroup
+	start := make(chan struct{})
+	for w := 0; w < 16; w++ {
+		wg.Add(1)
+		go func() {
+			defer wg.Done()
+			<-start
+			h, err := c.Get(key(1, 3, 4), 0, load(&calls, "x", 1))
+			if err != nil {
+				t.Error(err)
+				return
+			}
+			if h.Value().(string) != "x" {
+				t.Error("wrong value")
+			}
+			h.Release()
+		}()
+	}
+	close(start)
+	wg.Wait()
+	if calls.Load() != 1 {
+		t.Fatalf("loader ran %d times under concurrency, want 1", calls.Load())
+	}
+}
+
+// TestConcurrentChurn hammers Get/Release/Invalidate from many
+// goroutines; run under -race it is the cache's memory-safety proof.
+func TestConcurrentChurn(t *testing.T) {
+	c := New(512) // small budget: constant eviction pressure
+	var wg sync.WaitGroup
+	for w := 0; w < 8; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			for n := 0; n < 300; n++ {
+				k := key(uint64(1+n%3), n%5, (n+w)%5)
+				h, err := c.Get(k, 0, func(any) (any, int64, error) { return n, 64, nil })
+				if err != nil {
+					t.Error(err)
+					return
+				}
+				if n%7 == 0 {
+					c.InvalidateGeneration(uint64(1 + n%3))
+				}
+				h.Release()
+			}
+		}(w)
+	}
+	wg.Wait()
+	st := c.Stats()
+	if st.PinnedBytes != 0 {
+		t.Fatalf("pinned bytes leaked: %+v", st)
+	}
+	if st.ResidentBytes > 512 {
+		t.Fatalf("budget exceeded at rest: %+v", st)
+	}
+}
+
+func TestNextGenerationUnique(t *testing.T) {
+	a, b := NextGeneration(), NextGeneration()
+	if a == b || b == 0 {
+		t.Fatalf("generations not unique: %d %d", a, b)
+	}
+}
+
+// The Tiered tests are named for the two-tier cache whose paths they
+// covered; they now run the same paths through the one tier: both
+// replicas of a sub-shard, failed loads, and churn with spares.
+
+// TestTieredInvalidateBothTiers: invalidating a generation drops both
+// replicas of each of its sub-shards, and a later Get loads again.
+func TestTieredInvalidateBothTiers(t *testing.T) {
+	c := New(-1)
+	var calls atomic.Int64
+	for j := 0; j < 3; j++ {
+		for _, tr := range []bool{false, true} {
+			h, err := c.Get(Key{Gen: 1, I: 0, J: j, Transpose: tr}, 0, load(&calls, "v", 10))
+			if err != nil {
+				t.Fatal(err)
+			}
+			h.Release()
+		}
+	}
+	c.InvalidateGeneration(1)
+	st := c.Stats()
+	if st.Blocks != 0 || st.ResidentBytes != 0 || st.PinnedBytes != 0 {
+		t.Fatalf("post-invalidate stats = %+v", st)
+	}
+	if st.Invalidations != 6 { // 3 forward + 3 transposed blocks
+		t.Fatalf("invalidations = %d, want 6", st.Invalidations)
+	}
+	h, err := c.Get(Key{Gen: 1, I: 0, J: 0, Transpose: true}, 0, load(&calls, "v", 10))
+	if err != nil {
+		t.Fatal(err)
+	}
+	h.Release()
+	if calls.Load() != 7 {
+		t.Fatalf("invalidated block served from cache (calls=%d, want 7)", calls.Load())
+	}
+}
+
+// TestTieredSingleFlight: concurrent Gets for the two replicas of one
+// sub-shard coalesce to one load per replica.
+func TestTieredSingleFlight(t *testing.T) {
 	c := New(-1)
 	var calls atomic.Int64
 	var wg sync.WaitGroup
@@ -212,10 +314,38 @@ func TestConcurrentGetSingleFlight(t *testing.T) {
 	}
 }
 
-// TestConcurrentChurn hammers Get/Release/Invalidate from many
-// goroutines; run under -race it is the cache's memory-safety proof.
-func TestConcurrentChurn(t *testing.T) {
-	c := New(512) // small budget: constant eviction pressure
+// TestTieredErrors: a failed load caches nothing and counts no miss; the
+// retry loads once and publishes the block, and the next Get is a hit.
+func TestTieredErrors(t *testing.T) {
+	c := New(-1)
+	boom := errors.New("boom")
+	var calls atomic.Int64
+	_, err := c.Get(key(1, 0, 0), 0, func(any) (any, int64, error) { calls.Add(1); return nil, 0, boom })
+	if !errors.Is(err, boom) {
+		t.Fatalf("err = %v", err)
+	}
+	if st := c.Stats(); st.Blocks != 0 || st.ResidentBytes != 0 || st.Misses != 0 {
+		t.Fatalf("error cached or counted: %+v", st)
+	}
+	for i := 0; i < 2; i++ {
+		h, err := c.Get(key(1, 0, 0), 0, load(&calls, "ok", 8))
+		if err != nil {
+			t.Fatal(err)
+		}
+		h.Release()
+	}
+	if calls.Load() != 2 {
+		t.Fatalf("loads = %d, want 2 (the failed one and the retry)", calls.Load())
+	}
+	if st := c.Stats(); st.Blocks != 1 || st.Misses != 1 || st.Hits != 1 {
+		t.Fatalf("after retry: %+v", st)
+	}
+}
+
+// TestTieredConcurrentChurn is the -race proof for both replicas under
+// budget pressure with every miss asking for a spare.
+func TestTieredConcurrentChurn(t *testing.T) {
+	c := New(512)
 	var wg sync.WaitGroup
 	for w := 0; w < 8; w++ {
 		wg.Add(1)
@@ -242,13 +372,6 @@ func TestConcurrentChurn(t *testing.T) {
 	}
 	if st.ResidentBytes > 512 {
 		t.Fatalf("budget exceeded at rest: %+v", st)
-	}
-}
-
-func TestNextGenerationUnique(t *testing.T) {
-	a, b := NextGeneration(), NextGeneration()
-	if a == b || b == 0 {
-		t.Fatalf("generations not unique: %d %d", a, b)
 	}
 }
 
