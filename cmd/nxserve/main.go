@@ -7,8 +7,8 @@
 // Usage:
 //
 //	nxserve -listen :8080 -graph social=/data/social -graph web=/data/web
-//	nxserve -listen :8080 -workers 4 -cache 512MiB -cache-mb 1024 -delta-threshold 16384
-//	nxserve -listen :8080 -fsync always -wal-segment 16MiB
+//	nxserve -listen :8080 -workers 4 -result-cache 512MiB -cache-mb 1024 -delta-threshold 16384
+//	nxserve -listen :8080 -fsync off    # bulk loads: acks skip the fsync
 //	nxserve -listen :8080 -log-format json -log-level debug
 //
 // Graphs can also be opened — and mutated — at runtime:
@@ -127,15 +127,12 @@ func main() {
 		listen    = flag.String("listen", ":8080", "address to serve on")
 		workers   = flag.Int("workers", 2, "concurrent engine executions")
 		queueCap  = flag.Int("queue", 64, "pending-job queue capacity")
-		maxBatch  = flag.Int("max-batch", 0, "max compatible queued jobs fused into one engine run (0 = default 16, 1 disables)")
-		cache     = flag.String("cache", "256MiB", "result cache budget (0 disables caching)")
-		cacheMB   = flag.Int("cache-mb", 256, "shared decoded sub-shard block cache budget in MiB, 0 disables (distinct from -cache, the result cache)")
+		resCache  = flag.String("result-cache", "256MiB", "result cache budget (0 disables caching)")
+		cacheMB   = flag.Int("cache-mb", 256, "shared decoded sub-shard block cache budget in MiB, 0 disables (distinct from -result-cache)")
 		mem       = flag.String("mem", "0", "per-graph engine memory budget (0 = unlimited)")
 		threads   = flag.Int("threads", 0, "engine worker threads per run (0 = GOMAXPROCS)")
-		deltaThr  = flag.Int("delta-threshold", 0, "pending deltas that trigger auto-compaction (0 = default 8192, negative disables)")
-		fsync     = flag.String("fsync", "batch", "WAL durability policy: off (no fsync), batch (one fsync per group commit) or always (one fsync per batch)")
-		walSeg    = flag.String("wal-segment", "64MiB", "WAL segment roll size")
-		noWAL     = flag.Bool("no-wal", false, "disable the write-ahead log entirely: ingest acks mean visibility only, crashes lose uncompacted deltas")
+		deltaThr  = flag.Int("delta-threshold", 0, "pending deltas that trigger auto-compaction (0 = default 8192, negative disables); raise it when a store rebuild is costly beside the ingest rate, lower it when queries must not carry a large delta overlay")
+		fsync     = flag.String("fsync", "batch", "WAL durability policy: batch (one fsync per group commit) or off (no fsync: survives a process crash, not power loss)")
 		graceSecs = flag.Int("grace", 10, "seconds to drain in-flight HTTP requests on shutdown")
 		logFormat = flag.String("log-format", "text", "log output format: text or json")
 		logLevel  = flag.String("log-level", "info", "minimum log level: debug, info, warn or error")
@@ -150,7 +147,7 @@ func main() {
 	}
 	slog.SetDefault(logger)
 
-	cacheBytes, err := metrics.ParseBytes(*cache)
+	cacheBytes, err := metrics.ParseBytes(*resCache)
 	if err != nil {
 		fmt.Fprintln(os.Stderr, "nxserve:", err)
 		os.Exit(2)
@@ -169,11 +166,6 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nxserve:", err)
 		os.Exit(2)
 	}
-	segBytes, err := metrics.ParseBytes(*walSeg)
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nxserve:", err)
-		os.Exit(2)
-	}
 
 	blockBytes := int64(-1) // <= 0 on the flag disables the block cache
 	if *cacheMB > 0 {
@@ -182,13 +174,10 @@ func main() {
 	srv := server.New(server.Config{
 		Workers:         *workers,
 		QueueCap:        *queueCap,
-		MaxBatch:        *maxBatch,
 		CacheBytes:      cacheBytes,
 		BlockCacheBytes: blockBytes,
 		DeltaThreshold:  *deltaThr,
 		WALSync:         syncPolicy,
-		WALSegmentBytes: segBytes,
-		DisableWAL:      *noWAL,
 		GraphOptions:    nxgraph.Options{Threads: *threads, MemoryBudget: budget},
 		Logger:          logger,
 		Version:         buildVersion(),
@@ -213,7 +202,7 @@ func main() {
 		logger.Info("nxserve listening",
 			"addr", *listen,
 			"workers", *workers,
-			"result_cache", *cache,
+			"result_cache", *resCache,
 			"block_cache_mb", *cacheMB,
 			"fsync", syncPolicy.String(),
 			"version", buildVersion(),

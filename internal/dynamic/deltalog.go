@@ -1,3 +1,19 @@
+// Package dynamic adds support for graphs that change over time — the
+// extension the paper names as future work ("NXgraph will be extended to
+// support dynamic change on graph structure", §VI).
+//
+// There is one mutation model, the DeltaLog: an ordered log of ops whose
+// pending entries compile into an engine.Overlay served *live* on top of
+// the base store, and whose Rebuild folds a checkpointed prefix into a
+// fresh store in the background (compaction), which a serving layer
+// swaps in atomically.
+//
+// Ops are expressed in the graph's *original index space* (the ids of
+// the raw input, which stay stable across rebuilds — dense ids do not,
+// because the degreer recompacts). Rebuild streams the base store's
+// edges through the ops and re-preprocesses into a fresh store. This
+// preserves every DSSS invariant by construction and costs one sharding
+// pass, which the paper's own preprocessing already budgets for.
 package dynamic
 
 import (
@@ -93,9 +109,6 @@ func NewDeltaLog(base *storage.Store) (*DeltaLog, error) {
 		baseCopies: make(map[uint64]uint32)}, nil
 }
 
-// Base returns the store the log is anchored to.
-func (l *DeltaLog) Base() *storage.Store { return l.base }
-
 // Append logs ops in order and returns the new pending count.
 func (l *DeltaLog) Append(ops ...Op) int {
 	l.mu.Lock()
@@ -106,16 +119,18 @@ func (l *DeltaLog) Append(ops ...Op) int {
 
 // AppendBatch logs one WAL-sequenced batch. A batch whose sequence is
 // not beyond lastSeq is already in the log (a replay duplicate) and is
-// skipped — applied reports whether the ops landed. seq 0 is reserved
-// for unsequenced appends (use Append).
+// skipped — applied reports whether the ops landed. seq 0 marks an
+// unsequenced batch (no WAL): it always lands and leaves lastSeq alone.
 func (l *DeltaLog) AppendBatch(seq uint64, ops []Op) (pending int, applied bool) {
 	l.mu.Lock()
 	defer l.mu.Unlock()
-	if seq <= l.lastSeq {
-		return len(l.ops), false
+	if seq != 0 {
+		if seq <= l.lastSeq {
+			return len(l.ops), false
+		}
+		l.lastSeq = seq
 	}
 	l.appendLocked(ops)
-	l.lastSeq = seq
 	return len(l.ops), true
 }
 

@@ -1,6 +1,7 @@
 package dynamic_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -39,13 +40,32 @@ func pagerankOf(t *testing.T, st *storage.Store) map[uint64]float64 {
 	return out
 }
 
-func TestAddEdgesMatchesFromScratch(t *testing.T) {
-	base, _ := gen.RMAT(gen.DefaultRMAT(8, 6, 13))
-	st, _ := testutil.BuildStore(t, base, testutil.StoreOptions{P: 4})
-	u, err := dynamic.NewUpdater(st)
+// rebuild folds every op logged so far into a fresh store at dir — a
+// compaction of the whole log.
+func rebuild(t *testing.T, l *dynamic.DeltaLog, disk *diskio.Disk, dir string, p int) *preprocess.Result {
+	t.Helper()
+	res, err := l.Rebuild(context.Background(), l.Checkpoint(), disk, dir, preprocess.Options{Name: dir, P: p})
 	if err != nil {
 		t.Fatal(err)
 	}
+	t.Cleanup(func() { res.Store.Close() })
+	return res
+}
+
+// newLog opens an empty delta log over st.
+func newLog(t *testing.T, st *storage.Store) *dynamic.DeltaLog {
+	t.Helper()
+	l, err := dynamic.NewDeltaLog(st)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return l
+}
+
+func TestAddEdgesMatchesFromScratch(t *testing.T) {
+	base, _ := gen.RMAT(gen.DefaultRMAT(8, 6, 13))
+	st, _ := testutil.BuildStore(t, base, testutil.StoreOptions{P: 4})
+	l := newLog(t, st)
 	// New edges, including a brand-new vertex (index 1<<20).
 	extra := []graph.IndexEdge{
 		{Src: 1, Dst: 2, Weight: 1},
@@ -53,17 +73,13 @@ func TestAddEdgesMatchesFromScratch(t *testing.T) {
 		{Src: 0, Dst: 1 << 20, Weight: 1},
 	}
 	for _, e := range extra {
-		u.AddEdge(e.Src, e.Dst, e.Weight)
+		l.Add(e.Src, e.Dst, e.Weight)
 	}
-	if u.PendingAdds() != len(extra) {
-		t.Fatalf("pending = %d", u.PendingAdds())
+	if l.Pending() != len(extra) {
+		t.Fatalf("pending = %d", l.Pending())
 	}
 	disk := diskio.MustNew(t.TempDir(), diskio.Unthrottled)
-	res, err := u.Rebuild(disk, "v2", preprocess.Options{Name: "v2", P: 4})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Store.Close()
+	res := rebuild(t, l, disk, "v2", 4)
 	if res.NumEdges != st.Meta().NumEdges+int64(len(extra)) {
 		t.Fatalf("merged edges %d, want %d", res.NumEdges, st.Meta().NumEdges+3)
 	}
@@ -97,52 +113,38 @@ func TestAddEdgesMatchesFromScratch(t *testing.T) {
 	}
 }
 
+// TestRemoveEdgeSemantics: a removal kills every copy of a doubled edge,
+// and an insertion logged after the removal survives it as one copy.
 func TestRemoveEdgeSemantics(t *testing.T) {
 	// Graph with a doubled edge 0->1 and single 1->2, 2->0.
 	g := &graph.EdgeList{NumVertices: 3, Edges: []graph.Edge{
 		{Src: 0, Dst: 1}, {Src: 0, Dst: 1}, {Src: 1, Dst: 2}, {Src: 2, Dst: 0},
 	}}
 	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 2})
-	u, err := dynamic.NewUpdater(st)
-	if err != nil {
-		t.Fatal(err)
-	}
-	u.RemoveEdge(0, 1) // one copy only
 	disk := diskio.MustNew(t.TempDir(), diskio.Unthrottled)
-	res, err := u.Rebuild(disk, "v2", preprocess.Options{Name: "v2", P: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Store.Close()
-	if res.NumEdges != 3 {
-		t.Fatalf("edges after single removal: %d, want 3", res.NumEdges)
+
+	l := newLog(t, st)
+	l.Remove(0, 1)
+	if res := rebuild(t, l, disk, "v2", 2); res.NumEdges != 2 {
+		t.Fatalf("edges after removing a doubled edge: %d, want 2", res.NumEdges)
 	}
 
-	u2, _ := dynamic.NewUpdater(st)
-	u2.RemoveAllEdges(0, 1)
-	res2, err := u2.Rebuild(disk, "v3", preprocess.Options{Name: "v3", P: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res2.Store.Close()
-	if res2.NumEdges != 2 {
-		t.Fatalf("edges after remove-all: %d, want 2", res2.NumEdges)
+	l2 := newLog(t, st)
+	l2.Remove(0, 1)
+	l2.Add(0, 1, 1)
+	if res := rebuild(t, l2, disk, "v3", 2); res.NumEdges != 3 {
+		t.Fatalf("edges after remove-then-re-add: %d, want 3", res.NumEdges)
 	}
 }
 
 func TestRemovalAppliesToPendingAdds(t *testing.T) {
 	g := &graph.EdgeList{NumVertices: 2, Edges: []graph.Edge{{Src: 0, Dst: 1}}}
 	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 1})
-	u, _ := dynamic.NewUpdater(st)
-	u.AddEdge(1, 0, 1)
-	u.RemoveAllEdges(1, 0) // cancels the pending add
+	l := newLog(t, st)
+	l.Add(1, 0, 1)
+	l.Remove(1, 0) // cancels the pending add
 	disk := diskio.MustNew(t.TempDir(), diskio.Unthrottled)
-	res, err := u.Rebuild(disk, "v2", preprocess.Options{Name: "v2", P: 1})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Store.Close()
-	if res.NumEdges != 1 {
+	if res := rebuild(t, l, disk, "v2", 1); res.NumEdges != 1 {
 		t.Fatalf("edges %d, want 1", res.NumEdges)
 	}
 }
@@ -150,10 +152,10 @@ func TestRemovalAppliesToPendingAdds(t *testing.T) {
 func TestRebuildEmptyFails(t *testing.T) {
 	g := &graph.EdgeList{NumVertices: 2, Edges: []graph.Edge{{Src: 0, Dst: 1}}}
 	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 1})
-	u, _ := dynamic.NewUpdater(st)
-	u.RemoveAllEdges(0, 1)
+	l := newLog(t, st)
+	l.Remove(0, 1)
 	disk := diskio.MustNew(t.TempDir(), diskio.Unthrottled)
-	if _, err := u.Rebuild(disk, "v2", preprocess.Options{Name: "v2", P: 1}); err == nil {
+	if _, err := l.Rebuild(context.Background(), l.Checkpoint(), disk, "v2", preprocess.Options{Name: "v2", P: 1}); err == nil {
 		t.Fatal("empty rebuild accepted")
 	}
 }
@@ -174,14 +176,10 @@ func TestIncrementalBFSScenario(t *testing.T) {
 	}
 	g := &graph.EdgeList{NumVertices: 10, Edges: append(mk(0), mk(5)...)}
 	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 2})
-	u, _ := dynamic.NewUpdater(st)
-	u.AddEdge(0, 5, 1)
+	l := newLog(t, st)
+	l.Add(0, 5, 1)
 	disk := diskio.MustNew(t.TempDir(), diskio.Unthrottled)
-	res, err := u.Rebuild(disk, "v2", preprocess.Options{Name: "v2", P: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer res.Store.Close()
+	res := rebuild(t, l, disk, "v2", 2)
 	e, err := engine.New(res.Store, engine.Config{Threads: 2})
 	if err != nil {
 		t.Fatal(err)

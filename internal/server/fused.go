@@ -38,18 +38,23 @@ func fuseCompatible(j, q *Job) bool {
 	return true
 }
 
+// maxBatch caps how many compatible queued jobs one worker fuses into a
+// single engine run — the fairness bound on how long a fused batch can
+// occupy a graph's run slot, and the benchmark's burst width.
+const maxBatch = 16
+
 // claimCompatibleLocked removes up to maxBatch-1 jobs compatible with j
 // from the pending list and returns them, oldest first. Caller holds
 // s.mu and has already claimed j's graph slot; the claimed jobs share
 // j's entry, so the one claim covers them all.
 func (s *scheduler) claimCompatibleLocked(j *Job) []*Job {
-	if _, ok := laneAlgos[j.Algo]; s.maxBatch <= 1 || j.kind != jobAlgo || !ok {
+	if _, ok := laneAlgos[j.Algo]; j.kind != jobAlgo || !ok {
 		return nil
 	}
 	var extra []*Job
 	kept := s.pending[:0]
 	for _, p := range s.pending {
-		if len(extra)+1 < s.maxBatch && fuseCompatible(j, p) {
+		if len(extra)+1 < maxBatch && fuseCompatible(j, p) {
 			extra = append(extra, p)
 		} else {
 			kept = append(kept, p)

@@ -251,23 +251,18 @@ func TestFusedCancelLeavesSiblings(t *testing.T) {
 	}
 }
 
-// TestFusedDisabled: MaxBatch 1 turns coalescing off entirely, and each
-// job's one-lane run is bitwise equal to the library's single-query
-// entry point (unreachable +Inf served as -1).
+// TestFusedDisabled: a job submitted only after the previous one
+// finished finds no company, runs alone as a one-lane run, and is
+// bitwise equal to the library's single-query entry point (unreachable
+// +Inf served as -1).
 func TestFusedDisabled(t *testing.T) {
 	for _, algo := range []string{"ppr", "bfs", "sssp"} {
 		t.Run(algo, func(t *testing.T) {
-			s, ts := newTestServer(t, Config{Workers: 1, MaxBatch: 1})
-			e, _ := s.reg.get("g")
-			release := holdRunSlot(s, e)
+			s, ts := newTestServer(t, Config{Workers: 1})
 			roots := []uint32{1, 2}
-			ids := make([]string, len(roots))
-			for i, r := range roots {
-				ids[i] = submit(t, ts, "g", algo, map[string]any{"root": r})
-			}
-			release()
 			gr := oracleGraph(t)
-			for i, id := range ids {
+			for i := range roots {
+				id := submit(t, ts, "g", algo, map[string]any{"root": roots[i]})
 				st := pollUntil(t, ts, id, terminal)
 				if st["state"] != "done" || fusedWidth(st) != 0 {
 					t.Fatalf("job %s: state %v fused_width %d, want done alone", id, st["state"], fusedWidth(st))

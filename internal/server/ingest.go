@@ -9,6 +9,13 @@ import (
 	"nxgraph/internal/wal"
 )
 
+// maxIngestOps bounds the ops in one ingest batch: the body cap bounds
+// bytes, this bounds the work one ack commits the server to (a WAL
+// record, a delta-log append, an overlay compile). The largest batch
+// anything in this repository sends is 128 ops; 1 MiB of realistic edge
+// JSON holds about 35 000.
+const maxIngestOps = 1 << 16
+
 // edgeSpec is one edge in an ingestion batch, in the graph's original
 // index space (the ids of the raw input the store was built from —
 // stable across compactions).
@@ -47,8 +54,12 @@ func (s *Server) handleIngest(w http.ResponseWriter, r *http.Request) {
 	if !decodeBody(w, r, &req) {
 		return
 	}
-	if len(req.Add)+len(req.Remove) == 0 {
+	switch n := len(req.Add) + len(req.Remove); {
+	case n == 0:
 		writeErr(w, http.StatusBadRequest, "batch has no add or remove entries")
+		return
+	case n > maxIngestOps:
+		writeErr(w, http.StatusRequestEntityTooLarge, "batch has %d ops, more than the %d-op bound", n, maxIngestOps)
 		return
 	}
 	ops := make([]dynamic.Op, 0, len(req.Add)+len(req.Remove))

@@ -261,6 +261,51 @@ func TestIngestRejectsMalformedWeights(t *testing.T) {
 	}
 }
 
+// TestIngestBatchOpBound: a batch of more than 65 536 ops gets a 413
+// naming the bound before anything is logged; a batch of exactly 65 536
+// is accepted. The bodies are `{}` adds (edge 0->0), far under the
+// byte cap, so only the op bound can refuse them.
+func TestIngestBatchOpBound(t *testing.T) {
+	const bound = 65536
+	s, ts := newIngestServer(t, Config{Workers: 1, DeltaThreshold: -1})
+	post := func(n int) (int, string) {
+		t.Helper()
+		body := `{"add":[{}` + strings.Repeat(`,{}`, n-1) + `]}`
+		resp, err := http.Post(ts.URL+"/v1/graphs/g/edges", "application/json", strings.NewReader(body))
+		if err != nil {
+			t.Fatal(err)
+		}
+		defer resp.Body.Close()
+		b, _ := io.ReadAll(resp.Body)
+		return resp.StatusCode, string(b)
+	}
+	state := func() (appends string, pending float64) {
+		t.Helper()
+		for _, line := range strings.Split(scrape(t, s), "\n") {
+			if v, ok := strings.CutPrefix(line, "nxserve_wal_appends_total "); ok {
+				appends = v
+			}
+		}
+		_, info := doJSON(t, "GET", ts.URL+"/v1/graphs/g", nil)
+		pending, _ = info["pending_deltas"].(float64)
+		return appends, pending
+	}
+
+	code, body := post(bound + 1)
+	if code != http.StatusRequestEntityTooLarge || !strings.Contains(body, "65536") {
+		t.Fatalf("batch of %d ops: status %d, body %s; want 413 naming %d", bound+1, code, body, bound)
+	}
+	if appends, pending := state(); appends != "0" || pending != 0 {
+		t.Fatalf("after the refused batch: wal appends %s, pending %v; want 0, 0", appends, pending)
+	}
+	if code, body := post(bound); code != http.StatusAccepted {
+		t.Fatalf("batch of exactly %d ops: status %d, body %s; want 202", bound, code, body)
+	}
+	if appends, pending := state(); appends != "1" || pending != bound {
+		t.Fatalf("after the accepted batch: wal appends %s, pending %v; want 1, %d", appends, pending, bound)
+	}
+}
+
 // TestIngestRemoveThenReAdd drives the tombstone semantics over HTTP:
 // removals apply before insertions within a batch.
 func TestIngestRemoveThenReAdd(t *testing.T) {

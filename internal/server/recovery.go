@@ -119,13 +119,23 @@ func (e *graphEntry) openWAL(cfg walConfig, log *slog.Logger) error {
 	return nil
 }
 
-// commitBatch is the WAL's commit hook and the replay sink: it lands
-// one durable, sequenced batch in the delta log. The committer invokes
-// it in sequence order after the batch's fsync and before its Append
-// returns, so visibility order always equals log order — exactly what
-// replay reproduces after a crash. The sequence makes it idempotent:
-// a batch the delta log has already seen (replay after a partial GC)
-// is skipped.
+// commitBatch is the one function that lands an ingest batch in the
+// entry's delta log (created lazily here on the first ingest). It is the
+// WAL's commit hook and the replay sink: the committer invokes it in
+// sequence order after the batch's fsync and before its Append returns,
+// so visibility order always equals log order — exactly what replay
+// reproduces after a crash. The sequence makes it idempotent: a batch
+// the delta log has already seen (replay after a partial GC) is
+// skipped. seq 0 is an unsequenced batch, landed directly when the
+// entry has no WAL.
+//
+// deltaMu is held across the pointer read and the append, so a
+// concurrent compaction swap (which replaces the log via Advance) can
+// never strand an acknowledged batch on the discarded log. The pending
+// gauge moves inside the same critical section, and closeDeltas sets
+// deltaClosed before its subtraction, so an ingest racing a graph close
+// either lands before the close (and is counted into its subtraction)
+// or is refused — the gauge cannot leak.
 func (e *graphEntry) commitBatch(seq uint64, ops []dynamic.Op) error {
 	e.deltaMu.Lock()
 	defer e.deltaMu.Unlock()
@@ -148,14 +158,17 @@ func (e *graphEntry) commitBatch(seq uint64, ops []dynamic.Op) error {
 
 // appendDurable logs ops to the graph's WAL and blocks until the batch
 // is durable (per the fsync policy) and visible — the commit hook has
-// appended it to the delta log. Only then may the ingest handler ack.
-// Without a WAL (Config.DisableWAL) it degrades to the in-memory
-// visibility-only append.
+// landed it in the delta log. Only then may the ingest handler ack.
+// Without a WAL (Config.DisableWAL) it lands the batch unsequenced, on
+// visibility alone. It returns the pending and deferred counts after
+// the batch.
 func (e *graphEntry) appendDurable(ops []dynamic.Op) (pending, deferred int, err error) {
-	if e.wal == nil {
-		return e.appendDeltas(ops)
+	if e.wal != nil {
+		_, err = e.wal.Append(ops)
+	} else {
+		err = e.commitBatch(0, ops)
 	}
-	if _, err := e.wal.Append(ops); err != nil {
+	if err != nil {
 		return 0, 0, err
 	}
 	e.deltaMu.Lock()

@@ -14,6 +14,7 @@ import (
 
 	nxgraph "nxgraph"
 	"nxgraph/internal/graph"
+	"nxgraph/internal/wal"
 )
 
 // buildRecoveryBaseDir writes a 6-vertex ring-with-chords graph, with
@@ -376,6 +377,75 @@ func TestRecoveryTornTailMetric(t *testing.T) {
 		}
 	}
 	postBatches(t, ts, recoveryBatches[1:2]) // log still accepts appends
+}
+
+// TestWALResumesPastManifest: a store whose MANIFEST is ahead of its
+// whole WAL — moved or restored without its wal/ directory, or beside an
+// older one — must not give acked batches sequences the next replay
+// skips as already folded in. Every batch acked after such a reopen
+// survives the next two restarts.
+func TestWALResumesPastManifest(t *testing.T) {
+	// compacted: two batches ingested and folded, so its MANIFEST
+	// records seq 2; staleWAL: the wal/ directory after the first batch.
+	compacted := cloneDir(t, buildRecoveryBaseDir(t))
+	staleWAL := t.TempDir()
+	{
+		_, ts, closeAll := openRecoveryServer(t, compacted)
+		postBatches(t, ts, recoveryBatches[:1])
+		closeAll()
+	}
+	copyTree(t, filepath.Join(compacted, walDirName), staleWAL)
+	{
+		_, ts, closeAll := openRecoveryServer(t, compacted)
+		postBatches(t, ts, recoveryBatches[1:2])
+		code, snap := doJSON(t, "POST", ts.URL+"/v1/graphs/g/compact", nil)
+		if code != http.StatusAccepted {
+			t.Fatalf("compact: status %d, body %v", code, snap)
+		}
+		if end := pollUntil(t, ts, snap["id"].(string), terminal); end["state"] != "done" {
+			t.Fatalf("compaction ended %v (error %v)", end["state"], end["error"])
+		}
+		closeAll()
+	}
+	if m, err := wal.ReadManifest(filepath.Join(compacted, storeDirName)); err != nil || m.LastAppliedSeq != 2 {
+		t.Fatalf("manifest %+v, %v; want last_applied_seq 2", m, err)
+	}
+	pending := func(ts *httptest.Server) float64 {
+		t.Helper()
+		_, info := doJSON(t, "GET", ts.URL+"/v1/graphs/g", nil)
+		pd, _ := info["pending_deltas"].(float64)
+		return pd
+	}
+
+	for name, walDir := range map[string]string{"wal deleted": "", "stale wal": staleWAL} {
+		t.Run(name, func(t *testing.T) {
+			dir := cloneDir(t, compacted)
+			if err := os.RemoveAll(filepath.Join(dir, walDirName)); err != nil {
+				t.Fatal(err)
+			}
+			if walDir != "" {
+				copyTree(t, walDir, filepath.Join(dir, walDirName))
+			}
+			// Batch 3 has 3 ops, batch 4 has 2: each reopen must still
+			// serve every op acked before it.
+			want := 0.0
+			for _, b := range recoveryBatches[2:4] {
+				_, ts, closeAll := openRecoveryServer(t, dir)
+				if got := pending(ts); got != want {
+					closeAll()
+					t.Fatalf("pending after reopen = %v, want %v", got, want)
+				}
+				postBatches(t, ts, []map[string]any{b})
+				want = pending(ts)
+				closeAll()
+			}
+			_, ts, closeAll := openRecoveryServer(t, dir)
+			defer closeAll()
+			if got := pending(ts); got != 5 || want != 5 {
+				t.Fatalf("pending after the last reopen = %v (acked %v), want 5", got, want)
+			}
+		})
+	}
 }
 
 // TestSweepStaleStoreDirs drives the three crash states the sweep

@@ -292,35 +292,6 @@ func (e *graphEntry) deltaLog() *dynamic.DeltaLog {
 	return e.delta
 }
 
-// appendDeltas appends ops to the entry's current delta log (created
-// lazily here on the first ingest), holding deltaMu across the pointer
-// read and the append so a concurrent compaction swap (which replaces
-// the log via Advance) can never strand an acknowledged batch on the
-// discarded log. The pending gauge moves inside the same critical
-// section, and closeDeltas sets deltaClosed before its subtraction, so
-// an ingest racing a graph close either lands before the close (and is
-// counted into its subtraction) or is refused — the gauge cannot leak.
-// Returns the pending and deferred counts after the append.
-func (e *graphEntry) appendDeltas(ops []dynamic.Op) (pending, deferred int, err error) {
-	e.deltaMu.Lock()
-	defer e.deltaMu.Unlock()
-	if e.deltaClosed {
-		return 0, 0, errGraphClosing
-	}
-	if e.delta == nil {
-		d, err := dynamic.NewDeltaLog(e.live().Engine().Store())
-		if err != nil {
-			return 0, 0, fmt.Errorf("server: graph %q: delta log: %w", e.name, err)
-		}
-		e.delta = d
-	}
-	pending = e.delta.Append(ops...)
-	if e.stats != nil {
-		e.stats.DeltaPending.Add(int64(len(ops)))
-	}
-	return pending, e.delta.Deferred(), nil
-}
-
 // closeDeltas refuses further ingestion and returns the entry's pending
 // ops to the global gauge. Called on every close path.
 func (e *graphEntry) closeDeltas() {

@@ -45,7 +45,6 @@ type scheduler struct {
 	cond          *sync.Cond // signalled on pending growth and on stop
 	pending       []*Job     // waiting jobs, oldest first
 	queueCap      int
-	maxBatch      int // fairness cap on fused batch width (1 = no fusion)
 	stopped       bool
 	jobs          map[string]*Job
 	seq           int64
@@ -59,12 +58,9 @@ type scheduler struct {
 	wg        sync.WaitGroup
 }
 
-func newScheduler(workers, queueCap, retainJobs, maxBatch int, retainBytes int64, cache *resultCache, stats *metrics.ServerStats, log *slog.Logger) *scheduler {
+func newScheduler(workers, queueCap, retainJobs int, retainBytes int64, cache *resultCache, stats *metrics.ServerStats, log *slog.Logger) *scheduler {
 	if workers <= 0 {
 		workers = 2
-	}
-	if maxBatch <= 0 {
-		maxBatch = 16
 	}
 	if queueCap <= 0 {
 		queueCap = 64
@@ -81,7 +77,6 @@ func newScheduler(workers, queueCap, retainJobs, maxBatch int, retainBytes int64
 		stats:       stats,
 		log:         log,
 		queueCap:    queueCap,
-		maxBatch:    maxBatch,
 		jobs:        make(map[string]*Job),
 		retain:      retainJobs,
 		retainBytes: retainBytes,

@@ -34,16 +34,13 @@ type Config struct {
 	// RetainBytes additionally bounds the result bytes pinned by
 	// retained terminal jobs (default 256 MiB).
 	RetainBytes int64
-	// MaxBatch caps how many compatible queued jobs (same graph,
-	// algorithm, parameters and delta state, differing only in root) one
-	// worker fuses into a single engine run — the fairness bound on how
-	// long a fused batch can occupy a graph's run slot (default 16; 1
-	// disables coalescing).
-	MaxBatch int
 	// DeltaThreshold is the pending-delta count that triggers automatic
 	// background compaction of a graph's delta log (default 8192;
 	// negative disables auto-compaction — manual POST .../compact still
-	// works).
+	// works). Each compaction rebuilds the whole store, while every query
+	// serves the pending deltas as an overlay: a larger value wins when
+	// the store is large beside the ingest rate, a smaller one when
+	// queries must not carry a large overlay.
 	DeltaThreshold int
 	// BlockCacheBytes bounds the process-wide sub-shard block cache
 	// shared by every registered graph: 0 means the 256 MiB default,
@@ -54,10 +51,11 @@ type Config struct {
 	GraphOptions nxgraph.Options
 	// WALSync selects the ingestion write-ahead log's fsync policy:
 	// wal.SyncBatch (default — group commit, one fsync per coalesced
-	// batch of concurrent appends), wal.SyncAlways, or wal.SyncOff.
+	// batch of concurrent appends) or wal.SyncOff (no fsync).
 	WALSync wal.SyncPolicy
 	// WALSegmentBytes rolls WAL segment files at this size (default
-	// 64 MiB).
+	// 64 MiB). nxserve always uses the default; tests set tiny segments
+	// to exercise rotation.
 	WALSegmentBytes int64
 	// DisableWAL turns ingestion durability off: edge batches are acked
 	// on visibility alone, as before the WAL existed, and a crash loses
@@ -136,7 +134,7 @@ func New(cfg Config) *Server {
 	s := &Server{
 		cfg:    cfg,
 		reg:    newRegistry(stats, blocks, walCfg, logger),
-		sched:  newScheduler(cfg.Workers, cfg.QueueCap, cfg.RetainJobs, cfg.MaxBatch, cfg.RetainBytes, cache, stats, logger),
+		sched:  newScheduler(cfg.Workers, cfg.QueueCap, cfg.RetainJobs, cfg.RetainBytes, cache, stats, logger),
 		cache:  cache,
 		blocks: blocks,
 		stats:  stats,

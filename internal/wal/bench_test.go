@@ -11,13 +11,13 @@ import (
 // goroutines appending 16-op batches concurrently, under each fsync
 // policy. The batch-vs-off gap is the price of group-committed
 // durability (the acceptance bound is <= 10% on warm hardware with a
-// real disk; fsync=always shows what coalescing saves).
+// real disk); fsyncs/append shows what coalescing saves.
 func BenchmarkWALAppendGroupCommit(b *testing.B) {
 	ops := make([]dynamic.Op, 16)
 	for i := range ops {
 		ops[i] = dynamic.Op{Src: uint64(i), Dst: uint64(i + 1), Weight: 1}
 	}
-	for _, policy := range []SyncPolicy{SyncOff, SyncBatch, SyncAlways} {
+	for _, policy := range []SyncPolicy{SyncOff, SyncBatch} {
 		b.Run(policy.String(), func(b *testing.B) {
 			stats := &Stats{}
 			l, err := Open(b.TempDir(), Options{Policy: policy, Stats: stats})

@@ -92,11 +92,11 @@ func TestShortWriteLeavesRecoverableTornTail(t *testing.T) {
 	}
 }
 
-// TestPoisonFailsRestOfDrainedBatch covers the multi-chunk drain case:
-// when an early chunk tears the tail and poisons the log, the committer
-// must fail the chunks it has not written yet, not append them past the
-// tear — records after a torn one would be acked as durable and then
-// silently truncated away by the next Open.
+// TestPoisonFailsRestOfDrainedBatch covers a tear inside a drained
+// group: when one record's write tears the tail and poisons the log, the
+// committer must fail it and every batch drained behind it, not append
+// them past the tear — records after a torn one would be acked as
+// durable and then silently truncated away by the next Open.
 func TestPoisonFailsRestOfDrainedBatch(t *testing.T) {
 	dir := t.TempDir()
 	ffs := NewFaultFS(nil)
@@ -104,8 +104,7 @@ func TestPoisonFailsRestOfDrainedBatch(t *testing.T) {
 	gate := make(chan struct{})
 	var hookOnce sync.Once
 	l, err := Open(dir, Options{
-		FS:       ffs,
-		MaxBatch: 1, // every drained append is its own chunk
+		FS: ffs,
 		Commit: func(seq uint64, ops []dynamic.Op) error {
 			// Park the committer inside batch 1's commit so appends 2
 			// and 3 pile up in the queue and drain together.

@@ -65,37 +65,28 @@ const (
 	// append that queued while the previous fsync ran into one write
 	// pass and one fsync.
 	SyncBatch SyncPolicy = iota
-	// SyncAlways fsyncs every batch individually (MaxBatch=1 degenerate
-	// group commit).
-	SyncAlways
 	// SyncOff never fsyncs: appends are acked once written to the OS.
 	// Data survives a process crash but not a kernel crash or power
 	// loss.
 	SyncOff
 )
 
-// ParseSyncPolicy parses the -fsync flag values off|batch|always.
+// ParseSyncPolicy parses the -fsync flag values off|batch.
 func ParseSyncPolicy(s string) (SyncPolicy, error) {
 	switch strings.ToLower(s) {
 	case "", "batch":
 		return SyncBatch, nil
-	case "always":
-		return SyncAlways, nil
 	case "off":
 		return SyncOff, nil
 	}
-	return SyncBatch, fmt.Errorf("wal: unknown fsync policy %q (want off, batch or always)", s)
+	return SyncBatch, fmt.Errorf("wal: unknown fsync policy %q (want off or batch)", s)
 }
 
 func (p SyncPolicy) String() string {
-	switch p {
-	case SyncAlways:
-		return "always"
-	case SyncOff:
+	if p == SyncOff {
 		return "off"
-	default:
-		return "batch"
 	}
+	return "batch"
 }
 
 // Stats holds the log's monotonic counters, shared with /metrics.
@@ -115,8 +106,6 @@ type Options struct {
 	// SegmentBytes rolls to a new segment once the current one reaches
 	// this size (default 64 MiB).
 	SegmentBytes int64
-	// MaxBatch caps appends per fsync (default 256).
-	MaxBatch int
 	// Commit, if set, is invoked by the committer for each batch in
 	// sequence order after it is durable and before its Append returns
 	// — the hook that makes batches visible (DeltaLog append) in
@@ -185,12 +174,6 @@ func Open(dir string, opt Options) (*Log, error) {
 	if opt.SegmentBytes <= 0 {
 		opt.SegmentBytes = 64 << 20
 	}
-	if opt.MaxBatch <= 0 {
-		opt.MaxBatch = 256
-	}
-	if opt.Policy == SyncAlways {
-		opt.MaxBatch = 1
-	}
 	if opt.Stats == nil {
 		opt.Stats = &Stats{}
 	}
@@ -204,34 +187,28 @@ func Open(dir string, opt Options) (*Log, error) {
 	if err != nil {
 		return nil, fmt.Errorf("wal: open %s: %w", dir, err)
 	}
-	segNames := names[:0]
 	for _, name := range names {
-		if _, ok := parseSegName(name); ok {
-			segNames = append(segNames, name)
+		if first, ok := parseSegName(name); ok {
+			l.segs = append(l.segs, segInfo{name: name, first: first})
 		}
 	}
-	var lastSeq uint64
+	var tailBytes int64 // intact bytes of the last segment scanned
 	seenRecords := false
-	for i, name := range segNames {
-		first, _ := parseSegName(name)
-		path := filepath.Join(dir, name)
+	for i, s := range l.segs {
+		path := filepath.Join(dir, s.name)
 		// Within a segment, records run contiguously from the sequence
 		// its name declares; across segments they continue without
 		// gaps. (The log's prefix may be GC'd away, so the *first*
 		// segment can start anywhere.)
-		prev := first - 1
-		if seenRecords {
-			if first != lastSeq+1 {
-				return nil, fmt.Errorf("%w: segment %s starts at seq %d, want %d", ErrCorrupt, path, first, lastSeq+1)
-			}
-			prev = lastSeq
+		if seenRecords && s.first != l.nextSeq {
+			return nil, fmt.Errorf("%w: segment %s starts at seq %d, want %d", ErrCorrupt, path, s.first, l.nextSeq)
 		}
-		sc, err := l.scanSegment(path, prev)
+		sc, err := l.scanSegment(path, s.first, nil)
 		if err != nil {
 			return nil, err
 		}
 		if sc.torn {
-			if i != len(segNames)-1 {
+			if i != len(l.segs)-1 {
 				return nil, fmt.Errorf("%w: segment %s damaged at offset %d but is not the log tail", ErrCorrupt, path, sc.goodBytes)
 			}
 			// A torn tail is the legal crash signature: the final
@@ -242,13 +219,11 @@ func Open(dir string, opt Options) (*Log, error) {
 			}
 			opt.Stats.TornTails.Add(1)
 		}
-		if sc.records > 0 {
-			lastSeq = sc.last
-			seenRecords = true
+		if sc.next > s.first {
+			l.nextSeq, seenRecords = sc.next, true
 		}
-		l.segs = append(l.segs, segInfo{name: name, first: first})
+		tailBytes = sc.goodBytes
 	}
-	l.nextSeq = lastSeq + 1
 	if n := len(l.segs); n > 0 {
 		// An empty trailing segment (created, then crash before its
 		// first record) still names the next sequence to be written.
@@ -260,41 +235,27 @@ func Open(dir string, opt Options) (*Log, error) {
 			return nil, fmt.Errorf("wal: reopen tail segment: %w", err)
 		}
 		l.curFile = f
-		// Post-truncate size = bytes of intact records; recompute from
-		// the scan below.
-		l.curSize = l.tailSize()
+		l.curSize = tailBytes // the scan's intact bytes: the post-truncate size
 	}
 	l.wg.Add(1)
 	go l.committer()
 	return l, nil
 }
 
-// tailSize re-measures the tail segment after any truncation.
-func (l *Log) tailSize() int64 {
-	rf, err := l.fs.OpenRead(filepath.Join(l.dir, l.segs[len(l.segs)-1].name))
-	if err != nil {
-		return 0
-	}
-	defer rf.Close()
-	n, err := rf.Size()
-	if err != nil {
-		return 0
-	}
-	return n
-}
-
 type segScan struct {
-	last      uint64 // seq of the last intact record (0 if none)
-	records   int
-	goodBytes int64 // offset past the last intact record
-	torn      bool  // trailing bytes do not form an intact record
+	next      uint64 // seq the record after the last intact one must carry
+	goodBytes int64  // offset past the last intact record
+	torn      bool   // trailing bytes do not form an intact record
 }
 
 // scanSegment walks one segment's records, verifying checksums and the
-// contiguity of sequence numbers (each record must be prevSeq+1).
-// Anything unreadable marks the scan torn at the last good offset; the
-// caller decides whether that is a legal crash tail or corruption.
-func (l *Log) scanSegment(path string, prevSeq uint64) (segScan, error) {
+// contiguity of sequence numbers (from first on, one apart), and
+// hands each intact record's payload to visit (if set); an error from
+// visit stops the scan. It is the log's one record reader: Open scans
+// with no visitor, Replay with one that decodes. Anything unreadable
+// marks the scan torn at the last good offset; the caller decides
+// whether that is a legal crash tail or corruption.
+func (l *Log) scanSegment(path string, first uint64, visit func(seq uint64, payload []byte) error) (segScan, error) {
 	rf, err := l.fs.OpenRead(path)
 	if err != nil {
 		return segScan{}, fmt.Errorf("wal: scan %s: %w", path, err)
@@ -304,7 +265,7 @@ func (l *Log) scanSegment(path string, prevSeq uint64) (segScan, error) {
 	if err != nil {
 		return segScan{}, fmt.Errorf("wal: scan %s: %w", path, err)
 	}
-	var sc segScan
+	sc := segScan{next: first}
 	br := bufio.NewReaderSize(rf, 1<<16)
 	hdr := make([]byte, recHeaderSize)
 	for {
@@ -334,15 +295,15 @@ func (l *Log) scanSegment(path string, prevSeq uint64) (segScan, error) {
 			sc.torn = true
 			return sc, nil
 		}
-		want := prevSeq + 1
-		if sc.records > 0 {
-			want = sc.last + 1
+		if seq != sc.next {
+			return sc, fmt.Errorf("%w: %s holds seq %d where %d was expected", ErrCorrupt, path, seq, sc.next)
 		}
-		if seq != want {
-			return sc, fmt.Errorf("%w: %s holds seq %d where %d was expected", ErrCorrupt, path, seq, want)
+		if visit != nil {
+			if err := visit(seq, payload); err != nil {
+				return sc, err
+			}
 		}
-		sc.last = seq
-		sc.records++
+		sc.next++
 		sc.goodBytes += int64(recHeaderSize) + int64(length)
 	}
 }
@@ -443,35 +404,13 @@ func (l *Log) committer() {
 		batch := l.queue
 		l.queue = nil
 		l.mu.Unlock()
-
-		for len(batch) > 0 {
-			n := len(batch)
-			if n > l.opt.MaxBatch {
-				n = l.opt.MaxBatch
-			}
-			l.commitChunk(batch[:n])
-			batch = batch[n:]
-			if len(batch) == 0 {
-				break
-			}
-			l.mu.Lock()
-			failed := l.failed
-			l.mu.Unlock()
-			if failed != nil {
-				// The chunk poisoned the log: the tail may be torn, and
-				// anything written past the tear would be acked now but
-				// truncated away on reopen. Fail the rest of the drained
-				// batch instead of committing it.
-				for _, r := range batch {
-					r.done <- failed
-				}
-				break
-			}
-		}
+		l.commitChunk(batch)
 	}
 }
 
-// commitChunk writes one group of batches, syncs once, then acks them.
+// commitChunk writes one drained group of batches, syncs once, then
+// acks them. A write that fails stops the pass there: the batches
+// written before it are acked, and it and every batch after it fail.
 func (l *Log) commitChunk(reqs []*appendReq) {
 	if l.curFile == nil || l.curSize >= l.opt.SegmentBytes {
 		if err := l.rotate(reqs[0].seq); err != nil {
@@ -499,10 +438,9 @@ func (l *Log) commitChunk(reqs []*appendReq) {
 			l.poison(err, reqs)
 			return
 		}
-		d := time.Since(t0)
 		l.opt.Stats.Fsyncs.Add(1)
 		if l.opt.ObserveFsync != nil {
-			l.opt.ObserveFsync(d)
+			l.opt.ObserveFsync(time.Since(t0))
 		}
 	}
 	for _, r := range reqs[:written] {
@@ -575,59 +513,17 @@ func (l *Log) rotate(firstSeq uint64) error {
 }
 
 // Replay streams every intact record with sequence > from to fn, in
-// order. It is meant for the quiet window right after Open, before
-// concurrent appends start.
+// order, then makes the next sequence at least from+1 (see resumePast).
+// It is meant for the quiet window right after Open, before concurrent
+// appends start.
 func (l *Log) Replay(from uint64, fn func(seq uint64, ops []dynamic.Op) error) (int, error) {
 	l.mu.Lock()
 	segs := append([]segInfo(nil), l.segs...)
 	l.mu.Unlock()
 	replayed := 0
-	for i, s := range segs {
-		if i+1 < len(segs) && segs[i+1].first <= from+1 {
-			// Every record this segment holds is <= from (its last is
-			// the successor's first minus one): skip the whole file.
-			continue
-		}
-		path := filepath.Join(l.dir, s.name)
-		rf, err := l.fs.OpenRead(path)
-		if err != nil {
-			return replayed, fmt.Errorf("wal: replay %s: %w", path, err)
-		}
-		err = replaySegment(rf, from, fn, &replayed, l.opt.Stats)
-		rf.Close()
-		if err != nil {
-			return replayed, fmt.Errorf("wal: replay %s: %w", path, err)
-		}
-	}
-	return replayed, nil
-}
-
-func replaySegment(rf ReadFile, from uint64, fn func(uint64, []dynamic.Op) error, replayed *int, stats *Stats) error {
-	br := bufio.NewReaderSize(rf, 1<<16)
-	hdr := make([]byte, recHeaderSize)
-	for {
-		if _, err := io.ReadFull(br, hdr); err != nil {
-			// Open already truncated torn tails; a partial header here
-			// means we raced nothing (replay runs pre-append) so treat
-			// any trailing garbage as end-of-log.
-			return nil
-		}
-		length := binary.LittleEndian.Uint32(hdr[8:12])
-		if length > maxPayload || length < 4 {
-			return nil
-		}
-		payload := make([]byte, length)
-		if _, err := io.ReadFull(br, payload); err != nil {
-			return nil
-		}
-		sum := crc32.Checksum(hdr[0:12], castagnoli)
-		sum = crc32.Update(sum, castagnoli, payload)
-		if sum != binary.LittleEndian.Uint32(hdr[12:16]) {
-			return nil
-		}
-		seq := binary.LittleEndian.Uint64(hdr[0:8])
+	visit := func(seq uint64, payload []byte) error {
 		if seq <= from {
-			continue
+			return nil
 		}
 		ops, err := decodeOps(payload)
 		if err != nil {
@@ -636,9 +532,48 @@ func replaySegment(rf ReadFile, from uint64, fn func(uint64, []dynamic.Op) error
 		if err := fn(seq, ops); err != nil {
 			return err
 		}
-		*replayed++
-		stats.ReplayedBatches.Add(1)
+		replayed++
+		l.opt.Stats.ReplayedBatches.Add(1)
+		return nil
 	}
+	for i, s := range segs {
+		if i+1 < len(segs) && segs[i+1].first <= from+1 {
+			continue // its last record, the successor's first - 1, is <= from
+		}
+		// Open already truncated the torn tail and checked that each
+		// segment continues its predecessor.
+		path := filepath.Join(l.dir, s.name)
+		if _, err := l.scanSegment(path, s.first, visit); err != nil {
+			return replayed, fmt.Errorf("wal: replay %s: %w", path, err)
+		}
+	}
+	return replayed, l.resumePast(from)
+}
+
+// resumePast makes the next sequence at least from+1. A store whose
+// MANIFEST is ahead of the whole log (moved without its wal/ directory,
+// or beside an older one) has folded in every record the log holds;
+// numbering on from the log's end would give acked batches sequences
+// the next replay skips. The segments go first, so the log never holds
+// the sequence gap Open rejects. The committer is idle in Replay's quiet
+// window, so closing its tail file here is safe.
+func (l *Log) resumePast(from uint64) error {
+	l.mu.Lock()
+	defer l.mu.Unlock()
+	if from < l.nextSeq {
+		return nil
+	}
+	if l.curFile != nil {
+		l.curFile.Close()
+		l.curFile = nil
+	}
+	for _, s := range l.segs {
+		if err := l.fs.Remove(filepath.Join(l.dir, s.name)); err != nil {
+			return fmt.Errorf("wal: drop segments behind seq %d: %w", from, err)
+		}
+	}
+	l.segs, l.nextSeq = nil, from+1
+	return l.fs.SyncDir(l.dir)
 }
 
 // TruncateThrough removes segments every record of which has sequence
