@@ -22,15 +22,18 @@ import (
 // hoists the per-edge division into a scaled attribute view (see
 // refreshScaled).
 //
-// Every fold performs, per destination, exactly the floating-point
-// operations the generic gatherCSR would: a left-associative fold over
-// the destination's in-edges starting from Zero, then one Sum into the
-// accumulator (or an assignment into the hub array). The
-// e = 1/2/3 unrolls in the add-family folds write that exact chain out
+// Every fold produces, per destination, the bits the generic gatherCSR
+// would: a left-associative fold over the destination's in-edges
+// starting from Zero, then one Sum into the accumulator (or an
+// assignment into the hub array). The add-family folds perform exactly
+// those operations; their e = 1/2/3 unrolls write the chain out
 // literally — 0 + g1 + g2 is ((0+g1)+g2), identity additions included,
-// so results stay bit-identical even for -0 inputs. Equivalence is
-// enforced by TestScalarKernelsMatchGeneric and the algorithm-level
-// suite in internal/algorithms.
+// so results stay bit-identical even for -0 inputs. The unfiltered min
+// and hop folds (minRuns) regroup the chain instead, which the builtin
+// min allows bit for bit; the max, weighted and filtered min folds stay
+// one dependent chain. Equivalence is enforced by
+// TestScalarKernelsMatchGeneric and the algorithm-level suite in
+// internal/algorithms.
 //
 // A note on mechanism: these loops are hand-monomorphized rather than
 // instantiated from one generic function over a fold typeclass. Go's
@@ -207,16 +210,20 @@ func gatherCountSum(mask *bitset.Set, del delPred, ss *storage.SubShard, acc vie
 }
 
 // gatherMinMax: local = min(...min(Zero, a1)..., ae) (or max), the label
-// propagation folds of WCC and SCC coloring. Min chains are a dependent
-// sequence, so there is nothing to unroll; what matters is that the fold
-// is the min builtin, expanded in the loop — math.Min is a call per edge
-// (math.archMin was a quarter of a warm round's CPU, ADR-007). The max
-// fold runs as a min over negated attributes, negated back per
-// destination: max(a, b) and -min(-a, -b) are the same bits for every
-// non-NaN pair, either zero included, and the compiler's max is that
-// identity per call — two sign flips on every link of the chain.
+// propagation folds of WCC and SCC coloring. The unfiltered min fold
+// runs minRuns; the rest fold one edge at a time, with the builtin
+// expanded in the loop — math.Min is a call per edge (math.archMin was
+// a quarter of a warm round's CPU, ADR-007). The max fold runs as a min
+// over negated attributes, negated back per destination: max(a, b) and
+// -min(-a, -b) are the same bits for every non-NaN pair, either zero
+// included, and the compiler's max is that identity per call — two sign
+// flips on every link of the chain.
 func gatherMinMax(mask *bitset.Set, del delPred, ss *storage.SubShard, src view, acc view, hub []float64, k0, k1 int, isMax bool) {
 	filtered := mask != nil || del != nil
+	if !filtered && !isMax {
+		minRuns(ss, src, acc, hub, k0, k1, false)
+		return
+	}
 	for k := k0; k < k1; k++ {
 		d := ss.Dsts[k]
 		local := math.Inf(1)
@@ -252,19 +259,20 @@ func gatherMinMax(mask *bitset.Set, del delPred, ss *storage.SubShard, src view,
 // gatherHopMin: local = min(local, a+1) — BFS, and SSSP over unweighted
 // cells (where Gather's float64(float32(1)) step is exactly 1).
 func gatherHopMin(mask *bitset.Set, del delPred, ss *storage.SubShard, src view, acc view, hub []float64, k0, k1 int) {
-	filtered := mask != nil || del != nil
+	if mask == nil && del == nil {
+		minRuns(ss, src, acc, hub, k0, k1, true)
+		return
+	}
 	for k := k0; k < k1; k++ {
 		d := ss.Dsts[k]
 		local := math.Inf(1)
 		for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
 			s := ss.Srcs[t]
-			if filtered {
-				if mask != nil && mask.Test(int(s)) {
-					continue
-				}
-				if del != nil && del(s, d) {
-					continue
-				}
+			if mask != nil && mask.Test(int(s)) {
+				continue
+			}
+			if del != nil && del(s, d) {
+				continue
 			}
 			local = min(local, src.at(s)+1)
 		}
@@ -272,6 +280,56 @@ func gatherHopMin(mask *bitset.Set, del delPred, ss *storage.SubShard, src view,
 			hub[k] = local
 		} else {
 			acc.vals[d-acc.base] = min(acc.vals[d-acc.base], local)
+		}
+	}
+}
+
+// minRuns is the unfiltered min fold and, with hop set, the unfiltered
+// hop fold. A destination's run is one load for e = 1 (min(+Inf, a) is
+// a), a literal min for e = 2, 3, and two independent accumulators for
+// longer runs, so the fold is not one dependent chain of min latencies
+// (four measured no faster, ADR-015).
+//
+// The builtin min selects under a total order on non-NaN values (-0 <
+// +0) and yields a NaN whenever an operand is one, so every grouping is
+// the same bits. The hop fold takes the min of the raw attributes and
+// adds 1 once: x -> x+1 rounds monotonically and never yields -0, so
+// min(a+1, b+1) and min(a, b)+1 are the same bits. The plain fold must
+// not be written as min(...)+0 instead, which turns -0 into +0.
+func minRuns(ss *storage.SubShard, src view, acc view, hub []float64, k0, k1 int, hop bool) {
+	srcs, offs, dsts := ss.Srcs, ss.Offsets, ss.Dsts
+	vals, base := src.vals, src.base
+	for k := k0; k < k1; k++ {
+		run := srcs[offs[k]:offs[k+1]]
+		var local float64
+		switch len(run) {
+		case 0:
+			local = math.Inf(1)
+		case 1:
+			local = vals[run[0]-base]
+		case 2:
+			local = min(vals[run[0]-base], vals[run[1]-base])
+		case 3:
+			local = min(vals[run[0]-base], vals[run[1]-base], vals[run[2]-base])
+		default:
+			m0, m1 := vals[run[0]-base], vals[run[1]-base]
+			for run = run[2:]; len(run) >= 2; run = run[2:] {
+				m0 = min(m0, vals[run[0]-base])
+				m1 = min(m1, vals[run[1]-base])
+			}
+			if len(run) == 1 {
+				m0 = min(m0, vals[run[0]-base])
+			}
+			local = min(m0, m1)
+		}
+		if hop {
+			local++
+		}
+		if hub != nil {
+			hub[k] = local
+		} else {
+			i := dsts[k] - acc.base
+			acc.vals[i] = min(acc.vals[i], local)
 		}
 	}
 }

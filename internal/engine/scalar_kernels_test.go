@@ -114,8 +114,10 @@ func (p *foldTestProg) Apply(v uint32, old, acc float64) (float64, bool) {
 }
 
 // makeTestSubShard builds a synthetic destination-sorted sub-shard over
-// vertices [0, n) with edge counts spread over 0..6 so every unroll arm
-// (0, 1, 2, 3, long) is exercised.
+// vertices [0, n) with edge counts spread over 0..12 plus one run of 45
+// edges, so every unroll arm (0, 1, 2, 3, long) is exercised and the
+// min folds' two-accumulator loop runs from 1 to 21 trips, with and
+// without a remainder edge.
 func makeTestSubShard(rng *rand.Rand, n, numDsts int, weighted bool) *storage.SubShard {
 	ss := &storage.SubShard{Offsets: []uint32{0}}
 	step := n / numDsts
@@ -124,7 +126,10 @@ func makeTestSubShard(rng *rand.Rand, n, numDsts int, weighted bool) *storage.Su
 	}
 	for k := 0; k < numDsts; k++ {
 		d := uint32(k * step % n)
-		e := k % 7 // deterministic spread over the unroll arms
+		e := k % 13 // deterministic spread over the unroll arms
+		if k == numDsts/2 {
+			e = 45
+		}
 		for t := 0; t < e; t++ {
 			ss.Srcs = append(ss.Srcs, uint32(rng.Intn(n)))
 			if weighted {
@@ -347,14 +352,41 @@ func assertSameBits(t *testing.T, name string, want, got []float64) {
 	}
 }
 
-// benchSubShard builds a dense synthetic sub-shard: numDsts destinations
-// with edgesPer in-edges each over n source vertices.
-func benchSubShard(rng *rand.Rand, n, numDsts, edgesPer int) *storage.SubShard {
+// cellRunLengths is the per-destination in-edge count mix measured on
+// every cell of a scale-16, P = 12 RMAT store (both replicas agree
+// within 0.2 pp): the percentage of destinations with 1..8 in-edges.
+// The remaining 12.2 % are long runs (see mixRunLength).
+var cellRunLengths = [...]float64{46.5, 16.9, 8.8, 5.5, 3.8, 2.8, 2.0, 1.5}
+
+// mixRunLength draws one destination's in-edge count from that mix.
+// Beyond 8 edges the store has 9.3 % of destinations with 9..32 edges
+// (23.8 % of the edges, mean 15) and 3.0 % with more than 32 (43.8 %,
+// mean 86); both draw from a shifted exponential with that mean.
+func mixRunLength(rng *rand.Rand) int {
+	u := rng.Float64() * 100
+	for i, pct := range cellRunLengths {
+		if u < pct {
+			return i + 1
+		}
+		u -= pct
+	}
+	if u < 9.3 {
+		return min(9+int(rng.ExpFloat64()*6), 32)
+	}
+	return 33 + int(rng.ExpFloat64()*53)
+}
+
+// benchSubShard builds a synthetic sub-shard over n source vertices:
+// numDsts destinations, each with a sorted in-edge run whose length is
+// drawn by mixRunLength.
+func benchSubShard(rng *rand.Rand, n, numDsts int) *storage.SubShard {
 	ss := &storage.SubShard{Offsets: []uint32{0}}
 	for k := 0; k < numDsts; k++ {
-		for t := 0; t < edgesPer; t++ {
+		lo := len(ss.Srcs)
+		for e := mixRunLength(rng); e > 0; e-- {
 			ss.Srcs = append(ss.Srcs, uint32(rng.Intn(n)))
 		}
+		slices.Sort(ss.Srcs[lo:])
 		ss.Dsts = append(ss.Dsts, uint32(k%n))
 		ss.Offsets = append(ss.Offsets, uint32(len(ss.Srcs)))
 	}
@@ -362,11 +394,14 @@ func benchSubShard(rng *rand.Rand, n, numDsts, edgesPer int) *storage.SubShard {
 }
 
 // BenchmarkGatherKernel compares the generic interface-dispatch gather
-// against the devirtualized folds on one 64k-edge sub-shard.
+// against the devirtualized folds on one sub-shard of 8192 destinations
+// (about 48k edges) with the run-length mix of a real cell. It reports
+// ns/edge, the unit of the benchmark ledger's
+// engine.gather_self_ns_per_edge.
 func BenchmarkGatherKernel(b *testing.B) {
 	const n = 1 << 13
 	rng := rand.New(rand.NewSource(7))
-	ss := benchSubShard(rng, n, n, 8)
+	ss := benchSubShard(rng, n, n)
 	deg := make([]uint32, n)
 	attrs := make([]float64, n)
 	for v := range attrs {
@@ -375,23 +410,26 @@ func BenchmarkGatherKernel(b *testing.B) {
 	}
 	src := view{attrs, 0}
 	acc := make([]float64, n)
-	edges := int64(ss.NumEdges())
+	edges := float64(ss.NumEdges())
+	nsPerEdge := func(b *testing.B) {
+		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edges, "ns/edge")
+	}
 
 	for _, c := range scalarFoldCases(false) {
 		if c.weighted {
 			continue // weight array omitted; distMin is covered by the equivalence tests
 		}
 		b.Run("generic/"+c.name, func(b *testing.B) {
-			b.SetBytes(edges * 8)
 			for i := 0; i < b.N; i++ {
 				gatherCSR(c.prog, deg, nil, nil, ss, src, view{acc, 0}, nil, 0, ss.NumDsts())
 			}
+			nsPerEdge(b)
 		})
 		b.Run("spec/"+c.name, func(b *testing.B) {
-			b.SetBytes(edges * 8)
 			for i := 0; i < b.N; i++ {
 				gatherSpec(c.f, nil, nil, ss, src, view{acc, 0}, nil, 0, ss.NumDsts())
 			}
+			nsPerEdge(b)
 		})
 	}
 }

@@ -18,6 +18,7 @@ type ServerStats struct {
 
 	JobDuration, IterationDuration, BlockLoad, QueueWait *Histogram
 	IngestBatch, HTTPRequest, BatchWidth, WALFsync       *Histogram
+	WALCommitWait                                        *Histogram
 }
 
 // NewServerStats declares the serving families on a new Registry.
@@ -56,5 +57,6 @@ func NewServerStats() *ServerStats {
 		HTTPRequest:       r.Histogram("nxserve_http_request_seconds", "HTTP request handling latency.", DurationBuckets),
 		BatchWidth:        r.Histogram("nxserve_fused_batch_width", "Lane count of fused engine runs (width >= 2).", SizeBuckets),
 		WALFsync:          r.Histogram("nxserve_wal_fsync_seconds", "Write-ahead-log fsync latency per group-commit flush.", FsyncBuckets),
+		WALCommitWait:     r.Histogram("nxserve_wal_commit_wait_seconds", "Time an ingest batch waits in the write-ahead log until its group commit is durable and visible.", DurationBuckets),
 	}
 }

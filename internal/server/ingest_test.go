@@ -306,6 +306,35 @@ func TestIngestBatchOpBound(t *testing.T) {
 	}
 }
 
+// TestWALCommitWaitObserved: an acked ingest batch is one observation of
+// nxserve_wal_commit_wait_seconds with the WAL on, and none with it off.
+func TestWALCommitWaitObserved(t *testing.T) {
+	for _, c := range []struct {
+		disableWAL bool
+		want       string
+	}{{false, "1"}, {true, "0"}} {
+		s, ts := newIngestServer(t, Config{Workers: 1, DeltaThreshold: -1, DisableWAL: c.disableWAL})
+		resp, err := http.Post(ts.URL+"/v1/graphs/g/edges", "application/json",
+			strings.NewReader(`{"add":[{"src":0,"dst":2}]}`))
+		if err != nil {
+			t.Fatal(err)
+		}
+		resp.Body.Close()
+		if resp.StatusCode != http.StatusAccepted {
+			t.Fatalf("DisableWAL %v: ingest status %d, want 202", c.disableWAL, resp.StatusCode)
+		}
+		var count string
+		for _, line := range strings.Split(scrape(t, s), "\n") {
+			if v, ok := strings.CutPrefix(line, "nxserve_wal_commit_wait_seconds_count "); ok {
+				count = v
+			}
+		}
+		if count != c.want {
+			t.Fatalf("DisableWAL %v: commit wait count %q, want %s", c.disableWAL, count, c.want)
+		}
+	}
+}
+
 // TestIngestRemoveThenReAdd drives the tombstone semantics over HTTP:
 // removals apply before insertions within a batch.
 func TestIngestRemoveThenReAdd(t *testing.T) {

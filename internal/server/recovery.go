@@ -164,7 +164,10 @@ func (e *graphEntry) commitBatch(seq uint64, ops []dynamic.Op) error {
 // the batch.
 func (e *graphEntry) appendDurable(ops []dynamic.Op) (pending, deferred int, err error) {
 	if e.wal != nil {
-		_, err = e.wal.Append(ops)
+		start := time.Now()
+		if _, err = e.wal.Append(ops); err == nil {
+			e.stats.WALCommitWait.Observe(time.Since(start).Seconds())
+		}
 	} else {
 		err = e.commitBatch(0, ops)
 	}

@@ -96,7 +96,12 @@ func (m *Meta) IntervalSize() uint32 {
 	if m.P <= 0 {
 		return 0
 	}
-	return (m.NumVertices + uint32(m.P) - 1) / uint32(m.P)
+	p := uint32(m.P) // Validate bounds P far below 2^32
+	size := m.NumVertices / p
+	if m.NumVertices%p != 0 {
+		size++ // rounding up this way cannot overflow near 2^32 vertices
+	}
+	return size
 }
 
 // IntervalOf returns the interval owning vertex v.
@@ -137,21 +142,49 @@ func (m *Meta) Validate() error {
 			" or rebuild it from its edge list with this build's nxpre",
 			m.Version, FormatV1, maxSupportedVersion)
 	}
-	if m.P <= 0 {
-		return fmt.Errorf("storage: non-positive P %d", m.P)
+	if m.P <= 0 || m.P > maxP {
+		return fmt.Errorf("storage: P %d outside [1, %d]", m.P, maxP)
 	}
 	if len(m.SubShards) != m.P*m.P {
 		return fmt.Errorf("storage: %d sub-shard entries, want %d", len(m.SubShards), m.P*m.P)
 	}
-	if m.HasTranspose && len(m.TSubShards) != m.P*m.P {
-		return fmt.Errorf("storage: %d transpose entries, want %d", len(m.TSubShards), m.P*m.P)
+	if err := m.validateIndex("sub_shards", m.SubShards); err != nil {
+		return err
 	}
+	if m.HasTranspose {
+		if len(m.TSubShards) != m.P*m.P {
+			return fmt.Errorf("storage: %d transpose entries, want %d", len(m.TSubShards), m.P*m.P)
+		}
+		if err := m.validateIndex("t_sub_shards", m.TSubShards); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// maxP bounds the interval count so that P² sub-shard entries count in
+// an int on every platform; real stores use tens.
+const maxP = 1 << 15
+
+// validateIndex checks one replica's sub-shard index: every entry is
+// well-formed (a writer gives an empty sub-shard no blob, and a blob
+// holds at least one destination with at least one edge each), and the
+// entries hold the meta's NumEdges. Each error names the entry.
+func (m *Meta) validateIndex(field string, infos []SubShardInfo) error {
 	var edges int64
-	for _, ss := range m.SubShards {
+	for i, ss := range infos {
+		switch {
+		case ss.Offset < 0 || ss.Length < 0:
+			return fmt.Errorf("storage: %s[%d]: offset %d, length %d", field, i, ss.Offset, ss.Length)
+		case ss.Dsts < 0 || ss.Dsts > ss.Edges:
+			return fmt.Errorf("storage: %s[%d]: %d destinations, %d edges", field, i, ss.Dsts, ss.Edges)
+		case (ss.Length == 0) != (ss.Dsts == 0):
+			return fmt.Errorf("storage: %s[%d]: %d destinations in a %d-byte blob", field, i, ss.Dsts, ss.Length)
+		}
 		edges += ss.Edges
 	}
 	if edges != m.NumEdges {
-		return fmt.Errorf("storage: sub-shards hold %d edges, meta says %d", edges, m.NumEdges)
+		return fmt.Errorf("storage: %s hold %d edges, meta says %d", field, edges, m.NumEdges)
 	}
 	return nil
 }

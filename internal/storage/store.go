@@ -44,7 +44,7 @@ func Open(disk *diskio.Disk, dir string) (*Store, error) {
 	if s.shards, err = disk.Open(dir + "/" + ShardsFile); err != nil {
 		return nil, err
 	}
-	if err := checkShardHeader(s.shards, disk.Path(dir+"/"+ShardsFile), meta.Version); err != nil {
+	if err := checkShardFile(s.shards, disk.Path(dir+"/"+ShardsFile), meta.Version, "sub_shards", meta.SubShards); err != nil {
 		s.shards.Close()
 		return nil, err
 	}
@@ -53,7 +53,7 @@ func Open(disk *diskio.Disk, dir string) (*Store, error) {
 			s.shards.Close()
 			return nil, err
 		}
-		if err := checkShardHeader(s.tshards, disk.Path(dir+"/"+TShardsFile), meta.Version); err != nil {
+		if err := checkShardFile(s.tshards, disk.Path(dir+"/"+TShardsFile), meta.Version, "t_sub_shards", meta.TSubShards); err != nil {
 			s.Close()
 			return nil, err
 		}
@@ -61,10 +61,21 @@ func Open(disk *diskio.Disk, dir string) (*Store, error) {
 	return s, nil
 }
 
-// checkShardHeader verifies a shard file's magic and that its embedded
+// checkShardFile verifies a shard file's magic, that its embedded
 // format version matches the meta document's (the two are written
-// together; disagreement means a corrupt or hand-mixed store).
-func checkShardHeader(f *diskio.File, path string, version int) error {
+// together; disagreement means a corrupt or hand-mixed store), and that
+// every blob the meta's field indexes lies inside the file.
+func checkShardFile(f *diskio.File, path string, version int, field string, infos []SubShardInfo) error {
+	size, err := f.Size()
+	if err != nil {
+		return fmt.Errorf("storage: %s: %w", path, err)
+	}
+	for i, info := range infos {
+		if info.Offset > size || info.Length > size-info.Offset {
+			return fmt.Errorf("storage: %s: %s[%d] spans [%d, +%d), past the file's %d bytes",
+				path, field, i, info.Offset, info.Length, size)
+		}
+	}
 	var hdr [8]byte
 	if _, err := f.ReadAt(hdr[:], 0); err != nil {
 		return fmt.Errorf("storage: read shard header: %w", err)
