@@ -32,7 +32,6 @@ func main() {
 		mem      = flag.String("mem", "0", "memory budget (e.g. 512MiB; 0 = unlimited)")
 		cacheMB  = flag.Int("cache-mb", -1, "sub-shard block cache budget in MiB (-1 = derive from -mem, 0 = disable)")
 		strategy = flag.String("strategy", "auto", "auto | spu | dpu | mpu")
-		lockSync = flag.Bool("lock", false, "use interval-lock sync instead of callback")
 		profile  = flag.String("disk", "none", "simulated disk: none | ssd | hdd")
 		topk     = flag.Int("top", 10, "print top-K vertices (pagerank, hits)")
 		showTr   = flag.Bool("trace", false, "print per-iteration compute-vs-stall breakdown")
@@ -75,7 +74,7 @@ func main() {
 		fmt.Fprintln(os.Stderr, "nxrun:", err)
 		os.Exit(2)
 	}
-	opt := nxgraph.Options{Threads: *threads, MemoryBudget: budget, LockSync: *lockSync}
+	opt := nxgraph.Options{Threads: *threads, MemoryBudget: budget}
 	switch {
 	case *cacheMB > 0:
 		opt.CacheBytes = int64(*cacheMB) << 20

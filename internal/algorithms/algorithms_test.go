@@ -13,24 +13,32 @@ import (
 	"nxgraph/internal/testutil"
 )
 
-// configs is the strategy × sync matrix every algorithm is validated
-// against. Budgets are computed from n at build time: SPU unlimited, MPU
-// roughly half the intervals resident, DPU forced.
+// configs is the strategy × task-size matrix every algorithm is
+// validated against. Budgets are computed from n at build time: SPU
+// unlimited, MPU roughly half the intervals resident, DPU forced. The
+// -callback rows cut small edge-balanced chunks; the -lock rows keep
+// their names from the deleted Sync: Lock mode and run its schedule, one
+// whole-cell task per sub-shard (ADR-016).
 type configCase struct {
-	name     string
-	strategy engine.Strategy
-	sync     engine.SyncMode
-	budget   func(n uint32) int64
+	name      string
+	strategy  engine.Strategy
+	chunkDsts int
+	budget    func(n uint32) int64
 }
 
+const (
+	smallChunks = 64      // exercises the parallel paths
+	wholeCells  = 1 << 20 // past any test cell's cost: one task per cell
+)
+
 var configCases = []configCase{
-	{"spu-callback", engine.SPU, engine.Callback, func(n uint32) int64 { return 0 }},
-	{"spu-lock", engine.SPU, engine.Lock, func(n uint32) int64 { return 0 }},
-	{"spu-streamed", engine.SPU, engine.Callback, func(n uint32) int64 { return 2*int64(n)*8 + 1 }},
-	{"mpu-callback", engine.Auto, engine.Callback, func(n uint32) int64 { return int64(n) * 8 }},
-	{"mpu-lock", engine.Auto, engine.Lock, func(n uint32) int64 { return int64(n) * 8 }},
-	{"dpu-callback", engine.DPU, engine.Callback, func(n uint32) int64 { return 0 }},
-	{"dpu-lock", engine.DPU, engine.Lock, func(n uint32) int64 { return 0 }},
+	{"spu-callback", engine.SPU, smallChunks, func(n uint32) int64 { return 0 }},
+	{"spu-lock", engine.SPU, wholeCells, func(n uint32) int64 { return 0 }},
+	{"spu-streamed", engine.SPU, smallChunks, func(n uint32) int64 { return 2*int64(n)*8 + 1 }},
+	{"mpu-callback", engine.Auto, smallChunks, func(n uint32) int64 { return int64(n) * 8 }},
+	{"mpu-lock", engine.Auto, wholeCells, func(n uint32) int64 { return int64(n) * 8 }},
+	{"dpu-callback", engine.DPU, smallChunks, func(n uint32) int64 { return 0 }},
+	{"dpu-lock", engine.DPU, wholeCells, func(n uint32) int64 { return 0 }},
 }
 
 func buildEngine(t *testing.T, g *graph.EdgeList, p int, weighted bool, cc configCase) (*engine.Engine, *graph.EdgeList) {
@@ -42,8 +50,7 @@ func buildEngine(t *testing.T, g *graph.EdgeList, p int, weighted bool, cc confi
 		Threads:      4,
 		MemoryBudget: cc.budget(oracle.NumVertices),
 		Strategy:     cc.strategy,
-		Sync:         cc.sync,
-		ChunkDsts:    64, // small chunks exercise the parallel paths
+		ChunkDsts:    cc.chunkDsts,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)

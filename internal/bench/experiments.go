@@ -197,9 +197,9 @@ func (s *Suite) Fig8(threads []int, memFracs []float64) (*metrics.Table, error) 
 	return t, nil
 }
 
-// systemsForComparison builds the Fig 9–12 comparison set over graph g:
-// NXgraph in callback and lock mode plus the GraphChi- and
-// TurboGraph-like baselines. budget applies to every system.
+// comparisonRow is one system's row of the Fig 9–11 comparison set:
+// NXgraph plus the GraphChi- and TurboGraph-like baselines, run by
+// compareOnPageRank under one budget.
 type comparisonRow struct {
 	system  string
 	seconds float64
@@ -211,22 +211,18 @@ func (s *Suite) compareOnPageRank(name string, budget int64, nThreads int, prof 
 	if err != nil {
 		return nil, err
 	}
-	var rows []comparisonRow
-	for _, sync := range []engine.SyncMode{engine.Callback, engine.Lock} {
-		e, done, err := s.nxEngine(g, 12, false, engine.Config{
-			Strategy: engine.Auto, Sync: sync, Threads: nThreads, MemoryBudget: budget,
-		}, prof)
-		if err != nil {
-			return nil, err
-		}
-		res, err := s.pagerank(e)
-		done()
-		if err != nil {
-			return nil, err
-		}
-		rows = append(rows, comparisonRow{"nxgraph-" + sync.String(),
-			res.Elapsed.Seconds(), res.MTEPS()})
+	e, done, err := s.nxEngine(g, 12, false, engine.Config{
+		Strategy: engine.Auto, Threads: nThreads, MemoryBudget: budget,
+	}, prof)
+	if err != nil {
+		return nil, err
 	}
+	res, err := s.pagerank(e)
+	done()
+	if err != nil {
+		return nil, err
+	}
+	rows := []comparisonRow{{"nxgraph", res.Elapsed.Seconds(), res.MTEPS()}}
 	wd, err := s.workdir()
 	if err != nil {
 		return nil, err

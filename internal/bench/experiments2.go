@@ -24,34 +24,30 @@ func (s *Suite) Fig12() (*metrics.Table, error) {
 		if err != nil {
 			return nil, err
 		}
-		// NXgraph, both sync modes.
-		for _, sync := range []engine.SyncMode{engine.Callback, engine.Lock} {
-			e, done, err := s.nxEngine(g, 12, true, engine.Config{
-				Strategy: engine.Auto, Sync: sync, Threads: s.Threads,
-			}, s.Profile)
-			if err != nil {
-				return nil, err
-			}
-			sysName := "nxgraph-" + sync.String()
-			bfs, err := algorithms.BFS(e, 0)
-			if err != nil {
-				done()
-				return nil, err
-			}
-			t.AddRow(name, "bfs", sysName, bfs.Elapsed.Seconds())
-			scc, err := algorithms.SCC(e)
-			if err != nil {
-				done()
-				return nil, err
-			}
-			t.AddRow(name, "scc", sysName, scc.Elapsed.Seconds())
-			wcc, err := algorithms.WCC(e)
-			done()
-			if err != nil {
-				return nil, err
-			}
-			t.AddRow(name, "wcc", sysName, wcc.Elapsed.Seconds())
+		e, done, err := s.nxEngine(g, 12, true, engine.Config{
+			Strategy: engine.Auto, Threads: s.Threads,
+		}, s.Profile)
+		if err != nil {
+			return nil, err
 		}
+		bfs, err := algorithms.BFS(e, 0)
+		if err != nil {
+			done()
+			return nil, err
+		}
+		t.AddRow(name, "bfs", "nxgraph", bfs.Elapsed.Seconds())
+		scc, err := algorithms.SCC(e)
+		if err != nil {
+			done()
+			return nil, err
+		}
+		t.AddRow(name, "scc", "nxgraph", scc.Elapsed.Seconds())
+		wcc, err := algorithms.WCC(e)
+		done()
+		if err != nil {
+			return nil, err
+		}
+		t.AddRow(name, "wcc", "nxgraph", wcc.Elapsed.Seconds())
 		// Baselines: BFS on the directed graph, WCC on the symmetrized
 		// one; no SCC (see doc comment).
 		wd, err := s.workdir()

@@ -126,7 +126,9 @@ func TestDeltaOverlayMatchesRebuild(t *testing.T) {
 		{"spu", engine.Config{Threads: 2, Strategy: engine.SPU}},
 		{"dpu", engine.Config{Threads: 2, Strategy: engine.DPU}},
 		{"mpu", engine.Config{Threads: 2, Strategy: engine.MPU, MemoryBudget: pingPong / 2}},
-		{"lock", engine.Config{Threads: 2, Strategy: engine.SPU, Sync: engine.Lock}},
+		// Named for the deleted Sync: Lock mode; runs its schedule, one
+		// whole-cell gather task per sub-shard (ADR-016).
+		{"lock", engine.Config{Threads: 2, Strategy: engine.SPU, ChunkDsts: 1 << 20}},
 		// Block-cache ablation: the overlay must serve identically with
 		// the shared cache disabled (pure streaming) and with a tiny
 		// budget that evicts mid-iteration, for every strategy. Cached

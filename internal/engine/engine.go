@@ -45,27 +45,6 @@ func (s Strategy) String() string {
 	return "unknown"
 }
 
-// SyncMode selects how worker updates are synchronized (paper §IV prelude:
-// the callback and interval-lock implementations).
-type SyncMode int
-
-const (
-	// Callback schedules conflict-free destination ranges and joins
-	// workers with completion signals; no locks are taken on attribute
-	// data.
-	Callback SyncMode = iota
-	// Lock serializes whole destination intervals with a mutex, taking
-	// one task per sub-shard.
-	Lock
-)
-
-func (m SyncMode) String() string {
-	if m == Lock {
-		return "lock"
-	}
-	return "callback"
-}
-
 // Ba is the attribute size in bytes (float64), matching the paper's
 // PageRank accounting.
 const Ba = 8
@@ -78,8 +57,6 @@ type Config struct {
 	MemoryBudget int64
 	// Strategy picks the update strategy; Auto adapts to MemoryBudget.
 	Strategy Strategy
-	// Sync picks the synchronization mechanism.
-	Sync SyncMode
 	// MaxIterations caps the number of iterations; 0 means run until
 	// every interval is inactive.
 	MaxIterations int

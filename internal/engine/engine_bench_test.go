@@ -57,32 +57,6 @@ func BenchmarkPageRankIterationByStrategy(b *testing.B) {
 	}
 }
 
-// BenchmarkSyncModes compares the two synchronization mechanisms the
-// paper reports side by side (callback vs interval lock).
-func BenchmarkSyncModes(b *testing.B) {
-	g := benchGraph(b)
-	for _, sync := range []engine.SyncMode{engine.Callback, engine.Lock} {
-		b.Run(sync.String(), func(b *testing.B) {
-			st, oracle := testutil.BuildStore(b, g, testutil.StoreOptions{P: 8})
-			e, err := engine.New(st, engine.Config{Sync: sync, Threads: 2})
-			if err != nil {
-				b.Fatal(err)
-			}
-			run, err := e.NewRun(algorithms.NewPageRankProgram(oracle.NumVertices, 0.85), engine.Forward)
-			if err != nil {
-				b.Fatal(err)
-			}
-			defer run.Close()
-			b.ResetTimer()
-			for i := 0; i < b.N; i++ {
-				if _, err := run.Step(); err != nil {
-					b.Fatal(err)
-				}
-			}
-		})
-	}
-}
-
 // BenchmarkChunkSizes probes the fine-grained task granularity knob.
 func BenchmarkChunkSizes(b *testing.B) {
 	g := benchGraph(b)

@@ -165,6 +165,42 @@ func TestRunReuseAcrossPhases(t *testing.T) {
 	}
 }
 
+// TestClosedRunFails: once Close has released a run's attributes (the
+// resident slabs go back to the pool, the attribute file closes), every
+// method that reads or writes them fails by name like Step does, rather
+// than returning zeros or a file error.
+func TestClosedRunFails(t *testing.T) {
+	g, _ := gen.Uniform(200, 1500, 29)
+	for _, strategy := range []engine.Strategy{engine.SPU, engine.DPU} {
+		t.Run(strategy.String(), func(t *testing.T) {
+			e, oracle := buildEngine(t, g, 4, engine.Config{Threads: 2, Strategy: strategy})
+			run, err := e.NewRun(algorithms.NewPageRankProgram(oracle.NumVertices, 0.85), engine.Forward)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if _, err := run.Step(); err != nil {
+				t.Fatal(err)
+			}
+			run.Close()
+			check := func(op string, err error) {
+				t.Helper()
+				if want := "engine: " + op + " on closed run"; err == nil || err.Error() != want {
+					t.Errorf("%s after Close: err = %v, want %q", op, err, want)
+				}
+			}
+			_, err = run.Step()
+			check("Step", err)
+			_, err = run.Finish()
+			check("Finish", err)
+			_, err = run.FinishLanes()
+			check("FinishLanes", err)
+			_, err = run.Attrs()
+			check("Attrs", err)
+			check("SetAttrs", run.SetAttrs(make([]float64, oracle.NumVertices)))
+		})
+	}
+}
+
 func TestEdgesTraversedCount(t *testing.T) {
 	g, _ := gen.Uniform(100, 1000, 29)
 	e, oracle := buildEngine(t, g, 4, engine.Config{Threads: 2})

@@ -7,9 +7,11 @@ import (
 
 	"nxgraph/internal/algorithms"
 	"nxgraph/internal/bitset"
+	"nxgraph/internal/diskio"
 	"nxgraph/internal/engine"
 	"nxgraph/internal/gen"
 	"nxgraph/internal/graph"
+	"nxgraph/internal/model"
 	"nxgraph/internal/refalgo"
 	"nxgraph/internal/testutil"
 )
@@ -108,15 +110,20 @@ func TestSPUZeroDiskTrafficWhenCached(t *testing.T) {
 	}
 }
 
-// TestDPUIOMatchesTableII validates the measured per-iteration traffic of
-// the DPU strategy against the analytic model (Table II, implementation
-// variant: one extra n·Ba read for old attributes in FromHub). The block
-// cache is disabled: Table II models the streaming read path, which the
-// cache exists to short-circuit.
-func TestDPUIOMatchesTableII(t *testing.T) {
-	g, _ := gen.RMAT(gen.DefaultRMAT(10, 10, 3))
-	st, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 6})
-	e, err := engine.New(st, engine.Config{Strategy: engine.DPU, Threads: 2, CacheBytes: -1})
+// iterIO builds a P-interval store over g and measures one steady-state
+// PageRank iteration's disk traffic under cfg (the second iteration: the
+// first also initializes the attribute file). The block cache is
+// disabled: Table II models the streaming read path, which the cache
+// exists to short-circuit. It returns the model's parameters for the
+// store with BM unset: Be is the store's measured bytes per edge and D
+// the mean in-degree of a sub-shard destination, so D·Σ Dsts = m and the
+// model's hub term is exactly one (Bv + Ba) entry per sub-shard
+// destination.
+func iterIO(t *testing.T, g *graph.EdgeList, p int, cfg engine.Config) (diskio.StatsSnapshot, model.Params) {
+	t.Helper()
+	st, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: p})
+	cfg.Threads, cfg.CacheBytes = 2, -1
+	e, err := engine.New(st, cfg)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -134,55 +141,70 @@ func TestDPUIOMatchesTableII(t *testing.T) {
 	}
 	delta := st.Disk().Stats().Snapshot().Sub(before)
 
-	n := int64(oracle.NumVertices)
-	edgeBytes := st.EdgeBytesOnDisk(false)
-	var hubEntries int64
+	m := float64(st.Meta().NumEdges)
+	var dsts int64
 	for _, info := range st.Meta().SubShards {
-		hubEntries += info.Dsts
+		dsts += info.Dsts
 	}
-	hubBytes := hubEntries * 12 // Bv + Ba
-	wantRead := edgeBytes + 2*n*8 + hubBytes
-	wantWrite := n*8 + hubBytes
-	if delta.BytesRead != wantRead {
-		t.Errorf("DPU read %d bytes/iter, model says %d", delta.BytesRead, wantRead)
-	}
-	if delta.BytesWritten != wantWrite {
-		t.Errorf("DPU wrote %d bytes/iter, model says %d", delta.BytesWritten, wantWrite)
+	return delta, model.Params{
+		N:  float64(oracle.NumVertices),
+		M:  m,
+		Ba: engine.Ba,
+		Bv: 4,
+		Be: float64(st.EdgeBytesOnDisk(false)) / m,
+		D:  m / float64(dsts),
 	}
 }
 
-// TestMPUIOBetweenSPUAndDPU checks the monotonicity claim of §III-B3: per-
-// iteration traffic shrinks as the resident fraction Q/P grows.
-func TestMPUIOBetweenSPUAndDPU(t *testing.T) {
-	g, _ := gen.RMAT(gen.DefaultRMAT(10, 10, 4))
-	measure := func(strategy engine.Strategy, budget int64) int64 {
-		st, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 8})
-		// Cache disabled: the monotonicity claim is about streaming I/O.
-		e, err := engine.New(st, engine.Config{Strategy: strategy, MemoryBudget: budget, Threads: 2, CacheBytes: -1})
-		if err != nil {
-			t.Fatal(err)
+// TestDPUIOMatchesTableII validates the measured per-iteration traffic of
+// the DPU strategy against the analytic model, Table II's implementation
+// variant model.ImplDPU (one extra n·Ba read for old attributes in
+// FromHub), to the byte.
+func TestDPUIOMatchesTableII(t *testing.T) {
+	for _, seed := range []int64{3, 4, 5} {
+		g, _ := gen.RMAT(gen.DefaultRMAT(10, 10, seed))
+		got, p := iterIO(t, g, 6, engine.Config{Strategy: engine.DPU})
+		want := model.ImplDPU(p)
+		if math.Abs(float64(got.BytesRead)-want.Read) >= 1 {
+			t.Errorf("seed %d: DPU read %d bytes/iter, model says %.1f", seed, got.BytesRead, want.Read)
 		}
-		run, err := e.NewRun(algorithms.NewPageRankProgram(oracle.NumVertices, 0.85), engine.Forward)
-		if err != nil {
-			t.Fatal(err)
+		if math.Abs(float64(got.BytesWritten)-want.Write) >= 1 {
+			t.Errorf("seed %d: DPU wrote %d bytes/iter, model says %.1f", seed, got.BytesWritten, want.Write)
 		}
-		defer run.Close()
-		if _, err := run.Step(); err != nil {
-			t.Fatal(err)
-		}
-		before := st.Disk().Stats().Snapshot()
-		if _, err := run.Step(); err != nil {
-			t.Fatal(err)
-		}
-		return st.Disk().Stats().Snapshot().Sub(before).Total()
 	}
-	n := int64(1) << 10 // ≥ oracle n
-	dpu := measure(engine.DPU, 0)
-	mpuLow := measure(engine.MPU, n*8/2)    // few resident intervals
-	mpuHigh := measure(engine.MPU, n*8*3/2) // most intervals resident
-	if !(mpuHigh <= mpuLow && mpuLow <= dpu) {
-		t.Fatalf("traffic not monotone in residency: dpu=%d mpuLow=%d mpuHigh=%d",
-			dpu, mpuLow, mpuHigh)
+}
+
+// TestMPUIOBetweenSPUAndDPU checks the monotonicity claim of §III-B3 —
+// per-iteration traffic shrinks as the resident fraction Q/P grows — and
+// holds each MPU point to model.ImplMPU. The model charges hub traffic
+// as if it were spread evenly over the sub-shard matrix (the f² term);
+// on RMAT the on-disk corner holds fewer destinations than that, so the
+// measurement sits below the model: read at 0.87–0.93× and write at
+// 0.56–0.73× on this graph. The test asserts [0.5, 1.0]×.
+func TestMPUIOBetweenSPUAndDPU(t *testing.T) {
+	const P = 8
+	g, _ := gen.RMAT(gen.DefaultRMAT(10, 10, 4))
+	dpu, p := iterIO(t, g, P, engine.Config{Strategy: engine.DPU})
+	prev := dpu.Total()
+	for _, q := range []int{2, 4, 6} {
+		p.BM = float64(q) / P * 2 * p.N * p.Ba // exactly Q resident intervals
+		got, _ := iterIO(t, g, P, engine.Config{Strategy: engine.MPU, MemoryBudget: int64(p.BM)})
+		want := model.ImplMPU(p)
+		for _, c := range []struct {
+			what      string
+			got, want float64
+		}{
+			{"read", float64(got.BytesRead), want.Read},
+			{"write", float64(got.BytesWritten), want.Write},
+		} {
+			if r := c.got / c.want; r < 0.5 || r > 1.0 {
+				t.Errorf("Q=%d: MPU %s %.0f bytes/iter is %.2f× the model's %.0f, want [0.5, 1.0]×", q, c.what, c.got, r, c.want)
+			}
+		}
+		if got.Total() > prev {
+			t.Errorf("traffic not monotone in residency: Q=%d moved %d bytes, fewer resident intervals moved %d", q, got.Total(), prev)
+		}
+		prev = got.Total()
 	}
 }
 
@@ -334,9 +356,6 @@ func TestStringers(t *testing.T) {
 	if engine.SPU.String() != "spu" || engine.Auto.String() != "auto" ||
 		engine.DPU.String() != "dpu" || engine.MPU.String() != "mpu" {
 		t.Fatal("Strategy strings")
-	}
-	if engine.Callback.String() != "callback" || engine.Lock.String() != "lock" {
-		t.Fatal("SyncMode strings")
 	}
 	if engine.Forward.String() != "forward" || engine.Reverse.String() != "reverse" ||
 		engine.Both.String() != "both" {

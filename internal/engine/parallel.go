@@ -9,8 +9,9 @@ import (
 // parallelFor runs fn(i) for i in [0, n) on up to `threads` goroutines,
 // pulling indices from a shared atomic counter (work stealing keeps skewed
 // sub-shards from serializing the pool). It returns after every call has
-// completed — the "callback" completion signalling of the paper's first
-// synchronization mechanism.
+// completed — the paper's "callback" completion signalling, the engine's
+// only synchronization mechanism: tasks in one call write disjoint
+// destinations, so no attribute data is ever locked.
 func parallelFor(threads, n int, fn func(i int)) {
 	if n == 0 {
 		return

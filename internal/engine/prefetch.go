@@ -109,31 +109,6 @@ func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded in
 	return
 }
 
-// getBlock pins cell c's block with an individually recorded block-load
-// span. It serves the step loop's batchSubShard fallbacks — rare,
-// unplanned loads — so the trace counters it touches are atomics.
-func (r *Run) getBlock(c cellID) (*blockcache.Handle, error) {
-	var sp trace.Span
-	if r.tr != nil {
-		sp = r.tr.Start(trace.KindBlockLoad, c.name(), r.iterSpanID.Load())
-	}
-	h, missed, decoded, err := r.loadBlock(c)
-	if r.tr != nil {
-		if err == nil {
-			if missed {
-				sp.Tag = trace.TagMiss
-				sp.Bytes = decoded
-				r.iterMisses.Add(1)
-			} else {
-				sp.Tag = trace.TagHit
-				r.iterHits.Add(1)
-			}
-		}
-		r.tr.End(sp)
-	}
-	return h, err
-}
-
 // fetchTrace buffers one fetch goroutine's trace output. Misses keep
 // individual spans — they carry decoded bytes and real disk latency —
 // but hits coalesce into a single counted span per batch: a warm batch
@@ -208,19 +183,16 @@ func (r *Run) waitBatch(b *fetchBatch, phase string, id int) error {
 
 // fetchBatch holds the pinned blocks of one phase batch (a row of the
 // row phase, a destination interval of the column phase). handles is
-// populated by the fetch goroutine and must only be read after wait;
-// extra collects fallback pins taken synchronously by the consumer so
-// release returns everything at once.
+// populated by the fetch goroutine and must only be read after wait.
 type fetchBatch struct {
 	handles map[cellID]*blockcache.Handle
-	extra   []*blockcache.Handle
 	err     error
 	done    chan struct{}
 }
 
-// emptyBatch returns a completed batch with no blocks, for consumers
-// whose batch was not planned (all their loads fall back to synchronous
-// pins via batchSubShard).
+// emptyBatch returns a completed batch with no blocks: the batch of a
+// plan with no cells, and of an id that was never planned (any block
+// asked of it is then an error, see batchSubShard).
 func emptyBatch() *fetchBatch {
 	b := &fetchBatch{done: make(chan struct{})}
 	close(b.done)
@@ -270,8 +242,8 @@ func (b *fetchBatch) wait() error {
 	return b.err
 }
 
-// release unpins every block the batch holds (including fallback pins),
-// waiting out an in-flight fetch first so no pin is orphaned.
+// release unpins every block the batch holds, waiting out an in-flight
+// fetch first so no pin is orphaned.
 func (b *fetchBatch) release() {
 	if b == nil {
 		return
@@ -280,24 +252,18 @@ func (b *fetchBatch) release() {
 	for _, h := range b.handles {
 		h.Release()
 	}
-	for _, h := range b.extra {
-		h.Release()
-	}
-	b.handles, b.extra = nil, nil
+	b.handles = nil
 }
 
-// batchSubShard returns cell c's pinned sub-shard from the batch,
-// falling back to a synchronous load (recorded in the batch so release
-// covers it) when the planner did not anticipate the cell. Callers must
-// have wait()ed on the batch.
-func (r *Run) batchSubShard(b *fetchBatch, c cellID) (*storage.SubShard, error) {
+// batchSubShard returns cell c's pinned sub-shard from the batch. The
+// planners (rowPlans, colPlans) list every cell the phases consume, so a
+// cell missing from its batch is a planning bug, reported by name rather
+// than papered over with a disk read. Callers must have wait()ed on the
+// batch.
+func batchSubShard(b *fetchBatch, c cellID) (*storage.SubShard, error) {
 	h, ok := b.handles[c]
 	if !ok {
-		var err error
-		if h, err = r.getBlock(c); err != nil {
-			return nil, err
-		}
-		b.extra = append(b.extra, h)
+		return nil, fmt.Errorf("engine: %s was not planned", c.name())
 	}
 	return h.Value().(*storage.SubShard), nil
 }
@@ -336,7 +302,8 @@ func (r *Run) newPipeline(plans []fetchPlan) *pipeline {
 // take hands over the pinned batch for plan id — which must be consumed
 // in plan order — and starts the following plan's fetch so its reads
 // overlap the caller's compute. The caller owns the returned batch and
-// must release it. An unplanned id gets an empty batch.
+// must release it. An unplanned id gets an empty batch, whose every
+// block is an error.
 func (p *pipeline) take(id int) *fetchBatch {
 	if p.next >= len(p.plans) || p.plans[p.next].id != id {
 		return emptyBatch()

@@ -150,8 +150,6 @@ type Run struct {
 	ovIn  []uint32
 	ovHub [2]map[int][]float64
 
-	locks []sync.Mutex
-
 	iter     int
 	edges    int64 // summed over lanes
 	finished bool
@@ -267,9 +265,6 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 			// slot the gather reads before the first row phase.
 			r.scaled[d] = e.getSlab(L, size)
 		}
-	}
-	if e.cfg.Sync == Lock {
-		r.locks = make([]sync.Mutex, m.P) // one per destination interval
 	}
 	if q < m.P {
 		maxLen := 0
@@ -566,6 +561,9 @@ func (r *Run) ResetIterations() {
 // Attrs returns a snapshot of all vertex attributes of lane 0 — the only
 // lane of a NewRun run.
 func (r *Run) Attrs() ([]float64, error) {
+	if r.closed {
+		return nil, fmt.Errorf("engine: Attrs on closed run")
+	}
 	out := make([][]float64, len(r.lanes))
 	out[0] = make([]float64, r.e.store.Meta().NumVertices)
 	if err := r.copyOut(out); err != nil {
@@ -612,6 +610,9 @@ func (r *Run) copyOut(out [][]float64) error {
 
 // SetAttrs overwrites all vertex attributes of a one-lane run.
 func (r *Run) SetAttrs(a []float64) error {
+	if r.closed {
+		return fmt.Errorf("engine: SetAttrs on closed run")
+	}
 	m := r.e.store.Meta()
 	if len(r.lanes) != 1 {
 		return fmt.Errorf("engine: SetAttrs needs a one-lane run, this one has %d", len(r.lanes))
@@ -634,7 +635,8 @@ func (r *Run) SetAttrs(a []float64) error {
 }
 
 // Close releases run resources: attribute and hub files close, and a
-// wide run's slabs return to the engine's pool.
+// wide run's slabs return to the engine's pool. Step, Attrs, SetAttrs,
+// Finish and FinishLanes fail on a closed run.
 func (r *Run) Close() {
 	if r.closed {
 		return
@@ -672,6 +674,9 @@ func (r *Run) endLaneSpan(ln *lane, tag string) {
 // IO snapshot, elapsed time, and trace are shared — they describe the
 // run that served every lane. The run remains usable afterwards.
 func (r *Run) FinishLanes() ([]*Result, error) {
+	if r.closed {
+		return nil, fmt.Errorf("engine: FinishLanes on closed run")
+	}
 	out := make([]*Result, len(r.lanes))
 	attrs := make([][]float64, len(r.lanes))
 	for l := range r.lanes {
@@ -712,6 +717,9 @@ func (r *Run) FinishLanes() ([]*Result, error) {
 // Finish is FinishLanes for the caller of a one-program run: lane 0's
 // Result, or an error when that lane was cancelled.
 func (r *Run) Finish() (*Result, error) {
+	if r.closed {
+		return nil, fmt.Errorf("engine: Finish on closed run")
+	}
 	res, err := r.FinishLanes()
 	if err != nil {
 		return nil, err

@@ -272,9 +272,9 @@ func (r *Run) countEdges(rowLanes []int, n int) {
 // blocks is the row's prefetched batch; processRow owns it — blocks stay
 // pinned until every gather task has run, then the whole batch releases.
 // Within one replica's row, distinct destination ranges never overlap, so
-// callback mode runs each group lock-free; groups that can collide on a
-// destination (forward vs transposed replica, base vs overlay) are
-// separated by barriers — see the scheduling comment below.
+// each group runs lock-free; groups that can collide on a destination
+// (forward vs transposed replica, base vs overlay) are separated by
+// barriers — see the scheduling comment below.
 func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetchBatch) error {
 	defer blocks.release()
 	if err := r.waitBatch(blocks, "row-", i); err != nil {
@@ -314,7 +314,7 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 			var ss *storage.SubShard
 			if base {
 				var err error
-				if ss, err = r.batchSubShard(blocks, cellID{d, i, j}); err != nil {
+				if ss, err = batchSubShard(blocks, cellID{d, i, j}); err != nil {
 					return err
 				}
 				r.countEdges(rowLanes, ss.NumEdges())
@@ -324,10 +324,10 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 			}
 			if j < Q {
 				if base {
-					resident[d][0] = append(resident[d][0], r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], acc, nil, nil, rowLanes, j)...)
+					resident[d][0] = append(resident[d][0], r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], acc, nil, nil, rowLanes)...)
 				}
 				if ovc != nil {
-					resident[d][1] = append(resident[d][1], r.gatherTasks(ovc, d, nil, src[d], acc, nil, nil, rowLanes, j)...)
+					resident[d][1] = append(resident[d][1], r.gatherTasks(ovc, d, nil, src[d], acc, nil, nil, rowLanes)...)
 				}
 				continue
 			}
@@ -337,14 +337,14 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 					if err := r.hubs[d].Write(i, j, ss.Dsts, vals); err != nil {
 						r.setErr(err)
 					}
-				}, rowLanes, j)...)
+				}, rowLanes)...)
 			}
 			if ovc != nil {
 				// Overlay contributions to an on-disk destination
 				// interval accumulate in memory (the hub file's regions
 				// are sized from the base meta); the column phase folds
 				// them alongside the disk hub.
-				free = append(free, r.gatherTasks(ovc, d, nil, src[d], view{}, r.ovHubVals(d, i, j, ovc), nil, rowLanes, j)...)
+				free = append(free, r.gatherTasks(ovc, d, nil, src[d], view{}, r.ovHubVals(d, i, j, ovc), nil, rowLanes)...)
 			}
 		}
 	}
@@ -362,13 +362,12 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 	return r.takeErr()
 }
 
-// gatherTasks builds the fine-grained (callback) or interval-locked
-// (lock) tasks that fold sub-shard ss of traversal flag d into every
-// lane in lanes: into the dense accumulator acc, or — hub non-nil, the
-// ToHub side of a one-lane run — into per-destination partials hub
-// (parallel to ss.Dsts), with done (may be nil) run once the last chunk
-// completes (the callback mechanism). src is the source view the kernels
-// read (srcView, or a streamed interval).
+// gatherTasks builds the fine-grained tasks that fold sub-shard ss of
+// traversal flag d into every lane in lanes: into the dense accumulator
+// acc, or — hub non-nil, the ToHub side of a one-lane run — into
+// per-destination partials hub (parallel to ss.Dsts), with done (may be
+// nil) run once the last chunk completes (the callback mechanism). src
+// is the source view the kernels read (srcView, or a streamed interval).
 //
 // tombs is the cell's resolved tombstones (nil for overlay cells and base
 // cells without pending removals): each task walks its destinations as
@@ -379,7 +378,7 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 // and chunk boundaries balance edges, not destinations, so a hub
 // destination does not serialize its whole chunk's worth of sparse
 // neighbours behind it.
-func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, acc view, hub []float64, done func(), lanes []int, j int) []func() {
+func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, acc view, hub []float64, done func(), lanes []int) []func() {
 	deg := r.degOf(d)
 	var body func(k0, k1 int) // one task: destinations [k0, k1)
 	if len(r.lanes) == 1 {
@@ -409,20 +408,6 @@ func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, ac
 			})
 		}
 	}
-	if done == nil {
-		done = func() {}
-	}
-	if r.e.cfg.Sync == Lock {
-		lock := &r.locks[j]
-		return []func(){func() {
-			if hub == nil { // hub partials are private to the cell
-				lock.Lock()
-				defer lock.Unlock()
-			}
-			body(0, ss.NumDsts())
-			done()
-		}}
-	}
 	bounds := edgeChunkRanges(ss.Offsets, r.chunkCost)
 	var pending atomic.Int32
 	pending.Store(int32(len(bounds) - 1))
@@ -431,7 +416,7 @@ func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, ac
 		k0, k1 := bounds[c], bounds[c+1]
 		tasks = append(tasks, func() {
 			body(k0, k1)
-			if pending.Add(-1) == 0 {
+			if pending.Add(-1) == 0 && done != nil {
 				done()
 			}
 		})
@@ -492,17 +477,17 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 					continue
 				}
 				if infos[i*P+j].Edges > 0 {
-					ss, err := r.batchSubShard(blocks, cellID{d, i, j})
+					ss, err := batchSubShard(blocks, cellID{d, i, j})
 					if err != nil {
 						return false, err
 					}
 					r.countEdges(lane0, ss.NumEdges())
-					tasks := r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), r.srcView(d), accV, nil, nil, lane0, j)
+					tasks := r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), r.srcView(d), accV, nil, nil, lane0)
 					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
 				}
 				if ovc := r.ovCell(d, i, j); ovc != nil {
 					r.countEdges(lane0, ovc.NumEdges())
-					tasks := r.gatherTasks(ovc, d, nil, r.srcView(d), accV, nil, nil, lane0, j)
+					tasks := r.gatherTasks(ovc, d, nil, r.srcView(d), accV, nil, nil, lane0)
 					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
 				}
 			}

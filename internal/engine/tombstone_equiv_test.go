@@ -29,7 +29,8 @@ import (
 const (
 	tombN        = 96 // vertices; P = 4 gives 24-vertex intervals
 	tombP        = 4
-	tombChunk    = 2 // Config.ChunkDsts; see engine.GatherChunkCost
+	tombChunk    = 2       // Config.ChunkDsts; see engine.GatherChunkCost
+	tombWhole    = 1 << 20 // Config.ChunkDsts past any cell's cost: one gather task per cell
 	tombHubFirst = 30
 	tombHubLast  = 32
 )
@@ -395,11 +396,13 @@ func TestTombstoneEquivalence(t *testing.T) {
 
 	nv := int64(st.Meta().NumVertices)
 	configs := map[string]engine.Config{
-		"spu":      {Threads: 3, Strategy: engine.SPU, ChunkDsts: tombChunk},
-		"dpu":      {Threads: 3, Strategy: engine.DPU, ChunkDsts: tombChunk},
-		"mpu":      {Threads: 3, Strategy: engine.MPU, MemoryBudget: nv * engine.Ba, ChunkDsts: tombChunk},
-		"spu-lock": {Threads: 3, Strategy: engine.SPU, Sync: engine.Lock, ChunkDsts: tombChunk},
-		"mpu-lock": {Threads: 3, Strategy: engine.MPU, Sync: engine.Lock, MemoryBudget: nv * engine.Ba, ChunkDsts: tombChunk},
+		"spu": {Threads: 3, Strategy: engine.SPU, ChunkDsts: tombChunk},
+		"dpu": {Threads: 3, Strategy: engine.DPU, ChunkDsts: tombChunk},
+		"mpu": {Threads: 3, Strategy: engine.MPU, MemoryBudget: nv * engine.Ba, ChunkDsts: tombChunk},
+		// The -lock rows keep their names from the deleted Sync: Lock mode
+		// and run its schedule, one whole-cell task per sub-shard (ADR-016).
+		"spu-lock": {Threads: 3, Strategy: engine.SPU, ChunkDsts: tombWhole},
+		"mpu-lock": {Threads: 3, Strategy: engine.MPU, MemoryBudget: nv * engine.Ba, ChunkDsts: tombWhole},
 	}
 	// Roots: spread over the intervals, including sources of removed
 	// edges, so every lane's frontier crosses tombstoned cells.

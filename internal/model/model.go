@@ -121,7 +121,9 @@ func Fig6Series(p Params, points int) (budgets, ratios []float64) {
 // FromHub phase re-reads each destination interval's previous attributes
 // so Apply can fold old values (the paper's Algorithm 6 initializes
 // intervals in memory instead), adding one extra n·Ba read pass. The
-// measured-I/O validation tests assert against this variant.
+// engine's measured-I/O tests assert against this variant:
+// TestDPUIOMatchesTableII to the byte, TestMPUIOBetweenSPUAndDPU (through
+// ImplMPU) within [0.5, 1]×.
 func ImplDPU(p Params) IO {
 	io := DPU(p)
 	io.Read += p.N * p.Ba

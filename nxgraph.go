@@ -133,9 +133,6 @@ type Options struct {
 	CacheBytes int64
 	// Strategy overrides adaptive strategy selection.
 	Strategy Strategy
-	// LockSync switches worker synchronization from conflict-free
-	// callback scheduling to per-interval locking.
-	LockSync bool
 	// Weighted keeps edge weights (needed by SSSP).
 	Weighted bool
 	// Transpose materializes the reverse-edge replica (needed by WCC,
@@ -164,16 +161,11 @@ func (o Options) profile() DiskProfile {
 }
 
 func (o Options) engineConfig() engine.Config {
-	sync := engine.Callback
-	if o.LockSync {
-		sync = engine.Lock
-	}
 	return engine.Config{
 		Threads:      o.Threads,
 		MemoryBudget: o.MemoryBudget,
 		CacheBytes:   o.CacheBytes,
 		Strategy:     o.Strategy,
-		Sync:         sync,
 		TraceSpans:   o.TraceSpans,
 	}
 }
