@@ -12,6 +12,7 @@ import (
 	"bufio"
 	"fmt"
 	"io"
+	"math"
 	"sort"
 	"strconv"
 	"strings"
@@ -171,7 +172,8 @@ func (a *Adjacency) OutWeights(v VertexID) []float32 {
 
 // ParseEdgeText reads a whitespace-separated edge-list ("SNAP") text
 // stream: one "src dst [weight]" pair per line, '#' or '%' comments
-// allowed. It returns edges in raw index space.
+// allowed. A weight must be finite and non-negative; a missing one is 1.
+// It returns edges in raw index space.
 func ParseEdgeText(r io.Reader) ([]IndexEdge, error) {
 	sc := bufio.NewScanner(r)
 	sc.Buffer(make([]byte, 1<<16), 1<<20)
@@ -200,6 +202,12 @@ func ParseEdgeText(r io.Reader) ([]IndexEdge, error) {
 			w, err := strconv.ParseFloat(fields[2], 32)
 			if err != nil {
 				return nil, fmt.Errorf("graph: line %d: bad weight: %w", line, err)
+			}
+			// The rule ingest applies: NaN poisons the min and sum folds,
+			// and infinite or negative weights mean nothing to the
+			// served algorithms.
+			if math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+				return nil, fmt.Errorf("graph: line %d: weight %q must be a finite non-negative number", line, fields[2])
 			}
 			e.Weight = float32(w)
 		}

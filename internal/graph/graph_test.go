@@ -2,6 +2,7 @@ package graph
 
 import (
 	"bytes"
+	"math"
 	"math/rand"
 	"strings"
 	"testing"
@@ -137,9 +138,14 @@ func TestParseEdgeText(t *testing.T) {
 }
 
 func TestParseEdgeTextErrors(t *testing.T) {
-	for _, in := range []string{"1\n", "a b\n", "1 b\n", "1 2 zz\n"} {
-		if _, err := ParseEdgeText(strings.NewReader(in)); err == nil {
+	for _, in := range []string{"1\n", "a b\n", "1 b\n", "1 2 zz\n",
+		"0 1 NaN\n", "0 1 inf\n", "0 1 -Inf\n", "0 1 -2\n"} {
+		_, err := ParseEdgeText(strings.NewReader("# header\n" + in))
+		if err == nil {
 			t.Fatalf("input %q should fail", in)
+		}
+		if !strings.Contains(err.Error(), "line 2") {
+			t.Fatalf("input %q: error %q does not name line 2", in, err)
 		}
 	}
 }
@@ -176,4 +182,42 @@ func TestWriteParseRoundTrip(t *testing.T) {
 	if err := quick.Check(f, &quick.Config{MaxCount: 50}); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// FuzzParseEdgeText feeds arbitrary text to the edge-list parser: it must
+// never panic, and every edge it accepts must survive a WriteEdgeText /
+// ParseEdgeText round trip with bit-identical weights.
+func FuzzParseEdgeText(f *testing.F) {
+	for _, s := range []string{"0 1\n", "# c\n% c\n1 2 0.5\n", "3 4 0\n5 6 -0\n",
+		"7 8 1e-45\n", "0 1 NaN\n", "0 1 inf\n", "0 1 -2\n", "18446744073709551615 0 3.4e38\n"} {
+		f.Add([]byte(s))
+	}
+	f.Fuzz(func(t *testing.T, data []byte) {
+		edges, err := ParseEdgeText(bytes.NewReader(data))
+		if err != nil {
+			return
+		}
+		for _, e := range edges {
+			if w := float64(e.Weight); math.IsNaN(w) || math.IsInf(w, 0) || w < 0 {
+				t.Fatalf("accepted weight %v", e.Weight)
+			}
+		}
+		var buf bytes.Buffer
+		if err := WriteEdgeText(&buf, edges, true); err != nil {
+			t.Fatal(err)
+		}
+		got, err := ParseEdgeText(&buf)
+		if err != nil {
+			t.Fatalf("re-parse of %q: %v", buf.String(), err)
+		}
+		if len(got) != len(edges) {
+			t.Fatalf("round trip: %d edges, want %d", len(got), len(edges))
+		}
+		for i, e := range edges {
+			g := got[i]
+			if g.Src != e.Src || g.Dst != e.Dst || math.Float32bits(g.Weight) != math.Float32bits(e.Weight) {
+				t.Fatalf("edge %d: %+v round-tripped to %+v", i, e, g)
+			}
+		}
+	})
 }

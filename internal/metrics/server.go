@@ -18,7 +18,7 @@ type ServerStats struct {
 
 	JobDuration, IterationDuration, BlockLoad, QueueWait *Histogram
 	IngestBatch, HTTPRequest, BatchWidth, WALFsync       *Histogram
-	WALCommitWait                                        *Histogram
+	WALCommitWait, CompactionRebuild, CompactionSwap     *Histogram
 }
 
 // NewServerStats declares the serving families on a new Registry.
@@ -58,5 +58,7 @@ func NewServerStats() *ServerStats {
 		BatchWidth:        r.Histogram("nxserve_fused_batch_width", "Lane count of fused engine runs (width >= 2).", SizeBuckets),
 		WALFsync:          r.Histogram("nxserve_wal_fsync_seconds", "Write-ahead-log fsync latency per group-commit flush.", FsyncBuckets),
 		WALCommitWait:     r.Histogram("nxserve_wal_commit_wait_seconds", "Time an ingest batch waits in the write-ahead log until its group commit is durable and visible.", DurationBuckets),
+		CompactionRebuild: r.Histogram("nxserve_compaction_rebuild_seconds", "Compaction time from the delta checkpoint until the rebuilt store's MANIFEST is written; queries keep running.", DurationBuckets),
+		CompactionSwap:    r.Histogram("nxserve_compaction_swap_seconds", "Time a compaction holds the graph's run lock to swap stores; queries wait.", DurationBuckets),
 	}
 }

@@ -9,17 +9,20 @@
 //
 // The sharder partitions vertices into P equal-sized intervals and edges
 // into P² destination-sorted sub-shards, ordering edges by destination and
-// then source within each sub-shard, and writes the DSSS store. Sorting
-// runs through the external merge sorter so graphs larger than memory
-// shard correctly.
+// then source within each sub-shard, and writes the DSSS store. Every
+// entry point already holds the whole edge list in memory, so the sharder
+// sorts that list in place; weight bits break the last tie, which makes
+// a store's bytes a function of its edge multiset alone.
 package preprocess
 
 import (
+	"cmp"
 	"fmt"
+	"math"
+	"slices"
 	"sort"
 
 	"nxgraph/internal/diskio"
-	"nxgraph/internal/extsort"
 	"nxgraph/internal/graph"
 	"nxgraph/internal/storage"
 )
@@ -35,19 +38,6 @@ type Options struct {
 	// Transpose additionally materializes the transposed sub-shard set,
 	// needed by algorithms that traverse reverse edges (WCC, SCC, HITS).
 	Transpose bool
-	// MaxRunEdges bounds the external sorter's in-memory run size.
-	// Zero selects a default of 1<<22 edges (~48 MB).
-	MaxRunEdges int
-	// SortBudgetDisk, when non-nil, receives the external sorter's
-	// scratch traffic instead of the store's disk.
-	SortBudgetDisk *diskio.Disk
-}
-
-func (o *Options) maxRun() int {
-	if o.MaxRunEdges <= 0 {
-		return 1 << 22
-	}
-	return o.MaxRunEdges
 }
 
 // Result reports what preprocessing produced.
@@ -177,7 +167,7 @@ func FromEdgeList(disk *diskio.Disk, dir string, g *graph.EdgeList, opt Options)
 }
 
 // shard sorts the dense edges into row-major sub-shard order and writes
-// the store.
+// the store. It owns dense: the slice is sorted and reversed in place.
 func shard(disk *diskio.Disk, dir string, dense []graph.Edge, d *degreeing, opt Options) (*Result, error) {
 	if opt.P <= 0 {
 		return nil, fmt.Errorf("preprocess: P must be positive, got %d", opt.P)
@@ -204,18 +194,17 @@ func shard(disk *diskio.Disk, dir string, dense []graph.Edge, d *degreeing, opt 
 	if err := w.WriteIDMap(d.idMap); err != nil {
 		return nil, err
 	}
-	scratch := disk
-	if opt.SortBudgetDisk != nil {
-		scratch = opt.SortBudgetDisk
-	}
-	if err := writeShardSet(w, scratch, dense, size, P, opt, false); err != nil {
+	if err := writeShardSet(w, dense, size, P, opt.Weighted); err != nil {
 		return nil, err
 	}
 	if opt.Transpose {
 		if err := w.BeginTranspose(); err != nil {
 			return nil, err
 		}
-		if err := writeShardSet(w, scratch, dense, size, P, opt, true); err != nil {
+		for i, e := range dense {
+			dense[i] = graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
+		}
+		if err := writeShardSet(w, dense, size, P, opt.Weighted); err != nil {
 			return nil, err
 		}
 	}
@@ -230,44 +219,31 @@ func shard(disk *diskio.Disk, dir string, dense []graph.Edge, d *degreeing, opt 
 	return &Result{Store: st, NumVertices: n, NumEdges: int64(len(dense))}, nil
 }
 
-// writeShardSet externally sorts edges into (srcInterval, dstInterval,
-// dst, src) order — row-major sub-shard order with destination-sorted,
-// source-tied edges inside each sub-shard — and streams them into the
-// writer.
-func writeShardSet(w *storage.Writer, scratch *diskio.Disk, dense []graph.Edge, size uint32, P int, opt Options, transpose bool) error {
-	less := func(a, b graph.Edge) bool {
-		ai, bi := a.Src/size, b.Src/size
-		if ai != bi {
-			return ai < bi
+// writeShardSet sorts edges in place into (srcInterval, dstInterval,
+// dst, src, weight bits) order — row-major sub-shard order with
+// destination-sorted, source-tied edges inside each sub-shard — and
+// streams them into the writer.
+func writeShardSet(w *storage.Writer, edges []graph.Edge, size uint32, P int, weighted bool) error {
+	slices.SortFunc(edges, func(a, b graph.Edge) int {
+		if ai, bi := a.Src/size, b.Src/size; ai != bi {
+			return cmp.Compare(ai, bi)
 		}
-		aj, bj := a.Dst/size, b.Dst/size
-		if aj != bj {
-			return aj < bj
+		if aj, bj := a.Dst/size, b.Dst/size; aj != bj {
+			return cmp.Compare(aj, bj)
 		}
 		if a.Dst != b.Dst {
-			return a.Dst < b.Dst
+			return cmp.Compare(a.Dst, b.Dst)
 		}
-		return a.Src < b.Src
-	}
-	sorter := extsort.NewSorter(scratch, less, opt.maxRun())
-	for _, e := range dense {
-		if transpose {
-			e = graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
+		if a.Src != b.Src {
+			return cmp.Compare(a.Src, b.Src)
 		}
-		if err := sorter.Add(e); err != nil {
-			return err
-		}
-	}
-	it, err := sorter.Sort()
-	if err != nil {
-		return err
-	}
-	defer it.Close()
+		return cmp.Compare(math.Float32bits(a.Weight), math.Float32bits(b.Weight))
+	})
 
 	// Stream edges into sub-shard builders. Invariant: when the builder
 	// is dirty it owns slot cur (reserved, not yet appended); otherwise
 	// cur is the next row-major slot to fill.
-	b := newSubShardBuilder(opt.Weighted)
+	b := newSubShardBuilder(weighted)
 	cur := 0
 	appendEmptyUpTo := func(slot int) error {
 		for cur < slot {
@@ -278,15 +254,8 @@ func writeShardSet(w *storage.Writer, scratch *diskio.Disk, dense []graph.Edge, 
 		}
 		return nil
 	}
-	for {
-		e, more := it.Next()
-		if !more {
-			break
-		}
+	for _, e := range edges {
 		slot := int(e.Src/size)*P + int(e.Dst/size)
-		if slot < cur {
-			return fmt.Errorf("preprocess: edges out of order (slot %d after %d)", slot, cur)
-		}
 		if b.dirty && slot != b.slot {
 			if err := w.AppendSubShard(b.take()); err != nil {
 				return err
@@ -299,9 +268,6 @@ func writeShardSet(w *storage.Writer, scratch *diskio.Disk, dense []graph.Edge, 
 			}
 		}
 		b.add(e, slot)
-	}
-	if err := it.Err(); err != nil {
-		return err
 	}
 	if b.dirty {
 		if err := w.AppendSubShard(b.take()); err != nil {

@@ -1,7 +1,11 @@
 package preprocess_test
 
 import (
+	"bytes"
 	"math/rand"
+	"os"
+	"path/filepath"
+	"slices"
 	"testing"
 	"testing/quick"
 
@@ -205,18 +209,35 @@ func TestErrors(t *testing.T) {
 	}
 }
 
-func TestExternalSortPathMatchesInMemory(t *testing.T) {
-	g, _ := gen.RMAT(gen.DefaultRMAT(9, 8, 5))
-	small := build(t, g, preprocess.Options{Name: "a", P: 4, MaxRunEdges: 1024})
-	big := build(t, g, preprocess.Options{Name: "b", P: 4, MaxRunEdges: 1 << 24})
-	a := collectEdges(t, small.Store, false)
-	b := collectEdges(t, big.Store, false)
-	if len(a) != len(b) {
-		t.Fatalf("edge sets differ: %d vs %d", len(a), len(b))
+// TestStoreBytesIndependentOfEdgeOrder builds weighted RMAT graphs, whose
+// parallel edges carry different weights, from their edge list and from
+// the reversed list: the shard files must match byte for byte, so a store
+// (and a compaction rebuild) is a function of its edge multiset alone.
+func TestStoreBytesIndependentOfEdgeOrder(t *testing.T) {
+	read := func(res *preprocess.Result, file string) []byte {
+		b, err := os.ReadFile(res.Store.Disk().Path(filepath.Join(res.Store.Dir(), file)))
+		if err != nil {
+			t.Fatal(err)
+		}
+		return b
 	}
-	for k, c := range a {
-		if b[k] != c {
-			t.Fatalf("edge %v: %d vs %d", k, c, b[k])
+	for seed := int64(1); seed <= 10; seed++ {
+		cfg := gen.DefaultRMAT(10, 8, seed)
+		cfg.Weighted = true
+		g, err := gen.RMAT(cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rev := &graph.EdgeList{NumVertices: g.NumVertices, Weighted: true,
+			Edges: slices.Clone(g.Edges)}
+		slices.Reverse(rev.Edges)
+		opt := preprocess.Options{Name: "w", P: 4, Weighted: true, Transpose: true}
+		a := build(t, g, opt)
+		b := build(t, rev, opt)
+		for _, f := range []string{storage.ShardsFile, storage.TShardsFile} {
+			if !bytes.Equal(read(a, f), read(b, f)) {
+				t.Fatalf("seed %d: %s differs between edge orders", seed, f)
+			}
 		}
 	}
 }

@@ -38,14 +38,16 @@ func (s *scheduler) executeCompact(j *Job) {
 	s.log.Info("compaction started", "job", j.ID, "graph", j.Graph,
 		"pending_deltas", j.entry.deltaCount())
 
-	res, err := s.runCompaction(ctx, j.entry)
+	var ph compactPhases
+	res, err := s.runCompaction(ctx, j.entry, &ph)
 
 	now := time.Now()
 	switch s.finish(j, now, res, err, false) {
 	case Done:
 		s.stats.CompactionsCompleted.Add(1)
 		attrs := []any{"job", j.ID, "graph", j.Graph,
-			"duration_ms", now.Sub(j.started).Milliseconds()}
+			"duration_ms", now.Sub(j.started).Milliseconds(),
+			"rebuild_ms", ph.rebuild.Milliseconds(), "swap_ms", ph.swap.Milliseconds()}
 		if res != nil {
 			attrs = append(attrs, "compacted_ops", int64(res.Stats["compacted_ops"]))
 		}
@@ -58,8 +60,15 @@ func (s *scheduler) executeCompact(j *Job) {
 	}
 }
 
+// compactPhases times the two phases of a compaction that folded deltas:
+// the rebuild, served concurrently with queries, and the swap, which
+// holds runMu so queries wait. Each is also observed in its histogram.
+type compactPhases struct {
+	rebuild, swap time.Duration
+}
+
 // runCompaction folds the entry's checkpointed delta prefix into a
-// rebuilt store and atomically swaps it in.
+// rebuilt store and atomically swaps it in, recording phase times in ph.
 //
 // Phases:
 //
@@ -84,7 +93,7 @@ func (s *scheduler) executeCompact(j *Job) {
 // On any swap failure the directories are rolled back and the old store
 // reopened — the graph keeps serving base + overlay as if the
 // compaction had never run.
-func (s *scheduler) runCompaction(ctx context.Context, e *graphEntry) (*Result, error) {
+func (s *scheduler) runCompaction(ctx context.Context, e *graphEntry, ph *compactPhases) (*Result, error) {
 	start := time.Now()
 	delta := e.deltaLog()
 	var mark int
@@ -142,13 +151,20 @@ func (s *scheduler) runCompaction(ctx context.Context, e *graphEntry) (*Result, 
 		os.RemoveAll(tmpAbs)
 		return nil, fmt.Errorf("server: graph %q: write manifest: %w", e.name, err)
 	}
+	ph.rebuild = time.Since(start)
+	s.stats.CompactionRebuild.Observe(ph.rebuild.Seconds())
 	if err := ctx.Err(); err != nil {
 		os.RemoveAll(tmpAbs)
 		return nil, err
 	}
 
 	e.runMu.Lock()
-	defer e.runMu.Unlock()
+	locked := time.Now()
+	defer func() {
+		e.runMu.Unlock()
+		ph.swap = time.Since(locked)
+		s.stats.CompactionSwap.Observe(ph.swap.Seconds())
+	}()
 	if e.closed || e.draining.Load() {
 		os.RemoveAll(tmpAbs)
 		return nil, fmt.Errorf("server: graph %q closed during compaction", e.name)

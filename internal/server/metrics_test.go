@@ -230,3 +230,25 @@ func TestMetricsDocumented(t *testing.T) {
 		}
 	}
 }
+
+// TestCompactionPhasesObserved: one compaction that folds deltas
+// observes the rebuild and the swap histograms exactly once each.
+func TestCompactionPhasesObserved(t *testing.T) {
+	s, ts := newIngestServer(t, Config{Workers: 1, DeltaThreshold: -1})
+	doJSON(t, "POST", ts.URL+"/v1/graphs/g/edges", map[string]any{
+		"add": []map[string]any{{"src": 0, "dst": 2}},
+	})
+	code, snap := doJSON(t, "POST", ts.URL+"/v1/graphs/g/compact", nil)
+	if code != http.StatusAccepted {
+		t.Fatalf("compact: status %d", code)
+	}
+	if end := pollUntil(t, ts, snap["id"].(string), terminal); end["state"] != "done" {
+		t.Fatalf("compaction ended %v (error %v)", end["state"], end["error"])
+	}
+	text := scrape(t, s)
+	for _, name := range []string{"nxserve_compaction_rebuild_seconds_count", "nxserve_compaction_swap_seconds_count"} {
+		if got := sampleValue(t, text, name); got != 1 {
+			t.Errorf("%s = %v, want 1", name, got)
+		}
+	}
+}
