@@ -1,15 +1,12 @@
-// Package bitset provides a fixed-size bit set used by the engine for
-// interval activity tracking, vertex masks, and BFS-style frontiers.
+// Package bitset provides a fixed-size bit set: the vertex masks SCC and
+// k-core hand the engine, which skips masked sources in the gather
+// kernels and masked vertices in apply.
 //
-// The zero value of Set is an empty set of length zero; use New to create a
-// set sized for a vertex range. All methods panic on out-of-range indices,
-// matching the behaviour of slice indexing.
+// All methods panic on out-of-range indices, matching the behaviour of
+// slice indexing.
 package bitset
 
-import (
-	"fmt"
-	"math/bits"
-)
+import "fmt"
 
 const wordBits = 64
 
@@ -27,9 +24,6 @@ func New(n int) *Set {
 	return &Set{words: make([]uint64, (n+wordBits-1)/wordBits), n: n}
 }
 
-// Len returns the number of bits the set can hold.
-func (s *Set) Len() int { return s.n }
-
 func (s *Set) check(i int) {
 	if i < 0 || i >= s.n {
 		panic(fmt.Sprintf("bitset: index %d out of range [0,%d)", i, s.n))
@@ -42,155 +36,8 @@ func (s *Set) Set(i int) {
 	s.words[i/wordBits] |= 1 << (uint(i) % wordBits)
 }
 
-// Clear clears bit i.
-func (s *Set) Clear(i int) {
-	s.check(i)
-	s.words[i/wordBits] &^= 1 << (uint(i) % wordBits)
-}
-
 // Test reports whether bit i is set.
 func (s *Set) Test(i int) bool {
 	s.check(i)
 	return s.words[i/wordBits]&(1<<(uint(i)%wordBits)) != 0
-}
-
-// SetAll sets every bit.
-func (s *Set) SetAll() {
-	for i := range s.words {
-		s.words[i] = ^uint64(0)
-	}
-	s.trim()
-}
-
-// ClearAll clears every bit.
-func (s *Set) ClearAll() {
-	for i := range s.words {
-		s.words[i] = 0
-	}
-}
-
-// trim zeroes the unused high bits of the last word so Count and Any stay
-// correct after SetAll or bulk operations.
-func (s *Set) trim() {
-	if rem := s.n % wordBits; rem != 0 && len(s.words) > 0 {
-		s.words[len(s.words)-1] &= (1 << uint(rem)) - 1
-	}
-}
-
-// Count returns the number of set bits.
-func (s *Set) Count() int {
-	c := 0
-	for _, w := range s.words {
-		c += bits.OnesCount64(w)
-	}
-	return c
-}
-
-// Any reports whether at least one bit is set.
-func (s *Set) Any() bool {
-	for _, w := range s.words {
-		if w != 0 {
-			return true
-		}
-	}
-	return false
-}
-
-// None reports whether no bit is set.
-func (s *Set) None() bool { return !s.Any() }
-
-// AnyInRange reports whether any bit in [lo, hi) is set.
-func (s *Set) AnyInRange(lo, hi int) bool {
-	if lo < 0 || hi > s.n || lo > hi {
-		panic(fmt.Sprintf("bitset: bad range [%d,%d) of %d", lo, hi, s.n))
-	}
-	for i := lo; i < hi; {
-		if i%wordBits == 0 && i+wordBits <= hi {
-			if s.words[i/wordBits] != 0 {
-				return true
-			}
-			i += wordBits
-			continue
-		}
-		if s.Test(i) {
-			return true
-		}
-		i++
-	}
-	return false
-}
-
-// Or sets s to the union of s and t. The sets must have equal length.
-func (s *Set) Or(t *Set) {
-	if s.n != t.n {
-		panic("bitset: length mismatch")
-	}
-	for i := range s.words {
-		s.words[i] |= t.words[i]
-	}
-}
-
-// And sets s to the intersection of s and t. The sets must have equal length.
-func (s *Set) And(t *Set) {
-	if s.n != t.n {
-		panic("bitset: length mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &= t.words[i]
-	}
-}
-
-// AndNot clears in s every bit that is set in t.
-func (s *Set) AndNot(t *Set) {
-	if s.n != t.n {
-		panic("bitset: length mismatch")
-	}
-	for i := range s.words {
-		s.words[i] &^= t.words[i]
-	}
-}
-
-// CopyFrom overwrites s with the contents of t. The sets must have equal
-// length.
-func (s *Set) CopyFrom(t *Set) {
-	if s.n != t.n {
-		panic("bitset: length mismatch")
-	}
-	copy(s.words, t.words)
-}
-
-// Clone returns a copy of s.
-func (s *Set) Clone() *Set {
-	c := New(s.n)
-	copy(c.words, s.words)
-	return c
-}
-
-// NextSet returns the index of the first set bit at or after i, or -1 if
-// there is none.
-func (s *Set) NextSet(i int) int {
-	if i < 0 {
-		i = 0
-	}
-	if i >= s.n {
-		return -1
-	}
-	w := i / wordBits
-	word := s.words[w] >> (uint(i) % wordBits)
-	if word != 0 {
-		return i + bits.TrailingZeros64(word)
-	}
-	for w++; w < len(s.words); w++ {
-		if s.words[w] != 0 {
-			return w*wordBits + bits.TrailingZeros64(s.words[w])
-		}
-	}
-	return -1
-}
-
-// ForEach calls fn for every set bit in ascending order.
-func (s *Set) ForEach(fn func(i int)) {
-	for i := s.NextSet(0); i >= 0; i = s.NextSet(i + 1) {
-		fn(i)
-	}
 }

@@ -260,12 +260,6 @@ func (l *DeltaLog) CachedOverlay() engine.Overlay {
 	return nil
 }
 
-// denseAdd is one pending insertion mapped into dense id space.
-type denseAdd struct {
-	src, dst uint32
-	w        float32
-}
-
 // compile walks ops (a stable prefix of the log) and builds the overlay
 // snapshot. Apart from the baseCopies memo (see resolveBaseCopies) it
 // touches only immutable DeltaLog state (denseOf, base degrees, the base
@@ -287,7 +281,7 @@ func (l *DeltaLog) compile(ops []Op) (*overlaySnapshot, error) {
 		}
 		lastRemove[pairKey(s, d)] = idx
 	}
-	var adds []denseAdd
+	var adds []graph.Edge // dense ids
 	for idx, op := range ops {
 		if op.Remove {
 			continue
@@ -300,7 +294,7 @@ func (l *DeltaLog) compile(ops []Op) (*overlaySnapshot, error) {
 		if ri, ok := lastRemove[pairKey(s, d)]; ok && ri > idx {
 			continue // cancelled by a later removal
 		}
-		adds = append(adds, denseAdd{s, d, op.Weight})
+		adds = append(adds, graph.Edge{Src: s, Dst: d, Weight: op.Weight})
 	}
 	// Only a removal that kills at least one base copy leaves a
 	// tombstone; removing an edge that only ever existed as a pending
@@ -347,43 +341,32 @@ func (l *DeltaLog) compile(ops []Op) (*overlaySnapshot, error) {
 		}
 	}
 
-	// Insertions: group by cell and compile destination-sorted CSRs for
-	// the forward replica and, when present, the transposed one.
+	// Insertions: the forward replica's non-empty cells, then, when
+	// present, the transposed replica's from the reversed edges.
 	snap.deltaEdges += int64(len(adds))
-	type cellBuf struct {
-		srcs, dsts []uint32
-		ws         []float32
-	}
-	fw := make(map[int]*cellBuf)
-	var tp map[int]*cellBuf
-	if meta.HasTranspose {
-		tp = make(map[int]*cellBuf)
-	}
-	put := func(m map[int]*cellBuf, ci int, s, d uint32, w float32) {
-		b := m[ci]
-		if b == nil {
-			b = &cellBuf{}
-			m[ci] = b
-		}
-		b.srcs = append(b.srcs, s)
-		b.dsts = append(b.dsts, d)
-		if meta.Weighted {
-			b.ws = append(b.ws, w)
-		}
-	}
 	for _, a := range adds {
-		snap.out[a.src]++
-		snap.in[a.dst]++
-		put(fw, meta.IntervalOf(a.src)*P+meta.IntervalOf(a.dst), a.src, a.dst, a.w)
-		if tp != nil {
-			put(tp, meta.IntervalOf(a.dst)*P+meta.IntervalOf(a.src), a.dst, a.src, a.w)
+		snap.out[a.Src]++
+		snap.in[a.Dst]++
+	}
+	keep := func(cells map[int]*storage.SubShard) func(int, *storage.SubShard) error {
+		return func(ci int, ss *storage.SubShard) error {
+			if ss.NumEdges() > 0 {
+				cells[ci] = ss
+			}
+			return nil
 		}
 	}
-	for ci, b := range fw {
-		snap.cells[ci] = storage.NewSubShardFromEdges(b.srcs, b.dsts, b.ws)
+	size := meta.IntervalSize()
+	if err := storage.BuildSubShards(adds, size, P, meta.Weighted, keep(snap.cells)); err != nil {
+		return nil, err
 	}
-	for ci, b := range tp {
-		snap.tcells[ci] = storage.NewSubShardFromEdges(b.srcs, b.dsts, b.ws)
+	if meta.HasTranspose {
+		for i, a := range adds {
+			adds[i] = graph.Edge{Src: a.Dst, Dst: a.Src, Weight: a.Weight}
+		}
+		if err := storage.BuildSubShards(adds, size, P, meta.Weighted, keep(snap.tcells)); err != nil {
+			return nil, err
+		}
 	}
 	return snap, nil
 }

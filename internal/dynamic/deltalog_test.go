@@ -3,6 +3,8 @@ package dynamic_test
 import (
 	"context"
 	"math"
+	"math/rand"
+	"slices"
 	"testing"
 
 	"nxgraph/internal/algorithms"
@@ -344,5 +346,68 @@ func TestDeltaOverlayReverseTraversal(t *testing.T) {
 			}
 			testutil.SamePartition(t, wa, ga)
 		})
+	}
+}
+
+// TestOverlayIndependentOfOpOrder: the overlay is a function of the
+// pending edge multiset, like a store. The same insertions appended
+// forward and reversed — parallel copies of a pair with different
+// weights among them — compile to identical cells in both replicas, so
+// the engine folds a cell's weights in one order whatever the arrival
+// order was.
+func TestOverlayIndependentOfOpOrder(t *testing.T) {
+	cfg := gen.DefaultRMAT(10, 8, 5)
+	cfg.Weighted = true
+	base, err := gen.RMAT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := testutil.BuildStore(t, base, testutil.StoreOptions{P: 4, Weighted: true, Transpose: true})
+	ids, err := st.IDMap()
+	if err != nil {
+		t.Fatal(err)
+	}
+	rng := rand.New(rand.NewSource(11))
+	var ops []dynamic.Op
+	for range 300 {
+		src, dst := ids[rng.Intn(len(ids))], ids[rng.Intn(len(ids))]
+		for range 3 {
+			ops = append(ops, dynamic.Op{Src: src, Dst: dst, Weight: rng.Float32()})
+		}
+	}
+	overlay := func(ops []dynamic.Op) engine.Overlay {
+		log, err := dynamic.NewDeltaLog(st)
+		if err != nil {
+			t.Fatal(err)
+		}
+		log.Append(ops...)
+		ov, err := log.Overlay()
+		if err != nil || ov == nil {
+			t.Fatalf("overlay: %v, %v", ov, err)
+		}
+		return ov
+	}
+	fw := overlay(ops)
+	slices.Reverse(ops)
+	rev := overlay(ops)
+
+	P, cells := st.Meta().P, 0
+	for _, transpose := range []bool{false, true} {
+		for i := range P {
+			for j := range P {
+				a, b := fw.Cell(i, j, transpose), rev.Cell(i, j, transpose)
+				if a == nil && b == nil {
+					continue
+				}
+				cells++
+				if a == nil || b == nil || !slices.Equal(a.Dsts, b.Dsts) || !slices.Equal(a.Offsets, b.Offsets) ||
+					!slices.Equal(a.Srcs, b.Srcs) || !slices.Equal(a.Weights, b.Weights) {
+					t.Errorf("cell (%d,%d) transpose=%v depends on op order", i, j, transpose)
+				}
+			}
+		}
+	}
+	if cells != 2*P*P {
+		t.Fatalf("compared %d cells, want every one of %d in both replicas", cells, 2*P*P)
 	}
 }

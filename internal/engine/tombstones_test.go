@@ -5,6 +5,7 @@ import (
 	"reflect"
 	"testing"
 
+	"nxgraph/internal/graph"
 	"nxgraph/internal/storage"
 )
 
@@ -61,9 +62,15 @@ func TestSplitRuns(t *testing.T) {
 // matches exactly the listed pairs, and a cell without keys — or whose
 // keys name no destination of the sub-shard — stays on the nil path.
 func TestResolveTombs(t *testing.T) {
-	ss := storage.NewSubShardFromEdges(
-		[]uint32{1, 2, 2, 3, 1, 9, 4},
-		[]uint32{10, 10, 12, 12, 15, 15, 19}, nil)
+	var ss *storage.SubShard
+	edges := []graph.Edge{{Src: 1, Dst: 10}, {Src: 2, Dst: 10}, {Src: 2, Dst: 12},
+		{Src: 3, Dst: 12}, {Src: 1, Dst: 15}, {Src: 9, Dst: 15}, {Src: 4, Dst: 19}}
+	if err := storage.BuildSubShards(edges, 20, 1, false, func(_ int, s *storage.SubShard) error {
+		ss = s
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
 	if got := resolveTombs(nil, ss); got != nil {
 		t.Fatalf("no keys: got %+v, want nil", got)
 	}

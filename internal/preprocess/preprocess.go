@@ -7,19 +7,16 @@
 // isolated vertices"). It also computes in/out degrees and emits the
 // id-space edge set (the paper's "pre-shard").
 //
-// The sharder partitions vertices into P equal-sized intervals and edges
-// into P² destination-sorted sub-shards, ordering edges by destination and
-// then source within each sub-shard, and writes the DSSS store. Every
-// entry point already holds the whole edge list in memory, so the sharder
-// sorts that list in place; weight bits break the last tie, which makes
-// a store's bytes a function of its edge multiset alone.
+// The sharder partitions vertices into P equal-sized intervals and writes
+// the DSSS store. Every entry point already holds the whole edge list in
+// memory, so the sharder hands that list to storage.BuildSubShards, which
+// sorts it in place into the P² destination-sorted sub-shards — the same
+// builder the delta overlay uses — and makes a store's bytes a function
+// of its edge multiset alone.
 package preprocess
 
 import (
-	"cmp"
 	"fmt"
-	"math"
-	"slices"
 	"sort"
 
 	"nxgraph/internal/diskio"
@@ -166,8 +163,10 @@ func FromEdgeList(disk *diskio.Disk, dir string, g *graph.EdgeList, opt Options)
 	return res, nil
 }
 
-// shard sorts the dense edges into row-major sub-shard order and writes
-// the store. It owns dense: the slice is sorted and reversed in place.
+// shard writes the store: degrees, id map, and the sub-shards that
+// storage.BuildSubShards cuts from dense, then from the reversed edges
+// for the transposed replica. It owns dense: the slice is sorted and
+// reversed in place.
 func shard(disk *diskio.Disk, dir string, dense []graph.Edge, d *degreeing, opt Options) (*Result, error) {
 	if opt.P <= 0 {
 		return nil, fmt.Errorf("preprocess: P must be positive, got %d", opt.P)
@@ -194,7 +193,10 @@ func shard(disk *diskio.Disk, dir string, dense []graph.Edge, d *degreeing, opt 
 	if err := w.WriteIDMap(d.idMap); err != nil {
 		return nil, err
 	}
-	if err := writeShardSet(w, dense, size, P, opt.Weighted); err != nil {
+	appendCell := func(_ int, ss *storage.SubShard) error {
+		return w.AppendSubShard(ss)
+	}
+	if err := storage.BuildSubShards(dense, size, P, opt.Weighted, appendCell); err != nil {
 		return nil, err
 	}
 	if opt.Transpose {
@@ -204,7 +206,7 @@ func shard(disk *diskio.Disk, dir string, dense []graph.Edge, d *degreeing, opt 
 		for i, e := range dense {
 			dense[i] = graph.Edge{Src: e.Dst, Dst: e.Src, Weight: e.Weight}
 		}
-		if err := writeShardSet(w, dense, size, P, opt.Weighted); err != nil {
+		if err := storage.BuildSubShards(dense, size, P, opt.Weighted, appendCell); err != nil {
 			return nil, err
 		}
 	}
@@ -217,112 +219,4 @@ func shard(disk *diskio.Disk, dir string, dense []graph.Edge, d *degreeing, opt 
 	}
 	ok = true
 	return &Result{Store: st, NumVertices: n, NumEdges: int64(len(dense))}, nil
-}
-
-// writeShardSet sorts edges in place into (srcInterval, dstInterval,
-// dst, src, weight bits) order — row-major sub-shard order with
-// destination-sorted, source-tied edges inside each sub-shard — and
-// streams them into the writer.
-func writeShardSet(w *storage.Writer, edges []graph.Edge, size uint32, P int, weighted bool) error {
-	slices.SortFunc(edges, func(a, b graph.Edge) int {
-		if ai, bi := a.Src/size, b.Src/size; ai != bi {
-			return cmp.Compare(ai, bi)
-		}
-		if aj, bj := a.Dst/size, b.Dst/size; aj != bj {
-			return cmp.Compare(aj, bj)
-		}
-		if a.Dst != b.Dst {
-			return cmp.Compare(a.Dst, b.Dst)
-		}
-		if a.Src != b.Src {
-			return cmp.Compare(a.Src, b.Src)
-		}
-		return cmp.Compare(math.Float32bits(a.Weight), math.Float32bits(b.Weight))
-	})
-
-	// Stream edges into sub-shard builders. Invariant: when the builder
-	// is dirty it owns slot cur (reserved, not yet appended); otherwise
-	// cur is the next row-major slot to fill.
-	b := newSubShardBuilder(weighted)
-	cur := 0
-	appendEmptyUpTo := func(slot int) error {
-		for cur < slot {
-			if err := w.AppendSubShard(&storage.SubShard{Offsets: []uint32{0}}); err != nil {
-				return err
-			}
-			cur++
-		}
-		return nil
-	}
-	for _, e := range edges {
-		slot := int(e.Src/size)*P + int(e.Dst/size)
-		if b.dirty && slot != b.slot {
-			if err := w.AppendSubShard(b.take()); err != nil {
-				return err
-			}
-			cur++
-		}
-		if !b.dirty {
-			if err := appendEmptyUpTo(slot); err != nil {
-				return err
-			}
-		}
-		b.add(e, slot)
-	}
-	if b.dirty {
-		if err := w.AppendSubShard(b.take()); err != nil {
-			return err
-		}
-		cur++
-	}
-	return appendEmptyUpTo(P * P)
-}
-
-// subShardBuilder accumulates one sub-shard's CSR arrays from edges
-// arriving in (dst, src) order.
-type subShardBuilder struct {
-	weighted bool
-	dirty    bool
-	slot     int
-	dsts     []uint32
-	offsets  []uint32
-	srcs     []uint32
-	weights  []float32
-}
-
-func newSubShardBuilder(weighted bool) *subShardBuilder {
-	return &subShardBuilder{weighted: weighted, offsets: []uint32{0}}
-}
-
-func (b *subShardBuilder) add(e graph.Edge, slot int) {
-	if !b.dirty {
-		b.dirty = true
-		b.slot = slot
-	}
-	if len(b.dsts) == 0 || b.dsts[len(b.dsts)-1] != e.Dst {
-		b.dsts = append(b.dsts, e.Dst)
-		b.offsets = append(b.offsets, uint32(len(b.srcs)))
-	}
-	b.srcs = append(b.srcs, e.Src)
-	b.offsets[len(b.offsets)-1] = uint32(len(b.srcs))
-	if b.weighted {
-		b.weights = append(b.weights, e.Weight)
-	}
-}
-
-func (b *subShardBuilder) take() *storage.SubShard {
-	ss := &storage.SubShard{
-		Dsts:    append([]uint32(nil), b.dsts...),
-		Offsets: append([]uint32(nil), b.offsets...),
-		Srcs:    append([]uint32(nil), b.srcs...),
-	}
-	if b.weighted {
-		ss.Weights = append([]float32(nil), b.weights...)
-	}
-	b.dsts = b.dsts[:0]
-	b.offsets = b.offsets[:1]
-	b.srcs = b.srcs[:0]
-	b.weights = b.weights[:0]
-	b.dirty = false
-	return ss
 }

@@ -16,6 +16,11 @@
 // This is the paper's "efficient compressed sparse format"; the average
 // in-degree d of Table II is edges/distinctDsts of a sub-shard.
 //
+// BuildSubShards is the one function that cuts an edge list into
+// sub-shards in this order, weight bits breaking the last tie; the
+// sharder (internal/preprocess) writes its cells, and the delta overlay
+// (internal/dynamic) keeps them in memory.
+//
 // The physical layout is a single shards.dat file holding all P² blobs
 // row-major (whole sub-shard rows are contiguous — the order SPU streaming
 // and DPU's ToHub phase consume them in), plus a JSON meta document, a
@@ -324,8 +329,8 @@ func decodeSubShardV1(into *SubShard, buf []byte, weighted bool) (*SubShard, err
 
 // EncodeSubShardV2 serializes ss into a FormatV2 blob. The sub-shard
 // must be in canonical order — destinations strictly ascending, sources
-// non-descending within each destination (the sharder, SortSubShard and
-// NewSubShardFromEdges all guarantee this) — because both sorted lists
+// non-descending within each destination (BuildSubShards, the one builder
+// of sub-shards from edges, guarantees this) — because both sorted lists
 // are gap-encoded. Layout:
 //
 //	uvarint dstCount | uvarint edgeCount

@@ -8,6 +8,8 @@ import (
 	"os"
 	"strings"
 	"testing"
+
+	"nxgraph/internal/graph"
 )
 
 // canonicalSubShard builds a random sub-shard in canonical order:
@@ -111,34 +113,32 @@ func TestV2MatchesV1(t *testing.T) {
 	}
 }
 
-// TestV2RoundTripFromEdges drives the full construction path: raw edge
-// arrays -> NewSubShardFromEdges (sorts to canonical order) -> v2 encode
-// -> decode must reproduce the built sub-shard bit for bit.
+// TestV2RoundTripFromEdges drives the full construction path: raw edges
+// -> BuildSubShards (sorts to canonical order) -> v2 encode -> decode
+// must reproduce the built sub-shard bit for bit.
 func TestV2RoundTripFromEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
 	for _, weighted := range []bool{false, true} {
 		for iter := 0; iter < 50; iter++ {
-			n := 1 + rng.Intn(200)
-			srcs := make([]uint32, n)
-			dsts := make([]uint32, n)
-			var ws []float32
-			if weighted {
-				ws = make([]float32, n)
-			}
-			for i := range srcs {
-				srcs[i] = uint32(rng.Intn(64)) // few distinct ids: parallel edges likely
-				dsts[i] = uint32(rng.Intn(64))
+			edges := make([]graph.Edge, 1+rng.Intn(200))
+			for i := range edges {
+				// Few distinct ids: parallel edges likely.
+				edges[i] = graph.Edge{Src: uint32(rng.Intn(64)), Dst: uint32(rng.Intn(64))}
 				if weighted {
-					ws[i] = rng.Float32()
+					edges[i].Weight = rng.Float32()
 				}
 			}
-			ss := NewSubShardFromEdges(srcs, dsts, ws)
-			blob := EncodeSubShardV2(ss, weighted)
-			got, err := DecodeSubShardV2(blob, weighted)
+			err := BuildSubShards(edges, 64, 1, weighted, func(_ int, ss *SubShard) error {
+				got, err := DecodeSubShardV2(EncodeSubShardV2(ss, weighted), weighted)
+				if err != nil {
+					return err
+				}
+				sameSubShard(t, got, ss, weighted)
+				return nil
+			})
 			if err != nil {
 				t.Fatalf("weighted=%v iter=%d: %v", weighted, iter, err)
 			}
-			sameSubShard(t, got, ss, weighted)
 		}
 	}
 }

@@ -2,8 +2,12 @@ package storage
 
 import (
 	"bytes"
+	"cmp"
+	"math"
 	"slices"
 	"testing"
+
+	"nxgraph/internal/graph"
 )
 
 // FuzzUvarint32 round-trips the varint codec through both decode paths:
@@ -213,6 +217,107 @@ func FuzzDecodeSubShardV2(f *testing.F) {
 		if !bytes.Equal(re, blob) {
 			t.Fatalf("accepted blob is not canonical: decode/encode changed %d -> %d bytes",
 				len(blob), len(re))
+		}
+	})
+}
+
+// FuzzBuildSubShards decodes arbitrary bytes into edges — three bytes
+// each: source, destination and a small signed weight, so parallel
+// copies with different weights are common — over n = max id + 1
+// vertices, P = 1 + p%8 intervals of ⌈n/P⌉ + slack%4 ids. BuildSubShards
+// must call fn for cells 0…P²−1 in order, lose or invent no edge, put
+// every edge in the cell of its intervals, emit canonical order (Dsts
+// strictly ascending, (source, weight bits) non-descending within a
+// destination), and build cells that survive a v2 round trip.
+func FuzzBuildSubShards(f *testing.F) {
+	// Weights follow their sources: destination 5 holds 3 (30) and 9
+	// (90), destination 1 holds 2 (20) and 8 (80).
+	f.Add(uint8(0), uint8(0), true, []byte{9, 5, 90, 3, 5, 30, 8, 1, 80, 2, 1, 20})
+	// n = 10 over P = 3 intervals of 4 ids: the last interval is short.
+	f.Add(uint8(2), uint8(0), true, []byte{9, 0, 1, 0, 9, 2, 4, 4, 3, 8, 3, 4, 4, 4, 3, 4, 4, 250})
+	f.Add(uint8(7), uint8(3), false, []byte{})
+	f.Fuzz(func(t *testing.T, p, slack uint8, weighted bool, raw []byte) {
+		var edges []graph.Edge
+		var n uint32
+		for k := 0; k+3 <= len(raw); k += 3 {
+			e := graph.Edge{Src: uint32(raw[k]), Dst: uint32(raw[k+1]), Weight: float32(int8(raw[k+2]))}
+			edges = append(edges, e)
+			n = max(n, e.Src+1, e.Dst+1)
+		}
+		P := 1 + int(p%8)
+		size := (n+uint32(P)-1)/uint32(P) + uint32(slack%4)
+		if size == 0 {
+			size = 1
+		}
+		type key struct{ src, dst, wbits uint32 }
+		keyOf := func(src, dst uint32, w float32) key {
+			if !weighted {
+				w = 0
+			}
+			return key{src, dst, math.Float32bits(w)}
+		}
+		var want, got []key
+		for _, e := range edges {
+			want = append(want, keyOf(e.Src, e.Dst, e.Weight))
+		}
+
+		calls := 0
+		err := BuildSubShards(edges, size, P, weighted, func(c int, ss *SubShard) error {
+			if c != calls {
+				t.Fatalf("call %d is for cell %d", calls, c)
+			}
+			calls++
+			if len(ss.Offsets) != len(ss.Dsts)+1 || ss.Offsets[0] != 0 || int(ss.Offsets[len(ss.Dsts)]) != len(ss.Srcs) {
+				t.Fatalf("cell %d: %d offsets for %d destinations and %d edges", c, len(ss.Offsets), len(ss.Dsts), len(ss.Srcs))
+			}
+			if weighted != (ss.Weights != nil) || (weighted && len(ss.Weights) != len(ss.Srcs)) {
+				t.Fatalf("cell %d: weighted=%v but %d weights for %d edges", c, weighted, len(ss.Weights), len(ss.Srcs))
+			}
+			for k, d := range ss.Dsts {
+				if k > 0 && d <= ss.Dsts[k-1] {
+					t.Fatalf("cell %d: destinations %v do not strictly ascend", c, ss.Dsts)
+				}
+				lo, hi := ss.Offsets[k], ss.Offsets[k+1]
+				if lo >= hi {
+					t.Fatalf("cell %d: destination %d has offsets [%d, %d)", c, d, lo, hi)
+				}
+				var prev key
+				for e := lo; e < hi; e++ {
+					w := float32(0)
+					if weighted {
+						w = ss.Weights[e]
+					}
+					kk := keyOf(ss.Srcs[e], d, w)
+					if int(kk.src/size) != c/P || int(d/size) != c%P {
+						t.Fatalf("edge %d->%d in cell %d, want cell (%d,%d)", kk.src, d, c, kk.src/size, d/size)
+					}
+					if e > lo && (kk.src < prev.src || kk.src == prev.src && kk.wbits < prev.wbits) {
+						t.Fatalf("cell %d, destination %d: (source, weight bits) descend at edge %d", c, d, e)
+					}
+					prev = kk
+					got = append(got, kk)
+				}
+			}
+			dec, err := DecodeSubShardV2(EncodeSubShardV2(ss, weighted), weighted)
+			if err != nil {
+				t.Fatalf("cell %d: %v", c, err)
+			}
+			sameSubShard(t, dec, ss, weighted)
+			return nil
+		})
+		if err != nil {
+			t.Fatal(err)
+		}
+		if calls != P*P {
+			t.Fatalf("fn ran %d times for P = %d", calls, P)
+		}
+		byKey := func(a, b key) int {
+			return cmp.Or(cmp.Compare(a.src, b.src), cmp.Compare(a.dst, b.dst), cmp.Compare(a.wbits, b.wbits))
+		}
+		slices.SortFunc(want, byKey)
+		slices.SortFunc(got, byKey)
+		if !slices.Equal(want, got) {
+			t.Fatalf("edge multiset changed: %d edges in, %d out", len(want), len(got))
 		}
 	})
 }

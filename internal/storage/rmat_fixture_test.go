@@ -5,6 +5,7 @@ import (
 	"testing"
 
 	"nxgraph/internal/gen"
+	"nxgraph/internal/graph"
 )
 
 // rmatCells builds the P² forward sub-shards of the benchmark's graph
@@ -30,18 +31,19 @@ var rmatCells = sync.OnceValue(func() []*SubShard {
 			n++
 		}
 	}
-	size := (n + P - 1) / P
-	srcs := make([][]uint32, P*P)
-	dsts := make([][]uint32, P*P)
-	for _, e := range g.Edges {
-		s, d := remap[e.Src], remap[e.Dst]
-		c := int(s/size)*P + int(d/size)
-		srcs[c] = append(srcs[c], s)
-		dsts[c] = append(dsts[c], d)
+	edges := make([]graph.Edge, len(g.Edges))
+	for k, e := range g.Edges {
+		edges[k] = graph.Edge{Src: remap[e.Src], Dst: remap[e.Dst]}
 	}
 	cells := make([]*SubShard, P*P)
-	for c := range cells {
-		cells[c] = NewSubShardFromEdges(srcs[c], dsts[c], nil)
+	err = BuildSubShards(edges, (n+P-1)/P, P, false, func(c int, ss *SubShard) error {
+		if ss.NumEdges() > 0 {
+			cells[c] = ss
+		}
+		return nil
+	})
+	if err != nil {
+		panic(err)
 	}
 	return cells
 })

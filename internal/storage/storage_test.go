@@ -354,25 +354,6 @@ func TestOpenRejectsBadMeta(t *testing.T) {
 	}
 }
 
-func TestSortSubShard(t *testing.T) {
-	ss := &SubShard{
-		Dsts:    []uint32{5, 1},
-		Offsets: []uint32{0, 2, 4},
-		Srcs:    []uint32{9, 3, 8, 2},
-		Weights: []float32{90, 30, 80, 20},
-	}
-	SortSubShard(ss)
-	if ss.Dsts[0] != 1 || ss.Dsts[1] != 5 {
-		t.Fatalf("dsts: %v", ss.Dsts)
-	}
-	if ss.Srcs[0] != 2 || ss.Srcs[1] != 8 || ss.Srcs[2] != 3 || ss.Srcs[3] != 9 {
-		t.Fatalf("srcs: %v", ss.Srcs)
-	}
-	if ss.Weights[0] != 20 || ss.Weights[3] != 90 {
-		t.Fatalf("weights did not follow: %v", ss.Weights)
-	}
-}
-
 func TestVerifyAcceptsGoodStore(t *testing.T) {
 	_, st := buildTinyStore(t, false)
 	if err := Verify(st); err != nil {

@@ -6,7 +6,6 @@ import (
 	"fmt"
 	"math"
 	"os"
-	"sort"
 
 	"nxgraph/internal/diskio"
 )
@@ -284,53 +283,4 @@ func (s *Store) ForEachEdge(fn func(src, dst uint32, w float32) error) error {
 		}
 	}
 	return nil
-}
-
-// SortSubShard orders (in place) a sub-shard's CSR arrays canonically:
-// destinations ascending, sources ascending within each destination. The
-// sharder produces this order already; the helper exists for tests and for
-// building sub-shards directly from memory.
-func SortSubShard(ss *SubShard) {
-	type group struct {
-		dst  uint32
-		srcs []uint32
-		ws   []float32
-	}
-	groups := make([]group, len(ss.Dsts))
-	for k := range ss.Dsts {
-		lo, hi := ss.Offsets[k], ss.Offsets[k+1]
-		g := group{dst: ss.Dsts[k], srcs: ss.Srcs[lo:hi]}
-		if ss.Weights != nil {
-			g.ws = ss.Weights[lo:hi]
-		}
-		groups[k] = g
-	}
-	sort.Slice(groups, func(a, b int) bool { return groups[a].dst < groups[b].dst })
-	newSrcs := make([]uint32, 0, len(ss.Srcs))
-	var newWs []float32
-	if ss.Weights != nil {
-		newWs = make([]float32, 0, len(ss.Weights))
-	}
-	for k, g := range groups {
-		ss.Dsts[k] = g.dst
-		if g.ws == nil {
-			sort.Slice(g.srcs, func(a, b int) bool { return g.srcs[a] < g.srcs[b] })
-			newSrcs = append(newSrcs, g.srcs...)
-		} else {
-			idx := make([]int, len(g.srcs))
-			for i := range idx {
-				idx[i] = i
-			}
-			sort.Slice(idx, func(a, b int) bool { return g.srcs[idx[a]] < g.srcs[idx[b]] })
-			for _, i := range idx {
-				newSrcs = append(newSrcs, g.srcs[i])
-				newWs = append(newWs, g.ws[i])
-			}
-		}
-		ss.Offsets[k+1] = uint32(len(newSrcs))
-	}
-	copy(ss.Srcs, newSrcs)
-	if ss.Weights != nil {
-		copy(ss.Weights, newWs)
-	}
 }
