@@ -87,7 +87,7 @@ func newSubShard(cell []graph.Edge, weighted bool) *SubShard {
 		}
 	}
 	ne := len(cell)
-	arr := make([]uint32, nd+nd+1+ne)
+	arr := make([]uint32, 2*nd+1+ne)
 	ss := &SubShard{
 		Dsts:    arr[:0:nd],
 		Offsets: arr[nd : nd+1 : 2*nd+1],
