@@ -108,9 +108,6 @@ func (s *XStream) Name() string        { return "xstream-like" }
 func (s *XStream) NumVertices() uint32 { return s.n }
 func (s *XStream) NumEdges() int64     { return s.m }
 
-// Partitions returns K, the streaming partition count.
-func (s *XStream) Partitions() int { return s.k }
-
 // Close releases the system's files.
 func (s *XStream) Close() error {
 	err1 := s.edges.Close()

@@ -197,6 +197,22 @@ func (d *Disk) Create(name string) (*File, error) {
 	return &File{disk: d, f: f, name: name, lastPos: 0}, nil
 }
 
+// CreateScratch creates a file no other caller can reach: it is made in
+// dir under a fresh name and unlinked at once, so it lives exactly as
+// long as its handle, and neither a concurrent caller nor a crash can
+// find or leave it. Its traffic is accounted like any other file's.
+func (d *Disk) CreateScratch(dir string) (*File, error) {
+	f, err := os.CreateTemp(d.Path(dir), ".scratch-*")
+	if err != nil {
+		return nil, fmt.Errorf("diskio: create scratch: %w", err)
+	}
+	if err := os.Remove(f.Name()); err != nil {
+		f.Close()
+		return nil, fmt.Errorf("diskio: unlink scratch: %w", err)
+	}
+	return &File{disk: d, f: f, name: dir + "/" + filepath.Base(f.Name()), lastPos: 0}, nil
+}
+
 // Open opens an existing file for reading and writing.
 func (d *Disk) Open(name string) (*File, error) {
 	f, err := os.OpenFile(d.Path(name), os.O_RDWR, 0)

@@ -10,21 +10,22 @@ import (
 	"nxgraph/internal/testutil"
 )
 
-// TestCacheEquivalenceAcrossStrategies is the block-cache and store-
-// format correctness gate: PageRank and WCC must produce bit-identical
-// attributes on the checked-in v1 store (testutil.V1Store) and on a v2
-// store built from the same edge list, with the cache unlimited, tightly
-// budgeted (evicting mid-iteration), half the decoded bytes, and
-// disabled, under SPU, DPU and MPU. The read path is
-// the only thing the cache and the encoding change, so any divergence
-// means a stale, corrupted, or mis-decoded block.
+// TestCacheEquivalenceAcrossStrategies is the block-cache correctness
+// gate: PageRank and WCC must produce bit-identical attributes on a
+// weighted, transposed store with the cache unlimited, tightly budgeted
+// (evicting mid-iteration), half the decoded bytes, and disabled. The
+// read path is the only thing the cache changes, so any divergence means
+// a stale, corrupted, or mis-decoded block. Each strategy is checked on
+// its own: SPU, DPU and MPU agreeing with each other is the subject of
+// TestStrategyEquivalenceQuick.
 func TestCacheEquivalenceAcrossStrategies(t *testing.T) {
-	v1, g := testutil.V1Store(t)
-	v2, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4, Weighted: true, Transpose: true})
-	stores := []struct {
-		name string
-		st   *storage.Store
-	}{{"v1", v1}, {"v2", v2}}
+	cfg := gen.DefaultRMAT(8, 4, 7)
+	cfg.Weighted = true
+	g, err := gen.RMAT(cfg)
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 4, Weighted: true, Transpose: true})
 	pingPong := 2 * int64(oracle.NumVertices) * engine.Ba
 
 	strategies := []struct {
@@ -47,44 +48,41 @@ func TestCacheEquivalenceAcrossStrategies(t *testing.T) {
 	}
 	for _, algo := range []string{"pagerank", "wcc"} {
 		for _, sc := range strategies {
-			// One baseline per algo/strategy shared across stores and
-			// cache shapes: v1 and v2 must agree bit for bit.
+			// One baseline per algo/strategy shared across cache shapes.
 			var want []float64
-			for _, store := range stores {
-				for _, cc := range caches {
-					cfg := sc.cfg
-					cfg.CacheBytes = cc.cacheBytes
-					if cc.decodedDiv > 0 {
-						cfg.CacheBytes = decodedBytes(store.st) / cc.decodedDiv
-					}
-					e, err := engine.New(store.st, cfg)
+			for _, cc := range caches {
+				cfg := sc.cfg
+				cfg.CacheBytes = cc.cacheBytes
+				if cc.decodedDiv > 0 {
+					cfg.CacheBytes = decodedBytes(st) / cc.decodedDiv
+				}
+				e, err := engine.New(st, cfg)
+				if err != nil {
+					t.Fatal(err)
+				}
+				var attrs []float64
+				switch algo {
+				case "pagerank":
+					res, err := algorithms.PageRank(e, 0.85, 8)
 					if err != nil {
-						t.Fatal(err)
+						t.Fatalf("%s/%s/%s: %v", algo, sc.name, cc.name, err)
 					}
-					var attrs []float64
-					switch algo {
-					case "pagerank":
-						res, err := algorithms.PageRank(e, 0.85, 8)
-						if err != nil {
-							t.Fatalf("%s/%s/%s/%s: %v", algo, sc.name, store.name, cc.name, err)
-						}
-						attrs = res.Attrs
-					case "wcc":
-						res, err := algorithms.WCC(e)
-						if err != nil {
-							t.Fatalf("%s/%s/%s/%s: %v", algo, sc.name, store.name, cc.name, err)
-						}
-						attrs = res.Attrs
+					attrs = res.Attrs
+				case "wcc":
+					res, err := algorithms.WCC(e)
+					if err != nil {
+						t.Fatalf("%s/%s/%s: %v", algo, sc.name, cc.name, err)
 					}
-					if want == nil {
-						want = attrs
-						continue
-					}
-					for v := range want {
-						if attrs[v] != want[v] {
-							t.Fatalf("%s/%s: store=%s cache=%s diverges at vertex %d: %g vs %g",
-								algo, sc.name, store.name, cc.name, v, attrs[v], want[v])
-						}
+					attrs = res.Attrs
+				}
+				if want == nil {
+					want = attrs
+					continue
+				}
+				for v := range want {
+					if attrs[v] != want[v] {
+						t.Fatalf("%s/%s: cache=%s diverges at vertex %d: %g vs %g",
+							algo, sc.name, cc.name, v, attrs[v], want[v])
 					}
 				}
 			}

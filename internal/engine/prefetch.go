@@ -99,7 +99,7 @@ func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded in
 		if into != nil && poisonSpare != nil {
 			poisonSpare(into)
 		}
-		ss, err := storage.DecodeSubShardAs(into, blob, m.Weighted, m.Version)
+		ss, err := storage.DecodeSubShardInto(into, blob, m.Weighted)
 		if err != nil {
 			return nil, 0, fmt.Errorf("decode %s: %w", c.name(), err)
 		}

@@ -405,7 +405,7 @@ func (r *Run) initAttrs() error {
 		return nil
 	}
 	var err error
-	if r.attrs, err = r.e.store.OpenAttrs(); err != nil {
+	if r.attrs, err = r.e.store.CreateAttrs(); err != nil {
 		return err
 	}
 	ln := &r.lanes[0] // Q < P implies one lane
@@ -431,7 +431,7 @@ func (r *Run) openHubs() error {
 		return nil
 	}
 	for _, d := range r.dirsUsed() {
-		h, err := r.e.store.OpenHubs(d == 1)
+		h, err := r.e.store.CreateHubs(d == 1)
 		if err != nil {
 			return err
 		}
@@ -634,8 +634,8 @@ func (r *Run) SetAttrs(a []float64) error {
 	return nil
 }
 
-// Close releases run resources: attribute and hub files close, and a
-// wide run's slabs return to the engine's pool. Step, Attrs, SetAttrs,
+// Close releases run resources: its scratch attribute and hub files go,
+// and a wide run's slabs return to the engine's pool. Step, Attrs, SetAttrs,
 // Finish and FinishLanes fail on a closed run.
 func (r *Run) Close() {
 	if r.closed {

@@ -115,8 +115,6 @@ func (s *scheduler) runCompaction(ctx context.Context, e *graphEntry, ph *compac
 	disk := st.Disk()
 	tmpAbs := disk.Path(compactDirName)
 	os.RemoveAll(tmpAbs)
-	// The rebuild is written in the current format, so a v1 store
-	// upgrades to v2 on its first compaction.
 	res, err := delta.Rebuild(ctx, mark, disk, compactDirName, preprocess.Options{
 		Name:      meta.Name,
 		P:         meta.P,
@@ -128,9 +126,10 @@ func (s *scheduler) runCompaction(ctx context.Context, e *graphEntry, ph *compac
 		return nil, err
 	}
 	newVerts, newEdges := res.NumVertices, res.NumEdges
-	// The rebuilt store is reopened below at its final path; the engine
-	// opens attribute/hub files lazily by path, so serving from a store
-	// whose directory was renamed underneath it would misroute them.
+	// The rebuilt store is reopened below at its final path; a disk-based
+	// run creates its scratch attribute and hub files in the store's
+	// directory by path, which a store whose directory was renamed
+	// underneath it would no longer find.
 	res.Store.Close()
 	// Flush the rebuilt store to stable storage while it is still
 	// private: the preprocess write path never fsyncs, and once the swap

@@ -10,9 +10,8 @@ import (
 	"testing"
 
 	nxgraph "nxgraph"
+	"nxgraph/internal/gen"
 	"nxgraph/internal/graph"
-	"nxgraph/internal/storage"
-	"nxgraph/internal/testutil"
 )
 
 // tinyGraph is a 5-vertex cycle with a chord whose original ids are the
@@ -91,9 +90,8 @@ func jobValues(t *testing.T, ts *httptest.Server, algo string, params map[string
 // edges change PageRank results with no restart, compaction folds them
 // into the store, and post-compaction results match the overlay-served
 // ones within 1e-6 and a fresh build of the same edges bit for bit. The
-// "v1" input is the checked-in v1 store (testutil.V1Store), which
-// nothing else upgrades: compaction must rewrite it in the current
-// format.
+// "weighted" input is a weighted RMAT store with its transposed replica,
+// which compaction must rebuild with both.
 func TestIngestServedLive(t *testing.T) {
 	for _, in := range []struct {
 		name   string
@@ -105,15 +103,25 @@ func TestIngestServedLive(t *testing.T) {
 	}{
 		{"tiny", func(t *testing.T) (string, *graph.EdgeList) { return buildTinyStoreDir(t), tinyGraph() },
 			nxgraph.Options{P: 2}, []uint64{0, 3, 4}, 2, []string{"pagerank"}},
-		{"v1", func(t *testing.T) (string, *graph.EdgeList) {
-			st, g := testutil.V1Store(t)
-			st.Close()
-			return st.Disk().Root(), g
+		{"weighted", func(t *testing.T) (string, *graph.EdgeList) {
+			cfg := gen.DefaultRMAT(8, 4, 7)
+			cfg.Weighted = true
+			g, err := gen.RMAT(cfg)
+			if err != nil {
+				t.Fatal(err)
+			}
+			dir := t.TempDir()
+			gr, err := nxgraph.Build(dir, g, nxgraph.Options{P: 4, Weighted: true, Transpose: true})
+			if err != nil {
+				t.Fatal(err)
+			}
+			gr.Close()
+			return dir, g
 		}, nxgraph.Options{P: 4, Weighted: true, Transpose: true}, []uint64{144, 8, 168}, 1, []string{"pagerank", "wcc"}},
 	} {
 		t.Run(in.name, func(t *testing.T) {
 			dir, base := in.open(t)
-			s, ts := newIngestServerAt(t, Config{Workers: 2}, dir)
+			_, ts := newIngestServerAt(t, Config{Workers: 2}, dir)
 
 			// What compaction must produce: the base edges plus the
 			// funnel, built fresh in the current format.
@@ -196,10 +204,6 @@ func TestIngestServedLive(t *testing.T) {
 				}
 			}
 
-			e, _ := s.reg.get("g")
-			if v := e.live().Engine().Store().Meta().Version; v != storage.DefaultFormatVersion {
-				t.Fatalf("compacted store is format v%d, want v%d", v, storage.DefaultFormatVersion)
-			}
 			for _, algo := range in.algos {
 				var want *nxgraph.Result
 				var err error

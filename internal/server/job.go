@@ -7,9 +7,9 @@
 // Architecture. Requests become Jobs that move through the states
 // pending → running → done|failed|cancelled. Workers pull pending jobs
 // from a bounded queue; per graph, execution is serialized (one engine
-// run at a time per store — the DSSS attribute and hub files are not
-// safe under concurrent runs) while distinct graphs run in parallel up
-// to the worker-pool size. Completed results land in the LRU keyed by
+// run at a time per store, under the lock that the compaction swap and
+// graph close also take) while distinct graphs run in parallel up to
+// the worker-pool size. Completed results land in the LRU keyed by
 // (graph, algorithm, canonical params), so a repeated identical request
 // is answered without touching the engine. Cancellation propagates
 // through context.Context into the engine's iteration loop, which checks

@@ -16,7 +16,6 @@ import (
 
 	nxgraph "nxgraph"
 	"nxgraph/internal/metrics"
-	"nxgraph/internal/testutil"
 )
 
 var updateGolden = flag.Bool("update", false, "rewrite testdata/metrics.golden from the live exposition")
@@ -63,16 +62,14 @@ func scrape(t *testing.T, s *Server) string {
 
 // TestMetricsGolden pins every /metrics family — HELP, TYPE and samples —
 // byte for byte against testdata/metrics.golden: the first scrape of a
-// fresh server with the checked-in v1 store open, go_version masked.
+// fresh server with the tiny store open, go_version masked.
 // Families are compared by name, so the order they are declared in is
 // free; the golden lists them sorted. Run with -update after adding a
 // family on purpose.
 func TestMetricsGolden(t *testing.T) {
-	st, _ := testutil.V1Store(t)
-	st.Close()
 	s := New(Config{Workers: 1})
 	t.Cleanup(s.Close)
-	if err := s.OpenGraph("g", st.Disk().Root(), nxgraph.Options{}); err != nil {
+	if err := s.OpenGraph("g", buildTinyStoreDir(t), nxgraph.Options{}); err != nil {
 		t.Fatal(err)
 	}
 	got := expositionFamilies(t, goVersionRe.ReplaceAllString(scrape(t, s), `go_version="(masked)"`))

@@ -27,9 +27,9 @@ var errAlreadyOpen = errors.New("graph already open")
 var errNotOpen = errors.New("graph not open")
 
 // graphEntry is one opened DSSS store in the registry. runMu serializes
-// engine executions on the store: the attribute and hub files backing a
-// run are per-store resources, so two concurrent runs on one graph would
-// corrupt each other. Distinct graphs run fully in parallel.
+// engine executions on the store, and the compaction swap and graph close
+// run under it, so neither ever pulls a store out from under a run.
+// Distinct graphs run fully in parallel.
 //
 // uid is unique per registration — cache keys embed it rather than the
 // name, so a name rebound to a different store can never hit results
@@ -109,9 +109,9 @@ type GraphInfo struct {
 
 // registry holds the set of opened graphs by name. Store directories
 // are tracked too: one dir may be open under at most one name, because
-// the per-graph run serialization (runMu) keys off the entry — two
-// entries over one store would defeat it and corrupt the store's
-// attribute and hub files under concurrent jobs.
+// each store dir has one WAL and one compaction — two entries over one
+// dir would append to the same log and swap the same store, each under
+// its own runMu.
 type registry struct {
 	mu     sync.Mutex
 	graphs map[string]*graphEntry

@@ -8,25 +8,30 @@ import (
 	"nxgraph/internal/diskio"
 )
 
-// AttrStore persists per-vertex float64 attributes in attrs.bin, addressed
-// by dense id. It backs the on-disk intervals of DPU and MPU (paper
-// §III-B2): LoadFromDisk/SaveToDisk in Algorithm 6 map to ReadInterval and
-// WriteInterval here.
+// AttrStore holds one run's on-disk per-vertex float64 attributes,
+// addressed by dense id. It backs the on-disk intervals of DPU and MPU
+// (paper §III-B2): LoadFromDisk/SaveToDisk in Algorithm 6 map to
+// ReadInterval and WriteInterval here. The attributes belong to the run,
+// not to the store: each AttrStore is a private scratch file (see
+// diskio.Disk.CreateScratch), so concurrent runs never share one, and
+// nothing is left in the store once it closes.
 type AttrStore struct {
 	f    *diskio.File
 	meta *Meta
 }
 
-// OpenAttrs opens the store's attribute file.
-func (s *Store) OpenAttrs() (*AttrStore, error) {
-	f, err := s.disk.Open(s.dir + "/" + AttrsFile)
+// CreateAttrs creates an empty attribute file for one run, in the store's
+// directory and on its disk, so its traffic is the store's. An interval
+// must be written before it is read.
+func (s *Store) CreateAttrs() (*AttrStore, error) {
+	f, err := s.disk.CreateScratch(s.dir)
 	if err != nil {
 		return nil, err
 	}
 	return &AttrStore{f: f, meta: &s.meta}, nil
 }
 
-// Close releases the attribute file.
+// Close releases the attribute file, and with it the file's bytes.
 func (a *AttrStore) Close() error { return a.f.Close() }
 
 // ReadInterval loads interval k's attributes into dst, which must have
@@ -67,40 +72,4 @@ func (a *AttrStore) WriteInterval(k int, src []float64) error {
 		return fmt.Errorf("storage: write interval %d: %w", k, err)
 	}
 	return nil
-}
-
-// WriteAll stores the full attribute array (n entries), used to initialize
-// a run.
-func (a *AttrStore) WriteAll(attrs []float64) error {
-	if len(attrs) != int(a.meta.NumVertices) {
-		return fmt.Errorf("storage: %d attrs, want %d", len(attrs), a.meta.NumVertices)
-	}
-	buf := make([]byte, 8*len(attrs))
-	for i, v := range attrs {
-		binary.LittleEndian.PutUint64(buf[8*i:], math.Float64bits(v))
-	}
-	if len(buf) == 0 {
-		return nil
-	}
-	if _, err := a.f.WriteAt(buf, 0); err != nil {
-		return fmt.Errorf("storage: write attrs: %w", err)
-	}
-	return nil
-}
-
-// ReadAll loads the full attribute array.
-func (a *AttrStore) ReadAll() ([]float64, error) {
-	n := int(a.meta.NumVertices)
-	out := make([]float64, n)
-	if n == 0 {
-		return out, nil
-	}
-	buf := make([]byte, 8*n)
-	if _, err := a.f.ReadAt(buf, 0); err != nil {
-		return nil, fmt.Errorf("storage: read attrs: %w", err)
-	}
-	for i := range out {
-		out[i] = math.Float64frombits(binary.LittleEndian.Uint64(buf[8*i:]))
-	}
-	return out, nil
 }

@@ -24,9 +24,11 @@
 // The physical layout is a single shards.dat file holding all P² blobs
 // row-major (whole sub-shard rows are contiguous — the order SPU streaming
 // and DPU's ToHub phase consume them in), plus a JSON meta document, a
-// degree file, an id-map file, an attribute file used by the disk-based
-// update strategies, and an optional transposed replica for algorithms
-// that traverse reverse edges (WCC, SCC, HITS).
+// degree file, an id-map file, and an optional transposed replica for
+// algorithms that traverse reverse edges (WCC, SCC, HITS). A store is
+// immutable once written: the attribute intervals and hubs of the
+// disk-based update strategies belong to one run, which keeps them in
+// scratch files of its own (AttrStore, HubStore).
 package storage
 
 import (
@@ -38,24 +40,15 @@ import (
 const (
 	// MetaMagic identifies a DSSS store's meta document.
 	MetaMagic = "NXGRAPH-DSSS"
-	// FormatV1 is the original fixed-width CSR blob layout: uint32
-	// destination ids, counts and source ids (see EncodeSubShard).
-	FormatV1 = 1
-	// FormatV2 is the delta+varint compressed blob layout: destination
+	// FormatV2 is the one store format, written and read: destination
 	// and per-destination source lists are gap-encoded as LEB128 varints,
 	// weights stay fixed-width in a trailing section (see
-	// EncodeSubShardV2). 2.5–4× smaller on disk for typical graphs.
+	// EncodeSubShardV2). 2.5–4× smaller on disk than fixed-width CSR for
+	// typical graphs (see CompressionRatio).
 	FormatV2 = 2
-	// DefaultFormatVersion is the format newly written stores use.
-	DefaultFormatVersion = FormatV2
 	// ShardMagic heads shards.dat.
 	ShardMagic = uint32(0x4e584752) // "NXGR"
 )
-
-// maxSupportedVersion caps the store formats this build reads. It is a
-// variable only so tests can simulate an older binary opening a newer
-// store; everything else treats it as a constant equal to FormatV2.
-var maxSupportedVersion = FormatV2
 
 // File names inside a store directory.
 const (
@@ -64,8 +57,6 @@ const (
 	IDMapFile   = "idmap.bin"
 	ShardsFile  = "shards.dat"
 	TShardsFile = "shards_t.dat"
-	AttrsFile   = "attrs.bin"
-	HubsFile    = "hubs.dat"
 )
 
 // SubShardInfo locates one sub-shard blob inside shards.dat.
@@ -140,12 +131,11 @@ func (m *Meta) Validate() error {
 	if m.Magic != MetaMagic {
 		return fmt.Errorf("storage: bad magic %q (want %q)", m.Magic, MetaMagic)
 	}
-	if m.Version < FormatV1 || m.Version > maxSupportedVersion {
+	if m.Version != FormatV2 {
 		// No "storage:" prefix — Open wraps this with the store path.
-		return fmt.Errorf("store format version %d found, this build reads v%d..v%d:"+
-			" open the store with the newer build that wrote it,"+
-			" or rebuild it from its edge list with this build's nxpre",
-			m.Version, FormatV1, maxSupportedVersion)
+		return fmt.Errorf("store format version %d found, this build reads only v%d:"+
+			" rebuild the store from its edge list with this build's nxpre",
+			m.Version, FormatV2)
 	}
 	if m.P <= 0 || m.P > maxP {
 		return fmt.Errorf("storage: P %d outside [1, %d]", m.P, maxP)
@@ -235,96 +225,16 @@ func (ss *SubShard) AvgInDegree() float64 {
 	return float64(len(ss.Srcs)) / float64(len(ss.Dsts))
 }
 
-// EncodedSize returns the byte length of the blob encoding.
+// encodedSize returns the byte length of a sub-shard in fixed-width CSR
+// form — uint32 destination count and edge count, then uint32 per
+// destination id and source count, per source id, and per weight — the
+// baseline CompressionRatio measures the v2 encoding against.
 func encodedSize(dsts, edges int, weighted bool) int64 {
 	sz := int64(8) + int64(dsts)*8 + int64(edges)*4
 	if weighted {
 		sz += int64(edges) * 4
 	}
 	return sz
-}
-
-// EncodeSubShard serializes ss into a FormatV1 blob. Layout
-// (little-endian):
-//
-//	uint32 dstCount | uint32 edgeCount
-//	[dstCount]uint32 dst ids
-//	[dstCount]uint32 per-dst source counts
-//	[edgeCount]uint32 source ids
-//	[edgeCount]float32 weights        (weighted stores only)
-func EncodeSubShard(ss *SubShard, weighted bool) []byte {
-	buf := make([]byte, encodedSize(len(ss.Dsts), len(ss.Srcs), weighted))
-	binary.LittleEndian.PutUint32(buf[0:4], uint32(len(ss.Dsts)))
-	binary.LittleEndian.PutUint32(buf[4:8], uint32(len(ss.Srcs)))
-	p := 8
-	for _, d := range ss.Dsts {
-		binary.LittleEndian.PutUint32(buf[p:], d)
-		p += 4
-	}
-	for k := range ss.Dsts {
-		binary.LittleEndian.PutUint32(buf[p:], ss.Offsets[k+1]-ss.Offsets[k])
-		p += 4
-	}
-	for _, s := range ss.Srcs {
-		binary.LittleEndian.PutUint32(buf[p:], s)
-		p += 4
-	}
-	if weighted {
-		for i := range ss.Srcs {
-			w := float32(1)
-			if ss.Weights != nil {
-				w = ss.Weights[i]
-			}
-			binary.LittleEndian.PutUint32(buf[p:], float32bits(w))
-			p += 4
-		}
-	}
-	return buf
-}
-
-// DecodeSubShard parses a FormatV1 blob produced by EncodeSubShard.
-func DecodeSubShard(buf []byte, weighted bool) (*SubShard, error) {
-	return decodeSubShardV1(nil, buf, weighted)
-}
-
-// decodeSubShardV1 is DecodeSubShard into the arrays of into (see sized).
-func decodeSubShardV1(into *SubShard, buf []byte, weighted bool) (*SubShard, error) {
-	if len(buf) < 8 {
-		return nil, fmt.Errorf("storage: sub-shard blob too short (%d bytes)", len(buf))
-	}
-	dstCount := int(binary.LittleEndian.Uint32(buf[0:4]))
-	edgeCount := int(binary.LittleEndian.Uint32(buf[4:8]))
-	want := encodedSize(dstCount, edgeCount, weighted)
-	if int64(len(buf)) != want {
-		return nil, fmt.Errorf("storage: sub-shard blob is %d bytes, want %d (dsts=%d edges=%d)",
-			len(buf), want, dstCount, edgeCount)
-	}
-	ss := sized(into, dstCount, edgeCount, weighted)
-	p := 8
-	for k := 0; k < dstCount; k++ {
-		ss.Dsts[k] = binary.LittleEndian.Uint32(buf[p:])
-		p += 4
-	}
-	ss.Offsets[0] = 0
-	var sum uint32
-	for k := 0; k < dstCount; k++ {
-		c := binary.LittleEndian.Uint32(buf[p:])
-		p += 4
-		sum += c
-		ss.Offsets[k+1] = sum
-	}
-	if int(sum) != edgeCount {
-		return nil, fmt.Errorf("storage: sub-shard counts sum to %d, want %d edges", sum, edgeCount)
-	}
-	for k := 0; k < edgeCount; k++ {
-		ss.Srcs[k] = binary.LittleEndian.Uint32(buf[p:])
-		p += 4
-	}
-	for k := range ss.Weights {
-		ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(buf[p:]))
-		p += 4
-	}
-	return ss, nil
 }
 
 // EncodeSubShardV2 serializes ss into a FormatV2 blob. The sub-shard
@@ -463,8 +373,8 @@ func ascending(a []uint32) bool {
 // sized returns a sub-shard with room for dsts destinations and edges
 // edges: into with its arrays re-sliced when their capacity allows, else
 // a new one whose Dsts, Offsets and Srcs are carved from one allocation.
-// Re-used arrays are not cleared — both decoders write every element of
-// every array they return.
+// Re-used arrays are not cleared — the decoder writes every element of
+// every array it returns.
 func sized(into *SubShard, dsts, edges int, weighted bool) *SubShard {
 	n := 2*dsts + 1 + edges
 	if into == nil || cap(into.arena) < n || (weighted && cap(into.Weights) < edges) {
@@ -483,26 +393,20 @@ func sized(into *SubShard, dsts, edges int, weighted bool) *SubShard {
 	return into
 }
 
-// EncodeSubShardAs serializes ss in the given format version.
-// FormatV2 requires canonical order; see EncodeSubShardV2.
-func EncodeSubShardAs(ss *SubShard, weighted bool, version int) []byte {
-	if version == FormatV1 {
-		return EncodeSubShard(ss, weighted)
-	}
+// EncodeSubShardAs serializes ss for a store of the given format
+// version. FormatV2 is the only one, so this is EncodeSubShardV2; the
+// parameter lets a caller pass the Meta.Version of the store it holds.
+func EncodeSubShardAs(ss *SubShard, weighted bool, _ int) []byte {
 	return EncodeSubShardV2(ss, weighted)
 }
 
-// DecodeSubShardAs parses a blob written in the given format version. A
-// nil (empty sub-shard) blob decodes to the canonical empty sub-shard.
-// into, when non-nil, is a decoded sub-shard no one references any more:
-// the result reuses its arrays if they are large enough, and is then
-// into itself.
-func DecodeSubShardAs(into *SubShard, buf []byte, weighted bool, version int) (*SubShard, error) {
-	switch {
-	case len(buf) == 0:
+// DecodeSubShardInto parses a blob of a store. A nil (empty sub-shard)
+// blob decodes to the canonical empty sub-shard. into, when non-nil, is
+// a decoded sub-shard no one references any more: the result reuses its
+// arrays if they are large enough, and is then into itself.
+func DecodeSubShardInto(into *SubShard, buf []byte, weighted bool) (*SubShard, error) {
+	if len(buf) == 0 {
 		return &SubShard{Offsets: []uint32{0}}, nil
-	case version == FormatV1:
-		return decodeSubShardV1(into, buf, weighted)
 	}
 	return decodeSubShardV2(into, buf, weighted)
 }

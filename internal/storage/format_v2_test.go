@@ -2,7 +2,6 @@ package storage
 
 import (
 	"encoding/binary"
-	"encoding/json"
 	"fmt"
 	"math/rand"
 	"os"
@@ -83,33 +82,26 @@ func TestEncodeDecodeV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2MatchesV1 decodes the same sub-shard through both codecs and
-// checks both the equivalence and that v2 actually compresses.
-func TestV2MatchesV1(t *testing.T) {
+// TestV2CompressesFixedWidth checks that v2 actually compresses: its
+// blobs against the fixed-width CSR size CompressionRatio charges
+// (encodedSize) for the same sub-shards.
+func TestV2CompressesFixedWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var v1Bytes, v2Bytes int
+	var fixedBytes, v2Bytes int64
 	for iter := 0; iter < 50; iter++ {
 		ss := canonicalSubShard(rng, false)
 		if ss.NumEdges() == 0 {
 			continue
 		}
-		b1 := EncodeSubShard(ss, false)
-		b2 := EncodeSubShardV2(ss, false)
-		v1Bytes += len(b1)
-		v2Bytes += len(b2)
-		d1, err1 := DecodeSubShardAs(nil, b1, false, FormatV1)
-		d2, err2 := DecodeSubShardAs(nil, b2, false, FormatV2)
-		if err1 != nil || err2 != nil {
-			t.Fatal(err1, err2)
-		}
-		sameSubShard(t, d2, d1, false)
+		fixedBytes += encodedSize(ss.NumDsts(), ss.NumEdges(), false)
+		v2Bytes += int64(len(EncodeSubShardV2(ss, false)))
 	}
 	// The fixture's gaps are deliberately large (up to 2^12); real
 	// interval-partitioned stores compress harder (the soak benchmark
 	// asserts >= 2x there), so only sanity-check 1.5x here.
-	if v2Bytes*3 > v1Bytes*2 {
-		t.Fatalf("v2 encoding is %d bytes vs %d for v1 — expected at least 1.5x compression",
-			v2Bytes, v1Bytes)
+	if v2Bytes*3 > fixedBytes*2 {
+		t.Fatalf("v2 encoding is %d bytes vs %d fixed-width — expected at least 1.5x compression",
+			v2Bytes, fixedBytes)
 	}
 }
 
@@ -158,6 +150,11 @@ func TestDecodeV2RejectsCorruptBlobs(t *testing.T) {
 	if _, err := DecodeSubShardV2(append(append([]byte{}, blob...), 0), false); err == nil {
 		t.Fatal("trailing garbage should fail")
 	}
+	// An unweighted blob read as weighted loses 4 bytes per edge to the
+	// weight section and must fail.
+	if _, err := DecodeSubShardV2(blob, true); err == nil {
+		t.Fatal("weighted/unweighted confusion should fail")
+	}
 	// A huge declared dst count must be rejected before allocation.
 	if _, err := DecodeSubShardV2([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x01, 0x01}, false); err == nil {
 		t.Fatal("hostile dst count should fail")
@@ -179,35 +176,36 @@ func TestEmptyAndSingleEdgeV2(t *testing.T) {
 	}
 }
 
-// setMaxSupportedVersion simulates a build capped at an older format.
-func setMaxSupportedVersion(t *testing.T, v int) {
-	t.Helper()
-	old := maxSupportedVersion
-	maxSupportedVersion = v
-	t.Cleanup(func() { maxSupportedVersion = old })
-}
-
-// TestOpenRejectsNewerVersionCleanly opens a v2 store with a build
-// capped at v1: the error must name the path, the found and supported
-// versions, and the remedy — and no shard byte may be read.
-func TestOpenRejectsNewerVersionCleanly(t *testing.T) {
-	disk, st := buildTinyStore(t, false) // default format = v2
+// TestOpenRejectsOtherVersions opens a store whose meta.json says
+// version 1 (a format no build writes any more) or 3 (one this build
+// does not know): the error must name the path, the version found and
+// the remedy, and no shard byte may be read.
+func TestOpenRejectsOtherVersions(t *testing.T) {
+	disk, st := buildTinyStore(t, false)
 	st.Close()
-	disk.ResetStats()
-
-	setMaxSupportedVersion(t, FormatV1)
-	_, err := Open(disk, "st")
-	if err == nil {
-		t.Fatal("v1-capped build opened a v2 store")
+	path := disk.Path("st/" + MetaFile)
+	good, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
 	}
-	msg := err.Error()
-	for _, want := range []string{disk.Path("st"), "version 2", "v1..v1", "newer build", "rebuild it from its edge list"} {
-		if !strings.Contains(msg, want) {
-			t.Fatalf("error %q does not mention %q", msg, want)
+	for _, v := range []int{1, 3} {
+		if err := os.WriteFile(path, editMeta(t, good, func(m *Meta) { m.Version = v }), 0o644); err != nil {
+			t.Fatal(err)
 		}
-	}
-	if got := disk.Stats().Snapshot().BytesRead; got != 0 {
-		t.Fatalf("rejected open still read %d bytes from the store", got)
+		disk.ResetStats()
+		_, err := Open(disk, "st")
+		if err == nil {
+			t.Fatalf("a v%d store opened", v)
+		}
+		msg := err.Error()
+		for _, want := range []string{disk.Path("st"), fmt.Sprintf("version %d", v), "nxpre"} {
+			if !strings.Contains(msg, want) {
+				t.Fatalf("error %q does not mention %q", msg, want)
+			}
+		}
+		if got := disk.Stats().Snapshot().BytesRead; got != 0 {
+			t.Fatalf("rejected v%d open still read %d bytes from the store", v, got)
+		}
 	}
 }
 
@@ -216,125 +214,69 @@ func TestOpenRejectsNewerVersionCleanly(t *testing.T) {
 // arrays without clearing them and then writes every element it returns
 // — so a poisoned spare comes back holding exactly the fresh decode's
 // values — allocates nothing, and falls back to fresh arrays (leaving the
-// spare alone) when the spare is too small. The v1 blobs are the checked-in
-// fixture's; the references are fresh decodes of the same blobs.
+// spare alone) when the spare is too small. The references are fresh
+// decodes of the same blobs.
 func TestDecodeIntoRecycled(t *testing.T) {
 	const poison = 0xFFFFFFFF // no id, offset or weight bits of the fixtures
-	for _, version := range []int{FormatV1, FormatV2} {
-		for _, weighted := range []bool{false, true} {
-			var bigBlob, smallBlob []byte
-			if version == FormatV1 {
-				bigBlob, smallBlob = v1FixtureBlobs(t, weighted)
-			} else {
-				rng := rand.New(rand.NewSource(int64(version)))
-				var big, small *SubShard
-				for big == nil || small == nil || small.NumEdges() == 0 || big.NumEdges() < 2*small.NumEdges() {
-					big, small = canonicalSubShard(rng, weighted), canonicalSubShard(rng, weighted)
-				}
-				bigBlob, smallBlob = EncodeSubShardV2(big, weighted), EncodeSubShardV2(small, weighted)
-			}
-			big, err := DecodeSubShardAs(nil, bigBlob, weighted, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			small, err := DecodeSubShardAs(nil, smallBlob, weighted, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if small.NumEdges() == 0 || big.NumEdges() < 2*small.NumEdges() {
-				t.Fatalf("v%d: fixture blobs of %d and %d edges", version, big.NumEdges(), small.NumEdges())
-			}
-			spare, err := DecodeSubShardAs(nil, bigBlob, weighted, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i := range spare.arena {
-				spare.arena[i] = poison
-			}
-			for i := range spare.Weights {
-				spare.Weights[i] = float32frombits(poison)
-			}
-			got, err := DecodeSubShardAs(spare, smallBlob, weighted, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got != spare {
-				t.Fatalf("v%d weighted=%v: a spare with room was not reused", version, weighted)
-			}
-			sameSubShard(t, got, small, weighted)
-			written := len(got.Dsts) + len(got.Offsets) + len(got.Srcs)
-			if want := 2*small.NumDsts() + 1 + small.NumEdges(); written != want {
-				t.Fatalf("arrays hold %d elements, want %d", written, want)
-			}
-			for i, x := range got.arena[:written] {
-				if x == poison {
-					t.Fatalf("v%d weighted=%v: element %d of %d returned unwritten", version, weighted, i, written)
-				}
-			}
-			if tail := got.arena[written:]; len(tail) == 0 || tail[0] != poison {
-				t.Fatalf("v%d: the arrays past the decode were cleared or not kept (%d left)", version, len(tail))
-			}
-			if n := testing.AllocsPerRun(20, func() {
-				if _, err := DecodeSubShardAs(spare, smallBlob, weighted, version); err != nil {
-					t.Fatal(err)
-				}
-			}); n != 0 {
-				t.Fatalf("v%d weighted=%v: decode into a spare allocates %v times", version, weighted, n)
-			}
-			// Too small: fresh arrays, spare untouched.
-			tiny, err := DecodeSubShardAs(nil, smallBlob, weighted, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			got, err = DecodeSubShardAs(tiny, bigBlob, weighted, version)
-			if err != nil {
-				t.Fatal(err)
-			}
-			if got == tiny {
-				t.Fatalf("v%d: decoded %d edges into arrays sized for %d", version, big.NumEdges(), small.NumEdges())
-			}
-			sameSubShard(t, got, big, weighted)
-			sameSubShard(t, tiny, small, weighted)
+	for _, weighted := range []bool{false, true} {
+		rng := rand.New(rand.NewSource(2))
+		var big, small *SubShard
+		for big == nil || small == nil || small.NumEdges() == 0 || big.NumEdges() < 2*small.NumEdges() {
+			big, small = canonicalSubShard(rng, weighted), canonicalSubShard(rng, weighted)
 		}
-	}
-}
-
-// v1FixtureBlobs returns the largest and the smallest non-empty forward
-// sub-shard blob of the v1 store under testdata/v1, written by an older
-// build (testutil.V1Store copies the whole store). The fixture is
-// weighted; unweighted, a v1 blob is the same bytes without the trailing
-// weight section of 4 bytes per edge.
-func v1FixtureBlobs(t *testing.T, weighted bool) (big, small []byte) {
-	t.Helper()
-	raw, err := os.ReadFile("testdata/v1/dsss/" + MetaFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var m Meta
-	if err := json.Unmarshal(raw, &m); err != nil {
-		t.Fatal(err)
-	}
-	shards, err := os.ReadFile("testdata/v1/dsss/" + ShardsFile)
-	if err != nil {
-		t.Fatal(err)
-	}
-	var bi, si SubShardInfo
-	for _, info := range m.SubShards {
-		if info.Edges > bi.Edges {
-			bi = info
+		bigBlob, smallBlob := EncodeSubShardV2(big, weighted), EncodeSubShardV2(small, weighted)
+		spare, err := DecodeSubShardInto(nil, bigBlob, weighted)
+		if err != nil {
+			t.Fatal(err)
 		}
-		if info.Edges > 0 && (si.Edges == 0 || info.Edges < si.Edges) {
-			si = info
+		for i := range spare.arena {
+			spare.arena[i] = poison
 		}
-	}
-	blob := func(info SubShardInfo) []byte {
-		b := shards[info.Offset : info.Offset+info.Length]
-		if !weighted {
-			b = b[:len(b)-4*int(info.Edges)]
+		for i := range spare.Weights {
+			spare.Weights[i] = float32frombits(poison)
 		}
-		return b
+		got, err := DecodeSubShardInto(spare, smallBlob, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got != spare {
+			t.Fatalf("weighted=%v: a spare with room was not reused", weighted)
+		}
+		sameSubShard(t, got, small, weighted)
+		written := len(got.Dsts) + len(got.Offsets) + len(got.Srcs)
+		if want := 2*small.NumDsts() + 1 + small.NumEdges(); written != want {
+			t.Fatalf("arrays hold %d elements, want %d", written, want)
+		}
+		for i, x := range got.arena[:written] {
+			if x == poison {
+				t.Fatalf("weighted=%v: element %d of %d returned unwritten", weighted, i, written)
+			}
+		}
+		if tail := got.arena[written:]; len(tail) == 0 || tail[0] != poison {
+			t.Fatalf("the arrays past the decode were cleared or not kept (%d left)", len(tail))
+		}
+		if n := testing.AllocsPerRun(20, func() {
+			if _, err := DecodeSubShardInto(spare, smallBlob, weighted); err != nil {
+				t.Fatal(err)
+			}
+		}); n != 0 {
+			t.Fatalf("weighted=%v: decode into a spare allocates %v times", weighted, n)
+		}
+		// Too small: fresh arrays, spare untouched.
+		tiny, err := DecodeSubShardInto(nil, smallBlob, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got, err = DecodeSubShardInto(tiny, bigBlob, weighted)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if got == tiny {
+			t.Fatalf("decoded %d edges into arrays sized for %d", big.NumEdges(), small.NumEdges())
+		}
+		sameSubShard(t, got, big, weighted)
+		sameSubShard(t, tiny, small, weighted)
 	}
-	return blob(bi), blob(si)
 }
 
 // decodeSubShardV2Ref is the v2 decoder as it stood before issue 17,

@@ -15,9 +15,10 @@ import (
 // hubs; the FromHub phase reads and folds them into the destination
 // interval.
 //
-// Each hub has a fixed region in hubs.dat, sized from the sub-shard's
+// Each hub has a fixed region in the hub file, sized from the sub-shard's
 // distinct-destination count, so a hub entry costs Ba+Bv bytes exactly as
-// in the paper's I/O model (Table II).
+// in the paper's I/O model (Table II). Like AttrStore, a HubStore is one
+// run's private scratch file: concurrent runs on a store never share hubs.
 type HubStore struct {
 	f       *diskio.File
 	meta    *Meta
@@ -27,31 +28,30 @@ type HubStore struct {
 
 const hubEntryBytes = 12 // uint32 dst id (Bv=4) + float64 value (Ba=8)
 
-// OpenHubs creates (or re-creates) the hub file for the forward or
-// transposed sub-shard set.
-func (s *Store) OpenHubs(transpose bool) (*HubStore, error) {
+// CreateHubs creates one run's hub file for the forward or transposed
+// sub-shard set, in the store's directory and on its disk. A hub must be
+// written before it is read.
+func (s *Store) CreateHubs(transpose bool) (*HubStore, error) {
 	infos := s.meta.SubShards
-	name := s.dir + "/" + HubsFile
 	if transpose {
 		if !s.meta.HasTranspose {
 			return nil, fmt.Errorf("storage: store has no transpose replica")
 		}
 		infos = s.meta.TSubShards
-		name = s.dir + "/hubs_t.dat"
 	}
 	P := s.meta.P
 	offsets := make([]int64, P*P+1)
 	for k, info := range infos {
 		offsets[k+1] = offsets[k] + info.Dsts*hubEntryBytes
 	}
-	f, err := s.disk.Create(name)
+	f, err := s.disk.CreateScratch(s.dir)
 	if err != nil {
 		return nil, err
 	}
 	return &HubStore{f: f, meta: &s.meta, offsets: offsets, infos: infos}, nil
 }
 
-// Close releases the hub file.
+// Close releases the hub file, and with it the file's bytes.
 func (h *HubStore) Close() error { return h.f.Close() }
 
 // Write stores hub H[i][j]: parallel slices of destination ids and
@@ -101,6 +101,3 @@ func (h *HubStore) Read(i, j int) (dsts []uint32, vals []float64, err error) {
 	}
 	return dsts, vals, nil
 }
-
-// Entries returns the number of hub entries for sub-shard (i, j).
-func (h *HubStore) Entries(i, j int) int64 { return h.infos[i*h.meta.P+j].Dsts }

@@ -28,30 +28,6 @@ func benchSubShard(b *testing.B, weighted bool) *SubShard {
 	return ss
 }
 
-func BenchmarkDecodeSubShard(b *testing.B) {
-	ss := benchSubShard(b, false)
-	blob := EncodeSubShard(ss, false)
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSubShard(blob, false); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
-func BenchmarkDecodeSubShardWeighted(b *testing.B) {
-	ss := benchSubShard(b, true)
-	blob := EncodeSubShard(ss, true)
-	b.SetBytes(int64(len(blob)))
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		if _, err := DecodeSubShard(blob, true); err != nil {
-			b.Fatal(err)
-		}
-	}
-}
-
 func BenchmarkEncodeSubShardV2(b *testing.B) {
 	ss := benchSubShard(b, false)
 	b.ResetTimer()
@@ -62,9 +38,8 @@ func BenchmarkEncodeSubShardV2(b *testing.B) {
 }
 
 // BenchmarkSubShardDecodeV2 measures the varint decode that runs on
-// every block-cache miss on a v2 store; ns/op here is the
-// price paid for the ~3x byte reduction BenchmarkDecodeSubShard's
-// fixed-width layout avoids. fixture is the synthetic sub-shard
+// every block-cache miss; ns/op here is the price paid for the ~3x byte
+// reduction against a fixed-width layout (see CompressionRatio). fixture is the synthetic sub-shard
 // (8.5 sources per destination, small ids); rmatcell is cell (4, 1) of
 // the benchmark's own graph shape (5.2 sources per destination, first
 // sources split between two and three bytes), what a cold round decodes;

@@ -1,85 +1,12 @@
 package storage
 
 import (
-	"math/rand"
 	"os"
-	"sort"
+	"strings"
 	"testing"
-	"testing/quick"
 
 	"nxgraph/internal/diskio"
 )
-
-func randomSubShard(rng *rand.Rand, weighted bool) *SubShard {
-	nd := rng.Intn(20)
-	ss := &SubShard{Offsets: []uint32{0}}
-	dsts := rng.Perm(1000)[:nd]
-	sort.Ints(dsts)
-	for _, d := range dsts {
-		ss.Dsts = append(ss.Dsts, uint32(d))
-		cnt := 1 + rng.Intn(5)
-		srcs := rng.Perm(1000)[:cnt]
-		sort.Ints(srcs)
-		for _, s := range srcs {
-			ss.Srcs = append(ss.Srcs, uint32(s))
-			if weighted {
-				ss.Weights = append(ss.Weights, rng.Float32())
-			}
-		}
-		ss.Offsets = append(ss.Offsets, uint32(len(ss.Srcs)))
-	}
-	return ss
-}
-
-func TestSubShardEncodeDecodeRoundTrip(t *testing.T) {
-	f := func(seed int64, weighted bool) bool {
-		rng := rand.New(rand.NewSource(seed))
-		ss := randomSubShard(rng, weighted)
-		blob := EncodeSubShard(ss, weighted)
-		got, err := DecodeSubShard(blob, weighted)
-		if err != nil {
-			return false
-		}
-		if got.NumDsts() != ss.NumDsts() || got.NumEdges() != ss.NumEdges() {
-			return false
-		}
-		for k := range ss.Dsts {
-			if got.Dsts[k] != ss.Dsts[k] || got.Offsets[k+1] != ss.Offsets[k+1] {
-				return false
-			}
-		}
-		for i := range ss.Srcs {
-			if got.Srcs[i] != ss.Srcs[i] {
-				return false
-			}
-			if weighted && got.Weights[i] != ss.Weights[i] {
-				return false
-			}
-		}
-		return true
-	}
-	if err := quick.Check(f, &quick.Config{MaxCount: 100}); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestDecodeRejectsCorruptBlobs(t *testing.T) {
-	ss := randomSubShard(rand.New(rand.NewSource(1)), false)
-	blob := EncodeSubShard(ss, false)
-	if _, err := DecodeSubShard(blob[:4], false); err == nil {
-		t.Fatal("short blob should fail")
-	}
-	if _, err := DecodeSubShard(blob[:len(blob)-1], false); err == nil {
-		t.Fatal("truncated blob should fail")
-	}
-	if len(blob) > 8 {
-		// Decoding an unweighted blob as weighted changes the expected
-		// size and must fail.
-		if _, err := DecodeSubShard(blob, true); err == nil {
-			t.Fatal("weighted/unweighted confusion should fail")
-		}
-	}
-}
 
 func TestAvgInDegree(t *testing.T) {
 	ss := &SubShard{
@@ -113,7 +40,7 @@ func TestMetaIntervals(t *testing.T) {
 }
 
 func TestMetaValidate(t *testing.T) {
-	good := Meta{Magic: MetaMagic, Version: DefaultFormatVersion, NumVertices: 4,
+	good := Meta{Magic: MetaMagic, Version: FormatV2, NumVertices: 4,
 		NumEdges: 0, P: 2, SubShards: make([]SubShardInfo, 4)}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
@@ -250,20 +177,15 @@ func TestWriterOrderEnforcement(t *testing.T) {
 
 func TestAttrStoreRoundTrip(t *testing.T) {
 	_, st := buildTinyStore(t, false)
-	as, err := st.OpenAttrs()
+	as, err := st.CreateAttrs()
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer as.Close()
-	if err := as.WriteAll([]float64{1, 2, 3, 4}); err != nil {
-		t.Fatal(err)
-	}
-	got, err := as.ReadAll()
-	if err != nil {
-		t.Fatal(err)
-	}
-	if got[0] != 1 || got[3] != 4 {
-		t.Fatalf("attrs: %v", got)
+	for k, vals := range [][]float64{{1, 2}, {3, 4}} {
+		if err := as.WriteInterval(k, vals); err != nil {
+			t.Fatal(err)
+		}
 	}
 	buf := make([]float64, st.Meta().IntervalLen(1))
 	if err := as.ReadInterval(1, buf); err != nil {
@@ -276,28 +198,39 @@ func TestAttrStoreRoundTrip(t *testing.T) {
 	if err := as.WriteInterval(1, buf); err != nil {
 		t.Fatal(err)
 	}
-	got, _ = as.ReadAll()
-	if got[2] != 30 {
-		t.Fatalf("after write: %v", got)
+	for k, want := range [][]float64{{1, 2}, {30, 4}} {
+		got := make([]float64, 2)
+		if err := as.ReadInterval(k, got); err != nil {
+			t.Fatal(err)
+		}
+		if got[0] != want[0] || got[1] != want[1] {
+			t.Fatalf("interval %d after write: %v, want %v", k, got, want)
+		}
 	}
 	if err := as.ReadInterval(0, make([]float64, 1)); err == nil {
 		t.Fatal("wrong buffer size accepted")
 	}
-	if err := as.WriteAll([]float64{1}); err == nil {
-		t.Fatal("wrong WriteAll size accepted")
+	if err := as.WriteInterval(0, make([]float64, 3)); err == nil {
+		t.Fatal("wrong buffer size accepted on write")
+	}
+	// A second attribute file is the second run's own.
+	other, err := st.CreateAttrs()
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer other.Close()
+	if err := other.ReadInterval(1, buf); err == nil {
+		t.Fatal("a fresh attribute file read another run's interval")
 	}
 }
 
 func TestHubStoreRoundTrip(t *testing.T) {
 	_, st := buildTinyStore(t, false)
-	h, err := st.OpenHubs(false)
+	h, err := st.CreateHubs(false)
 	if err != nil {
 		t.Fatal(err)
 	}
 	defer h.Close()
-	if h.Entries(0, 1) != 1 {
-		t.Fatalf("entries(0,1) = %d", h.Entries(0, 1))
-	}
 	if err := h.Write(0, 1, []uint32{2}, []float64{3.25}); err != nil {
 		t.Fatal(err)
 	}
@@ -315,6 +248,9 @@ func TestHubStoreRoundTrip(t *testing.T) {
 	}
 	if err := h.Write(0, 1, []uint32{1, 2}, []float64{1, 2}); err == nil {
 		t.Fatal("wrong entry count accepted")
+	}
+	if _, err := st.CreateHubs(true); err == nil {
+		t.Fatal("transposed hubs without a transpose replica accepted")
 	}
 }
 
@@ -358,5 +294,75 @@ func TestVerifyAcceptsGoodStore(t *testing.T) {
 	_, st := buildTinyStore(t, false)
 	if err := Verify(st); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// TestCompressionRatio checks the accounting helper on both replicas of
+// the tiny transposed store: six one-edge blobs, each 5 v2 bytes (two
+// counts, a destination, a source count, a source) against 20 fixed-width
+// bytes (two uint32 counts, one destination id and count, one source).
+func TestCompressionRatio(t *testing.T) {
+	disk := diskio.MustNew(t.TempDir(), diskio.Unthrottled)
+	writeTransposedStore(t, disk, "st")
+	st, err := Open(disk, "st")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st.Close()
+	if enc, fixed := st.CompressionRatio(); enc != 6*5 || fixed != 6*20 {
+		t.Fatalf("encoded %d, fixed-width %d; want 30 and 120", enc, fixed)
+	}
+}
+
+// TestOpenRejectsMixedShardVersion corrupts the shard header version so
+// it disagrees with meta.json.
+func TestOpenRejectsMixedShardVersion(t *testing.T) {
+	disk, st := buildTinyStore(t, false)
+	st.Close()
+	path := disk.Path("st/" + ShardsFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	raw[4] = 1 // header says v1, meta says v2
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	_, err = Open(disk, "st")
+	if err == nil {
+		t.Fatal("mixed-version store accepted")
+	}
+	if !strings.Contains(err.Error(), ShardsFile) || !strings.Contains(err.Error(), "meta.json says 2") {
+		t.Fatalf("unhelpful mixed-version error: %v", err)
+	}
+}
+
+// TestVerifyCatchesCorruption moves the source id of SS[0][0]'s one edge
+// out of its source interval: the blob still decodes, and Verify must
+// reject it.
+func TestVerifyCatchesCorruption(t *testing.T) {
+	disk, st := buildTinyStore(t, false)
+	st.Close()
+	info := st.Meta().SubShardAt(0, 0)
+	path := disk.Path("st/" + ShardsFile)
+	raw, err := os.ReadFile(path)
+	if err != nil {
+		t.Fatal(err)
+	}
+	// The blob's last byte is its one source, 1; 127 is past interval 0.
+	raw[info.Offset+info.Length-1] = 0x7f
+	if err := os.WriteFile(path, raw, 0o644); err != nil {
+		t.Fatal(err)
+	}
+	st2, err := Open(disk, "st")
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer st2.Close()
+	if ss, err := st2.ReadSubShard(0, 0, false); err != nil || ss.Srcs[0] != 127 {
+		t.Fatalf("corrupted SS[0][0] decodes to %+v, %v; want source 127", ss, err)
+	}
+	if err := Verify(st2); err == nil || !strings.Contains(err.Error(), "outside") {
+		t.Fatalf("verify accepted a source outside its interval: %v", err)
 	}
 }

@@ -34,9 +34,9 @@ func Open(disk *diskio.Disk, dir string) (*Store, error) {
 		return nil, fmt.Errorf("storage: parse meta: %w", err)
 	}
 	if err := meta.Validate(); err != nil {
-		// A build capped at an older format must fail before any shard
-		// byte is read — the version error names the offending path here
-		// and the store's files stay untouched (no partial reads).
+		// A store of another format version fails before any shard byte
+		// is read — the version error names the offending path here and
+		// the store's files stay untouched (no partial reads).
 		return nil, fmt.Errorf("storage: open %s: %w", disk.Path(dir), err)
 	}
 	s := &Store{disk: disk, dir: dir, meta: meta}
@@ -134,8 +134,7 @@ func (s *Store) ReadSubShard(i, j int, transpose bool) (*SubShard, error) {
 
 // ReadSubShardRaw reads SS[i][j]'s encoded blob without decoding it, so
 // the engine can decode a block-cache miss into recycled arrays. Empty
-// sub-shards return a nil blob and cost no disk read. The blob's format
-// version is the store's Meta().Version.
+// sub-shards return a nil blob and cost no disk read.
 func (s *Store) ReadSubShardRaw(i, j int, transpose bool) ([]byte, error) {
 	P := s.meta.P
 	if i < 0 || i >= P || j < 0 || j >= P {
@@ -159,10 +158,10 @@ func (s *Store) ReadSubShardRaw(i, j int, transpose bool) ([]byte, error) {
 	return buf, nil
 }
 
-// DecodeSubShardBlob decodes a blob returned by ReadSubShardRaw in the
-// store's format version, into fresh arrays (see DecodeSubShardAs).
+// DecodeSubShardBlob decodes a blob returned by ReadSubShardRaw into
+// fresh arrays (see DecodeSubShardInto).
 func (s *Store) DecodeSubShardBlob(blob []byte) (*SubShard, error) {
-	return DecodeSubShardAs(nil, blob, s.meta.Weighted, s.meta.Version)
+	return DecodeSubShardInto(nil, blob, s.meta.Weighted)
 }
 
 // Degrees reads the degree file: out-degrees then in-degrees, each n
@@ -238,9 +237,9 @@ func (s *Store) EdgeBytesOnDisk(transpose bool) int64 {
 }
 
 // CompressionRatio reports the store's total encoded sub-shard bytes
-// (both replicas) against what the FormatV1 fixed-width encoding of the
-// same sub-shards would occupy — the factor every cold read saves. For
-// a v1 store the two are equal.
+// (both replicas) against what a fixed-width CSR encoding of the same
+// sub-shards would occupy (see encodedSize) — the factor every cold read
+// saves.
 func (s *Store) CompressionRatio() (encoded, fixedWidth int64) {
 	infoSets := [][]SubShardInfo{s.meta.SubShards}
 	if s.meta.HasTranspose {

@@ -37,7 +37,7 @@ func Verify(s *Store) error {
 			// blob length exactly — a canonical-order sub-shard has one v2
 			// encoding, so drift between writer and codec shows up here.
 			if info.Length > 0 {
-				if got := int64(len(EncodeSubShardAs(ss, m.Weighted, m.Version))); got != info.Length {
+				if got := int64(len(EncodeSubShardV2(ss, m.Weighted))); got != info.Length {
 					return fmt.Errorf("storage: verify SS[%d][%d]: re-encodes to %d bytes, index says %d",
 						i, j, got, info.Length)
 				}

@@ -12,8 +12,8 @@ import (
 // Writer builds a DSSS store. Sub-shards must be appended in physical
 // (row-major) order: for i = 0..P-1, for j = 0..P-1, append SS[i][j].
 // When writing a transposed replica, call BeginTranspose after the forward
-// set and append another full P² sequence. Finish writes the meta document
-// and allocates the attribute file.
+// set and append another full P² sequence. Finish writes the meta
+// document; the store is immutable from then on.
 type Writer struct {
 	disk *diskio.Disk
 	dir  string
@@ -26,8 +26,7 @@ type Writer struct {
 	finished  bool
 }
 
-// NewWriter creates (truncating) a store at dir. Stores are written in
-// DefaultFormatVersion only; older versions are read, never written.
+// NewWriter creates (truncating) a store at dir, in FormatV2.
 func NewWriter(disk *diskio.Disk, dir, name string, numVertices uint32, numEdges int64, p int, weighted bool) (*Writer, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("storage: P must be positive, got %d", p)
@@ -37,7 +36,7 @@ func NewWriter(disk *diskio.Disk, dir, name string, numVertices uint32, numEdges
 	}
 	w := &Writer{disk: disk, dir: dir, meta: Meta{
 		Magic:       MetaMagic,
-		Version:     DefaultFormatVersion,
+		Version:     FormatV2,
 		Name:        name,
 		NumVertices: numVertices,
 		NumEdges:    numEdges,
@@ -171,7 +170,7 @@ func (w *Writer) WriteIDMap(ids []uint64) error {
 	return nil
 }
 
-// Finish validates counts, writes meta.json and allocates attrs.bin.
+// Finish validates counts and writes meta.json.
 func (w *Writer) Finish() error {
 	if w.finished {
 		return fmt.Errorf("storage: Finish called twice")
@@ -193,18 +192,6 @@ func (w *Writer) Finish() error {
 	}
 	if err := os.WriteFile(w.disk.Path(w.dir+"/"+MetaFile), raw, 0o644); err != nil {
 		return fmt.Errorf("storage: write meta: %w", err)
-	}
-	// Pre-size the attribute file used by the disk-based strategies.
-	af, err := w.disk.Create(w.dir + "/" + AttrsFile)
-	if err != nil {
-		return err
-	}
-	defer af.Close()
-	if w.meta.NumVertices > 0 {
-		var zero [8]byte
-		if _, err := af.WriteAt(zero[:], int64(w.meta.NumVertices-1)*8); err != nil {
-			return fmt.Errorf("storage: size attrs: %w", err)
-		}
 	}
 	return nil
 }

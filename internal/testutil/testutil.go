@@ -3,9 +3,6 @@
 package testutil
 
 import (
-	"os"
-	"path/filepath"
-	"runtime"
 	"testing"
 
 	"nxgraph/internal/diskio"
@@ -81,47 +78,6 @@ func BuildStore(t testing.TB, g *graph.EdgeList, opt StoreOptions) (*storage.Sto
 			compact.NumVertices, res.NumVertices)
 	}
 	return res.Store, compact
-}
-
-// V1Store copies the store checked in under internal/storage/testdata/v1
-// onto a fresh temp disk and opens it. The store was written in format v1
-// by an older build, from the edge list beside it (its README has the
-// commands); V1Store returns that edge list too, with original ids, so
-// Compact(g) is the store's dense graph and BuildStore(t, g,
-// StoreOptions{P: 4, Weighted: true, Transpose: true}) rebuilds the same
-// graph in the current format. The store directory is "dsss" on the
-// store's disk; the store is closed by t.Cleanup.
-func V1Store(t testing.TB) (*storage.Store, *graph.EdgeList) {
-	t.Helper()
-	_, self, _, _ := runtime.Caller(0)
-	src := filepath.Join(filepath.Dir(self), "..", "storage", "testdata", "v1")
-	disk, err := diskio.New(t.TempDir(), diskio.Unthrottled)
-	if err != nil {
-		t.Fatalf("create disk: %v", err)
-	}
-	if err := os.CopyFS(disk.Root(), os.DirFS(src)); err != nil {
-		t.Fatalf("copy v1 fixture: %v", err)
-	}
-	f, err := os.Open(disk.Path("edges.txt"))
-	if err != nil {
-		t.Fatalf("v1 fixture edges: %v", err)
-	}
-	defer f.Close()
-	edges, err := graph.ParseEdgeText(f)
-	if err != nil {
-		t.Fatalf("v1 fixture edges: %v", err)
-	}
-	g := &graph.EdgeList{Weighted: true, Edges: make([]graph.Edge, len(edges))}
-	for i, e := range edges {
-		g.Edges[i] = graph.Edge{Src: uint32(e.Src), Dst: uint32(e.Dst), Weight: e.Weight}
-		g.NumVertices = max(g.NumVertices, g.Edges[i].Src+1, g.Edges[i].Dst+1)
-	}
-	st, err := storage.Open(disk, "dsss")
-	if err != nil {
-		t.Fatalf("open v1 fixture: %v", err)
-	}
-	t.Cleanup(func() { st.Close() })
-	return st, g
 }
 
 // SamePartition verifies two labelings induce the same partition of

@@ -1,6 +1,8 @@
 package nxgraph_test
 
 import (
+	"context"
+	"errors"
 	"math"
 	"os"
 	"path/filepath"
@@ -190,5 +192,66 @@ func TestGenerateErrors(t *testing.T) {
 	}
 	if _, err := nxgraph.Generate(nxgraph.RMAT(99, 1, 1)); err == nil {
 		t.Fatal("huge scale accepted")
+	}
+}
+
+// hops is BFS written against the public Program interface alone. It
+// declares no kernel hint, so a run of it gathers through the engine's
+// generic interface-dispatch kernel.
+type hops struct{ root uint32 }
+
+func (hops) Name() string  { return "hops" }
+func (hops) Zero() float64 { return math.Inf(1) }
+
+func (h hops) Init(v uint32) (float64, bool) {
+	if v == h.root {
+		return 0, true
+	}
+	return math.Inf(1), false
+}
+
+func (hops) Gather(srcAttr float64, _ uint32, _ float32) float64 { return srcAttr + 1 }
+func (hops) Sum(a, b float64) float64                            { return math.Min(a, b) }
+
+func (hops) Apply(_ uint32, old, acc float64) (float64, bool) {
+	if acc < old {
+		return acc, true
+	}
+	return old, false
+}
+
+// TestRunProgramMatchesBFS runs the custom hops program through
+// Graph.RunProgram and Graph.RunProgramContext: both must match
+// Graph.BFS, whose program declares the hop-min kernel, bit for bit, and
+// a cancelled context must stop the run with context.Canceled.
+func TestRunProgramMatchesBFS(t *testing.T) {
+	gr := buildSample(t, nxgraph.Options{P: 6})
+	want, err := gr.BFS(3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for name, run := range map[string]func(nxgraph.Program) (*nxgraph.Result, error){
+		"RunProgram": gr.RunProgram,
+		"RunProgramContext": func(p nxgraph.Program) (*nxgraph.Result, error) {
+			return gr.RunProgramContext(context.Background(), p, nil)
+		},
+	} {
+		got, err := run(hops{root: 3})
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		if got.Iterations != want.Iterations {
+			t.Fatalf("%s: %d iterations, BFS took %d", name, got.Iterations, want.Iterations)
+		}
+		for v, x := range got.Attrs {
+			if math.Float64bits(x) != math.Float64bits(want.Attrs[v]) {
+				t.Fatalf("%s: vertex %d at depth %g, BFS says %g", name, v, x, want.Attrs[v])
+			}
+		}
+	}
+	ctx, cancel := context.WithCancel(context.Background())
+	cancel()
+	if _, err := gr.RunProgramContext(ctx, hops{root: 3}, nil); !errors.Is(err, context.Canceled) {
+		t.Fatalf("cancelled run returned %v, want context.Canceled", err)
 	}
 }
