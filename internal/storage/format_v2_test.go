@@ -150,14 +150,32 @@ func TestDecodeV2RejectsCorruptBlobs(t *testing.T) {
 	if _, err := DecodeSubShardV2(append(append([]byte{}, blob...), 0), false); err == nil {
 		t.Fatal("trailing garbage should fail")
 	}
-	// An unweighted blob read as weighted loses 4 bytes per edge to the
-	// weight section and must fail.
-	if _, err := DecodeSubShardV2(blob, true); err == nil {
-		t.Fatal("weighted/unweighted confusion should fail")
-	}
 	// A huge declared dst count must be rejected before allocation.
 	if _, err := DecodeSubShardV2([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x01, 0x01}, false); err == nil {
 		t.Fatal("hostile dst count should fail")
+	}
+}
+
+// TestDecodeRejectsCorruptBlobs feeds the store's decode entry point a
+// short blob, a blob missing its last byte, and an unweighted blob read
+// as weighted; each must fail rather than return a sub-shard.
+func TestDecodeRejectsCorruptBlobs(t *testing.T) {
+	rng := rand.New(rand.NewSource(1))
+	ss := canonicalSubShard(rng, false)
+	for ss.NumEdges() < 4 {
+		ss = canonicalSubShard(rng, false)
+	}
+	blob := EncodeSubShardV2(ss, false)
+	if _, err := DecodeSubShardInto(nil, blob[:2], false); err == nil {
+		t.Fatal("short blob should fail")
+	}
+	if _, err := DecodeSubShardInto(nil, blob[:len(blob)-1], false); err == nil {
+		t.Fatal("truncated blob should fail")
+	}
+	// An unweighted blob read as weighted loses 4 bytes per edge to the
+	// weight section and must fail.
+	if _, err := DecodeSubShardInto(nil, blob, true); err == nil {
+		t.Fatal("weighted/unweighted confusion should fail")
 	}
 }
 
