@@ -129,7 +129,7 @@ func main() {
 		queueCap  = flag.Int("queue", 64, "pending-job queue capacity")
 		resCache  = flag.String("result-cache", "256MiB", "result cache budget (0 disables caching)")
 		cacheMB   = flag.Int("cache-mb", 256, "shared decoded sub-shard block cache budget in MiB, 0 disables (distinct from -result-cache)")
-		mem       = flag.String("mem", "0", "per-graph engine memory budget (0 = unlimited)")
+		mem       = flag.String("mem", "0", "per-graph engine memory budget (0 = unlimited); it bounds fused runs too: a run of L fused jobs needs 2·n·8·L bytes to stay in memory and streams intervals through scratch files below that")
 		threads   = flag.Int("threads", 0, "engine worker threads per run (0 = GOMAXPROCS)")
 		deltaThr  = flag.Int("delta-threshold", 0, "pending deltas that trigger auto-compaction (0 = default 8192, negative disables); raise it when a store rebuild is costly beside the ingest rate, lower it when queries must not carry a large delta overlay")
 		fsync     = flag.String("fsync", "batch", "WAL durability policy: batch (one fsync per group commit) or off (no fsync: survives a process crash, not power loss)")

@@ -285,6 +285,68 @@ func TestPersonalizedPageRankMatchesOracle(t *testing.T) {
 	}
 }
 
+// TestBatchMatchesSingleRuns: every fused entry point returns, per
+// lane, exactly the single-query run's result — values, iterations and
+// edges traversed — at widths 1, 3 and 16 under every config. A wide
+// run resolves its strategy from the budget over all its lanes, so the
+// mpu-* configs run one lane as MPU with Q = 2 of 4 and the wider runs
+// as DPU; a forward run does not depend on Q.
+func TestBatchMatchesSingleRuns(t *testing.T) {
+	g, err := gen.RMAT(gen.RMATConfig{Scale: 8, EdgeFactor: 6, A: 0.57, B: 0.19, C: 0.19, Seed: 13, Weighted: true})
+	if err != nil {
+		t.Fatal(err)
+	}
+	type entry struct {
+		name   string
+		batch  func(e *engine.Engine, roots []uint32) ([]*engine.Result, error)
+		single func(e *engine.Engine, root uint32) (*engine.Result, error)
+	}
+	entries := []entry{
+		{"ppr", func(e *engine.Engine, roots []uint32) ([]*engine.Result, error) {
+			return algorithms.PersonalizedPageRankBatch(e, roots, 0.85, 5)
+		}, func(e *engine.Engine, root uint32) (*engine.Result, error) {
+			return algorithms.PersonalizedPageRank(e, root, 0.85, 5)
+		}},
+		{"bfs", algorithms.BFSBatch, algorithms.BFS},
+		{"sssp", algorithms.SSSPBatch, algorithms.SSSP},
+	}
+	for _, cc := range configCases {
+		t.Run(cc.name, func(t *testing.T) {
+			e, oracle := buildEngine(t, g, 4, true, cc)
+			roots := make([]uint32, 16)
+			for l := range roots {
+				roots[l] = uint32(l*37+3) % oracle.NumVertices
+			}
+			for _, en := range entries {
+				want := make([]*engine.Result, len(roots))
+				for l, root := range roots {
+					if want[l], err = en.single(e, root); err != nil {
+						t.Fatal(err)
+					}
+				}
+				for _, w := range []int{1, 3, 16} {
+					got, err := en.batch(e, roots[:w])
+					if err != nil {
+						t.Fatal(err)
+					}
+					for l := range got {
+						name := fmt.Sprintf("%s width %d lane %d", en.name, w, l)
+						for v, x := range got[l].Attrs {
+							if math.Float64bits(x) != math.Float64bits(want[l].Attrs[v]) {
+								t.Fatalf("%s vertex %d: %v, single run %v", name, v, x, want[l].Attrs[v])
+							}
+						}
+						if got[l].Iterations != want[l].Iterations || got[l].EdgesTraversed != want[l].EdgesTraversed {
+							t.Fatalf("%s: %d iterations, %d edges; single run %d, %d", name,
+								got[l].Iterations, got[l].EdgesTraversed, want[l].Iterations, want[l].EdgesTraversed)
+						}
+					}
+				}
+			}
+		})
+	}
+}
+
 func TestPPRValidation(t *testing.T) {
 	g := testGraphs(t)["uniform"]
 	e, _ := buildEngine(t, g, 4, false, configCases[0])

@@ -3,6 +3,7 @@ package engine_test
 import (
 	"context"
 	"errors"
+	"fmt"
 	"math"
 	"math/rand"
 	"strings"
@@ -21,6 +22,14 @@ import (
 // batchRoots is the fused-query fixture: distinct sources spread over
 // the id space so lanes hit different frontiers.
 var batchRoots = []uint32{0, 3, 7, 11, 19}
+
+// rootSets are the widths the equivalence suites fuse at: 1, 3, the
+// five batchRoots and 16 roots spread over n vertices. A wide run's
+// strategy follows the budget over its width, so one config runs them
+// under different Q.
+func rootSets(n uint32) [][]uint32 {
+	return [][]uint32{batchRoots[:1], batchRoots[:3], batchRoots, benchRoots(16, n)}
+}
 
 // assertBitIdentical fails unless got and want agree bit-for-bit.
 func assertBitIdentical(t *testing.T, label string, got, want []float64) {
@@ -57,21 +66,23 @@ func TestFusedPPREquivalenceAllStrategies(t *testing.T) {
 	for name, cfg := range strategyConfigs(200) {
 		t.Run(name, func(t *testing.T) {
 			e, _ := buildEngine(t, g, 5, cfg)
-			fused, err := algorithms.PersonalizedPageRankBatch(e, batchRoots, 0.85, 6)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, root := range batchRoots {
-				seq, err := algorithms.PersonalizedPageRank(e, root, 0.85, 6)
+			for _, roots := range rootSets(e.Store().Meta().NumVertices) {
+				fused, err := algorithms.PersonalizedPageRankBatch(e, roots, 0.85, 6)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, name+" ppr root "+string(rune('0'+i)), fused[i].Attrs, seq.Attrs)
-				if fused[i].Iterations != seq.Iterations {
-					t.Fatalf("root %d: fused %d iterations, sequential %d", root, fused[i].Iterations, seq.Iterations)
-				}
-				if fused[i].EdgesTraversed != seq.EdgesTraversed {
-					t.Fatalf("root %d: fused traversed %d edges, sequential %d", root, fused[i].EdgesTraversed, seq.EdgesTraversed)
+				for i, root := range roots {
+					seq, err := algorithms.PersonalizedPageRank(e, root, 0.85, 6)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitIdentical(t, fmt.Sprintf("%s width %d ppr root %d", name, len(roots), root), fused[i].Attrs, seq.Attrs)
+					if fused[i].Iterations != seq.Iterations {
+						t.Fatalf("root %d: fused %d iterations, sequential %d", root, fused[i].Iterations, seq.Iterations)
+					}
+					if fused[i].EdgesTraversed != seq.EdgesTraversed {
+						t.Fatalf("root %d: fused traversed %d edges, sequential %d", root, fused[i].EdgesTraversed, seq.EdgesTraversed)
+					}
 				}
 			}
 		})
@@ -93,28 +104,30 @@ func TestFusedTraversalEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fusedBFS, err := algorithms.BFSBatch(e, batchRoots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			fusedSSSP, err := algorithms.SSSPBatch(e, batchRoots)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, root := range batchRoots {
-				seqBFS, err := algorithms.BFS(e, root)
+			for _, roots := range rootSets(st.Meta().NumVertices) {
+				fusedBFS, err := algorithms.BFSBatch(e, roots)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, "bfs", fusedBFS[i].Attrs, seqBFS.Attrs)
-				if fusedBFS[i].Iterations != seqBFS.Iterations {
-					t.Fatalf("bfs root %d: fused %d iterations, sequential %d", root, fusedBFS[i].Iterations, seqBFS.Iterations)
-				}
-				seqSSSP, err := algorithms.SSSP(e, root)
+				fusedSSSP, err := algorithms.SSSPBatch(e, roots)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, "sssp", fusedSSSP[i].Attrs, seqSSSP.Attrs)
+				for i, root := range roots {
+					seqBFS, err := algorithms.BFS(e, root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitIdentical(t, "bfs", fusedBFS[i].Attrs, seqBFS.Attrs)
+					if fusedBFS[i].Iterations != seqBFS.Iterations {
+						t.Fatalf("bfs root %d: fused %d iterations, sequential %d", root, fusedBFS[i].Iterations, seqBFS.Iterations)
+					}
+					seqSSSP, err := algorithms.SSSP(e, root)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitIdentical(t, "sssp", fusedSSSP[i].Attrs, seqSSSP.Attrs)
+				}
 			}
 		})
 	}
@@ -217,16 +230,18 @@ func TestFusedOverlayEquivalence(t *testing.T) {
 				t.Fatal(err)
 			}
 			e.SetOverlayProvider(log.Overlay)
-			fused, err := algorithms.PersonalizedPageRankBatch(e, batchRoots, 0.85, 5)
-			if err != nil {
-				t.Fatal(err)
-			}
-			for i, root := range batchRoots {
-				seq, err := algorithms.PersonalizedPageRank(e, root, 0.85, 5)
+			for _, roots := range rootSets(uint32(n)) {
+				fused, err := algorithms.PersonalizedPageRankBatch(e, roots, 0.85, 5)
 				if err != nil {
 					t.Fatal(err)
 				}
-				assertBitIdentical(t, "overlay ppr", fused[i].Attrs, seq.Attrs)
+				for i, root := range roots {
+					seq, err := algorithms.PersonalizedPageRank(e, root, 0.85, 5)
+					if err != nil {
+						t.Fatal(err)
+					}
+					assertBitIdentical(t, "overlay ppr", fused[i].Attrs, seq.Attrs)
+				}
 			}
 		})
 	}
@@ -323,17 +338,16 @@ func TestCancelLaneOnSingleRun(t *testing.T) {
 	}
 }
 
-// TestWideRunIsAllResident: what a wide run may not do is decided from
-// its width, not from the engine's settings — under a forced DPU strategy
-// a one-program run is DPU, a three-lane run keeps every interval
-// resident and says so, and both agree bit for bit.
-func TestWideRunIsAllResident(t *testing.T) {
+// TestWideRunFollowsStrategy: a wide run follows the engine's strategy
+// exactly as a one-program run does — under a forced DPU a three-lane run
+// is DPU with Q = 0 and says so — and each lane agrees bit for bit with
+// its one-lane run.
+func TestWideRunFollowsStrategy(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 7))
 	if err != nil {
 		t.Fatal(err)
 	}
 	e, _ := buildEngine(t, g, 5, engine.Config{Threads: 2, Strategy: engine.DPU, ChunkDsts: 16})
-	P := e.Store().Meta().P
 	progs := func() []engine.Program {
 		return []engine.Program{algorithms.NewBFSProgram(0), algorithms.NewBFSProgram(3), algorithms.NewBFSProgram(7)}
 	}
@@ -342,8 +356,8 @@ func TestWideRunIsAllResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer wide.Close()
-	if wide.Strategy() != engine.SPU || wide.ResidentIntervals() != P {
-		t.Fatalf("3-lane run under DPU: strategy %v, Q=%d; want spu, Q=%d", wide.Strategy(), wide.ResidentIntervals(), P)
+	if wide.Strategy() != engine.DPU || wide.ResidentIntervals() != 0 {
+		t.Fatalf("3-lane run under DPU: strategy %v, Q=%d; want dpu, Q=0", wide.Strategy(), wide.ResidentIntervals())
 	}
 	for more := true; more; {
 		if more, err = wide.Step(); err != nil {
@@ -355,27 +369,70 @@ func TestWideRunIsAllResident(t *testing.T) {
 		t.Fatal(err)
 	}
 	for l, p := range progs() {
-		if res[l].Strategy != engine.SPU || res[l].ResidentIntervals != P {
+		if res[l].Strategy != engine.DPU || res[l].ResidentIntervals != 0 {
 			t.Fatalf("lane %d result: strategy %v, Q=%d", l, res[l].Strategy, res[l].ResidentIntervals)
 		}
-		one, err := e.NewBatchRun([]engine.Program{p}, engine.Forward)
+		seq, err := e.Run(p, engine.Forward)
 		if err != nil {
 			t.Fatal(err)
 		}
-		if one.Strategy() != engine.DPU || one.ResidentIntervals() != 0 {
-			t.Fatalf("1-lane run under DPU: strategy %v, Q=%d; want dpu, Q=0", one.Strategy(), one.ResidentIntervals())
-		}
-		for more := true; more; {
-			if more, err = one.Step(); err != nil {
-				t.Fatal(err)
-			}
-		}
-		seq, err := one.Finish()
-		one.Close()
-		if err != nil {
-			t.Fatal(err)
+		if seq.Strategy != engine.DPU || seq.ResidentIntervals != 0 {
+			t.Fatalf("1-lane run under DPU: strategy %v, Q=%d; want dpu, Q=0", seq.Strategy, seq.ResidentIntervals)
 		}
 		assertBitIdentical(t, "dpu lane", res[l].Attrs, seq.Attrs)
+		if res[l].Iterations != seq.Iterations || res[l].EdgesTraversed != seq.EdgesTraversed {
+			t.Fatalf("lane %d: %d iterations, %d edges; one-lane run %d, %d", l, res[l].Iterations, res[l].EdgesTraversed, seq.Iterations, seq.EdgesTraversed)
+		}
+	}
+}
+
+// TestFusedBatchFollowsMemoryBudget: under Auto a 16-lane PPR batch
+// resolves its strategy from the budget over all 16 lanes' ping-pong
+// 2·n·Ba·16 — MPU with 0 < Q < P for 2·n·Ba·16/P ≤ BM < 2·n·Ba·16, DPU
+// below — while one lane under the same budgets runs SPU. A forward run does not depend on Q, so every lane still
+// equals its one-lane run bit for bit, with the same counters.
+func TestFusedBatchFollowsMemoryBudget(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 8})
+	wide := 2 * int64(oracle.NumVertices) * engine.Ba * 16 // 16 lanes' ping-pong
+	roots := benchRoots(16, oracle.NumVertices)
+	for _, c := range []struct {
+		bm    int64
+		strat engine.Strategy
+		q     int
+	}{
+		{wide - 1, engine.MPU, 7},
+		{wide / 2, engine.MPU, 4},
+		{wide / 8, engine.MPU, 1},
+		{wide/8 - 1, engine.DPU, 0},
+	} {
+		e, err := engine.New(st, engine.Config{Threads: 3, MemoryBudget: c.bm, ChunkDsts: 16})
+		if err != nil {
+			t.Fatal(err)
+		}
+		fused, err := algorithms.PersonalizedPageRankBatch(e, roots, 0.85, 4)
+		if err != nil {
+			t.Fatal(err)
+		}
+		for l, root := range roots {
+			if fused[l].Strategy != c.strat || fused[l].ResidentIntervals != c.q {
+				t.Fatalf("BM=%d lane %d: strategy %v, Q=%d; want %v, Q=%d", c.bm, l, fused[l].Strategy, fused[l].ResidentIntervals, c.strat, c.q)
+			}
+			seq, err := algorithms.PersonalizedPageRank(e, root, 0.85, 4)
+			if err != nil {
+				t.Fatal(err)
+			}
+			if seq.Strategy != engine.SPU { // every budget here holds one lane's 2·n·Ba
+				t.Fatalf("BM=%d root %d: one lane ran %v, want spu", c.bm, root, seq.Strategy)
+			}
+			assertBitIdentical(t, fmt.Sprintf("BM=%d lane %d", c.bm, l), fused[l].Attrs, seq.Attrs)
+			if fused[l].Iterations != seq.Iterations || fused[l].EdgesTraversed != seq.EdgesTraversed {
+				t.Fatalf("BM=%d lane %d: %d iterations, %d edges; one-lane run %d, %d", c.bm, l, fused[l].Iterations, fused[l].EdgesTraversed, seq.Iterations, seq.EdgesTraversed)
+			}
+		}
 	}
 }
 

@@ -18,8 +18,9 @@ type Strategy int
 
 const (
 	// Auto selects the fastest valid strategy from the memory budget:
-	// SPU when two copies of all intervals fit, otherwise MPU (which
-	// degenerates to DPU when not even one interval pair fits).
+	// SPU when two copies of all intervals fit for every lane of the run,
+	// otherwise MPU (which degenerates to DPU when not even one interval
+	// pair fits).
 	Auto Strategy = iota
 	// SPU is Single-Phase Update: ping-pong intervals resident in
 	// memory, sub-shards streamed (or cached when the budget allows).
@@ -209,10 +210,11 @@ func (e *Engine) Store() *storage.Store { return e.store }
 // Config returns the engine's configuration.
 func (e *Engine) Config() Config { return e.cfg }
 
-// chooseStrategy resolves Auto against the memory budget, following
-// §III-B: SPU needs 2·n·Ba for the ping-pong intervals; otherwise MPU with
-// Q = ⌊BM/(2nBa)·P⌋ resident intervals, which is DPU when Q = 0.
-func (e *Engine) chooseStrategy() (Strategy, int) {
+// chooseStrategy resolves Auto against the memory budget for a run of L
+// lanes, following §III-B with Ba·L bytes per vertex: SPU needs 2·n·Ba·L
+// for the ping-pong intervals; otherwise MPU with Q = ⌊BM/(2·n·Ba·L)·P⌋
+// resident intervals, which is DPU when Q = 0.
+func (e *Engine) chooseStrategy(L int) (Strategy, int) {
 	m := e.store.Meta()
 	P := m.P
 	if e.cfg.Strategy == SPU {
@@ -221,7 +223,7 @@ func (e *Engine) chooseStrategy() (Strategy, int) {
 	if e.cfg.Strategy == DPU {
 		return DPU, 0
 	}
-	pingPong := 2 * int64(m.NumVertices) * Ba
+	pingPong := 2 * int64(m.NumVertices) * Ba * int64(L)
 	bm := e.cfg.MemoryBudget
 	if bm <= 0 || bm >= pingPong {
 		if e.cfg.Strategy == MPU {
@@ -229,10 +231,7 @@ func (e *Engine) chooseStrategy() (Strategy, int) {
 		}
 		return SPU, P
 	}
-	q := int(float64(bm) / float64(pingPong) * float64(P))
-	if q > P {
-		q = P
-	}
+	q := min(P, int(float64(bm)/float64(pingPong)*float64(P)))
 	if e.cfg.Strategy == Auto && q == 0 {
 		return DPU, 0
 	}

@@ -98,10 +98,11 @@ func (r *Run) cellHasEdges(d, i, j int) bool {
 
 // ovHubVals returns (allocating on first use) the in-memory accumulator
 // for overlay cell (i, j): per-destination partials parallel to the
-// cell's Dsts. The on-disk hub regions are sized from the base meta and
-// cannot absorb overlay destinations, so overlay contributions to
-// on-disk destination intervals are kept in memory — they are bounded by
-// the compaction threshold, unlike the base edge set.
+// cell's Dsts, L lane-minor values each. The on-disk hub regions are
+// sized from the base meta and cannot absorb overlay destinations, so
+// overlay contributions to on-disk destination intervals are kept in
+// memory — they are bounded by the compaction threshold, unlike the base
+// edge set.
 func (r *Run) ovHubVals(d, i, j int, cell *storage.SubShard) []float64 {
 	P := r.e.store.Meta().P
 	if r.ovHub[d] == nil {
@@ -109,7 +110,7 @@ func (r *Run) ovHubVals(d, i, j int, cell *storage.SubShard) []float64 {
 	}
 	vals := r.ovHub[d][i*P+j]
 	if vals == nil {
-		vals = make([]float64, cell.NumDsts())
+		vals = make([]float64, cell.NumDsts()*len(r.lanes))
 		r.ovHub[d][i*P+j] = vals
 	}
 	return vals

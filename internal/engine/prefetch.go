@@ -2,6 +2,7 @@ package engine
 
 import (
 	"fmt"
+	"slices"
 	"strconv"
 	"sync"
 
@@ -270,14 +271,10 @@ func batchSubShard(b *fetchBatch, c cellID) (*storage.SubShard, error) {
 
 // fetchPlan is one batch of the pipeline: the blocks batch id (a row
 // index in the row phase, a destination interval in the column phase)
-// will consume. touched carries the column phase's columnTouched
-// verdict so the step loop never re-derives it (the pipeline's
-// take-order contract holds by construction when the loop iterates the
-// plans themselves).
+// will consume.
 type fetchPlan struct {
-	id      int
-	touched bool
-	cells   []cellID
+	id    int
+	cells []cellID
 }
 
 // pipeline runs the double-buffered prefetch over a phase's planned
@@ -336,11 +333,7 @@ func (r *Run) rowPlans(dirs, lanes []int) []fetchPlan {
 	P, Q := m.P, r.q
 	var plans []fetchPlan
 	for i := 0; i < P; i++ {
-		anyActive := false
-		for _, l := range lanes {
-			anyActive = anyActive || r.lanes[l].active[i]
-		}
-		if !anyActive {
+		if len(r.activeLanes(lanes, i)) == 0 {
 			continue
 		}
 		jmax := P
@@ -361,31 +354,27 @@ func (r *Run) rowPlans(dirs, lanes []int) []fetchPlan {
 	return plans
 }
 
-// colPlans lists the destination intervals the column phase will visit
-// and the resident-source blocks each folds. It must be computed after
-// the row phase (columnTouched consults hubRowValid, which the row phase
-// fills in).
-func (r *Run) colPlans(dirs []int) []fetchPlan {
+// colPlans lists the on-disk destination intervals the column phase will
+// visit — those some participating lane applies over — and the
+// resident-source blocks each folds.
+func (r *Run) colPlans(dirs, lanes []int) []fetchPlan {
 	m := r.e.store.Meta()
 	P, Q := m.P, r.q
 	var plans []fetchPlan
-	for j := Q; j < P; j++ { // Q < P implies one lane
-		touched := r.columnTouched(j, dirs)
-		if !touched && !r.lanes[0].dense {
+	for j := Q; j < P; j++ {
+		if !slices.ContainsFunc(lanes, func(l int) bool { return r.applies(l, j, dirs) }) {
 			continue
 		}
 		var cells []cellID
-		if touched {
-			for _, d := range dirs {
-				infos := r.subShardInfosFor(d)
-				for i := 0; i < Q; i++ {
-					if r.lanes[0].active[i] && infos[i*P+j].Edges > 0 {
-						cells = append(cells, cellID{d, i, j})
-					}
+		for _, d := range dirs {
+			infos := r.subShardInfosFor(d)
+			for i := 0; i < Q; i++ {
+				if infos[i*P+j].Edges > 0 && len(r.activeLanes(lanes, i)) > 0 {
+					cells = append(cells, cellID{d, i, j})
 				}
 			}
 		}
-		plans = append(plans, fetchPlan{id: j, touched: touched, cells: cells})
+		plans = append(plans, fetchPlan{id: j, cells: cells})
 	}
 	return plans
 }

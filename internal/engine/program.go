@@ -65,8 +65,8 @@ type DenseApply interface {
 
 // KernelHint names the functional form of a Program's Gather/Sum pair. A
 // Run uses the hint its lanes share to select a specialized inner loop
-// with no per-edge interface dispatch (scalar_kernels.go for one lane,
-// batch_kernels.go for several). Each
+// with no per-edge interface dispatch (the lane kernels of
+// batch_kernels.go, and scalar_kernels.go for a lone lane). Each
 // specialized kernel performs exactly the floating-point operations the
 // declared Gather/Sum would, in the same order, so results stay
 // bit-identical to the generic interface path; a program must only
@@ -117,14 +117,15 @@ type FusedKernel interface {
 // LaneApplier is an optional Program extension that applies a whole
 // strided vertex range in one call instead of one Apply call per vertex.
 // A Run passes its lane-minor slabs with stride = lane count (stride 1
-// for a one-lane run), and for an interval streamed from disk a window
-// with stride 1 and a negative off (base b uses off = -b). curr/next
-// hold the program's state for vertex v at index int(v)*stride+off. The
-// implementation must perform, per vertex in ascending order, exactly
-// the floating-point operations Apply(v, curr[idx], next[idx]) would and
-// store the result in next[idx], returning whether any vertex changed —
-// it exists purely to eliminate per-vertex interface dispatch, not to
-// change semantics.
+// for a one-lane run) and off = the lane, and for an interval streamed
+// from disk a window of the same stride with the window's base folded
+// into off (lane l of a window starting at vertex b uses off = l-b*L).
+// curr/next hold the program's state for vertex v at index
+// int(v)*stride+off. The implementation must perform, per vertex in
+// ascending order, exactly the floating-point operations
+// Apply(v, curr[idx], next[idx]) would and store the result in
+// next[idx], returning whether any vertex changed — it exists purely to
+// eliminate per-vertex interface dispatch, not to change semantics.
 type LaneApplier interface {
 	ApplyLane(curr, next []float64, stride, off int, v0, v1 uint32) bool
 }

@@ -87,10 +87,16 @@ func (ln *lane) hasWork() bool { return slices.Contains(ln.active, true) }
 //	                write back (FromHub);
 //	apply phase   — finalize resident intervals and ping-pong swap.
 //
-// What one lane can do and several cannot is decided from L alone: a run
-// with L > 1 keeps every interval resident (Q = P whatever the engine's
-// strategy says), and SetMask and SetAttrs need L = 1. Lanes must share
-// one Zero value and one direction.
+// A run has this one shape at every width. The strategy follows the
+// memory budget with Ba·L bytes per vertex (see chooseStrategy), and the
+// on-disk intervals and hubs hold L lane-minor values per vertex and per
+// hub entry. Only SetMask and SetAttrs need L = 1. Lanes must share one
+// Zero value and one direction. A run over one replica (Forward or
+// Reverse) does not depend on Q — every destination folds its cells in
+// ascending source-interval order, resident or through a hub — so each
+// lane is bitwise equal to its one-lane run whatever Q either resolves
+// to; that covers every fused entry point. Over both replicas a sum fold
+// associates by Q, so there a lane equals the one-lane run with its Q.
 //
 // Sub-shard reads flow through the engine's shared block cache with a
 // double-buffered prefetch pipeline per phase (see prefetch.go): runs on
@@ -136,9 +142,8 @@ type Run struct {
 
 	mask *bitset.Set
 
-	attrs       *storage.AttrStore
-	hubs        [2]*storage.HubStore
-	hubRowValid [2][]bool
+	attrs *storage.AttrStore
+	hubs  [2]*storage.HubStore
 
 	// ov is the delta-overlay snapshot captured at construction (nil
 	// without pending deltas) and shared by every lane; ovOut/ovIn are its
@@ -158,9 +163,9 @@ type Run struct {
 	ctx      context.Context // nil outside StepContext
 	progress ProgressFunc
 
-	loadBuf []float64 // streamed interval attributes (row phase, Q < P)
-	accBuf  []float64 // column accumulator
-	oldBuf  []float64 // column old attributes
+	loadBuf []float64 // streamed interval attributes, L per vertex (row phase, Q < P)
+	accBuf  []float64 // column accumulator, L per vertex
+	oldBuf  []float64 // column old attributes, L per vertex
 
 	errMu    sync.Mutex
 	asyncErr error
@@ -189,10 +194,11 @@ func (e *Engine) NewRun(p Program, dir Direction) (*Run, error) {
 }
 
 // NewBatchRun initializes a run of the given programs, one lane each,
-// over the engine's store in direction dir. All programs must share the
-// same Zero value. The delta-overlay snapshot, if any, is captured once
-// and shared by every lane — callers fusing queries must ensure they may
-// legally observe the same graph version.
+// over the engine's store in direction dir, under the strategy the
+// memory budget allows L lanes (chooseStrategy). All programs must share
+// the same Zero value. The delta-overlay snapshot, if any, is captured
+// once and shared by every lane — callers fusing queries must ensure they
+// may legally observe the same graph version.
 func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 	L := len(ps)
 	if L == 0 {
@@ -202,10 +208,7 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 		return nil, err
 	}
 	m := e.store.Meta()
-	strat, q := SPU, m.P
-	if L == 1 {
-		strat, q = e.chooseStrategy()
-	}
+	strat, q := e.chooseStrategy(L)
 	zero := ps[0].Zero()
 	for l := 1; l < L; l++ {
 		if math.Float64bits(ps[l].Zero()) != math.Float64bits(zero) {
@@ -269,7 +272,7 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 	if q < m.P {
 		maxLen := 0
 		for k := 0; k < m.P; k++ {
-			maxLen = max(maxLen, m.IntervalLen(k))
+			maxLen = max(maxLen, m.IntervalLen(k)*L)
 		}
 		r.loadBuf = make([]float64, maxLen)
 		r.accBuf = make([]float64, maxLen)
@@ -405,18 +408,19 @@ func (r *Run) initAttrs() error {
 		return nil
 	}
 	var err error
-	if r.attrs, err = r.e.store.CreateAttrs(); err != nil {
+	if r.attrs, err = r.e.store.CreateAttrs(L); err != nil {
 		return err
 	}
-	ln := &r.lanes[0] // Q < P implies one lane
 	for k := r.q; k < P; k++ {
 		lo, hi := m.IntervalRange(k)
-		buf := r.loadBuf[:hi-lo]
+		buf := r.loadBuf[:int(hi-lo)*L]
 		for v := lo; v < hi; v++ {
-			attr, act := ln.p.Init(v)
-			buf[v-lo] = attr
-			if act {
-				ln.active[k] = true
+			for l := range r.lanes {
+				attr, act := r.lanes[l].p.Init(v)
+				buf[int(v-lo)*L+l] = attr
+				if act {
+					r.lanes[l].active[k] = true
+				}
 			}
 		}
 		if err := r.attrs.WriteInterval(k, buf); err != nil {
@@ -431,12 +435,11 @@ func (r *Run) openHubs() error {
 		return nil
 	}
 	for _, d := range r.dirsUsed() {
-		h, err := r.e.store.CreateHubs(d == 1)
+		h, err := r.e.store.CreateHubs(d == 1, len(r.lanes))
 		if err != nil {
 			return err
 		}
 		r.hubs[d] = h
-		r.hubRowValid[d] = make([]bool, r.e.store.Meta().P)
 	}
 	return nil
 }
@@ -572,40 +575,48 @@ func (r *Run) Attrs() ([]float64, error) {
 	return out[0], nil
 }
 
-// copyOut fills every non-nil out[l] with lane l's attributes.
+// copyOut fills every non-nil out[l] with lane l's attributes: the
+// resident slab, then each on-disk interval through loadBuf.
 func (r *Run) copyOut(out [][]float64) error {
 	m := r.e.store.Meta()
-	L, n := len(r.lanes), int(r.resEnd)
-	// Wide slabs copy out in vertex chunks: within a chunk the slab stays
-	// cache-resident while each lane's strided reads sweep it, and each
-	// lane's writes run sequentially — against both a full lane-major
-	// pass (strided reads miss on every vertex) and a vertex-major pass
-	// (re-walks all L slice headers per vertex).
-	const chunkV = 1 << 10 // ≈512KiB of slab per chunk at L=64
-	if L == 1 {
-		copy(out[0], r.curr)
+	L := len(r.lanes)
+	scatterLanes(out, r.curr, L, 0)
+	for k := r.q; k < m.P; k++ {
+		lo, hi := m.IntervalRange(k)
+		buf := r.loadBuf[:int(hi-lo)*L]
+		if err := r.attrs.ReadInterval(k, buf); err != nil {
+			return err
+		}
+		scatterLanes(out, buf, L, lo)
 	}
-	for v0 := 0; L > 1 && v0 < n; v0 += chunkV {
+	return nil
+}
+
+// scatterLanes copies the lane-minor window vals, whose first vertex is
+// lo, into every non-nil out[l]. Wide windows copy in vertex chunks:
+// within a chunk the window stays cache-resident while each lane's
+// strided reads sweep it, and each lane's writes run sequentially —
+// against both a full lane-major pass (strided reads miss on every
+// vertex) and a vertex-major pass (re-walks all L slice headers per
+// vertex).
+func scatterLanes(out [][]float64, vals []float64, L int, lo uint32) {
+	const chunkV = 1 << 10 // ≈512KiB of slab per chunk at L=64
+	n := len(vals) / L
+	for v0 := 0; v0 < n; v0 += chunkV {
 		v1 := min(v0+chunkV, n)
 		for l, a := range out {
 			if a == nil {
 				continue
 			}
+			if a = a[lo:]; L == 1 {
+				copy(a[v0:v1], vals[v0:v1])
+				continue
+			}
 			for v := v0; v < v1; v++ {
-				a[v] = r.curr[v*L+l]
+				a[v] = vals[v*L+l]
 			}
 		}
 	}
-	for k := r.q; k < m.P && out[0] != nil; k++ { // Q < P implies one lane
-		lo, hi := m.IntervalRange(k)
-		if lo == hi {
-			continue
-		}
-		if err := r.attrs.ReadInterval(k, out[0][lo:hi]); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // SetAttrs overwrites all vertex attributes of a one-lane run.

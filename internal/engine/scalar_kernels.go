@@ -8,11 +8,11 @@ import (
 )
 
 // This file holds the devirtualized one-lane gather kernels: what a Run
-// of a single program folds a sub-shard through (a wider run uses
-// batch_kernels.go). A Program that declares a KernelHint gets its
-// per-edge Gather/Sum pair compiled into a direct arithmetic loop — no
-// interface dispatch per edge — selected once per task at build time
-// (see Run.gatherTasks in step.go).
+// of a single program with a KernelHint folds a sub-shard through — the
+// L = 1 case of Run.gatherCell (batch_kernels.go), which measures faster
+// than the lane kernels at one lane (ADR-020). The program's per-edge
+// Gather/Sum pair is compiled into a direct arithmetic loop — no
+// interface dispatch per edge — selected once per call.
 //
 // Each hint maps to a scalarFold, the concrete fold loop for one
 // (Gather, Sum, Zero) triple. The mapping happens per sub-shard cell, so
@@ -22,8 +22,8 @@ import (
 // hoists the per-edge division into a scaled attribute view (see
 // refreshScaled).
 //
-// Every fold produces, per destination, the bits the generic gatherCSR
-// would: a left-associative fold over the destination's in-edges
+// Every fold produces, per destination, the bits the generic lane kernel
+// (gatherGeneric) would at one lane: a left-associative fold over the destination's in-edges
 // starting from Zero, then one Sum into the accumulator (or an
 // assignment into the hub array). The add-family folds perform exactly
 // those operations; their e = 1/2/3 unrolls write the chain out
@@ -81,7 +81,8 @@ func scalarFoldFor(hint KernelHint, weighted bool) scalarFold {
 }
 
 // sumFoldFor maps a hint to the fold of its Sum alone — the FromHub
-// kernel folds pre-gathered partials, so only the combine op matters.
+// kernel (Run.foldHub) folds pre-gathered partials, so only the combine
+// op matters.
 func sumFoldFor(hint KernelHint) scalarFold {
 	switch hint {
 	case KernelRankSum, KernelCountSum, KernelCopySum:
@@ -94,7 +95,7 @@ func sumFoldFor(hint KernelHint) scalarFold {
 	return foldNone
 }
 
-// gatherSpec is the specialized counterpart of gatherCSR: it folds
+// gatherSpec is the specialized counterpart of gatherGeneric: it folds
 // destinations [k0, k1) of ss with fold f. When hub is non-nil the
 // per-destination partial is assigned to hub[k] (the ToHub kernel);
 // otherwise it is Sum-folded into acc. The fold dispatch and the
@@ -360,29 +361,4 @@ func gatherDistMin(mask *bitset.Set, del delPred, ss *storage.SubShard, src view
 			acc.vals[d-acc.base] = min(acc.vals[d-acc.base], local)
 		}
 	}
-}
-
-// foldHubSpec is the specialized FromHub kernel: Sum pre-gathered hub
-// partials into the dense accumulator. Reports false when f has no
-// specialization.
-func foldHubSpec(f scalarFold, dsts []uint32, vals []float64, acc view, k0, k1 int) bool {
-	switch f {
-	case foldCopySum:
-		for k := k0; k < k1; k++ {
-			acc.vals[dsts[k]-acc.base] += vals[k]
-		}
-	case foldMin:
-		for k := k0; k < k1; k++ {
-			i := dsts[k] - acc.base
-			acc.vals[i] = min(acc.vals[i], vals[k])
-		}
-	case foldMax:
-		for k := k0; k < k1; k++ {
-			i := dsts[k] - acc.base
-			acc.vals[i] = max(acc.vals[i], vals[k])
-		}
-	default:
-		return false
-	}
-	return true
 }

@@ -213,12 +213,25 @@ func specialAttrs(rng *rand.Rand, n int, nan bool) []float64 {
 	return attrs
 }
 
+// refRun returns a bare run of the given programs, one lane each, for
+// driving its kernels directly: with KernelGeneric its gatherCell is the
+// generic lane kernel — the reference every fold is held to — and its
+// foldHub folds through the programs' Sum.
+func refRun(hint KernelHint, mask *bitset.Set, ps ...Program) *Run {
+	r := &Run{lanes: make([]lane, len(ps)), zero: ps[0].Zero(), hint: hint, mask: mask}
+	for l, p := range ps {
+		r.lanes[l].p = p
+	}
+	return r
+}
+
 // TestScalarKernelsMatchGeneric is the kernel-level bit-identity gate:
 // every specialized fold, across the CSR, ToHub and FromHub kernels,
 // with and without mask/tombstone filtering, must reproduce the generic
-// interface path exactly — on ordinary attributes
-// and on vectors of signed zeros, infinities, denormals and NaNs, where
-// the kernels' min/max builtins meet the programs' math.Min/math.Max.
+// interface path (the generic lane kernel at one lane) exactly — on
+// ordinary attributes and on vectors of signed zeros, infinities,
+// denormals and NaNs, where the kernels' min/max builtins meet the
+// programs' math.Min/math.Max.
 func TestScalarKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	normal := make([]float64, 96)
@@ -271,36 +284,37 @@ func checkScalarKernels(t *testing.T, rng *rand.Rand, attrs []float64) {
 				accA[v] = c.prog.zero
 				accB[v] = c.prog.zero
 			}
-			gatherCSR(c.prog, deg, fl.mask, fl.del, ss, src, view{accA, 0}, nil, 0, ss.NumDsts())
+			ref := refRun(KernelGeneric, fl.mask, c.prog)
+			ref.gatherCell(ss, deg, fl.del, src, view{accA, 0}, nil, lane0, true, make([]float64, 1), 0, ss.NumDsts())
 			gatherSpec(c.f, fl.mask, fl.del, ss, src, view{accB, 0}, nil, 0, ss.NumDsts())
 			assertSameBits(t, name+"/csr", accA, accB)
 
 			hubA := make([]float64, ss.NumDsts())
 			hubB := make([]float64, ss.NumDsts())
-			gatherCSR(c.prog, deg, fl.mask, fl.del, ss, src, view{}, hubA, 0, ss.NumDsts())
+			ref.gatherCell(ss, deg, fl.del, src, view{}, hubA, lane0, true, make([]float64, 1), 0, ss.NumDsts())
 			gatherSpec(c.f, fl.mask, fl.del, ss, src, view{}, hubB, 0, ss.NumDsts())
 			assertSameBits(t, name+"/hub", hubA, hubB)
 		}
 
 		// FromHub: only Sum matters, so exercise the sum fold over the
 		// hub partials just produced.
-		if sf := sumFoldFor(hintForFold(c.f)); sf != foldNone {
+		if hint := hintForFold(c.f); sumFoldFor(hint) != foldNone {
 			hub := make([]float64, ss.NumDsts())
-			gatherCSR(c.prog, deg, nil, nil, ss, src, view{}, hub, 0, ss.NumDsts())
+			gatherSpec(c.f, nil, nil, ss, src, view{}, hub, 0, ss.NumDsts())
 			accA := make([]float64, n)
 			accB := make([]float64, n)
 			for v := range accA {
 				accA[v] = c.prog.zero
 				accB[v] = c.prog.zero
 			}
-			foldHub(c.prog, ss.Dsts, hub, view{accA, 0}, 0, ss.NumDsts())
-			if !foldHubSpec(sf, ss.Dsts, hub, view{accB, 0}, 0, ss.NumDsts()) {
-				t.Fatalf("%s: no foldHub specialization", c.name)
-			}
+			refRun(KernelGeneric, nil, c.prog).foldHub(ss.Dsts, hub, view{accA, 0}, lane0, 0, ss.NumDsts())
+			refRun(hint, nil, c.prog).foldHub(ss.Dsts, hub, view{accB, 0}, lane0, 0, ss.NumDsts())
 			assertSameBits(t, c.name+"/foldHub", accA, accB)
 		}
 	}
 }
+
+var lane0 = []int{0}
 
 // hintForFold inverts scalarFoldFor far enough for the FromHub check:
 // any hint whose Sum matches the fold's combine.
@@ -395,8 +409,12 @@ func benchSubShard(rng *rand.Rand, n, numDsts int) *storage.SubShard {
 
 // BenchmarkGatherKernel compares the generic interface-dispatch gather
 // against the devirtualized folds on one sub-shard of 8192 destinations
-// (about 48k edges) with the run-length mix of a real cell. It reports
-// ns/edge, the unit of the benchmark ledger's
+// (about 48k edges) with the run-length mix of a real cell. The lane/
+// rows run the lane kernels of the two fused hints — copy-sum over a
+// scaled view (RankSum) and hop-min — at L = 1, against the scalar
+// spec/copySum and spec/hopMin arms a one-lane run takes instead, and
+// at L = 16 over every lane. It reports ns/edge (all lanes of an edge
+// together), the unit of the benchmark ledger's
 // engine.gather_self_ns_per_edge.
 func BenchmarkGatherKernel(b *testing.B) {
 	const n = 1 << 13
@@ -420,8 +438,9 @@ func BenchmarkGatherKernel(b *testing.B) {
 			continue // weight array omitted; distMin is covered by the equivalence tests
 		}
 		b.Run("generic/"+c.name, func(b *testing.B) {
+			r, local := refRun(KernelGeneric, nil, c.prog), make([]float64, 1)
 			for i := 0; i < b.N; i++ {
-				gatherCSR(c.prog, deg, nil, nil, ss, src, view{acc, 0}, nil, 0, ss.NumDsts())
+				r.gatherCell(ss, deg, nil, src, view{acc, 0}, nil, lane0, true, local, 0, ss.NumDsts())
 			}
 			nsPerEdge(b)
 		})
@@ -431,6 +450,87 @@ func BenchmarkGatherKernel(b *testing.B) {
 			}
 			nsPerEdge(b)
 		})
+	}
+	for _, L := range []int{1, 16} {
+		lanes, ps := make([]int, L), make([]Program, L)
+		slab, accL := make([]float64, n*L), make([]float64, n*L)
+		for l := range lanes {
+			lanes[l], ps[l] = l, &foldTestProg{zero: math.Inf(1)}
+		}
+		for x := range slab {
+			slab[x] = attrs[x/L]
+		}
+		r, local := refRun(KernelGeneric, nil, ps...), make([]float64, L)
+		b.Run(fmt.Sprintf("lane/rankSum/L%d", L), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.gatherRankSum(ss, nil, view{slab, 0}, view{accL, 0}, nil, lanes, true, local, 0, ss.NumDsts())
+			}
+			nsPerEdge(b)
+		})
+		b.Run(fmt.Sprintf("lane/hopMin/L%d", L), func(b *testing.B) {
+			for i := 0; i < b.N; i++ {
+				r.gatherMin(ss, nil, view{slab, 0}, view{accL, 0}, nil, lanes, true, local, 0, ss.NumDsts(), false)
+			}
+			nsPerEdge(b)
+		})
+	}
+}
+
+// TestLaneKernelsMatchGeneric holds the hinted lane kernels to the
+// generic lane kernel at width 4: over source and accumulator windows
+// whose base is not 0, into the accumulator and into hub entries, for a
+// contiguous lane run, a shorter one and a lane list with a gap, with
+// and without a tombstone predicate.
+func TestLaneKernelsMatchGeneric(t *testing.T) {
+	const n, L, base = 96, 4, 40
+	rng := rand.New(rand.NewSource(5))
+	deg := make([]uint32, base+n)
+	slab := make([]float64, n*L)
+	for x := range slab {
+		slab[x] = rng.Float64() // ranks and distances: never -0
+	}
+	for v := range deg {
+		deg[v] = uint32(1 + rng.Intn(5))
+	}
+	del := func(s, d uint32) bool { return (s+d)%3 == 0 }
+	add := func(a, b float64) float64 { return a + b }
+	cases := []struct {
+		hint     KernelHint
+		prog     *foldTestProg
+		weighted bool
+	}{
+		{KernelRankSum, &foldTestProg{0, func(a float64, _ uint32, _ float32) float64 { return a }, add}, false},
+		{KernelHopMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, _ float32) float64 { return a + 1 }, math.Min}, false},
+		{KernelDistMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, w float32) float64 { return a + float64(w) }, math.Min}, true},
+	}
+	for _, c := range cases {
+		ss := makeTestSubShard(rng, n, 48, c.weighted)
+		for x := range ss.Srcs {
+			ss.Srcs[x] += base
+		}
+		for x := range ss.Dsts {
+			ss.Dsts[x] += base
+		}
+		ps := []Program{c.prog, c.prog, c.prog, c.prog}
+		spec, ref := refRun(c.hint, nil, ps...), refRun(KernelGeneric, nil, ps...)
+		for _, lanes := range [][]int{{0, 1, 2, 3}, {1, 2}, {0, 2, 3}} {
+			contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
+			for _, dl := range []delPred{nil, del} {
+				name := fmt.Sprintf("hint%d/lanes%v/del=%v", c.hint, lanes, dl != nil)
+				src := view{slab, base}
+				accA, accB := make([]float64, n*L), make([]float64, n*L)
+				fill(accA, c.prog.zero)
+				fill(accB, c.prog.zero)
+				hubA, hubB := make([]float64, ss.NumDsts()*L), make([]float64, ss.NumDsts()*L)
+				local := make([]float64, len(lanes))
+				ref.gatherCell(ss, deg, dl, src, view{accA, base}, nil, lanes, contig, local, 0, ss.NumDsts())
+				spec.gatherCell(ss, deg, dl, src, view{accB, base}, nil, lanes, contig, local, 0, ss.NumDsts())
+				assertSameBits(t, name+"/acc", accA, accB)
+				ref.gatherCell(ss, deg, dl, src, view{}, hubA, lanes, contig, local, 0, ss.NumDsts())
+				spec.gatherCell(ss, deg, dl, src, view{}, hubB, lanes, contig, local, 0, ss.NumDsts())
+				assertSameBits(t, name+"/hub", hubA, hubB)
+			}
+		}
 	}
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"context"
 	"fmt"
+	"slices"
 	"sync/atomic"
 	"time"
 
@@ -113,39 +114,32 @@ func (r *Run) step() (bool, error) {
 	for _, d := range dirs {
 		resident[d] = r.srcView(d)
 	}
-	rowLanes := make([]int, 0, len(lanes))
+	aggregates := slices.ContainsFunc(lanes, func(l int) bool { return r.lanes[l].agg != nil })
 	for i := 0; i < P; i++ {
 		if err := r.checkCtx(); err != nil {
 			return false, err
 		}
-		rowLanes = rowLanes[:0]
-		for _, l := range lanes {
-			if r.lanes[l].active[i] {
-				rowLanes = append(rowLanes, l)
-			}
-		}
+		rowLanes := r.activeLanes(lanes, i)
 		src := resident
-		if i >= Q { // streamed interval: one lane
-			ln := &r.lanes[0]
-			for _, d := range dirs {
-				r.hubRowValid[d][i] = len(rowLanes) > 0
-			}
-			if len(rowLanes) == 0 && ln.agg == nil {
+		if i >= Q { // streamed interval: every lane's attributes in one read
+			if len(rowLanes) == 0 && !aggregates {
 				continue
 			}
 			lo, hi := m.IntervalRange(i)
-			buf := r.loadBuf[:hi-lo]
+			buf := r.loadBuf[:int(hi-lo)*L]
 			if err := r.attrs.ReadInterval(i, buf); err != nil {
 				return false, err
 			}
-			if ln.agg != nil {
-				ln.aggVal = foldAggregate(ln.agg, ln.aggVal, buf, 1, 0, lo, r.primaryDeg())
+			for _, l := range lanes {
+				if ln := &r.lanes[l]; ln.agg != nil {
+					ln.aggVal = foldAggregate(ln.agg, ln.aggVal, buf, L, l, lo, r.primaryDeg())
+				}
 			}
 			for _, d := range dirs {
 				src[d] = view{buf, lo}
 				if r.useScaled {
-					sbuf := r.scaledBuf[d][:hi-lo]
-					refreshScaled(sbuf, buf, r.degOf(d)[lo:hi], 1, 0, hi-lo)
+					sbuf := r.scaledBuf[d][:len(buf)]
+					refreshScaled(sbuf, buf, r.degOf(d)[lo:hi], L, 0, hi-lo)
 					src[d] = view{sbuf, lo}
 				}
 			}
@@ -173,18 +167,16 @@ func (r *Run) step() (bool, error) {
 	// row phase (the column-major reads are the seekiest of the step).
 	// The loop iterates the plans themselves, so the pipeline's
 	// consume-in-plan-order contract holds by construction.
-	colPlans := r.colPlans(dirs)
+	colPlans := r.colPlans(dirs, lanes)
 	colPipe := r.newPipeline(colPlans)
 	defer colPipe.drain()
 	for _, plan := range colPlans {
 		if err := r.checkCtx(); err != nil {
 			return false, err
 		}
-		changed, err := r.processColumn(plan.id, dirs, plan.touched, colPipe.take(plan.id))
-		if err != nil {
+		if err := r.processColumn(plan.id, dirs, lanes, activeNext, colPipe.take(plan.id)); err != nil {
 			return false, err
 		}
-		activeNext[0][plan.id] = changed
 	}
 
 	// Apply phase for resident intervals, then ping-pong swap.
@@ -332,7 +324,7 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 				continue
 			}
 			if base {
-				vals := make([]float64, ss.NumDsts())
+				vals := make([]float64, ss.NumDsts()*len(r.lanes))
 				free = append(free, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], view{}, vals, func() {
 					if err := r.hubs[d].Write(i, j, ss.Dsts, vals); err != nil {
 						r.setErr(err)
@@ -363,51 +355,25 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 }
 
 // gatherTasks builds the fine-grained tasks that fold sub-shard ss of
-// traversal flag d into every lane in lanes: into the dense accumulator
-// acc, or — hub non-nil, the ToHub side of a one-lane run — into
-// per-destination partials hub (parallel to ss.Dsts), with done (may be
-// nil) run once the last chunk completes (the callback mechanism). src
-// is the source view the kernels read (srcView, or a streamed interval).
+// traversal flag d into every lane in lanes: into the accumulator window
+// acc, or — hub non-nil, the ToHub side — into per-destination partials
+// hub (L lane-minor values per entry of ss.Dsts), with done (may be nil)
+// run once the last chunk completes (the callback mechanism). src is the
+// source window the kernels read (srcView, or a streamed interval).
 //
 // tombs is the cell's resolved tombstones (nil for overlay cells and base
 // cells without pending removals): each task walks its destinations as
 // clean runs and single dirty destinations, so only the latter see a
-// predicate. The kernel family is chosen here from what the run is — one
-// lane folds through the devirtualized scalar loops (or the generic
-// interface kernels without a hint), several through the lane kernels —
-// and chunk boundaries balance edges, not destinations, so a hub
+// predicate. Chunk boundaries balance edges, not destinations, so a hub
 // destination does not serialize its whole chunk's worth of sparse
 // neighbours behind it.
 func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, acc view, hub []float64, done func(), lanes []int) []func() {
 	deg := r.degOf(d)
-	var body func(k0, k1 int) // one task: destinations [k0, k1)
-	if len(r.lanes) == 1 {
-		p := r.lanes[0].p
-		f := scalarFoldFor(r.hint, ss.Weights != nil)
-		kernel := func(del delPred, k0, k1 int) {
-			if f != foldNone {
-				gatherSpec(f, r.mask, del, ss, src, acc, hub, k0, k1)
-			} else {
-				gatherCSR(p, deg, r.mask, del, ss, src, acc, hub, k0, k1)
-			}
-		}
-		body = func(k0, k1 int) { tombs.gather(k0, k1, kernel) }
-	} else {
-		// contig: lanes is a run of consecutive lane ids, letting the
-		// specialized kernels slice the slabs directly instead of
-		// indirecting through the lane list. This is the common shape for
-		// dense programs (PPR lanes never deactivate).
-		contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
-		body = func(k0, k1 int) {
-			// One task is one or more gatherCell calls (a dirty
-			// destination splits its chunk), all sharing the task's
-			// per-destination buffer.
-			local := make([]float64, len(lanes))
-			tombs.gather(k0, k1, func(del delPred, k0, k1 int) {
-				r.gatherCell(ss, deg, src.vals, del, lanes, contig, local, k0, k1)
-			})
-		}
-	}
+	// contig: lanes is a run of consecutive lane ids, letting the lane
+	// kernels slice the slabs directly instead of indirecting through the
+	// lane list. This is the common shape for dense programs (PPR lanes
+	// never deactivate).
+	contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
 	bounds := edgeChunkRanges(ss.Offsets, r.chunkCost)
 	var pending atomic.Int32
 	pending.Store(int32(len(bounds) - 1))
@@ -415,7 +381,13 @@ func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, ac
 	for c := 0; c < len(bounds)-1; c++ {
 		k0, k1 := bounds[c], bounds[c+1]
 		tasks = append(tasks, func() {
-			body(k0, k1)
+			// One task is one or more gatherCell calls (a dirty
+			// destination splits its chunk), all sharing the task's
+			// per-lane buffer.
+			local := make([]float64, len(lanes))
+			tombs.gather(k0, k1, func(del delPred, k0, k1 int) {
+				r.gatherCell(ss, deg, del, src, acc, hub, lanes, contig, local, k0, k1)
+			})
 			if pending.Add(-1) == 0 && done != nil {
 				done()
 			}
@@ -424,20 +396,18 @@ func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, ac
 	return tasks
 }
 
-// columnTouched reports whether any contribution can reach on-disk
-// destination interval j this iteration.
-func (r *Run) columnTouched(j int, dirs []int) bool {
-	P, Q := r.e.store.Meta().P, r.q
-	active := r.lanes[0].active
+// applies reports whether lane l runs Apply over interval j this
+// iteration: the lane is dense, or an interval of its frontier has edges
+// into j. Elsewhere Apply would see only Zero, so the lane's attributes
+// carry forward.
+func (r *Run) applies(l, j int, dirs []int) bool {
+	ln := &r.lanes[l]
+	if ln.dense {
+		return true
+	}
 	for _, d := range dirs {
-		infos := r.subShardInfosFor(d)
-		for i := 0; i < Q; i++ {
-			if active[i] && r.cellHasEdges(d, i, j) {
-				return true
-			}
-		}
-		for i := Q; i < P; i++ {
-			if r.hubRowValid[d][i] && (infos[i*P+j].Dsts > 0 || r.ovCell(d, i, j) != nil) {
+		for i, a := range ln.active {
+			if a && r.cellHasEdges(d, i, j) {
 				return true
 			}
 		}
@@ -445,96 +415,113 @@ func (r *Run) columnTouched(j int, dirs []int) bool {
 	return false
 }
 
+// activeLanes lists the lanes among lanes whose frontier holds interval i.
+func (r *Run) activeLanes(lanes []int, i int) []int {
+	var out []int
+	for _, l := range lanes {
+		if r.lanes[l].active[i] {
+			out = append(out, l)
+		}
+	}
+	return out
+}
+
 // processColumn runs the FromHub side for on-disk destination interval j
-// (one-lane runs only — wider runs keep every interval resident): gather
-// resident-source sub-shards, fold hubs, apply, and persist. blocks is
-// the column's prefetched batch; processColumn owns it.
-func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch) (bool, error) {
+// for the participating lanes: gather resident-source sub-shards and fold
+// hubs, each for the lanes whose frontier holds the source interval (the
+// row phase wrote exactly those lanes' hub partials), then apply, record
+// each lane's changes in activeNext and persist every lane. blocks is the
+// column's prefetched batch; processColumn owns it.
+func (r *Run) processColumn(j int, dirs, lanes []int, activeNext [][]bool, blocks *fetchBatch) error {
 	defer blocks.release()
 	if err := r.waitBatch(blocks, "col-", j); err != nil {
-		return false, err
+		return err
 	}
 	if r.tr != nil {
 		gsp := r.tr.Start(trace.KindGather, spanName("col-", j), r.iterSpanID.Load())
 		defer r.tr.End(gsp)
 	}
 	m := r.e.store.Meta()
-	P, Q := m.P, r.q
+	P, Q, L := m.P, r.q, len(r.lanes)
 	lo, hi := m.IntervalRange(j)
 	if lo == hi {
-		return false, nil
+		return nil
 	}
-	ln := &r.lanes[0]
-	lane0 := []int{0}
-	acc := r.accBuf[:hi-lo]
+	acc := r.accBuf[:int(hi-lo)*L]
 	fill(acc, r.zero)
 	accV := view{acc, lo}
-	if touched {
-		for _, d := range dirs {
-			infos := r.subShardInfosFor(d)
-			for i := 0; i < Q; i++ {
-				if !ln.active[i] {
-					continue
-				}
-				if infos[i*P+j].Edges > 0 {
+	gather := func(ss *storage.SubShard, d int, tombs *cellTombs, lanes []int) {
+		r.countEdges(lanes, ss.NumEdges())
+		tasks := r.gatherTasks(ss, d, tombs, r.srcView(d), accV, nil, nil, lanes)
+		parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
+	}
+	for _, d := range dirs {
+		infos := r.subShardInfosFor(d)
+		for i := 0; i < P; i++ {
+			colLanes := r.activeLanes(lanes, i)
+			if len(colLanes) == 0 {
+				continue
+			}
+			base, ovc := infos[i*P+j].Edges > 0, r.ovCell(d, i, j)
+			if i < Q {
+				if base {
 					ss, err := batchSubShard(blocks, cellID{d, i, j})
 					if err != nil {
-						return false, err
+						return err
 					}
-					r.countEdges(lane0, ss.NumEdges())
-					tasks := r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), r.srcView(d), accV, nil, nil, lane0)
-					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
+					gather(ss, d, cellTombsOf(r.ov, d, i, j, ss), colLanes)
 				}
-				if ovc := r.ovCell(d, i, j); ovc != nil {
-					r.countEdges(lane0, ovc.NumEdges())
-					tasks := r.gatherTasks(ovc, d, nil, r.srcView(d), accV, nil, nil, lane0)
-					parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
+				if ovc != nil {
+					gather(ovc, d, nil, colLanes)
 				}
+				continue
 			}
-			for i := Q; i < P; i++ {
-				if !r.hubRowValid[d][i] {
-					continue
+			if base {
+				dsts, vals, err := r.hubs[d].Read(i, j)
+				if err != nil {
+					return err
 				}
-				if infos[i*P+j].Dsts > 0 {
-					dsts, vals, err := r.hubs[d].Read(i, j)
-					if err != nil {
-						return false, err
-					}
-					bounds := chunkRanges(len(dsts), r.chunk)
-					parallelFor(r.threads, len(bounds)-1, func(c int) {
-						r.foldHubRange(dsts, vals, accV, bounds[c], bounds[c+1])
-					})
-				}
-				if ovc := r.ovCell(d, i, j); ovc != nil {
-					// Fold the in-memory overlay partials written by this
-					// iteration's row phase (hubRowValid guarantees the
-					// row ran, so the array is populated).
-					r.foldHubRange(ovc.Dsts, r.ovHub[d][i*P+j], accV, 0, ovc.NumDsts())
-				}
+				bounds := chunkRanges(len(dsts), r.chunk)
+				parallelFor(r.threads, len(bounds)-1, func(c int) {
+					r.foldHub(dsts, vals, accV, colLanes, bounds[c], bounds[c+1])
+				})
 			}
-			if err := r.takeErr(); err != nil {
-				return false, err
+			if ovc != nil {
+				// The in-memory overlay partials this iteration's row
+				// phase wrote for the same lanes.
+				r.foldHub(ovc.Dsts, r.ovHub[d][i*P+j], accV, colLanes, 0, ovc.NumDsts())
 			}
 		}
+		if err := r.takeErr(); err != nil {
+			return err
+		}
 	}
-	old := r.oldBuf[:hi-lo]
+	old := r.oldBuf[:len(acc)]
 	if err := r.attrs.ReadInterval(j, old); err != nil {
-		return false, err
+		return err
+	}
+	applies := make([]bool, L)
+	for _, l := range lanes {
+		applies[l] = r.applies(l, j, dirs)
 	}
 	bounds := chunkRanges(int(hi-lo), r.chunk)
-	changed := make([]bool, len(bounds)-1)
+	changed := make([]bool, (len(bounds)-1)*L)
 	parallelFor(r.threads, len(bounds)-1, func(c int) {
-		v0, v1 := lo+uint32(bounds[c]), lo+uint32(bounds[c+1])
-		changed[c] = r.applyChunk(ln, old, acc, 1, -int(lo), v0, v1)
+		for l := range r.lanes {
+			if applies[l] {
+				v0, v1 := lo+uint32(bounds[c]), lo+uint32(bounds[c+1])
+				changed[c*L+l] = r.applyChunk(&r.lanes[l], old, acc, L, l-int(lo)*L, v0, v1)
+			} else {
+				copyLane(old, acc, L, l, uint32(bounds[c]), uint32(bounds[c+1]))
+			}
+		}
 	})
-	anyChanged := false
-	for _, c := range changed {
-		anyChanged = anyChanged || c
+	for x, ch := range changed {
+		if ch {
+			activeNext[x%L][j] = true
+		}
 	}
-	if err := r.attrs.WriteInterval(j, acc); err != nil {
-		return false, err
-	}
-	return anyChanged, nil
+	return r.attrs.WriteInterval(j, acc)
 }
 
 // applyResident finalizes resident intervals for the participating
@@ -551,19 +538,12 @@ func (r *Run) processColumn(j int, dirs []int, touched bool, blocks *fetchBatch)
 // step() needs no separate sweep for either.
 func (r *Run) applyResident(lanes, dirs []int, activeNext [][]bool) {
 	m := r.e.store.Meta()
-	P, Q, L := m.P, r.q, len(r.lanes)
+	Q, L := r.q, len(r.lanes)
 	// applies[j*L+l]: does lane l Apply over interval j?
 	applies := make([]bool, Q*L)
 	for _, l := range lanes {
-		ln := &r.lanes[l]
 		for j := 0; j < Q; j++ {
-			apply := ln.dense
-			for _, d := range dirs {
-				for i := 0; i < P && !apply; i++ {
-					apply = ln.active[i] && r.cellHasEdges(d, i, j)
-				}
-			}
-			applies[j*L+l] = apply
+			applies[j*L+l] = r.applies(l, j, dirs)
 		}
 	}
 	type task struct {
@@ -607,8 +587,9 @@ func (r *Run) applyResident(lanes, dirs []int, activeNext [][]bool) {
 
 // applyChunk applies lane ln's vertices [v0, v1): old and acc hold the
 // lane's attribute and accumulated contribution of vertex v at index
-// int(v)*stride+off (a slab lane, or a window with base b as stride 1,
-// off -b), and the new attribute replaces the contribution in acc. With
+// int(v)*stride+off (lane l of a slab as stride L, off l, or of a window
+// with base b as off l-b*L), and the new attribute replaces the
+// contribution in acc. With
 // no mask installed it uses the program's LaneApplier to skip per-vertex
 // interface dispatch.
 func (r *Run) applyChunk(ln *lane, old, acc []float64, stride, off int, v0, v1 uint32) bool {
@@ -688,11 +669,28 @@ func foldAggregate(a GlobalAggregator, val float64, vals []float64, stride, off 
 	return val
 }
 
-// foldHubRange folds hub partials [k0, k1) into the accumulator through
-// the devirtualized Sum loop when the kernel hint pins Sum's form, the
-// generic per-entry path otherwise.
-func (r *Run) foldHubRange(dsts []uint32, vals []float64, acc view, k0, k1 int) {
-	if !foldHubSpec(sumFoldFor(r.hint), dsts, vals, acc, k0, k1) {
-		foldHub(r.lanes[0].p, dsts, vals, acc, k0, k1)
+// foldHub folds hub entries [k0, k1) — L lane-minor partials each — of
+// the given lanes into the accumulator window: the FromHub kernel. The
+// Sum a kernel hint pins folds as a builtin, anything else through the
+// lane's Program.
+func (r *Run) foldHub(dsts []uint32, vals []float64, acc view, lanes []int, k0, k1 int) {
+	L, f := len(r.lanes), sumFoldFor(r.hint)
+	ao := -int(acc.base) * L
+	for k := k0; k < k1; k++ {
+		db := int(dsts[k])*L + ao
+		for _, l := range lanes {
+			a, v := acc.vals[db+l], vals[k*L+l]
+			switch f {
+			case foldCopySum:
+				a += v
+			case foldMin:
+				a = min(a, v)
+			case foldMax:
+				a = max(a, v)
+			default:
+				a = r.lanes[l].p.Sum(a, v)
+			}
+			acc.vals[db+l] = a
+		}
 	}
 }

@@ -217,9 +217,9 @@ func planTombstones(t *testing.T, st *storage.Store) tombPlan {
 }
 
 // sumProg is a hint-free sum-based program: it drives the generic
-// interface kernels (gatherCSR, to accumulator and hub, and
-// gatherGeneric) with a
-// non-associative fold that also reads degrees and weights.
+// interface kernel (gatherGeneric, to accumulator and hub, at every
+// width) with a non-associative fold that also reads degrees and
+// weights.
 type sumProg struct{ seed uint32 }
 
 func (p sumProg) Name() string  { return "generic-sum" }
@@ -403,6 +403,8 @@ func TestTombstoneEquivalence(t *testing.T) {
 		// and run its schedule, one whole-cell task per sub-shard (ADR-016).
 		"spu-lock": {Threads: 3, Strategy: engine.SPU, ChunkDsts: tombWhole},
 		"mpu-lock": {Threads: 3, Strategy: engine.MPU, MemoryBudget: nv * engine.Ba, ChunkDsts: tombWhole},
+		// Q = P at one lane, Q = 2 of 4 at width 3: a wide MPU run.
+		"mpu-wide": {Threads: 3, Strategy: engine.MPU, MemoryBudget: 3 * nv * engine.Ba, ChunkDsts: tombChunk},
 	}
 	// Roots: spread over the intervals, including sources of removed
 	// edges, so every lane's frontier crosses tombstoned cells.
@@ -435,18 +437,6 @@ func TestTombstoneEquivalence(t *testing.T) {
 		}
 		return ps
 	}
-	// A wide run always sweeps SPU-style, so its oracle is the SPU run on
-	// the compacted store whatever the config says (a sum fold over both
-	// replicas associates differently under the hub strategies; the min
-	// folds and forward runs do not care).
-	eSPU, err := engine.New(rb, configs["spu"])
-	if err != nil {
-		t.Fatal(err)
-	}
-	wantWide := make([][][]float64, len(families))
-	for x, f := range families {
-		wantWide[x] = runEach(t, eSPU, progs(f, len(roots), true), f.dir, f.iters)
-	}
 	for name, cfg := range configs {
 		t.Run(name, func(t *testing.T) {
 			eOv, err := engine.New(st, cfg)
@@ -458,15 +448,27 @@ func TestTombstoneEquivalence(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			for x, f := range families {
-				// One lane follows the config's strategy, so its oracle
-				// is the same config on the compacted store.
+			// A run of width w resolves its Q from the budget over its
+			// width, and a sum fold over both replicas associates by Q,
+			// so the oracle of width w is the same config on the
+			// compacted store with budget BM/w: one lane there resolves
+			// the same Q. One lane's oracle is the config itself.
+			eRbW := map[int]*engine.Engine{1: eRb}
+			for _, w := range []int{3, 16} {
+				cw := cfg
+				cw.MemoryBudget /= int64(w)
+				if eRbW[w], err = engine.New(rb, cw); err != nil {
+					t.Fatal(err)
+				}
+			}
+			for _, f := range families {
 				want := runEach(t, eRb, progs(f, 4, true), f.dir, f.iters)
 				got := runEach(t, eOv, progs(f, 4, false), f.dir, f.iters)
 				sameBits(t, f.name+" width1", got, want)
 				for _, w := range []int{3, 16} {
 					got := runLanes(t, eOv, progs(f, w, false), f.dir, f.iters)
-					sameBits(t, fmt.Sprintf("%s width%d", f.name, w), got, wantWide[x][:w])
+					want := runEach(t, eRbW[w], progs(f, w, true), f.dir, f.iters)
+					sameBits(t, fmt.Sprintf("%s width%d", f.name, w), got, want)
 				}
 			}
 			// The whole-graph rank program (global aggregate, scaled

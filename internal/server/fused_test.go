@@ -299,3 +299,56 @@ func TestFusedDisabled(t *testing.T) {
 		})
 	}
 }
+
+// TestFusedRunFollowsMemoryBudget: the memory budget bounds a fused run
+// as it bounds a lone one. A graph whose budget is 4·n·8 bytes — two
+// lanes' ping-pong — runs a coalesced batch of four PPR jobs as MPU with
+// Q = ⌊4·n·8 / (2·n·8·4) · P⌋ = 2 of the store's P = 4, and every job's
+// values still equal a sequential run bit for bit.
+func TestFusedRunFollowsMemoryBudget(t *testing.T) {
+	dir := buildStoreDir(t, 9)
+	gr := oracleGraph(t)
+	s := New(Config{Workers: 1})
+	if err := s.OpenGraph("lean", dir, nxgraph.Options{MemoryBudget: 4 * int64(gr.NumVertices()) * 8}); err != nil {
+		t.Fatal(err)
+	}
+	ts := httptest.NewServer(s.Handler())
+	t.Cleanup(func() {
+		ts.Close()
+		s.Close()
+	})
+	if gr.P() != 4 {
+		t.Fatalf("test store has P = %d, want 4", gr.P())
+	}
+	e, _ := s.reg.get("lean")
+	release := holdRunSlot(s, e)
+	roots := []uint32{1, 2, 3, 4}
+	ids := make([]string, len(roots))
+	for i, r := range roots {
+		ids[i] = submit(t, ts, "lean", "ppr", map[string]any{"root": r})
+	}
+	release()
+	for i, id := range ids {
+		b := pollUntil(t, ts, id, terminal)
+		if b["state"] != "done" || fusedWidth(b) != len(roots) {
+			t.Fatalf("job %s: state %v fused_width %d, want done at width %d (%v)", id, b["state"], fusedWidth(b), len(roots), b["error"])
+		}
+		code, res := doJSON(t, "GET", ts.URL+"/v1/jobs/"+id+"/result?top=1", nil)
+		if code != 200 || res["strategy"] != "mpu" {
+			t.Fatalf("job %s: status %d, strategy %v; want mpu", id, code, res["strategy"])
+		}
+		want, err := gr.PersonalizedPageRank(roots[i], 0.85, 20)
+		if err != nil {
+			t.Fatal(err)
+		}
+		got := fusedResultValues(t, ts, id)
+		if len(got) != len(want.Attrs) {
+			t.Fatalf("root %d: %d values, want %d", roots[i], len(got), len(want.Attrs))
+		}
+		for v := range got {
+			if math.Float64bits(got[v]) != math.Float64bits(want.Attrs[v]) {
+				t.Fatalf("root %d vertex %d: fused %v, sequential %v", roots[i], v, got[v], want.Attrs[v])
+			}
+		}
+	}
+}

@@ -16,22 +16,23 @@ import (
 // interval.
 //
 // Each hub has a fixed region in the hub file, sized from the sub-shard's
-// distinct-destination count, so a hub entry costs Ba+Bv bytes exactly as
-// in the paper's I/O model (Table II). Like AttrStore, a HubStore is one
-// run's private scratch file: concurrent runs on a store never share hubs.
+// distinct-destination count; an entry holds the destination id and one
+// partial per lane, Bv + L·Ba bytes as in the paper's I/O model (Table
+// II) with Ba·L bytes per vertex. Like AttrStore, a HubStore is one run's
+// private scratch file: concurrent runs on a store never share hubs.
 type HubStore struct {
 	f       *diskio.File
 	meta    *Meta
+	lanes   int
+	entry   int64   // bytes per entry: uint32 dst id (Bv = 4) + L float64 values
 	offsets []int64 // P*P+1 region boundaries, row-major index i*P+j
 	infos   []SubShardInfo
 }
 
-const hubEntryBytes = 12 // uint32 dst id (Bv=4) + float64 value (Ba=8)
-
 // CreateHubs creates one run's hub file for the forward or transposed
-// sub-shard set, in the store's directory and on its disk. A hub must be
-// written before it is read.
-func (s *Store) CreateHubs(transpose bool) (*HubStore, error) {
+// sub-shard set and the given number of lanes, in the store's directory
+// and on its disk. A hub must be written before it is read.
+func (s *Store) CreateHubs(transpose bool, lanes int) (*HubStore, error) {
 	infos := s.meta.SubShards
 	if transpose {
 		if !s.meta.HasTranspose {
@@ -39,40 +40,42 @@ func (s *Store) CreateHubs(transpose bool) (*HubStore, error) {
 		}
 		infos = s.meta.TSubShards
 	}
-	P := s.meta.P
+	P, entry := s.meta.P, 4+8*int64(lanes)
 	offsets := make([]int64, P*P+1)
 	for k, info := range infos {
-		offsets[k+1] = offsets[k] + info.Dsts*hubEntryBytes
+		offsets[k+1] = offsets[k] + info.Dsts*entry
 	}
 	f, err := s.disk.CreateScratch(s.dir)
 	if err != nil {
 		return nil, err
 	}
-	return &HubStore{f: f, meta: &s.meta, offsets: offsets, infos: infos}, nil
+	return &HubStore{f: f, meta: &s.meta, lanes: lanes, entry: entry, offsets: offsets, infos: infos}, nil
 }
 
 // Close releases the hub file, and with it the file's bytes.
 func (h *HubStore) Close() error { return h.f.Close() }
 
-// Write stores hub H[i][j]: parallel slices of destination ids and
-// accumulated values, exactly as many as the sub-shard's distinct
-// destinations.
+// Write stores hub H[i][j]: the sub-shard's distinct destination ids and
+// their accumulated values, L lane-minor values per destination (value l
+// of entry t at vals[t*L+l]).
 func (h *HubStore) Write(i, j int, dsts []uint32, vals []float64) error {
 	k := i*h.meta.P + j
 	want := h.infos[k].Dsts
-	if int64(len(dsts)) != want || int64(len(vals)) != want {
-		return fmt.Errorf("storage: hub (%d,%d) has %d dsts, got %d/%d values",
-			i, j, want, len(dsts), len(vals))
+	if int64(len(dsts)) != want || int64(len(vals)) != want*int64(h.lanes) {
+		return fmt.Errorf("storage: hub (%d,%d) has %d dsts of %d lanes, got %d/%d values", i, j, want, h.lanes, len(dsts), len(vals))
 	}
 	if want == 0 {
 		return nil
 	}
-	buf := make([]byte, want*hubEntryBytes)
+	buf := make([]byte, want*h.entry)
 	p := 0
-	for t := range dsts {
-		binary.LittleEndian.PutUint32(buf[p:], dsts[t])
-		binary.LittleEndian.PutUint64(buf[p+4:], math.Float64bits(vals[t]))
-		p += hubEntryBytes
+	for t, d := range dsts {
+		binary.LittleEndian.PutUint32(buf[p:], d)
+		for _, v := range vals[t*h.lanes : (t+1)*h.lanes] {
+			binary.LittleEndian.PutUint64(buf[p+4:], math.Float64bits(v))
+			p += 8
+		}
+		p += 4
 	}
 	if _, err := h.f.WriteAt(buf, h.offsets[k]); err != nil {
 		return fmt.Errorf("storage: write hub (%d,%d): %w", i, j, err)
@@ -80,24 +83,27 @@ func (h *HubStore) Write(i, j int, dsts []uint32, vals []float64) error {
 	return nil
 }
 
-// Read loads hub H[i][j] into freshly allocated slices.
+// Read loads hub H[i][j] into fresh slices laid out as Write takes them.
 func (h *HubStore) Read(i, j int) (dsts []uint32, vals []float64, err error) {
 	k := i*h.meta.P + j
 	count := h.infos[k].Dsts
 	if count == 0 {
 		return nil, nil, nil
 	}
-	buf := make([]byte, count*hubEntryBytes)
+	buf := make([]byte, count*h.entry)
 	if _, err := h.f.ReadAt(buf, h.offsets[k]); err != nil {
 		return nil, nil, fmt.Errorf("storage: read hub (%d,%d): %w", i, j, err)
 	}
 	dsts = make([]uint32, count)
-	vals = make([]float64, count)
+	vals = make([]float64, count*int64(h.lanes))
 	p := 0
-	for t := int64(0); t < count; t++ {
+	for t := range dsts {
 		dsts[t] = binary.LittleEndian.Uint32(buf[p:])
-		vals[t] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p+4:]))
-		p += hubEntryBytes
+		for x := t * h.lanes; x < (t+1)*h.lanes; x++ {
+			vals[x] = math.Float64frombits(binary.LittleEndian.Uint64(buf[p+4:]))
+			p += 8
+		}
+		p += 4
 	}
 	return dsts, vals, nil
 }

@@ -177,7 +177,7 @@ func TestWriterOrderEnforcement(t *testing.T) {
 
 func TestAttrStoreRoundTrip(t *testing.T) {
 	_, st := buildTinyStore(t, false)
-	as, err := st.CreateAttrs()
+	as, err := st.CreateAttrs(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -214,7 +214,7 @@ func TestAttrStoreRoundTrip(t *testing.T) {
 		t.Fatal("wrong buffer size accepted on write")
 	}
 	// A second attribute file is the second run's own.
-	other, err := st.CreateAttrs()
+	other, err := st.CreateAttrs(1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -222,11 +222,29 @@ func TestAttrStoreRoundTrip(t *testing.T) {
 	if err := other.ReadInterval(1, buf); err == nil {
 		t.Fatal("a fresh attribute file read another run's interval")
 	}
+	// A run of two lanes keeps two lane-minor values per vertex.
+	wide, err := st.CreateAttrs(2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer wide.Close()
+	for k, vals := range [][]float64{{1, 2, 3, 4}, {5, 6, 7, 8}} {
+		if err := wide.WriteInterval(k, vals); err != nil {
+			t.Fatal(err)
+		}
+	}
+	got := make([]float64, 4)
+	if err := wide.ReadInterval(1, got); err != nil || got[0] != 5 || got[3] != 8 {
+		t.Fatalf("two-lane interval 1: %v, %v", got, err)
+	}
+	if err := wide.WriteInterval(0, []float64{1, 2}); err == nil {
+		t.Fatal("one lane's values accepted by a two-lane file")
+	}
 }
 
 func TestHubStoreRoundTrip(t *testing.T) {
 	_, st := buildTinyStore(t, false)
-	h, err := st.CreateHubs(false)
+	h, err := st.CreateHubs(false, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -249,8 +267,24 @@ func TestHubStoreRoundTrip(t *testing.T) {
 	if err := h.Write(0, 1, []uint32{1, 2}, []float64{1, 2}); err == nil {
 		t.Fatal("wrong entry count accepted")
 	}
-	if _, err := st.CreateHubs(true); err == nil {
+	if _, err := st.CreateHubs(true, 1); err == nil {
 		t.Fatal("transposed hubs without a transpose replica accepted")
+	}
+	// A hub of three lanes holds three lane-minor partials per entry.
+	h3, err := st.CreateHubs(false, 3)
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer h3.Close()
+	if err := h3.Write(0, 1, []uint32{2}, []float64{1.5, 2.5, 3.5}); err != nil {
+		t.Fatal(err)
+	}
+	dsts, vals, err = h3.Read(0, 1)
+	if err != nil || len(dsts) != 1 || dsts[0] != 2 || len(vals) != 3 || vals[0] != 1.5 || vals[2] != 3.5 {
+		t.Fatalf("three-lane hub: %v %v %v", dsts, vals, err)
+	}
+	if err := h3.Write(0, 1, []uint32{2}, []float64{1}); err == nil {
+		t.Fatal("one lane's partial accepted by a three-lane hub")
 	}
 }
 
