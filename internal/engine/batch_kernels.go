@@ -1,24 +1,35 @@
 package engine
 
-import "nxgraph/internal/storage"
+import (
+	"math"
+
+	"nxgraph/internal/storage"
+)
 
 // This file holds the lane gather kernels, what a Run folds a sub-shard
-// through at every width: a per-destination local fold over the
-// destination's in-edges, then one fold of the local into the
-// accumulator (or one assignment into the ToHub partials), replicated per
-// lane over lane-minor windows, so every lane's floating-point operations
-// happen in exactly the order a one-lane run would perform them and
-// results stay bit-identical. gatherGeneric, the hint-free kernel, is the
-// reference every specialized fold is checked against. A one-lane run
-// with a hint folds through the scalar loops instead (scalar_kernels.go),
-// which measure faster at L = 1 (ADR-020).
+// through at every width: per destination, each lane folds the
+// destination's in-edges from Zero and then folds the result into the
+// accumulator (or assigns it to the ToHub partials), over lane-minor
+// windows, so every lane's floating-point operations happen in exactly
+// the order a one-lane run would perform them and results stay
+// bit-identical. gatherGeneric, the hint-free kernel, is the reference
+// every specialized fold is checked against. A one-lane run with a hint
+// folds through the scalar loops instead (scalar_kernels.go), which
+// measure faster at L = 1 (ADR-020).
 //
-// When every lane declares the same KernelHint, the per-edge Program
-// interface dispatch (two calls per edge per lane in the generic path)
-// is replaced by direct arithmetic on the windows. This is where the
-// fused throughput win comes from: the edge decode and degree load are
-// paid once per edge, and the per-lane work shrinks to one or two FP
-// operations on consecutive memory.
+// When every lane declares the same KernelHint, gatherLanes replaces the
+// per-edge Program dispatch (two interface calls per edge per lane) with
+// direct arithmetic, register-blocked: one pass over a destination's
+// source ids folds a block of lanes held in registers from Zero to the
+// settled value, so no partial goes through memory and the edge's
+// source id is read once per block, not once per lane. A consecutive
+// lane run reads one window of each source row per edge, eight lanes and
+// then four per pass; a lane list (a BFS frontier), the lanes a run's
+// windows leave over, a tombstoned destination and a weighted fold read
+// lane by lane, four per pass. A destination with one in-edge, nearly
+// half of a cell's, is a single pass over a lane run's slots. The hop
+// fold adds its +1 once per destination instead of once per edge
+// (ADR-021).
 
 // gatherCell folds destinations [k0, k1) of sub-shard ss for the given
 // lanes from the source window src into the accumulator window acc, or —
@@ -27,10 +38,10 @@ import "nxgraph/internal/storage"
 // entry k's at k*L+l. Each kernel folds the window's base into its lane
 // offset once per call, so every per-edge index is int(v)*L + off. del
 // is the tombstone predicate when [k0, k1) is a single dirty destination
-// of a base cell, nil for every clean run. contig and local (one float64
-// per lane of scratch) are per-task facts the caller computes once — see
-// Run.gatherTasks.
-func (r *Run) gatherCell(ss *storage.SubShard, deg []uint32, del delPred, src, acc view, hub []float64, lanes []int, contig bool, local []float64, k0, k1 int) {
+// of a base cell, nil for every clean run. contig (lanes is a run of
+// consecutive lane ids) is a per-task fact the caller computes once —
+// see Run.gatherTasks.
+func (r *Run) gatherCell(ss *storage.SubShard, deg []uint32, del delPred, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
 	if len(r.lanes) == 1 {
 		if f := scalarFoldFor(r.hint, ss.Weights != nil); f != foldNone {
 			gatherSpec(f, r.mask, del, ss, src, acc, hub, k0, k1)
@@ -39,11 +50,11 @@ func (r *Run) gatherCell(ss *storage.SubShard, deg []uint32, del delPred, src, a
 	}
 	switch r.hint {
 	case KernelRankSum:
-		r.gatherRankSum(ss, del, src, acc, hub, lanes, contig, local, k0, k1)
+		r.gatherLanes(opSum, ss, del, src, acc, hub, lanes, contig, k0, k1)
 	case KernelHopMin:
-		r.gatherMin(ss, del, src, acc, hub, lanes, contig, local, k0, k1, false)
+		r.gatherLanes(opHop, ss, del, src, acc, hub, lanes, contig, k0, k1)
 	case KernelDistMin:
-		r.gatherMin(ss, del, src, acc, hub, lanes, contig, local, k0, k1, true)
+		r.gatherLanes(opDist, ss, del, src, acc, hub, lanes, contig, k0, k1)
 	default:
 		r.gatherGeneric(ss, deg, del, src, acc, hub, lanes, k0, k1)
 	}
@@ -61,18 +72,6 @@ func (r *Run) laneOffsets(src, acc view, lanes []int, contig bool) (so, ao, ho i
 		ho = lanes[0]
 	}
 	return ho - int(src.base)*L, ho - int(acc.base)*L, ho
-}
-
-// toHub assigns one destination's lane partials to its hub entry, whose
-// slots start at hub[hb] (a contiguous lane run) or sit at hub[hb+l].
-func toHub(hub []float64, hb int, lanes []int, contig bool, local []float64) {
-	if contig {
-		copy(hub[hb:hb+len(local)], local)
-		return
-	}
-	for x, l := range lanes {
-		hub[hb+l] = local[x]
-	}
 }
 
 // gatherGeneric is the hint-free lane kernel: per-edge Program dispatch,
@@ -113,191 +112,193 @@ func (r *Run) gatherGeneric(ss *storage.SubShard, deg []uint32, del delPred, src
 	}
 }
 
-// gatherRankSum is the KernelRankSum specialization:
-// Gather = attr/deg, Sum = +. The divisions by float64(deg[s]) were
-// hoisted into the per-iteration scaled window src (see refreshScaled)
-// with exactly the operands a scalar Gather would use, so the edge loop
-// here is pure left-to-right additions and stays bit-identical to the
-// scalar pprProg/pageRankProg operations.
-func (r *Run) gatherRankSum(ss *storage.SubShard, del delPred, src, acc view, hub []float64, lanes []int, contig bool, local []float64, k0, k1 int) {
-	L, w := len(r.lanes), len(local)
+// laneOp is the fold a hinted lane kernel runs (see gatherLanes).
+type laneOp uint8
+
+const (
+	opSum  laneOp = iota // Gather a,   Sum +,   Zero 0 (RankSum over the scaled view)
+	opHop                // Gather a+1, Sum min, Zero +Inf (the +1 added once per destination)
+	opDist               // Gather a+w, Sum min, Zero +Inf (weighted cells)
+)
+
+// gatherLanes is the hinted lane kernel (see the file comment). Each
+// lane's fold is the generic kernel's, operation for operation: Zero,
+// then the Sum of each surviving edge's Gather in edge order, then one
+// Sum into the accumulator (or an assignment to the ToHub entry): the
+// same bits for every input, -0 included, with NaN propagated as
+// KernelHint documents. The hop fold is the one regrouping: it takes the
+// min of the raw attributes and adds 1 once, the same bits as the min
+// over a+1 because x -> x+1 rounds monotonically and never yields -0
+// (minRuns, ADR-015).
+func (r *Run) gatherLanes(op laneOp, ss *storage.SubShard, del delPred, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
+	L, w := len(r.lanes), len(lanes)
 	so, ao, ho := r.laneOffsets(src, acc, lanes, contig)
-	scaled, next := src.vals, acc.vals
-	if contig && del == nil && hub == nil {
-		gatherRankSumDense(ss, scaled, next, L, so, ao, local, k0, k1)
-		return
+	vals, dst, toHub, z := src.vals, acc.vals, hub != nil, 0.0
+	if toHub {
+		dst, ao = hub, ho
+	}
+	if op != opSum {
+		z = math.Inf(1)
+	}
+	if op == opDist && ss.Weights == nil {
+		op = opHop // Gather(a, _, 1) == a + float64(float32(1)) == a+1
+	}
+	hop, win := op == opHop, 0 // win: the lane slots folded through windows
+	if contig && del == nil && op != opDist {
+		win = w
+	}
+	// slots[x] is lane slot x's offset from a vertex's first slot (see
+	// laneOffsets), padded to whole four-lane passes with the last lane.
+	var slotBuf [16]int
+	slots := slotBuf[:0]
+	for x := range (w + 3) &^ 3 {
+		sl := min(x, w-1)
+		if !contig {
+			sl = lanes[sl]
+		}
+		slots = append(slots, sl)
 	}
 	for k := k0; k < k1; k++ {
-		d := ss.Dsts[k]
-		clear(local)
-		for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
-			s := ss.Srcs[t]
-			if del != nil && del(s, d) {
-				continue
-			}
-			sb := int(s)*L + so
-			if contig {
-				addLanes(local, scaled[sb:sb+w])
-			} else {
-				for x, l := range lanes {
-					local[x] += scaled[sb+l]
-				}
-			}
-		}
-		if hub != nil {
-			toHub(hub, k*L+ho, lanes, contig, local)
-			continue
-		}
-		db := int(d)*L + ao
-		if contig {
-			addLanes(next[db:db+w], local)
-		} else {
-			for x, l := range lanes {
-				next[db+l] += local[x]
-			}
-		}
-	}
-}
-
-// denseFoldMax bounds the per-destination edge count the interchanged
-// fold handles; beyond it the streaming local-buffer fold wins (a hub
-// destination's source rows overflow the cache when revisited per lane).
-const denseFoldMax = 32
-
-// gatherRankSumDense is gatherRankSum for the hot shape: a consecutive
-// lane run with no overlay tombstones, into the accumulator. With P
-// intervals a destination sees only ~1/P of its in-edges per cell, so
-// most destinations here carry a handful of edges; instead of the
-// general three-pass local-buffer fold (zero local, add each edge, fold
-// into next) it sweeps the lanes once, accumulating the destination's
-// whole edge list in a register. Per lane the additions are the scalar
-// fold's, in the scalar fold's order — ranks are never -0, so 0+g == g
-// and next+(0+g) == next+g — keeping results bit-identical. so and ao
-// are the windows' lane offsets (see laneOffsets).
-func gatherRankSumDense(ss *storage.SubShard, scaled, next []float64, L, so, ao int, local []float64, k0, k1 int) {
-	w := len(local)
-	var offBuf [denseFoldMax]int // per-destination source row offsets
-	for k := k0; k < k1; k++ {
-		lo, hi := ss.Offsets[k], ss.Offsets[k+1]
-		if lo >= hi {
-			continue // no edges: the fold would add local's zeros, a bitwise no-op
-		}
+		t, hi := ss.Offsets[k], ss.Offsets[k+1]
 		db := int(ss.Dsts[k])*L + ao
-		sb := int(ss.Srcs[lo])*L + so
-		if hi == lo+1 {
-			addLanes(next[db:db+w], scaled[sb:sb+w])
-			continue
+		if toHub {
+			db = k*L + ao
 		}
-		if e := int(hi - lo); e <= denseFoldMax {
-			s0 := scaled[sb : sb+w]
-			ns := next[db : db+w]
-			switch e {
-			case 2: // the offs loop's per-lane overhead rivals one add
-				o1 := int(ss.Srcs[lo+1])*L + so
-				s1 := scaled[o1 : o1+w]
-				for x, g := range s0 {
-					ns[x] += g + s1[x]
-				}
-			case 3:
-				o1 := int(ss.Srcs[lo+1])*L + so
-				o2 := int(ss.Srcs[lo+2])*L + so
-				s1, s2 := scaled[o1:o1+w], scaled[o2:o2+w]
-				for x, g := range s0 {
-					ns[x] += g + s1[x] + s2[x]
-				}
-			default:
-				offs := offBuf[:e-1]
-				for t := lo + 1; t < hi; t++ {
-					offs[t-lo-1] = int(ss.Srcs[t])*L + so
-				}
-				for x, g := range s0 {
-					for _, o := range offs {
-						g += scaled[o+x]
-					}
-					ns[x] += g
+		srcs, x := ss.Srcs[t:hi], 0
+		if len(srcs) == 1 && win > 0 { // one edge: a single pass over the lanes
+			o := int(srcs[0])*L + so
+			v, q := vals[o:o+w], dst[db:db+w]
+			for x := range q {
+				switch {
+				case hop && toHub:
+					q[x] = v[x] + 1
+				case hop:
+					q[x] = min(q[x], v[x]+1)
+				case toHub:
+					q[x] = z + v[x]
+				default:
+					q[x] += z + v[x]
 				}
 			}
 			continue
 		}
-		copy(local, scaled[sb:sb+w]) // local = 0 + first gather, as one move
-		for t := lo + 1; t < hi; t++ {
-			sb := int(ss.Srcs[t])*L + so
-			addLanes(local, scaled[sb:sb+w])
+		for ; x+8 <= win; x += 8 {
+			a0, a1, a2, a3, a4, a5, a6, a7 := z, z, z, z, z, z, z, z
+			if hop {
+				for _, s := range srcs {
+					o := int(s)*L + so + x
+					v := (*[8]float64)(vals[o : o+8 : o+8])
+					a0, a1, a2, a3 = min(a0, v[0]), min(a1, v[1]), min(a2, v[2]), min(a3, v[3])
+					a4, a5, a6, a7 = min(a4, v[4]), min(a5, v[5]), min(a6, v[6]), min(a7, v[7])
+				}
+				a0, a1, a2, a3, a4, a5, a6, a7 = a0+1, a1+1, a2+1, a3+1, a4+1, a5+1, a6+1, a7+1
+			} else {
+				for _, s := range srcs {
+					o := int(s)*L + so + x
+					v := (*[8]float64)(vals[o : o+8 : o+8])
+					a0, a1, a2, a3 = a0+v[0], a1+v[1], a2+v[2], a3+v[3]
+					a4, a5, a6, a7 = a4+v[4], a5+v[5], a6+v[6], a7+v[7]
+				}
+			}
+			q := (*[8]float64)(dst[db+x : db+x+8 : db+x+8])
+			switch {
+			case toHub:
+				q[0], q[1], q[2], q[3], q[4], q[5], q[6], q[7] = a0, a1, a2, a3, a4, a5, a6, a7
+			case hop:
+				q[0], q[1], q[2], q[3] = min(q[0], a0), min(q[1], a1), min(q[2], a2), min(q[3], a3)
+				q[4], q[5], q[6], q[7] = min(q[4], a4), min(q[5], a5), min(q[6], a6), min(q[7], a7)
+			default:
+				q[0], q[1], q[2], q[3] = q[0]+a0, q[1]+a1, q[2]+a2, q[3]+a3
+				q[4], q[5], q[6], q[7] = q[4]+a4, q[5]+a5, q[6]+a6, q[7]+a7
+			}
 		}
-		addLanes(next[db:db+w], local)
+		if x+4 <= win {
+			a0, a1, a2, a3 := z, z, z, z
+			if hop {
+				for _, s := range srcs {
+					o := int(s)*L + so + x
+					v := (*[4]float64)(vals[o : o+4 : o+4])
+					a0, a1, a2, a3 = min(a0, v[0]), min(a1, v[1]), min(a2, v[2]), min(a3, v[3])
+				}
+				a0, a1, a2, a3 = a0+1, a1+1, a2+1, a3+1
+			} else {
+				for _, s := range srcs {
+					o := int(s)*L + so + x
+					v := (*[4]float64)(vals[o : o+4 : o+4])
+					a0, a1, a2, a3 = a0+v[0], a1+v[1], a2+v[2], a3+v[3]
+				}
+			}
+			q := (*[4]float64)(dst[db+x : db+x+4 : db+x+4])
+			switch {
+			case toHub:
+				q[0], q[1], q[2], q[3] = a0, a1, a2, a3
+			case hop:
+				q[0], q[1], q[2], q[3] = min(q[0], a0), min(q[1], a1), min(q[2], a2), min(q[3], a3)
+			default:
+				q[0], q[1], q[2], q[3] = q[0]+a0, q[1]+a1, q[2]+a2, q[3]+a3
+			}
+			x += 4
+		}
+		var ws []float32 // edge weights, for opDist
+		if op == opDist {
+			ws = ss.Weights[t:hi]
+		}
+		for ; x < w; x += 4 {
+			i := slots[x : x+4 : x+4]
+			var a [4]float64
+			a[0], a[1], a[2], a[3] = foldSlots(op, del, ss.Dsts[k], vals, srcs, ws, L, so, i[0], i[1], i[2], i[3], z)
+			for j, v := range a[:min(4, w-x)] {
+				if hop {
+					v++
+				}
+				switch q := &dst[db+i[j]]; {
+				case toHub:
+					*q = v
+				case hop || op == opDist:
+					*q = min(*q, v)
+				default:
+					*q += v
+				}
+			}
+		}
 	}
 }
 
-// addLanes is the fused rank kernel's innermost operation: element-wise
-// dst[x] += src[x], unrolled four wide. The additions are independent
-// across x, so unrolling reorders nothing; it exists because this loop
-// runs once per edge per chunk and loop overhead otherwise rivals the
-// arithmetic.
-func addLanes(dst, src []float64) {
-	if len(src) > len(dst) {
-		return // never happens: both are lane-width; guards hoist checks
-	}
-	x := 0
-	for ; x+4 <= len(src); x += 4 {
-		dst[x] += src[x]
-		dst[x+1] += src[x+1]
-		dst[x+2] += src[x+2]
-		dst[x+3] += src[x+3]
-	}
-	for ; x < len(src); x++ {
-		dst[x] += src[x]
-	}
-}
-
-// gatherMin is the KernelHopMin/KernelDistMin specialization:
-// Gather = attr+1 (hops) or attr+float64(w) (distances), Sum = min — the
-// builtin, which compiles inline where math.Min is a call per lane per
-// edge (see KernelHopMin for the contract). Zero is +Inf for both
-// programs, so local starts at the lanes' shared Zero value.
-func (r *Run) gatherMin(ss *storage.SubShard, del delPred, src, acc view, hub []float64, lanes []int, contig bool, local []float64, k0, k1 int, weighted bool) {
-	L, zero, w := len(r.lanes), r.zero, len(local)
-	so, ao, ho := r.laneOffsets(src, acc, lanes, contig)
-	vals, next := src.vals, acc.vals
-	for k := k0; k < k1; k++ {
-		d := ss.Dsts[k]
-		for x := range local {
-			local[x] = zero
-		}
-		for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
-			s := ss.Srcs[t]
+// foldSlots folds, from Zero z, the lanes at slots i0..i3 past
+// int(s)*L+so of each source s's row over destination d's source ids
+// srcs: the raw attributes' min for opHop, the sum in edge order for
+// opSum, the min of attribute plus edge weight ws[e] for opDist. del,
+// when non-nil, drops tombstoned edges. (A filtered opHop fold takes
+// min(a, v+0): v+0 only turns -0 into +0, which the +1 the caller adds
+// erases.)
+func foldSlots(op laneOp, del delPred, d uint32, vals []float64, srcs []uint32, ws []float32, L, so, i0, i1, i2, i3 int, z float64) (a0, a1, a2, a3 float64) {
+	a0, a1, a2, a3 = z, z, z, z
+	switch {
+	case del != nil || op == opDist:
+		for e, s := range srcs {
 			if del != nil && del(s, d) {
 				continue
 			}
-			step := 1.0
-			if weighted && ss.Weights != nil {
-				step = float64(ss.Weights[t])
+			o, st := int(s)*L+so, 0.0
+			if op == opDist {
+				st = float64(ws[e])
 			}
-			sb := int(s)*L + so
-			if contig {
-				cs := vals[sb : sb+w]
-				for x := range local {
-					local[x] = min(local[x], cs[x]+step)
-				}
+			if op == opSum {
+				a0, a1, a2, a3 = a0+vals[o+i0], a1+vals[o+i1], a2+vals[o+i2], a3+vals[o+i3]
 			} else {
-				for x, l := range lanes {
-					local[x] = min(local[x], vals[sb+l]+step)
-				}
+				a0, a1, a2, a3 = min(a0, vals[o+i0]+st), min(a1, vals[o+i1]+st), min(a2, vals[o+i2]+st), min(a3, vals[o+i3]+st)
 			}
 		}
-		if hub != nil {
-			toHub(hub, k*L+ho, lanes, contig, local)
-			continue
+	case op == opSum:
+		for _, s := range srcs {
+			o := int(s)*L + so
+			a0, a1, a2, a3 = a0+vals[o+i0], a1+vals[o+i1], a2+vals[o+i2], a3+vals[o+i3]
 		}
-		db := int(d)*L + ao
-		if contig {
-			ns := next[db : db+w]
-			for x := range local {
-				ns[x] = min(ns[x], local[x])
-			}
-		} else {
-			for x, l := range lanes {
-				next[db+l] = min(next[db+l], local[x])
-			}
+	default:
+		for _, s := range srcs {
+			o := int(s)*L + so
+			a0, a1, a2, a3 = min(a0, vals[o+i0]), min(a1, vals[o+i1]), min(a2, vals[o+i2]), min(a3, vals[o+i3])
 		}
 	}
+	return a0, a1, a2, a3
 }

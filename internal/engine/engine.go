@@ -141,19 +141,28 @@ type Engine struct {
 }
 
 // getSlab returns a float64 slab of length size for a run of L lanes,
-// reusing a pooled one when L > 1 and capacity allows. Contents are
-// unspecified — callers must initialize every slot they read.
+// reusing the smallest pooled one that fits when L > 1. A size of 0 (a
+// DPU run keeps no vertex interval resident) is nil and leaves the pool
+// alone. Contents are unspecified — callers must initialize every slot
+// they read.
 func (e *Engine) getSlab(L, size int) []float64 {
+	if size == 0 {
+		return nil
+	}
 	if L > 1 {
 		e.slabMu.Lock()
 		defer e.slabMu.Unlock()
+		best := -1
 		for i, b := range e.slabs {
-			if cap(b) >= size {
-				last := len(e.slabs) - 1
-				e.slabs[i] = e.slabs[last]
-				e.slabs = e.slabs[:last]
-				return b[:size]
+			if cap(b) >= size && (best < 0 || cap(b) < cap(e.slabs[best])) {
+				best = i
 			}
+		}
+		if best >= 0 {
+			b, last := e.slabs[best], len(e.slabs)-1
+			e.slabs[best] = e.slabs[last]
+			e.slabs = e.slabs[:last]
+			return b[:size]
 		}
 	}
 	return make([]float64, size)

@@ -143,3 +143,77 @@ func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 		t.Fatalf("a steady-state miss allocates %d B for a %d B block read as a %d B blob: the edge arrays are not being recycled", perMiss, blockBytes, blob)
 	}
 }
+
+// TestSlabPoolFitsSmallest: the slab pool hands out the smallest pooled
+// slab that fits, and a wide DPU run — which keeps no vertex interval
+// resident, so every slab it asks for has length 0 — neither takes a
+// pooled slab while it runs nor returns one when it closes; the next
+// wide SPU run gets the pooled slab back.
+func TestSlabPoolFitsSmallest(t *testing.T) {
+	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 7))
+	if err != nil {
+		t.Fatal(err)
+	}
+	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 5})
+	n := int64(st.Meta().NumVertices)
+	// Two lanes fit the budget (SPU); sixteen get Q = ⌊2/16·5⌋ = 0 (DPU).
+	e, err := New(st, Config{Threads: 1, MemoryBudget: 2 * n * Ba * 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	big, small := make([]float64, 100), make([]float64, 40)
+	e.putSlab(2, big, small)
+	if got := e.getSlab(2, 30); &got[:1][0] != &small[0] {
+		t.Fatalf("getSlab(30) took the %d-slot slab, want the 40-slot one", cap(got))
+	}
+	if got := e.getSlab(2, 0); got != nil || len(e.slabs) != 1 {
+		t.Fatalf("getSlab(0) = %d slots, pool left with %d slabs; want nil and 1", cap(got), len(e.slabs))
+	}
+	e.slabs = nil
+
+	add := func(a, b float64) float64 { return a + b }
+	progs := func(L int) []Program {
+		ps := make([]Program, L)
+		for l := range ps {
+			ps[l] = &foldTestProg{gather: func(a float64, _ uint32, _ float32) float64 { return a }, sum: add}
+		}
+		return ps
+	}
+	run := func(L int, want Strategy, during func()) {
+		r, err := e.NewBatchRun(progs(L), Forward)
+		if err != nil {
+			t.Fatal(err)
+		}
+		if r.Strategy() != want {
+			t.Fatalf("%d lanes: strategy %v, want %v", L, r.Strategy(), want)
+		}
+		if _, err := r.Step(); err != nil {
+			t.Fatal(err)
+		}
+		during()
+		r.Close()
+	}
+	run(2, SPU, func() {})
+	pooled := slices.Clone(e.slabs)
+	if len(pooled) != 2 {
+		t.Fatalf("a closed 2-lane SPU run pooled %d slabs, want 2", len(pooled))
+	}
+	run(16, DPU, func() {
+		if len(e.slabs) != 2 {
+			t.Fatalf("a running 16-lane DPU run left %d of 2 pooled slabs", len(e.slabs))
+		}
+	})
+	if len(e.slabs) != 2 {
+		t.Fatalf("a closed 16-lane DPU run left %d pooled slabs, want 2", len(e.slabs))
+	}
+	run(2, SPU, func() {
+		if len(e.slabs) != 0 {
+			t.Fatalf("a running 2-lane SPU run left %d pooled slabs, want 0", len(e.slabs))
+		}
+	})
+	for i, b := range e.slabs {
+		if &b[:1][0] != &pooled[0][:1][0] && &b[:1][0] != &pooled[1][:1][0] {
+			t.Fatalf("pooled slab %d is a new allocation, want the first run's", i)
+		}
+	}
+}

@@ -285,13 +285,13 @@ func checkScalarKernels(t *testing.T, rng *rand.Rand, attrs []float64) {
 				accB[v] = c.prog.zero
 			}
 			ref := refRun(KernelGeneric, fl.mask, c.prog)
-			ref.gatherCell(ss, deg, fl.del, src, view{accA, 0}, nil, lane0, true, make([]float64, 1), 0, ss.NumDsts())
+			ref.gatherCell(ss, deg, fl.del, src, view{accA, 0}, nil, lane0, true, 0, ss.NumDsts())
 			gatherSpec(c.f, fl.mask, fl.del, ss, src, view{accB, 0}, nil, 0, ss.NumDsts())
 			assertSameBits(t, name+"/csr", accA, accB)
 
 			hubA := make([]float64, ss.NumDsts())
 			hubB := make([]float64, ss.NumDsts())
-			ref.gatherCell(ss, deg, fl.del, src, view{}, hubA, lane0, true, make([]float64, 1), 0, ss.NumDsts())
+			ref.gatherCell(ss, deg, fl.del, src, view{}, hubA, lane0, true, 0, ss.NumDsts())
 			gatherSpec(c.f, fl.mask, fl.del, ss, src, view{}, hubB, 0, ss.NumDsts())
 			assertSameBits(t, name+"/hub", hubA, hubB)
 		}
@@ -438,9 +438,9 @@ func BenchmarkGatherKernel(b *testing.B) {
 			continue // weight array omitted; distMin is covered by the equivalence tests
 		}
 		b.Run("generic/"+c.name, func(b *testing.B) {
-			r, local := refRun(KernelGeneric, nil, c.prog), make([]float64, 1)
+			r := refRun(KernelGeneric, nil, c.prog)
 			for i := 0; i < b.N; i++ {
-				r.gatherCell(ss, deg, nil, src, view{acc, 0}, nil, lane0, true, local, 0, ss.NumDsts())
+				r.gatherCell(ss, deg, nil, src, view{acc, 0}, nil, lane0, true, 0, ss.NumDsts())
 			}
 			nsPerEdge(b)
 		})
@@ -451,84 +451,138 @@ func BenchmarkGatherKernel(b *testing.B) {
 			nsPerEdge(b)
 		})
 	}
-	for _, L := range []int{1, 16} {
-		lanes, ps := make([]int, L), make([]Program, L)
+	// L12 is serve-read's mean fused width (about 11.7) and ends in a
+	// partial four-lane block; L16list folds 12 of 16 lanes through a
+	// lane list with gaps, the shape of a BFS frontier.
+	for _, c := range []struct {
+		name  string
+		L     int
+		lanes []int
+	}{
+		{"L1", 1, []int{0}},
+		{"L12", 12, laneRun(0, 12)},
+		{"L16", 16, laneRun(0, 16)},
+		{"L16list", 16, []int{0, 1, 2, 4, 5, 6, 8, 9, 11, 12, 14, 15}},
+	} {
+		L, lanes, ps := c.L, c.lanes, make([]Program, c.L)
+		contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
 		slab, accL := make([]float64, n*L), make([]float64, n*L)
-		for l := range lanes {
-			lanes[l], ps[l] = l, &foldTestProg{zero: math.Inf(1)}
+		for l := range ps {
+			ps[l] = &foldTestProg{zero: math.Inf(1)}
 		}
 		for x := range slab {
 			slab[x] = attrs[x/L]
 		}
-		r, local := refRun(KernelGeneric, nil, ps...), make([]float64, L)
-		b.Run(fmt.Sprintf("lane/rankSum/L%d", L), func(b *testing.B) {
+		r := refRun(KernelGeneric, nil, ps...)
+		b.Run("lane/rankSum/"+c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r.gatherRankSum(ss, nil, view{slab, 0}, view{accL, 0}, nil, lanes, true, local, 0, ss.NumDsts())
+				r.gatherLanes(opSum, ss, nil, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, ss.NumDsts())
 			}
 			nsPerEdge(b)
 		})
-		b.Run(fmt.Sprintf("lane/hopMin/L%d", L), func(b *testing.B) {
+		b.Run("lane/hopMin/"+c.name, func(b *testing.B) {
 			for i := 0; i < b.N; i++ {
-				r.gatherMin(ss, nil, view{slab, 0}, view{accL, 0}, nil, lanes, true, local, 0, ss.NumDsts(), false)
+				r.gatherLanes(opHop, ss, nil, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, ss.NumDsts())
 			}
 			nsPerEdge(b)
 		})
 	}
 }
 
+// laneRun returns the consecutive lane ids [first, first+n).
+func laneRun(first, n int) []int {
+	lanes := make([]int, n)
+	for x := range lanes {
+		lanes[x] = first + x
+	}
+	return lanes
+}
+
 // TestLaneKernelsMatchGeneric holds the hinted lane kernels to the
-// generic lane kernel at width 4: over source and accumulator windows
-// whose base is not 0, into the accumulator and into hub entries, for a
-// contiguous lane run, a shorter one and a lane list with a gap, with
-// and without a tombstone predicate.
+// generic lane kernel, bit for bit, at run widths 1, 3, 4, 5, 8, 12, 13
+// and 16: for the run's every lane, a consecutive run starting past lane
+// 0 and a lane list with gaps (each its widths' partial four-lane pass
+// included); over source and accumulator windows whose base is not 0;
+// into the accumulator and into hub entries; with and without a
+// tombstone predicate; on a sub-shard whose destinations carry 0 to 12
+// edges plus runs of 45 and 150. Attributes and accumulators are drawn
+// from specialValues — ±0, ±Inf, denormals and NaN — so every fold must
+// start from Zero like the generic one (0 + -0 is +0), and the min folds
+// meet the kernels' NaN-first min contract.
 func TestLaneKernelsMatchGeneric(t *testing.T) {
-	const n, L, base = 96, 4, 40
+	const n, base = 96, 40
 	rng := rand.New(rand.NewSource(5))
 	deg := make([]uint32, base+n)
-	slab := make([]float64, n*L)
-	for x := range slab {
-		slab[x] = rng.Float64() // ranks and distances: never -0
-	}
 	for v := range deg {
 		deg[v] = uint32(1 + rng.Intn(5))
 	}
 	del := func(s, d uint32) bool { return (s+d)%3 == 0 }
 	add := func(a, b float64) float64 { return a + b }
+	nanMin := nanFirst(math.Min)
 	cases := []struct {
+		name     string
+		op       laneOp
 		hint     KernelHint
 		prog     *foldTestProg
 		weighted bool
 	}{
-		{KernelRankSum, &foldTestProg{0, func(a float64, _ uint32, _ float32) float64 { return a }, add}, false},
-		{KernelHopMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, _ float32) float64 { return a + 1 }, math.Min}, false},
-		{KernelDistMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, w float32) float64 { return a + float64(w) }, math.Min}, true},
+		{"rankSum", opSum, KernelRankSum, &foldTestProg{0, func(a float64, _ uint32, _ float32) float64 { return a }, add}, false},
+		{"hopMin", opHop, KernelHopMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, _ float32) float64 { return a + 1 }, nanMin}, false},
+		{"distMin", opDist, KernelDistMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, w float32) float64 { return a + float64(w) }, nanMin}, true},
+		{"distMin-unweighted", opDist, KernelDistMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, w float32) float64 { return a + float64(w) }, nanMin}, false},
 	}
 	for _, c := range cases {
 		ss := makeTestSubShard(rng, n, 48, c.weighted)
+		for e := 0; e < 150; e++ { // one more destination, past any edge block
+			ss.Srcs = append(ss.Srcs, uint32(rng.Intn(n)))
+			if c.weighted {
+				ss.Weights = append(ss.Weights, 0.25+rng.Float32())
+			}
+		}
+		ss.Dsts = append(ss.Dsts, uint32(n-1))
+		ss.Offsets = append(ss.Offsets, uint32(len(ss.Srcs)))
 		for x := range ss.Srcs {
 			ss.Srcs[x] += base
 		}
 		for x := range ss.Dsts {
 			ss.Dsts[x] += base
 		}
-		ps := []Program{c.prog, c.prog, c.prog, c.prog}
-		spec, ref := refRun(c.hint, nil, ps...), refRun(KernelGeneric, nil, ps...)
-		for _, lanes := range [][]int{{0, 1, 2, 3}, {1, 2}, {0, 2, 3}} {
-			contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
-			for _, dl := range []delPred{nil, del} {
-				name := fmt.Sprintf("hint%d/lanes%v/del=%v", c.hint, lanes, dl != nil)
-				src := view{slab, base}
-				accA, accB := make([]float64, n*L), make([]float64, n*L)
-				fill(accA, c.prog.zero)
-				fill(accB, c.prog.zero)
-				hubA, hubB := make([]float64, ss.NumDsts()*L), make([]float64, ss.NumDsts()*L)
-				local := make([]float64, len(lanes))
-				ref.gatherCell(ss, deg, dl, src, view{accA, base}, nil, lanes, contig, local, 0, ss.NumDsts())
-				spec.gatherCell(ss, deg, dl, src, view{accB, base}, nil, lanes, contig, local, 0, ss.NumDsts())
-				assertSameBits(t, name+"/acc", accA, accB)
-				ref.gatherCell(ss, deg, dl, src, view{}, hubA, lanes, contig, local, 0, ss.NumDsts())
-				spec.gatherCell(ss, deg, dl, src, view{}, hubB, lanes, contig, local, 0, ss.NumDsts())
-				assertSameBits(t, name+"/hub", hubA, hubB)
+		for _, L := range []int{1, 3, 4, 5, 8, 12, 13, 16} {
+			attrs := func() []float64 { return specialAttrs(rng, n*L, true) }
+			ps := make([]Program, L)
+			for l := range ps {
+				ps[l] = c.prog
+			}
+			spec, ref := refRun(c.hint, nil, ps...), refRun(KernelGeneric, nil, ps...)
+			shapes := [][]int{laneRun(0, L)}
+			if L > 1 {
+				shapes = append(shapes, laneRun(1, L-1))
+			}
+			if L > 2 {
+				var gapped []int
+				for l := 0; l < L; l++ {
+					if l%3 != 1 {
+						gapped = append(gapped, l)
+					}
+				}
+				shapes = append(shapes, gapped)
+			}
+			src := view{attrs(), base}
+			for _, lanes := range shapes {
+				contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
+				for _, dl := range []delPred{nil, del} {
+					name := fmt.Sprintf("%s/L%d/lanes%v/del=%v", c.name, L, lanes, dl != nil)
+					accA := attrs()
+					accB := slices.Clone(accA)
+					ref.gatherCell(ss, deg, dl, src, view{accA, base}, nil, lanes, contig, 0, ss.NumDsts())
+					spec.gatherLanes(c.op, ss, dl, src, view{accB, base}, nil, lanes, contig, 0, ss.NumDsts())
+					assertSameBits(t, name+"/acc", accA, accB)
+					hubA := make([]float64, ss.NumDsts()*L)
+					hubB := make([]float64, ss.NumDsts()*L)
+					ref.gatherCell(ss, deg, dl, src, view{}, hubA, lanes, contig, 0, ss.NumDsts())
+					spec.gatherLanes(c.op, ss, dl, src, view{}, hubB, lanes, contig, 0, ss.NumDsts())
+					assertSameBits(t, name+"/hub", hubA, hubB)
+				}
 			}
 		}
 	}

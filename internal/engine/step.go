@@ -381,12 +381,10 @@ func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, ac
 	for c := 0; c < len(bounds)-1; c++ {
 		k0, k1 := bounds[c], bounds[c+1]
 		tasks = append(tasks, func() {
-			// One task is one or more gatherCell calls (a dirty
-			// destination splits its chunk), all sharing the task's
-			// per-lane buffer.
-			local := make([]float64, len(lanes))
+			// One task is one or more gatherCell calls: a dirty
+			// destination splits its chunk.
 			tombs.gather(k0, k1, func(del delPred, k0, k1 int) {
-				r.gatherCell(ss, deg, del, src, acc, hub, lanes, contig, local, k0, k1)
+				r.gatherCell(ss, deg, del, src, acc, hub, lanes, contig, k0, k1)
 			})
 			if pending.Add(-1) == 0 && done != nil {
 				done()
