@@ -1,6 +1,6 @@
 package algorithms
 
-// White-box equivalence suite for the devirtualized scalar kernels: every
+// White-box equivalence suite for the devirtualized kernels: every
 // program that declares a KernelHint (and the LaneApplier fast paths that
 // ride along) must produce attributes bit-identical to the same Program
 // running through the generic interface kernels — across update
@@ -123,8 +123,8 @@ func assertBitsEqual(t *testing.T, name string, want, got []float64) {
 	}
 }
 
-// TestScalarSpecEquivalence is the acceptance gate for the specialized
-// scalar kernels: for every hinted program, specialized and generic runs
+// TestScalarSpecEquivalence is the acceptance gate for the hinted kernel
+// on one-lane runs: for every hinted program, specialized and generic runs
 // agree bit-for-bit under SPU, DPU and MPU, on the base store and on a
 // mutated overlay snapshot, with weights present and (where the
 // algorithms use them) masks installed.

@@ -3,33 +3,37 @@ package engine
 import (
 	"math"
 
+	"nxgraph/internal/bitset"
 	"nxgraph/internal/storage"
 )
 
-// This file holds the lane gather kernels, what a Run folds a sub-shard
+// This file holds the gather kernels, what a Run folds a sub-shard
 // through at every width: per destination, each lane folds the
 // destination's in-edges from Zero and then folds the result into the
 // accumulator (or assigns it to the ToHub partials), over lane-minor
 // windows, so every lane's floating-point operations happen in exactly
 // the order a one-lane run would perform them and results stay
 // bit-identical. gatherGeneric, the hint-free kernel, is the reference
-// every specialized fold is checked against. A one-lane run with a hint
-// folds through the scalar loops instead (scalar_kernels.go), which
-// measure faster at L = 1 (ADR-020).
+// every hinted fold is checked against.
 //
 // When every lane declares the same KernelHint, gatherLanes replaces the
 // per-edge Program dispatch (two interface calls per edge per lane) with
-// direct arithmetic, register-blocked: one pass over a destination's
-// source ids folds a block of lanes held in registers from Zero to the
-// settled value, so no partial goes through memory and the edge's
-// source id is read once per block, not once per lane. A consecutive
-// lane run reads one window of each source row per edge, eight lanes and
-// then four per pass; a lane list (a BFS frontier), the lanes a run's
-// windows leave over, a tombstoned destination and a weighted fold read
-// lane by lane, four per pass. A destination with one in-edge, nearly
-// half of a cell's, is a single pass over a lane run's slots. The hop
-// fold adds its +1 once per destination instead of once per edge
-// (ADR-021).
+// direct arithmetic. The sum and hop folds are register-blocked: one
+// pass over a destination's source ids folds a block of lanes held in
+// registers from Zero to the settled value, so no partial goes through
+// memory and the edge's source id is read once per block, not once per
+// lane. A consecutive lane run reads one window of each source row per
+// edge, eight lanes and then four per pass; a lane list (a BFS
+// frontier), a tombstoned destination and a weighted fold read lane by
+// lane, four per pass, and a last block of three lanes is padded to
+// four. A destination with one in-edge, nearly half of a cell's, is a
+// single pass over a lane run's slots. The hop fold adds its +1 once per
+// destination instead of once per edge (ADR-021).
+//
+// The one or two lanes those blocks leave over — the whole of a one-lane
+// run among them — and every lane of a count, min or max fold run
+// through foldLane, the one-lane leaf, once per lane over the task's
+// destinations (ADR-022).
 
 // gatherCell folds destinations [k0, k1) of sub-shard ss for the given
 // lanes from the source window src into the accumulator window acc, or —
@@ -42,22 +46,11 @@ import (
 // consecutive lane ids) is a per-task fact the caller computes once —
 // see Run.gatherTasks.
 func (r *Run) gatherCell(ss *storage.SubShard, deg []uint32, del delPred, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
-	if len(r.lanes) == 1 {
-		if f := scalarFoldFor(r.hint, ss.Weights != nil); f != foldNone {
-			gatherSpec(f, r.mask, del, ss, src, acc, hub, k0, k1)
-			return
-		}
-	}
-	switch r.hint {
-	case KernelRankSum:
-		r.gatherLanes(opSum, ss, del, src, acc, hub, lanes, contig, k0, k1)
-	case KernelHopMin:
-		r.gatherLanes(opHop, ss, del, src, acc, hub, lanes, contig, k0, k1)
-	case KernelDistMin:
-		r.gatherLanes(opDist, ss, del, src, acc, hub, lanes, contig, k0, k1)
-	default:
+	if r.op == opGeneric {
 		r.gatherGeneric(ss, deg, del, src, acc, hub, lanes, k0, k1)
+		return
 	}
+	r.gatherLanes(ss, del, src, acc, hub, lanes, contig, k0, k1)
 }
 
 // laneOffsets returns the per-call index offsets of the source window,
@@ -112,47 +105,96 @@ func (r *Run) gatherGeneric(ss *storage.SubShard, deg []uint32, del delPred, src
 	}
 }
 
-// laneOp is the fold a hinted lane kernel runs (see gatherLanes).
+// laneOp is the fold a hinted kernel runs: a KernelHint's Gather, Sum
+// and Zero (see opFor).
 type laneOp uint8
 
 const (
-	opSum  laneOp = iota // Gather a,   Sum +,   Zero 0 (RankSum over the scaled view)
-	opHop                // Gather a+1, Sum min, Zero +Inf (the +1 added once per destination)
-	opDist               // Gather a+w, Sum min, Zero +Inf (weighted cells)
+	opGeneric laneOp = iota // no hint: per-edge Program dispatch (gatherGeneric)
+	opSum                   // Gather a,   Sum +,   Zero 0 (RankSum over the scaled view)
+	opCount                 // Gather 1,   Sum +,   Zero 0
+	opMin                   // Gather a,   Sum min, Zero +Inf
+	opMax                   // Gather a,   Sum max, Zero -Inf
+	opHop                   // Gather a+1, Sum min, Zero +Inf
+	opDist                  // Gather a+w, Sum min, Zero +Inf (weighted cells)
 )
 
-// gatherLanes is the hinted lane kernel (see the file comment). Each
-// lane's fold is the generic kernel's, operation for operation: Zero,
-// then the Sum of each surviving edge's Gather in edge order, then one
-// Sum into the accumulator (or an assignment to the ToHub entry): the
-// same bits for every input, -0 included, with NaN propagated as
-// KernelHint documents. The hop fold is the one regrouping: it takes the
-// min of the raw attributes and adds 1 once, the same bits as the min
-// over a+1 because x -> x+1 rounds monotonically and never yields -0
-// (minRuns, ADR-015).
-func (r *Run) gatherLanes(op laneOp, ss *storage.SubShard, del delPred, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
-	L, w := len(r.lanes), len(lanes)
+// opFor maps the hint a run's lanes share to the fold its kernels run.
+// A RankSum run reads the scaled view (its division hoisted per
+// iteration, see refreshScaled), so it folds as a copy-sum. The FromHub
+// kernel (Run.foldHub) uses the op's Sum alone.
+func opFor(hint KernelHint) laneOp {
+	switch hint {
+	case KernelRankSum, KernelCopySum:
+		return opSum
+	case KernelCountSum:
+		return opCount
+	case KernelMinFold:
+		return opMin
+	case KernelMaxFold:
+		return opMax
+	case KernelHopMin:
+		return opHop
+	case KernelDistMin:
+		return opDist
+	}
+	return opGeneric
+}
+
+// gatherLanes is the hinted kernel (see the file comment). Each lane's
+// fold is the generic kernel's, operation for operation: Zero, then the
+// Sum of each surviving edge's Gather in edge order, then one Sum into
+// the accumulator (or an assignment to the ToHub entry): the same bits
+// for every input, -0 included, with NaN propagated as KernelHint
+// documents. The unfiltered min and hop folds are the one regrouping:
+// the builtin min is the same bits under any grouping, and the hop fold
+// takes the min of the raw attributes and adds 1 once, the same bits as
+// the min over a+1 because x -> x+1 rounds monotonically and never
+// yields -0 (ADR-015).
+func (r *Run) gatherLanes(ss *storage.SubShard, del delPred, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
+	L, w, op := len(r.lanes), len(lanes), r.op
 	so, ao, ho := r.laneOffsets(src, acc, lanes, contig)
 	vals, dst, toHub, z := src.vals, acc.vals, hub != nil, 0.0
 	if toHub {
 		dst, ao = hub, ho
 	}
-	if op != opSum {
-		z = math.Inf(1)
-	}
 	if op == opDist && ss.Weights == nil {
 		op = opHop // Gather(a, _, 1) == a + float64(float32(1)) == a+1
 	}
+	// nb: the lane slots folded in blocks of four — whole blocks, or all
+	// of them when the last block has three lanes. The slots past nb go
+	// through the leaf, which a pass padded to four would cost up to four
+	// times their arithmetic.
+	nb := 0
+	if op == opSum || op == opHop || op == opDist {
+		nb = w &^ 3
+		if w&3 == 3 {
+			nb = w
+		}
+	}
+	for x := nb; x < w; x++ {
+		sl := x
+		if !contig {
+			sl = lanes[x]
+		}
+		foldLane(op, r.mask, del, ss, vals, dst, L, so+sl, ao+sl, toHub, k0, k1)
+	}
+	if nb == 0 {
+		return
+	}
+	if op != opSum {
+		z = math.Inf(1)
+	}
 	hop, win := op == opHop, 0 // win: the lane slots folded through windows
 	if contig && del == nil && op != opDist {
-		win = w
+		win = nb
 	}
 	// slots[x] is lane slot x's offset from a vertex's first slot (see
 	// laneOffsets), padded to whole four-lane passes with the last lane.
 	var slotBuf [16]int
 	slots := slotBuf[:0]
-	for x := range (w + 3) &^ 3 {
-		sl := min(x, w-1)
+	for x := range (nb + 3) &^ 3 {
+		sl := min(x, nb-1)
 		if !contig {
 			sl = lanes[sl]
 		}
@@ -167,7 +209,7 @@ func (r *Run) gatherLanes(op laneOp, ss *storage.SubShard, del delPred, src, acc
 		srcs, x := ss.Srcs[t:hi], 0
 		if len(srcs) == 1 && win > 0 { // one edge: a single pass over the lanes
 			o := int(srcs[0])*L + so
-			v, q := vals[o:o+w], dst[db:db+w]
+			v, q := vals[o:o+win], dst[db:db+win]
 			for x := range q {
 				switch {
 				case hop && toHub:
@@ -243,11 +285,11 @@ func (r *Run) gatherLanes(op laneOp, ss *storage.SubShard, del delPred, src, acc
 		if op == opDist {
 			ws = ss.Weights[t:hi]
 		}
-		for ; x < w; x += 4 {
+		for ; x < nb; x += 4 {
 			i := slots[x : x+4 : x+4]
 			var a [4]float64
 			a[0], a[1], a[2], a[3] = foldSlots(op, del, ss.Dsts[k], vals, srcs, ws, L, so, i[0], i[1], i[2], i[3], z)
-			for j, v := range a[:min(4, w-x)] {
+			for j, v := range a[:min(4, nb-x)] {
 				if hop {
 					v++
 				}
@@ -301,4 +343,175 @@ func foldSlots(op laneOp, del delPred, d uint32, vals []float64, srcs []uint32, 
 		}
 	}
 	return a0, a1, a2, a3
+}
+
+// foldLane is gatherLanes' one-lane leaf: it folds the lane whose slot
+// sits at int(v)*L+so in vals over destinations [k0, k1) into dst at
+// int(d)*L+do — or, toHub, assigns it to k*L+do. An unfiltered count is
+// the edge count (integer additions are exact far past any edge count),
+// and an unfiltered max one chain per destination, run as a min over
+// negated attributes (see foldChain). Each fold of several edges has a
+// loop of its own (sumRuns, minRuns, foldChain), so none shares its
+// registers with another fold's.
+func foldLane(op laneOp, mask *bitset.Set, del delPred, ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
+	offs, dsts := ss.Offsets, ss.Dsts
+	switch {
+	case mask != nil || del != nil || op == opDist:
+		foldChain(op, mask, del, ss, vals, dst, L, so, do, toHub, k0, k1)
+	case op == opSum:
+		sumRuns(ss, vals, dst, L, so, do, toHub, k0, k1)
+	case op == opMin || op == opHop:
+		minRuns(ss, vals, dst, L, so, do, toHub, k0, k1, op == opHop)
+	case op == opCount:
+		for k := k0; k < k1; k++ {
+			local := float64(offs[k+1] - offs[k])
+			if toHub {
+				dst[k*L+do] = local
+			} else {
+				dst[int(dsts[k])*L+do] += local
+			}
+		}
+	default: // opMax
+		srcs := ss.Srcs
+		for k := k0; k < k1; k++ {
+			local := math.Inf(1)
+			for _, s := range srcs[offs[k]:offs[k+1]] {
+				local = min(local, -vals[int(s)*L+so])
+			}
+			if toHub {
+				dst[k*L+do] = -local
+			} else {
+				i := int(dsts[k])*L + do
+				dst[i] = max(dst[i], -local)
+			}
+		}
+	}
+}
+
+// sumRuns is the unfiltered sum fold of foldLane. It writes the e =
+// 1/2/3 chains out literally: 0 + g1 + g2 is ((0+g1)+g2), so -0 inputs
+// keep their bits.
+func sumRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
+	srcs, offs, dsts := ss.Srcs, ss.Offsets, ss.Dsts
+	for k := k0; k < k1; k++ {
+		var local float64
+		switch run := srcs[offs[k]:offs[k+1]]; len(run) {
+		case 0:
+			local = 0
+		case 1:
+			local = 0 + vals[int(run[0])*L+so]
+		case 2:
+			local = 0 + vals[int(run[0])*L+so] + vals[int(run[1])*L+so]
+		case 3:
+			local = 0 + vals[int(run[0])*L+so] + vals[int(run[1])*L+so] + vals[int(run[2])*L+so]
+		default:
+			local = 0
+			for _, s := range run {
+				local += vals[int(s)*L+so]
+			}
+		}
+		if toHub {
+			dst[k*L+do] = local
+		} else {
+			dst[int(dsts[k])*L+do] += local
+		}
+	}
+}
+
+// minRuns is the unfiltered min fold of foldLane and, with hop set, the
+// unfiltered hop fold. A destination's run is one load for e = 1
+// (min(+Inf, a) is a), a literal min for e = 2, 3, and two independent
+// accumulators for longer runs, so the fold is not one dependent chain
+// of min latencies (four measured no faster, ADR-015). The hop fold adds
+// its +1 once per destination; the plain fold must not be written
+// min(...)+0 instead, which turns -0 into +0.
+func minRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int, hop bool) {
+	srcs, offs, dsts := ss.Srcs, ss.Offsets, ss.Dsts
+	for k := k0; k < k1; k++ {
+		var local float64
+		switch run := srcs[offs[k]:offs[k+1]]; len(run) {
+		case 0:
+			local = math.Inf(1)
+		case 1:
+			local = vals[int(run[0])*L+so]
+		case 2:
+			local = min(vals[int(run[0])*L+so], vals[int(run[1])*L+so])
+		case 3:
+			local = min(vals[int(run[0])*L+so], vals[int(run[1])*L+so], vals[int(run[2])*L+so])
+		default:
+			m0, m1 := vals[int(run[0])*L+so], vals[int(run[1])*L+so]
+			for run = run[2:]; len(run) >= 2; run = run[2:] {
+				m0 = min(m0, vals[int(run[0])*L+so])
+				m1 = min(m1, vals[int(run[1])*L+so])
+			}
+			if len(run) == 1 {
+				m0 = min(m0, vals[int(run[0])*L+so])
+			}
+			local = min(m0, m1)
+		}
+		if hop {
+			local++
+		}
+		if toHub {
+			dst[k*L+do] = local
+		} else {
+			i := int(dsts[k])*L + do
+			dst[i] = min(dst[i], local)
+		}
+	}
+}
+
+// foldChain is foldLane's one dependent chain per destination: Zero,
+// then each surviving edge's Gather folded in edge order. mask (a
+// one-lane run's SetMask) and del drop edges. The max fold runs as a min
+// over negated attributes, negated back per destination: max(a, b) and
+// -min(-a, -b) are the same bits for every non-NaN pair, either zero
+// included, and the compiler's max is that identity per call — two sign
+// flips on every link of the chain.
+func foldChain(op laneOp, mask *bitset.Set, del delPred, ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
+	srcs, offs, dsts, ws := ss.Srcs, ss.Offsets, ss.Dsts, ss.Weights
+	z := math.Inf(1)
+	if op == opSum || op == opCount {
+		z = 0
+	}
+	for k := k0; k < k1; k++ {
+		d, local := dsts[k], z
+		for t := offs[k]; t < offs[k+1]; t++ {
+			s := srcs[t]
+			if mask != nil && mask.Test(int(s)) || del != nil && del(s, d) {
+				continue
+			}
+			if op == opCount {
+				local++
+				continue
+			}
+			switch a := vals[int(s)*L+so]; op {
+			case opSum:
+				local += a
+			case opMin:
+				local = min(local, a)
+			case opMax:
+				local = min(local, -a)
+			case opHop:
+				local = min(local, a+1)
+			default:
+				local = min(local, a+float64(ws[t]))
+			}
+		}
+		if op == opMax {
+			local = -local
+		}
+		if toHub {
+			dst[k*L+do] = local
+			continue
+		}
+		switch i := int(d)*L + do; op {
+		case opSum, opCount:
+			dst[i] += local
+		case opMax:
+			dst[i] = max(dst[i], local)
+		default:
+			dst[i] = min(dst[i], local)
+		}
+	}
 }

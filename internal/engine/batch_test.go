@@ -608,8 +608,8 @@ func (p *specialProg) Apply(v uint32, old, acc float64) (float64, bool) {
 }
 
 // hintedSpecialProg is specialProg claiming the matching kernel hint, so
-// a one-lane run folds it through gatherSpec and a wider one through the
-// lane kernel gatherMin.
+// runs fold it through the hinted kernel: a one-lane run through its
+// one-lane leaf, a wider one through its lane blocks as well.
 type hintedSpecialProg struct{ specialProg }
 
 func (p *hintedSpecialProg) FusedKernelHint() engine.KernelHint {
@@ -620,7 +620,7 @@ func (p *hintedSpecialProg) FusedKernelHint() engine.KernelHint {
 }
 
 // TestMinKernelsSpecialValues is the run-level half of the special-value
-// gate (TestScalarKernelsMatchGeneric is the kernel-level half): hopMin
+// gate (TestLaneKernelsMatchGeneric is the kernel-level half): hopMin
 // and distMin at widths 1, 3 and 16, over a store with pending removals
 // (tombstoned dirty destinations) and, at width 1, a vertex mask, must
 // leave every lane with the bits the hint-free program leaves when run

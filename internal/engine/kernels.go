@@ -14,8 +14,6 @@ type view struct {
 	base uint32
 }
 
-func (v view) at(id uint32) float64 { return v.vals[id-v.base] }
-
 // applyRange applies accumulated contributions for vertices [v0, v1) of
 // one program through the Program interface: with idx = int(v)*stride+off
 // (a slab lane or a window lane — the LaneApplier convention),

@@ -156,35 +156,36 @@ func nanFirst(f func(a, b float64) float64) func(a, b float64) float64 {
 	}
 }
 
-func scalarFoldCases(nan bool) []struct {
+// kernelCase is one hinted fold and a hint-free Program whose Gather,
+// Sum and Zero are the hint's: the reference the fold is held to.
+type kernelCase struct {
 	name     string
-	f        scalarFold
+	hint     KernelHint
 	prog     *foldTestProg
 	weighted bool
-} {
+}
+
+// kernelCases lists every fold a hint maps to (opFor): sum, count, min,
+// max, hop, and dist on weighted and on unweighted cells. nan selects
+// the NaN-first reference for attribute sets that hold NaNs.
+func kernelCases(nan bool) []kernelCase {
 	add := func(a, b float64) float64 { return a + b }
 	min, max := math.Min, math.Max
 	if nan {
 		min, max = nanFirst(min), nanFirst(max)
 	}
-	return []struct {
-		name     string
-		f        scalarFold
-		prog     *foldTestProg
-		weighted bool
-	}{
-		{"copySum", foldCopySum, &foldTestProg{0,
-			func(a float64, _ uint32, _ float32) float64 { return a }, add}, false},
-		{"countSum", foldCountSum, &foldTestProg{0,
-			func(_ float64, _ uint32, _ float32) float64 { return 1 }, add}, false},
-		{"min", foldMin, &foldTestProg{math.Inf(1),
-			func(a float64, _ uint32, _ float32) float64 { return a }, min}, false},
-		{"max", foldMax, &foldTestProg{math.Inf(-1),
-			func(a float64, _ uint32, _ float32) float64 { return a }, max}, false},
-		{"hopMin", foldHopMin, &foldTestProg{math.Inf(1),
-			func(a float64, _ uint32, _ float32) float64 { return a + 1 }, min}, false},
-		{"distMin", foldDistMin, &foldTestProg{math.Inf(1),
-			func(a float64, _ uint32, w float32) float64 { return a + float64(w) }, min}, true},
+	attr := func(a float64, _ uint32, _ float32) float64 { return a }
+	one := func(float64, uint32, float32) float64 { return 1 }
+	hop := func(a float64, _ uint32, _ float32) float64 { return a + 1 }
+	dist := func(a float64, _ uint32, w float32) float64 { return a + float64(w) }
+	return []kernelCase{
+		{"copySum", KernelCopySum, &foldTestProg{0, attr, add}, false},
+		{"countSum", KernelCountSum, &foldTestProg{0, one, add}, false},
+		{"min", KernelMinFold, &foldTestProg{math.Inf(1), attr, min}, false},
+		{"max", KernelMaxFold, &foldTestProg{math.Inf(-1), attr, max}, false},
+		{"hopMin", KernelHopMin, &foldTestProg{math.Inf(1), hop, min}, false},
+		{"distMin", KernelDistMin, &foldTestProg{math.Inf(1), dist, min}, true},
+		{"distMin-unweighted", KernelDistMin, &foldTestProg{math.Inf(1), dist, min}, false},
 	}
 }
 
@@ -218,137 +219,156 @@ func specialAttrs(rng *rand.Rand, n int, nan bool) []float64 {
 // generic lane kernel — the reference every fold is held to — and its
 // foldHub folds through the programs' Sum.
 func refRun(hint KernelHint, mask *bitset.Set, ps ...Program) *Run {
-	r := &Run{lanes: make([]lane, len(ps)), zero: ps[0].Zero(), hint: hint, mask: mask}
+	r := &Run{lanes: make([]lane, len(ps)), zero: ps[0].Zero(), op: opFor(hint), mask: mask}
 	for l, p := range ps {
 		r.lanes[l].p = p
 	}
 	return r
 }
 
-// TestScalarKernelsMatchGeneric is the kernel-level bit-identity gate:
-// every specialized fold, across the CSR, ToHub and FromHub kernels,
-// with and without mask/tombstone filtering, must reproduce the generic
-// interface path (the generic lane kernel at one lane) exactly — on
-// ordinary attributes and on vectors of signed zeros, infinities,
-// denormals and NaNs, where the kernels' min/max builtins meet the
-// programs' math.Min/math.Max.
-func TestScalarKernelsMatchGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	normal := make([]float64, 96)
-	for v := range normal {
-		normal[v] = rng.NormFloat64() // negative values catch sign bugs
+var lane0 = []int{0}
+
+// laneRun returns the consecutive lane ids [first, first+n).
+func laneRun(first, n int) []int {
+	lanes := make([]int, n)
+	for x := range lanes {
+		lanes[x] = first + x
 	}
+	return lanes
+}
+
+// TestLaneKernelsMatchGeneric is the kernel-level bit-identity gate:
+// every hinted fold, through gatherCell — the function a run calls — and
+// through the FromHub fold, must reproduce the generic lane kernel bit
+// for bit. It runs at widths 1, 2, 3, 4, 5, 8, 12, 13, 14 and 16, so
+// every split of a run into four-lane blocks, a padded block of three
+// and one-lane leaves is met: for the run's every lane, a consecutive
+// run starting past lane 0 and a lane list with gaps; over source and
+// accumulator windows whose base is not 0; into the accumulator and into
+// hub entries; with and without a tombstone predicate, and at width 1
+// with and without a vertex mask; on a sub-shard whose destinations
+// carry 0 to 12 edges plus runs of 45 and 150. Attributes, accumulators
+// and hub partials are ordinary numbers, or drawn from specialValues —
+// ±0, ±Inf, denormals — without and with NaN, so every fold must start
+// from Zero like the generic one (0 + -0 is +0), and the min and max
+// folds meet the kernels' NaN-first contract.
+func TestLaneKernelsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
 	for _, set := range []struct {
-		name  string
-		attrs []float64
+		name string
+		nan  bool
+		draw func(n int) []float64
 	}{
-		{"normal", normal},
-		{"special", specialAttrs(rng, 96, false)},
-		{"special+nan", specialAttrs(rng, 96, true)},
+		{"normal", false, func(n int) []float64 {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = rng.NormFloat64() // negative values catch sign bugs
+			}
+			return vals
+		}},
+		{"special", false, func(n int) []float64 { return specialAttrs(rng, n, false) }},
+		{"special+nan", true, func(n int) []float64 { return specialAttrs(rng, n, true) }},
 	} {
-		t.Run(set.name, func(t *testing.T) { checkScalarKernels(t, rng, set.attrs) })
+		t.Run(set.name, func(t *testing.T) { checkLaneKernels(t, rng, set.nan, set.draw) })
 	}
 }
 
-func checkScalarKernels(t *testing.T, rng *rand.Rand, attrs []float64) {
-	n := len(attrs)
-	deg := make([]uint32, n)
+func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) []float64) {
+	const n, base = 96, 40
+	deg := make([]uint32, base+n)
 	for v := range deg {
 		deg[v] = uint32(1 + rng.Intn(5))
 	}
-	mask := bitset.New(n)
-	for v := 0; v < n; v += 5 {
+	mask := bitset.New(base + n)
+	for v := base; v < base+n; v += 5 {
 		mask.Set(v)
 	}
 	del := func(s, d uint32) bool { return (s+d)%3 == 0 }
-	src := view{attrs, 0}
-
-	for _, c := range scalarFoldCases(slices.ContainsFunc(attrs, math.IsNaN)) {
+	for _, c := range kernelCases(nan) {
 		ss := makeTestSubShard(rng, n, 48, c.weighted)
-		filters := []struct {
-			name string
-			mask *bitset.Set
-			del  delPred
-		}{
-			{"plain", nil, nil},
-			{"mask", mask, nil},
-			{"del", nil, del},
-			{"mask+del", mask, del},
-		}
-		for _, fl := range filters {
-			name := c.name + "/" + fl.name
-
-			accA := make([]float64, n)
-			accB := make([]float64, n)
-			for v := range accA {
-				accA[v] = c.prog.zero
-				accB[v] = c.prog.zero
+		for e := 0; e < 150; e++ { // one more destination, past any edge block
+			ss.Srcs = append(ss.Srcs, uint32(rng.Intn(n)))
+			if c.weighted {
+				ss.Weights = append(ss.Weights, 0.25+rng.Float32())
 			}
-			ref := refRun(KernelGeneric, fl.mask, c.prog)
-			ref.gatherCell(ss, deg, fl.del, src, view{accA, 0}, nil, lane0, true, 0, ss.NumDsts())
-			gatherSpec(c.f, fl.mask, fl.del, ss, src, view{accB, 0}, nil, 0, ss.NumDsts())
-			assertSameBits(t, name+"/csr", accA, accB)
-
-			hubA := make([]float64, ss.NumDsts())
-			hubB := make([]float64, ss.NumDsts())
-			ref.gatherCell(ss, deg, fl.del, src, view{}, hubA, lane0, true, 0, ss.NumDsts())
-			gatherSpec(c.f, fl.mask, fl.del, ss, src, view{}, hubB, 0, ss.NumDsts())
-			assertSameBits(t, name+"/hub", hubA, hubB)
 		}
-
-		// FromHub: only Sum matters, so exercise the sum fold over the
-		// hub partials just produced.
-		if hint := hintForFold(c.f); sumFoldFor(hint) != foldNone {
-			hub := make([]float64, ss.NumDsts())
-			gatherSpec(c.f, nil, nil, ss, src, view{}, hub, 0, ss.NumDsts())
-			accA := make([]float64, n)
-			accB := make([]float64, n)
-			for v := range accA {
-				accA[v] = c.prog.zero
-				accB[v] = c.prog.zero
+		ss.Dsts = append(ss.Dsts, uint32(n-1))
+		ss.Offsets = append(ss.Offsets, uint32(len(ss.Srcs)))
+		for x := range ss.Srcs {
+			ss.Srcs[x] += base
+		}
+		for x := range ss.Dsts {
+			ss.Dsts[x] += base
+		}
+		nd := ss.NumDsts()
+		for _, L := range []int{1, 2, 3, 4, 5, 8, 12, 13, 14, 16} {
+			ps := make([]Program, L)
+			for l := range ps {
+				ps[l] = c.prog
 			}
-			refRun(KernelGeneric, nil, c.prog).foldHub(ss.Dsts, hub, view{accA, 0}, lane0, 0, ss.NumDsts())
-			refRun(hint, nil, c.prog).foldHub(ss.Dsts, hub, view{accB, 0}, lane0, 0, ss.NumDsts())
-			assertSameBits(t, c.name+"/foldHub", accA, accB)
+			shapes := [][]int{laneRun(0, L)}
+			if L > 1 {
+				shapes = append(shapes, laneRun(1, L-1))
+			}
+			if L > 2 {
+				var gapped []int
+				for l := 0; l < L; l++ {
+					if l%3 != 1 {
+						gapped = append(gapped, l)
+					}
+				}
+				shapes = append(shapes, gapped)
+			}
+			masks := []*bitset.Set{nil}
+			if L == 1 { // SetMask is legal at one lane only
+				masks = append(masks, mask)
+			}
+			src := view{draw(n * L), base}
+			for _, m := range masks {
+				hinted, ref := refRun(c.hint, m, ps...), refRun(KernelGeneric, m, ps...)
+				for _, lanes := range shapes {
+					contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
+					for _, dl := range []delPred{nil, del} {
+						name := fmt.Sprintf("%s/L%d/lanes%v/mask=%v/del=%v", c.name, L, lanes, m != nil, dl != nil)
+						accA := draw(n * L)
+						accB := slices.Clone(accA)
+						ref.gatherCell(ss, deg, dl, src, view{accA, base}, nil, lanes, contig, 0, nd)
+						hinted.gatherCell(ss, deg, dl, src, view{accB, base}, nil, lanes, contig, 0, nd)
+						assertSameBits(t, name+"/acc", accA, accB)
+						hubA := make([]float64, nd*L)
+						hubB := make([]float64, nd*L)
+						ref.gatherCell(ss, deg, dl, src, view{}, hubA, lanes, contig, 0, nd)
+						hinted.gatherCell(ss, deg, dl, src, view{}, hubB, lanes, contig, 0, nd)
+						assertSameBits(t, name+"/hub", hubA, hubB)
+					}
+					if m != nil {
+						continue
+					}
+					// FromHub: the op's Sum alone folds the partials.
+					hub, accA := draw(nd*L), draw(n*L)
+					accB := slices.Clone(accA)
+					ref.foldHub(ss.Dsts, hub, view{accA, base}, lanes, 0, nd)
+					hinted.foldHub(ss.Dsts, hub, view{accB, base}, lanes, 0, nd)
+					assertSameBits(t, fmt.Sprintf("%s/L%d/lanes%v/foldHub", c.name, L, lanes), accA, accB)
+				}
+			}
 		}
 	}
 }
 
-var lane0 = []int{0}
-
-// hintForFold inverts scalarFoldFor far enough for the FromHub check:
-// any hint whose Sum matches the fold's combine.
-func hintForFold(f scalarFold) KernelHint {
-	switch f {
-	case foldCopySum, foldCountSum:
-		return KernelCopySum
-	case foldMin, foldHopMin, foldDistMin:
-		return KernelMinFold
-	case foldMax:
-		return KernelMaxFold
-	}
-	return KernelGeneric
-}
-
-func TestScalarFoldFor(t *testing.T) {
-	cases := []struct {
-		hint     KernelHint
-		weighted bool
-		want     scalarFold
-	}{
-		{KernelGeneric, false, foldNone},
-		{KernelRankSum, false, foldCopySum}, // division hoisted
-		{KernelHopMin, true, foldHopMin},
-		{KernelDistMin, true, foldDistMin},
-		{KernelDistMin, false, foldHopMin}, // unweighted cell: w == 1
-		{KernelMinFold, false, foldMin},
-		{KernelMaxFold, false, foldMax},
-		{KernelCountSum, false, foldCountSum},
-		{KernelCopySum, false, foldCopySum},
-	}
-	for _, c := range cases {
-		if got := scalarFoldFor(c.hint, c.weighted); got != c.want {
-			t.Errorf("scalarFoldFor(%v, %v) = %v, want %v", c.hint, c.weighted, got, c.want)
+func TestOpFor(t *testing.T) {
+	for hint, want := range map[KernelHint]laneOp{
+		KernelGeneric:  opGeneric,
+		KernelRankSum:  opSum, // division hoisted into the scaled view
+		KernelCopySum:  opSum,
+		KernelCountSum: opCount,
+		KernelMinFold:  opMin,
+		KernelMaxFold:  opMax,
+		KernelHopMin:   opHop,
+		KernelDistMin:  opDist, // opHop on an unweighted cell, inside gatherLanes
+	} {
+		if got := opFor(hint); got != want {
+			t.Errorf("opFor(%v) = %v, want %v", hint, got, want)
 		}
 	}
 }
@@ -407,15 +427,21 @@ func benchSubShard(rng *rand.Rand, n, numDsts int) *storage.SubShard {
 	return ss
 }
 
-// BenchmarkGatherKernel compares the generic interface-dispatch gather
-// against the devirtualized folds on one sub-shard of 8192 destinations
-// (about 48k edges) with the run-length mix of a real cell. The lane/
-// rows run the lane kernels of the two fused hints — copy-sum over a
-// scaled view (RankSum) and hop-min — at L = 1, against the scalar
-// spec/copySum and spec/hopMin arms a one-lane run takes instead, and
-// at L = 16 over every lane. It reports ns/edge (all lanes of an edge
-// together), the unit of the benchmark ledger's
-// engine.gather_self_ns_per_edge.
+// BenchmarkGatherKernel times gatherCell, the function a run calls, on
+// one sub-shard of 8192 destinations (about 48k edges) with the
+// run-length mix of a real cell. The generic/ rows run the hint-free
+// kernel at one lane. The lane/<op>/L1 rows run every hinted fold at one
+// lane, where the one-lane leaf takes the whole run. The two fused
+// hints' folds — copy-sum (RankSum over a scaled view) and hop-min —
+// also run at the widths a fused run meets: L2 is two leaf lanes, L3 one
+// four-lane pass padded from three, L12 serve-read's mean fused width
+// (about 11.7), L13 those twelve lanes in windows plus one leaf lane,
+// L16 every lane in windows, and L16list 12 of 16 lanes through a lane
+// list with gaps, the shape of a BFS frontier. It reports ns/edge (all
+// lanes of an edge together), the unit of the benchmark ledger's
+// engine.gather_self_ns_per_edge. The distMin folds are left out: without
+// weights they fold as hopMin, and the weighted fold is covered by
+// TestLaneKernelsMatchGeneric.
 func BenchmarkGatherKernel(b *testing.B) {
 	const n = 1 << 13
 	rng := rand.New(rand.NewSource(7))
@@ -426,164 +452,57 @@ func BenchmarkGatherKernel(b *testing.B) {
 		deg[v] = uint32(1 + rng.Intn(8))
 		attrs[v] = rng.Float64()
 	}
-	src := view{attrs, 0}
-	acc := make([]float64, n)
 	edges := float64(ss.NumEdges())
 	nsPerEdge := func(b *testing.B) {
 		b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N)/edges, "ns/edge")
 	}
-
-	for _, c := range scalarFoldCases(false) {
-		if c.weighted {
-			continue // weight array omitted; distMin is covered by the equivalence tests
+	acc := make([]float64, n)
+	for _, c := range kernelCases(false) {
+		if c.hint == KernelDistMin {
+			continue
 		}
 		b.Run("generic/"+c.name, func(b *testing.B) {
 			r := refRun(KernelGeneric, nil, c.prog)
 			for i := 0; i < b.N; i++ {
-				r.gatherCell(ss, deg, nil, src, view{acc, 0}, nil, lane0, true, 0, ss.NumDsts())
-			}
-			nsPerEdge(b)
-		})
-		b.Run("spec/"+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				gatherSpec(c.f, nil, nil, ss, src, view{acc, 0}, nil, 0, ss.NumDsts())
+				r.gatherCell(ss, deg, nil, view{attrs, 0}, view{acc, 0}, nil, lane0, true, 0, ss.NumDsts())
 			}
 			nsPerEdge(b)
 		})
 	}
-	// L12 is serve-read's mean fused width (about 11.7) and ends in a
-	// partial four-lane block; L16list folds 12 of 16 lanes through a
-	// lane list with gaps, the shape of a BFS frontier.
-	for _, c := range []struct {
+	for _, sh := range []struct {
 		name  string
 		L     int
 		lanes []int
 	}{
-		{"L1", 1, []int{0}},
+		{"L1", 1, lane0},
+		{"L2", 2, laneRun(0, 2)},
+		{"L3", 3, laneRun(0, 3)},
 		{"L12", 12, laneRun(0, 12)},
+		{"L13", 13, laneRun(0, 13)},
 		{"L16", 16, laneRun(0, 16)},
 		{"L16list", 16, []int{0, 1, 2, 4, 5, 6, 8, 9, 11, 12, 14, 15}},
 	} {
-		L, lanes, ps := c.L, c.lanes, make([]Program, c.L)
+		L, lanes := sh.L, sh.lanes
 		contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
 		slab, accL := make([]float64, n*L), make([]float64, n*L)
-		for l := range ps {
-			ps[l] = &foldTestProg{zero: math.Inf(1)}
-		}
 		for x := range slab {
 			slab[x] = attrs[x/L]
 		}
-		r := refRun(KernelGeneric, nil, ps...)
-		b.Run("lane/rankSum/"+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r.gatherLanes(opSum, ss, nil, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, ss.NumDsts())
+		for _, c := range kernelCases(false) {
+			if c.hint == KernelDistMin || L > 1 && c.hint != KernelCopySum && c.hint != KernelHopMin {
+				continue
 			}
-			nsPerEdge(b)
-		})
-		b.Run("lane/hopMin/"+c.name, func(b *testing.B) {
-			for i := 0; i < b.N; i++ {
-				r.gatherLanes(opHop, ss, nil, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, ss.NumDsts())
-			}
-			nsPerEdge(b)
-		})
-	}
-}
-
-// laneRun returns the consecutive lane ids [first, first+n).
-func laneRun(first, n int) []int {
-	lanes := make([]int, n)
-	for x := range lanes {
-		lanes[x] = first + x
-	}
-	return lanes
-}
-
-// TestLaneKernelsMatchGeneric holds the hinted lane kernels to the
-// generic lane kernel, bit for bit, at run widths 1, 3, 4, 5, 8, 12, 13
-// and 16: for the run's every lane, a consecutive run starting past lane
-// 0 and a lane list with gaps (each its widths' partial four-lane pass
-// included); over source and accumulator windows whose base is not 0;
-// into the accumulator and into hub entries; with and without a
-// tombstone predicate; on a sub-shard whose destinations carry 0 to 12
-// edges plus runs of 45 and 150. Attributes and accumulators are drawn
-// from specialValues — ±0, ±Inf, denormals and NaN — so every fold must
-// start from Zero like the generic one (0 + -0 is +0), and the min folds
-// meet the kernels' NaN-first min contract.
-func TestLaneKernelsMatchGeneric(t *testing.T) {
-	const n, base = 96, 40
-	rng := rand.New(rand.NewSource(5))
-	deg := make([]uint32, base+n)
-	for v := range deg {
-		deg[v] = uint32(1 + rng.Intn(5))
-	}
-	del := func(s, d uint32) bool { return (s+d)%3 == 0 }
-	add := func(a, b float64) float64 { return a + b }
-	nanMin := nanFirst(math.Min)
-	cases := []struct {
-		name     string
-		op       laneOp
-		hint     KernelHint
-		prog     *foldTestProg
-		weighted bool
-	}{
-		{"rankSum", opSum, KernelRankSum, &foldTestProg{0, func(a float64, _ uint32, _ float32) float64 { return a }, add}, false},
-		{"hopMin", opHop, KernelHopMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, _ float32) float64 { return a + 1 }, nanMin}, false},
-		{"distMin", opDist, KernelDistMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, w float32) float64 { return a + float64(w) }, nanMin}, true},
-		{"distMin-unweighted", opDist, KernelDistMin, &foldTestProg{math.Inf(1), func(a float64, _ uint32, w float32) float64 { return a + float64(w) }, nanMin}, false},
-	}
-	for _, c := range cases {
-		ss := makeTestSubShard(rng, n, 48, c.weighted)
-		for e := 0; e < 150; e++ { // one more destination, past any edge block
-			ss.Srcs = append(ss.Srcs, uint32(rng.Intn(n)))
-			if c.weighted {
-				ss.Weights = append(ss.Weights, 0.25+rng.Float32())
-			}
-		}
-		ss.Dsts = append(ss.Dsts, uint32(n-1))
-		ss.Offsets = append(ss.Offsets, uint32(len(ss.Srcs)))
-		for x := range ss.Srcs {
-			ss.Srcs[x] += base
-		}
-		for x := range ss.Dsts {
-			ss.Dsts[x] += base
-		}
-		for _, L := range []int{1, 3, 4, 5, 8, 12, 13, 16} {
-			attrs := func() []float64 { return specialAttrs(rng, n*L, true) }
 			ps := make([]Program, L)
 			for l := range ps {
 				ps[l] = c.prog
 			}
-			spec, ref := refRun(c.hint, nil, ps...), refRun(KernelGeneric, nil, ps...)
-			shapes := [][]int{laneRun(0, L)}
-			if L > 1 {
-				shapes = append(shapes, laneRun(1, L-1))
-			}
-			if L > 2 {
-				var gapped []int
-				for l := 0; l < L; l++ {
-					if l%3 != 1 {
-						gapped = append(gapped, l)
-					}
+			r := refRun(c.hint, nil, ps...)
+			b.Run("lane/"+c.name+"/"+sh.name, func(b *testing.B) {
+				for i := 0; i < b.N; i++ {
+					r.gatherCell(ss, deg, nil, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, ss.NumDsts())
 				}
-				shapes = append(shapes, gapped)
-			}
-			src := view{attrs(), base}
-			for _, lanes := range shapes {
-				contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
-				for _, dl := range []delPred{nil, del} {
-					name := fmt.Sprintf("%s/L%d/lanes%v/del=%v", c.name, L, lanes, dl != nil)
-					accA := attrs()
-					accB := slices.Clone(accA)
-					ref.gatherCell(ss, deg, dl, src, view{accA, base}, nil, lanes, contig, 0, ss.NumDsts())
-					spec.gatherLanes(c.op, ss, dl, src, view{accB, base}, nil, lanes, contig, 0, ss.NumDsts())
-					assertSameBits(t, name+"/acc", accA, accB)
-					hubA := make([]float64, ss.NumDsts()*L)
-					hubB := make([]float64, ss.NumDsts()*L)
-					ref.gatherCell(ss, deg, dl, src, view{}, hubA, lanes, contig, 0, ss.NumDsts())
-					spec.gatherLanes(c.op, ss, dl, src, view{}, hubB, lanes, contig, 0, ss.NumDsts())
-					assertSameBits(t, name+"/hub", hubA, hubB)
-				}
-			}
+				nsPerEdge(b)
+			})
 		}
 	}
 }
@@ -696,9 +615,10 @@ func BenchmarkChunkingSkewed(b *testing.B) {
 		b.ReportMetric(float64(maxEdges), "maxChunkEdges")
 		b.ReportMetric(float64(maxEdges)/float64(edges), "criticalPathFrac")
 		b.SetBytes(edges * 8)
+		r := refRun(KernelCopySum, nil, &foldTestProg{})
 		for i := 0; i < b.N; i++ {
 			parallelFor(threads, len(bounds)-1, func(c int) {
-				gatherSpec(foldCopySum, nil, nil, ss, src, view{acc, 0}, nil, bounds[c], bounds[c+1])
+				r.gatherCell(ss, nil, nil, src, view{acc, 0}, nil, lane0, true, bounds[c], bounds[c+1])
 			})
 		}
 	}

@@ -65,18 +65,17 @@ type DenseApply interface {
 
 // KernelHint names the functional form of a Program's Gather/Sum pair. A
 // Run uses the hint its lanes share to select a specialized inner loop
-// with no per-edge interface dispatch (the lane kernels of
-// batch_kernels.go, and scalar_kernels.go for a lone lane). Each
-// specialized kernel performs exactly the floating-point operations the
-// declared Gather/Sum would, in the same order, so results stay
-// bit-identical to the generic interface path; a program must only
-// declare a hint whose form its methods — including Zero, the identity
-// of Sum — match exactly. The min and max folds (KernelHopMin, DistMin,
-// MinFold, MaxFold) are computed with the min/max builtins, which are
-// bit-identical to math.Min/math.Max on every non-NaN input, signed
-// zeros and infinities included; a NaN attribute yields a NaN, of
-// unspecified payload, where math.Min would still let -Inf (math.Max,
-// +Inf) win over it.
+// with no per-edge interface dispatch (the hinted kernel of
+// batch_kernels.go, at every width). Each specialized fold performs
+// exactly the floating-point operations the declared Gather/Sum would,
+// in the same order, so results stay bit-identical to the generic
+// interface path; a program must only declare a hint whose form its
+// methods — including Zero, the identity of Sum — match exactly. The
+// min and max folds (KernelHopMin, DistMin, MinFold, MaxFold) are
+// computed with the min/max builtins, which are bit-identical to
+// math.Min/math.Max on every non-NaN input, signed zeros and infinities
+// included; a NaN attribute yields a NaN, of unspecified payload, where
+// math.Min would still let -Inf (math.Max, +Inf) win over it.
 type KernelHint int
 
 const (

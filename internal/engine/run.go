@@ -113,10 +113,10 @@ type Run struct {
 	threads int
 	chunk   int
 
-	// hint is the kernel form every lane declares (KernelGeneric unless
-	// they all agree), zero their shared Sum identity. chunkCost is the
-	// edge-balanced gather task size (see gatherChunkCost).
-	hint      KernelHint
+	// op is the fold of the kernel hint every lane declares (opGeneric
+	// unless they all agree), zero their shared Sum identity. chunkCost is
+	// the edge-balanced gather task size (see gatherChunkCost).
+	op        laneOp
 	zero      float64
 	chunkCost int
 
@@ -209,7 +209,7 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 	}
 	m := e.store.Meta()
 	strat, q := e.chooseStrategy(L)
-	zero := ps[0].Zero()
+	zero, hint := ps[0].Zero(), commonHint(ps)
 	for l := 1; l < L; l++ {
 		if math.Float64bits(ps[l].Zero()) != math.Float64bits(zero) {
 			return nil, fmt.Errorf("engine: batch lanes must share one Zero value (lane %d: %v, lane 0: %v)", l, ps[l].Zero(), zero)
@@ -223,7 +223,7 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 		q:       q,
 		threads: e.cfg.threads(),
 		chunk:   e.cfg.chunk(),
-		hint:    commonHint(ps),
+		op:      opFor(hint),
 		zero:    zero,
 		started: time.Now(),
 		startIO: e.store.Disk().Stats().Snapshot(),
@@ -258,7 +258,7 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 		}
 	}
 	r.chunkCost = gatherChunkCost(L, r.chunk)
-	r.useScaled = r.hint == KernelRankSum
+	r.useScaled = hint == KernelRankSum
 	r.resEnd = min(uint32(q)*m.IntervalSize(), m.NumVertices)
 	size := int(r.resEnd) * L
 	r.curr, r.next = e.getSlab(L, size), e.getSlab(L, size)
@@ -315,8 +315,8 @@ func commonHint(ps []Program) KernelHint {
 // destination costs about one unit of task overhead plus one unit per
 // in-edge; 4x the destination-count chunk size keeps task counts
 // comparable to destination-count chunking on typical sparse cells while
-// splitting hub-heavy ranges by edge mass. A lane kernel's edge is
-// several times dearer than a scalar kernel's (it touches L attributes;
+// splitting hub-heavy ranges by edge mass. A wide run's edge is
+// several times dearer than a one-lane run's (it touches L attributes;
 // ~5x at L = 16), so the budget shrinks with L — but never below chunk,
 // which still amortizes a task's closure, atomic and scratch buffer.
 func gatherChunkCost(L, chunk int) int {

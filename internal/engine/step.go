@@ -672,18 +672,18 @@ func foldAggregate(a GlobalAggregator, val float64, vals []float64, stride, off 
 // Sum a kernel hint pins folds as a builtin, anything else through the
 // lane's Program.
 func (r *Run) foldHub(dsts []uint32, vals []float64, acc view, lanes []int, k0, k1 int) {
-	L, f := len(r.lanes), sumFoldFor(r.hint)
+	L, op := len(r.lanes), r.op
 	ao := -int(acc.base) * L
 	for k := k0; k < k1; k++ {
 		db := int(dsts[k])*L + ao
 		for _, l := range lanes {
 			a, v := acc.vals[db+l], vals[k*L+l]
-			switch f {
-			case foldCopySum:
+			switch op {
+			case opSum, opCount:
 				a += v
-			case foldMin:
+			case opMin, opHop, opDist:
 				a = min(a, v)
-			case foldMax:
+			case opMax:
 				a = max(a, v)
 			default:
 				a = r.lanes[l].p.Sum(a, v)

@@ -20,11 +20,11 @@ import (
 // The tombstone-equivalence suite: a base store served through an
 // overlay that carries removals must produce, bit for bit, what the
 // compacted (Rebuild) store produces through the generic interface
-// kernels — at run widths 1, 3 and 16 (the scalar and the lane kernel
-// families), every update strategy, both sync modes, both replicas and
-// every kernel hint — with the tombstones aimed at the places where
-// splitting a chunk into clean runs and dirty destinations could go
-// wrong.
+// kernels — at run widths 1, 3 and 16 (the hinted kernel's one-lane
+// leaf, a padded block of three and whole lane blocks), every update
+// strategy, chunked and whole-cell tasks, both replicas and every kernel
+// hint — with the tombstones aimed at the places where splitting a chunk
+// into clean runs and dirty destinations could go wrong.
 
 const (
 	tombN        = 96 // vertices; P = 4 gives 24-vertex intervals
