@@ -237,43 +237,70 @@ func laneRun(first, n int) []int {
 	return lanes
 }
 
-// TestLaneKernelsMatchGeneric is the kernel-level bit-identity gate:
-// every hinted fold, through gatherCell — the function a run calls — and
-// through the FromHub fold, must reproduce the generic lane kernel bit
-// for bit. It runs at widths 1, 2, 3, 4, 5, 8, 12, 13, 14 and 16, so
-// every split of a run into four-lane blocks, a padded block of three
-// and one-lane leaves is met: for the run's every lane, a consecutive
-// run starting past lane 0 and a lane list with gaps; over source and
-// accumulator windows whose base is not 0; into the accumulator and into
-// hub entries; with and without a tombstone predicate, and at width 1
-// with and without a vertex mask; on a sub-shard whose destinations
-// carry 0 to 12 edges plus runs of 45 and 150. Attributes, accumulators
-// and hub partials are ordinary numbers, or drawn from specialValues —
-// ±0, ±Inf, denormals — without and with NaN, so every fold must start
-// from Zero like the generic one (0 + -0 is +0), and the min and max
-// folds meet the kernels' NaN-first contract.
-func TestLaneKernelsMatchGeneric(t *testing.T) {
-	rng := rand.New(rand.NewSource(42))
-	for _, set := range []struct {
-		name string
-		nan  bool
-		draw func(n int) []float64
-	}{
+type kernelAttrSet struct {
+	name string
+	nan  bool
+	draw func(n int) []float64
+}
+
+// kernelAttrSets are the attribute sets the bit-identity gates draw
+// attributes, accumulators and hub partials from: ordinary numbers
+// (negative values catch sign bugs), values drawn from specialValues —
+// ±0, ±Inf, denormals — without and with NaN, or only ±0, so that many
+// short runs hold -0 alone. Every fold must start from Zero like the
+// generic one (0 + -0 is +0), and the min and max folds meet the
+// kernels' NaN-first contract.
+func kernelAttrSets(rng *rand.Rand) []kernelAttrSet {
+	return []kernelAttrSet{
 		{"normal", false, func(n int) []float64 {
 			vals := make([]float64, n)
 			for i := range vals {
-				vals[i] = rng.NormFloat64() // negative values catch sign bugs
+				vals[i] = rng.NormFloat64()
 			}
 			return vals
 		}},
 		{"special", false, func(n int) []float64 { return specialAttrs(rng, n, false) }},
 		{"special+nan", true, func(n int) []float64 { return specialAttrs(rng, n, true) }},
-	} {
-		t.Run(set.name, func(t *testing.T) { checkLaneKernels(t, rng, set.nan, set.draw) })
+		{"signed-zeros", false, func(n int) []float64 {
+			vals := make([]float64, n)
+			for i := range vals {
+				vals[i] = specialValues[rng.Intn(2)] // a run of -0s sums to +0 only from Zero
+			}
+			return vals
+		}},
 	}
 }
 
-func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) []float64) {
+// TestScalarKernelsMatchGeneric is the one-lane half of the kernel-level
+// bit-identity gate: at width 1, where gatherLanes runs its one-lane
+// leaf (foldLane) alone, every hinted fold, through gatherCell and
+// through the FromHub fold, must reproduce the generic lane kernel bit
+// for bit, with and without a vertex mask and a tombstone predicate.
+func TestScalarKernelsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(42))
+	for _, set := range kernelAttrSets(rng) {
+		t.Run(set.name, func(t *testing.T) { checkLaneKernels(t, rng, set.nan, set.draw, []int{1}) })
+	}
+}
+
+// TestLaneKernelsMatchGeneric is the multi-lane half of the gate: it
+// runs at widths 2, 3, 4, 5, 8, 12, 13, 14 and 16, so every split of a
+// run into four-lane blocks, a padded block of three and one-lane leaves
+// is met: for the run's every lane, a consecutive run starting past
+// lane 0 and a lane list with gaps; over source and accumulator windows
+// whose base is not 0; into the accumulator and into hub entries; with
+// and without a tombstone predicate; on a sub-shard whose destinations
+// carry 0 to 12 edges plus runs of 45 and 150.
+func TestLaneKernelsMatchGeneric(t *testing.T) {
+	rng := rand.New(rand.NewSource(43))
+	for _, set := range kernelAttrSets(rng) {
+		t.Run(set.name, func(t *testing.T) {
+			checkLaneKernels(t, rng, set.nan, set.draw, []int{2, 3, 4, 5, 8, 12, 13, 14, 16})
+		})
+	}
+}
+
+func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) []float64, widths []int) {
 	const n, base = 96, 40
 	deg := make([]uint32, base+n)
 	for v := range deg {
@@ -301,7 +328,7 @@ func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) [
 			ss.Dsts[x] += base
 		}
 		nd := ss.NumDsts()
-		for _, L := range []int{1, 2, 3, 4, 5, 8, 12, 13, 14, 16} {
+		for _, L := range widths {
 			ps := make([]Program, L)
 			for l := range ps {
 				ps[l] = c.prog
