@@ -11,6 +11,7 @@ package main
 import (
 	"flag"
 	"fmt"
+	"io"
 	"math"
 	"os"
 	"runtime"
@@ -21,37 +22,54 @@ import (
 	"nxgraph/internal/metrics"
 )
 
-func main() {
+func main() { os.Exit(run(os.Args[1:], os.Stdout, os.Stderr)) }
+
+// run is nxrun with its arguments and output streams passed in. It
+// returns the exit code — 2 for a usage error, 1 for a failed run — so
+// that every deferred cleanup (the CPU profile's flush, the heap
+// profile, closing the store) runs before the process exits.
+func run(args []string, stdout, stderr io.Writer) int {
+	fs := flag.NewFlagSet("nxrun", flag.ContinueOnError)
+	fs.SetOutput(stderr)
 	var (
-		store    = flag.String("store", "", "store directory (from nxpre)")
-		algo     = flag.String("algo", "pagerank", "pagerank | ppr | bfs | sssp | wcc | scc | hits | kcore")
-		iters    = flag.Int("iters", 10, "iterations (pagerank, hits)")
-		damping  = flag.Float64("damping", 0.85, "PageRank damping")
-		root     = flag.Uint64("root", 0, "root vertex (bfs, sssp), dense id")
-		threads  = flag.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
-		mem      = flag.String("mem", "0", "memory budget (e.g. 512MiB; 0 = unlimited)")
-		cacheMB  = flag.Int("cache-mb", -1, "sub-shard block cache budget in MiB (-1 = derive from -mem, 0 = disable)")
-		strategy = flag.String("strategy", "auto", "auto | spu | dpu | mpu")
-		profile  = flag.String("disk", "none", "simulated disk: none | ssd | hdd")
-		topk     = flag.Int("top", 10, "print top-K vertices (pagerank, hits)")
-		showTr   = flag.Bool("trace", false, "print per-iteration compute-vs-stall breakdown")
-		cpuProf  = flag.String("cpuprofile", "", "write a CPU profile of the run to this file")
-		memProf  = flag.String("memprofile", "", "write a heap profile taken after the run to this file")
+		store    = fs.String("store", "", "store directory (from nxpre)")
+		algo     = fs.String("algo", "pagerank", "pagerank | ppr | bfs | sssp | wcc | scc | hits | kcore")
+		iters    = fs.Int("iters", 10, "iterations (pagerank, hits)")
+		damping  = fs.Float64("damping", 0.85, "PageRank damping")
+		root     = fs.Uint64("root", 0, "root vertex (bfs, sssp, ppr), dense id")
+		threads  = fs.Int("threads", 0, "worker threads (0 = GOMAXPROCS)")
+		mem      = fs.String("mem", "0", "memory budget (e.g. 512MiB; 0 = unlimited)")
+		cacheMB  = fs.Int("cache-mb", -1, "sub-shard block cache budget in MiB (-1 = derive from -mem, 0 = disable)")
+		strategy = fs.String("strategy", "auto", "auto | spu | dpu | mpu")
+		profile  = fs.String("disk", "none", "simulated disk: none | ssd | hdd")
+		topk     = fs.Int("top", 10, "print top-K vertices (pagerank, hits)")
+		showTr   = fs.Bool("trace", false, "print per-iteration compute-vs-stall breakdown")
+		cpuProf  = fs.String("cpuprofile", "", "write a CPU profile of the run to this file")
+		memProf  = fs.String("memprofile", "", "write a heap profile taken after the run to this file")
 	)
-	flag.Parse()
+	if err := fs.Parse(args); err != nil {
+		return 2
+	}
 	if *store == "" {
-		fmt.Fprintln(os.Stderr, "nxrun: -store is required")
-		os.Exit(2)
+		fmt.Fprintln(stderr, "nxrun: -store is required")
+		return 2
+	}
+	if *root > math.MaxUint32 {
+		fmt.Fprintf(stderr, "nxrun: -root %d exceeds the largest vertex id %d\n", *root, uint32(math.MaxUint32))
+		return 2
+	}
+	fail := func(err error) int {
+		fmt.Fprintln(stderr, "nxrun:", err)
+		return 1
 	}
 	if *cpuProf != "" {
 		f, err := os.Create(*cpuProf)
 		if err != nil {
-			fmt.Fprintln(os.Stderr, "nxrun:", err)
-			os.Exit(1)
+			return fail(err)
 		}
+		defer f.Close()
 		if err := pprof.StartCPUProfile(f); err != nil {
-			fmt.Fprintln(os.Stderr, "nxrun:", err)
-			os.Exit(1)
+			return fail(err)
 		}
 		defer pprof.StopCPUProfile()
 	}
@@ -59,20 +77,20 @@ func main() {
 		defer func() {
 			f, err := os.Create(*memProf)
 			if err != nil {
-				fmt.Fprintln(os.Stderr, "nxrun:", err)
+				fmt.Fprintln(stderr, "nxrun:", err)
 				return
 			}
 			defer f.Close()
 			runtime.GC() // settle live-heap accounting before the snapshot
 			if err := pprof.WriteHeapProfile(f); err != nil {
-				fmt.Fprintln(os.Stderr, "nxrun:", err)
+				fmt.Fprintln(stderr, "nxrun:", err)
 			}
 		}()
 	}
 	budget, err := metrics.ParseBytes(*mem)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nxrun:", err)
-		os.Exit(2)
+		fmt.Fprintln(stderr, "nxrun:", err)
+		return 2
 	}
 	opt := nxgraph.Options{Threads: *threads, MemoryBudget: budget}
 	switch {
@@ -91,8 +109,8 @@ func main() {
 	case "mpu":
 		opt.Strategy = nxgraph.MPU
 	default:
-		fmt.Fprintf(os.Stderr, "nxrun: unknown strategy %q\n", *strategy)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "nxrun: unknown strategy %q\n", *strategy)
+		return 2
 	}
 	switch *profile {
 	case "none":
@@ -101,27 +119,26 @@ func main() {
 	case "hdd":
 		opt.Profile = nxgraph.HDD
 	default:
-		fmt.Fprintf(os.Stderr, "nxrun: unknown disk profile %q\n", *profile)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "nxrun: unknown disk profile %q\n", *profile)
+		return 2
 	}
 
 	g, err := nxgraph.Open(*store, opt)
 	if err != nil {
-		fmt.Fprintln(os.Stderr, "nxrun:", err)
-		os.Exit(1)
+		return fail(err)
 	}
 	defer g.Close()
-	fmt.Printf("graph: %d vertices, %d edges, P=%d\n", g.NumVertices(), g.NumEdges(), g.P())
+	fmt.Fprintf(stdout, "graph: %d vertices, %d edges, P=%d\n", g.NumVertices(), g.NumEdges(), g.P())
 
 	printResult := func(res *nxgraph.Result) {
-		fmt.Printf("%s: %d iterations in %s (%.1f MTEPS), strategy=%s, io: read %d B, written %d B\n",
+		fmt.Fprintf(stdout, "%s: %d iterations in %s (%.1f MTEPS), strategy=%s, io: read %d B, written %d B\n",
 			*algo, res.Iterations, res.Elapsed.Round(1e6), res.MTEPS(), res.Strategy,
 			res.IO.BytesRead, res.IO.BytesWritten)
 		if sum := g.CacheStats().Summary(); sum != "" {
-			fmt.Printf("%s, %s resident\n", sum, metrics.Bytes(g.CacheStats().ResidentBytes))
+			fmt.Fprintf(stdout, "%s, %s resident\n", sum, metrics.Bytes(g.CacheStats().ResidentBytes))
 		}
 		if *showTr && res.Trace != nil {
-			metrics.StepTable("per-iteration trace", res.Trace.Steps()).Render(os.Stdout)
+			metrics.StepTable("per-iteration trace", res.Trace.Steps()).Render(stdout)
 		}
 	}
 	printTop := func(vals []float64, label string) {
@@ -138,21 +155,25 @@ func main() {
 		if k > len(top) {
 			k = len(top)
 		}
-		fmt.Printf("top %d by %s:\n", k, label)
+		fmt.Fprintf(stdout, "top %d by %s:\n", k, label)
 		for i := 0; i < k; i++ {
-			fmt.Printf("  #%-3d vertex %-10d %.6g\n", i+1, top[i].v, top[i].x)
+			fmt.Fprintf(stdout, "  #%-3d vertex %-10d %.6g\n", i+1, top[i].v, top[i].x)
 		}
 	}
 
 	switch *algo {
 	case "pagerank":
 		res, err := g.PageRank(*damping, *iters)
-		exitOn(err)
+		if err != nil {
+			return fail(err)
+		}
 		printResult(res)
 		printTop(res.Attrs, "rank")
 	case "bfs":
 		res, err := g.BFS(uint32(*root))
-		exitOn(err)
+		if err != nil {
+			return fail(err)
+		}
 		printResult(res)
 		reach, maxd := 0, 0.0
 		for _, d := range res.Attrs {
@@ -163,48 +184,54 @@ func main() {
 				}
 			}
 		}
-		fmt.Printf("reached %d/%d vertices, max depth %d\n", reach, len(res.Attrs), int(maxd))
+		fmt.Fprintf(stdout, "reached %d/%d vertices, max depth %d\n", reach, len(res.Attrs), int(maxd))
 	case "sssp":
 		res, err := g.SSSP(uint32(*root))
-		exitOn(err)
+		if err != nil {
+			return fail(err)
+		}
 		printResult(res)
 	case "wcc":
 		res, err := g.WCC()
-		exitOn(err)
+		if err != nil {
+			return fail(err)
+		}
 		printResult(res)
 		comps := map[uint32]int{}
 		for _, l := range res.Attrs {
 			comps[uint32(l)]++
 		}
-		fmt.Printf("%d weakly connected components\n", len(comps))
+		fmt.Fprintf(stdout, "%d weakly connected components\n", len(comps))
 	case "scc":
 		res, err := g.SCC()
-		exitOn(err)
-		fmt.Printf("scc: %d components in %d rounds (%d engine iterations) in %s\n",
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "scc: %d components in %d rounds (%d engine iterations) in %s\n",
 			res.NumComponents(), res.Rounds, res.Iterations, res.Elapsed.Round(1e6))
 	case "hits":
 		auth, _, err := g.HITS(*iters)
-		exitOn(err)
+		if err != nil {
+			return fail(err)
+		}
 		printTop(auth, "authority")
 	case "ppr":
 		res, err := g.PersonalizedPageRank(uint32(*root), *damping, *iters)
-		exitOn(err)
+		if err != nil {
+			return fail(err)
+		}
 		printResult(res)
 		printTop(res.Attrs, "proximity")
 	case "kcore":
 		res, err := g.KCore()
-		exitOn(err)
-		fmt.Printf("kcore: degeneracy %d in %d passes (%d engine iterations) in %s\n",
+		if err != nil {
+			return fail(err)
+		}
+		fmt.Fprintf(stdout, "kcore: degeneracy %d in %d passes (%d engine iterations) in %s\n",
 			res.MaxCore, res.Passes, res.Iterations, res.Elapsed.Round(1e6))
 	default:
-		fmt.Fprintf(os.Stderr, "nxrun: unknown algorithm %q\n", *algo)
-		os.Exit(2)
+		fmt.Fprintf(stderr, "nxrun: unknown algorithm %q\n", *algo)
+		return 2
 	}
-}
-
-func exitOn(err error) {
-	if err != nil {
-		fmt.Fprintln(os.Stderr, "nxrun:", err)
-		os.Exit(1)
-	}
+	return 0
 }

@@ -66,6 +66,16 @@ func BenchmarkSCC(b *testing.B) {
 	}
 }
 
+func BenchmarkKCore(b *testing.B) {
+	e, _ := benchEngine(b, true)
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		if _, err := algorithms.KCore(e); err != nil {
+			b.Fatal(err)
+		}
+	}
+}
+
 func BenchmarkHITS(b *testing.B) {
 	e, _ := benchEngine(b, true)
 	b.ResetTimer()

@@ -14,8 +14,9 @@ import (
 // graph (self-loops contribute 2 to a vertex's degree, parallel edges
 // count with multiplicity). It is an extension beyond the paper's
 // evaluated tasks, built from the same machinery SCC uses: iterative
-// peeling driven by one-shot degree counts over both edge orientations
-// and the engine's vertex mask.
+// peeling driven by one-shot live-degree counts over both edge
+// orientations, with peeled vertices frozen behind a vertex mask that the
+// count program holds.
 //
 // Requires a store preprocessed with Transpose.
 func KCore(e *engine.Engine) (*KCoreResult, error) {
@@ -89,12 +90,11 @@ type KCoreResult struct {
 // liveDegrees counts, for every vertex, its unmasked undirected degree
 // (in + out) with a single Both-direction engine iteration.
 func liveDegrees(ctx context.Context, e *engine.Engine, mask *bitset.Set, res *KCoreResult, progress engine.ProgressFunc) ([]float64, error) {
-	run, err := e.NewRun(degreeCountProg{}, engine.Both)
+	run, err := e.NewRun(degreeCountProg{mask}, engine.Both)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
-	run.SetMask(mask)
 	run.SetProgress(offsetProgress(progress, res.Iterations, res.EdgesTraversed))
 	if _, err := run.StepContext(ctx); err != nil {
 		return nil, err

@@ -54,8 +54,11 @@ func offsetProgress(progress engine.ProgressFunc, baseIter int, baseEdges int64)
 //     SCC rooted at its color. Because forward max-coloring guarantees
 //     color(u) ≥ color(v) for every edge v→u, "some confirmed
 //     out-neighbor has my color" reduces to an associative min.
-//  4. Assign confirmed vertices, freeze them behind the engine's vertex
-//     mask, repeat.
+//  4. Assign confirmed vertices, freeze them behind a vertex mask, repeat.
+//
+// The mask is data each phase's program holds (see frozen): a frozen
+// vertex starts at its fold's Zero, so it emits nothing, and its Apply
+// keeps its attribute.
 //
 // The store must be preprocessed with Transpose. Labels identify
 // components by their root's id (an arbitrary canonical member).
@@ -147,28 +150,51 @@ func (r *SCCResult) NumComponents() int {
 	return len(seen)
 }
 
-// degreeCountProg counts unmasked in-neighbors (Forward) or out-neighbors
-// (Reverse) in a single iteration.
-type degreeCountProg struct{}
+// frozen reports whether mask (nil: none) freezes vertex v.
+func frozen(mask *bitset.Set, v uint32) bool { return mask != nil && mask.Test(int(v)) }
 
-func (degreeCountProg) Name() string                                  { return "scc-degree-count" }
-func (degreeCountProg) Zero() float64                                 { return 0 }
-func (degreeCountProg) Init(v uint32) (float64, bool)                 { return 0, true }
-func (degreeCountProg) Gather(_ float64, _ uint32, _ float32) float64 { return 1 }
-func (degreeCountProg) Sum(a, b float64) float64                      { return a + b }
-func (degreeCountProg) Apply(v uint32, old, acc float64) (float64, bool) {
+// degreeCountProg counts, in a single iteration, each live vertex's live
+// in-neighbors (Forward) or out-neighbors (Reverse); Both adds the two.
+// A live vertex holds 1 and a frozen one 0, the fold's Zero, so the
+// copy-sum of a vertex's in-neighbors' attributes is its live count —
+// exact integers, the same bits in any fold order. A frozen vertex's
+// Apply keeps its 0.
+type degreeCountProg struct{ mask *bitset.Set }
+
+func (degreeCountProg) Name() string  { return "scc-degree-count" }
+func (degreeCountProg) Zero() float64 { return 0 }
+func (p degreeCountProg) Init(v uint32) (float64, bool) {
+	if frozen(p.mask, v) {
+		return 0, true
+	}
+	return 1, true
+}
+func (degreeCountProg) Gather(srcAttr float64, _ uint32, _ float32) float64 { return srcAttr }
+func (degreeCountProg) Sum(a, b float64) float64                            { return a + b }
+func (p degreeCountProg) Apply(v uint32, old, acc float64) (float64, bool) {
+	if frozen(p.mask, v) {
+		return old, false
+	}
 	return acc, false
 }
 func (degreeCountProg) DenseApply() {}
 
-// FusedKernelHint declares the count-and-add gather form so runs
+// FusedKernelHint declares the copy-and-add gather form so runs
 // specialize the live-degree inner loop (KCore peeling re-runs it every
 // round).
-func (degreeCountProg) FusedKernelHint() engine.KernelHint { return engine.KernelCountSum }
+func (degreeCountProg) FusedKernelHint() engine.KernelHint { return engine.KernelCopySum }
 
 // ApplyLane implements engine.LaneApplier: Apply keeps the accumulated
-// count (already in next) and never reports change.
-func (degreeCountProg) ApplyLane(curr, next []float64, stride, off int, v0, v1 uint32) bool {
+// count (already in next), pins frozen vertices and never reports change.
+func (p degreeCountProg) ApplyLane(curr, next []float64, stride, off int, v0, v1 uint32) bool {
+	if p.mask == nil {
+		return false
+	}
+	for v := v0; v < v1; v++ {
+		if idx := int(v)*stride + off; p.mask.Test(int(v)) {
+			next[idx] = curr[idx]
+		}
+	}
 	return false
 }
 
@@ -198,12 +224,11 @@ func trimOnce(ctx context.Context, e *engine.Engine, mask *bitset.Set, res *SCCR
 }
 
 func oneShotCount(ctx context.Context, e *engine.Engine, mask *bitset.Set, dir engine.Direction, res *SCCResult, progress engine.ProgressFunc) ([]float64, error) {
-	run, err := e.NewRun(degreeCountProg{}, dir)
+	run, err := e.NewRun(degreeCountProg{mask}, dir)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
-	run.SetMask(mask)
 	run.SetProgress(offsetProgress(progress, res.Iterations, res.EdgesTraversed))
 	if _, err := run.StepContext(ctx); err != nil {
 		return nil, err
@@ -217,12 +242,18 @@ func oneShotCount(ctx context.Context, e *engine.Engine, mask *bitset.Set, dir e
 	return r.Attrs, nil
 }
 
-// colorProg propagates maximum vertex ids forward.
-type colorProg struct{}
+// colorProg propagates maximum vertex ids forward among live vertices.
+// A frozen vertex starts at -Inf, the fold's Zero, and keeps it.
+type colorProg struct{ mask *bitset.Set }
 
-func (colorProg) Name() string                  { return "scc-color" }
-func (colorProg) Zero() float64                 { return math.Inf(-1) }
-func (colorProg) Init(v uint32) (float64, bool) { return float64(v), true }
+func (colorProg) Name() string  { return "scc-color" }
+func (colorProg) Zero() float64 { return math.Inf(-1) }
+func (p colorProg) Init(v uint32) (float64, bool) {
+	if frozen(p.mask, v) {
+		return math.Inf(-1), true
+	}
+	return float64(v), true
+}
 func (colorProg) Gather(srcAttr float64, _ uint32, _ float32) float64 {
 	return srcAttr
 }
@@ -232,22 +263,20 @@ func (colorProg) Sum(a, b float64) float64 { return math.Max(a, b) }
 // specialize the coloring inner loop.
 func (colorProg) FusedKernelHint() engine.KernelHint { return engine.KernelMaxFold }
 
-func (colorProg) Apply(v uint32, old, acc float64) (float64, bool) {
-	if acc > old {
+func (p colorProg) Apply(v uint32, old, acc float64) (float64, bool) {
+	if acc > old && !frozen(p.mask, v) {
 		return acc, true
 	}
 	return old, false
 }
 
 // ApplyLane implements engine.LaneApplier: max-relaxation, the mirror of
-// wccProg.ApplyLane. (SCC's masked fixpoints fall back to the generic
-// per-vertex path — the engine only lanes unmasked applies — so this
-// serves mask-free colorings.)
-func (colorProg) ApplyLane(curr, next []float64, stride, off int, v0, v1 uint32) bool {
+// wccProg.ApplyLane, with frozen vertices pinned.
+func (p colorProg) ApplyLane(curr, next []float64, stride, off int, v0, v1 uint32) bool {
 	changed := false
 	for v := v0; v < v1; v++ {
 		idx := int(v)*stride + off
-		if next[idx] > curr[idx] {
+		if next[idx] > curr[idx] && !frozen(p.mask, v) {
 			changed = true
 		} else {
 			next[idx] = curr[idx]
@@ -257,12 +286,11 @@ func (colorProg) ApplyLane(curr, next []float64, stride, off int, v0, v1 uint32)
 }
 
 func colorFixpoint(ctx context.Context, e *engine.Engine, mask *bitset.Set, res *SCCResult, progress engine.ProgressFunc) ([]float64, error) {
-	run, err := e.NewRun(colorProg{}, engine.Forward)
+	run, err := e.NewRun(colorProg{mask}, engine.Forward)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
-	run.SetMask(mask)
 	if err := stepAll(ctx, run, offsetProgress(progress, res.Iterations, res.EdgesTraversed)); err != nil {
 		return nil, err
 	}
@@ -277,8 +305,9 @@ func colorFixpoint(ctx context.Context, e *engine.Engine, mask *bitset.Set, res 
 
 // confirmProg propagates root confirmation along reverse edges. The
 // attribute packs (color, confirmed) as color*2 + flag; both fit a
-// float64 exactly for any uint32 color.
-type confirmProg struct{}
+// float64 exactly for any uint32 color. A frozen vertex holds an even
+// value (flag 0), so it gathers as the fold's Zero, and keeps it.
+type confirmProg struct{ mask *bitset.Set }
 
 func (confirmProg) Name() string  { return "scc-confirm" }
 func (confirmProg) Zero() float64 { return math.Inf(1) }
@@ -295,8 +324,8 @@ func (confirmProg) Gather(srcAttr float64, _ uint32, _ float32) float64 {
 
 func (confirmProg) Sum(a, b float64) float64 { return math.Min(a, b) }
 
-func (confirmProg) Apply(v uint32, old, acc float64) (float64, bool) {
-	if int64(old)&1 == 1 {
+func (p confirmProg) Apply(v uint32, old, acc float64) (float64, bool) {
+	if int64(old)&1 == 1 || frozen(p.mask, v) {
 		return old, false
 	}
 	color := math.Floor(old / 2)
@@ -307,14 +336,16 @@ func (confirmProg) Apply(v uint32, old, acc float64) (float64, bool) {
 }
 
 func confirmFixpoint(ctx context.Context, e *engine.Engine, mask *bitset.Set, colors []float64, res *SCCResult, progress engine.ProgressFunc) ([]bool, error) {
-	run, err := e.NewRun(confirmProg{}, engine.Reverse)
+	run, err := e.NewRun(confirmProg{mask}, engine.Reverse)
 	if err != nil {
 		return nil, err
 	}
 	defer run.Close()
-	run.SetMask(mask)
 	packed := make([]float64, len(colors))
 	for v := range colors {
+		if mask.Test(v) {
+			continue // packed 0: even, whatever colorProg left (-Inf)
+		}
 		flag := 0.0
 		if colors[v] == float64(v) {
 			flag = 1

@@ -4,7 +4,8 @@ package algorithms
 // program that declares a KernelHint (and the LaneApplier fast paths that
 // ride along) must produce attributes bit-identical to the same Program
 // running through the generic interface kernels — across update
-// strategies, with and without delta overlays, weights, and masks. The
+// strategies, with and without delta overlays, weights, and the vertex
+// masks SCC's and k-core's programs hold. The
 // wrappers below strip the specialization interfaces from a Program so
 // the engine falls back to per-edge interface dispatch.
 
@@ -74,7 +75,7 @@ func specConfigs(n int) map[string]engine.Config {
 
 // runSpecProg drives prog for steps iterations (or to termination when
 // steps <= 0) and returns the final attributes.
-func runSpecProg(t *testing.T, st *storage.Store, cfg engine.Config, prog engine.Program, dir engine.Direction, steps int, mask *bitset.Set, setup func(*engine.Engine)) []float64 {
+func runSpecProg(t *testing.T, st *storage.Store, cfg engine.Config, prog engine.Program, dir engine.Direction, steps int, setup func(*engine.Engine)) []float64 {
 	t.Helper()
 	e, err := engine.New(st, cfg)
 	if err != nil {
@@ -88,9 +89,6 @@ func runSpecProg(t *testing.T, st *storage.Store, cfg engine.Config, prog engine
 		t.Fatal(err)
 	}
 	defer run.Close()
-	if mask != nil {
-		run.SetMask(mask)
-	}
 	for i := 0; steps <= 0 || i < steps; i++ {
 		more, err := run.Step()
 		if err != nil {
@@ -127,7 +125,7 @@ func assertBitsEqual(t *testing.T, name string, want, got []float64) {
 // on one-lane runs: for every hinted program, specialized and generic runs
 // agree bit-for-bit under SPU, DPU and MPU, on the base store and on a
 // mutated overlay snapshot, with weights present and (where the
-// algorithms use them) masks installed.
+// algorithms use them) masks held by the programs.
 func TestScalarSpecEquivalence(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(8, 8, 21))
 	if err != nil {
@@ -161,44 +159,43 @@ func TestScalarSpecEquivalence(t *testing.T) {
 		gen   func() engine.Program
 		dir   engine.Direction
 		steps int
-		mask  *bitset.Set
 	}{
 		{"pagerank",
 			func() engine.Program { return &pageRankProg{n: prN, damping: 0.85} },
 			func() engine.Program { return hideSpecAgg{&pageRankProg{n: prN, damping: 0.85}} },
-			engine.Forward, 6, nil},
+			engine.Forward, 6},
 		{"wcc",
 			func() engine.Program { return wccProg{} },
 			func() engine.Program { return hideSpec{wccProg{}} },
-			engine.Both, 0, nil},
+			engine.Both, 0},
 		{"bfs",
 			func() engine.Program { return &bfsProg{root: 1} },
 			func() engine.Program { return hideSpec{&bfsProg{root: 1}} },
-			engine.Forward, 0, nil},
+			engine.Forward, 0},
 		{"sssp",
 			func() engine.Program { return &ssspProg{root: 1} },
 			func() engine.Program { return hideSpec{&ssspProg{root: 1}} },
-			engine.Forward, 0, nil},
+			engine.Forward, 0},
 		{"kcore-degree",
 			func() engine.Program { return degreeCountProg{} },
 			func() engine.Program { return hideSpecDense{degreeCountProg{}} },
-			engine.Forward, 1, nil},
+			engine.Forward, 1},
 		{"kcore-degree-masked",
-			func() engine.Program { return degreeCountProg{} },
-			func() engine.Program { return hideSpecDense{degreeCountProg{}} },
-			engine.Forward, 1, mask},
+			func() engine.Program { return degreeCountProg{mask} },
+			func() engine.Program { return hideSpecDense{degreeCountProg{mask}} },
+			engine.Forward, 1},
 		{"scc-color",
 			func() engine.Program { return colorProg{} },
 			func() engine.Program { return hideSpec{colorProg{}} },
-			engine.Forward, 0, nil},
+			engine.Forward, 0},
 		{"scc-color-masked",
-			func() engine.Program { return colorProg{} },
-			func() engine.Program { return hideSpec{colorProg{}} },
-			engine.Forward, 0, mask},
+			func() engine.Program { return colorProg{mask} },
+			func() engine.Program { return hideSpec{colorProg{mask}} },
+			engine.Forward, 0},
 		{"hits-halfstep",
 			func() engine.Program { return sumProg{"hits-auth"} },
 			func() engine.Program { return hideSpecDense{sumProg{"hits-auth"}} },
-			engine.Forward, 2, nil},
+			engine.Forward, 2},
 	}
 	overlays := []struct {
 		name  string
@@ -212,8 +209,8 @@ func TestScalarSpecEquivalence(t *testing.T) {
 			for _, c := range cases {
 				name := ov.name + "/" + cfgName + "/" + c.name
 				t.Run(name, func(t *testing.T) {
-					want := runSpecProg(t, st, cfg, c.gen(), c.dir, c.steps, c.mask, ov.setup)
-					got := runSpecProg(t, st, cfg, c.spec(), c.dir, c.steps, c.mask, ov.setup)
+					want := runSpecProg(t, st, cfg, c.gen(), c.dir, c.steps, ov.setup)
+					got := runSpecProg(t, st, cfg, c.spec(), c.dir, c.steps, ov.setup)
 					assertBitsEqual(t, name, want, got)
 				})
 			}
@@ -240,13 +237,13 @@ func TestAggregateHasOneRule(t *testing.T) {
 	hidden := func() engine.Program { return hideLaneAgg{&pageRankProg{n: prN, damping: 0.85}} }
 
 	want := runSpecProg(t, st, engine.Config{Threads: 3},
-		&pageRankProg{n: prN, damping: 0.85}, engine.Forward, iters, nil, nil)
+		&pageRankProg{n: prN, damping: 0.85}, engine.Forward, iters, nil)
 	for _, threads := range []int{1, 8} {
-		got := runSpecProg(t, st, engine.Config{Threads: threads}, hidden(), engine.Forward, iters, nil, nil)
+		got := runSpecProg(t, st, engine.Config{Threads: threads}, hidden(), engine.Forward, iters, nil)
 		assertBitsEqual(t, "serial fold vs AggLane", want, got)
 	}
 	for name, cfg := range specConfigs(int(oracle.NumVertices)) {
-		got := runSpecProg(t, st, cfg, hidden(), engine.Forward, iters, nil, nil)
+		got := runSpecProg(t, st, cfg, hidden(), engine.Forward, iters, nil)
 		assertBitsEqual(t, name+" width 1", want, got)
 	}
 

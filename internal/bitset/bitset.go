@@ -1,6 +1,6 @@
-// Package bitset provides a fixed-size bit set: the vertex masks SCC and
-// k-core hand the engine, which skips masked sources in the gather
-// kernels and masked vertices in apply.
+// Package bitset provides a fixed-size bit set: the vertex masks SCC's
+// and k-core's programs hold, whose frozen vertices emit their fold's
+// Zero and keep their attribute.
 //
 // All methods panic on out-of-range indices, matching the behaviour of
 // slice indexing.

@@ -72,8 +72,9 @@ func BenchmarkPPRBatch64Sequential(b *testing.B) {
 // BenchmarkPPRBatch16OverlayRemovals runs 16 fused PPR queries per op
 // over an overlay carrying 1024 insertions and 128 removals of real base
 // edges, two in every cell — the serving shape under ingest, where every
-// base cell is tombstoned. The fused rank kernel's dense path must stay
-// on for all but the 128 dirty destinations.
+// base cell is tombstoned. Every destination takes the fused rank
+// kernel's dense path: each of the 128 dirty ones folds its cell of
+// surviving edges through it.
 func BenchmarkPPRBatch16OverlayRemovals(b *testing.B) {
 	e, _ := benchBatchEngine(b) // block cache arrives warm
 	st := e.Store()

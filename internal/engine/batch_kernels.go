@@ -3,7 +3,6 @@ package engine
 import (
 	"math"
 
-	"nxgraph/internal/bitset"
 	"nxgraph/internal/storage"
 )
 
@@ -24,33 +23,37 @@ import (
 // memory and the edge's source id is read once per block, not once per
 // lane. A consecutive lane run reads one window of each source row per
 // edge, eight lanes and then four per pass; a lane list (a BFS
-// frontier), a tombstoned destination and a weighted fold read lane by
-// lane, four per pass, and a last block of three lanes is padded to
-// four. A destination with one in-edge, nearly half of a cell's, is a
-// single pass over a lane run's slots. The hop fold adds its +1 once per
-// destination instead of once per edge (ADR-021).
+// frontier) and a weighted fold read lane by lane, four per pass, and a
+// last block of three lanes is padded to four. A destination with one
+// in-edge, nearly half of a cell's, is a single pass over a lane run's
+// slots. The hop fold adds its +1 once per destination instead of once
+// per edge (ADR-021).
 //
 // The one or two lanes those blocks leave over — the whole of a one-lane
-// run among them — and every lane of a count, min or max fold run
-// through foldLane, the one-lane leaf, once per lane over the task's
+// run among them — and every lane of a min or max fold run through
+// foldLane, the one-lane leaf, once per lane over the task's
 // destinations (ADR-022).
+//
+// Every kernel folds exactly the edges it is handed: no kernel takes a
+// vertex mask or an edge predicate. A program that freezes vertices
+// holds its mask itself (a frozen vertex holds its fold's Zero and its
+// Apply keeps it), and a tombstoned destination arrives as a cell of its
+// surviving edges (tombstones.go; ADR-023).
 
 // gatherCell folds destinations [k0, k1) of sub-shard ss for the given
 // lanes from the source window src into the accumulator window acc, or —
 // hub non-nil — assigns each destination's partials to its ToHub entry.
 // Windows are lane-minor: vertex v's lane l sits at (v-base)*L+l, and hub
 // entry k's at k*L+l. Each kernel folds the window's base into its lane
-// offset once per call, so every per-edge index is int(v)*L + off. del
-// is the tombstone predicate when [k0, k1) is a single dirty destination
-// of a base cell, nil for every clean run. contig (lanes is a run of
-// consecutive lane ids) is a per-task fact the caller computes once —
-// see Run.gatherTasks.
-func (r *Run) gatherCell(ss *storage.SubShard, deg []uint32, del delPred, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
+// offset once per call, so every per-edge index is int(v)*L + off.
+// contig (lanes is a run of consecutive lane ids) is a per-task fact the
+// caller computes once — see Run.gatherTasks.
+func (r *Run) gatherCell(ss *storage.SubShard, deg []uint32, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
 	if r.op == opGeneric {
-		r.gatherGeneric(ss, deg, del, src, acc, hub, lanes, k0, k1)
+		r.gatherGeneric(ss, deg, src, acc, hub, lanes, k0, k1)
 		return
 	}
-	r.gatherLanes(ss, del, src, acc, hub, lanes, contig, k0, k1)
+	r.gatherLanes(ss, src, acc, hub, lanes, contig, k0, k1)
 }
 
 // laneOffsets returns the per-call index offsets of the source window,
@@ -71,14 +74,13 @@ func (r *Run) laneOffsets(src, acc view, lanes []int, contig bool) (so, ao, ho i
 // one Gather+Sum pair per lane, starting from Zero. It is the one
 // interface-path kernel, at every width: every ToHub entry is assigned,
 // so reused arrays need no zeroing, and a destination whose base edges
-// are all tombstoned stores Zero, which folds as a no-op. Masked sources
-// (a one-lane run's SetMask) are skipped. Each lane folds the
-// destination's edge run in turn, so the fold and the lane's Program
-// stay in registers across the interface calls. Distinct destination
+// are all tombstoned (an empty run) stores Zero, which folds as a no-op.
+// Each lane folds the destination's edge run in turn, so the fold and
+// the lane's Program stay in registers across the interface calls. Distinct destination
 // ranges are disjoint, so concurrent calls with non-overlapping [k0,k1)
 // need no synchronization — the fine-grained parallelism of paper §III-D.
-func (r *Run) gatherGeneric(ss *storage.SubShard, deg []uint32, del delPred, src, acc view, hub []float64, lanes []int, k0, k1 int) {
-	L, zero, mask := len(r.lanes), r.zero, r.mask
+func (r *Run) gatherGeneric(ss *storage.SubShard, deg []uint32, src, acc view, hub []float64, lanes []int, k0, k1 int) {
+	L, zero := len(r.lanes), r.zero
 	so, ao, _ := r.laneOffsets(src, acc, lanes, false)
 	for k := k0; k < k1; k++ {
 		d := ss.Dsts[k]
@@ -86,9 +88,6 @@ func (r *Run) gatherGeneric(ss *storage.SubShard, deg []uint32, del delPred, src
 			p, local := r.lanes[l].p, zero
 			for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
 				s := ss.Srcs[t]
-				if mask != nil && mask.Test(int(s)) || del != nil && del(s, d) {
-					continue
-				}
 				w := float32(1)
 				if ss.Weights != nil {
 					w = ss.Weights[t]
@@ -112,7 +111,6 @@ type laneOp uint8
 const (
 	opGeneric laneOp = iota // no hint: per-edge Program dispatch (gatherGeneric)
 	opSum                   // Gather a,   Sum +,   Zero 0 (RankSum over the scaled view)
-	opCount                 // Gather 1,   Sum +,   Zero 0
 	opMin                   // Gather a,   Sum min, Zero +Inf
 	opMax                   // Gather a,   Sum max, Zero -Inf
 	opHop                   // Gather a+1, Sum min, Zero +Inf
@@ -127,8 +125,6 @@ func opFor(hint KernelHint) laneOp {
 	switch hint {
 	case KernelRankSum, KernelCopySum:
 		return opSum
-	case KernelCountSum:
-		return opCount
 	case KernelMinFold:
 		return opMin
 	case KernelMaxFold:
@@ -143,15 +139,15 @@ func opFor(hint KernelHint) laneOp {
 
 // gatherLanes is the hinted kernel (see the file comment). Each lane's
 // fold is the generic kernel's, operation for operation: Zero, then the
-// Sum of each surviving edge's Gather in edge order, then one Sum into
-// the accumulator (or an assignment to the ToHub entry): the same bits
-// for every input, -0 included, with NaN propagated as KernelHint
-// documents. The unfiltered min and hop folds are the one regrouping:
+// Sum of each edge's Gather in edge order, then one Sum into the
+// accumulator (or an assignment to the ToHub entry): the same bits for
+// every input, -0 included, with NaN propagated as KernelHint
+// documents. The min and hop folds are the one regrouping:
 // the builtin min is the same bits under any grouping, and the hop fold
 // takes the min of the raw attributes and adds 1 once, the same bits as
 // the min over a+1 because x -> x+1 rounds monotonically and never
 // yields -0 (ADR-015).
-func (r *Run) gatherLanes(ss *storage.SubShard, del delPred, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
+func (r *Run) gatherLanes(ss *storage.SubShard, src, acc view, hub []float64, lanes []int, contig bool, k0, k1 int) {
 	L, w, op := len(r.lanes), len(lanes), r.op
 	so, ao, ho := r.laneOffsets(src, acc, lanes, contig)
 	vals, dst, toHub, z := src.vals, acc.vals, hub != nil, 0.0
@@ -177,7 +173,7 @@ func (r *Run) gatherLanes(ss *storage.SubShard, del delPred, src, acc view, hub 
 		if !contig {
 			sl = lanes[x]
 		}
-		foldLane(op, r.mask, del, ss, vals, dst, L, so+sl, ao+sl, toHub, k0, k1)
+		foldLane(op, ss, vals, dst, L, so+sl, ao+sl, toHub, k0, k1)
 	}
 	if nb == 0 {
 		return
@@ -186,7 +182,7 @@ func (r *Run) gatherLanes(ss *storage.SubShard, del delPred, src, acc view, hub 
 		z = math.Inf(1)
 	}
 	hop, win := op == opHop, 0 // win: the lane slots folded through windows
-	if contig && del == nil && op != opDist {
+	if contig && op != opDist {
 		win = nb
 	}
 	// slots[x] is lane slot x's offset from a vertex's first slot (see
@@ -288,7 +284,7 @@ func (r *Run) gatherLanes(ss *storage.SubShard, del delPred, src, acc view, hub 
 		for ; x < nb; x += 4 {
 			i := slots[x : x+4 : x+4]
 			var a [4]float64
-			a[0], a[1], a[2], a[3] = foldSlots(op, del, ss.Dsts[k], vals, srcs, ws, L, so, i[0], i[1], i[2], i[3], z)
+			a[0], a[1], a[2], a[3] = foldSlots(op, vals, srcs, ws, L, so, i[0], i[1], i[2], i[3], z)
 			for j, v := range a[:min(4, nb-x)] {
 				if hop {
 					v++
@@ -307,31 +303,18 @@ func (r *Run) gatherLanes(ss *storage.SubShard, del delPred, src, acc view, hub 
 }
 
 // foldSlots folds, from Zero z, the lanes at slots i0..i3 past
-// int(s)*L+so of each source s's row over destination d's source ids
+// int(s)*L+so of each source s's row over a destination's source ids
 // srcs: the raw attributes' min for opHop, the sum in edge order for
-// opSum, the min of attribute plus edge weight ws[e] for opDist. del,
-// when non-nil, drops tombstoned edges. (A filtered opHop fold takes
-// min(a, v+0): v+0 only turns -0 into +0, which the +1 the caller adds
-// erases.)
-func foldSlots(op laneOp, del delPred, d uint32, vals []float64, srcs []uint32, ws []float32, L, so, i0, i1, i2, i3 int, z float64) (a0, a1, a2, a3 float64) {
+// opSum, the min of attribute plus edge weight ws[e] for opDist.
+func foldSlots(op laneOp, vals []float64, srcs []uint32, ws []float32, L, so, i0, i1, i2, i3 int, z float64) (a0, a1, a2, a3 float64) {
 	a0, a1, a2, a3 = z, z, z, z
-	switch {
-	case del != nil || op == opDist:
+	switch op {
+	case opDist:
 		for e, s := range srcs {
-			if del != nil && del(s, d) {
-				continue
-			}
-			o, st := int(s)*L+so, 0.0
-			if op == opDist {
-				st = float64(ws[e])
-			}
-			if op == opSum {
-				a0, a1, a2, a3 = a0+vals[o+i0], a1+vals[o+i1], a2+vals[o+i2], a3+vals[o+i3]
-			} else {
-				a0, a1, a2, a3 = min(a0, vals[o+i0]+st), min(a1, vals[o+i1]+st), min(a2, vals[o+i2]+st), min(a3, vals[o+i3]+st)
-			}
+			o, st := int(s)*L+so, float64(ws[e])
+			a0, a1, a2, a3 = min(a0, vals[o+i0]+st), min(a1, vals[o+i1]+st), min(a2, vals[o+i2]+st), min(a3, vals[o+i3]+st)
 		}
-	case op == opSum:
+	case opSum:
 		for _, s := range srcs {
 			o := int(s)*L + so
 			a0, a1, a2, a3 = a0+vals[o+i0], a1+vals[o+i1], a2+vals[o+i2], a3+vals[o+i3]
@@ -347,32 +330,23 @@ func foldSlots(op laneOp, del delPred, d uint32, vals []float64, srcs []uint32, 
 
 // foldLane is gatherLanes' one-lane leaf: it folds the lane whose slot
 // sits at int(v)*L+so in vals over destinations [k0, k1) into dst at
-// int(d)*L+do — or, toHub, assigns it to k*L+do. An unfiltered count is
-// the edge count (integer additions are exact far past any edge count),
-// and an unfiltered max one chain per destination, run as a min over
-// negated attributes (see foldChain). Each fold of several edges has a
-// loop of its own (sumRuns, minRuns, foldChain), so none shares its
-// registers with another fold's.
-func foldLane(op laneOp, mask *bitset.Set, del delPred, ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
-	offs, dsts := ss.Offsets, ss.Dsts
-	switch {
-	case mask != nil || del != nil || op == opDist:
-		foldChain(op, mask, del, ss, vals, dst, L, so, do, toHub, k0, k1)
-	case op == opSum:
+// int(d)*L+do — or, toHub, assigns it to k*L+do. Each fold has a loop of
+// its own (sumRuns, minRuns, and the max and dist loops below), so none
+// shares its registers with another fold's. The max fold runs as a min
+// over negated attributes, negated back per destination: max(a, b) and
+// -min(-a, -b) are the same bits for every non-NaN pair, either zero
+// included, and the compiler's max is that identity per call — two sign
+// flips on every link of the chain. The dist fold is Zero, then
+// min(local, a+w) per edge in edge order: weighted cells only, since
+// gatherLanes folds an unweighted one as opHop.
+func foldLane(op laneOp, ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
+	srcs, offs, dsts := ss.Srcs, ss.Offsets, ss.Dsts
+	switch op {
+	case opSum:
 		sumRuns(ss, vals, dst, L, so, do, toHub, k0, k1)
-	case op == opMin || op == opHop:
+	case opMin, opHop:
 		minRuns(ss, vals, dst, L, so, do, toHub, k0, k1, op == opHop)
-	case op == opCount:
-		for k := k0; k < k1; k++ {
-			local := float64(offs[k+1] - offs[k])
-			if toHub {
-				dst[k*L+do] = local
-			} else {
-				dst[int(dsts[k])*L+do] += local
-			}
-		}
-	default: // opMax
-		srcs := ss.Srcs
+	case opMax:
 		for k := k0; k < k1; k++ {
 			local := math.Inf(1)
 			for _, s := range srcs[offs[k]:offs[k+1]] {
@@ -385,11 +359,25 @@ func foldLane(op laneOp, mask *bitset.Set, del delPred, ss *storage.SubShard, va
 				dst[i] = max(dst[i], -local)
 			}
 		}
+	default: // opDist
+		ws := ss.Weights
+		for k := k0; k < k1; k++ {
+			local := math.Inf(1)
+			for t := offs[k]; t < offs[k+1]; t++ {
+				local = min(local, vals[int(srcs[t])*L+so]+float64(ws[t]))
+			}
+			if toHub {
+				dst[k*L+do] = local
+			} else {
+				i := int(dsts[k])*L + do
+				dst[i] = min(dst[i], local)
+			}
+		}
 	}
 }
 
-// sumRuns is the unfiltered sum fold of foldLane. It writes the e =
-// 1/2/3 chains out literally: 0 + g1 + g2 is ((0+g1)+g2), so -0 inputs
+// sumRuns is the sum fold of foldLane. It writes the e = 1/2/3 chains
+// out literally: 0 + g1 + g2 is ((0+g1)+g2), so -0 inputs
 // keep their bits.
 func sumRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
 	srcs, offs, dsts := ss.Srcs, ss.Offsets, ss.Dsts
@@ -418,11 +406,11 @@ func sumRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub boo
 	}
 }
 
-// minRuns is the unfiltered min fold of foldLane and, with hop set, the
-// unfiltered hop fold. A destination's run is one load for e = 1
-// (min(+Inf, a) is a), a literal min for e = 2, 3, and two independent
-// accumulators for longer runs, so the fold is not one dependent chain
-// of min latencies (four measured no faster, ADR-015). The hop fold adds
+// minRuns is the min fold of foldLane and, with hop set, the hop fold.
+// A destination's run is one load for e = 1 (min(+Inf, a) is a), a
+// literal min for e = 2, 3, and two independent accumulators for longer
+// runs, so the fold is not one dependent chain of min latencies (four
+// measured no faster, ADR-015). The hop fold adds
 // its +1 once per destination; the plain fold must not be written
 // min(...)+0 instead, which turns -0 into +0.
 func minRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int, hop bool) {
@@ -456,61 +444,6 @@ func minRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub boo
 			dst[k*L+do] = local
 		} else {
 			i := int(dsts[k])*L + do
-			dst[i] = min(dst[i], local)
-		}
-	}
-}
-
-// foldChain is foldLane's one dependent chain per destination: Zero,
-// then each surviving edge's Gather folded in edge order. mask (a
-// one-lane run's SetMask) and del drop edges. The max fold runs as a min
-// over negated attributes, negated back per destination: max(a, b) and
-// -min(-a, -b) are the same bits for every non-NaN pair, either zero
-// included, and the compiler's max is that identity per call — two sign
-// flips on every link of the chain.
-func foldChain(op laneOp, mask *bitset.Set, del delPred, ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
-	srcs, offs, dsts, ws := ss.Srcs, ss.Offsets, ss.Dsts, ss.Weights
-	z := math.Inf(1)
-	if op == opSum || op == opCount {
-		z = 0
-	}
-	for k := k0; k < k1; k++ {
-		d, local := dsts[k], z
-		for t := offs[k]; t < offs[k+1]; t++ {
-			s := srcs[t]
-			if mask != nil && mask.Test(int(s)) || del != nil && del(s, d) {
-				continue
-			}
-			if op == opCount {
-				local++
-				continue
-			}
-			switch a := vals[int(s)*L+so]; op {
-			case opSum:
-				local += a
-			case opMin:
-				local = min(local, a)
-			case opMax:
-				local = min(local, -a)
-			case opHop:
-				local = min(local, a+1)
-			default:
-				local = min(local, a+float64(ws[t]))
-			}
-		}
-		if op == opMax {
-			local = -local
-		}
-		if toHub {
-			dst[k*L+do] = local
-			continue
-		}
-		switch i := int(d)*L + do; op {
-		case opSum, opCount:
-			dst[i] += local
-		case opMax:
-			dst[i] = max(dst[i], local)
-		default:
 			dst[i] = min(dst[i], local)
 		}
 	}

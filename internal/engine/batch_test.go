@@ -11,7 +11,6 @@ import (
 	"testing"
 
 	"nxgraph/internal/algorithms"
-	"nxgraph/internal/bitset"
 	"nxgraph/internal/dynamic"
 	"nxgraph/internal/engine"
 	"nxgraph/internal/gen"
@@ -622,9 +621,9 @@ func (p *hintedSpecialProg) FusedKernelHint() engine.KernelHint {
 // TestMinKernelsSpecialValues is the run-level half of the special-value
 // gate (TestLaneKernelsMatchGeneric is the kernel-level half): hopMin
 // and distMin at widths 1, 3 and 16, over a store with pending removals
-// (tombstoned dirty destinations) and, at width 1, a vertex mask, must
-// leave every lane with the bits the hint-free program leaves when run
-// alone — NaN for NaN, whatever its payload.
+// (tombstoned dirty destinations), must leave every lane with the bits
+// the hint-free program leaves when run alone — NaN for NaN, whatever its
+// payload.
 func TestMinKernelsSpecialValues(t *testing.T) {
 	g, err := gen.RMAT(gen.RMATConfig{Scale: 7, EdgeFactor: 6, A: 0.57, B: 0.19, C: 0.19, Seed: 5, Weighted: true})
 	if err != nil {
@@ -649,20 +648,13 @@ func TestMinKernelsSpecialValues(t *testing.T) {
 			lanes[l][v] = special[rng.Intn(len(special))]
 		}
 	}
-	mask := bitset.New(n)
-	for v := 0; v < n; v += 7 {
-		mask.Set(v)
-	}
-	run := func(e *engine.Engine, ps []engine.Program, mask *bitset.Set) [][]float64 {
+	run := func(e *engine.Engine, ps []engine.Program) [][]float64 {
 		t.Helper()
 		r, err := e.NewBatchRun(ps, engine.Forward)
 		if err != nil {
 			t.Fatal(err)
 		}
 		defer r.Close()
-		if mask != nil {
-			r.SetMask(mask)
-		}
 		for it := 0; it < 3; it++ {
 			if more, err := r.Step(); err != nil {
 				t.Fatal(err)
@@ -690,26 +682,21 @@ func TestMinKernelsSpecialValues(t *testing.T) {
 				e.SetOverlayProvider(log.Overlay)
 			}
 			for _, width := range []int{1, 3, 16} {
-				for _, m := range []*bitset.Set{nil, mask} {
-					if m != nil && width > 1 {
-						continue // SetMask is a one-lane facility
-					}
-					ps := make([]engine.Program, width)
-					for l := range ps {
-						ps[l] = &hintedSpecialProg{specialProg{attrs: lanes[l], weighted: weighted}}
-					}
-					got := run(e, ps, m)
-					for l := range ps {
-						want := run(e, []engine.Program{&specialProg{attrs: lanes[l], weighted: weighted}}, m)[0]
-						for v := range want {
-							if math.IsNaN(want[v]) && math.IsNaN(got[l][v]) {
-								continue
-							}
-							if math.Float64bits(want[v]) != math.Float64bits(got[l][v]) {
-								t.Fatalf("weighted=%v overlay=%v width=%d mask=%v lane %d vertex %d: %x (%g), generic path has %x (%g)",
-									weighted, overlay, width, m != nil, l, v,
-									math.Float64bits(got[l][v]), got[l][v], math.Float64bits(want[v]), want[v])
-							}
+				ps := make([]engine.Program, width)
+				for l := range ps {
+					ps[l] = &hintedSpecialProg{specialProg{attrs: lanes[l], weighted: weighted}}
+				}
+				got := run(e, ps)
+				for l := range ps {
+					want := run(e, []engine.Program{&specialProg{attrs: lanes[l], weighted: weighted}})[0]
+					for v := range want {
+						if math.IsNaN(want[v]) && math.IsNaN(got[l][v]) {
+							continue
+						}
+						if math.Float64bits(want[v]) != math.Float64bits(got[l][v]) {
+							t.Fatalf("weighted=%v overlay=%v width=%d lane %d vertex %d: %x (%g), generic path has %x (%g)",
+								weighted, overlay, width, l, v,
+								math.Float64bits(got[l][v]), got[l][v], math.Float64bits(want[v]), want[v])
 						}
 					}
 				}

@@ -6,7 +6,6 @@ import (
 	"testing/quick"
 
 	"nxgraph/internal/algorithms"
-	"nxgraph/internal/bitset"
 	"nxgraph/internal/diskio"
 	"nxgraph/internal/engine"
 	"nxgraph/internal/gen"
@@ -241,41 +240,6 @@ func TestBFSSkipsInactiveIntervals(t *testing.T) {
 	}
 	if res.Attrs[n-1] != float64(n-1) {
 		t.Fatalf("path end depth %v, want %d", res.Attrs[n-1], n-1)
-	}
-}
-
-func TestMaskFreezesVertices(t *testing.T) {
-	// Star: 0 -> {1..9}. Masking vertex 0 blocks all propagation.
-	g := &graph.EdgeList{NumVertices: 10}
-	for v := uint32(1); v < 10; v++ {
-		g.Edges = append(g.Edges, graph.Edge{Src: 0, Dst: v})
-	}
-	e, oracle := buildEngine(t, g, 2, engine.Config{Threads: 1})
-	run, err := e.NewRun(algorithms.NewBFSProgram(0), engine.Forward)
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer run.Close()
-	mask := bitset.New(int(oracle.NumVertices))
-	mask.Set(0)
-	run.SetMask(mask)
-	for {
-		more, err := run.Step()
-		if err != nil {
-			t.Fatal(err)
-		}
-		if !more {
-			break
-		}
-	}
-	attrs, err := run.Attrs()
-	if err != nil {
-		t.Fatal(err)
-	}
-	for v := 1; v < 10; v++ {
-		if !math.IsInf(attrs[v], 1) {
-			t.Fatalf("masked source leaked: depth[%d] = %v", v, attrs[v])
-		}
 	}
 }
 

@@ -1,10 +1,6 @@
 package engine
 
-import (
-	"math"
-
-	"nxgraph/internal/bitset"
-)
+import "math"
 
 // view is a window over per-vertex attributes: vals[v-base] is the
 // attribute of vertex v — for a run of L lanes, vals[(v-base)*L+l] is
@@ -18,15 +14,11 @@ type view struct {
 // one program through the Program interface: with idx = int(v)*stride+off
 // (a slab lane or a window lane — the LaneApplier convention),
 // acc[idx] = Apply(v, old[idx], acc[idx]). It reports whether any vertex
-// changed. Masked vertices keep their old attribute.
-func applyRange(p Program, mask *bitset.Set, old, acc []float64, stride, off int, v0, v1 uint32) bool {
+// changed.
+func applyRange(p Program, old, acc []float64, stride, off int, v0, v1 uint32) bool {
 	changed := false
 	for v := v0; v < v1; v++ {
 		idx := int(v)*stride + off
-		if mask != nil && mask.Test(int(v)) {
-			acc[idx] = old[idx]
-			continue
-		}
 		nv, ch := p.Apply(v, old[idx], acc[idx])
 		acc[idx] = nv
 		if ch {

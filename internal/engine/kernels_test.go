@@ -7,7 +7,6 @@ import (
 	"slices"
 	"testing"
 
-	"nxgraph/internal/bitset"
 	"nxgraph/internal/storage"
 )
 
@@ -165,8 +164,8 @@ type kernelCase struct {
 	weighted bool
 }
 
-// kernelCases lists every fold a hint maps to (opFor): sum, count, min,
-// max, hop, and dist on weighted and on unweighted cells. nan selects
+// kernelCases lists every fold a hint maps to (opFor): sum, min, max,
+// hop, and dist on weighted and on unweighted cells. nan selects
 // the NaN-first reference for attribute sets that hold NaNs.
 func kernelCases(nan bool) []kernelCase {
 	add := func(a, b float64) float64 { return a + b }
@@ -175,12 +174,10 @@ func kernelCases(nan bool) []kernelCase {
 		min, max = nanFirst(min), nanFirst(max)
 	}
 	attr := func(a float64, _ uint32, _ float32) float64 { return a }
-	one := func(float64, uint32, float32) float64 { return 1 }
 	hop := func(a float64, _ uint32, _ float32) float64 { return a + 1 }
 	dist := func(a float64, _ uint32, w float32) float64 { return a + float64(w) }
 	return []kernelCase{
 		{"copySum", KernelCopySum, &foldTestProg{0, attr, add}, false},
-		{"countSum", KernelCountSum, &foldTestProg{0, one, add}, false},
 		{"min", KernelMinFold, &foldTestProg{math.Inf(1), attr, min}, false},
 		{"max", KernelMaxFold, &foldTestProg{math.Inf(-1), attr, max}, false},
 		{"hopMin", KernelHopMin, &foldTestProg{math.Inf(1), hop, min}, false},
@@ -218,8 +215,8 @@ func specialAttrs(rng *rand.Rand, n int, nan bool) []float64 {
 // driving its kernels directly: with KernelGeneric its gatherCell is the
 // generic lane kernel — the reference every fold is held to — and its
 // foldHub folds through the programs' Sum.
-func refRun(hint KernelHint, mask *bitset.Set, ps ...Program) *Run {
-	r := &Run{lanes: make([]lane, len(ps)), zero: ps[0].Zero(), op: opFor(hint), mask: mask}
+func refRun(hint KernelHint, ps ...Program) *Run {
+	r := &Run{lanes: make([]lane, len(ps)), zero: ps[0].Zero(), op: opFor(hint)}
 	for l, p := range ps {
 		r.lanes[l].p = p
 	}
@@ -275,7 +272,7 @@ func kernelAttrSets(rng *rand.Rand) []kernelAttrSet {
 // bit-identity gate: at width 1, where gatherLanes runs its one-lane
 // leaf (foldLane) alone, every hinted fold, through gatherCell and
 // through the FromHub fold, must reproduce the generic lane kernel bit
-// for bit, with and without a vertex mask and a tombstone predicate.
+// for bit.
 func TestScalarKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(42))
 	for _, set := range kernelAttrSets(rng) {
@@ -288,9 +285,9 @@ func TestScalarKernelsMatchGeneric(t *testing.T) {
 // run into four-lane blocks, a padded block of three and one-lane leaves
 // is met: for the run's every lane, a consecutive run starting past
 // lane 0 and a lane list with gaps; over source and accumulator windows
-// whose base is not 0; into the accumulator and into hub entries; with
-// and without a tombstone predicate; on a sub-shard whose destinations
-// carry 0 to 12 edges plus runs of 45 and 150.
+// whose base is not 0; into the accumulator and into hub entries; on a
+// sub-shard whose destinations carry 0 to 12 edges plus runs of 45 and
+// 150.
 func TestLaneKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, set := range kernelAttrSets(rng) {
@@ -306,11 +303,6 @@ func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) [
 	for v := range deg {
 		deg[v] = uint32(1 + rng.Intn(5))
 	}
-	mask := bitset.New(base + n)
-	for v := base; v < base+n; v += 5 {
-		mask.Set(v)
-	}
-	del := func(s, d uint32) bool { return (s+d)%3 == 0 }
 	for _, c := range kernelCases(nan) {
 		ss := makeTestSubShard(rng, n, 48, c.weighted)
 		for e := 0; e < 150; e++ { // one more destination, past any edge block
@@ -346,38 +338,27 @@ func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) [
 				}
 				shapes = append(shapes, gapped)
 			}
-			masks := []*bitset.Set{nil}
-			if L == 1 { // SetMask is legal at one lane only
-				masks = append(masks, mask)
-			}
 			src := view{draw(n * L), base}
-			for _, m := range masks {
-				hinted, ref := refRun(c.hint, m, ps...), refRun(KernelGeneric, m, ps...)
-				for _, lanes := range shapes {
-					contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
-					for _, dl := range []delPred{nil, del} {
-						name := fmt.Sprintf("%s/L%d/lanes%v/mask=%v/del=%v", c.name, L, lanes, m != nil, dl != nil)
-						accA := draw(n * L)
-						accB := slices.Clone(accA)
-						ref.gatherCell(ss, deg, dl, src, view{accA, base}, nil, lanes, contig, 0, nd)
-						hinted.gatherCell(ss, deg, dl, src, view{accB, base}, nil, lanes, contig, 0, nd)
-						assertSameBits(t, name+"/acc", accA, accB)
-						hubA := make([]float64, nd*L)
-						hubB := make([]float64, nd*L)
-						ref.gatherCell(ss, deg, dl, src, view{}, hubA, lanes, contig, 0, nd)
-						hinted.gatherCell(ss, deg, dl, src, view{}, hubB, lanes, contig, 0, nd)
-						assertSameBits(t, name+"/hub", hubA, hubB)
-					}
-					if m != nil {
-						continue
-					}
-					// FromHub: the op's Sum alone folds the partials.
-					hub, accA := draw(nd*L), draw(n*L)
-					accB := slices.Clone(accA)
-					ref.foldHub(ss.Dsts, hub, view{accA, base}, lanes, 0, nd)
-					hinted.foldHub(ss.Dsts, hub, view{accB, base}, lanes, 0, nd)
-					assertSameBits(t, fmt.Sprintf("%s/L%d/lanes%v/foldHub", c.name, L, lanes), accA, accB)
-				}
+			hinted, ref := refRun(c.hint, ps...), refRun(KernelGeneric, ps...)
+			for _, lanes := range shapes {
+				contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
+				name := fmt.Sprintf("%s/L%d/lanes%v", c.name, L, lanes)
+				accA := draw(n * L)
+				accB := slices.Clone(accA)
+				ref.gatherCell(ss, deg, src, view{accA, base}, nil, lanes, contig, 0, nd)
+				hinted.gatherCell(ss, deg, src, view{accB, base}, nil, lanes, contig, 0, nd)
+				assertSameBits(t, name+"/acc", accA, accB)
+				hubA := make([]float64, nd*L)
+				hubB := make([]float64, nd*L)
+				ref.gatherCell(ss, deg, src, view{}, hubA, lanes, contig, 0, nd)
+				hinted.gatherCell(ss, deg, src, view{}, hubB, lanes, contig, 0, nd)
+				assertSameBits(t, name+"/hub", hubA, hubB)
+				// FromHub: the op's Sum alone folds the partials.
+				hub, accC := draw(nd*L), draw(n*L)
+				accD := slices.Clone(accC)
+				ref.foldHub(ss.Dsts, hub, view{accC, base}, lanes, 0, nd)
+				hinted.foldHub(ss.Dsts, hub, view{accD, base}, lanes, 0, nd)
+				assertSameBits(t, name+"/foldHub", accC, accD)
 			}
 		}
 	}
@@ -385,14 +366,13 @@ func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) [
 
 func TestOpFor(t *testing.T) {
 	for hint, want := range map[KernelHint]laneOp{
-		KernelGeneric:  opGeneric,
-		KernelRankSum:  opSum, // division hoisted into the scaled view
-		KernelCopySum:  opSum,
-		KernelCountSum: opCount,
-		KernelMinFold:  opMin,
-		KernelMaxFold:  opMax,
-		KernelHopMin:   opHop,
-		KernelDistMin:  opDist, // opHop on an unweighted cell, inside gatherLanes
+		KernelGeneric: opGeneric,
+		KernelRankSum: opSum, // division hoisted into the scaled view
+		KernelCopySum: opSum,
+		KernelMinFold: opMin,
+		KernelMaxFold: opMax,
+		KernelHopMin:  opHop,
+		KernelDistMin: opDist, // opHop on an unweighted cell, inside gatherLanes
 	} {
 		if got := opFor(hint); got != want {
 			t.Errorf("opFor(%v) = %v, want %v", hint, got, want)
@@ -489,9 +469,9 @@ func BenchmarkGatherKernel(b *testing.B) {
 			continue
 		}
 		b.Run("generic/"+c.name, func(b *testing.B) {
-			r := refRun(KernelGeneric, nil, c.prog)
+			r := refRun(KernelGeneric, c.prog)
 			for i := 0; i < b.N; i++ {
-				r.gatherCell(ss, deg, nil, view{attrs, 0}, view{acc, 0}, nil, lane0, true, 0, ss.NumDsts())
+				r.gatherCell(ss, deg, view{attrs, 0}, view{acc, 0}, nil, lane0, true, 0, ss.NumDsts())
 			}
 			nsPerEdge(b)
 		})
@@ -523,10 +503,10 @@ func BenchmarkGatherKernel(b *testing.B) {
 			for l := range ps {
 				ps[l] = c.prog
 			}
-			r := refRun(c.hint, nil, ps...)
+			r := refRun(c.hint, ps...)
 			b.Run("lane/"+c.name+"/"+sh.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					r.gatherCell(ss, deg, nil, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, ss.NumDsts())
+					r.gatherCell(ss, deg, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, ss.NumDsts())
 				}
 				nsPerEdge(b)
 			})
@@ -578,7 +558,7 @@ func BenchmarkApplyKernel(b *testing.B) {
 	b.Run("generic", func(b *testing.B) {
 		b.SetBytes(n * 16)
 		for i := 0; i < b.N; i++ {
-			applyRange(p, nil, old, acc, 1, 0, 0, n)
+			applyRange(p, old, acc, 1, 0, 0, n)
 		}
 	})
 	b.Run("lane", func(b *testing.B) {
@@ -642,10 +622,10 @@ func BenchmarkChunkingSkewed(b *testing.B) {
 		b.ReportMetric(float64(maxEdges), "maxChunkEdges")
 		b.ReportMetric(float64(maxEdges)/float64(edges), "criticalPathFrac")
 		b.SetBytes(edges * 8)
-		r := refRun(KernelCopySum, nil, &foldTestProg{})
+		r := refRun(KernelCopySum, &foldTestProg{})
 		for i := 0; i < b.N; i++ {
 			parallelFor(threads, len(bounds)-1, func(c int) {
-				r.gatherCell(ss, nil, nil, src, view{acc, 0}, nil, lane0, true, bounds[c], bounds[c+1])
+				r.gatherCell(ss, nil, src, view{acc, 0}, nil, lane0, true, bounds[c], bounds[c+1])
 			})
 		}
 	}

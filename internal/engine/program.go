@@ -99,11 +99,9 @@ const (
 	// Sum(x, y) == math.Max(x, y) and Zero == -Inf — SCC's forward
 	// max-coloring.
 	KernelMaxFold
-	// KernelCountSum claims Gather(a, deg, w) == 1, Sum(x, y) == x+y and
-	// Zero == 0 — the live-degree counts of SCC trim and KCore peeling.
-	KernelCountSum
 	// KernelCopySum claims Gather(a, deg, w) == a, Sum(x, y) == x+y and
-	// Zero == 0 — HITS' SpMV half-steps.
+	// Zero == 0 — HITS' SpMV half-steps, and the live-neighbour counts
+	// of SCC trim and KCore peeling (each live vertex holds 1).
 	KernelCopySum
 )
 

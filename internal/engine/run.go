@@ -9,7 +9,6 @@ import (
 	"sync/atomic"
 	"time"
 
-	"nxgraph/internal/bitset"
 	"nxgraph/internal/diskio"
 	"nxgraph/internal/storage"
 	"nxgraph/internal/trace"
@@ -90,7 +89,7 @@ func (ln *lane) hasWork() bool { return slices.Contains(ln.active, true) }
 // A run has this one shape at every width. The strategy follows the
 // memory budget with Ba·L bytes per vertex (see chooseStrategy), and the
 // on-disk intervals and hubs hold L lane-minor values per vertex and per
-// hub entry. Only SetMask and SetAttrs need L = 1. Lanes must share one
+// hub entry. Only SetAttrs needs L = 1. Lanes must share one
 // Zero value and one direction. A run over one replica (Forward or
 // Reverse) does not depend on Q — every destination folds its cells in
 // ascending source-interval order, resident or through a hub — so each
@@ -139,8 +138,6 @@ type Run struct {
 	scaled      [2][]float64
 	scaledBuf   [2][]float64
 	scaledReady bool
-
-	mask *bitset.Set
 
 	attrs *storage.AttrStore
 	hubs  [2]*storage.HubStore
@@ -517,11 +514,6 @@ func (r *Run) LaneCancelled(l int) bool { return r.lanes[l].cancelled }
 
 // LaneIterations returns the number of iterations lane l participated in.
 func (r *Run) LaneIterations(l int) int { return r.lanes[l].iters }
-
-// SetMask installs a frozen-vertex mask: masked vertices neither emit nor
-// accept updates and keep their attribute. Pass nil to clear. Only a
-// one-lane run may be masked; Step reports the misuse otherwise.
-func (r *Run) SetMask(m *bitset.Set) { r.mask = m }
 
 // revive lets retired (not cancelled) lanes step again.
 func (r *Run) revive() {

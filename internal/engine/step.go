@@ -41,9 +41,6 @@ func (r *Run) step() (bool, error) {
 	if r.finished {
 		return false, nil
 	}
-	if r.mask != nil && len(r.lanes) > 1 {
-		return false, fmt.Errorf("engine: SetMask needs a one-lane run, this one has %d", len(r.lanes))
-	}
 	if err := r.checkCtx(); err != nil {
 		return false, err
 	}
@@ -363,10 +360,10 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 //
 // tombs is the cell's resolved tombstones (nil for overlay cells and base
 // cells without pending removals): each task walks its destinations as
-// clean runs and single dirty destinations, so only the latter see a
-// predicate. Chunk boundaries balance edges, not destinations, so a hub
-// destination does not serialize its whole chunk's worth of sparse
-// neighbours behind it.
+// clean runs of ss and single dirty destinations, each folded from its
+// cell of surviving edges. Chunk boundaries balance edges, not
+// destinations, so a hub destination does not serialize its whole
+// chunk's worth of sparse neighbours behind it.
 func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, acc view, hub []float64, done func(), lanes []int) []func() {
 	deg := r.degOf(d)
 	// contig: lanes is a run of consecutive lane ids, letting the lane
@@ -383,8 +380,8 @@ func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, ac
 		tasks = append(tasks, func() {
 			// One task is one or more gatherCell calls: a dirty
 			// destination splits its chunk.
-			tombs.gather(k0, k1, func(del delPred, k0, k1 int) {
-				r.gatherCell(ss, deg, del, src, acc, hub, lanes, contig, k0, k1)
+			tombs.gather(ss, hub, len(r.lanes), k0, k1, func(ss *storage.SubShard, hub []float64, k0, k1 int) {
+				r.gatherCell(ss, deg, src, acc, hub, lanes, contig, k0, k1)
 			})
 			if pending.Add(-1) == 0 && done != nil {
 				done()
@@ -587,14 +584,13 @@ func (r *Run) applyResident(lanes, dirs []int, activeNext [][]bool) {
 // lane's attribute and accumulated contribution of vertex v at index
 // int(v)*stride+off (lane l of a slab as stride L, off l, or of a window
 // with base b as off l-b*L), and the new attribute replaces the
-// contribution in acc. With
-// no mask installed it uses the program's LaneApplier to skip per-vertex
-// interface dispatch.
+// contribution in acc. It uses the program's LaneApplier, when it has
+// one, to skip per-vertex interface dispatch.
 func (r *Run) applyChunk(ln *lane, old, acc []float64, stride, off int, v0, v1 uint32) bool {
-	if ln.la != nil && r.mask == nil {
+	if ln.la != nil {
 		return ln.la.ApplyLane(old, acc, stride, off, v0, v1)
 	}
-	return applyRange(ln.p, r.mask, old, acc, stride, off, v0, v1)
+	return applyRange(ln.p, old, acc, stride, off, v0, v1)
 }
 
 // srcView is the resident source window the gather kernels of traversal
@@ -612,8 +608,8 @@ func (r *Run) srcView(d int) view {
 // with exactly the operands Gather would use, so the hoisted fold stays
 // bit-identical. Zero-degree rows are skipped: a gathered edge from
 // source s implies s's overlay-adjusted degree is at least 1 (tombstoned
-// edges are filtered before the attribute read), so those slots are
-// never read and whatever they hold is immaterial.
+// edges never reach a kernel), so those slots are never read and
+// whatever they hold is immaterial.
 func refreshScaled(scaled, attrs []float64, deg []uint32, L int, v0, v1 uint32) {
 	for v := v0; v < v1; v++ {
 		if deg[v] == 0 {
@@ -679,7 +675,7 @@ func (r *Run) foldHub(dsts []uint32, vals []float64, acc view, lanes []int, k0, 
 		for _, l := range lanes {
 			a, v := acc.vals[db+l], vals[k*L+l]
 			switch op {
-			case opSum, opCount:
+			case opSum:
 				a += v
 			case opMin, opHop, opDist:
 				a = min(a, v)

@@ -8,21 +8,19 @@ import (
 
 // This file keeps overlay tombstones off the per-edge path. A base cell's
 // tombstones arrive from the Overlay as a short sorted key slice; the
-// task builders resolve it once against the decoded sub-shard into the
-// (few) destinations that actually lose an edge, and every gather task
-// then walks its chunk as long clean runs — handed to the kernels with
-// no predicate, so the unfiltered fast paths stay on — and single dirty
-// destinations, handed to the filtered variants.
+// task builders resolve it once per cell visit against the decoded
+// sub-shard into the (few) destinations that actually lose an edge, each
+// with a one-destination cell of its surviving edges. Every gather task
+// then walks its chunk as long clean runs of the base cell and single
+// dirty destinations, each folded from its survivor cell — so every
+// kernel folds exactly the edges it is handed, with no predicate.
 //
 // Splitting a chunk into runs is invisible in the results: inside a
 // sub-shard every destination appears once and its fold is an
-// independent left-associative chain, so neither any destination's chain
-// nor the order destinations are visited changes. See
-// docs/adr/ADR-005-tombstones-by-destination.md.
-
-// delPred is the tombstone predicate the filtered kernel variants apply
-// to the base edges of one dirty destination (nil for clean runs).
-type delPred = func(src, dst uint32) bool
+// independent left-associative chain over its surviving edges in edge
+// order, so neither any destination's chain nor the order destinations
+// are visited changes. See docs/adr/ADR-005-tombstones-by-destination.md
+// and ADR-023.
 
 // TombKey packs base edge (src, dst) — in its replica's own orientation —
 // into the destination-major key Overlay.CellTombstones lists.
@@ -31,8 +29,8 @@ func TombKey(src, dst uint32) uint64 { return uint64(dst)<<32 | uint64(src) }
 // cellTombs is one base cell's tombstones resolved against its decoded
 // sub-shard. The nil *cellTombs is the cell without tombstones.
 type cellTombs struct {
-	dirty []int   // ascending indices into ss.Dsts that lose ≥ 1 edge
-	del   delPred // binary search in the cell's key slice
+	dirty []int              // ascending indices into ss.Dsts that lose ≥ 1 edge
+	cells []storage.SubShard // cells[x]: destination dirty[x] and its surviving edges
 }
 
 // cellTombsOf resolves the tombstones ov lists for base cell (i, j) of
@@ -46,44 +44,70 @@ func cellTombsOf(ov Overlay, d, i, j int, ss *storage.SubShard) *cellTombs {
 }
 
 // resolveTombs locates the destinations of ss named by keys (ascending
-// TombKeys). Both sides ascend by destination, so each lookup searches
-// only past the previous hit.
+// TombKeys) and copies each one's surviving edges, in edge order and
+// with their weights, into a one-destination cell; a destination that
+// loses every edge gets an empty one, which folds to Zero. Both sides
+// ascend by destination, so each lookup searches only past the previous
+// hit.
 func resolveTombs(keys []uint64, ss *storage.SubShard) *cellTombs {
-	var dirty []int
+	var t cellTombs
 	k := 0
-	for x, key := range keys {
-		d := uint32(key >> 32)
-		if x > 0 && uint32(keys[x-1]>>32) == d {
-			continue
+	for len(keys) > 0 {
+		d, n := uint32(keys[0]>>32), 1
+		for n < len(keys) && uint32(keys[n]>>32) == d {
+			n++
 		}
+		dead := keys[:n]
+		keys = keys[n:]
 		pos, found := slices.BinarySearch(ss.Dsts[k:], d)
 		k += pos
-		if found {
-			dirty = append(dirty, k)
+		if !found {
+			continue
 		}
+		lo, hi := ss.Offsets[k], ss.Offsets[k+1]
+		c := storage.SubShard{Dsts: ss.Dsts[k : k+1], Offsets: []uint32{0, 0}, Srcs: make([]uint32, 0, hi-lo)}
+		if ss.Weights != nil {
+			c.Weights = make([]float32, 0, hi-lo)
+		}
+		for e := lo; e < hi; e++ {
+			if _, gone := slices.BinarySearch(dead, TombKey(ss.Srcs[e], d)); !gone {
+				c.Srcs = append(c.Srcs, ss.Srcs[e])
+				if c.Weights != nil {
+					c.Weights = append(c.Weights, ss.Weights[e])
+				}
+			}
+		}
+		c.Offsets[1] = uint32(len(c.Srcs))
+		t.dirty = append(t.dirty, k)
+		t.cells = append(t.cells, c)
 	}
-	if dirty == nil {
+	if t.dirty == nil {
 		return nil
 	}
-	return &cellTombs{dirty: dirty, del: func(src, dst uint32) bool {
-		_, dead := slices.BinarySearch(keys, TombKey(src, dst))
-		return dead
-	}}
+	return &t
 }
 
-// gather folds destinations [k0, k1) through kernel, giving it the
-// tombstone predicate only for the destinations that need it.
-func (t *cellTombs) gather(k0, k1 int, kernel func(del delPred, k0, k1 int)) {
+// gather folds destinations [k0, k1) of base cell ss through kernel:
+// clean runs from ss itself, each dirty destination from its survivor
+// cell as that cell's destination 0, with the hub window (nil on the
+// accumulator side; L values per entry) shifted to the destination's
+// entry.
+func (t *cellTombs) gather(ss *storage.SubShard, hub []float64, L, k0, k1 int, kernel func(ss *storage.SubShard, hub []float64, k0, k1 int)) {
 	if t == nil {
-		kernel(nil, k0, k1)
+		kernel(ss, hub, k0, k1)
 		return
 	}
 	splitRuns(t.dirty, k0, k1, func(a, b int, dirty bool) {
-		if dirty {
-			kernel(t.del, a, b)
-		} else {
-			kernel(nil, a, b)
+		if !dirty {
+			kernel(ss, hub, a, b)
+			return
 		}
+		x, _ := slices.BinarySearch(t.dirty, a)
+		var h []float64
+		if hub != nil {
+			h = hub[a*L : (a+1)*L]
+		}
+		kernel(&t.cells[x], h, 0, 1)
 	})
 }
 

@@ -3,6 +3,7 @@ package engine
 import (
 	"fmt"
 	"reflect"
+	"slices"
 	"testing"
 
 	"nxgraph/internal/graph"
@@ -58,14 +59,17 @@ func TestSplitRuns(t *testing.T) {
 }
 
 // TestResolveTombs: keys resolve to the indices of the destinations they
-// name (first, interior with a parallel pair, last), the predicate
-// matches exactly the listed pairs, and a cell without keys — or whose
-// keys name no destination of the sub-shard — stays on the nil path.
+// name (first, interior with two keys, last), each with a one-destination
+// cell of exactly its surviving edges in edge order and with their
+// weights — empty when every edge goes — and a cell without keys, or
+// whose keys name no destination of the sub-shard, stays on the nil
+// path.
 func TestResolveTombs(t *testing.T) {
 	var ss *storage.SubShard
-	edges := []graph.Edge{{Src: 1, Dst: 10}, {Src: 2, Dst: 10}, {Src: 2, Dst: 12},
-		{Src: 3, Dst: 12}, {Src: 1, Dst: 15}, {Src: 9, Dst: 15}, {Src: 4, Dst: 19}}
-	if err := storage.BuildSubShards(edges, 20, 1, false, func(_ int, s *storage.SubShard) error {
+	edges := []graph.Edge{{Src: 1, Dst: 10, Weight: 1}, {Src: 2, Dst: 10, Weight: 2}, {Src: 7, Dst: 10, Weight: 3},
+		{Src: 2, Dst: 12, Weight: 4}, {Src: 3, Dst: 12, Weight: 5}, {Src: 1, Dst: 15, Weight: 6},
+		{Src: 9, Dst: 15, Weight: 7}, {Src: 4, Dst: 19, Weight: 8}}
+	if err := storage.BuildSubShards(edges, 20, 1, true, func(_ int, s *storage.SubShard) error {
 		ss = s
 		return nil
 	}); err != nil {
@@ -77,33 +81,52 @@ func TestResolveTombs(t *testing.T) {
 	if got := resolveTombs([]uint64{TombKey(5, 11), TombKey(5, 30)}, ss); got != nil {
 		t.Fatalf("keys naming absent destinations: got %+v, want nil", got)
 	}
-	keys := []uint64{TombKey(1, 10), TombKey(2, 12), TombKey(3, 12), TombKey(4, 19)}
+	keys := []uint64{TombKey(2, 10), TombKey(2, 12), TombKey(3, 12), TombKey(4, 19)}
 	tb := resolveTombs(keys, ss)
 	if tb == nil || !reflect.DeepEqual(tb.dirty, []int{0, 1, 3}) {
 		t.Fatalf("dirty = %+v, want [0 1 3]", tb)
 	}
-	dead := map[[2]uint32]bool{{1, 10}: true, {2, 12}: true, {3, 12}: true, {4, 19}: true}
-	for k, d := range ss.Dsts {
-		for _, s := range ss.Srcs[ss.Offsets[k]:ss.Offsets[k+1]] {
-			if got := tb.del(s, d); got != dead[[2]uint32{s, d}] {
-				t.Errorf("del(%d,%d) = %v, want %v", s, d, got, !got)
-			}
+	want := []storage.SubShard{
+		{Dsts: []uint32{10}, Offsets: []uint32{0, 2}, Srcs: []uint32{1, 7}, Weights: []float32{1, 3}},
+		{Dsts: []uint32{12}, Offsets: []uint32{0, 0}, Srcs: []uint32{}, Weights: []float32{}},
+		{Dsts: []uint32{19}, Offsets: []uint32{0, 0}, Srcs: []uint32{}, Weights: []float32{}},
+	}
+	for x := range want {
+		c := tb.cells[x]
+		if !slices.Equal(c.Dsts, want[x].Dsts) || !slices.Equal(c.Offsets, want[x].Offsets) ||
+			!slices.Equal(c.Srcs, want[x].Srcs) || !slices.Equal(c.Weights, want[x].Weights) || c.Weights == nil {
+			t.Errorf("cell %d = %+v, want %+v", x, c, want[x])
 		}
 	}
 
-	// gather hands the predicate to dirty destinations only.
+	// gather hands a dirty destination its survivor cell, as destination
+	// 0 with the hub window shifted to its entry, and clean runs the base
+	// cell.
+	const L = 2
+	hub := make([]float64, ss.NumDsts()*L)
 	var calls []string
-	tb.gather(0, 4, func(del delPred, k0, k1 int) {
-		calls = append(calls, fmt.Sprintf("%d-%d:%v", k0, k1, del != nil))
-	})
-	if want := []string{"0-1:true", "1-2:true", "2-3:false", "3-4:true"}; !reflect.DeepEqual(calls, want) {
+	kernel := func(c *storage.SubShard, h []float64, k0, k1 int) {
+		calls = append(calls, fmt.Sprintf("%d-%d:base=%v,dst=%d,hub=%d", k0, k1, c == ss, c.Dsts[k0], len(h)))
+		if h != nil {
+			h[k0*L] = float64(c.Dsts[k0])
+		}
+	}
+	tb.gather(ss, hub, L, 0, 4, kernel)
+	if want := []string{"0-1:base=false,dst=10,hub=2", "0-1:base=false,dst=12,hub=2",
+		"2-3:base=true,dst=15,hub=8", "0-1:base=false,dst=19,hub=2"}; !reflect.DeepEqual(calls, want) {
 		t.Fatalf("gather calls = %v, want %v", calls, want)
 	}
+	if want := []float64{10, 0, 12, 0, 15, 0, 19, 0}; !slices.Equal(hub, want) {
+		t.Fatalf("hub = %v, want %v", hub, want)
+	}
 	calls = nil
-	(*cellTombs)(nil).gather(0, 4, func(del delPred, k0, k1 int) {
-		calls = append(calls, fmt.Sprintf("%d-%d:%v", k0, k1, del != nil))
-	})
-	if want := []string{"0-4:false"}; !reflect.DeepEqual(calls, want) {
+	tb.gather(ss, nil, L, 1, 3, kernel)
+	if want := []string{"0-1:base=false,dst=12,hub=0", "2-3:base=true,dst=15,hub=0"}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("accumulator-side gather calls = %v, want %v", calls, want)
+	}
+	calls = nil
+	(*cellTombs)(nil).gather(ss, nil, L, 0, 4, kernel)
+	if want := []string{"0-4:base=true,dst=10,hub=0"}; !reflect.DeepEqual(calls, want) {
 		t.Fatalf("nil gather calls = %v, want %v", calls, want)
 	}
 }
