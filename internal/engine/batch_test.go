@@ -485,9 +485,9 @@ func TestSkewedStarAtWidth16(t *testing.T) {
 }
 
 // cancelOnGather is a hint-free program that cancels a context from its
-// first Gather — i.e. in the middle of a row, after which the rest of the
-// row still folds into the accumulator before the next row's check
-// aborts the step.
+// first Gather — i.e. in the middle of a row, after which the tasks
+// already running still fold into the accumulator before a later row's
+// check aborts the step.
 type cancelOnGather struct {
 	genericProg
 	once   *sync.Once

@@ -12,3 +12,11 @@ var (
 // SpecialValues exposes the kernel-level special-value vector to the
 // run-level suite in the external test package.
 var SpecialValues = specialValues
+
+// SetDelayGather installs the row pool's gather-delay hook (see
+// delayGather) for the suites in the external test package and returns
+// the func that removes it again.
+func SetDelayGather(f func(row int)) (restore func()) {
+	delayGather = f
+	return func() { delayGather = nil }
+}

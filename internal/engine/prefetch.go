@@ -5,6 +5,7 @@ import (
 	"slices"
 	"strconv"
 	"sync"
+	"sync/atomic"
 
 	"nxgraph/internal/blockcache"
 	"nxgraph/internal/storage"
@@ -13,11 +14,14 @@ import (
 
 // This file is the engine's read path: every sub-shard consumed by a
 // step goes through the shared block cache (pinned, decoded blocks —
-// see internal/blockcache) and, within a step, through a double-buffered
-// prefetch pipeline. While the row/column phase computes on batch k, one
-// background goroutine pins batch k+1's blocks, so disk reads overlap
-// gathering instead of serializing with it. Cache hits make the fetch a
-// map lookup; misses decode once and publish for every run on the store.
+// see internal/blockcache) and, within a step, through a prefetch
+// pipeline. A phase batch (a row, or a column's cells) starts loading on
+// a background goroutine when the step takes the batch before it, so
+// disk reads overlap the gathering of the rows in flight instead of
+// serializing with it. A step that reaches a batch still loading claims
+// its remaining cells from the same cursor and loads them itself rather
+// than wait on one goroutine's decodes. Cache hits make a load a map
+// lookup; misses decode once and publish for every run on the store.
 
 // cellID names one block a phase needs: sub-shard (i, j) of traversal
 // flag d (1 = transpose).
@@ -110,7 +114,8 @@ func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded in
 	return
 }
 
-// fetchTrace buffers one fetch goroutine's trace output. Misses keep
+// fetchTrace buffers one loader's trace output (a fetch goroutine, or a
+// step loading cells of a batch it waits on). Misses keep
 // individual spans — they carry decoded bytes and real disk latency —
 // but hits coalesce into a single counted span per batch: a warm batch
 // is nothing but hits, and materializing a ~0µs span per hit costs more
@@ -123,7 +128,7 @@ type fetchTrace struct {
 	hitDurNS int64 // summed duration of the batch's hits
 }
 
-// getBlockBatched is the fetch goroutine's traced load: it samples the
+// getBlockBatched is a loader's traced load: it samples the
 // trace clock around loadBlock and folds the result into ft, deferring
 // all recording and counter updates to flushFetchTrace.
 func (r *Run) getBlockBatched(c cellID, ft *fetchTrace) (*blockcache.Handle, error) {
@@ -168,27 +173,47 @@ func (r *Run) flushFetchTrace(ft *fetchTrace) {
 	}
 }
 
-// waitBatch blocks on a phase batch's prefetch, recording the blocked
-// time as a fetch-batch span and charging it to the iteration's
-// prefetch-stall total. Only the step loop calls it, so stallNS needs no
-// synchronization.
-func (r *Run) waitBatch(b *fetchBatch, phase string, id int) error {
-	if r.tr == nil {
-		return b.wait()
+// waitBatch readies a phase batch for the step. A step that would block
+// on it first loads the cells nobody has claimed yet itself, then waits
+// out the loads still in flight. Traced, the whole wait is a fetch-batch
+// span, and the part of it during which the row pool p had no gather
+// task pending is charged to the iteration's stall total (all of it when
+// p is nil, in the column phase). Only the step loop calls it, so
+// stallNS needs no synchronization.
+func (r *Run) waitBatch(b *fetchBatch, phase string, id int, p *gatherPool) error {
+	t0 := r.tr.Clock()
+	select {
+	case <-b.done:
+	default:
+		r.fill(b)
 	}
-	sp := r.tr.Start(trace.KindFetchBatch, spanName(phase, id), r.iterSpanID.Load())
 	err := b.wait()
-	r.stallNS += int64(r.tr.End(sp))
+	if r.tr != nil {
+		t1 := r.tr.Clock()
+		r.tr.Record([]trace.Span{r.tr.Make(trace.KindFetchBatch, spanName(phase, id), r.iterSpanID.Load(), t0, t1-t0)})
+		r.stallNS += max(0, t1-max(t0, p.idleSince(t1)))
+	}
 	return err
 }
 
 // fetchBatch holds the pinned blocks of one phase batch (a row of the
-// row phase, a destination interval of the column phase). handles is
-// populated by the fetch goroutine and must only be read after wait.
+// row phase, a destination interval of the column phase): handles[k]
+// pins cells[k]. Cells are claimed through one cursor, by the batch's
+// fetch goroutine and by a step that would otherwise block on the batch,
+// so each is loaded once, by whoever claims it first. handles and err
+// must only be read after wait.
 type fetchBatch struct {
-	handles map[cellID]*blockcache.Handle
-	err     error
-	done    chan struct{}
+	cells   []cellID
+	handles []*blockcache.Handle
+	next    atomic.Int64 // claim cursor into cells
+	// left counts the cells not yet settled (loaded, failed, or skipped
+	// after a failure) plus one for the fetch goroutine's exit, which
+	// comes after it recorded its trace; whoever settles the last closes
+	// done.
+	left   atomic.Int64
+	failed atomic.Bool
+	err    error // the first load error, written once before done closes
+	done   chan struct{}
 }
 
 // emptyBatch returns a completed batch with no blocks: the batch of a
@@ -201,57 +226,83 @@ func emptyBatch() *fetchBatch {
 }
 
 // startFetch pins the given cells on a background goroutine. Cells are
-// loaded in slice order — ascending j within a row, matching the
+// claimed in slice order — ascending j within a row, matching the
 // physical row-major layout of shards.dat, so misses read sequentially.
 func (r *Run) startFetch(cells []cellID) *fetchBatch {
 	if len(cells) == 0 {
 		return emptyBatch()
 	}
 	b := &fetchBatch{
-		handles: make(map[cellID]*blockcache.Handle, len(cells)),
+		cells:   cells,
+		handles: make([]*blockcache.Handle, len(cells)),
 		done:    make(chan struct{}),
 	}
+	b.left.Store(int64(len(cells)) + 1)
 	go func() {
-		defer close(b.done)
-		var ft *fetchTrace
-		if r.tr != nil {
-			ft = &fetchTrace{}
-			defer func() { r.flushFetchTrace(ft) }()
-		}
-		for _, c := range cells {
-			var h *blockcache.Handle
-			var err error
-			if ft != nil {
-				h, err = r.getBlockBatched(c, ft)
-			} else {
-				h, _, _, err = r.loadBlock(c)
-			}
-			if err != nil {
-				b.err = err
-				return
-			}
-			b.handles[c] = h
-		}
+		r.fill(b)
+		b.settle()
 	}()
 	return b
 }
 
-// wait blocks until the fetch goroutine finished and reports its error.
-// It must be called before reading handles.
+// fill claims and loads the batch's cells until none is left unclaimed;
+// once a load has failed, the remaining claims settle without loading.
+// Traced, the caller's loads are recorded before fill returns.
+func (r *Run) fill(b *fetchBatch) {
+	var ft *fetchTrace
+	if r.tr != nil {
+		ft = &fetchTrace{}
+		defer r.flushFetchTrace(ft)
+	}
+	for {
+		k := int(b.next.Add(1)) - 1
+		if k >= len(b.cells) {
+			return
+		}
+		if !b.failed.Load() {
+			var h *blockcache.Handle
+			var err error
+			if ft != nil {
+				h, err = r.getBlockBatched(b.cells[k], ft)
+			} else {
+				h, _, _, err = r.loadBlock(b.cells[k])
+			}
+			if err == nil {
+				b.handles[k] = h
+			} else if b.failed.CompareAndSwap(false, true) {
+				b.err = err
+			}
+		}
+		b.settle()
+	}
+}
+
+// settle counts one cell (or the fetch goroutine's exit) done, closing
+// done on the last.
+func (b *fetchBatch) settle() {
+	if b.left.Add(-1) == 0 {
+		close(b.done)
+	}
+}
+
+// wait blocks until every cell is settled and reports the first load
+// error. It must be called before reading handles.
 func (b *fetchBatch) wait() error {
 	<-b.done
 	return b.err
 }
 
-// release unpins every block the batch holds, waiting out an in-flight
-// fetch first so no pin is orphaned.
+// release unpins every block the batch holds, waiting out the loads in
+// flight first so no pin is orphaned.
 func (b *fetchBatch) release() {
 	if b == nil {
 		return
 	}
 	<-b.done
 	for _, h := range b.handles {
-		h.Release()
+		if h != nil {
+			h.Release()
+		}
 	}
 	b.handles = nil
 }
@@ -262,11 +313,11 @@ func (b *fetchBatch) release() {
 // than papered over with a disk read. Callers must have wait()ed on the
 // batch.
 func batchSubShard(b *fetchBatch, c cellID) (*storage.SubShard, error) {
-	h, ok := b.handles[c]
-	if !ok {
+	k := slices.Index(b.cells, c)
+	if k < 0 {
 		return nil, fmt.Errorf("engine: %s was not planned", c.name())
 	}
-	return h.Value().(*storage.SubShard), nil
+	return b.handles[k].Value().(*storage.SubShard), nil
 }
 
 // fetchPlan is one batch of the pipeline: the blocks batch id (a row
@@ -277,9 +328,10 @@ type fetchPlan struct {
 	cells []cellID
 }
 
-// pipeline runs the double-buffered prefetch over a phase's planned
-// batches: at any time the batch being computed on is pinned and the
-// next one is loading.
+// pipeline runs the prefetch over a phase's planned batches: taking
+// batch k starts batch k+1's fetch, so the next batch loads while the
+// batches taken before it compute (one in the column phase, up to two
+// rows in flight in the row phase).
 type pipeline struct {
 	r        *Run
 	plans    []fetchPlan

@@ -98,9 +98,9 @@ func (ln *lane) hasWork() bool { return slices.Contains(ln.active, true) }
 // associates by Q, so there a lane equals the one-lane run with its Q.
 //
 // Sub-shard reads flow through the engine's shared block cache with a
-// double-buffered prefetch pipeline per phase (see prefetch.go): runs on
-// the same store reuse each other's decoded blocks, and misses load in
-// the background while the previous batch computes.
+// prefetch pipeline per phase (see prefetch.go): runs on the same store
+// reuse each other's decoded blocks, and misses load in the background
+// while the batches before them compute.
 type Run struct {
 	e *Engine
 
@@ -172,10 +172,12 @@ type Run struct {
 
 	// tr records the run's span timeline (nil when Config.TraceSpans is
 	// negative — every instrumentation call is then inert). iterSpanID is
-	// the current iteration's span, read by the prefetch goroutines to
-	// parent their block-load spans; iterHits/iterMisses count block
-	// acquisitions from those goroutines. stallNS accumulates fetch-batch
-	// wait time and is touched only by the step loop.
+	// the current iteration's span, read by the loaders (the prefetch
+	// goroutines, and a step loading cells of a batch it waits on) and
+	// the row pool to parent their spans; iterHits/iterMisses count the
+	// loaders' block acquisitions. stallNS accumulates the fetch-batch
+	// wait time during which no gather task was pending and is touched
+	// only by the step loop.
 	tr         *trace.Trace
 	runSpan    trace.Span
 	runEnded   bool
@@ -315,7 +317,8 @@ func commonHint(ps []Program) KernelHint {
 // splitting hub-heavy ranges by edge mass. A wide run's edge is
 // several times dearer than a one-lane run's (it touches L attributes;
 // ~5x at L = 16), so the budget shrinks with L — but never below chunk,
-// which still amortizes a task's closure, atomic and scratch buffer.
+// which still amortizes a task's closure, its completion atomic and its
+// two turns through the row pool's lock.
 func gatherChunkCost(L, chunk int) int {
 	return max(1, 4*chunk/min(L, 4))
 }

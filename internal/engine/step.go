@@ -100,13 +100,16 @@ func (r *Run) step() (bool, error) {
 	r.scaledReady = false
 
 	// Row phase: one pass over the sub-shard grid; each decoded block is
-	// gathered into every participating lane before the next block —
-	// SPU-like updates into resident accumulators, ToHub for on-disk
-	// destinations (Algorithm 7 lines 1-16). Each row's blocks are pinned
-	// by the prefetch pipeline one row ahead, so row i's gathering
-	// overlaps row i+1's reads.
+	// gathered into every participating lane — SPU-like updates into
+	// resident accumulators, ToHub for on-disk destinations (Algorithm 7
+	// lines 1-16). The gather tasks run on one worker pool for the whole
+	// phase (see processRow): row i+1 is submitted while row i's tail
+	// still runs, and each row's blocks, prefetched while the rows before
+	// it gather, stay pinned until its last task finished.
 	rowPipe := r.newPipeline(plans)
 	defer rowPipe.drain()
+	pool := r.newGatherPool(Q)
+	defer pool.stop()
 	var resident [2]view
 	for _, d := range dirs {
 		resident[d] = r.srcView(d)
@@ -121,6 +124,9 @@ func (r *Run) step() (bool, error) {
 		if i >= Q { // streamed interval: every lane's attributes in one read
 			if len(rowLanes) == 0 && !aggregates {
 				continue
+			}
+			if i > Q {
+				pool.drain() // an earlier streamed row may still read loadBuf
 			}
 			lo, hi := m.IntervalRange(i)
 			buf := r.loadBuf[:int(hi-lo)*L]
@@ -144,9 +150,14 @@ func (r *Run) step() (bool, error) {
 		if len(rowLanes) == 0 {
 			continue
 		}
-		if err := r.processRow(i, src, rowLanes, dirs, rowPipe.take(i)); err != nil {
+		if err := r.processRow(pool, i, src, rowLanes, dirs, rowPipe.take(i)); err != nil {
 			return false, err
 		}
+	}
+	pool.drain()
+	pool.stop()
+	if err := r.takeErr(); err != nil {
+		return false, err
 	}
 	for _, l := range lanes {
 		if ln := &r.lanes[l]; ln.agg != nil {
@@ -254,24 +265,24 @@ func (r *Run) countEdges(rowLanes []int, n int) {
 	}
 }
 
-// processRow executes row i of the sub-shard matrix for the lanes in
-// rowLanes, with source attributes src (one view per traversal flag):
-// destinations in resident intervals accumulate into r.next;
-// destinations in on-disk intervals are gathered into hubs (ToHub).
-// blocks is the row's prefetched batch; processRow owns it — blocks stay
-// pinned until every gather task has run, then the whole batch releases.
-// Within one replica's row, distinct destination ranges never overlap, so
-// each group runs lock-free; groups that can collide on a destination
-// (forward vs transposed replica, base vs overlay) are separated by
-// barriers — see the scheduling comment below.
-func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetchBatch) error {
-	defer blocks.release()
-	if err := r.waitBatch(blocks, "row-", i); err != nil {
+// processRow submits row i of the sub-shard matrix to the row pool p for
+// the lanes in rowLanes, with source attributes src (one view per
+// traversal flag): destinations in resident intervals accumulate into
+// r.next; destinations in on-disk intervals are gathered into hubs
+// (ToHub). blocks is the row's prefetched batch; the pool owns it once
+// the row is submitted and releases it when the row's last task
+// finished. Within one replica's row, distinct destination ranges never
+// overlap (the §III-D invariant), so a cell's chunk tasks run
+// lock-free; cells that can hit the same destination — the forward and
+// transposed replicas, a base cell and its overlay cell, and the same
+// column of consecutive rows — are units of one interval's chain, which
+// fixes every destination's fold order whatever L, Threads or the
+// schedule. Before returning, processRow waits until the row before
+// this one finished, so at most two rows are in flight.
+func (r *Run) processRow(p *gatherPool, i int, src [2]view, rowLanes, dirs []int, blocks *fetchBatch) error {
+	if err := r.waitBatch(blocks, "row-", i, p); err != nil {
+		blocks.release()
 		return err
-	}
-	if r.tr != nil {
-		gsp := r.tr.Start(trace.KindGather, spanName("row-", i), r.iterSpanID.Load())
-		defer r.tr.End(gsp)
 	}
 	m := r.e.store.Meta()
 	P, Q := m.P, r.q
@@ -280,18 +291,12 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 		jmax = Q // SS[i][j>=Q] with resident source is handled by the column phase
 	}
 	acc := view{r.next, 0}
-	// Tasks are scheduled in conflict-free groups. Hub-side tasks
-	// (j >= Q) write private per-cell value arrays and can run with
-	// anything. Resident-destination gathers (j < Q) fold into the
-	// shared r.next accumulator: within one replica's row the distinct
-	// destination ranges are disjoint (the §III-D invariant), but the
-	// forward and transposed replicas — and a cell's base sub-shard vs
-	// its overlay cell — can hit the same destination vertex, so each
-	// (replica, base|overlay) group gets its own barrier. Forward-only
-	// runs without deltas still execute exactly one parallelFor. The
-	// grouping fixes every destination's fold order whatever L is.
-	var free []func()           // hub-side: no shared accumulator
-	var resident [2][2][]func() // [traversal flag][0 = base, 1 = overlay]
+	var units []*gatherUnit
+	add := func(j int, tasks []func()) {
+		if len(tasks) > 0 {
+			units = append(units, &gatherUnit{j: j, tasks: tasks})
+		}
+	}
 	for _, d := range dirs {
 		infos := r.subShardInfosFor(d)
 		for j := 0; j < jmax; j++ {
@@ -304,6 +309,7 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 			if base {
 				var err error
 				if ss, err = batchSubShard(blocks, cellID{d, i, j}); err != nil {
+					blocks.release()
 					return err
 				}
 				r.countEdges(rowLanes, ss.NumEdges())
@@ -313,41 +319,32 @@ func (r *Run) processRow(i int, src [2]view, rowLanes, dirs []int, blocks *fetch
 			}
 			if j < Q {
 				if base {
-					resident[d][0] = append(resident[d][0], r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], acc, nil, nil, rowLanes)...)
+					add(j, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], acc, nil, nil, rowLanes))
 				}
 				if ovc != nil {
-					resident[d][1] = append(resident[d][1], r.gatherTasks(ovc, d, nil, src[d], acc, nil, nil, rowLanes)...)
+					add(j, r.gatherTasks(ovc, d, nil, src[d], acc, nil, nil, rowLanes))
 				}
 				continue
 			}
 			if base {
 				vals := make([]float64, ss.NumDsts()*len(r.lanes))
-				free = append(free, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], view{}, vals, func() {
+				add(-1, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], view{}, vals, func() {
 					if err := r.hubs[d].Write(i, j, ss.Dsts, vals); err != nil {
 						r.setErr(err)
 					}
-				}, rowLanes)...)
+				}, rowLanes))
 			}
 			if ovc != nil {
 				// Overlay contributions to an on-disk destination
 				// interval accumulate in memory (the hub file's regions
 				// are sized from the base meta); the column phase folds
 				// them alongside the disk hub.
-				free = append(free, r.gatherTasks(ovc, d, nil, src[d], view{}, r.ovHubVals(d, i, j, ovc), nil, rowLanes)...)
+				add(-1, r.gatherTasks(ovc, d, nil, src[d], view{}, r.ovHubVals(d, i, j, ovc), nil, rowLanes))
 			}
 		}
 	}
-	first := true
-	for _, d := range dirs {
-		for _, g := range resident[d] {
-			if first {
-				g = append(g, free...) // fold free tasks into the first barrier
-				free = nil
-				first = false
-			}
-			parallelFor(r.threads, len(g), func(t int) { g[t]() })
-		}
-	}
+	p.submit(i, blocks, units)
+	p.retire(1)
 	return r.takeErr()
 }
 
@@ -429,7 +426,7 @@ func (r *Run) activeLanes(lanes []int, i int) []int {
 // column's prefetched batch; processColumn owns it.
 func (r *Run) processColumn(j int, dirs, lanes []int, activeNext [][]bool, blocks *fetchBatch) error {
 	defer blocks.release()
-	if err := r.waitBatch(blocks, "col-", j); err != nil {
+	if err := r.waitBatch(blocks, "col-", j, nil); err != nil {
 		return err
 	}
 	if r.tr != nil {

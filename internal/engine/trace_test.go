@@ -1,7 +1,12 @@
 package engine_test
 
 import (
+	"cmp"
+	"slices"
+	"strconv"
+	"strings"
 	"testing"
+	"time"
 
 	"nxgraph/internal/algorithms"
 	"nxgraph/internal/engine"
@@ -14,7 +19,9 @@ import (
 // run must leave a timeline containing the run span, one iteration span
 // per iteration, block loads tagged hit/miss, gather and fetch-batch
 // spans parented into the right iteration, and a per-iteration StepStats
-// series whose counters are self-consistent.
+// series whose counters are self-consistent and whose stall agrees with
+// the spans (checkGatherLedger), on a free schedule and on one where
+// every row's gather is held up.
 func TestRunTraceTimeline(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 21))
 	if err != nil {
@@ -108,6 +115,73 @@ func TestRunTraceTimeline(t *testing.T) {
 	}
 	if steps[0].BlocksMiss == 0 {
 		t.Fatal("first iteration recorded no block misses on a cold cache")
+	}
+	checkGatherLedger(t, tl)
+
+	// Again with every row's gather tasks held up, so the step waits on
+	// each fetch while the previous row still runs: those waits are not
+	// stalls.
+	restore := engine.SetDelayGather(func(int) { time.Sleep(50 * time.Microsecond) })
+	defer restore()
+	e, err = engine.New(st, engine.Config{Threads: 2})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if res, err = algorithms.PageRank(e, 0.85, iters); err != nil {
+		t.Fatal(err)
+	}
+	checkGatherLedger(t, res.Trace.Snapshot())
+}
+
+// checkGatherLedger holds a timeline to the two rules the benchmark's
+// ledger relies on: the gather spans of one iteration never overlap (it
+// sums them), and an iteration's StallUS is exactly the part of its
+// fetch-batch waits that no gather span covers — time the step waited
+// on a fetch while no gather task was pending. Span bounds are rounded
+// down to microseconds one by one, hence the slack of 2 µs per span.
+func checkGatherLedger(t *testing.T, tl trace.Timeline) {
+	t.Helper()
+	kids := map[uint64][]trace.Span{}
+	for _, sp := range tl.Spans {
+		kids[sp.Parent] = append(kids[sp.Parent], sp)
+	}
+	overlap := func(a, b trace.Span) int64 {
+		return max(0, min(a.StartUS+a.DurUS, b.StartUS+b.DurUS)-max(a.StartUS, b.StartUS))
+	}
+	for _, it := range tl.Spans {
+		if it.Kind != trace.KindIteration {
+			continue
+		}
+		var gathers, fetches []trace.Span
+		for _, sp := range kids[it.ID] {
+			switch sp.Kind {
+			case trace.KindGather:
+				gathers = append(gathers, sp)
+			case trace.KindFetchBatch:
+				fetches = append(fetches, sp)
+			}
+		}
+		slices.SortFunc(gathers, func(a, b trace.Span) int { return cmp.Compare(a.StartUS, b.StartUS) })
+		for k := 1; k < len(gathers); k++ {
+			if overlap(gathers[k-1], gathers[k]) > 0 {
+				t.Fatalf("%s: gather spans %+v and %+v overlap", it.Name, gathers[k-1], gathers[k])
+			}
+		}
+		var uncovered int64
+		for _, f := range fetches {
+			uncovered += f.DurUS
+			for _, g := range gathers {
+				uncovered -= overlap(f, g)
+			}
+		}
+		k, err := strconv.Atoi(strings.TrimPrefix(it.Name, "iter-"))
+		if err != nil || k >= len(tl.Steps) {
+			t.Fatalf("iteration span %q has no step", it.Name)
+		}
+		stall := tl.Steps[k].StallUS
+		if slack := int64(2 * (len(fetches) + len(gathers))); stall < uncovered-slack || stall > uncovered+slack {
+			t.Fatalf("%s: StallUS %d, but %d µs of its %d fetch waits lie outside its %d gather spans", it.Name, stall, uncovered, len(fetches), len(gathers))
+		}
 	}
 }
 

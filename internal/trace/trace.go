@@ -40,8 +40,10 @@ const (
 	KindRun Kind = "run"
 	// KindIteration covers one step of the update loop.
 	KindIteration Kind = "iteration"
-	// KindFetchBatch covers the step loop blocking on a prefetched
-	// fetch-plan batch — the prefetch-stall component of an iteration.
+	// KindFetchBatch covers the step loop waiting on a prefetched
+	// fetch-plan batch, including the cells it loads itself. Row-phase
+	// gather tasks may run meanwhile; only the part of the wait no
+	// gather span covers is the iteration's stall.
 	KindFetchBatch Kind = "fetch-batch"
 	// KindBlockLoad covers sub-shard block acquisition, tagged "hit"
 	// (served decoded from the block cache) or "miss" (decoded from
@@ -51,7 +53,10 @@ const (
 	// their recording cost is measurable on warm runs).
 	KindBlockLoad Kind = "block-load"
 	// KindGather covers the gather work of one row (ToHub + resident
-	// accumulation) or one destination column (FromHub + apply).
+	// accumulation): from its submission to the row pool until the
+	// pool went idle or the next row was submitted, so the rows of one
+	// iteration never overlap; or of one destination column (FromHub +
+	// apply).
 	KindGather Kind = "gather"
 	// KindApply covers the resident apply phase closing an iteration.
 	KindApply Kind = "apply"
@@ -116,8 +121,9 @@ type StepStats struct {
 	// iteration (attributes and hubs included).
 	BytesRead    int64 `json:"bytes_read"`
 	BytesWritten int64 `json:"bytes_written"`
-	// StallUS is time the step loop spent blocked waiting for a
-	// prefetched batch — I/O the pipeline failed to hide.
+	// StallUS is time the step loop spent waiting for a prefetched
+	// batch while no gather task was pending — I/O the pipeline failed
+	// to hide.
 	StallUS int64 `json:"stall_us"`
 	// ComputeUS is the rest of the iteration's wall time (gather,
 	// fold, apply).
