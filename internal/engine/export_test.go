@@ -13,10 +13,11 @@ var (
 // run-level suite in the external test package.
 var SpecialValues = specialValues
 
-// SetDelayGather installs the row pool's gather-delay hook (see
-// delayGather) for the suites in the external test package and returns
-// the func that removes it again.
-func SetDelayGather(f func(row int)) (restore func()) {
+// SetDelayGather installs the step pool's gather-delay hook (see
+// delayGather), called with each gather task's source interval, for the
+// suites in the external test package and returns the func that removes
+// it again.
+func SetDelayGather(f func(i int)) (restore func()) {
 	delayGather = f
 	return func() { delayGather = nil }
 }

@@ -623,8 +623,11 @@ func BenchmarkChunkingSkewed(b *testing.B) {
 		b.ReportMetric(float64(maxEdges)/float64(edges), "criticalPathFrac")
 		b.SetBytes(edges * 8)
 		r := refRun(KernelCopySum, &foldTestProg{})
+		r.threads = threads
+		pool := r.newGatherPool(0)
+		defer pool.stop()
 		for i := 0; i < b.N; i++ {
-			parallelFor(threads, len(bounds)-1, func(c int) {
+			pool.run(len(bounds)-1, func(c int) {
 				r.gatherCell(ss, nil, src, view{acc, 0}, nil, lane0, true, bounds[c], bounds[c+1])
 			})
 		}

@@ -3,47 +3,9 @@ package engine
 import (
 	"sort"
 	"sync"
-	"sync/atomic"
 
 	"nxgraph/internal/trace"
 )
-
-// parallelFor runs fn(i) for i in [0, n) on up to `threads` goroutines,
-// pulling indices from a shared atomic counter (work stealing keeps skewed
-// sub-shards from serializing the pool). It returns after every call has
-// completed — the paper's "callback" completion signalling, the engine's
-// only synchronization mechanism: tasks in one call write disjoint
-// destinations, so no attribute data is ever locked.
-func parallelFor(threads, n int, fn func(i int)) {
-	if n == 0 {
-		return
-	}
-	if threads > n {
-		threads = n
-	}
-	if threads <= 1 {
-		for i := 0; i < n; i++ {
-			fn(i)
-		}
-		return
-	}
-	var next atomic.Int64
-	var wg sync.WaitGroup
-	wg.Add(threads)
-	for t := 0; t < threads; t++ {
-		go func() {
-			defer wg.Done()
-			for {
-				i := int(next.Add(1)) - 1
-				if i >= n {
-					return
-				}
-				fn(i)
-			}
-		}()
-	}
-	wg.Wait()
-}
 
 // chunkRanges splits [0, n) into ranges of at most size, returning the
 // boundaries (len = number of chunks + 1). n = 0 has zero chunks, so the
@@ -96,68 +58,75 @@ func edgeChunkRanges(offsets []uint32, target int) []int {
 }
 
 // delayGather is nil outside this package's tests, which set it to hold
-// up the gather tasks of chosen rows so that later rows become ready
-// first: the fold-order suites then run under a hostile schedule.
-var delayGather func(row int)
+// up the gather tasks of chosen source intervals (row i in the row
+// phase, source interval i in the column phase) so that later units
+// become ready first: the fold-order suites then run under a hostile
+// schedule.
+var delayGather func(i int)
 
-// gatherPool runs one step's row phase on Threads workers. Work arrives
-// a row at a time as units, each the chunk tasks of one cell. A unit
-// that folds into a resident destination interval waits for the
-// interval's previous unit, so the interval's units run as a chain in
-// the order they were submitted — row by row, and within a row forward
-// base, forward overlay, transposed base, transposed overlay: every
-// destination keeps the fold order of a serial sweep. Hub-side units
-// write private partials and are ready at once. Ready tasks run first
-// in, first out.
+// gatherPool is a step's one worker pool: Threads workers that run every
+// parallel part of the step — the vertex sweeps, the row phase, the
+// column phase and apply. Work arrives in groups of units, each unit a
+// set of tasks that write disjoint destinations (a cell's chunk tasks, a
+// hub's fold, a sweep's chunks). A unit that folds into destination
+// interval j — a resident interval in the row phase, the column's
+// interval in the column phase — waits for j's previous unit, so j's
+// units run as a chain in the order they were submitted: row by row, and
+// within a row forward base, forward overlay, transposed base,
+// transposed overlay; in a column, by replica, then ascending source
+// interval, base before overlay. Every destination thus keeps the fold
+// order of a serial sweep. Other units (hub-side cells, the sweeps) are
+// ready at once. Ready tasks run first in, first out.
 type gatherPool struct {
-	r       *Run
-	wg      sync.WaitGroup
-	mu      sync.Mutex
-	work    sync.Cond // workers: a task is ready, or the pool stops
-	rowDone sync.Cond // the step: a row finished
+	r    *Run
+	wg   sync.WaitGroup
+	mu   sync.Mutex
+	work sync.Cond // workers: a task is ready, or the pool stops
+	done sync.Cond // the step: a unit finished
 
 	ready   []poolTask
 	head    int           // ready[head:] is the queue
 	pending int           // tasks submitted and not yet finished
 	idleAt  int64         // trace clock when pending last fell to 0
 	stopped bool          // no further task starts
-	tails   []*gatherUnit // per resident interval: the last unit submitted
-	rows    []*poolRow    // submitted rows whose blocks are still pinned
+	tails   []*gatherUnit // per destination interval: the last unit submitted
+	groups  []*poolGroup  // submitted groups not yet retired
 
-	// The open gather span of the last row submitted (see endSpan).
+	// The open gather span of the last named group (see endSpan).
 	span      string
 	spanStart int64
 	spanOpen  bool
 }
 
-// poolRow is one submitted row: its blocks stay pinned until its last
-// task finished.
-type poolRow struct {
-	i      int
+// poolGroup is units the step waits for together — a row, a column, or
+// one call of run. Its blocks (nil for none) stay pinned until the group
+// is retired.
+type poolGroup struct {
 	left   int // tasks not yet finished
 	blocks *fetchBatch
 }
 
-// gatherUnit is the chunk tasks of one cell; j is the resident
-// destination interval it chains on, or -1 on the hub side.
+// gatherUnit is n tasks, fn(0) … fn(n-1). j is the destination interval
+// it chains on, or -1; i is its source interval, or -1 outside gather.
 type gatherUnit struct {
-	j     int
-	tasks []func()
-	left  int         // tasks not yet finished
-	next  *gatherUnit // the interval's next unit, waiting on this one
-	row   *poolRow
+	i, j int
+	n    int
+	fn   func(c int)
+	left int         // tasks not yet finished
+	next *gatherUnit // the interval's next unit, waiting on this one
+	g    *poolGroup
 }
 
 type poolTask struct {
-	fn func()
-	u  *gatherUnit
+	u *gatherUnit
+	c int
 }
 
-// newGatherPool starts the run's Threads workers over q resident
-// destination intervals.
+// newGatherPool starts the run's Threads workers over q destination
+// intervals.
 func (r *Run) newGatherPool(q int) *gatherPool {
 	p := &gatherPool{r: r, tails: make([]*gatherUnit, q), idleAt: r.tr.Clock()}
-	p.work.L, p.rowDone.L = &p.mu, &p.mu
+	p.work.L, p.done.L = &p.mu, &p.mu
 	p.wg.Add(r.threads)
 	for t := 0; t < r.threads; t++ {
 		go p.worker()
@@ -182,10 +151,10 @@ func (p *gatherPool) worker() {
 			p.ready, p.head = p.ready[:0], 0
 		}
 		p.mu.Unlock()
-		if delayGather != nil {
-			delayGather(t.u.row.i)
+		if delayGather != nil && t.u.i >= 0 {
+			delayGather(t.u.i)
 		}
-		t.fn()
+		t.u.fn(t.c)
 		p.mu.Lock()
 		p.finish(t.u)
 	}
@@ -194,82 +163,111 @@ func (p *gatherPool) worker() {
 // finish retires one task of u, readying the interval's next unit once u
 // is done. p.mu is held.
 func (p *gatherPool) finish(u *gatherUnit) {
-	if u.left--; u.left == 0 && u.next != nil {
-		p.push(u.next)
-		p.work.Broadcast()
+	if u.left--; u.left == 0 {
+		if u.next != nil {
+			p.push(u.next)
+			p.work.Broadcast()
+		}
+		p.done.Signal()
 	}
-	if u.row.left--; u.row.left == 0 {
-		p.rowDone.Signal()
-	}
+	u.g.left--
 	if p.pending--; p.pending == 0 {
 		p.idleAt = p.r.tr.Clock()
 	}
 }
 
 func (p *gatherPool) push(u *gatherUnit) {
-	for _, fn := range u.tasks {
-		p.ready = append(p.ready, poolTask{fn, u})
+	for c := range u.n {
+		p.ready = append(p.ready, poolTask{u, c})
 	}
 }
 
-// submit hands row i's units to the workers, each behind its interval's
-// previous unit unless that one is done; the row owns blocks from now
-// on. Row i's gather span opens here, closing the previous row's.
-func (p *gatherPool) submit(i int, blocks *fetchBatch, units []*gatherUnit) {
-	p.endSpan()
-	if p.r.tr != nil {
-		p.span, p.spanStart, p.spanOpen = spanName("row-", i), p.r.tr.Clock(), true
+// group opens a group that owns blocks from now on. A named group opens
+// its gather span, closing the previous one.
+func (p *gatherPool) group(span string, blocks *fetchBatch) *poolGroup {
+	if span != "" {
+		p.endSpan()
+		if p.r.tr != nil {
+			p.span, p.spanStart, p.spanOpen = span, p.r.tr.Clock(), true
+		}
 	}
-	row := &poolRow{i: i, blocks: blocks}
+	g := &poolGroup{blocks: blocks}
+	p.groups = append(p.groups, g)
+	return g
+}
+
+// submit hands unit u of group g, with source interval i, to the
+// workers: behind interval j's previous unit unless that one is done, or
+// at once for j = -1. A unit without tasks is dropped.
+func (p *gatherPool) submit(g *poolGroup, i, j int, u gatherUnit) *gatherUnit {
+	if u.n == 0 {
+		return &u
+	}
+	u.i, u.j, u.g, u.left = i, j, g, u.n
 	p.mu.Lock()
 	defer p.mu.Unlock()
-	p.rows = append(p.rows, row)
-	for _, u := range units {
-		u.left, u.row = len(u.tasks), row
-		row.left += u.left
-		p.pending += u.left
-		if u.j >= 0 {
-			prev := p.tails[u.j]
-			p.tails[u.j] = u
-			if prev != nil && prev.left > 0 {
-				prev.next = u
-				continue
-			}
+	g.left += u.n
+	p.pending += u.n
+	if j >= 0 {
+		prev := p.tails[j]
+		p.tails[j] = &u
+		if prev != nil && prev.left > 0 {
+			prev.next = &u
+			return &u
 		}
-		p.push(u)
 	}
+	p.push(&u)
 	p.work.Broadcast()
+	return &u
 }
 
-// retire waits until at most keep submitted rows are unfinished and
-// releases the blocks of the rows before them.
-func (p *gatherPool) retire(keep int) {
+// run runs fn(0) … fn(n-1) as independent tasks and waits for them all.
+// The pool must be drained.
+func (p *gatherPool) run(n int, fn func(c int)) {
+	p.submit(p.group("", nil), -1, -1, gatherUnit{n: n, fn: fn})
+	p.retire(0)
+}
+
+// await waits until unit u finished.
+func (p *gatherPool) await(u *gatherUnit) {
 	p.mu.Lock()
-	var done []*poolRow
-	for len(p.rows) > keep {
-		for p.rows[0].left > 0 {
-			p.rowDone.Wait()
-		}
-		done = append(done, p.rows[0])
-		p.rows = p.rows[1:]
+	for u.left > 0 {
+		p.done.Wait()
 	}
 	p.mu.Unlock()
-	for _, row := range done {
-		row.blocks.release()
+}
+
+// retire waits until at most keep submitted groups are unfinished and
+// releases the blocks of the groups before them.
+func (p *gatherPool) retire(keep int) {
+	p.mu.Lock()
+	var retired []*poolGroup
+	for len(p.groups) > keep {
+		for p.groups[0].left > 0 {
+			p.done.Wait()
+		}
+		retired = append(retired, p.groups[0])
+		p.groups = p.groups[1:]
+	}
+	p.mu.Unlock()
+	for _, g := range retired {
+		g.blocks.release()
 	}
 }
 
 // drain waits for every submitted task and closes the open gather span:
-// the step's streamed-interval buffers and the column phase may then be
-// reused.
+// the step's streamed-interval buffers and the column accumulator may
+// then be reused. It forgets the chains' tails, whose closures may hold
+// a hub region.
 func (p *gatherPool) drain() {
 	p.retire(0)
+	clear(p.tails)
 	p.endSpan()
 }
 
 // stop ends the workers — a task not yet started never runs — and
-// releases every row's blocks. It is safe to call more than once and
-// must run on every exit from the row phase.
+// releases every group's blocks. It is safe to call more than once and
+// must run on every exit from the step.
 func (p *gatherPool) stop() {
 	p.mu.Lock()
 	p.stopped = true
@@ -277,20 +275,16 @@ func (p *gatherPool) stop() {
 	p.work.Broadcast()
 	p.mu.Unlock()
 	p.wg.Wait()
-	for _, row := range p.rows {
-		row.blocks.release()
+	for _, g := range p.groups {
+		g.blocks.release()
 	}
-	p.rows = nil
+	p.groups = nil
 	p.endSpan()
 }
 
 // idleSince returns the trace clock since which no task has been
-// pending, or now while one is. A nil pool (the column phase) has always
-// been idle.
+// pending, or now while one is.
 func (p *gatherPool) idleSince(now int64) int64 {
-	if p == nil {
-		return 0
-	}
 	p.mu.Lock()
 	defer p.mu.Unlock()
 	if p.pending > 0 {
@@ -299,10 +293,10 @@ func (p *gatherPool) idleSince(now int64) int64 {
 	return min(p.idleAt, now)
 }
 
-// endSpan records the open row's gather span. It runs from the row's
-// submission until the pool went idle or the next row began, whichever
-// came first, so one iteration's gather spans never overlap and a
-// fetch-batch wait they do not cover is exactly the step's stall.
+// endSpan records the open gather span. It runs from the group's
+// submission until the pool went idle or the next named group began,
+// whichever came first, so one iteration's gather spans never overlap
+// and a fetch-batch wait they do not cover is exactly the step's stall.
 func (p *gatherPool) endSpan() {
 	if !p.spanOpen {
 		return

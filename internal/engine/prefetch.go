@@ -176,10 +176,12 @@ func (r *Run) flushFetchTrace(ft *fetchTrace) {
 // waitBatch readies a phase batch for the step. A step that would block
 // on it first loads the cells nobody has claimed yet itself, then waits
 // out the loads still in flight. Traced, the whole wait is a fetch-batch
-// span, and the part of it during which the row pool p had no gather
-// task pending is charged to the iteration's stall total (all of it when
-// p is nil, in the column phase). Only the step loop calls it, so
-// stallNS needs no synchronization.
+// span, and the part of it during which the step's pool p had no task
+// pending is charged to the iteration's stall total: in the row phase a
+// wait while the previous row still gathers is no stall, and a column's
+// wait, which follows the previous column's drain and apply, is all
+// stall. Only the step loop calls it, so stallNS needs no
+// synchronization.
 func (r *Run) waitBatch(b *fetchBatch, phase string, id int, p *gatherPool) error {
 	t0 := r.tr.Clock()
 	select {

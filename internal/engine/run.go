@@ -174,7 +174,7 @@ type Run struct {
 	// negative — every instrumentation call is then inert). iterSpanID is
 	// the current iteration's span, read by the loaders (the prefetch
 	// goroutines, and a step loading cells of a batch it waits on) and
-	// the row pool to parent their spans; iterHits/iterMisses count the
+	// the step's pool to parent their spans; iterHits/iterMisses count the
 	// loaders' block acquisitions. stallNS accumulates the fetch-batch
 	// wait time during which no gather task was pending and is touched
 	// only by the step loop.
@@ -317,8 +317,8 @@ func commonHint(ps []Program) KernelHint {
 // splitting hub-heavy ranges by edge mass. A wide run's edge is
 // several times dearer than a one-lane run's (it touches L attributes;
 // ~5x at L = 16), so the budget shrinks with L — but never below chunk,
-// which still amortizes a task's closure, its completion atomic and its
-// two turns through the row pool's lock.
+// which still amortizes a task's completion atomic and its two turns
+// through the pool's lock.
 func gatherChunkCost(L, chunk int) int {
 	return max(1, 4*chunk/min(L, 4))
 }
@@ -383,7 +383,8 @@ func (r *Run) initAttrs() error {
 	L, P := len(r.lanes), m.P
 	bounds := chunkRanges(int(r.resEnd), 1<<14)
 	act := make([][]bool, len(bounds)-1) // per chunk: [l*P+k] activity
-	parallelFor(r.threads, len(bounds)-1, func(c int) {
+	pool := r.newGatherPool(0)
+	pool.run(len(bounds)-1, func(c int) {
 		local := make([]bool, L*P)
 		for v := bounds[c]; v < bounds[c+1]; v++ {
 			k := m.IntervalOf(uint32(v))
@@ -397,6 +398,7 @@ func (r *Run) initAttrs() error {
 		}
 		act[c] = local
 	})
+	pool.stop()
 	for _, local := range act {
 		for x, a := range local {
 			if a {

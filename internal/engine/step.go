@@ -54,6 +54,10 @@ func (r *Run) step() (bool, error) {
 	P, Q, L := m.P, r.q, len(r.lanes)
 	dirs := r.dirsUsed()
 
+	// Every parallel part of the step runs on one worker pool.
+	pool := r.newGatherPool(P)
+	defer pool.stop()
+
 	// Open the iteration span and reset the per-iteration counters the
 	// prefetch goroutines and batch waits accumulate into.
 	var iterSpan trace.Span
@@ -74,7 +78,7 @@ func (r *Run) step() (bool, error) {
 	// on the first step and after an aborted one.
 	if !r.accClean {
 		bounds := chunkRanges(len(r.next), 1<<16)
-		parallelFor(r.threads, len(bounds)-1, func(c int) {
+		pool.run(len(bounds)-1, func(c int) {
 			zeroSlab(r.next[bounds[c]:bounds[c+1]], r.zero)
 		})
 	}
@@ -84,7 +88,7 @@ func (r *Run) step() (bool, error) {
 
 	// Global aggregates over current attributes (resident part now,
 	// on-disk intervals as the row phase streams them through memory).
-	r.foldResidentAggregates(lanes)
+	r.foldResidentAggregates(pool, lanes)
 
 	// RankSum division hoist: the scaled view of the resident attributes
 	// must be current before any gathering reads it.
@@ -92,7 +96,7 @@ func (r *Run) step() (bool, error) {
 		for _, d := range dirs {
 			sc, deg := r.scaled[d], r.degOf(d)
 			bounds := chunkRanges(int(r.resEnd), 1<<13)
-			parallelFor(r.threads, len(bounds)-1, func(c int) {
+			pool.run(len(bounds)-1, func(c int) {
 				refreshScaled(sc, r.curr, deg, L, uint32(bounds[c]), uint32(bounds[c+1]))
 			})
 		}
@@ -102,14 +106,12 @@ func (r *Run) step() (bool, error) {
 	// Row phase: one pass over the sub-shard grid; each decoded block is
 	// gathered into every participating lane — SPU-like updates into
 	// resident accumulators, ToHub for on-disk destinations (Algorithm 7
-	// lines 1-16). The gather tasks run on one worker pool for the whole
-	// phase (see processRow): row i+1 is submitted while row i's tail
-	// still runs, and each row's blocks, prefetched while the rows before
-	// it gather, stay pinned until its last task finished.
+	// lines 1-16). Row i+1 is submitted to the pool while row i's tail
+	// still runs (see processRow), and each row's blocks, prefetched
+	// while the rows before it gather, stay pinned until its last task
+	// finished.
 	rowPipe := r.newPipeline(plans)
 	defer rowPipe.drain()
-	pool := r.newGatherPool(Q)
-	defer pool.stop()
 	var resident [2]view
 	for _, d := range dirs {
 		resident[d] = r.srcView(d)
@@ -155,7 +157,6 @@ func (r *Run) step() (bool, error) {
 		}
 	}
 	pool.drain()
-	pool.stop()
 	if err := r.takeErr(); err != nil {
 		return false, err
 	}
@@ -172,7 +173,8 @@ func (r *Run) step() (bool, error) {
 
 	// Column phase: FromHub plus resident-source gathering for on-disk
 	// destination intervals (Algorithm 7 lines 17-26), pipelined like the
-	// row phase (the column-major reads are the seekiest of the step).
+	// row phase (the column-major reads are the seekiest of the step),
+	// each column's folds chained on the pool (see processColumn).
 	// The loop iterates the plans themselves, so the pipeline's
 	// consume-in-plan-order contract holds by construction.
 	colPlans := r.colPlans(dirs, lanes)
@@ -182,14 +184,14 @@ func (r *Run) step() (bool, error) {
 		if err := r.checkCtx(); err != nil {
 			return false, err
 		}
-		if err := r.processColumn(plan.id, dirs, lanes, activeNext, colPipe.take(plan.id)); err != nil {
+		if err := r.processColumn(pool, plan.id, dirs, lanes, activeNext, colPipe.take(plan.id)); err != nil {
 			return false, err
 		}
 	}
 
 	// Apply phase for resident intervals, then ping-pong swap.
 	applySpan := r.tr.Start(trace.KindApply, "apply-resident", iterSpan.ID)
-	r.applyResident(lanes, dirs, activeNext)
+	r.applyResident(pool, lanes, dirs, activeNext)
 	r.tr.End(applySpan)
 	r.curr, r.next = r.next, r.curr
 	r.accClean = true           // apply tasks re-zeroed what is now r.next
@@ -265,12 +267,12 @@ func (r *Run) countEdges(rowLanes []int, n int) {
 	}
 }
 
-// processRow submits row i of the sub-shard matrix to the row pool p for
-// the lanes in rowLanes, with source attributes src (one view per
-// traversal flag): destinations in resident intervals accumulate into
-// r.next; destinations in on-disk intervals are gathered into hubs
-// (ToHub). blocks is the row's prefetched batch; the pool owns it once
-// the row is submitted and releases it when the row's last task
+// processRow submits row i of the sub-shard matrix to the step's pool p,
+// one unit per cell, for the lanes in rowLanes, with source attributes
+// src (one view per traversal flag): destinations in resident intervals
+// accumulate into r.next; destinations in on-disk intervals are gathered
+// into hubs (ToHub). blocks is the row's prefetched batch; once waited
+// for, the row's group owns it and releases it after the row's last task
 // finished. Within one replica's row, distinct destination ranges never
 // overlap (the §III-D invariant), so a cell's chunk tasks run
 // lock-free; cells that can hit the same destination — the forward and
@@ -291,12 +293,7 @@ func (r *Run) processRow(p *gatherPool, i int, src [2]view, rowLanes, dirs []int
 		jmax = Q // SS[i][j>=Q] with resident source is handled by the column phase
 	}
 	acc := view{r.next, 0}
-	var units []*gatherUnit
-	add := func(j int, tasks []func()) {
-		if len(tasks) > 0 {
-			units = append(units, &gatherUnit{j: j, tasks: tasks})
-		}
-	}
+	g := p.group(spanName("row-", i), blocks)
 	for _, d := range dirs {
 		infos := r.subShardInfosFor(d)
 		for j := 0; j < jmax; j++ {
@@ -309,7 +306,6 @@ func (r *Run) processRow(p *gatherPool, i int, src [2]view, rowLanes, dirs []int
 			if base {
 				var err error
 				if ss, err = batchSubShard(blocks, cellID{d, i, j}); err != nil {
-					blocks.release()
 					return err
 				}
 				r.countEdges(rowLanes, ss.NumEdges())
@@ -319,16 +315,16 @@ func (r *Run) processRow(p *gatherPool, i int, src [2]view, rowLanes, dirs []int
 			}
 			if j < Q {
 				if base {
-					add(j, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], acc, nil, nil, rowLanes))
+					p.submit(g, i, j, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], acc, nil, nil, rowLanes))
 				}
 				if ovc != nil {
-					add(j, r.gatherTasks(ovc, d, nil, src[d], acc, nil, nil, rowLanes))
+					p.submit(g, i, j, r.gatherTasks(ovc, d, nil, src[d], acc, nil, nil, rowLanes))
 				}
 				continue
 			}
 			if base {
 				vals := make([]float64, ss.NumDsts()*len(r.lanes))
-				add(-1, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], view{}, vals, func() {
+				p.submit(g, i, -1, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), src[d], view{}, vals, func() {
 					if err := r.hubs[d].Write(i, j, ss.Dsts, vals); err != nil {
 						r.setErr(err)
 					}
@@ -339,21 +335,21 @@ func (r *Run) processRow(p *gatherPool, i int, src [2]view, rowLanes, dirs []int
 				// interval accumulate in memory (the hub file's regions
 				// are sized from the base meta); the column phase folds
 				// them alongside the disk hub.
-				add(-1, r.gatherTasks(ovc, d, nil, src[d], view{}, r.ovHubVals(d, i, j, ovc), nil, rowLanes))
+				p.submit(g, i, -1, r.gatherTasks(ovc, d, nil, src[d], view{}, r.ovHubVals(d, i, j, ovc), nil, rowLanes))
 			}
 		}
 	}
-	p.submit(i, blocks, units)
 	p.retire(1)
 	return r.takeErr()
 }
 
-// gatherTasks builds the fine-grained tasks that fold sub-shard ss of
-// traversal flag d into every lane in lanes: into the accumulator window
-// acc, or — hub non-nil, the ToHub side — into per-destination partials
-// hub (L lane-minor values per entry of ss.Dsts), with done (may be nil)
-// run once the last chunk completes (the callback mechanism). src is the
-// source window the kernels read (srcView, or a streamed interval).
+// gatherTasks builds the fine-grained tasks, as one pool unit (submit
+// sets its intervals), that fold sub-shard ss of traversal flag d into
+// every lane in lanes: into the accumulator window acc, or — hub non-nil,
+// the ToHub side — into per-destination partials hub (L lane-minor
+// values per entry of ss.Dsts), with done (may be nil) run once the last
+// chunk completes (the callback mechanism). src is the source window the
+// kernels read (srcView, or a streamed interval).
 //
 // tombs is the cell's resolved tombstones (nil for overlay cells and base
 // cells without pending removals): each task walks its destinations as
@@ -361,7 +357,7 @@ func (r *Run) processRow(p *gatherPool, i int, src [2]view, rowLanes, dirs []int
 // cell of surviving edges. Chunk boundaries balance edges, not
 // destinations, so a hub destination does not serialize its whole
 // chunk's worth of sparse neighbours behind it.
-func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, acc view, hub []float64, done func(), lanes []int) []func() {
+func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, acc view, hub []float64, done func(), lanes []int) gatherUnit {
 	deg := r.degOf(d)
 	// contig: lanes is a run of consecutive lane ids, letting the lane
 	// kernels slice the slabs directly instead of indirecting through the
@@ -369,23 +365,19 @@ func (r *Run) gatherTasks(ss *storage.SubShard, d int, tombs *cellTombs, src, ac
 	// never deactivate).
 	contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
 	bounds := edgeChunkRanges(ss.Offsets, r.chunkCost)
+	n := len(bounds) - 1
 	var pending atomic.Int32
-	pending.Store(int32(len(bounds) - 1))
-	tasks := make([]func(), 0, len(bounds)-1)
-	for c := 0; c < len(bounds)-1; c++ {
-		k0, k1 := bounds[c], bounds[c+1]
-		tasks = append(tasks, func() {
-			// One task is one or more gatherCell calls: a dirty
-			// destination splits its chunk.
-			tombs.gather(ss, hub, len(r.lanes), k0, k1, func(ss *storage.SubShard, hub []float64, k0, k1 int) {
-				r.gatherCell(ss, deg, src, acc, hub, lanes, contig, k0, k1)
-			})
-			if pending.Add(-1) == 0 && done != nil {
-				done()
-			}
+	pending.Store(int32(n))
+	return gatherUnit{n: n, fn: func(c int) {
+		// One task is one or more gatherCell calls: a dirty destination
+		// splits its chunk.
+		tombs.gather(ss, hub, len(r.lanes), bounds[c], bounds[c+1], func(ss *storage.SubShard, hub []float64, k0, k1 int) {
+			r.gatherCell(ss, deg, src, acc, hub, lanes, contig, k0, k1)
 		})
-	}
-	return tasks
+		if pending.Add(-1) == 0 && done != nil {
+			done()
+		}
+	}}
 }
 
 // applies reports whether lane l runs Apply over interval j this
@@ -419,34 +411,31 @@ func (r *Run) activeLanes(lanes []int, i int) []int {
 }
 
 // processColumn runs the FromHub side for on-disk destination interval j
-// for the participating lanes: gather resident-source sub-shards and fold
-// hubs, each for the lanes whose frontier holds the source interval (the
-// row phase wrote exactly those lanes' hub partials), then apply, record
-// each lane's changes in activeNext and persist every lane. blocks is the
-// column's prefetched batch; processColumn owns it.
-func (r *Run) processColumn(j int, dirs, lanes []int, activeNext [][]bool, blocks *fetchBatch) error {
-	defer blocks.release()
-	if err := r.waitBatch(blocks, "col-", j, nil); err != nil {
-		return err
-	}
-	if r.tr != nil {
-		gsp := r.tr.Start(trace.KindGather, spanName("col-", j), r.iterSpanID.Load())
-		defer r.tr.End(gsp)
-	}
+// for the participating lanes on the step's pool p. Every fold into the
+// column's accumulator — a resident-source cell, a disk hub, an overlay
+// cell, the overlay partials — is a unit chained on interval j, for the
+// lanes whose frontier holds the source interval (the row phase wrote
+// exactly those lanes' hub partials), submitted in the serial order: by
+// replica, then ascending source interval, base before overlay. So no
+// barrier separates the folds, each destination folds as a serial sweep
+// would, and the step reads the next hub while the previous one folds,
+// with at most two hubs live. The pool drains once, before apply, which
+// records each lane's changes in activeNext; then every lane persists.
+// blocks is the column's prefetched batch; processColumn owns it until
+// its group does.
+func (r *Run) processColumn(p *gatherPool, j int, dirs, lanes []int, activeNext [][]bool, blocks *fetchBatch) error {
 	m := r.e.store.Meta()
 	P, Q, L := m.P, r.q, len(r.lanes)
 	lo, hi := m.IntervalRange(j)
-	if lo == hi {
-		return nil
+	if err := r.waitBatch(blocks, "col-", j, p); err != nil || lo == hi {
+		blocks.release()
+		return err
 	}
 	acc := r.accBuf[:int(hi-lo)*L]
 	fill(acc, r.zero)
 	accV := view{acc, lo}
-	gather := func(ss *storage.SubShard, d int, tombs *cellTombs, lanes []int) {
-		r.countEdges(lanes, ss.NumEdges())
-		tasks := r.gatherTasks(ss, d, tombs, r.srcView(d), accV, nil, nil, lanes)
-		parallelFor(r.threads, len(tasks), func(t int) { tasks[t]() })
-	}
+	g := p.group(spanName("col-", j), blocks)
+	var hub *gatherUnit // the last disk hub submitted
 	for _, d := range dirs {
 		infos := r.subShardInfosFor(d)
 		for i := 0; i < P; i++ {
@@ -461,10 +450,12 @@ func (r *Run) processColumn(j int, dirs, lanes []int, activeNext [][]bool, block
 					if err != nil {
 						return err
 					}
-					gather(ss, d, cellTombsOf(r.ov, d, i, j, ss), colLanes)
+					r.countEdges(colLanes, ss.NumEdges())
+					p.submit(g, i, j, r.gatherTasks(ss, d, cellTombsOf(r.ov, d, i, j, ss), r.srcView(d), accV, nil, nil, colLanes))
 				}
 				if ovc != nil {
-					gather(ovc, d, nil, colLanes)
+					r.countEdges(colLanes, ovc.NumEdges())
+					p.submit(g, i, j, r.gatherTasks(ovc, d, nil, r.srcView(d), accV, nil, nil, colLanes))
 				}
 				continue
 			}
@@ -474,20 +465,24 @@ func (r *Run) processColumn(j int, dirs, lanes []int, activeNext [][]bool, block
 					return err
 				}
 				bounds := chunkRanges(len(dsts), r.chunk)
-				parallelFor(r.threads, len(bounds)-1, func(c int) {
+				prev := hub
+				hub = p.submit(g, i, j, gatherUnit{n: len(bounds) - 1, fn: func(c int) {
 					r.foldHub(dsts, vals, accV, colLanes, bounds[c], bounds[c+1])
-				})
+				}})
+				if prev != nil {
+					p.await(prev)
+				}
 			}
 			if ovc != nil {
 				// The in-memory overlay partials this iteration's row
 				// phase wrote for the same lanes.
-				r.foldHub(ovc.Dsts, r.ovHub[d][i*P+j], accV, colLanes, 0, ovc.NumDsts())
+				p.submit(g, i, j, gatherUnit{n: 1, fn: func(int) {
+					r.foldHub(ovc.Dsts, r.ovHub[d][i*P+j], accV, colLanes, 0, ovc.NumDsts())
+				}})
 			}
 		}
-		if err := r.takeErr(); err != nil {
-			return err
-		}
 	}
+	p.drain()
 	old := r.oldBuf[:len(acc)]
 	if err := r.attrs.ReadInterval(j, old); err != nil {
 		return err
@@ -498,7 +493,7 @@ func (r *Run) processColumn(j int, dirs, lanes []int, activeNext [][]bool, block
 	}
 	bounds := chunkRanges(int(hi-lo), r.chunk)
 	changed := make([]bool, (len(bounds)-1)*L)
-	parallelFor(r.threads, len(bounds)-1, func(c int) {
+	p.run(len(bounds)-1, func(c int) {
 		for l := range r.lanes {
 			if applies[l] {
 				v0, v1 := lo+uint32(bounds[c]), lo+uint32(bounds[c+1])
@@ -528,7 +523,7 @@ func (r *Run) processColumn(j int, dirs, lanes []int, activeNext [][]bool, block
 // re-zeroes its slice of what is about to become the next iteration's
 // accumulator (r.curr, pre-swap) while the cache lines are still hot, so
 // step() needs no separate sweep for either.
-func (r *Run) applyResident(lanes, dirs []int, activeNext [][]bool) {
+func (r *Run) applyResident(p *gatherPool, lanes, dirs []int, activeNext [][]bool) {
 	m := r.e.store.Meta()
 	Q, L := r.q, len(r.lanes)
 	// applies[j*L+l]: does lane l Apply over interval j?
@@ -552,7 +547,7 @@ func (r *Run) applyResident(lanes, dirs []int, activeNext [][]bool) {
 		}
 	}
 	changed := make([]bool, len(tasks)*L)
-	parallelFor(r.threads, len(tasks), func(t int) {
+	p.run(len(tasks), func(t int) {
 		tk := tasks[t]
 		for l := 0; l < L; l++ {
 			if applies[tk.j*L+l] {
@@ -629,7 +624,7 @@ func refreshScaled(scaled, attrs []float64, deg []uint32, L int, v0, v1 uint32) 
 // ascending-vertex fold, resident vertices here and streamed intervals as
 // the row phase reads them. step() publishes the value via SetGlobal
 // after the row phase. Lanes reduce independently, so they parallelize.
-func (r *Run) foldResidentAggregates(lanes []int) {
+func (r *Run) foldResidentAggregates(p *gatherPool, lanes []int) {
 	var aggLanes []int
 	for _, l := range lanes {
 		if r.lanes[l].agg != nil {
@@ -638,7 +633,7 @@ func (r *Run) foldResidentAggregates(lanes []int) {
 	}
 	deg := r.primaryDeg()
 	allResident := r.resEnd == r.e.store.Meta().NumVertices
-	parallelFor(r.threads, len(aggLanes), func(t int) {
+	p.run(len(aggLanes), func(t int) {
 		l := aggLanes[t]
 		ln := &r.lanes[l]
 		if ln.laggr != nil && allResident {

@@ -21,7 +21,8 @@ import (
 // spans parented into the right iteration, and a per-iteration StepStats
 // series whose counters are self-consistent and whose stall agrees with
 // the spans (checkGatherLedger), on a free schedule and on one where
-// every row's gather is held up.
+// every row's gather is held up, and under MPU and DPU, where each
+// on-disk column records one gather span per iteration.
 func TestRunTraceTimeline(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 21))
 	if err != nil {
@@ -117,6 +118,43 @@ func TestRunTraceTimeline(t *testing.T) {
 		t.Fatal("first iteration recorded no block misses on a cold cache")
 	}
 	checkGatherLedger(t, tl)
+
+	// MPU and DPU fold on-disk columns on the step's pool: a column's
+	// folds are many units, but one col-j gather span.
+	n := int64(st.Meta().NumVertices)
+	for name, cfg := range map[string]engine.Config{
+		"mpu": {Threads: 2, Strategy: engine.MPU, MemoryBudget: n * 8},
+		"dpu": {Threads: 2, Strategy: engine.DPU},
+	} {
+		e, err := engine.New(st, cfg)
+		if err != nil {
+			t.Fatal(err)
+		}
+		res, err := algorithms.PageRank(e, 0.85, iters)
+		if err != nil {
+			t.Fatal(err)
+		}
+		tl := res.Trace.Snapshot()
+		checkGatherLedger(t, tl)
+		cols := map[uint64][]string{}
+		for _, sp := range tl.Spans {
+			if sp.Kind == trace.KindGather && strings.HasPrefix(sp.Name, "col-") {
+				cols[sp.Parent] = append(cols[sp.Parent], sp.Name)
+			}
+		}
+		var want []string
+		for j := res.ResidentIntervals; j < st.Meta().P; j++ {
+			want = append(want, "col-"+strconv.Itoa(j))
+		}
+		if len(want) == 0 || len(cols) != iters {
+			t.Fatalf("%s: Q = %d of %d, column spans in %d of %d iterations", name, res.ResidentIntervals, st.Meta().P, len(cols), iters)
+		}
+		for _, got := range cols {
+			if slices.Sort(got); !slices.Equal(got, want) {
+				t.Fatalf("%s: an iteration's column gather spans are %v, want %v", name, got, want)
+			}
+		}
+	}
 
 	// Again with every row's gather tasks held up, so the step waits on
 	// each fetch while the previous row still runs: those waits are not

@@ -53,10 +53,10 @@ const (
 	// their recording cost is measurable on warm runs).
 	KindBlockLoad Kind = "block-load"
 	// KindGather covers the gather work of one row (ToHub + resident
-	// accumulation): from its submission to the row pool until the
-	// pool went idle or the next row was submitted, so the rows of one
-	// iteration never overlap; or of one destination column (FromHub +
-	// apply).
+	// accumulation) or of one destination column (FromHub folds): from
+	// its first submission to the step's pool until the pool went idle
+	// or the next row or column began, so the gather spans of one
+	// iteration never overlap.
 	KindGather Kind = "gather"
 	// KindApply covers the resident apply phase closing an iteration.
 	KindApply Kind = "apply"
