@@ -332,7 +332,9 @@ func foldSlots(op laneOp, vals []float64, srcs []uint32, ws []float32, L, so, i0
 // sits at int(v)*L+so in vals over destinations [k0, k1) into dst at
 // int(d)*L+do — or, toHub, assigns it to k*L+do. Each fold has a loop of
 // its own (sumRuns, minRuns, and the max and dist loops below), so none
-// shares its registers with another fold's. The max fold runs as a min
+// shares its registers with another fold's. The sum and min folds, which
+// PageRank, WCC and BFS run, also split a block's count classes into
+// loops of their own; the max and dist loops walk every class alike. The max fold runs as a min
 // over negated attributes, negated back per destination: max(a, b) and
 // -min(-a, -b) are the same bits for every non-NaN pair, either zero
 // included, and the compiler's max is that identity per call — two sign
@@ -378,10 +380,47 @@ func foldLane(op laneOp, ss *storage.SubShard, vals, dst []float64, L, so, do in
 
 // sumRuns is the sum fold of foldLane. It writes the e = 1/2/3 chains
 // out literally: 0 + g1 + g2 is ((0+g1)+g2), so -0 inputs
-// keep their bits.
+// keep their bits. A block's one-, two- and three-edge destinations
+// come first, each class a loop of its own over its edges in stride
+// (storage.ClassOrder); the last class — every destination of a
+// sub-shard in id order — branches on each destination's run length.
 func sumRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
 	srcs, offs, dsts := ss.Srcs, ss.Offsets, ss.Dsts
-	for k := k0; k < k1; k++ {
+	b := ss.Classes()
+	a, e := classSpan(b, 0, k0, k1)
+	run := srcs[offs[a]:offs[e]]
+	for x, d := range dsts[a:e] {
+		local := 0 + vals[int(run[x])*L+so]
+		if toHub {
+			dst[(a+x)*L+do] = local
+		} else {
+			dst[int(d)*L+do] += local
+		}
+	}
+	a, e = classSpan(b, 1, k0, k1)
+	run = srcs[offs[a]:offs[e]]
+	for x, d := range dsts[a:e] {
+		r := run[2*x : 2*x+2 : 2*x+2]
+		local := 0 + vals[int(r[0])*L+so] + vals[int(r[1])*L+so]
+		if toHub {
+			dst[(a+x)*L+do] = local
+		} else {
+			dst[int(d)*L+do] += local
+		}
+	}
+	a, e = classSpan(b, 2, k0, k1)
+	run = srcs[offs[a]:offs[e]]
+	for x, d := range dsts[a:e] {
+		r := run[3*x : 3*x+3 : 3*x+3]
+		local := 0 + vals[int(r[0])*L+so] + vals[int(r[1])*L+so] + vals[int(r[2])*L+so]
+		if toHub {
+			dst[(a+x)*L+do] = local
+		} else {
+			dst[int(d)*L+do] += local
+		}
+	}
+	a, e = classSpan(b, 3, k0, k1)
+	for k := a; k < e; k++ {
 		var local float64
 		switch run := srcs[offs[k]:offs[k+1]]; len(run) {
 		case 0:
@@ -406,16 +445,71 @@ func sumRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub boo
 	}
 }
 
+// classSpan returns the part [a, e) of destinations [k0, k1) in class c
+// of bounds b (see storage.SubShard.Classes): empty, a = e, when they
+// do not meet.
+func classSpan(b [storage.NumClasses + 1]int, c, k0, k1 int) (a, e int) {
+	a, e = max(k0, b[c]), min(k1, b[c+1])
+	return a, max(a, e)
+}
+
 // minRuns is the min fold of foldLane and, with hop set, the hop fold.
 // A destination's run is one load for e = 1 (min(+Inf, a) is a), a
 // literal min for e = 2, 3, and two independent accumulators for longer
 // runs, so the fold is not one dependent chain of min latencies (four
 // measured no faster, ADR-015). The hop fold adds
 // its +1 once per destination; the plain fold must not be written
-// min(...)+0 instead, which turns -0 into +0.
+// min(...)+0 instead, which turns -0 into +0. The classes run as in
+// sumRuns.
 func minRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int, hop bool) {
 	srcs, offs, dsts := ss.Srcs, ss.Offsets, ss.Dsts
-	for k := k0; k < k1; k++ {
+	b := ss.Classes()
+	a, e := classSpan(b, 0, k0, k1)
+	run := srcs[offs[a]:offs[e]]
+	for x, d := range dsts[a:e] {
+		local := vals[int(run[x])*L+so]
+		if hop {
+			local++
+		}
+		if toHub {
+			dst[(a+x)*L+do] = local
+		} else {
+			i := int(d)*L + do
+			dst[i] = min(dst[i], local)
+		}
+	}
+	a, e = classSpan(b, 1, k0, k1)
+	run = srcs[offs[a]:offs[e]]
+	for x, d := range dsts[a:e] {
+		r := run[2*x : 2*x+2 : 2*x+2]
+		local := min(vals[int(r[0])*L+so], vals[int(r[1])*L+so])
+		if hop {
+			local++
+		}
+		if toHub {
+			dst[(a+x)*L+do] = local
+		} else {
+			i := int(d)*L + do
+			dst[i] = min(dst[i], local)
+		}
+	}
+	a, e = classSpan(b, 2, k0, k1)
+	run = srcs[offs[a]:offs[e]]
+	for x, d := range dsts[a:e] {
+		r := run[3*x : 3*x+3 : 3*x+3]
+		local := min(vals[int(r[0])*L+so], vals[int(r[1])*L+so], vals[int(r[2])*L+so])
+		if hop {
+			local++
+		}
+		if toHub {
+			dst[(a+x)*L+do] = local
+		} else {
+			i := int(d)*L + do
+			dst[i] = min(dst[i], local)
+		}
+	}
+	a, e = classSpan(b, 3, k0, k1)
+	for k := a; k < e; k++ {
 		var local float64
 		switch run := srcs[offs[k]:offs[k+1]]; len(run) {
 		case 0:

@@ -287,7 +287,8 @@ func TestScalarKernelsMatchGeneric(t *testing.T) {
 // lane 0 and a lane list with gaps; over source and accumulator windows
 // whose base is not 0; into the accumulator and into hub entries; on a
 // sub-shard whose destinations carry 0 to 12 edges plus runs of 45 and
-// 150.
+// 150, listed in id order and in count-class order (the hinted kernels
+// fold it in tasks of seven destinations, so task bounds cut classes).
 func TestLaneKernelsMatchGeneric(t *testing.T) {
 	rng := rand.New(rand.NewSource(43))
 	for _, set := range kernelAttrSets(rng) {
@@ -319,47 +320,101 @@ func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) [
 		for x := range ss.Dsts {
 			ss.Dsts[x] += base
 		}
-		nd := ss.NumDsts()
-		for _, L := range widths {
-			ps := make([]Program, L)
-			for l := range ps {
-				ps[l] = c.prog
+		for _, cell := range []*storage.SubShard{ss, classOrdered(ss)} {
+			checkCellKernels(t, c, cell, deg, draw, widths)
+		}
+	}
+}
+
+// classOrdered returns ss with its destinations in count-class order
+// (storage.ClassOrder), keeping their order within a class: one, two
+// and three edges first, then every other count, the empty runs of a
+// synthetic cell among them, in the last class.
+func classOrdered(ss *storage.SubShard) *storage.SubShard {
+	out := &storage.SubShard{Offsets: []uint32{0}}
+	if ss.Weights != nil {
+		out.Weights = []float32{}
+	}
+	last := storage.NumClasses - 1
+	classOf := func(n uint32) int {
+		if n >= 1 && n <= uint32(last) {
+			return int(n) - 1
+		}
+		return last
+	}
+	for c := range storage.NumClasses {
+		for k, d := range ss.Dsts {
+			lo, hi := ss.Offsets[k], ss.Offsets[k+1]
+			if classOf(hi-lo) != c {
+				continue
 			}
-			shapes := [][]int{laneRun(0, L)}
-			if L > 1 {
-				shapes = append(shapes, laneRun(1, L-1))
+			out.Dsts = append(out.Dsts, d)
+			out.Srcs = append(out.Srcs, ss.Srcs[lo:hi]...)
+			if ss.Weights != nil {
+				out.Weights = append(out.Weights, ss.Weights[lo:hi]...)
 			}
-			if L > 2 {
-				var gapped []int
-				for l := 0; l < L; l++ {
-					if l%3 != 1 {
-						gapped = append(gapped, l)
-					}
+			out.Offsets = append(out.Offsets, uint32(len(out.Srcs)))
+		}
+		if c < last {
+			out.ClassEnds[c] = len(out.Dsts)
+		}
+	}
+	return out
+}
+
+// checkCellKernels holds every hinted kernel of case c on cell ss to the
+// generic one at the given widths, folding the cell in tasks of seven
+// destinations so that task bounds fall inside its count classes.
+func checkCellKernels(t *testing.T, c kernelCase, ss *storage.SubShard, deg []uint32, draw func(n int) []float64, widths []int) {
+	const n, base, task = 96, 40, 7
+	nd := ss.NumDsts()
+	tasks := func(r *Run, src, acc view, hub []float64, lanes []int, contig bool) {
+		for k0 := 0; k0 < nd; k0 += task {
+			r.gatherCell(ss, deg, src, acc, hub, lanes, contig, k0, min(k0+task, nd))
+		}
+	}
+	for _, L := range widths {
+		ps := make([]Program, L)
+		for l := range ps {
+			ps[l] = c.prog
+		}
+		shapes := [][]int{laneRun(0, L)}
+		if L > 1 {
+			shapes = append(shapes, laneRun(1, L-1))
+		}
+		if L > 2 {
+			var gapped []int
+			for l := 0; l < L; l++ {
+				if l%3 != 1 {
+					gapped = append(gapped, l)
 				}
-				shapes = append(shapes, gapped)
 			}
-			src := view{draw(n * L), base}
-			hinted, ref := refRun(c.hint, ps...), refRun(KernelGeneric, ps...)
-			for _, lanes := range shapes {
-				contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
-				name := fmt.Sprintf("%s/L%d/lanes%v", c.name, L, lanes)
-				accA := draw(n * L)
-				accB := slices.Clone(accA)
-				ref.gatherCell(ss, deg, src, view{accA, base}, nil, lanes, contig, 0, nd)
-				hinted.gatherCell(ss, deg, src, view{accB, base}, nil, lanes, contig, 0, nd)
-				assertSameBits(t, name+"/acc", accA, accB)
-				hubA := make([]float64, nd*L)
-				hubB := make([]float64, nd*L)
-				ref.gatherCell(ss, deg, src, view{}, hubA, lanes, contig, 0, nd)
-				hinted.gatherCell(ss, deg, src, view{}, hubB, lanes, contig, 0, nd)
-				assertSameBits(t, name+"/hub", hubA, hubB)
-				// FromHub: the op's Sum alone folds the partials.
-				hub, accC := draw(nd*L), draw(n*L)
-				accD := slices.Clone(accC)
-				ref.foldHub(ss.Dsts, hub, view{accC, base}, lanes, 0, nd)
-				hinted.foldHub(ss.Dsts, hub, view{accD, base}, lanes, 0, nd)
-				assertSameBits(t, name+"/foldHub", accC, accD)
+			shapes = append(shapes, gapped)
+		}
+		src := view{draw(n * L), base}
+		hinted, ref := refRun(c.hint, ps...), refRun(KernelGeneric, ps...)
+		for _, lanes := range shapes {
+			contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
+			name := fmt.Sprintf("%s/L%d/lanes%v", c.name, L, lanes)
+			if ss.ClassEnds[0] > 0 {
+				name += "/classes"
 			}
+			accA := draw(n * L)
+			accB := slices.Clone(accA)
+			ref.gatherCell(ss, deg, src, view{accA, base}, nil, lanes, contig, 0, nd)
+			tasks(hinted, src, view{accB, base}, nil, lanes, contig)
+			assertSameBits(t, name+"/acc", accA, accB)
+			hubA := make([]float64, nd*L)
+			hubB := make([]float64, nd*L)
+			ref.gatherCell(ss, deg, src, view{}, hubA, lanes, contig, 0, nd)
+			tasks(hinted, src, view{}, hubB, lanes, contig)
+			assertSameBits(t, name+"/hub", hubA, hubB)
+			// FromHub: the op's Sum alone folds the partials.
+			hub, accC := draw(nd*L), draw(n*L)
+			accD := slices.Clone(accC)
+			ref.foldHub(ss.Dsts, hub, view{accC, base}, lanes, 0, nd)
+			hinted.foldHub(ss.Dsts, hub, view{accD, base}, lanes, 0, nd)
+			assertSameBits(t, name+"/foldHub", accC, accD)
 		}
 	}
 }
@@ -436,9 +491,12 @@ func benchSubShard(rng *rand.Rand, n, numDsts int) *storage.SubShard {
 
 // BenchmarkGatherKernel times gatherCell, the function a run calls, on
 // one sub-shard of 8192 destinations (about 48k edges) with the
-// run-length mix of a real cell. The generic/ rows run the hint-free
+// run-length mix of a real cell, in the count-class order of a cached
+// block (storage.ClassOrder). The generic/ rows run the hint-free
 // kernel at one lane. The lane/<op>/L1 rows run every hinted fold at one
-// lane, where the one-lane leaf takes the whole run. The two fused
+// lane, where the one-lane leaf takes the whole run; lane/<op>/L1ids
+// runs it over the same cell in id order, the order it is stored in.
+// The two fused
 // hints' folds — copy-sum (RankSum over a scaled view) and hop-min —
 // also run at the widths a fused run meets: L2 is two leaf lanes, L3 one
 // four-lane pass padded from three, L12 serve-read's mean fused width
@@ -452,7 +510,11 @@ func benchSubShard(rng *rand.Rand, n, numDsts int) *storage.SubShard {
 func BenchmarkGatherKernel(b *testing.B) {
 	const n = 1 << 13
 	rng := rand.New(rand.NewSource(7))
-	ss := benchSubShard(rng, n, n)
+	ids := benchSubShard(rng, n, n)
+	ss, err := storage.DecodeSubShardInto(nil, storage.EncodeSubShardV2(ids, false), false, storage.ClassOrder)
+	if err != nil {
+		b.Fatal(err)
+	}
 	deg := make([]uint32, n)
 	attrs := make([]float64, n)
 	for v := range attrs {
@@ -480,16 +542,18 @@ func BenchmarkGatherKernel(b *testing.B) {
 		name  string
 		L     int
 		lanes []int
+		cell  *storage.SubShard
 	}{
-		{"L1", 1, lane0},
-		{"L2", 2, laneRun(0, 2)},
-		{"L3", 3, laneRun(0, 3)},
-		{"L12", 12, laneRun(0, 12)},
-		{"L13", 13, laneRun(0, 13)},
-		{"L16", 16, laneRun(0, 16)},
-		{"L16list", 16, []int{0, 1, 2, 4, 5, 6, 8, 9, 11, 12, 14, 15}},
+		{"L1", 1, lane0, ss},
+		{"L1ids", 1, lane0, ids},
+		{"L2", 2, laneRun(0, 2), ss},
+		{"L3", 3, laneRun(0, 3), ss},
+		{"L12", 12, laneRun(0, 12), ss},
+		{"L13", 13, laneRun(0, 13), ss},
+		{"L16", 16, laneRun(0, 16), ss},
+		{"L16list", 16, []int{0, 1, 2, 4, 5, 6, 8, 9, 11, 12, 14, 15}, ss},
 	} {
-		L, lanes := sh.L, sh.lanes
+		L, lanes, cell := sh.L, sh.lanes, sh.cell
 		contig := lanes[len(lanes)-1]-lanes[0] == len(lanes)-1
 		slab, accL := make([]float64, n*L), make([]float64, n*L)
 		for x := range slab {
@@ -506,7 +570,7 @@ func BenchmarkGatherKernel(b *testing.B) {
 			r := refRun(c.hint, ps...)
 			b.Run("lane/"+c.name+"/"+sh.name, func(b *testing.B) {
 				for i := 0; i < b.N; i++ {
-					r.gatherCell(ss, deg, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, ss.NumDsts())
+					r.gatherCell(cell, deg, view{slab, 0}, view{accL, 0}, nil, lanes, contig, 0, cell.NumDsts())
 				}
 				nsPerEdge(b)
 			})

@@ -84,6 +84,14 @@ var poisonSpare func(*storage.SubShard)
 // fresh zeroed allocation per block; the rule that makes this safe is
 // the one Handle already states — nothing may keep a *storage.SubShard
 // past its handle's Release.
+//
+// A block lists its destinations in count-class order
+// (storage.ClassOrder): one in-edge, then two, three, four or more,
+// ascending by id within each class, so the one-lane leaf folds each
+// short class in a loop of its own and its branch on a run's length
+// stops alternating. Every destination keeps its contiguous source run
+// in edge order and appears once in the block, so each destination's
+// fold, and the result, are those of id order (docs/adr/ADR-026).
 func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded int64, err error) {
 	key := blockcache.Key{Gen: r.e.cacheGen, I: c.i, J: c.j, Transpose: c.d == 1}
 	m := r.e.store.Meta()
@@ -104,7 +112,7 @@ func (r *Run) loadBlock(c cellID) (h *blockcache.Handle, missed bool, decoded in
 		if into != nil && poisonSpare != nil {
 			poisonSpare(into)
 		}
-		ss, err := storage.DecodeSubShardInto(into, blob, m.Weighted)
+		ss, err := storage.DecodeSubShardInto(into, blob, m.Weighted, storage.ClassOrder)
 		if err != nil {
 			return nil, 0, fmt.Errorf("decode %s: %w", c.name(), err)
 		}

@@ -30,6 +30,7 @@ func TestMain(m *testing.M) {
 	if flag.Lookup("test.bench").Value.String() == "" {
 		poisonSpare = func(ss *storage.SubShard) {
 			sparesPoisoned.Add(1)
+			ss.ClassEnds = [storage.NumClasses - 1]int{-1, -1, -1}
 			for _, a := range [][]uint32{ss.Dsts, ss.Offsets, ss.Srcs[:cap(ss.Srcs)]} {
 				for i := range a {
 					a[i] = 0xFFFFFFFF
@@ -46,9 +47,11 @@ func TestMain(m *testing.M) {
 // TestMissDecodesIntoEvictedBlock drives the miss path by hand over a
 // cache that keeps nothing unpinned: a released block becomes a spare
 // (while something else is pinned to bound the spares by), the next miss
-// of a similar size decodes into its arrays, a reference kept past
+// of a similar size decodes into its arrays — the same block, in the
+// same count-class order, as a fresh decode — a reference kept past
 // Release sees them change, and a steady-state miss allocates no decoded
-// arrays — only the blob it reads and the cache's bookkeeping.
+// arrays and no decoder scratch — only the blob it reads and the cache's
+// bookkeeping.
 func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(12, 8, 5))
 	if err != nil {
@@ -110,13 +113,18 @@ func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 	if slices.Equal(kept.Srcs, before) {
 		t.Fatal("a sub-shard kept past Release still reads its old edges")
 	}
-	fresh, err := st.ReadSubShard(small.i, small.j, false)
+	raw, err := st.ReadSubShardRaw(small.i, small.j, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	fresh, err := storage.DecodeSubShardInto(nil, raw, m.Weighted, storage.ClassOrder)
 	if err != nil {
 		t.Fatal(err)
 	}
 	got := h.Value().(*storage.SubShard)
-	if !slices.Equal(got.Dsts, fresh.Dsts) || !slices.Equal(got.Offsets, fresh.Offsets) || !slices.Equal(got.Srcs, fresh.Srcs) {
-		t.Fatal("decode into a poisoned spare differs from a fresh decode")
+	if !slices.Equal(got.Dsts, fresh.Dsts) || !slices.Equal(got.Offsets, fresh.Offsets) || !slices.Equal(got.Srcs, fresh.Srcs) ||
+		got.ClassEnds != fresh.ClassEnds {
+		t.Fatal("decode into a poisoned spare differs from a fresh decode in the same class order")
 	}
 	h.Release()
 

@@ -24,7 +24,8 @@ import (
 // leaf, a padded block of three and whole lane blocks), every update
 // strategy, chunked and whole-cell tasks, both replicas and every kernel
 // hint — with the tombstones aimed at the places where splitting a chunk
-// into clean runs and dirty destinations could go wrong.
+// into clean runs and dirty destinations could go wrong, and at both
+// ends of every count class of a cached block.
 
 const (
 	tombN        = 96 // vertices; P = 4 gives 24-vertex intervals
@@ -102,11 +103,10 @@ func planTombstones(t *testing.T, st *storage.Store) tombPlan {
 		used[d] = true
 	}
 
-	// The hub cell: interval 0 -> interval 1.
-	ss, err := st.ReadSubShard(0, 1, false)
-	if err != nil {
-		t.Fatal(err)
-	}
+	// The hub cell: interval 0 -> interval 1, as the engine's block
+	// cache holds it (count-class order), so that the chunk bounds below
+	// are the ones its gather tasks fold.
+	ss := classBlock(t, st, 0, 1)
 	n := ss.NumDsts()
 	edgeOf := func(k, which int) (uint32, uint32) { // which: 0 first, 1 middle, 2 last in-edge
 		lo, hi := int(ss.Offsets[k]), int(ss.Offsets[k+1])
@@ -145,6 +145,21 @@ func planTombstones(t *testing.T, st *storage.Store) tombPlan {
 	}
 	if !placed {
 		t.Fatal("no hub destination owns a chunk")
+	}
+
+	// The first and the last destination of each count class of the
+	// hub cell — one, two, three, four or more in-edges — so that every
+	// class's search meets a dirty destination at both of its bounds.
+	b := ss.Classes()
+	for c := range storage.NumClasses {
+		if b[c] == b[c+1] {
+			t.Fatalf("hub cell has no destination with %d in-edges (classes %v)", c+1, b)
+		}
+		for _, k := range []int{b[c], b[c+1] - 1} {
+			if !used[ss.Dsts[k]] {
+				remove(edgeOf(k, 1))
+			}
+		}
 	}
 
 	// A parallel edge: both base copies die.
@@ -214,6 +229,21 @@ func planTombstones(t *testing.T, st *storage.Store) tombPlan {
 		t.Fatal("no pair that is alone in its cell row and column")
 	}
 	return plan
+}
+
+// classBlock decodes SS[i][j] of st in count-class order, as the
+// engine's block cache holds it.
+func classBlock(t *testing.T, st *storage.Store, i, j int) *storage.SubShard {
+	t.Helper()
+	blob, err := st.ReadSubShardRaw(i, j, false)
+	if err != nil {
+		t.Fatal(err)
+	}
+	ss, err := storage.DecodeSubShardInto(nil, blob, st.Meta().Weighted, storage.ClassOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return ss
 }
 
 // sumProg is a hint-free sum-based program: it drives the generic

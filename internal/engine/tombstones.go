@@ -46,45 +46,58 @@ func cellTombsOf(ov Overlay, d, i, j int, ss *storage.SubShard) *cellTombs {
 // resolveTombs locates the destinations of ss named by keys (ascending
 // TombKeys) and copies each one's surviving edges, in edge order and
 // with their weights, into a one-destination cell; a destination that
-// loses every edge gets an empty one, which folds to Zero. Both sides
-// ascend by destination, so each lookup searches only past the previous
-// hit.
+// loses every edge gets an empty one, which folds to Zero. A cached
+// block lists its destinations in count-class order, ascending by id
+// within each class (storage.ClassOrder; a sub-shard in id order is one
+// class), so each named destination costs one binary search per class,
+// within the bounds the decoder recorded. The classes are searched one
+// after another, each past its previous hit, so dirty comes out
+// ascending.
 func resolveTombs(keys []uint64, ss *storage.SubShard) *cellTombs {
 	var t cellTombs
-	k := 0
-	for len(keys) > 0 {
-		d, n := uint32(keys[0]>>32), 1
-		for n < len(keys) && uint32(keys[n]>>32) == d {
-			n++
-		}
-		dead := keys[:n]
-		keys = keys[n:]
-		pos, found := slices.BinarySearch(ss.Dsts[k:], d)
-		k += pos
-		if !found {
-			continue
-		}
-		lo, hi := ss.Offsets[k], ss.Offsets[k+1]
-		c := storage.SubShard{Dsts: ss.Dsts[k : k+1], Offsets: []uint32{0, 0}, Srcs: make([]uint32, 0, hi-lo)}
-		if ss.Weights != nil {
-			c.Weights = make([]float32, 0, hi-lo)
-		}
-		for e := lo; e < hi; e++ {
-			if _, gone := slices.BinarySearch(dead, TombKey(ss.Srcs[e], d)); !gone {
-				c.Srcs = append(c.Srcs, ss.Srcs[e])
-				if c.Weights != nil {
-					c.Weights = append(c.Weights, ss.Weights[e])
-				}
+	b := ss.Classes()
+	for c := range storage.NumClasses {
+		k, hi := b[c], b[c+1]
+		for rest := keys; len(rest) > 0 && k < hi; {
+			d, n := uint32(rest[0]>>32), 1
+			for n < len(rest) && uint32(rest[n]>>32) == d {
+				n++
 			}
+			dead := rest[:n]
+			rest = rest[n:]
+			pos, found := slices.BinarySearch(ss.Dsts[k:hi], d)
+			k += pos
+			if !found {
+				continue
+			}
+			t.dirty = append(t.dirty, k)
+			t.cells = append(t.cells, survivors(ss, k, dead))
 		}
-		c.Offsets[1] = uint32(len(c.Srcs))
-		t.dirty = append(t.dirty, k)
-		t.cells = append(t.cells, c)
 	}
 	if t.dirty == nil {
 		return nil
 	}
 	return &t
+}
+
+// survivors returns destination k of ss as a one-destination cell of
+// the edges dead (its tombstones' keys, ascending) does not name.
+func survivors(ss *storage.SubShard, k int, dead []uint64) storage.SubShard {
+	d, lo, hi := ss.Dsts[k], ss.Offsets[k], ss.Offsets[k+1]
+	c := storage.SubShard{Dsts: ss.Dsts[k : k+1], Offsets: []uint32{0, 0}, Srcs: make([]uint32, 0, hi-lo)}
+	if ss.Weights != nil {
+		c.Weights = make([]float32, 0, hi-lo)
+	}
+	for e := lo; e < hi; e++ {
+		if _, gone := slices.BinarySearch(dead, TombKey(ss.Srcs[e], d)); !gone {
+			c.Srcs = append(c.Srcs, ss.Srcs[e])
+			if c.Weights != nil {
+				c.Weights = append(c.Weights, ss.Weights[e])
+			}
+		}
+	}
+	c.Offsets[1] = uint32(len(c.Srcs))
+	return c
 }
 
 // gather folds destinations [k0, k1) of base cell ss through kernel:

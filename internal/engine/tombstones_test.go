@@ -63,7 +63,8 @@ func TestSplitRuns(t *testing.T) {
 // cell of exactly its surviving edges in edge order and with their
 // weights — empty when every edge goes — and a cell without keys, or
 // whose keys name no destination of the sub-shard, stays on the nil
-// path.
+// path. Over a block in count-class order, keys naming destinations of
+// every class resolve the same way, with the dirty indices ascending.
 func TestResolveTombs(t *testing.T) {
 	var ss *storage.SubShard
 	edges := []graph.Edge{{Src: 1, Dst: 10, Weight: 1}, {Src: 2, Dst: 10, Weight: 2}, {Src: 7, Dst: 10, Weight: 3},
@@ -128,5 +129,59 @@ func TestResolveTombs(t *testing.T) {
 	(*cellTombs)(nil).gather(ss, nil, L, 0, 4, kernel)
 	if want := []string{"0-4:base=true,dst=10,hub=0"}; !reflect.DeepEqual(calls, want) {
 		t.Fatalf("nil gather calls = %v, want %v", calls, want)
+	}
+
+	// A cached block lists its destinations by count class. Here 10 and
+	// 40 have one in-edge, 20 and 50 two, 30 three and 15 and 60 five:
+	// the block is [10 40 | 20 50 | 30 | 15 60]. Keys naming a
+	// destination of every class — 40 (class 1), 20 (2), 30 (3) and 15
+	// and 60 (4+), with a key for an absent destination between them —
+	// resolve to their block indices, ascending.
+	var cls []graph.Edge
+	for d, n := range map[uint32]int{10: 1, 40: 1, 20: 2, 50: 2, 30: 3, 15: 5, 60: 5} {
+		for s := range uint32(n) {
+			cls = append(cls, graph.Edge{Src: 2*s + 1, Dst: d, Weight: float32(d) + float32(s)/8})
+		}
+	}
+	var ids *storage.SubShard
+	if err := storage.BuildSubShards(cls, 64, 1, true, func(_ int, s *storage.SubShard) error {
+		ids = s
+		return nil
+	}); err != nil {
+		t.Fatal(err)
+	}
+	blk, err := storage.DecodeSubShardInto(nil, storage.EncodeSubShardV2(ids, true), true, storage.ClassOrder)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if want := []uint32{10, 40, 20, 50, 30, 15, 60}; !slices.Equal(blk.Dsts, want) || blk.ClassEnds != [3]int{2, 4, 5} {
+		t.Fatalf("fixture block: dsts %v, class ends %v", blk.Dsts, blk.ClassEnds)
+	}
+	keys = []uint64{TombKey(9, 14), TombKey(3, 15), TombKey(1, 20), TombKey(1, 30), TombKey(5, 30),
+		TombKey(1, 40), TombKey(1, 60), TombKey(9, 60)}
+	tb = resolveTombs(keys, blk)
+	if tb == nil || !reflect.DeepEqual(tb.dirty, []int{1, 2, 4, 5, 6}) {
+		t.Fatalf("class-order dirty = %+v, want [1 2 4 5 6]", tb)
+	}
+	want = []storage.SubShard{
+		{Dsts: []uint32{40}, Offsets: []uint32{0, 0}, Srcs: []uint32{}, Weights: []float32{}},
+		{Dsts: []uint32{20}, Offsets: []uint32{0, 1}, Srcs: []uint32{3}, Weights: []float32{20.125}},
+		{Dsts: []uint32{30}, Offsets: []uint32{0, 1}, Srcs: []uint32{3}, Weights: []float32{30.125}},
+		{Dsts: []uint32{15}, Offsets: []uint32{0, 4}, Srcs: []uint32{1, 5, 7, 9}, Weights: []float32{15, 15.25, 15.375, 15.5}},
+		{Dsts: []uint32{60}, Offsets: []uint32{0, 3}, Srcs: []uint32{3, 5, 7}, Weights: []float32{60.125, 60.25, 60.375}},
+	}
+	for x := range want {
+		c := tb.cells[x]
+		if !slices.Equal(c.Dsts, want[x].Dsts) || !slices.Equal(c.Offsets, want[x].Offsets) ||
+			!slices.Equal(c.Srcs, want[x].Srcs) || !slices.Equal(c.Weights, want[x].Weights) {
+			t.Errorf("class-order cell %d = %+v, want %+v", x, c, want[x])
+		}
+	}
+	calls, ss = nil, blk // kernel reports calls on ss as base
+	tb.gather(blk, nil, L, 0, blk.NumDsts(), kernel)
+	if want := []string{"0-1:base=true,dst=10,hub=0", "0-1:base=false,dst=40,hub=0", "0-1:base=false,dst=20,hub=0",
+		"3-4:base=true,dst=50,hub=0", "0-1:base=false,dst=30,hub=0", "0-1:base=false,dst=15,hub=0",
+		"0-1:base=false,dst=60,hub=0"}; !reflect.DeepEqual(calls, want) {
+		t.Fatalf("class-order gather calls = %v, want %v", calls, want)
 	}
 }

@@ -188,15 +188,56 @@ func (m *Meta) validateIndex(field string, infos []SubShardInfo) error {
 //
 // For destination Dsts[k], the sources are Srcs[Offsets[k]:Offsets[k+1]]
 // (sorted ascending), with parallel Weights when the graph is weighted.
+// Offsets ascend, so each destination's edges are one contiguous run.
+// Dsts lists each destination once, in the order its decoder was asked
+// for: ascending id (IDOrder, the order of the encoding, of every
+// builder and of Store.ReadSubShard), or count-class order (ClassOrder,
+// what the engine's block cache holds; see ClassEnds).
 type SubShard struct {
 	Dsts    []uint32
 	Offsets []uint32 // len(Dsts)+1
 	Srcs    []uint32
 	Weights []float32 // nil when unweighted
 
+	// ClassEnds bounds the count classes of a ClassOrder decode: class
+	// c < 3 is Dsts[ClassEnds[c-1]:ClassEnds[c]] (from 0 for c = 0), the
+	// destinations with exactly c+1 in-edges, and the last class is the
+	// rest of Dsts, those with four or more. Each class ascends by id. A
+	// sub-shard in id order has ClassEnds zero: its first three classes
+	// are empty and the last holds every destination, whatever its count
+	// (see Classes).
+	ClassEnds [NumClasses - 1]int
+
 	// arena backs Dsts, Offsets and Srcs of a decoded sub-shard, so a
 	// decoder handed the sub-shard back (see sized) finds its capacity.
 	arena []uint32
+}
+
+// Order is the order a decoder lists a sub-shard's destinations in.
+type Order uint8
+
+const (
+	// IDOrder lists destinations by ascending id, as they are stored.
+	IDOrder Order = iota
+	// ClassOrder lists the destinations with one in-edge first, then
+	// two, then three, then four or more, ascending by id within each
+	// class. A gather folds a destination from its own contiguous run
+	// whatever the order, so the order is invisible in its results; what
+	// it changes is that the fold's branch on a run's length, taken once
+	// per destination, goes the same way for long stretches.
+	ClassOrder
+)
+
+// NumClasses is the number of count classes of ClassOrder.
+const NumClasses = 4
+
+// Classes returns the bounds of ss's count classes: class c is
+// Dsts[b[c]:b[c+1]], ascending by id. Below the last class every
+// destination of class c has c+1 in-edges.
+func (ss *SubShard) Classes() (b [NumClasses + 1]int) {
+	copy(b[1:], ss.ClassEnds[:])
+	b[NumClasses] = len(ss.Dsts)
+	return b
 }
 
 // NumEdges returns the edge count of the sub-shard.
@@ -298,29 +339,39 @@ func EncodeSubShardV2(ss *SubShard, weighted bool) []byte {
 }
 
 // DecodeSubShardV2 parses a blob produced by EncodeSubShardV2 into a
-// fresh sub-shard. It validates every structural invariant (monotone
-// destinations, monotone sources, counts summing to the edge count, the
-// varint region ending exactly at the weight section), so arbitrary
-// bytes produce an error, never a panic — the contract the fuzz target
-// exercises.
+// fresh sub-shard in id order. It validates every structural invariant
+// (monotone destinations, monotone sources, counts summing to the edge
+// count, the varint region ending exactly at the weight section), so
+// arbitrary bytes produce an error, never a panic — the contract the
+// fuzz target exercises.
 func DecodeSubShardV2(buf []byte, weighted bool) (*SubShard, error) {
-	return decodeSubShardV2(nil, buf, weighted)
+	return decodeSubShardV2(nil, buf, weighted, IDOrder)
 }
 
 // decodeSubShardV2 is DecodeSubShardV2 into the arrays of a sub-shard
-// nobody references any more (see sized). Every stream of the format is
-// one or more lists of a first value followed by gaps, and is decoded by
-// the same call-free loop (runs, in varint.go) straight to running sums:
-// the header is two lists of one value, the destinations one list, the
-// counts one list whose sums are Offsets[1:], and the sources one list
-// per destination, delimited by those offsets. What the sums cannot show
-// — a zero dst gap, a zero count — is an array that fails to ascend,
-// checked in one pass each. The accept/reject set is exactly that of the
-// value-at-a-time decoder this replaced, which format_v2_test.go keeps
-// as the oracle.
-func decodeSubShardV2(into *SubShard, buf []byte, weighted bool) (*SubShard, error) {
+// nobody references any more (see sized), listing its destinations in
+// the given order. Every stream of the format is one or more lists of a
+// first value followed by gaps, and is decoded by the same call-free
+// loop (runs, in varint.go) straight to running sums: the header is two
+// lists of one value, the destinations one list, the counts one list
+// whose sums are the id-order offsets, and the sources one list per
+// destination. What the sums cannot show — a zero dst gap, a zero count
+// — is an array that fails to ascend, checked in one pass each. The
+// accept/reject set is exactly that of the value-at-a-time decoder this
+// replaced, which format_v2_test.go keeps as the oracle, in either
+// order.
+//
+// In class order the decode needs no memory beyond the sub-shard's own
+// arrays. The destinations decode into the head of Srcs, which holds
+// one source per destination and is free until the sources decode, and
+// classify copies them into Dsts in class order. The sources decode
+// with Offsets still in id order: runs sends each list to the next run
+// of its class, so every source (and weight) is written once, at its
+// final index. Last, classOffsets rewrites Offsets in class order in
+// place.
+func decodeSubShardV2(into *SubShard, buf []byte, weighted bool, order Order) (*SubShard, error) {
 	var hdr [2]uint32
-	p := runs(buf, 0, []uint32{1, 2}, hdr[:])
+	p := runs(buf, 0, []uint32{1, 2}, nil, hdr[:])
 	if p < 0 {
 		return nil, fmt.Errorf("storage: v2 blob: truncated dst or edge count")
 	}
@@ -337,28 +388,108 @@ func decodeSubShardV2(into *SubShard, buf []byte, weighted bool) (*SubShard, err
 			len(buf), dstCount, edgeCount)
 	}
 	ss := sized(into, dstCount, edgeCount, weighted)
+	ss.ClassEnds = [NumClasses - 1]int{}
+	ids := ss.Dsts // the destinations in id order
+	if order == ClassOrder {
+		ids = ss.Srcs[:dstCount]
+	}
 	v := buf[:end] // varint region; p never legally reaches past it
 	one := hdr[:1] // the ends of one list of dstCount values
-	if p = runs(v, p, one, ss.Dsts); p < 0 || !ascending(ss.Dsts) {
+	if p = runs(v, p, one, nil, ids); p < 0 || !ascending(ids) {
 		return nil, fmt.Errorf("storage: v2 blob: dsts truncated or not ascending")
 	}
 	// A destination is listed only if it has sources; rejecting a zero
 	// count keeps the encoding bijective, and offsets that ascend from 0
 	// to edgeCount are what lets the source lists be decoded by them.
-	ss.Offsets[0] = 0
-	if p = runs(v, p, one, ss.Offsets[1:]); p < 0 || !ascending(ss.Offsets) || int(ss.Offsets[dstCount]) != edgeCount {
+	offs := ss.Offsets
+	offs[0] = 0
+	if p = runs(v, p, one, nil, offs[1:]); p < 0 || !ascending(offs) || int(offs[dstCount]) != edgeCount {
 		return nil, fmt.Errorf("storage: v2 blob: counts truncated, zero, or not summing to %d edges", edgeCount)
 	}
-	if p = runs(v, p, ss.Offsets[1:], ss.Srcs); p < 0 {
+	var route *[NumClasses]uint32 // nil: each source list follows the one before
+	var first [NumClasses]uint32  // each class's first edge
+	if order == ClassOrder {
+		first = ss.classify(ids)
+		r := first
+		route = &r
+	}
+	if p = runs(v, p, offs[1:], route, ss.Srcs); p < 0 {
 		return nil, fmt.Errorf("storage: v2 blob: sources truncated or past uint32")
 	}
 	if p != end {
 		return nil, fmt.Errorf("storage: v2 blob: %d trailing bytes", end-p)
 	}
-	for k := range ss.Weights {
-		ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(buf[end+4*k:]))
+	if weighted {
+		w, next := buf[end:], first // each weight run goes where its source run went
+		for k := range dstCount {
+			n, at := offs[k+1]-offs[k], offs[k]
+			if route != nil {
+				c := min(n, NumClasses) - 1
+				at, next[c] = next[c], next[c]+n
+			}
+			for t := range n {
+				ss.Weights[at+t] = float32frombits(binary.LittleEndian.Uint32(w[4*t:]))
+			}
+			w = w[4*n:]
+		}
+	}
+	if order == ClassOrder {
+		ss.classOffsets(first)
 	}
 	return ss, nil
+}
+
+// classify copies ids, the destinations in id order, into ss.Dsts in
+// count-class order, their counts read from ss.Offsets (still in id
+// order, validated: ascending from 0), and records ClassEnds. It
+// returns where each class's first run starts in Srcs: class c's runs
+// are c+1 edges long below the last class.
+func (ss *SubShard) classify(ids []uint32) (first [NumClasses]uint32) {
+	offs := ss.Offsets
+	var n [NumClasses]int
+	for k := range ids {
+		n[min(offs[k+1]-offs[k], NumClasses)-1]++
+	}
+	var next [NumClasses]int // the next free index of each class in Dsts
+	for c := 1; c < NumClasses; c++ {
+		next[c] = next[c-1] + n[c-1]
+		first[c] = first[c-1] + uint32(n[c-1]*c)
+		ss.ClassEnds[c-1] = next[c]
+	}
+	for k, d := range ids {
+		c := min(offs[k+1]-offs[k], NumClasses) - 1
+		ss.Dsts[next[c]] = d
+		next[c]++
+	}
+	return first
+}
+
+// classOffsets rewrites ss.Offsets from id order to the class order of
+// Dsts, in place; first is where each class's runs start (classify).
+// The last class's offsets come from its runs in id order, walked from
+// the end: the destination at id-order index k lands at an index no
+// lower than k, so each offset is written only after it was read. A
+// short class's offsets then follow from its bounds: run x of class
+// c < 3 starts at first[c] + x·(c+1).
+func (ss *SubShard) classOffsets(first [NumClasses]uint32) {
+	offs := ss.Offsets
+	n := len(offs) - 1
+	x, hi, e := n, offs[n], offs[n]
+	for k := n - 1; k >= 0; k-- {
+		lo := offs[k]
+		if hi-lo >= NumClasses {
+			e -= hi - lo
+			x--
+			offs[x] = e
+		}
+		hi = lo
+	}
+	b := ss.Classes()
+	for c := range NumClasses - 1 {
+		for x := b[c]; x < b[c+1]; x++ {
+			offs[x] = first[c] + uint32((x-b[c])*(c+1))
+		}
+	}
 }
 
 // ascending reports whether a[k-1] < a[k] throughout.
@@ -400,13 +531,14 @@ func EncodeSubShardAs(ss *SubShard, weighted bool, _ int) []byte {
 	return EncodeSubShardV2(ss, weighted)
 }
 
-// DecodeSubShardInto parses a blob of a store. A nil (empty sub-shard)
-// blob decodes to the canonical empty sub-shard. into, when non-nil, is
+// DecodeSubShardInto parses a blob of a store, listing its destinations
+// in the given order. A nil (empty sub-shard) blob decodes to the
+// canonical empty sub-shard. into, when non-nil, is
 // a decoded sub-shard no one references any more: the result reuses its
 // arrays if they are large enough, and is then into itself.
-func DecodeSubShardInto(into *SubShard, buf []byte, weighted bool) (*SubShard, error) {
+func DecodeSubShardInto(into *SubShard, buf []byte, weighted bool, order Order) (*SubShard, error) {
 	if len(buf) == 0 {
 		return &SubShard{Offsets: []uint32{0}}, nil
 	}
-	return decodeSubShardV2(into, buf, weighted)
+	return decodeSubShardV2(into, buf, weighted, order)
 }

@@ -166,15 +166,15 @@ func TestDecodeRejectsCorruptBlobs(t *testing.T) {
 		ss = canonicalSubShard(rng, false)
 	}
 	blob := EncodeSubShardV2(ss, false)
-	if _, err := DecodeSubShardInto(nil, blob[:2], false); err == nil {
+	if _, err := DecodeSubShardInto(nil, blob[:2], false, IDOrder); err == nil {
 		t.Fatal("short blob should fail")
 	}
-	if _, err := DecodeSubShardInto(nil, blob[:len(blob)-1], false); err == nil {
+	if _, err := DecodeSubShardInto(nil, blob[:len(blob)-1], false, IDOrder); err == nil {
 		t.Fatal("truncated blob should fail")
 	}
 	// An unweighted blob read as weighted loses 4 bytes per edge to the
 	// weight section and must fail.
-	if _, err := DecodeSubShardInto(nil, blob, true); err == nil {
+	if _, err := DecodeSubShardInto(nil, blob, true, IDOrder); err == nil {
 		t.Fatal("weighted/unweighted confusion should fail")
 	}
 }
@@ -243,7 +243,7 @@ func TestDecodeIntoRecycled(t *testing.T) {
 			big, small = canonicalSubShard(rng, weighted), canonicalSubShard(rng, weighted)
 		}
 		bigBlob, smallBlob := EncodeSubShardV2(big, weighted), EncodeSubShardV2(small, weighted)
-		spare, err := DecodeSubShardInto(nil, bigBlob, weighted)
+		spare, err := DecodeSubShardInto(nil, bigBlob, weighted, IDOrder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +253,7 @@ func TestDecodeIntoRecycled(t *testing.T) {
 		for i := range spare.Weights {
 			spare.Weights[i] = float32frombits(poison)
 		}
-		got, err := DecodeSubShardInto(spare, smallBlob, weighted)
+		got, err := DecodeSubShardInto(spare, smallBlob, weighted, IDOrder)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,18 +274,18 @@ func TestDecodeIntoRecycled(t *testing.T) {
 			t.Fatalf("the arrays past the decode were cleared or not kept (%d left)", len(tail))
 		}
 		if n := testing.AllocsPerRun(20, func() {
-			if _, err := DecodeSubShardInto(spare, smallBlob, weighted); err != nil {
+			if _, err := DecodeSubShardInto(spare, smallBlob, weighted, IDOrder); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
 			t.Fatalf("weighted=%v: decode into a spare allocates %v times", weighted, n)
 		}
 		// Too small: fresh arrays, spare untouched.
-		tiny, err := DecodeSubShardInto(nil, smallBlob, weighted)
+		tiny, err := DecodeSubShardInto(nil, smallBlob, weighted, IDOrder)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = DecodeSubShardInto(tiny, bigBlob, weighted)
+		got, err = DecodeSubShardInto(tiny, bigBlob, weighted, IDOrder)
 		if err != nil {
 			t.Fatal(err)
 		}

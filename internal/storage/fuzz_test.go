@@ -3,6 +3,7 @@ package storage
 import (
 	"bytes"
 	"cmp"
+	"fmt"
 	"math"
 	"slices"
 	"testing"
@@ -27,7 +28,7 @@ func FuzzUvarint32(f *testing.F) {
 			t.Fatalf("round trip of %d: got %d, consumed %d of %d", v, got, p, len(buf))
 		}
 		var out [1]uint32
-		if p := runs(append(buf, 0xff, 0xff, 0xff), 0, []uint32{1}, out[:]); p != len(buf) || out[0] != v {
+		if p := runs(append(buf, 0xff, 0xff, 0xff), 0, []uint32{1}, nil, out[:]); p != len(buf) || out[0] != v {
 			t.Fatalf("inline round trip of %d: got %d, consumed %d of %d", v, out[0], p, len(buf))
 		}
 		// Every truncation ends on a continuation byte (or is empty), so
@@ -36,7 +37,7 @@ func FuzzUvarint32(f *testing.F) {
 			if _, p := uvarint32Slow(buf[:cut], 0); p >= 0 {
 				t.Fatalf("truncated encoding of %d (len %d) decoded", v, cut)
 			}
-			if runs(buf[:cut], 0, []uint32{1}, out[:]) >= 0 {
+			if runs(buf[:cut], 0, []uint32{1}, nil, out[:]) >= 0 {
 				t.Fatalf("truncated encoding of %d (len %d) decoded by runs", v, cut)
 			}
 		}
@@ -121,7 +122,9 @@ func edgeSeedBlobs(weighted bool) [][]byte {
 }
 
 // sameDecode fails unless the decoder under test and the reference
-// agree on blob: both reject, or both accept with identical arrays.
+// agree on blob: both reject, or both accept, the id-order decode with
+// identical arrays and the class-order decode with a permutation of
+// them (checkClassOrder).
 func sameDecode(t *testing.T, blob []byte, weighted bool) *SubShard {
 	t.Helper()
 	ss, err := DecodeSubShardV2(blob, weighted)
@@ -129,9 +132,14 @@ func sameDecode(t *testing.T, blob []byte, weighted bool) *SubShard {
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("accept/reject differs: new %v, ref %v", err, refErr)
 	}
+	cls, clsErr := decodeSubShardV2(nil, blob, weighted, ClassOrder)
+	if (clsErr == nil) != (refErr == nil) {
+		t.Fatalf("class-order accept/reject differs: new %v, ref %v", clsErr, refErr)
+	}
 	if err != nil {
 		return nil
 	}
+	checkClassOrder(t, cls, ref)
 	if !slices.Equal(ss.Dsts, ref.Dsts) || !slices.Equal(ss.Offsets, ref.Offsets) ||
 		!slices.Equal(ss.Srcs, ref.Srcs) || (ss.Weights == nil) != (ref.Weights == nil) {
 		t.Fatalf("arrays differ from the reference decoder's")
@@ -142,6 +150,107 @@ func sameDecode(t *testing.T, blob []byte, weighted bool) *SubShard {
 		}
 	}
 	return ss
+}
+
+// checkClassOrder fails unless cls lists the destinations of ids (a
+// decode in id order) in count-class order: every destination with the
+// same sources and weight bits, the classes in order — one in-edge, two,
+// three, then four or more — with bounds that match the counts, and ids
+// ascending within each class.
+func checkClassOrder(t *testing.T, cls, ids *SubShard) {
+	t.Helper()
+	n := len(ids.Dsts)
+	if len(cls.Dsts) != n || len(cls.Offsets) != n+1 || cls.Offsets[0] != 0 || int(cls.Offsets[n]) != len(ids.Srcs) ||
+		len(cls.Srcs) != len(ids.Srcs) || (cls.Weights == nil) != (ids.Weights == nil) || len(cls.Weights) != len(ids.Weights) {
+		t.Fatalf("class order: %d dsts, %d offsets, %d srcs, %d weights for %d, %d, %d, %d",
+			len(cls.Dsts), len(cls.Offsets), len(cls.Srcs), len(cls.Weights), n, n+1, len(ids.Srcs), len(ids.Weights))
+	}
+	b := cls.Classes()
+	for c := range NumClasses {
+		if b[c] > b[c+1] {
+			t.Fatalf("class order: bounds %v do not ascend", b)
+		}
+		for k := b[c]; k < b[c+1]; k++ {
+			lo, hi := cls.Offsets[k], cls.Offsets[k+1]
+			if e := int(hi) - int(lo); e < 1 || c < NumClasses-1 && e != c+1 || c == NumClasses-1 && e < NumClasses {
+				t.Fatalf("class order: destination %d of class %d (bounds %v) has %d in-edges", k, c, b, e)
+			}
+			if k > b[c] && cls.Dsts[k] <= cls.Dsts[k-1] {
+				t.Fatalf("class order: ids do not ascend in class %d at %d", c, k)
+			}
+			x, ok := slices.BinarySearch(ids.Dsts, cls.Dsts[k])
+			if !ok {
+				t.Fatalf("class order: destination %d is not in the id-order decode", cls.Dsts[k])
+			}
+			if !slices.Equal(cls.Srcs[lo:hi], ids.Srcs[ids.Offsets[x]:ids.Offsets[x+1]]) {
+				t.Fatalf("class order: destination %d has sources %v, want %v", cls.Dsts[k],
+					cls.Srcs[lo:hi], ids.Srcs[ids.Offsets[x]:ids.Offsets[x+1]])
+			}
+			for e := range hi - lo {
+				if w, want := cls.Weights, ids.Weights; w != nil && float32bits(w[lo+e]) != float32bits(want[ids.Offsets[x]+e]) {
+					t.Fatalf("class order: destination %d edge %d weight %x, want %x", cls.Dsts[k], e,
+						float32bits(w[lo+e]), float32bits(want[ids.Offsets[x]+e]))
+				}
+			}
+		}
+	}
+}
+
+// TestClassOrderDecode: every cell of the RMAT store, unweighted and
+// with distinct weights, decodes in count-class order to a permutation
+// of its id-order decode (checkClassOrder), the cells decoded one after
+// another into one recycled sub-shard as the block cache does, the two
+// passes at once as concurrent misses run (the decoder keeps no state
+// outside the sub-shard it fills); and a block whose destinations all
+// share one class has the other classes empty.
+func TestClassOrderDecode(t *testing.T) {
+	for _, weighted := range []bool{false, true} {
+		t.Run(fmt.Sprintf("rmat/weighted=%v", weighted), func(t *testing.T) {
+			t.Parallel()
+			var spare *SubShard
+			for _, ss := range rmatCells() {
+				if ss == nil {
+					continue
+				}
+				if weighted {
+					w := *ss
+					w.Weights = make([]float32, len(ss.Srcs))
+					for e := range w.Weights {
+						w.Weights[e] = float32(e) + 0.5
+					}
+					ss = &w
+				}
+				blob := EncodeSubShardV2(ss, weighted)
+				ids, err := DecodeSubShardV2(blob, weighted)
+				if err != nil {
+					t.Fatal(err)
+				}
+				if spare, err = DecodeSubShardInto(spare, blob, weighted, ClassOrder); err != nil {
+					t.Fatal(err)
+				}
+				checkClassOrder(t, spare, ids)
+			}
+		})
+	}
+	for e := 1; e <= 6; e++ {
+		ss := &SubShard{Dsts: []uint32{3, 9}, Offsets: []uint32{0, uint32(e), uint32(2 * e)}}
+		for s := range 2 * e {
+			ss.Srcs = append(ss.Srcs, uint32(s))
+		}
+		cls, err := DecodeSubShardInto(nil, EncodeSubShardV2(ss, false), false, ClassOrder)
+		if err != nil {
+			t.Fatal(err)
+		}
+		c := min(e, NumClasses) - 1
+		want := [NumClasses + 1]int{}
+		for x := c + 1; x <= NumClasses; x++ {
+			want[x] = 2
+		}
+		if got := cls.Classes(); got != want {
+			t.Fatalf("two destinations of %d edges: classes %v, want %v", e, got, want)
+		}
+		checkClassOrder(t, cls, ss)
+	}
 }
 
 // TestDecodeV2MatchesRef runs the differential check where `go test`
@@ -182,9 +291,10 @@ func TestDecodeV2MatchesRef(t *testing.T) {
 
 // FuzzDecodeSubShardV2 throws arbitrary bytes at the v2 decoder: it must
 // never panic, it must agree with decodeSubShardV2Ref on accept/reject
-// and on every array, and whatever it accepts must re-encode to the
-// identical blob (a canonical-order sub-shard has exactly one v2
-// encoding).
+// in either order, on every array in id order and on a permutation of
+// them in count-class order (sameDecode), and whatever it accepts must
+// re-encode to the identical blob (a canonical-order sub-shard has
+// exactly one v2 encoding).
 func FuzzDecodeSubShardV2(f *testing.F) {
 	for _, weighted := range []bool{false, true} {
 		for _, blob := range append(fuzzSeedBlobs(weighted), edgeSeedBlobs(weighted)...) {

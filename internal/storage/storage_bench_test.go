@@ -44,8 +44,9 @@ func BenchmarkEncodeSubShardV2(b *testing.B) {
 // the benchmark's own graph shape (5.2 sources per destination, first
 // sources split between two and three bytes), what a cold round decodes;
 // rmatcell-ref is the pre-issue-17 decoder on the same blob, and
-// recycled is the engine's miss path: decoding into a sub-shard the
-// block cache evicted, no allocation.
+// recycled is the engine's miss path: decoding in count-class order into
+// a sub-shard the block cache evicted, no allocation; recycled-ids is
+// the same decode in id order.
 func BenchmarkSubShardDecodeV2(b *testing.B) {
 	run := func(name string, ss *SubShard, decode func(blob []byte) (*SubShard, error)) {
 		b.Run(name, func(b *testing.B) {
@@ -63,16 +64,19 @@ func BenchmarkSubShardDecodeV2(b *testing.B) {
 	}
 	fresh := func(blob []byte) (*SubShard, error) { return DecodeSubShardV2(blob, false) }
 	ref := func(blob []byte) (*SubShard, error) { return decodeSubShardV2Ref(blob, false) }
-	spare := &SubShard{}
-	recycled := func(blob []byte) (ss *SubShard, err error) {
-		spare, err = decodeSubShardV2(spare, blob, false)
-		return spare, err
+	recycled := func(order Order) func(blob []byte) (*SubShard, error) {
+		spare := &SubShard{}
+		return func(blob []byte) (ss *SubShard, err error) {
+			spare, err = decodeSubShardV2(spare, blob, false, order)
+			return spare, err
+		}
 	}
 	run("fixture", benchSubShard(b, false), fresh)
 	cell := rmatCell(b, 4, 1)
 	run("rmatcell", cell, fresh)
 	run("rmatcell-ref", cell, ref)
-	run("recycled", cell, recycled)
+	run("recycled", cell, recycled(ClassOrder))
+	run("recycled-ids", cell, recycled(IDOrder))
 }
 
 func BenchmarkSubShardDecodeV2Weighted(b *testing.B) {

@@ -161,7 +161,7 @@ func (s *Store) ReadSubShardRaw(i, j int, transpose bool) ([]byte, error) {
 // DecodeSubShardBlob decodes a blob returned by ReadSubShardRaw into
 // fresh arrays (see DecodeSubShardInto).
 func (s *Store) DecodeSubShardBlob(blob []byte) (*SubShard, error) {
-	return DecodeSubShardInto(nil, blob, s.meta.Weighted)
+	return DecodeSubShardInto(nil, blob, s.meta.Weighted, IDOrder)
 }
 
 // Degrees reads the degree file: out-degrees then in-degrees, each n

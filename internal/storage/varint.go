@@ -61,18 +61,24 @@ func uvarint32Slow(b []byte, p int) (uint32, int) {
 }
 
 // runs decodes lists of varints — each a first value followed by gaps —
-// from b at offset p into out as running sums, list k ending at out
-// index ends[k], and returns the offset past them: negative on a
-// truncated, zero-padded or uint32-overflowing encoding or a sum past
-// uint32. ends must ascend to at most len(out).
-func runs(b []byte, p int, ends, out []uint32) int {
+// from b at offset p into out as running sums, and returns the offset
+// past them: negative on a truncated, zero-padded or uint32-overflowing
+// encoding or a sum past uint32. List k holds ends[k] − ends[k−1]
+// values (ends[−1] = 0); ends ascend to at most len(out). With route nil
+// list k fills out[ends[k−1]:ends[k]]. With route set — every list then
+// non-empty — it fills the next run of its count class c (one, two,
+// three, four or more values): the run starting at route[c], which
+// advances past it.
+func runs(b []byte, p int, ends []uint32, route *[NumClasses]uint32, out []uint32) int {
 	var over, s uint64
-	t := 0
+	var k, t, hi int
 	for {
-		k, t2, s2, o, rest := runs3(b[p:], ends, out, t, s)
+		var o uint64
+		var rest int
+		k, t, hi, s, o, rest = runs3(b[p:], ends, route, out, k, t, hi, s)
 		over |= o
-		if ends, t, s, p = ends[k:], t2, s2, len(b)-rest; len(ends) == 0 {
-			break
+		if p = len(b) - rest; t == hi {
+			break // every list is done
 		}
 		var x uint32
 		if x, p = uvarint32Slow(b, p); p < 0 {
@@ -90,19 +96,19 @@ func runs(b []byte, p int, ends, out []uint32) int {
 
 // runs3 is the call-free inner loop of runs. It takes one-, two- and
 // three-byte minimal encodings from the front of b, each from one
-// four-byte load, continuing at out[t] with s the sum so far of the
-// list in progress, and stops when every list is done or at anything
-// else — a longer or zero-padded value, fewer than four bytes left —
-// which runs hands to uvarint32Slow to accept or reject. It returns the
-// lists completed, the new t and s, the OR of the completed lists'
-// final sums (bits past 31: an id overflowed) and the bytes of b left.
+// four-byte load, continuing list k−1 at out[t] (its run ends at hi)
+// with s the sum so far, and stops when every list is done or at
+// anything else — a longer or zero-padded value, fewer than four bytes
+// left — which runs hands to uvarint32Slow to accept or reject. It
+// returns the new k, t, hi and s, the OR of the completed lists' final
+// sums (bits past 31: an id overflowed) and the bytes of b left.
 // Re-slicing b instead of indexing it is what lets the compiler drop
 // every bounds check in the loop.
-func runs3(b []byte, ends, out []uint32, t int, s uint64) (k, t2 int, s2, over uint64, rest int) {
-	for ; k < len(ends); k++ {
-		for hi := int(ends[k]); t < hi; t++ {
+func runs3(b []byte, ends []uint32, route *[NumClasses]uint32, out []uint32, k, t, hi int, s uint64) (k2, t2, hi2 int, s2, over uint64, rest int) {
+	for {
+		for ; t < hi; t++ {
 			if len(b) < 4 || t >= len(out) {
-				return k, t, s, over, len(b)
+				return k, t, hi, s, over, len(b)
 			}
 			w := uint32(b[0]) | uint32(b[1])<<8 | uint32(b[2])<<16 | uint32(b[3])<<24
 			switch {
@@ -116,12 +122,27 @@ func runs3(b []byte, ends, out []uint32, t int, s uint64) (k, t2 int, s2, over u
 				s += uint64(w&0x7f | w>>1&0x3f80 | w>>2&0x1fc000)
 				b = b[3:]
 			default:
-				return k, t, s, over, len(b)
+				return k, t, hi, s, over, len(b)
 			}
 			out[t] = uint32(s)
 		}
 		over |= s
 		s = 0
+		if k == len(ends) {
+			return k, t, hi, s, over, len(b)
+		}
+		var lo uint32
+		if k > 0 {
+			lo = ends[k-1]
+		}
+		n := ends[k] - lo
+		t = int(lo)
+		if route != nil {
+			c := min(n, NumClasses) - 1
+			t = int(route[c])
+			route[c] += n
+		}
+		hi = t + int(n)
+		k++
 	}
-	return k, t, s, over, len(b)
 }
