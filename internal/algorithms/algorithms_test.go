@@ -13,32 +13,29 @@ import (
 	"nxgraph/internal/testutil"
 )
 
-// configs is the strategy × task-size matrix every algorithm is
-// validated against. Budgets are computed from n at build time: SPU
-// unlimited, MPU roughly half the intervals resident, DPU forced. The
-// -callback rows cut small edge-balanced chunks; the -lock rows keep
-// their names from the deleted Sync: Lock mode and run its schedule, one
-// whole-cell task per sub-shard (ADR-016).
+// configs is the strategy matrix every algorithm is validated against.
+// Budgets are computed from n at build time: SPU unlimited, MPU roughly
+// half the intervals resident, DPU forced. Gather tasks are the engine's
+// default size, one whole cell on these graphs. The -callback rows run
+// them on four workers; the -lock rows keep their names from the deleted
+// Sync: Lock mode and run on one. The same algorithms meet the same
+// oracles with small tasks in internal/engine's
+// TestAlgorithmsMatchOracleInSmallTasks, where the task size can be set.
 type configCase struct {
-	name      string
-	strategy  engine.Strategy
-	chunkDsts int
-	budget    func(n uint32) int64
+	name     string
+	strategy engine.Strategy
+	threads  int
+	budget   func(n uint32) int64
 }
 
-const (
-	smallChunks = 64      // exercises the parallel paths
-	wholeCells  = 1 << 20 // past any test cell's cost: one task per cell
-)
-
 var configCases = []configCase{
-	{"spu-callback", engine.SPU, smallChunks, func(n uint32) int64 { return 0 }},
-	{"spu-lock", engine.SPU, wholeCells, func(n uint32) int64 { return 0 }},
-	{"spu-streamed", engine.SPU, smallChunks, func(n uint32) int64 { return 2*int64(n)*8 + 1 }},
-	{"mpu-callback", engine.Auto, smallChunks, func(n uint32) int64 { return int64(n) * 8 }},
-	{"mpu-lock", engine.Auto, wholeCells, func(n uint32) int64 { return int64(n) * 8 }},
-	{"dpu-callback", engine.DPU, smallChunks, func(n uint32) int64 { return 0 }},
-	{"dpu-lock", engine.DPU, wholeCells, func(n uint32) int64 { return 0 }},
+	{"spu-callback", engine.SPU, 4, func(n uint32) int64 { return 0 }},
+	{"spu-lock", engine.SPU, 1, func(n uint32) int64 { return 0 }},
+	{"spu-streamed", engine.SPU, 4, func(n uint32) int64 { return 2*int64(n)*8 + 1 }},
+	{"mpu-callback", engine.Auto, 4, func(n uint32) int64 { return int64(n) * 8 }},
+	{"mpu-lock", engine.Auto, 1, func(n uint32) int64 { return int64(n) * 8 }},
+	{"dpu-callback", engine.DPU, 4, func(n uint32) int64 { return 0 }},
+	{"dpu-lock", engine.DPU, 1, func(n uint32) int64 { return 0 }},
 }
 
 func buildEngine(t *testing.T, g *graph.EdgeList, p int, weighted bool, cc configCase) (*engine.Engine, *graph.EdgeList) {
@@ -47,10 +44,9 @@ func buildEngine(t *testing.T, g *graph.EdgeList, p int, weighted bool, cc confi
 		P: p, Weighted: weighted, Transpose: true,
 	})
 	e, err := engine.New(st, engine.Config{
-		Threads:      4,
+		Threads:      cc.threads,
 		MemoryBudget: cc.budget(oracle.NumVertices),
 		Strategy:     cc.strategy,
-		ChunkDsts:    cc.chunkDsts,
 	})
 	if err != nil {
 		t.Fatalf("engine.New: %v", err)

@@ -17,8 +17,10 @@ import (
 // with pending adds and base-edge removals, so both replicas carry
 // overlay cells and tombstoned base cells whose dirty destinations fold
 // from their surviving edges (some of them from none). Both must match
-// the oracle on base − removed + added at SPU, MPU and DPU, with small
-// chunks and whole-cell tasks.
+// the oracle on base − removed + added at SPU, MPU and DPU, on four
+// workers and on one (internal/engine's
+// TestSCCAndKCoreMatchOracleUnderDeltasInSmallTasks runs it with small
+// tasks).
 func TestSCCAndKCoreMatchOracleUnderDeltas(t *testing.T) {
 	g, err := gen.RMAT(gen.DefaultRMAT(9, 8, 17))
 	if err != nil {
@@ -66,10 +68,9 @@ func TestSCCAndKCoreMatchOracleUnderDeltas(t *testing.T) {
 		}
 		t.Run(cc.name, func(t *testing.T) {
 			e, err := engine.New(st, engine.Config{
-				Threads:      4,
+				Threads:      cc.threads,
 				MemoryBudget: cc.budget(n),
 				Strategy:     cc.strategy,
-				ChunkDsts:    cc.chunkDsts,
 			})
 			if err != nil {
 				t.Fatal(err)

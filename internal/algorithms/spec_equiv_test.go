@@ -65,11 +65,15 @@ func (h hideLaneAgg) AggCombine(a, b float64) float64 {
 }
 func (h hideLaneAgg) SetGlobal(g float64) { h.Program.(engine.GlobalAggregator).SetGlobal(g) }
 
+// specConfigs run the engine's default gather tasks, one whole cell on
+// these graphs; internal/engine's TestHintedKernelsMatchGenericInSmallTasks
+// holds the exported hinted programs to the generic kernels with small
+// tasks.
 func specConfigs(n int) map[string]engine.Config {
 	return map[string]engine.Config{
-		"spu": {Threads: 3, Strategy: engine.SPU, ChunkDsts: 16},
-		"dpu": {Threads: 3, Strategy: engine.DPU, ChunkDsts: 16},
-		"mpu": {Threads: 3, Strategy: engine.MPU, MemoryBudget: int64(n) * 8, ChunkDsts: 16},
+		"spu": {Threads: 3, Strategy: engine.SPU},
+		"dpu": {Threads: 3, Strategy: engine.DPU},
+		"mpu": {Threads: 3, Strategy: engine.MPU, MemoryBudget: int64(n) * 8},
 	}
 }
 

@@ -429,7 +429,7 @@ func baseCopiesIn(ss *storage.SubShard, src, dst uint32) uint32 {
 	if ss == nil {
 		return 0
 	}
-	k, ok := slices.BinarySearch(ss.Dsts, dst)
+	k, ok := ss.Find(dst)
 	if !ok {
 		return 0
 	}

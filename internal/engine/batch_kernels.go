@@ -382,8 +382,9 @@ func foldLane(op laneOp, ss *storage.SubShard, vals, dst []float64, L, so, do in
 // out literally: 0 + g1 + g2 is ((0+g1)+g2), so -0 inputs
 // keep their bits. A block's one-, two- and three-edge destinations
 // come first, each class a loop of its own over its edges in stride
-// (storage.ClassOrder); the last class — every destination of a
-// sub-shard in id order — branches on each destination's run length.
+// (storage.SubShard); the last class — every destination of a
+// hand-built sub-shard that leaves ClassEnds zero — branches on each
+// destination's run length.
 func sumRuns(ss *storage.SubShard, vals, dst []float64, L, so, do int, toHub bool, k0, k1 int) {
 	srcs, offs, dsts := ss.Srcs, ss.Offsets, ss.Dsts
 	b := ss.Classes()

@@ -44,12 +44,13 @@ func assertBitIdentical(t *testing.T, label string, got, want []float64) {
 }
 
 // strategyConfigs enumerates the three update strategies a sequential
-// run can execute under; n sizes the MPU budget to a mid-range Q.
+// run can execute under; n sizes the MPU budget to a mid-range Q. Its
+// callers cut gather tasks at 16 destinations' cost.
 func strategyConfigs(n int) map[string]engine.Config {
 	return map[string]engine.Config{
-		"spu": {Threads: 3, Strategy: engine.SPU, ChunkDsts: 16},
-		"dpu": {Threads: 3, Strategy: engine.DPU, ChunkDsts: 16},
-		"mpu": {Threads: 3, Strategy: engine.MPU, MemoryBudget: int64(n) * 8, ChunkDsts: 16},
+		"spu": {Threads: 3, Strategy: engine.SPU},
+		"dpu": {Threads: 3, Strategy: engine.DPU},
+		"mpu": {Threads: 3, Strategy: engine.MPU, MemoryBudget: int64(n) * 8},
 	}
 }
 
@@ -62,6 +63,7 @@ func TestFusedPPREquivalenceAllStrategies(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
+	defer engine.SetChunkDsts(16)()
 	for name, cfg := range strategyConfigs(200) {
 		t.Run(name, func(t *testing.T) {
 			e, _ := buildEngine(t, g, 5, cfg)
@@ -97,6 +99,7 @@ func TestFusedTraversalEquivalence(t *testing.T) {
 		t.Fatal(err)
 	}
 	st, _ := testutil.BuildStore(t, g, testutil.StoreOptions{P: 5, Weighted: true, Transpose: true})
+	defer engine.SetChunkDsts(16)()
 	for name, cfg := range strategyConfigs(200) {
 		t.Run(name, func(t *testing.T) {
 			e, err := engine.New(st, cfg)
@@ -167,7 +170,8 @@ func TestFusedGenericKernelEquivalence(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2, ChunkDsts: 32})
+	defer engine.SetChunkDsts(32)()
+	e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2})
 	ps := make([]engine.Program, len(batchRoots))
 	for i, r := range batchRoots {
 		ps[i] = &genericProg{root: r}
@@ -222,6 +226,7 @@ func TestFusedOverlayEquivalence(t *testing.T) {
 	for i := uint64(0); i < 15; i++ {
 		log.Add((i*13)%n, (i*29+5)%n, 1)
 	}
+	defer engine.SetChunkDsts(16)()
 	for name, cfg := range strategyConfigs(int(n)) {
 		t.Run(name, func(t *testing.T) {
 			e, err := engine.New(st, cfg)
@@ -346,7 +351,8 @@ func TestWideRunFollowsStrategy(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := buildEngine(t, g, 5, engine.Config{Threads: 2, Strategy: engine.DPU, ChunkDsts: 16})
+	defer engine.SetChunkDsts(16)()
+	e, _ := buildEngine(t, g, 5, engine.Config{Threads: 2, Strategy: engine.DPU})
 	progs := func() []engine.Program {
 		return []engine.Program{algorithms.NewBFSProgram(0), algorithms.NewBFSProgram(3), algorithms.NewBFSProgram(7)}
 	}
@@ -398,6 +404,7 @@ func TestFusedBatchFollowsMemoryBudget(t *testing.T) {
 	st, oracle := testutil.BuildStore(t, g, testutil.StoreOptions{P: 8})
 	wide := 2 * int64(oracle.NumVertices) * engine.Ba * 16 // 16 lanes' ping-pong
 	roots := benchRoots(16, oracle.NumVertices)
+	defer engine.SetChunkDsts(16)()
 	for _, c := range []struct {
 		bm    int64
 		strat engine.Strategy
@@ -408,7 +415,7 @@ func TestFusedBatchFollowsMemoryBudget(t *testing.T) {
 		{wide / 8, engine.MPU, 1},
 		{wide/8 - 1, engine.DPU, 0},
 	} {
-		e, err := engine.New(st, engine.Config{Threads: 3, MemoryBudget: c.bm, ChunkDsts: 16})
+		e, err := engine.New(st, engine.Config{Threads: 3, MemoryBudget: c.bm})
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -463,7 +470,8 @@ func TestSkewedStarAtWidth16(t *testing.T) {
 	if !alone {
 		t.Fatalf("hub destination shares its width-16 gather task (bounds %v)", bounds)
 	}
-	e, err := engine.New(st, engine.Config{Threads: 3, ChunkDsts: chunk})
+	defer engine.SetChunkDsts(chunk)()
+	e, err := engine.New(st, engine.Config{Threads: 3})
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -508,7 +516,8 @@ func TestAbortedStepLeavesNoDirtyAccumulator(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2, ChunkDsts: 32})
+	defer engine.SetChunkDsts(32)()
+	e, _ := buildEngine(t, g, 4, engine.Config{Threads: 2})
 	ctx, cancel := context.WithCancel(context.Background())
 	defer cancel()
 	once := new(sync.Once)
@@ -550,7 +559,7 @@ func TestAbortedStepLeavesNoDirtyAccumulator(t *testing.T) {
 		return res
 	}
 	got := fresh(e) // draws the aborted run's slabs
-	clean, _ := buildEngine(t, g, 4, engine.Config{Threads: 2, ChunkDsts: 32})
+	clean, _ := buildEngine(t, g, 4, engine.Config{Threads: 2})
 	want := fresh(clean)
 	for l := range want {
 		assertBitIdentical(t, "after aborted run", got[l].Attrs, want[l].Attrs)
@@ -672,9 +681,10 @@ func TestMinKernelsSpecialValues(t *testing.T) {
 		}
 		return out
 	}
+	defer engine.SetChunkDsts(8)()
 	for _, weighted := range []bool{false, true} {
 		for _, overlay := range []bool{false, true} {
-			e, err := engine.New(st, engine.Config{Threads: 2, ChunkDsts: 8})
+			e, err := engine.New(st, engine.Config{Threads: 2})
 			if err != nil {
 				t.Fatal(err)
 			}

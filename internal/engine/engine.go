@@ -61,9 +61,6 @@ type Config struct {
 	// MaxIterations caps the number of iterations; 0 means run until
 	// every interval is inactive.
 	MaxIterations int
-	// ChunkDsts is the number of distinct destinations per fine-grained
-	// task; 0 selects a default.
-	ChunkDsts int
 	// CacheBytes budgets the engine's sub-shard block cache, shared by
 	// all runs on the store: 0 derives the budget from MemoryBudget
 	// (unlimited when MemoryBudget is 0, the headroom past the ping-pong
@@ -103,12 +100,9 @@ func (c *Config) threads() int {
 	return c.Threads
 }
 
-func (c *Config) chunk() int {
-	if c.ChunkDsts <= 0 {
-		return 2048
-	}
-	return c.ChunkDsts
-}
+// chunkDsts sizes a run's gather tasks (see gatherChunkCost). Suites
+// that aim at chunk boundaries set it through their test hook.
+var chunkDsts = 2048
 
 // Engine executes Programs over one DSSS store.
 type Engine struct {

@@ -63,7 +63,8 @@ func BenchmarkChunkSizes(b *testing.B) {
 	for _, chunk := range []int{64, 512, 4096, 32768} {
 		b.Run(fmt.Sprintf("chunk-%d", chunk), func(b *testing.B) {
 			st, oracle := testutil.BuildStore(b, g, testutil.StoreOptions{P: 8})
-			e, err := engine.New(st, engine.Config{ChunkDsts: chunk, Threads: 2})
+			defer engine.SetChunkDsts(chunk)()
+			e, err := engine.New(st, engine.Config{Threads: 2})
 			if err != nil {
 				b.Fatal(err)
 			}

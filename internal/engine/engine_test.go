@@ -29,6 +29,7 @@ func buildEngine(t testing.TB, g *graph.EdgeList, p int, cfg engine.Config) (*en
 // graphs, partitionings and budgets, SPU, DPU and MPU produce bitwise
 // identical PageRank trajectories.
 func TestStrategyEquivalenceQuick(t *testing.T) {
+	defer engine.SetChunkDsts(16)()
 	f := func(seed int64, pRaw, fracRaw uint8) bool {
 		g, err := gen.Uniform(uint32(50+int(pRaw)*3), 1200, seed)
 		if err != nil {
@@ -37,7 +38,7 @@ func TestStrategyEquivalenceQuick(t *testing.T) {
 		p := 2 + int(pRaw)%9
 		run := func(strategy engine.Strategy, budget int64) []float64 {
 			e, _ := buildEngine(t, g, p, engine.Config{
-				Threads: 3, Strategy: strategy, MemoryBudget: budget, ChunkDsts: 16,
+				Threads: 3, Strategy: strategy, MemoryBudget: budget,
 			})
 			res, err := algorithms.PageRank(e, 0.85, 4)
 			if err != nil {

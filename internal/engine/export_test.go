@@ -21,3 +21,13 @@ func SetDelayGather(f func(i int)) (restore func()) {
 	delayGather = f
 	return func() { delayGather = nil }
 }
+
+// SetChunkDsts sizes the gather tasks of runs created from now on (the
+// default is 2048 destinations' cost), for the suites in the external
+// test package that aim at chunk boundaries or small tasks, and returns
+// the func that restores the size before.
+func SetChunkDsts(n int) (restore func()) {
+	old := chunkDsts
+	chunkDsts = n
+	return func() { chunkDsts = old }
+}

@@ -327,7 +327,7 @@ func checkLaneKernels(t *testing.T, rng *rand.Rand, nan bool, draw func(n int) [
 }
 
 // classOrdered returns ss with its destinations in count-class order
-// (storage.ClassOrder), keeping their order within a class: one, two
+// (storage.SubShard), keeping their order within a class: one, two
 // and three edges first, then every other count, the empty runs of a
 // synthetic cell among them, in the last class.
 func classOrdered(ss *storage.SubShard) *storage.SubShard {
@@ -491,11 +491,12 @@ func benchSubShard(rng *rand.Rand, n, numDsts int) *storage.SubShard {
 
 // BenchmarkGatherKernel times gatherCell, the function a run calls, on
 // one sub-shard of 8192 destinations (about 48k edges) with the
-// run-length mix of a real cell, in the count-class order of a cached
-// block (storage.ClassOrder). The generic/ rows run the hint-free
-// kernel at one lane. The lane/<op>/L1 rows run every hinted fold at one
-// lane, where the one-lane leaf takes the whole run; lane/<op>/L1ids
-// runs it over the same cell in id order, the order it is stored in.
+// run-length mix of a real cell, in the count-class order of a block
+// (storage.SubShard). The generic/ rows run the hint-free kernel at one
+// lane. The lane/<op>/L1 rows run every hinted fold at one lane, where
+// the one-lane leaf takes the whole run; lane/<op>/L1ids runs it over
+// the same cell in id order, as one class that branches on every run's
+// length.
 // The two fused
 // hints' folds — copy-sum (RankSum over a scaled view) and hop-min —
 // also run at the widths a fused run meets: L2 is two leaf lanes, L3 one
@@ -511,10 +512,7 @@ func BenchmarkGatherKernel(b *testing.B) {
 	const n = 1 << 13
 	rng := rand.New(rand.NewSource(7))
 	ids := benchSubShard(rng, n, n)
-	ss, err := storage.DecodeSubShardInto(nil, storage.EncodeSubShardV2(ids, false), false, storage.ClassOrder)
-	if err != nil {
-		b.Fatal(err)
-	}
+	ss := classOrdered(ids)
 	deg := make([]uint32, n)
 	attrs := make([]float64, n)
 	for v := range attrs {

@@ -117,7 +117,7 @@ func TestMissDecodesIntoEvictedBlock(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	fresh, err := storage.DecodeSubShardInto(nil, raw, m.Weighted, storage.ClassOrder)
+	fresh, err := storage.DecodeSubShardInto(nil, raw, m.Weighted)
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -221,7 +221,7 @@ func (e *Engine) NewBatchRun(ps []Program, dir Direction) (*Run, error) {
 		strat:   strat,
 		q:       q,
 		threads: e.cfg.threads(),
-		chunk:   e.cfg.chunk(),
+		chunk:   chunkDsts,
 		op:      opFor(hint),
 		zero:    zero,
 		started: time.Now(),

@@ -74,7 +74,8 @@ func TestFoldOrderSurvivesHostileSchedule(t *testing.T) {
 	}
 	run := func(t *testing.T, cfg engine.Config, threads int, algo func(*engine.Engine) (*engine.Result, error)) []float64 {
 		t.Helper()
-		cfg.Threads, cfg.ChunkDsts, cfg.MaxIterations = threads, 2, 3
+		cfg.Threads, cfg.MaxIterations = threads, 3
+		defer engine.SetChunkDsts(2)()
 		e, err := engine.New(st, cfg)
 		if err != nil {
 			t.Fatal(err)
@@ -231,8 +232,9 @@ func TestStepAbortWithTasksInFlight(t *testing.T) {
 			rowEdges -= m.SubShardAt(i, j).Edges
 		}
 	}
+	defer engine.SetChunkDsts(8)()
 	for name, cfg := range schedConfigs(n) {
-		cfg.Threads, cfg.ChunkDsts = 2, 8
+		cfg.Threads = 2
 		t.Run(name+"/cancel", func(t *testing.T) {
 			// A whole row phase calls Gather once per edge.
 			if got := cancel(t, cfg, 40); got >= int64(len(oracle.Edges)) {
@@ -249,7 +251,7 @@ func TestStepAbortWithTasksInFlight(t *testing.T) {
 		})
 	}
 	cfg := schedConfigs(n)["mpu"]
-	cfg.Threads, cfg.ChunkDsts = 2, 8
+	cfg.Threads = 2
 	t.Run("mpu/column-cancel", func(t *testing.T) {
 		if colEdges[q] == 0 || colEdges[q+1]+colEdges[q+2] == 0 {
 			t.Fatalf("column edges %v: the store leaves no column to cancel in", colEdges[q:])

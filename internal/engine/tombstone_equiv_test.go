@@ -30,8 +30,8 @@ import (
 const (
 	tombN        = 96 // vertices; P = 4 gives 24-vertex intervals
 	tombP        = 4
-	tombChunk    = 2       // Config.ChunkDsts; see engine.GatherChunkCost
-	tombWhole    = 1 << 20 // Config.ChunkDsts past any cell's cost: one gather task per cell
+	tombChunk    = 2       // engine.SetChunkDsts; see engine.GatherChunkCost
+	tombWhole    = 1 << 20 // engine.SetChunkDsts past any cell's cost: one gather task per cell
 	tombHubFirst = 30
 	tombHubLast  = 32
 )
@@ -239,7 +239,7 @@ func classBlock(t *testing.T, st *storage.Store, i, j int) *storage.SubShard {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ss, err := storage.DecodeSubShardInto(nil, blob, st.Meta().Weighted, storage.ClassOrder)
+	ss, err := storage.DecodeSubShardInto(nil, blob, st.Meta().Weighted)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -425,16 +425,20 @@ func TestTombstoneEquivalence(t *testing.T) {
 	}
 
 	nv := int64(st.Meta().NumVertices)
-	configs := map[string]engine.Config{
-		"spu": {Threads: 3, Strategy: engine.SPU, ChunkDsts: tombChunk},
-		"dpu": {Threads: 3, Strategy: engine.DPU, ChunkDsts: tombChunk},
-		"mpu": {Threads: 3, Strategy: engine.MPU, MemoryBudget: nv * engine.Ba, ChunkDsts: tombChunk},
+	type config struct {
+		engine.Config
+		chunk int // engine.SetChunkDsts
+	}
+	configs := map[string]config{
+		"spu": {engine.Config{Threads: 3, Strategy: engine.SPU}, tombChunk},
+		"dpu": {engine.Config{Threads: 3, Strategy: engine.DPU}, tombChunk},
+		"mpu": {engine.Config{Threads: 3, Strategy: engine.MPU, MemoryBudget: nv * engine.Ba}, tombChunk},
 		// The -lock rows keep their names from the deleted Sync: Lock mode
 		// and run its schedule, one whole-cell task per sub-shard (ADR-016).
-		"spu-lock": {Threads: 3, Strategy: engine.SPU, ChunkDsts: tombWhole},
-		"mpu-lock": {Threads: 3, Strategy: engine.MPU, MemoryBudget: nv * engine.Ba, ChunkDsts: tombWhole},
+		"spu-lock": {engine.Config{Threads: 3, Strategy: engine.SPU}, tombWhole},
+		"mpu-lock": {engine.Config{Threads: 3, Strategy: engine.MPU, MemoryBudget: nv * engine.Ba}, tombWhole},
 		// Q = P at one lane, Q = 2 of 4 at width 3: a wide MPU run.
-		"mpu-wide": {Threads: 3, Strategy: engine.MPU, MemoryBudget: 3 * nv * engine.Ba, ChunkDsts: tombChunk},
+		"mpu-wide": {engine.Config{Threads: 3, Strategy: engine.MPU, MemoryBudget: 3 * nv * engine.Ba}, tombChunk},
 	}
 	// Roots: spread over the intervals, including sources of removed
 	// edges, so every lane's frontier crosses tombstoned cells.
@@ -467,8 +471,10 @@ func TestTombstoneEquivalence(t *testing.T) {
 		}
 		return ps
 	}
-	for name, cfg := range configs {
+	for name, c := range configs {
 		t.Run(name, func(t *testing.T) {
+			defer engine.SetChunkDsts(c.chunk)()
+			cfg := c.Config
 			eOv, err := engine.New(st, cfg)
 			if err != nil {
 				t.Fatal(err)

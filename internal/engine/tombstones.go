@@ -46,13 +46,12 @@ func cellTombsOf(ov Overlay, d, i, j int, ss *storage.SubShard) *cellTombs {
 // resolveTombs locates the destinations of ss named by keys (ascending
 // TombKeys) and copies each one's surviving edges, in edge order and
 // with their weights, into a one-destination cell; a destination that
-// loses every edge gets an empty one, which folds to Zero. A cached
-// block lists its destinations in count-class order, ascending by id
-// within each class (storage.ClassOrder; a sub-shard in id order is one
-// class), so each named destination costs one binary search per class,
-// within the bounds the decoder recorded. The classes are searched one
-// after another, each past its previous hit, so dirty comes out
-// ascending.
+// loses every edge gets an empty one, which folds to Zero. A block
+// lists its destinations in count-class order, ascending by id within
+// each class (storage.SubShard), so each named destination costs one
+// binary search per class, within the bounds the block records. The
+// classes are searched one after another, each past its previous hit,
+// so dirty comes out ascending.
 func resolveTombs(keys []uint64, ss *storage.SubShard) *cellTombs {
 	var t cellTombs
 	b := ss.Classes()

@@ -87,10 +87,11 @@ func TestResolveTombs(t *testing.T) {
 	if tb == nil || !reflect.DeepEqual(tb.dirty, []int{0, 1, 3}) {
 		t.Fatalf("dirty = %+v, want [0 1 3]", tb)
 	}
+	// The cell lists 19 (one edge), 12 and 15 (two), then 10 (three).
 	want := []storage.SubShard{
-		{Dsts: []uint32{10}, Offsets: []uint32{0, 2}, Srcs: []uint32{1, 7}, Weights: []float32{1, 3}},
-		{Dsts: []uint32{12}, Offsets: []uint32{0, 0}, Srcs: []uint32{}, Weights: []float32{}},
 		{Dsts: []uint32{19}, Offsets: []uint32{0, 0}, Srcs: []uint32{}, Weights: []float32{}},
+		{Dsts: []uint32{12}, Offsets: []uint32{0, 0}, Srcs: []uint32{}, Weights: []float32{}},
+		{Dsts: []uint32{10}, Offsets: []uint32{0, 2}, Srcs: []uint32{1, 7}, Weights: []float32{1, 3}},
 	}
 	for x := range want {
 		c := tb.cells[x]
@@ -113,11 +114,11 @@ func TestResolveTombs(t *testing.T) {
 		}
 	}
 	tb.gather(ss, hub, L, 0, 4, kernel)
-	if want := []string{"0-1:base=false,dst=10,hub=2", "0-1:base=false,dst=12,hub=2",
-		"2-3:base=true,dst=15,hub=8", "0-1:base=false,dst=19,hub=2"}; !reflect.DeepEqual(calls, want) {
+	if want := []string{"0-1:base=false,dst=19,hub=2", "0-1:base=false,dst=12,hub=2",
+		"2-3:base=true,dst=15,hub=8", "0-1:base=false,dst=10,hub=2"}; !reflect.DeepEqual(calls, want) {
 		t.Fatalf("gather calls = %v, want %v", calls, want)
 	}
-	if want := []float64{10, 0, 12, 0, 15, 0, 19, 0}; !slices.Equal(hub, want) {
+	if want := []float64{19, 0, 12, 0, 15, 0, 10, 0}; !slices.Equal(hub, want) {
 		t.Fatalf("hub = %v, want %v", hub, want)
 	}
 	calls = nil
@@ -127,7 +128,7 @@ func TestResolveTombs(t *testing.T) {
 	}
 	calls = nil
 	(*cellTombs)(nil).gather(ss, nil, L, 0, 4, kernel)
-	if want := []string{"0-4:base=true,dst=10,hub=0"}; !reflect.DeepEqual(calls, want) {
+	if want := []string{"0-4:base=true,dst=19,hub=0"}; !reflect.DeepEqual(calls, want) {
 		t.Fatalf("nil gather calls = %v, want %v", calls, want)
 	}
 
@@ -143,15 +144,11 @@ func TestResolveTombs(t *testing.T) {
 			cls = append(cls, graph.Edge{Src: 2*s + 1, Dst: d, Weight: float32(d) + float32(s)/8})
 		}
 	}
-	var ids *storage.SubShard
+	var blk *storage.SubShard
 	if err := storage.BuildSubShards(cls, 64, 1, true, func(_ int, s *storage.SubShard) error {
-		ids = s
+		blk = s
 		return nil
 	}); err != nil {
-		t.Fatal(err)
-	}
-	blk, err := storage.DecodeSubShardInto(nil, storage.EncodeSubShardV2(ids, true), true, storage.ClassOrder)
-	if err != nil {
 		t.Fatal(err)
 	}
 	if want := []uint32{10, 40, 20, 50, 30, 15, 60}; !slices.Equal(blk.Dsts, want) || blk.ClassEnds != [3]int{2, 4, 5} {

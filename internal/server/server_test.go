@@ -2,8 +2,10 @@ package server
 
 import (
 	"bytes"
+	"encoding/binary"
 	"encoding/json"
 	"fmt"
+	"hash/crc32"
 	"io"
 	"maps"
 	"math"
@@ -11,6 +13,7 @@ import (
 	"net/http/httptest"
 	"os"
 	"runtime"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -643,9 +646,11 @@ func TestCloseLeaksNoGoroutines(t *testing.T) {
 }
 
 // TestCorruptSubShardFailsOneJob overwrites one forward cell of the
-// served store with 0xFF, which does not decode. The job that reads it
-// fails by the cell's name, and the shared block cache is left with no
-// entry and no pin for it. Once the bytes are restored, the next job on
+// served store with 0xFF, which does not decode, and then with one
+// flipped bit of a source gap, which parses and only the blob's CRC32C
+// trailer rejects. Each job that reads the cell fails by the cell's
+// name, and the shared block cache is left with no entry and no pin for
+// it. Once the bytes are restored, the next job on
 // the graph reads them afresh and matches a run that never saw the
 // fault bit for bit.
 func TestCorruptSubShardFailsOneJob(t *testing.T) {
@@ -666,19 +671,42 @@ func TestCorruptSubShardFailsOneJob(t *testing.T) {
 	if _, err := f.ReadAt(orig, info.Offset); err != nil {
 		t.Fatal(err)
 	}
-	if _, err := f.WriteAt(bytes.Repeat([]byte{0xFF}, len(orig)), info.Offset); err != nil {
-		t.Fatal(err)
+	// A job over bytes that do not parse, then over one flipped bit of
+	// the cell's last source gap: resealed, that blob parses to other
+	// sources (the job would succeed with wrong ranks), so only the
+	// blob's checksum can fail it.
+	flipped := slices.Clone(orig)
+	at := len(orig) - 5 // the last varint byte, before the trailer ...
+	if st.Meta().Weighted {
+		at -= 4 * int(info.Edges) // ... and the weights
+	}
+	for bit := 0; ; bit++ {
+		if bit == 8 {
+			t.Fatalf("no one-bit flip of byte %d parses", at)
+		}
+		flipped[at] = orig[at] ^ 1<<bit
+		body := flipped[:len(flipped)-4]
+		resealed := binary.LittleEndian.AppendUint32(slices.Clone(body), crc32.Checksum(body, crc32.MakeTable(crc32.Castagnoli)))
+		if _, err := storage.DecodeSubShardInto(nil, resealed, st.Meta().Weighted); err == nil {
+			break
+		}
+	}
+	for _, corrupt := range [][]byte{bytes.Repeat([]byte{0xFF}, len(orig)), flipped} {
+		if _, err := f.WriteAt(corrupt, info.Offset); err != nil {
+			t.Fatal(err)
+		}
+		id := submit(t, ts, "g", "pagerank", map[string]any{"iters": 10})
+		body := pollUntil(t, ts, id, terminal)
+		if msg, _ := body["error"].(string); body["state"] != "failed" || !strings.Contains(msg, fmt.Sprintf("decode f[%d,%d]: ", i, j)) {
+			t.Fatalf("job over a corrupt cell ended %v (error %q), want failed naming f[%d,%d]", body["state"], msg, i, j)
+		}
+		if bc := s.BlockCacheStats(); bc.PinnedBytes != 0 {
+			t.Fatalf("the failed job left %d bytes pinned: %+v", bc.PinnedBytes, bc)
+		}
 	}
 
-	id := submit(t, ts, "g", "pagerank", map[string]any{"iters": 10})
-	body := pollUntil(t, ts, id, terminal)
-	if msg, _ := body["error"].(string); body["state"] != "failed" || !strings.Contains(msg, fmt.Sprintf("decode f[%d,%d]: ", i, j)) {
-		t.Fatalf("job over a corrupt cell ended %v (error %q), want failed naming f[%d,%d]", body["state"], msg, i, j)
-	}
-	if bc := s.BlockCacheStats(); bc.PinnedBytes != 0 {
-		t.Fatalf("the failed job left %d bytes pinned: %+v", bc.PinnedBytes, bc)
-	}
-
+	// The restored cell serves bit-exact ranks: no failed load left a
+	// block in the cache.
 	if _, err := f.WriteAt(orig, info.Offset); err != nil {
 		t.Fatal(err)
 	}

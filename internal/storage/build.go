@@ -14,8 +14,10 @@ import (
 // interval, destination, source, weight bits) order, where interval k
 // holds the ids [k·size, (k+1)·size), and calls fn once for each of the
 // P² cells in row-major order: cell i·P+j is SS[i][j], and an empty cell
-// gets an empty sub-shard. The order is total, so the sub-shards are a
-// function of the edge multiset alone. Weights are kept only when
+// gets an empty sub-shard. Each cell lists its destinations in
+// count-class order, ascending by id within a class, each with its
+// sources in that sorted order. The order is total, so the sub-shards
+// are a function of the edge multiset alone. Weights are kept only when
 // weighted. fn owns the sub-shard it is handed; its arrays are exactly
 // as long as what it holds.
 //
@@ -77,35 +79,50 @@ func inCellOrder(a, b graph.Edge) int {
 	return cmp.Compare(math.Float32bits(a.Weight), math.Float32bits(b.Weight))
 }
 
-// newSubShard lays out one cell's sorted edges as a sub-shard whose
-// Dsts, Offsets and Srcs share one exactly sized array.
+// newSubShard lays out one cell's sorted edges as a sub-shard in
+// count-class order (see SubShard) whose Dsts, Offsets and Srcs share
+// one exactly sized array: a first pass sizes each class, a second
+// copies each destination's run to the next slot of its class.
 func newSubShard(cell []graph.Edge, weighted bool) *SubShard {
-	nd := 0
-	for k, e := range cell {
-		if k == 0 || e.Dst != cell[k-1].Dst {
-			nd++
+	runEnd := func(lo int) int {
+		hi := lo + 1
+		for hi < len(cell) && cell[hi].Dst == cell[lo].Dst {
+			hi++
 		}
+		return hi
 	}
-	ne := len(cell)
+	var dsts, edges [NumClasses]int // per class
+	for lo := 0; lo < len(cell); {
+		hi := runEnd(lo)
+		dsts[classOf(hi-lo)]++
+		edges[classOf(hi-lo)] += hi - lo
+		lo = hi
+	}
+	nd, ne := dsts[0]+dsts[1]+dsts[2]+dsts[3], len(cell)
 	arr := make([]uint32, 2*nd+1+ne)
-	ss := &SubShard{
-		Dsts:    arr[:0:nd],
-		Offsets: arr[nd : nd+1 : 2*nd+1],
-		Srcs:    arr[2*nd+1:],
-	}
+	ss := &SubShard{Dsts: arr[:nd:nd], Offsets: arr[nd : 2*nd+1 : 2*nd+1], Srcs: arr[2*nd+1:]}
 	if weighted {
 		ss.Weights = make([]float32, ne)
 	}
-	for k, e := range cell {
-		if k == 0 || e.Dst != cell[k-1].Dst {
-			ss.Dsts = append(ss.Dsts, e.Dst)
-			ss.Offsets = append(ss.Offsets, uint32(k))
+	var k, e [NumClasses]int // the next destination and edge of each class
+	for c := 1; c < NumClasses; c++ {
+		k[c], e[c] = k[c-1]+dsts[c-1], e[c-1]+edges[c-1]
+		ss.ClassEnds[c-1] = k[c]
+	}
+	for lo := 0; lo < len(cell); {
+		hi := runEnd(lo)
+		c := classOf(hi - lo)
+		ss.Dsts[k[c]] = cell[lo].Dst
+		for x, edge := range cell[lo:hi] {
+			ss.Srcs[e[c]+x] = edge.Src
+			if weighted {
+				ss.Weights[e[c]+x] = edge.Weight
+			}
 		}
-		ss.Offsets[len(ss.Offsets)-1] = uint32(k + 1)
-		ss.Srcs[k] = e.Src
-		if ss.Weights != nil {
-			ss.Weights[k] = e.Weight
-		}
+		e[c] += hi - lo
+		ss.Offsets[k[c]+1] = uint32(e[c])
+		k[c]++
+		lo = hi
 	}
 	return ss
 }

@@ -34,18 +34,22 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
+	"slices"
 )
 
 // Format constants.
 const (
 	// MetaMagic identifies a DSSS store's meta document.
 	MetaMagic = "NXGRAPH-DSSS"
-	// FormatV2 is the one store format, written and read: destination
-	// and per-destination source lists are gap-encoded as LEB128 varints,
-	// weights stay fixed-width in a trailing section (see
-	// EncodeSubShardV2). 2.5–4× smaller on disk than fixed-width CSR for
-	// typical graphs (see CompressionRatio).
-	FormatV2 = 2
+	// FormatVersion is the one store format, written and read:
+	// destinations in count-class order, the class sizes implying every
+	// count below four, destination and per-destination source lists
+	// gap-encoded as LEB128 varints, weights fixed-width in a trailing
+	// section and a CRC32C trailer per blob (see EncodeSubShard).
+	// 2.5–4× smaller on disk than fixed-width CSR for typical graphs
+	// (see CompressionRatio).
+	FormatVersion = 3
 	// ShardMagic heads shards.dat.
 	ShardMagic = uint32(0x4e584752) // "NXGR"
 )
@@ -131,11 +135,11 @@ func (m *Meta) Validate() error {
 	if m.Magic != MetaMagic {
 		return fmt.Errorf("storage: bad magic %q (want %q)", m.Magic, MetaMagic)
 	}
-	if m.Version != FormatV2 {
+	if m.Version != FormatVersion {
 		// No "storage:" prefix — Open wraps this with the store path.
 		return fmt.Errorf("store format version %d found, this build reads only v%d:"+
 			" rebuild the store from its edge list with this build's nxpre",
-			m.Version, FormatV2)
+			m.Version, FormatVersion)
 	}
 	if m.P <= 0 || m.P > maxP {
 		return fmt.Errorf("storage: P %d outside [1, %d]", m.P, maxP)
@@ -184,28 +188,32 @@ func (m *Meta) validateIndex(field string, infos []SubShardInfo) error {
 	return nil
 }
 
-// SubShard is one decoded destination-sorted sub-shard.
+// SubShard is one destination-sorted sub-shard.
 //
 // For destination Dsts[k], the sources are Srcs[Offsets[k]:Offsets[k+1]]
 // (sorted ascending), with parallel Weights when the graph is weighted.
 // Offsets ascend, so each destination's edges are one contiguous run.
-// Dsts lists each destination once, in the order its decoder was asked
-// for: ascending id (IDOrder, the order of the encoding, of every
-// builder and of Store.ReadSubShard), or count-class order (ClassOrder,
-// what the engine's block cache holds; see ClassEnds).
+// Dsts lists each destination once, in count-class order: the
+// destinations with one in-edge first, then two, then three, then four
+// or more, ascending by id within each class (see ClassEnds). That is
+// the order BuildSubShards lays out, the encoding stores and every
+// decode returns. A gather folds a destination from its own contiguous
+// run whatever the order, so the order is invisible in its results;
+// what it changes is that the fold's branch on a run's length, taken
+// once per destination, goes the same way for long stretches, and that
+// a destination of the first three classes needs no count on disk.
 type SubShard struct {
 	Dsts    []uint32
 	Offsets []uint32 // len(Dsts)+1
 	Srcs    []uint32
 	Weights []float32 // nil when unweighted
 
-	// ClassEnds bounds the count classes of a ClassOrder decode: class
-	// c < 3 is Dsts[ClassEnds[c-1]:ClassEnds[c]] (from 0 for c = 0), the
+	// ClassEnds bounds the count classes: class c < 3 is
+	// Dsts[ClassEnds[c-1]:ClassEnds[c]] (from 0 for c = 0), the
 	// destinations with exactly c+1 in-edges, and the last class is the
-	// rest of Dsts, those with four or more. Each class ascends by id. A
-	// sub-shard in id order has ClassEnds zero: its first three classes
-	// are empty and the last holds every destination, whatever its count
-	// (see Classes).
+	// rest of Dsts, those with four or more. A hand-built sub-shard that
+	// leaves ClassEnds zero is one class, its destinations ascending and
+	// of any count: the gather kernels fold it, but it has no encoding.
 	ClassEnds [NumClasses - 1]int
 
 	// arena backs Dsts, Offsets and Srcs of a decoded sub-shard, so a
@@ -213,23 +221,11 @@ type SubShard struct {
 	arena []uint32
 }
 
-// Order is the order a decoder lists a sub-shard's destinations in.
-type Order uint8
-
-const (
-	// IDOrder lists destinations by ascending id, as they are stored.
-	IDOrder Order = iota
-	// ClassOrder lists the destinations with one in-edge first, then
-	// two, then three, then four or more, ascending by id within each
-	// class. A gather folds a destination from its own contiguous run
-	// whatever the order, so the order is invisible in its results; what
-	// it changes is that the fold's branch on a run's length, taken once
-	// per destination, goes the same way for long stretches.
-	ClassOrder
-)
-
-// NumClasses is the number of count classes of ClassOrder.
+// NumClasses is the number of count classes of a sub-shard.
 const NumClasses = 4
+
+// classOf returns the count class of a destination with n ≥ 1 in-edges.
+func classOf(n int) int { return min(n, NumClasses) - 1 }
 
 // Classes returns the bounds of ss's count classes: class c is
 // Dsts[b[c]:b[c+1]], ascending by id. Below the last class every
@@ -238,6 +234,19 @@ func (ss *SubShard) Classes() (b [NumClasses + 1]int) {
 	copy(b[1:], ss.ClassEnds[:])
 	b[NumClasses] = len(ss.Dsts)
 	return b
+}
+
+// Find returns the index in Dsts of destination d, searching each
+// class in turn, and whether d is there. A destination listed in two
+// classes (only a corrupt sub-shard does that) is found in the first.
+func (ss *SubShard) Find(d uint32) (int, bool) {
+	b := ss.Classes()
+	for c := range NumClasses {
+		if k, ok := slices.BinarySearch(ss.Dsts[b[c]:b[c+1]], d); ok {
+			return b[c] + k, true
+		}
+	}
+	return 0, false
 }
 
 // NumEdges returns the edge count of the sub-shard.
@@ -269,7 +278,7 @@ func (ss *SubShard) AvgInDegree() float64 {
 // encodedSize returns the byte length of a sub-shard in fixed-width CSR
 // form — uint32 destination count and edge count, then uint32 per
 // destination id and source count, per source id, and per weight — the
-// baseline CompressionRatio measures the v2 encoding against.
+// baseline CompressionRatio measures the encoding against.
 func encodedSize(dsts, edges int, weighted bool) int64 {
 	sz := int64(8) + int64(dsts)*8 + int64(edges)*4
 	if weighted {
@@ -278,218 +287,154 @@ func encodedSize(dsts, edges int, weighted bool) int64 {
 	return sz
 }
 
-// EncodeSubShardV2 serializes ss into a FormatV2 blob. The sub-shard
-// must be in canonical order — destinations strictly ascending, sources
-// non-descending within each destination (BuildSubShards, the one builder
-// of sub-shards from edges, guarantees this) — because both sorted lists
-// are gap-encoded. Layout:
+// EncodeSubShard serializes ss into a FormatVersion blob. The sub-shard
+// must be in the order BuildSubShards lays out — count classes bounded
+// by ClassEnds, ids strictly ascending within a class, sources
+// non-descending within each destination — because the class sizes
+// imply the short classes' counts and both sorted lists are
+// gap-encoded. Layout:
 //
-//	uvarint dstCount | uvarint edgeCount
-//	uvarint dst[0], then uvarint(dst[k]−dst[k−1])        (strictly ascending)
-//	[dstCount]uvarint per-dst source counts
-//	per dst: uvarint src[lo], then uvarint(src[t]−src[t−1])  (gap 0 = parallel edge)
-//	[edgeCount]float32 weights, little-endian             (weighted stores only)
+//	uvarint dstCount | uvarint edgeCount | uvarint size of classes 1, 2, 3
+//	per class: uvarint dst[first], then uvarint(dst[k]−dst[k−1])   (strictly ascending)
+//	per dst of the last class: uvarint(count − 4)
+//	per dst: uvarint src[lo], then uvarint(src[t]−src[t−1])         (gap 0 = parallel edge)
+//	[edgeCount]float32 weights, little-endian                       (weighted stores only)
+//	uint32 CRC32C (Castagnoli) of every byte before it, little-endian
 //
 // Weights stay fixed-width in a trailing section located at
-// len(blob) − 4·edgeCount, so unweighted decode never touches them and
-// weighted decode finds them without scanning the varint region.
-func EncodeSubShardV2(ss *SubShard, weighted bool) []byte {
+// len(blob) − 4 − 4·edgeCount, so unweighted decode never touches them
+// and weighted decode finds them without scanning the varint region.
+func EncodeSubShard(ss *SubShard, weighted bool) []byte {
 	nd, ne := len(ss.Dsts), len(ss.Srcs)
-	// Capacity guess: headers ≤ 10, most gaps and counts 1–2 bytes.
-	buf := make([]byte, 0, 10+3*nd+3*ne)
-	buf = appendUvarint(buf, uint32(nd))
-	buf = appendUvarint(buf, uint32(ne))
-	prev := uint32(0)
-	for k, d := range ss.Dsts {
-		if k == 0 {
-			buf = appendUvarint(buf, d)
-		} else {
-			buf = appendUvarint(buf, d-prev)
-		}
-		prev = d
+	b := ss.Classes()
+	// Capacity guess: headers ≤ 25, most gaps and counts 1–2 bytes.
+	buf := make([]byte, 0, 29+3*nd+3*ne)
+	for _, v := range [...]int{nd, ne, b[1], b[2] - b[1], b[3] - b[2]} {
+		buf = appendUvarint(buf, uint32(v))
 	}
-	for k := range ss.Dsts {
-		buf = appendUvarint(buf, ss.Offsets[k+1]-ss.Offsets[k])
+	for c := range NumClasses {
+		buf = appendRun(buf, ss.Dsts[b[c]:b[c+1]])
 	}
-	for k := range ss.Dsts {
-		lo, hi := ss.Offsets[k], ss.Offsets[k+1]
-		prev = 0
-		for t := lo; t < hi; t++ {
-			s := ss.Srcs[t]
-			if t == lo {
-				buf = appendUvarint(buf, s)
-			} else {
-				buf = appendUvarint(buf, s-prev)
-			}
-			prev = s
-		}
+	for k := b[NumClasses-1]; k < nd; k++ {
+		buf = appendUvarint(buf, ss.Offsets[k+1]-ss.Offsets[k]-NumClasses)
+	}
+	for k := range nd {
+		buf = appendRun(buf, ss.Srcs[ss.Offsets[k]:ss.Offsets[k+1]])
 	}
 	if weighted {
-		off := len(buf)
-		buf = append(buf, make([]byte, 4*ne)...)
-		for i := 0; i < ne; i++ {
+		for i := range ne {
 			w := float32(1)
 			if ss.Weights != nil {
 				w = ss.Weights[i]
 			}
-			binary.LittleEndian.PutUint32(buf[off+4*i:], float32bits(w))
+			buf = binary.LittleEndian.AppendUint32(buf, float32bits(w))
 		}
 	}
-	return buf
+	return binary.LittleEndian.AppendUint32(buf, crc32.Checksum(buf, castagnoli))
 }
 
-// DecodeSubShardV2 parses a blob produced by EncodeSubShardV2 into a
-// fresh sub-shard in id order. It validates every structural invariant
-// (monotone destinations, monotone sources, counts summing to the edge
-// count, the varint region ending exactly at the weight section), so
-// arbitrary bytes produce an error, never a panic — the contract the
-// fuzz target exercises.
-func DecodeSubShardV2(buf []byte, weighted bool) (*SubShard, error) {
-	return decodeSubShardV2(nil, buf, weighted, IDOrder)
+// castagnoli is the CRC32C table of the blob trailer.
+var castagnoli = crc32.MakeTable(crc32.Castagnoli)
+
+// DecodeSubShard parses a blob produced by EncodeSubShard into a fresh
+// sub-shard. It verifies the trailer and every structural invariant
+// (destinations ascending within each class, sources ascending, counts
+// summing to the edge count, the varint region ending exactly at the
+// weight section), so arbitrary bytes produce an error, never a panic —
+// the contract the fuzz target exercises.
+func DecodeSubShard(buf []byte, weighted bool) (*SubShard, error) {
+	return decodeSubShard(nil, buf, weighted)
 }
 
-// decodeSubShardV2 is DecodeSubShardV2 into the arrays of a sub-shard
-// nobody references any more (see sized), listing its destinations in
-// the given order. Every stream of the format is one or more lists of a
-// first value followed by gaps, and is decoded by the same call-free
-// loop (runs, in varint.go) straight to running sums: the header is two
-// lists of one value, the destinations one list, the counts one list
-// whose sums are the id-order offsets, and the sources one list per
-// destination. What the sums cannot show — a zero dst gap, a zero count
-// — is an array that fails to ascend, checked in one pass each. The
-// accept/reject set is exactly that of the value-at-a-time decoder this
-// replaced, which format_v2_test.go keeps as the oracle, in either
-// order.
-//
-// In class order the decode needs no memory beyond the sub-shard's own
-// arrays. The destinations decode into the head of Srcs, which holds
-// one source per destination and is free until the sources decode, and
-// classify copies them into Dsts in class order. The sources decode
-// with Offsets still in id order: runs sends each list to the next run
-// of its class, so every source (and weight) is written once, at its
-// final index. Last, classOffsets rewrites Offsets in class order in
-// place.
-func decodeSubShardV2(into *SubShard, buf []byte, weighted bool, order Order) (*SubShard, error) {
-	var hdr [2]uint32
-	p := runs(buf, 0, []uint32{1, 2}, nil, hdr[:])
+// decodeSubShard is DecodeSubShard into the arrays of a sub-shard nobody
+// references any more (see sized). Every stream of the format is one or
+// more lists of a first value followed by gaps, and is decoded by the
+// same call-free loop (runs, in varint.go) straight to running sums and
+// final positions: the header is five lists of one value, the
+// destinations one list per class, the last class's counts one list
+// whose sums are its offsets less four per destination, and the sources
+// one list per destination. The short classes' offsets follow from
+// their sizes. What the sums cannot show — a zero dst gap — is a class
+// that fails to ascend, checked in one pass each. The accept/reject set
+// is exactly that of the value-at-a-time decoder format_test.go keeps
+// as the oracle.
+func decodeSubShard(into *SubShard, buf []byte, weighted bool) (*SubShard, error) {
+	if len(buf) < 4 {
+		return nil, fmt.Errorf("storage: blob of %d bytes has no checksum", len(buf))
+	}
+	body := buf[:len(buf)-4]
+	if got, want := crc32.Checksum(body, castagnoli), binary.LittleEndian.Uint32(buf[len(body):]); got != want {
+		return nil, fmt.Errorf("storage: blob checksum %08x, trailer says %08x", got, want)
+	}
+	var hdr [5]uint32
+	p := runs(body, 0, []uint32{1, 2, 3, 4, 5}, hdr[:])
 	if p < 0 {
-		return nil, fmt.Errorf("storage: v2 blob: truncated dst or edge count")
+		return nil, fmt.Errorf("storage: blob: truncated header")
 	}
 	dstCount, edgeCount := int(hdr[0]), int(hdr[1])
-	end := len(buf)
+	ends := [NumClasses]uint32{hdr[2], hdr[2] + hdr[3], hdr[2] + hdr[3] + hdr[4], hdr[0]}
+	if uint64(hdr[2])+uint64(hdr[3])+uint64(hdr[4]) > uint64(dstCount) {
+		return nil, fmt.Errorf("storage: blob: classes of %d+%d+%d destinations in %d", hdr[2], hdr[3], hdr[4], dstCount)
+	}
+	end := len(body)
 	if weighted {
 		end -= 4 * edgeCount
 	}
-	// Every destination needs at least one gap byte, one count byte and
-	// one source byte; rejecting impossible counts up front also bounds
-	// the allocations below against hostile headers.
-	if end < p || end-p < 2*dstCount+edgeCount || edgeCount < dstCount {
-		return nil, fmt.Errorf("storage: v2 blob: %d bytes cannot hold %d dsts / %d edges",
+	// Every destination needs at least one gap byte and every edge one
+	// source byte; rejecting impossible counts up front also bounds the
+	// allocations below against hostile headers.
+	if end < p || end-p < dstCount+edgeCount || edgeCount < dstCount {
+		return nil, fmt.Errorf("storage: blob: %d bytes cannot hold %d dsts / %d edges",
 			len(buf), dstCount, edgeCount)
 	}
 	ss := sized(into, dstCount, edgeCount, weighted)
-	ss.ClassEnds = [NumClasses - 1]int{}
-	ids := ss.Dsts // the destinations in id order
-	if order == ClassOrder {
-		ids = ss.Srcs[:dstCount]
+	for c := range NumClasses - 1 {
+		ss.ClassEnds[c] = int(ends[c])
 	}
-	v := buf[:end] // varint region; p never legally reaches past it
-	one := hdr[:1] // the ends of one list of dstCount values
-	if p = runs(v, p, one, nil, ids); p < 0 || !ascending(ids) {
-		return nil, fmt.Errorf("storage: v2 blob: dsts truncated or not ascending")
+	v := body[:end] // varint region; p never legally reaches past it
+	b := ss.Classes()
+	if p = runs(v, p, ends[:], ss.Dsts); p < 0 {
+		return nil, fmt.Errorf("storage: blob: dsts truncated")
 	}
-	// A destination is listed only if it has sources; rejecting a zero
-	// count keeps the encoding bijective, and offsets that ascend from 0
-	// to edgeCount are what lets the source lists be decoded by them.
-	offs := ss.Offsets
-	offs[0] = 0
-	if p = runs(v, p, one, nil, offs[1:]); p < 0 || !ascending(offs) || int(offs[dstCount]) != edgeCount {
-		return nil, fmt.Errorf("storage: v2 blob: counts truncated, zero, or not summing to %d edges", edgeCount)
+	for c := range NumClasses {
+		if !ascending(ss.Dsts[b[c]:b[c+1]]) {
+			return nil, fmt.Errorf("storage: blob: dsts of class %d not ascending", c+1)
+		}
 	}
-	var route *[NumClasses]uint32 // nil: each source list follows the one before
-	var first [NumClasses]uint32  // each class's first edge
-	if order == ClassOrder {
-		first = ss.classify(ids)
-		r := first
-		route = &r
+	// Run x of class c < 3 starts at edge first + x·(c+1); the last
+	// class's counts, less four each, sum to its offsets less four per
+	// destination past the short classes' edges.
+	offs, first := ss.Offsets, uint32(0)
+	for c := range NumClasses - 1 {
+		for x := b[c]; x <= b[c+1]; x++ {
+			offs[x] = first + uint32((x-b[c])*(c+1))
+		}
+		first = offs[b[c+1]]
 	}
-	if p = runs(v, p, offs[1:], route, ss.Srcs); p < 0 {
-		return nil, fmt.Errorf("storage: v2 blob: sources truncated or past uint32")
+	long := offs[b[NumClasses-1]+1:]
+	if p = runs(v, p, []uint32{uint32(len(long))}, long); p < 0 {
+		return nil, fmt.Errorf("storage: blob: counts truncated")
+	}
+	if n := len(long); n > 0 && uint64(long[n-1])+uint64(first)+uint64(NumClasses*n) != uint64(edgeCount) ||
+		n == 0 && int(first) != edgeCount {
+		return nil, fmt.Errorf("storage: blob: counts do not sum to %d edges", edgeCount)
+	}
+	for x := range long {
+		long[x] += first + uint32(NumClasses*(x+1))
+	}
+	if p = runs(v, p, offs[1:], ss.Srcs); p < 0 {
+		return nil, fmt.Errorf("storage: blob: sources truncated or past uint32")
 	}
 	if p != end {
-		return nil, fmt.Errorf("storage: v2 blob: %d trailing bytes", end-p)
+		return nil, fmt.Errorf("storage: blob: %d trailing bytes", end-p)
 	}
 	if weighted {
-		w, next := buf[end:], first // each weight run goes where its source run went
-		for k := range dstCount {
-			n, at := offs[k+1]-offs[k], offs[k]
-			if route != nil {
-				c := min(n, NumClasses) - 1
-				at, next[c] = next[c], next[c]+n
-			}
-			for t := range n {
-				ss.Weights[at+t] = float32frombits(binary.LittleEndian.Uint32(w[4*t:]))
-			}
-			w = w[4*n:]
+		w := body[end:]
+		for i := range ss.Weights {
+			ss.Weights[i] = float32frombits(binary.LittleEndian.Uint32(w[4*i:]))
 		}
-	}
-	if order == ClassOrder {
-		ss.classOffsets(first)
 	}
 	return ss, nil
-}
-
-// classify copies ids, the destinations in id order, into ss.Dsts in
-// count-class order, their counts read from ss.Offsets (still in id
-// order, validated: ascending from 0), and records ClassEnds. It
-// returns where each class's first run starts in Srcs: class c's runs
-// are c+1 edges long below the last class.
-func (ss *SubShard) classify(ids []uint32) (first [NumClasses]uint32) {
-	offs := ss.Offsets
-	var n [NumClasses]int
-	for k := range ids {
-		n[min(offs[k+1]-offs[k], NumClasses)-1]++
-	}
-	var next [NumClasses]int // the next free index of each class in Dsts
-	for c := 1; c < NumClasses; c++ {
-		next[c] = next[c-1] + n[c-1]
-		first[c] = first[c-1] + uint32(n[c-1]*c)
-		ss.ClassEnds[c-1] = next[c]
-	}
-	for k, d := range ids {
-		c := min(offs[k+1]-offs[k], NumClasses) - 1
-		ss.Dsts[next[c]] = d
-		next[c]++
-	}
-	return first
-}
-
-// classOffsets rewrites ss.Offsets from id order to the class order of
-// Dsts, in place; first is where each class's runs start (classify).
-// The last class's offsets come from its runs in id order, walked from
-// the end: the destination at id-order index k lands at an index no
-// lower than k, so each offset is written only after it was read. A
-// short class's offsets then follow from its bounds: run x of class
-// c < 3 starts at first[c] + x·(c+1).
-func (ss *SubShard) classOffsets(first [NumClasses]uint32) {
-	offs := ss.Offsets
-	n := len(offs) - 1
-	x, hi, e := n, offs[n], offs[n]
-	for k := n - 1; k >= 0; k-- {
-		lo := offs[k]
-		if hi-lo >= NumClasses {
-			e -= hi - lo
-			x--
-			offs[x] = e
-		}
-		hi = lo
-	}
-	b := ss.Classes()
-	for c := range NumClasses - 1 {
-		for x := b[c]; x < b[c+1]; x++ {
-			offs[x] = first[c] + uint32((x-b[c])*(c+1))
-		}
-	}
 }
 
 // ascending reports whether a[k-1] < a[k] throughout.
@@ -525,20 +470,24 @@ func sized(into *SubShard, dsts, edges int, weighted bool) *SubShard {
 }
 
 // EncodeSubShardAs serializes ss for a store of the given format
-// version. FormatV2 is the only one, so this is EncodeSubShardV2; the
+// version. FormatVersion is the only one, so this is EncodeSubShard; the
 // parameter lets a caller pass the Meta.Version of the store it holds.
 func EncodeSubShardAs(ss *SubShard, weighted bool, _ int) []byte {
-	return EncodeSubShardV2(ss, weighted)
+	return EncodeSubShard(ss, weighted)
 }
 
-// DecodeSubShardInto parses a blob of a store, listing its destinations
-// in the given order. A nil (empty sub-shard) blob decodes to the
-// canonical empty sub-shard. into, when non-nil, is
+// DecodeSubShardInto parses a blob of a store. A nil (empty sub-shard)
+// blob decodes to the canonical empty sub-shard. into, when non-nil, is
 // a decoded sub-shard no one references any more: the result reuses its
-// arrays if they are large enough, and is then into itself.
-func DecodeSubShardInto(into *SubShard, buf []byte, weighted bool, order Order) (*SubShard, error) {
+// arrays if they are large enough, and is then into itself. It checks
+// that each count class ascends, not that no two classes list one
+// destination: an O(n) merge of the classes would cost the decode more
+// than the check is worth, since the builder never writes such a blob,
+// the checksum rejects a corrupted one and Verify (through Find) a
+// crafted one. The engine relies on those for this invariant.
+func DecodeSubShardInto(into *SubShard, buf []byte, weighted bool) (*SubShard, error) {
 	if len(buf) == 0 {
 		return &SubShard{Offsets: []uint32{0}}, nil
 	}
-	return decodeSubShardV2(into, buf, weighted, order)
+	return decodeSubShard(into, buf, weighted)
 }

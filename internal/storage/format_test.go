@@ -3,50 +3,53 @@ package storage
 import (
 	"encoding/binary"
 	"fmt"
+	"hash/crc32"
 	"math/rand"
 	"os"
+	"slices"
 	"strings"
 	"testing"
 
 	"nxgraph/internal/graph"
 )
 
-// canonicalSubShard builds a random sub-shard in canonical order:
-// destinations strictly ascending, sources non-descending within each
-// destination (duplicates model parallel edges). This is the order the
-// v2 gap encoding requires.
+// canonicalSubShard builds a random sub-shard through BuildSubShards,
+// in the order the encoding requires: count classes, destinations
+// strictly ascending within a class, sources non-descending within each
+// destination (duplicates model parallel edges).
 func canonicalSubShard(rng *rand.Rand, weighted bool) *SubShard {
-	nd := rng.Intn(24)
-	ss := &SubShard{Offsets: []uint32{0}}
-	dsts := rng.Perm(1 << 20)[:nd]
-	for i := 1; i < len(dsts); i++ {
-		for j := i; j > 0 && dsts[j] < dsts[j-1]; j-- {
-			dsts[j], dsts[j-1] = dsts[j-1], dsts[j]
-		}
-	}
-	for _, d := range dsts {
-		ss.Dsts = append(ss.Dsts, uint32(d))
+	var edges []graph.Edge
+	for _, d := range rng.Perm(1 << 20)[:rng.Intn(24)] {
 		cnt := 1 + rng.Intn(7)
 		src := uint32(rng.Intn(1 << 24))
 		for c := 0; c < cnt; c++ {
 			if c > 0 && rng.Intn(4) > 0 {
 				src += uint32(rng.Intn(1 << 12))
 			} // else: repeat the source — a parallel edge, gap 0
-			ss.Srcs = append(ss.Srcs, src)
-			if weighted {
-				ss.Weights = append(ss.Weights, rng.Float32())
-			}
+			edges = append(edges, graph.Edge{Src: src, Dst: uint32(d), Weight: rng.Float32()})
 		}
-		ss.Offsets = append(ss.Offsets, uint32(len(ss.Srcs)))
+	}
+	var ss *SubShard
+	if err := BuildSubShards(edges, 1<<31, 1, weighted, func(_ int, c *SubShard) error {
+		ss = c
+		return nil
+	}); err != nil {
+		panic(err)
 	}
 	return ss
 }
 
+// seal returns payload with the CRC32C trailer the decoder checks, so a
+// hand-made or mutated payload reaches the structural checks.
+func seal(payload []byte) []byte {
+	return binary.LittleEndian.AppendUint32(slices.Clip(payload), crc32.Checksum(payload, castagnoli))
+}
+
 func sameSubShard(t *testing.T, got, want *SubShard, weighted bool) {
 	t.Helper()
-	if got.NumDsts() != want.NumDsts() || got.NumEdges() != want.NumEdges() {
-		t.Fatalf("counts: got %d/%d, want %d/%d",
-			got.NumDsts(), got.NumEdges(), want.NumDsts(), want.NumEdges())
+	if got.NumDsts() != want.NumDsts() || got.NumEdges() != want.NumEdges() || got.ClassEnds != want.ClassEnds {
+		t.Fatalf("counts: got %d/%d classes %v, want %d/%d classes %v", got.NumDsts(), got.NumEdges(),
+			got.ClassEnds, want.NumDsts(), want.NumEdges(), want.ClassEnds)
 	}
 	for k := range want.Dsts {
 		if got.Dsts[k] != want.Dsts[k] || got.Offsets[k+1] != want.Offsets[k+1] {
@@ -72,8 +75,8 @@ func TestEncodeDecodeV2RoundTrip(t *testing.T) {
 		rng := rand.New(rand.NewSource(7))
 		for iter := 0; iter < 200; iter++ {
 			ss := canonicalSubShard(rng, weighted)
-			blob := EncodeSubShardV2(ss, weighted)
-			got, err := DecodeSubShardV2(blob, weighted)
+			blob := EncodeSubShard(ss, weighted)
+			got, err := DecodeSubShard(blob, weighted)
 			if err != nil {
 				t.Fatalf("weighted=%v iter=%d: %v", weighted, iter, err)
 			}
@@ -82,31 +85,31 @@ func TestEncodeDecodeV2RoundTrip(t *testing.T) {
 	}
 }
 
-// TestV2CompressesFixedWidth checks that v2 actually compresses: its
-// blobs against the fixed-width CSR size CompressionRatio charges
+// TestV2CompressesFixedWidth checks that the encoding actually
+// compresses: its blobs against the fixed-width CSR size CompressionRatio charges
 // (encodedSize) for the same sub-shards.
 func TestV2CompressesFixedWidth(t *testing.T) {
 	rng := rand.New(rand.NewSource(11))
-	var fixedBytes, v2Bytes int64
+	var fixedBytes, encBytes int64
 	for iter := 0; iter < 50; iter++ {
 		ss := canonicalSubShard(rng, false)
 		if ss.NumEdges() == 0 {
 			continue
 		}
 		fixedBytes += encodedSize(ss.NumDsts(), ss.NumEdges(), false)
-		v2Bytes += int64(len(EncodeSubShardV2(ss, false)))
+		encBytes += int64(len(EncodeSubShard(ss, false)))
 	}
 	// The fixture's gaps are deliberately large (up to 2^12); real
 	// interval-partitioned stores compress harder (the soak benchmark
 	// asserts >= 2x there), so only sanity-check 1.5x here.
-	if v2Bytes*3 > fixedBytes*2 {
-		t.Fatalf("v2 encoding is %d bytes vs %d fixed-width — expected at least 1.5x compression",
-			v2Bytes, fixedBytes)
+	if encBytes*3 > fixedBytes*2 {
+		t.Fatalf("encoding is %d bytes vs %d fixed-width — expected at least 1.5x compression",
+			encBytes, fixedBytes)
 	}
 }
 
 // TestV2RoundTripFromEdges drives the full construction path: raw edges
-// -> BuildSubShards (sorts to canonical order) -> v2 encode -> decode
+// -> BuildSubShards (sorts to canonical order) -> encode -> decode
 // must reproduce the built sub-shard bit for bit.
 func TestV2RoundTripFromEdges(t *testing.T) {
 	rng := rand.New(rand.NewSource(13))
@@ -121,7 +124,7 @@ func TestV2RoundTripFromEdges(t *testing.T) {
 				}
 			}
 			err := BuildSubShards(edges, 64, 1, weighted, func(_ int, ss *SubShard) error {
-				got, err := DecodeSubShardV2(EncodeSubShardV2(ss, weighted), weighted)
+				got, err := DecodeSubShard(EncodeSubShard(ss, weighted), weighted)
 				if err != nil {
 					return err
 				}
@@ -140,20 +143,51 @@ func TestDecodeV2RejectsCorruptBlobs(t *testing.T) {
 	for ss.NumEdges() < 4 {
 		ss = canonicalSubShard(rand.New(rand.NewSource(4)), false)
 	}
-	blob := EncodeSubShardV2(ss, false)
-	if _, err := DecodeSubShardV2(nil, false); err == nil {
+	blob := EncodeSubShard(ss, false)
+	if _, err := DecodeSubShard(nil, false); err == nil {
 		t.Fatal("empty blob should fail")
 	}
-	if _, err := DecodeSubShardV2(blob[:len(blob)/2], false); err == nil {
+	if _, err := DecodeSubShard(blob[:len(blob)/2], false); err == nil {
 		t.Fatal("truncated blob should fail")
 	}
-	if _, err := DecodeSubShardV2(append(append([]byte{}, blob...), 0), false); err == nil {
+	if _, err := DecodeSubShard(append(append([]byte{}, blob...), 0), false); err == nil {
 		t.Fatal("trailing garbage should fail")
 	}
 	// A huge declared dst count must be rejected before allocation.
-	if _, err := DecodeSubShardV2([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x01, 0x01}, false); err == nil {
+	if _, err := DecodeSubShard(seal([]byte{0xff, 0xff, 0xff, 0xff, 0x0f, 0x01, 0x01, 0, 0, 1, 1}), false); err == nil {
 		t.Fatal("hostile dst count should fail")
 	}
+}
+
+// TestDecodeRejectsWrongChecksum: a blob whose trailer does not match
+// its bytes fails with a checksum error, whether a trailer bit or a
+// payload bit flipped — the payload flip here leaves a blob that parses,
+// so only the trailer tells it from the original.
+func TestDecodeRejectsWrongChecksum(t *testing.T) {
+	ss := canonicalSubShard(rand.New(rand.NewSource(5)), false)
+	for ss.NumEdges() < 4 {
+		ss = canonicalSubShard(rand.New(rand.NewSource(6)), false)
+	}
+	blob := EncodeSubShard(ss, false)
+	last := len(blob) - 5 // the last source gap, just before the trailer
+	if _, err := DecodeSubShard(seal(flipBit(blob[:len(blob)-4], last, 0)), false); err != nil {
+		t.Fatalf("the flipped payload does not parse when resealed: %v", err)
+	}
+	for _, at := range []int{last, len(blob) - 4, len(blob) - 1} {
+		for bit := range 8 {
+			_, err := DecodeSubShard(flipBit(blob, at, bit), false)
+			if err == nil || !strings.Contains(err.Error(), "checksum") {
+				t.Fatalf("bit %d of byte %d flipped: %v, want a checksum error", bit, at, err)
+			}
+		}
+	}
+}
+
+// flipBit returns a copy of b with bit bit of byte at flipped.
+func flipBit(b []byte, at, bit int) []byte {
+	m := slices.Clone(b)
+	m[at] ^= 1 << bit
+	return m
 }
 
 // TestDecodeRejectsCorruptBlobs feeds the store's decode entry point a
@@ -165,17 +199,38 @@ func TestDecodeRejectsCorruptBlobs(t *testing.T) {
 	for ss.NumEdges() < 4 {
 		ss = canonicalSubShard(rng, false)
 	}
-	blob := EncodeSubShardV2(ss, false)
-	if _, err := DecodeSubShardInto(nil, blob[:2], false, IDOrder); err == nil {
+	blob := EncodeSubShard(ss, false)
+	if _, err := DecodeSubShardInto(nil, blob[:2], false); err == nil {
 		t.Fatal("short blob should fail")
 	}
-	if _, err := DecodeSubShardInto(nil, blob[:len(blob)-1], false, IDOrder); err == nil {
+	if _, err := DecodeSubShardInto(nil, blob[:len(blob)-1], false); err == nil {
 		t.Fatal("truncated blob should fail")
 	}
 	// An unweighted blob read as weighted loses 4 bytes per edge to the
 	// weight section and must fail.
-	if _, err := DecodeSubShardInto(nil, blob, true, IDOrder); err == nil {
+	if _, err := DecodeSubShardInto(nil, blob, true); err == nil {
 		t.Fatal("weighted/unweighted confusion should fail")
+	}
+}
+
+// TestVerifyCatchesClassOverlap: a blob that lists one destination in
+// two count classes, each class ascending, decodes — the decoder checks
+// each class, not the classes against each other — and Verify's
+// per-destination check names both indexes.
+func TestVerifyCatchesClassOverlap(t *testing.T) {
+	ss := &SubShard{Dsts: []uint32{5, 5}, Offsets: []uint32{0, 1, 3}, Srcs: []uint32{1, 0, 2}, ClassEnds: [3]int{1, 2, 2}}
+	got, err := DecodeSubShard(EncodeSubShard(ss, false), false)
+	if err != nil {
+		t.Fatalf("decode: %v", err)
+	}
+	sameSubShard(t, got, ss, false)
+	out, in := make([]uint64, 8), make([]uint64, 8)
+	if err := verifyDst(got, 0, 0, 0, 8, 0, 8, out, in); err != nil {
+		t.Fatalf("first listing: %v", err)
+	}
+	err = verifyDst(got, 1, 1, 0, 8, 0, 8, out, in)
+	if err == nil || !strings.Contains(err.Error(), "dst 5 listed at 0 and at 1") {
+		t.Fatalf("second listing: %v, want both indexes named", err)
 	}
 }
 
@@ -183,19 +238,19 @@ func TestDecodeRejectsCorruptBlobs(t *testing.T) {
 // fuzz corpus seeds the same cases).
 func TestEmptyAndSingleEdgeV2(t *testing.T) {
 	empty := &SubShard{Offsets: []uint32{0}}
-	got, err := DecodeSubShardV2(EncodeSubShardV2(empty, false), false)
+	got, err := DecodeSubShard(EncodeSubShard(empty, false), false)
 	if err != nil || got.NumDsts() != 0 || got.NumEdges() != 0 {
 		t.Fatalf("empty: %+v, %v", got, err)
 	}
-	one := &SubShard{Dsts: []uint32{4294967295}, Offsets: []uint32{0, 1}, Srcs: []uint32{4294967295}}
-	got, err = DecodeSubShardV2(EncodeSubShardV2(one, false), false)
+	one := &SubShard{Dsts: []uint32{4294967295}, Offsets: []uint32{0, 1}, Srcs: []uint32{4294967295}, ClassEnds: [3]int{1, 1, 1}}
+	got, err = DecodeSubShard(EncodeSubShard(one, false), false)
 	if err != nil || got.Dsts[0] != 4294967295 || got.Srcs[0] != 4294967295 {
 		t.Fatalf("max-id single edge: %+v, %v", got, err)
 	}
 }
 
 // TestOpenRejectsOtherVersions opens a store whose meta.json says
-// version 1 (a format no build writes any more) or 3 (one this build
+// version 1 or 2 (formats no build writes any more) or 4 (one this build
 // does not know): the error must name the path, the version found and
 // the remedy, and no shard byte may be read.
 func TestOpenRejectsOtherVersions(t *testing.T) {
@@ -206,7 +261,7 @@ func TestOpenRejectsOtherVersions(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	for _, v := range []int{1, 3} {
+	for _, v := range []int{1, 2, 4} {
 		if err := os.WriteFile(path, editMeta(t, good, func(m *Meta) { m.Version = v }), 0o644); err != nil {
 			t.Fatal(err)
 		}
@@ -242,8 +297,8 @@ func TestDecodeIntoRecycled(t *testing.T) {
 		for big == nil || small == nil || small.NumEdges() == 0 || big.NumEdges() < 2*small.NumEdges() {
 			big, small = canonicalSubShard(rng, weighted), canonicalSubShard(rng, weighted)
 		}
-		bigBlob, smallBlob := EncodeSubShardV2(big, weighted), EncodeSubShardV2(small, weighted)
-		spare, err := DecodeSubShardInto(nil, bigBlob, weighted, IDOrder)
+		bigBlob, smallBlob := EncodeSubShard(big, weighted), EncodeSubShard(small, weighted)
+		spare, err := DecodeSubShardInto(nil, bigBlob, weighted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -253,7 +308,7 @@ func TestDecodeIntoRecycled(t *testing.T) {
 		for i := range spare.Weights {
 			spare.Weights[i] = float32frombits(poison)
 		}
-		got, err := DecodeSubShardInto(spare, smallBlob, weighted, IDOrder)
+		got, err := DecodeSubShardInto(spare, smallBlob, weighted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -274,18 +329,18 @@ func TestDecodeIntoRecycled(t *testing.T) {
 			t.Fatalf("the arrays past the decode were cleared or not kept (%d left)", len(tail))
 		}
 		if n := testing.AllocsPerRun(20, func() {
-			if _, err := DecodeSubShardInto(spare, smallBlob, weighted, IDOrder); err != nil {
+			if _, err := DecodeSubShardInto(spare, smallBlob, weighted); err != nil {
 				t.Fatal(err)
 			}
 		}); n != 0 {
 			t.Fatalf("weighted=%v: decode into a spare allocates %v times", weighted, n)
 		}
 		// Too small: fresh arrays, spare untouched.
-		tiny, err := DecodeSubShardInto(nil, smallBlob, weighted, IDOrder)
+		tiny, err := DecodeSubShardInto(nil, smallBlob, weighted)
 		if err != nil {
 			t.Fatal(err)
 		}
-		got, err = DecodeSubShardInto(tiny, bigBlob, weighted, IDOrder)
+		got, err = DecodeSubShardInto(tiny, bigBlob, weighted)
 		if err != nil {
 			t.Fatal(err)
 		}
@@ -297,30 +352,39 @@ func TestDecodeIntoRecycled(t *testing.T) {
 	}
 }
 
-// decodeSubShardV2Ref is the v2 decoder as it stood before issue 17,
-// verbatim: one loop, a uvarint32 call per value, every check at the
-// value it concerns. It is the oracle the decoder in format.go is
+// decodeSubShardRef is a value-at-a-time decoder of the format: one
+// loop per stream, a uvarint32 call per value, every check at the value
+// it concerns. It is the oracle the decoder in format.go is
 // differentially tested and benchmarked against — same accept/reject
 // set, same arrays.
-func decodeSubShardV2Ref(buf []byte, weighted bool) (*SubShard, error) {
-	dc, p := uvarint32(buf, 0)
-	if p < 0 {
-		return nil, fmt.Errorf("storage: v2 blob: truncated dst count")
+func decodeSubShardRef(buf []byte, weighted bool) (*SubShard, error) {
+	if len(buf) < 4 {
+		return nil, fmt.Errorf("storage: blob: no checksum")
 	}
-	ec, p := uvarint32(buf, p)
-	if p < 0 {
-		return nil, fmt.Errorf("storage: v2 blob: truncated edge count")
+	body := buf[:len(buf)-4]
+	if crc32.Checksum(body, castagnoli) != binary.LittleEndian.Uint32(buf[len(body):]) {
+		return nil, fmt.Errorf("storage: blob: checksum mismatch")
 	}
-	dstCount, edgeCount := int(dc), int(ec)
-	end := len(buf)
+	var hdr [5]uint32 // dsts, edges, and the sizes of classes 1-3
+	p := 0
+	for i := range hdr {
+		v, np := uvarint32(body, p)
+		if np < 0 {
+			return nil, fmt.Errorf("storage: blob: truncated header value %d", i)
+		}
+		hdr[i], p = v, np
+	}
+	dstCount, edgeCount := int(hdr[0]), int(hdr[1])
+	short := int(hdr[2]) + int(hdr[3]) + int(hdr[4])
+	if short > dstCount {
+		return nil, fmt.Errorf("storage: blob: %d short-class dsts of %d", short, dstCount)
+	}
+	end := len(body)
 	if weighted {
 		end -= 4 * edgeCount
 	}
-	// Every destination needs at least one gap byte, one count byte and
-	// one source byte; rejecting impossible counts up front also bounds
-	// the allocations below against hostile headers.
-	if end < p || end-p < 2*dstCount+edgeCount || edgeCount < dstCount {
-		return nil, fmt.Errorf("storage: v2 blob: %d bytes cannot hold %d dsts / %d edges",
+	if end < p || end-p < dstCount+edgeCount || edgeCount < dstCount {
+		return nil, fmt.Errorf("storage: blob: %d bytes cannot hold %d dsts / %d edges",
 			len(buf), dstCount, edgeCount)
 	}
 	ss := &SubShard{
@@ -328,113 +392,90 @@ func decodeSubShardV2Ref(buf []byte, weighted bool) (*SubShard, error) {
 		Offsets: make([]uint32, dstCount+1),
 		Srcs:    make([]uint32, edgeCount),
 	}
-	v := buf[:end] // varint region; p never legally reaches past it
-	var d uint32
-	for k := 0; k < dstCount; k++ {
-		gap, np := uvarint32(v, p)
-		if np < 0 {
-			return nil, fmt.Errorf("storage: v2 blob: truncated dst gap %d", k)
-		}
-		p = np
-		if k == 0 {
-			d = gap
-		} else {
-			nd := uint64(d) + uint64(gap)
-			if gap == 0 || nd > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: dst %d not ascending", k)
+	v := body[:end] // varint region; p never legally reaches past it
+	size := [NumClasses]int{int(hdr[2]), int(hdr[3]), int(hdr[4]), dstCount - short}
+	class := make([]int, dstCount)
+	k := 0
+	for c, n := range size {
+		var d uint32
+		for x := 0; x < n; x++ {
+			gap, np := uvarint32(v, p)
+			if np < 0 {
+				return nil, fmt.Errorf("storage: blob: truncated dst gap %d", k)
 			}
-			d = uint32(nd)
+			p = np
+			if x == 0 {
+				d = gap
+			} else {
+				nd := uint64(d) + uint64(gap)
+				if gap == 0 || nd > 1<<32-1 {
+					return nil, fmt.Errorf("storage: blob: dst %d not ascending", k)
+				}
+				d = uint32(nd)
+			}
+			ss.Dsts[k], class[k] = d, c
+			k++
 		}
-		ss.Dsts[k] = d
+		if c < NumClasses-1 {
+			ss.ClassEnds[c] = k
+		}
 	}
 	var sum uint64
 	for k := 0; k < dstCount; k++ {
-		c, np := uvarint32(v, p)
-		if np < 0 {
-			return nil, fmt.Errorf("storage: v2 blob: truncated count %d", k)
+		n := uint64(class[k] + 1)
+		if class[k] == NumClasses-1 {
+			c, np := uvarint32(v, p)
+			if np < 0 {
+				return nil, fmt.Errorf("storage: blob: truncated count %d", k)
+			}
+			p = np
+			n = uint64(c) + NumClasses
 		}
-		p = np
-		if c == 0 {
-			// A destination is listed only if it has sources; rejecting
-			// zero keeps the encoding bijective and the source loop's
-			// first-raw-then-gaps shape unconditional.
-			return nil, fmt.Errorf("storage: v2 blob: dst %d has zero sources", k)
-		}
-		sum += uint64(c)
+		sum += n
 		if sum > uint64(edgeCount) {
-			return nil, fmt.Errorf("storage: v2 blob: counts exceed %d edges", edgeCount)
+			return nil, fmt.Errorf("storage: blob: counts exceed %d edges", edgeCount)
 		}
 		ss.Offsets[k+1] = uint32(sum)
 	}
 	if sum != uint64(edgeCount) {
-		return nil, fmt.Errorf("storage: v2 blob: counts sum to %d, want %d edges", sum, edgeCount)
+		return nil, fmt.Errorf("storage: blob: counts sum to %d, want %d edges", sum, edgeCount)
 	}
-	srcs, t := ss.Srcs, 0
 	for k := 0; k < dstCount; k++ {
-		n := int(ss.Offsets[k+1]) - t
-		s, np := uvarint32(v, p)
-		if np < 0 {
-			return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
-		}
-		p = np
-		// Short-run fast paths: the skewed graphs DSSS targets give most
-		// destinations 1–3 sources per sub-shard cell, so the common runs
-		// decode straight-line with no inner loop.
-		switch n {
-		case 1:
-			srcs[t] = s
-			t++
-			continue
-		case 2:
-			srcs[t] = s
+		var s uint32
+		for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
 			g, np := uvarint32(v, p)
 			if np < 0 {
-				return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
-			}
-			p = np
-			s2 := uint64(s) + uint64(g)
-			if s2 > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: source overflow at dst %d", k)
-			}
-			srcs[t+1] = uint32(s2)
-			t += 2
-			continue
-		}
-		srcs[t] = s
-		t++
-		for i := 1; i < n; i++ {
-			g, np := uvarint32(v, p)
-			if np < 0 {
-				return nil, fmt.Errorf("storage: v2 blob: truncated sources of dst %d", k)
+				return nil, fmt.Errorf("storage: blob: truncated sources of dst %d", k)
 			}
 			p = np
 			ns := uint64(s) + uint64(g)
+			if t == ss.Offsets[k] {
+				ns = uint64(g)
+			}
 			if ns > 1<<32-1 {
-				return nil, fmt.Errorf("storage: v2 blob: source overflow at dst %d", k)
+				return nil, fmt.Errorf("storage: blob: source overflow at dst %d", k)
 			}
 			s = uint32(ns)
-			srcs[t] = s
-			t++
+			ss.Srcs[t] = s
 		}
 	}
 	if p != end {
-		return nil, fmt.Errorf("storage: v2 blob: %d trailing bytes", end-p)
+		return nil, fmt.Errorf("storage: blob: %d trailing bytes", end-p)
 	}
 	if weighted {
 		ss.Weights = make([]float32, edgeCount)
 		for k := 0; k < edgeCount; k++ {
-			ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(buf[end+4*k:]))
+			ss.Weights[k] = float32frombits(binary.LittleEndian.Uint32(body[end+4*k:]))
 		}
 	}
 	return ss, nil
 }
 
-// uvarint32 is the per-value entry point of decodeSubShardV2Ref, moved
-// here with it: it decodes one varint at offset p of b, returning the
+// uvarint32 is the per-value entry point of decodeSubShardRef: it decodes one varint at offset p of b, returning the
 // value and the offset past it. A truncated, uint32-overflowing or non-minimal
 // (zero-padded) encoding returns a negative offset — rejecting padding
 // means every value has exactly one accepted encoding, so any blob the
-// v2 decoder accepts re-encodes byte-identically. The common single-byte
+// decoder accepts re-encodes byte-identically. The common single-byte
 // case is the only code a caller's loop executes; everything else
 // tail-calls uvarint32Slow.
 func uvarint32(b []byte, p int) (uint32, int) {

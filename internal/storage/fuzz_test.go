@@ -28,7 +28,7 @@ func FuzzUvarint32(f *testing.F) {
 			t.Fatalf("round trip of %d: got %d, consumed %d of %d", v, got, p, len(buf))
 		}
 		var out [1]uint32
-		if p := runs(append(buf, 0xff, 0xff, 0xff), 0, []uint32{1}, nil, out[:]); p != len(buf) || out[0] != v {
+		if p := runs(append(buf, 0xff, 0xff, 0xff), 0, []uint32{1}, out[:]); p != len(buf) || out[0] != v {
 			t.Fatalf("inline round trip of %d: got %d, consumed %d of %d", v, out[0], p, len(buf))
 		}
 		// Every truncation ends on a continuation byte (or is empty), so
@@ -37,16 +37,17 @@ func FuzzUvarint32(f *testing.F) {
 			if _, p := uvarint32Slow(buf[:cut], 0); p >= 0 {
 				t.Fatalf("truncated encoding of %d (len %d) decoded", v, cut)
 			}
-			if runs(buf[:cut], 0, []uint32{1}, nil, out[:]) >= 0 {
+			if runs(buf[:cut], 0, []uint32{1}, out[:]) >= 0 {
 				t.Fatalf("truncated encoding of %d (len %d) decoded by runs", v, cut)
 			}
 		}
 	})
 }
 
-// fuzzSeedBlobs is the corpus the issue calls for: empty, single-edge,
-// hub-shaped (one destination, many sources) and max-id sub-shards.
-func fuzzSeedBlobs(weighted bool) [][]byte {
+// fuzzSeedPayloads is the seed corpus: empty,
+// single-edge, hub-shaped (one destination, many sources) and max-id
+// sub-shards, each a blob without its trailer (see seal).
+func fuzzSeedPayloads(weighted bool) [][]byte {
 	hub := &SubShard{Dsts: []uint32{42}, Offsets: []uint32{0, 64}}
 	for i := 0; i < 64; i++ {
 		hub.Srcs = append(hub.Srcs, uint32(i*i))
@@ -56,7 +57,7 @@ func fuzzSeedBlobs(weighted bool) [][]byte {
 	}
 	shards := []*SubShard{
 		{Offsets: []uint32{0}},
-		{Dsts: []uint32{7}, Offsets: []uint32{0, 1}, Srcs: []uint32{3}, Weights: wts(weighted, 0.5)},
+		{Dsts: []uint32{7}, Offsets: []uint32{0, 1}, Srcs: []uint32{3}, Weights: wts(weighted, 0.5), ClassEnds: [3]int{1, 1, 1}},
 		hub,
 		{Dsts: []uint32{1<<32 - 1}, Offsets: []uint32{0, 2}, Srcs: []uint32{1<<32 - 1, 1<<32 - 1},
 			Weights: func() []float32 {
@@ -64,21 +65,24 @@ func fuzzSeedBlobs(weighted bool) [][]byte {
 					return []float32{1, 2}
 				}
 				return nil
-			}()},
+			}(), ClassEnds: [3]int{0, 1, 1}},
 	}
 	var out [][]byte
 	for _, ss := range shards {
-		out = append(out, EncodeSubShardV2(ss, weighted))
+		blob := EncodeSubShard(ss, weighted)
+		out = append(out, blob[:len(blob)-4])
 	}
 	return out
 }
 
-// rawV2Blob assembles a v2 blob from literal stream values with no
-// validity checks, so seeds can put any varint anywhere — including
-// where only a rejection is possible.
-func rawV2Blob(dstCount, edgeCount uint32, dsts, counts, srcs []uint32, weighted bool) []byte {
+// rawPayload assembles a blob without its trailer from literal stream
+// values with no validity checks, so seeds can put any varint anywhere —
+// including where only a rejection is possible. classes are the sizes
+// of the first three classes; dsts are the class lists back to back and
+// counts the last class's, less four each.
+func rawPayload(dstCount, edgeCount uint32, classes [3]uint32, dsts, counts, srcs []uint32, weighted bool) []byte {
 	b := appendUvarint(appendUvarint(nil, dstCount), edgeCount)
-	for _, stream := range [][]uint32{dsts, counts, srcs} {
+	for _, stream := range [][]uint32{classes[:], dsts, counts, srcs} {
 		for _, v := range stream {
 			b = appendUvarint(b, v)
 		}
@@ -89,15 +93,15 @@ func rawV2Blob(dstCount, edgeCount uint32, dsts, counts, srcs []uint32, weighted
 	return b
 }
 
-// edgeSeedBlobs aims at the inline path's boundaries: for n = 2..5 an
-// n-byte varint as the last value of the dst, the count and the source
-// stream — the last of which also ends the varint region, so it starts
-// inside or just before the final three bytes, where the four-byte load
-// stops and uvarint32Slow takes over — and, after it, one- and two-byte
-// values that start inside those three bytes. A 4- or 5-byte count cannot
-// be valid in a blob of seed size; those two seeds are there to be
-// rejected identically.
-func edgeSeedBlobs(weighted bool) [][]byte {
+// edgeSeedPayloads aims at the inline path's boundaries: for n = 2..5
+// an n-byte varint as the last value of the dst, the count and the
+// source stream — the last of which also ends the varint region, so it
+// starts inside or just before the final three bytes, where the
+// four-byte load stops and uvarint32Slow takes over — and, after it,
+// one- and two-byte values that start inside those three bytes. A 4- or
+// 5-byte count cannot be valid in a blob of seed size; those two seeds
+// are there to be rejected identically.
+func edgeSeedPayloads(weighted bool) [][]byte {
 	var out [][]byte
 	ones := func(n int, first uint32) []uint32 {
 		s := make([]uint32, n)
@@ -106,41 +110,36 @@ func edgeSeedBlobs(weighted bool) [][]byte {
 	}
 	for n := 2; n <= maxUvarint32Len; n++ {
 		v := uint32(1) << (7 * (n - 1)) // smallest n-byte value
-		// Last dst gap, and last source, are n bytes.
-		out = append(out, rawV2Blob(2, 2, []uint32{5, v}, []uint32{1, 1}, []uint32{9, v}, weighted))
-		// One- and two-byte values after an n-byte one, inside the tail.
-		out = append(out, rawV2Blob(1, 3, []uint32{5}, []uint32{3}, []uint32{v, 1, 300}, weighted))
-		out = append(out, rawV2Blob(1, 3, []uint32{5}, []uint32{3}, []uint32{v, 300, 1}, weighted))
-		// Last count is n bytes: valid while the blob stays small.
+		// Last dst gap, and last source, are n bytes: two one-edge dsts.
+		out = append(out, rawPayload(2, 2, [3]uint32{2, 0, 0}, []uint32{5, v}, nil, []uint32{9, v}, weighted))
+		// One- and two-byte values after an n-byte one, inside the tail:
+		// one three-edge dst.
+		out = append(out, rawPayload(1, 3, [3]uint32{0, 0, 1}, []uint32{5}, nil, []uint32{v, 1, 300}, weighted))
+		out = append(out, rawPayload(1, 3, [3]uint32{0, 0, 1}, []uint32{5}, nil, []uint32{v, 300, 1}, weighted))
+		// Last count is n bytes, after a one-edge dst: valid while the
+		// blob stays small.
 		if n <= 3 {
-			out = append(out, rawV2Blob(2, 1+v, []uint32{5, 1}, []uint32{1, v}, append([]uint32{7}, ones(int(v), 3)...), weighted))
+			out = append(out, rawPayload(2, 5+v, [3]uint32{1, 0, 0}, []uint32{5, 6}, []uint32{v}, append([]uint32{7}, ones(int(v)+4, 3)...), weighted))
 		} else {
-			out = append(out, rawV2Blob(2, 2, []uint32{5, 1}, []uint32{1, v}, []uint32{7, 3}, weighted))
+			out = append(out, rawPayload(2, 5, [3]uint32{1, 0, 0}, []uint32{5, 6}, []uint32{v}, []uint32{7, 3, 0, 0, 0}, weighted))
 		}
 	}
 	return out
 }
 
 // sameDecode fails unless the decoder under test and the reference
-// agree on blob: both reject, or both accept, the id-order decode with
-// identical arrays and the class-order decode with a permutation of
-// them (checkClassOrder).
+// agree on blob: both reject, or both accept with identical arrays.
 func sameDecode(t *testing.T, blob []byte, weighted bool) *SubShard {
 	t.Helper()
-	ss, err := DecodeSubShardV2(blob, weighted)
-	ref, refErr := decodeSubShardV2Ref(blob, weighted)
+	ss, err := DecodeSubShard(blob, weighted)
+	ref, refErr := decodeSubShardRef(blob, weighted)
 	if (err == nil) != (refErr == nil) {
 		t.Fatalf("accept/reject differs: new %v, ref %v", err, refErr)
-	}
-	cls, clsErr := decodeSubShardV2(nil, blob, weighted, ClassOrder)
-	if (clsErr == nil) != (refErr == nil) {
-		t.Fatalf("class-order accept/reject differs: new %v, ref %v", clsErr, refErr)
 	}
 	if err != nil {
 		return nil
 	}
-	checkClassOrder(t, cls, ref)
-	if !slices.Equal(ss.Dsts, ref.Dsts) || !slices.Equal(ss.Offsets, ref.Offsets) ||
+	if !slices.Equal(ss.Dsts, ref.Dsts) || !slices.Equal(ss.Offsets, ref.Offsets) || ss.ClassEnds != ref.ClassEnds ||
 		!slices.Equal(ss.Srcs, ref.Srcs) || (ss.Weights == nil) != (ref.Weights == nil) {
 		t.Fatalf("arrays differ from the reference decoder's")
 	}
@@ -152,58 +151,46 @@ func sameDecode(t *testing.T, blob []byte, weighted bool) *SubShard {
 	return ss
 }
 
-// checkClassOrder fails unless cls lists the destinations of ids (a
-// decode in id order) in count-class order: every destination with the
-// same sources and weight bits, the classes in order — one in-edge, two,
-// three, then four or more — with bounds that match the counts, and ids
-// ascending within each class.
-func checkClassOrder(t *testing.T, cls, ids *SubShard) {
+// checkClasses fails unless ss is in count-class order: Offsets run from
+// 0 to the edge count, the class bounds ascend, every destination of a
+// class has the class's count — one, two, three, four or more in-edges
+// — ids ascend within each class and sources within each destination.
+func checkClasses(t testing.TB, ss *SubShard) {
 	t.Helper()
-	n := len(ids.Dsts)
-	if len(cls.Dsts) != n || len(cls.Offsets) != n+1 || cls.Offsets[0] != 0 || int(cls.Offsets[n]) != len(ids.Srcs) ||
-		len(cls.Srcs) != len(ids.Srcs) || (cls.Weights == nil) != (ids.Weights == nil) || len(cls.Weights) != len(ids.Weights) {
-		t.Fatalf("class order: %d dsts, %d offsets, %d srcs, %d weights for %d, %d, %d, %d",
-			len(cls.Dsts), len(cls.Offsets), len(cls.Srcs), len(cls.Weights), n, n+1, len(ids.Srcs), len(ids.Weights))
+	n := len(ss.Dsts)
+	if len(ss.Offsets) != n+1 || ss.Offsets[0] != 0 || int(ss.Offsets[n]) != len(ss.Srcs) {
+		t.Fatalf("inconsistent shape: %d dsts, %d offsets, %d srcs", n, len(ss.Offsets), len(ss.Srcs))
 	}
-	b := cls.Classes()
+	b := ss.Classes()
 	for c := range NumClasses {
 		if b[c] > b[c+1] {
-			t.Fatalf("class order: bounds %v do not ascend", b)
+			t.Fatalf("class bounds %v do not ascend", b)
 		}
 		for k := b[c]; k < b[c+1]; k++ {
-			lo, hi := cls.Offsets[k], cls.Offsets[k+1]
-			if e := int(hi) - int(lo); e < 1 || c < NumClasses-1 && e != c+1 || c == NumClasses-1 && e < NumClasses {
-				t.Fatalf("class order: destination %d of class %d (bounds %v) has %d in-edges", k, c, b, e)
+			lo, hi := ss.Offsets[k], ss.Offsets[k+1]
+			if e := int(hi) - int(lo); e < 1 || classOf(e) != c {
+				t.Fatalf("destination %d of class %d (bounds %v) has %d in-edges", k, c, b, e)
 			}
-			if k > b[c] && cls.Dsts[k] <= cls.Dsts[k-1] {
-				t.Fatalf("class order: ids do not ascend in class %d at %d", c, k)
+			if k > b[c] && ss.Dsts[k] <= ss.Dsts[k-1] {
+				t.Fatalf("ids do not ascend in class %d at %d", c, k)
 			}
-			x, ok := slices.BinarySearch(ids.Dsts, cls.Dsts[k])
-			if !ok {
-				t.Fatalf("class order: destination %d is not in the id-order decode", cls.Dsts[k])
-			}
-			if !slices.Equal(cls.Srcs[lo:hi], ids.Srcs[ids.Offsets[x]:ids.Offsets[x+1]]) {
-				t.Fatalf("class order: destination %d has sources %v, want %v", cls.Dsts[k],
-					cls.Srcs[lo:hi], ids.Srcs[ids.Offsets[x]:ids.Offsets[x+1]])
-			}
-			for e := range hi - lo {
-				if w, want := cls.Weights, ids.Weights; w != nil && float32bits(w[lo+e]) != float32bits(want[ids.Offsets[x]+e]) {
-					t.Fatalf("class order: destination %d edge %d weight %x, want %x", cls.Dsts[k], e,
-						float32bits(w[lo+e]), float32bits(want[ids.Offsets[x]+e]))
+			for e := lo + 1; e < hi; e++ {
+				if ss.Srcs[e] < ss.Srcs[e-1] {
+					t.Fatalf("srcs of dst %d descend at %d", ss.Dsts[k], e)
 				}
 			}
 		}
 	}
 }
 
-// TestClassOrderDecode: every cell of the RMAT store, unweighted and
-// with distinct weights, decodes in count-class order to a permutation
-// of its id-order decode (checkClassOrder), the cells decoded one after
-// another into one recycled sub-shard as the block cache does, the two
-// passes at once as concurrent misses run (the decoder keeps no state
-// outside the sub-shard it fills); and a block whose destinations all
-// share one class has the other classes empty.
-func TestClassOrderDecode(t *testing.T) {
+// TestBuildEncodeDecodeRoundTrip: every cell of the RMAT store,
+// unweighted and with distinct weights, survives BuildSubShards →
+// encode → decode array for array, the cells decoded one after another
+// into one recycled sub-shard as the block cache does, the two passes
+// at once as concurrent misses run (the decoder keeps no state outside
+// the sub-shard it fills); and a cell whose destinations all share one
+// class has the other classes empty.
+func TestBuildEncodeDecodeRoundTrip(t *testing.T) {
 	for _, weighted := range []bool{false, true} {
 		t.Run(fmt.Sprintf("rmat/weighted=%v", weighted), func(t *testing.T) {
 			t.Parallel()
@@ -220,66 +207,69 @@ func TestClassOrderDecode(t *testing.T) {
 					}
 					ss = &w
 				}
-				blob := EncodeSubShardV2(ss, weighted)
-				ids, err := DecodeSubShardV2(blob, weighted)
-				if err != nil {
+				checkClasses(t, ss)
+				var err error
+				if spare, err = DecodeSubShardInto(spare, EncodeSubShard(ss, weighted), weighted); err != nil {
 					t.Fatal(err)
 				}
-				if spare, err = DecodeSubShardInto(spare, blob, weighted, ClassOrder); err != nil {
-					t.Fatal(err)
-				}
-				checkClassOrder(t, spare, ids)
+				sameSubShard(t, spare, ss, weighted)
 			}
 		})
 	}
 	for e := 1; e <= 6; e++ {
-		ss := &SubShard{Dsts: []uint32{3, 9}, Offsets: []uint32{0, uint32(e), uint32(2 * e)}}
-		for s := range 2 * e {
-			ss.Srcs = append(ss.Srcs, uint32(s))
+		var edges []graph.Edge
+		for s := range e {
+			edges = append(edges, graph.Edge{Src: uint32(s), Dst: 9}, graph.Edge{Src: uint32(s), Dst: 3})
 		}
-		cls, err := DecodeSubShardInto(nil, EncodeSubShardV2(ss, false), false, ClassOrder)
+		err := BuildSubShards(edges, 16, 1, false, func(_ int, ss *SubShard) error {
+			c := classOf(e)
+			want := [NumClasses + 1]int{}
+			for x := c + 1; x <= NumClasses; x++ {
+				want[x] = 2
+			}
+			if got := ss.Classes(); got != want || ss.Dsts[0] != 3 || ss.Dsts[1] != 9 {
+				t.Fatalf("two destinations of %d edges: %v in classes %v, want [3 9] in %v", e, ss.Dsts, got, want)
+			}
+			got, err := DecodeSubShard(EncodeSubShard(ss, false), false)
+			if err != nil {
+				return err
+			}
+			sameSubShard(t, got, ss, false)
+			return nil
+		})
 		if err != nil {
 			t.Fatal(err)
 		}
-		c := min(e, NumClasses) - 1
-		want := [NumClasses + 1]int{}
-		for x := c + 1; x <= NumClasses; x++ {
-			want[x] = 2
-		}
-		if got := cls.Classes(); got != want {
-			t.Fatalf("two destinations of %d edges: classes %v, want %v", e, got, want)
-		}
-		checkClassOrder(t, cls, ss)
 	}
 }
 
 // TestDecodeV2MatchesRef runs the differential check where `go test`
 // reaches it without fuzzing: every cell of the RMAT store, the seed
 // corpus, and each seed truncated at every length and with every byte
-// of its varint region disturbed.
+// of its payload disturbed, resealed so that the structural checks run.
 func TestDecodeV2MatchesRef(t *testing.T) {
 	for _, ss := range rmatCells() {
 		if ss != nil {
-			sameDecode(t, EncodeSubShardV2(ss, false), false)
+			sameDecode(t, EncodeSubShard(ss, false), false)
 		}
 	}
 	accepted := 0
 	for _, weighted := range []bool{false, true} {
-		for _, blob := range append(fuzzSeedBlobs(weighted), edgeSeedBlobs(weighted)...) {
-			if sameDecode(t, blob, weighted) != nil {
+		for _, payload := range append(fuzzSeedPayloads(weighted), edgeSeedPayloads(weighted)...) {
+			if sameDecode(t, seal(payload), weighted) != nil {
 				accepted++
 			}
-			if len(blob) > 64 {
+			if len(payload) > 64 {
 				continue // the mutations below are quadratic
 			}
-			for cut := range blob {
-				sameDecode(t, blob[:cut], weighted)
+			for cut := range payload {
+				sameDecode(t, seal(payload[:cut]), weighted)
 			}
-			for i := range blob {
+			for i := range payload {
 				for _, x := range []byte{0x80, 0x7f, 0xff} {
-					m := slices.Clone(blob)
+					m := slices.Clone(payload)
 					m[i] ^= x
-					sameDecode(t, m, weighted)
+					sameDecode(t, seal(m), weighted)
 				}
 			}
 		}
@@ -289,41 +279,28 @@ func TestDecodeV2MatchesRef(t *testing.T) {
 	}
 }
 
-// FuzzDecodeSubShardV2 throws arbitrary bytes at the v2 decoder: it must
-// never panic, it must agree with decodeSubShardV2Ref on accept/reject
-// in either order, on every array in id order and on a permutation of
-// them in count-class order (sameDecode), and whatever it accepts must
-// re-encode to the identical blob (a canonical-order sub-shard has
-// exactly one v2 encoding).
+// FuzzDecodeSubShardV2 throws arbitrary bytes at the decoder, as a
+// payload it seals with a valid trailer (so the structural checks are
+// reached) and as they come (so is the checksum): it must never panic,
+// it must agree with decodeSubShardRef on accept/reject and on every
+// array (sameDecode), what it accepts must be in count-class order
+// (checkClasses), and it must re-encode to the identical blob (a
+// sub-shard in builder order has exactly one encoding).
 func FuzzDecodeSubShardV2(f *testing.F) {
 	for _, weighted := range []bool{false, true} {
-		for _, blob := range append(fuzzSeedBlobs(weighted), edgeSeedBlobs(weighted)...) {
-			f.Add(blob, weighted)
+		for _, payload := range append(fuzzSeedPayloads(weighted), edgeSeedPayloads(weighted)...) {
+			f.Add(payload, weighted)
 		}
 	}
-	f.Fuzz(func(t *testing.T, blob []byte, weighted bool) {
+	f.Fuzz(func(t *testing.T, payload []byte, weighted bool) {
+		sameDecode(t, payload, weighted)
+		blob := seal(payload)
 		ss := sameDecode(t, blob, weighted)
 		if ss == nil {
 			return
 		}
-		// Structural invariants the decoder promises.
-		if len(ss.Offsets) != len(ss.Dsts)+1 || int(ss.Offsets[len(ss.Dsts)]) != len(ss.Srcs) {
-			t.Fatalf("inconsistent shape: %d dsts, %d offsets, %d srcs",
-				len(ss.Dsts), len(ss.Offsets), len(ss.Srcs))
-		}
-		for k := 1; k < len(ss.Dsts); k++ {
-			if ss.Dsts[k] <= ss.Dsts[k-1] {
-				t.Fatalf("dsts not strictly ascending at %d", k)
-			}
-		}
-		for k := range ss.Dsts {
-			for t2 := ss.Offsets[k] + 1; t2 < ss.Offsets[k+1]; t2++ {
-				if ss.Srcs[t2] < ss.Srcs[t2-1] {
-					t.Fatalf("srcs of dst %d descend at %d", k, t2)
-				}
-			}
-		}
-		re := EncodeSubShardV2(ss, weighted)
+		checkClasses(t, ss)
+		re := EncodeSubShard(ss, weighted)
 		if !bytes.Equal(re, blob) {
 			t.Fatalf("accepted blob is not canonical: decode/encode changed %d -> %d bytes",
 				len(blob), len(re))
@@ -336,9 +313,10 @@ func FuzzDecodeSubShardV2(f *testing.F) {
 // copies with different weights are common — over n = max id + 1
 // vertices, P = 1 + p%8 intervals of ⌈n/P⌉ + slack%4 ids. BuildSubShards
 // must call fn for cells 0…P²−1 in order, lose or invent no edge, put
-// every edge in the cell of its intervals, emit canonical order (Dsts
-// strictly ascending, (source, weight bits) non-descending within a
-// destination), and build cells that survive a v2 round trip.
+// every edge in the cell of its intervals, emit canonical order (count
+// classes, Dsts strictly ascending within each, (source, weight bits)
+// non-descending within a destination), and build cells that survive an
+// encode/decode round trip.
 func FuzzBuildSubShards(f *testing.F) {
 	// Weights follow their sources: destination 5 holds 3 (30) and 9
 	// (90), destination 1 holds 2 (20) and 8 (80).
@@ -383,14 +361,9 @@ func FuzzBuildSubShards(f *testing.F) {
 			if weighted != (ss.Weights != nil) || (weighted && len(ss.Weights) != len(ss.Srcs)) {
 				t.Fatalf("cell %d: weighted=%v but %d weights for %d edges", c, weighted, len(ss.Weights), len(ss.Srcs))
 			}
+			checkClasses(t, ss)
 			for k, d := range ss.Dsts {
-				if k > 0 && d <= ss.Dsts[k-1] {
-					t.Fatalf("cell %d: destinations %v do not strictly ascend", c, ss.Dsts)
-				}
 				lo, hi := ss.Offsets[k], ss.Offsets[k+1]
-				if lo >= hi {
-					t.Fatalf("cell %d: destination %d has offsets [%d, %d)", c, d, lo, hi)
-				}
 				var prev key
 				for e := lo; e < hi; e++ {
 					w := float32(0)
@@ -408,7 +381,7 @@ func FuzzBuildSubShards(f *testing.F) {
 					got = append(got, kk)
 				}
 			}
-			dec, err := DecodeSubShardV2(EncodeSubShardV2(ss, weighted), weighted)
+			dec, err := DecodeSubShard(EncodeSubShard(ss, weighted), weighted)
 			if err != nil {
 				t.Fatalf("cell %d: %v", c, err)
 			}

@@ -19,7 +19,7 @@ func writeTransposedStore(tb testing.TB, disk *diskio.Disk, dir string) {
 		tb.Fatal(err)
 	}
 	one := func(d, s uint32) *SubShard {
-		return &SubShard{Dsts: []uint32{d}, Offsets: []uint32{0, 1}, Srcs: []uint32{s}}
+		return &SubShard{Dsts: []uint32{d}, Offsets: []uint32{0, 1}, Srcs: []uint32{s}, ClassEnds: [3]int{1, 1, 1}}
 	}
 	empty := &SubShard{Offsets: []uint32{0}}
 	appendAll := func(set ...*SubShard) {

@@ -59,9 +59,11 @@ func rmatCell(tb testing.TB, i, j int) *SubShard {
 }
 
 // TestVarintLengthMix measures what varint.go's header states: the
-// byte-length mix of each stream of a v2 blob over the whole store. It
-// asserts only the two facts the decoder's shape rests on — counts and
-// gaps are short, first sources are not.
+// byte-length mix of each stream of a blob over the whole store: the
+// gaps within each class's destination list, the last class's counts
+// less four, first sources and source gaps. It asserts only the two
+// facts the decoder's shape rests on — counts and gaps are short, first
+// sources are not.
 func TestVarintLengthMix(t *testing.T) {
 	if testing.Short() {
 		t.Skip("builds a scale-16 RMAT store")
@@ -71,12 +73,15 @@ func TestVarintLengthMix(t *testing.T) {
 		if ss == nil {
 			continue
 		}
+		b := ss.Classes()
 		for k, d := range ss.Dsts {
-			if k > 0 {
+			if k > 0 && k != b[1] && k != b[2] && k != b[3] {
 				dstGap[len(appendUvarint(nil, d-ss.Dsts[k-1]))]++
 			}
 			lo, hi := ss.Offsets[k], ss.Offsets[k+1]
-			count[len(appendUvarint(nil, hi-lo))]++
+			if k >= b[NumClasses-1] {
+				count[len(appendUvarint(nil, hi-lo-NumClasses))]++
+			}
 			firstSrc[len(appendUvarint(nil, ss.Srcs[lo]))]++
 			for e := lo + 1; e < hi; e++ {
 				srcGap[len(appendUvarint(nil, ss.Srcs[e]-ss.Srcs[e-1]))]++
@@ -97,7 +102,9 @@ func TestVarintLengthMix(t *testing.T) {
 		t.Logf("%-13s 1B %.3f  2B %.3f  3B %.3f  4B+ %.3f", s.name,
 			share(s.h, 1), share(s.h, 2), share(s.h, 3), share(s.h, 4)+share(s.h, 5))
 	}
-	if share(count, 1) < 0.99 || share(dstGap, 1) < 0.9 {
+	// The counts are the last class's, less four: 0.984 one byte on
+	// this store (all of v2's counts, 0.995).
+	if share(count, 1) < 0.98 || share(dstGap, 1) < 0.9 {
 		t.Errorf("counts / dst gaps are not overwhelmingly one byte: %.3f / %.3f", share(count, 1), share(dstGap, 1))
 	}
 	if share(firstSrc, 1) > 0.25 {

@@ -40,7 +40,7 @@ func TestMetaIntervals(t *testing.T) {
 }
 
 func TestMetaValidate(t *testing.T) {
-	good := Meta{Magic: MetaMagic, Version: FormatV2, NumVertices: 4,
+	good := Meta{Magic: MetaMagic, Version: FormatVersion, NumVertices: 4,
 		NumEdges: 0, P: 2, SubShards: make([]SubShardInfo, 4)}
 	if err := good.Validate(); err != nil {
 		t.Fatal(err)
@@ -50,10 +50,12 @@ func TestMetaValidate(t *testing.T) {
 	if bad.Validate() == nil {
 		t.Fatal("bad magic accepted")
 	}
-	bad = good
-	bad.Version = 99
-	if bad.Validate() == nil {
-		t.Fatal("bad version accepted")
+	for _, v := range []int{2, 99} {
+		bad = good
+		bad.Version = v
+		if bad.Validate() == nil {
+			t.Fatalf("version %d accepted", v)
+		}
 	}
 	bad = good
 	bad.SubShards = bad.SubShards[:3]
@@ -76,10 +78,10 @@ func buildTinyStore(t *testing.T, weighted bool) (*diskio.Disk, *Store) {
 	}
 	// SS[0][0]: edge 1->0; SS[0][1]: edge 0->2; SS[1][1]: edge 3->3.
 	shards := []*SubShard{
-		{Dsts: []uint32{0}, Offsets: []uint32{0, 1}, Srcs: []uint32{1}, Weights: wts(weighted, 1)},
-		{Dsts: []uint32{2}, Offsets: []uint32{0, 1}, Srcs: []uint32{0}, Weights: wts(weighted, 2)},
+		{Dsts: []uint32{0}, Offsets: []uint32{0, 1}, Srcs: []uint32{1}, Weights: wts(weighted, 1), ClassEnds: [3]int{1, 1, 1}},
+		{Dsts: []uint32{2}, Offsets: []uint32{0, 1}, Srcs: []uint32{0}, Weights: wts(weighted, 2), ClassEnds: [3]int{1, 1, 1}},
 		{Offsets: []uint32{0}},
-		{Dsts: []uint32{3}, Offsets: []uint32{0, 1}, Srcs: []uint32{3}, Weights: wts(weighted, 3)},
+		{Dsts: []uint32{3}, Offsets: []uint32{0, 1}, Srcs: []uint32{3}, Weights: wts(weighted, 3), ClassEnds: [3]int{1, 1, 1}},
 	}
 	for _, ss := range shards {
 		if err := w.AppendSubShard(ss); err != nil {
@@ -332,9 +334,10 @@ func TestVerifyAcceptsGoodStore(t *testing.T) {
 }
 
 // TestCompressionRatio checks the accounting helper on both replicas of
-// the tiny transposed store: six one-edge blobs, each 5 v2 bytes (two
-// counts, a destination, a source count, a source) against 20 fixed-width
-// bytes (two uint32 counts, one destination id and count, one source).
+// the tiny transposed store: six one-edge blobs, each 11 bytes (five
+// header values — two counts and three class sizes — a destination, a
+// source and the 4-byte trailer) against 20 fixed-width bytes (two
+// uint32 counts, one destination id and count, one source).
 func TestCompressionRatio(t *testing.T) {
 	disk := diskio.MustNew(t.TempDir(), diskio.Unthrottled)
 	writeTransposedStore(t, disk, "st")
@@ -343,8 +346,8 @@ func TestCompressionRatio(t *testing.T) {
 		t.Fatal(err)
 	}
 	defer st.Close()
-	if enc, fixed := st.CompressionRatio(); enc != 6*5 || fixed != 6*20 {
-		t.Fatalf("encoded %d, fixed-width %d; want 30 and 120", enc, fixed)
+	if enc, fixed := st.CompressionRatio(); enc != 6*11 || fixed != 6*20 {
+		t.Fatalf("encoded %d, fixed-width %d; want 66 and 120", enc, fixed)
 	}
 }
 
@@ -358,7 +361,7 @@ func TestOpenRejectsMixedShardVersion(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	raw[4] = 1 // header says v1, meta says v2
+	raw[4] = 1 // header says v1, meta says v3
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}
@@ -366,14 +369,14 @@ func TestOpenRejectsMixedShardVersion(t *testing.T) {
 	if err == nil {
 		t.Fatal("mixed-version store accepted")
 	}
-	if !strings.Contains(err.Error(), ShardsFile) || !strings.Contains(err.Error(), "meta.json says 2") {
+	if !strings.Contains(err.Error(), ShardsFile) || !strings.Contains(err.Error(), "meta.json says 3") {
 		t.Fatalf("unhelpful mixed-version error: %v", err)
 	}
 }
 
 // TestVerifyCatchesCorruption moves the source id of SS[0][0]'s one edge
-// out of its source interval: the blob still decodes, and Verify must
-// reject it.
+// out of its source interval and reseals the blob's trailer: the blob
+// still decodes, and Verify must reject it.
 func TestVerifyCatchesCorruption(t *testing.T) {
 	disk, st := buildTinyStore(t, false)
 	st.Close()
@@ -383,8 +386,11 @@ func TestVerifyCatchesCorruption(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	// The blob's last byte is its one source, 1; 127 is past interval 0.
-	raw[info.Offset+info.Length-1] = 0x7f
+	// The byte before the trailer is the blob's one source, 1; 127 is
+	// past interval 0.
+	blob := raw[info.Offset : info.Offset+info.Length]
+	blob[len(blob)-5] = 0x7f
+	copy(blob, seal(blob[:len(blob)-4]))
 	if err := os.WriteFile(path, raw, 0o644); err != nil {
 		t.Fatal(err)
 	}

@@ -159,9 +159,10 @@ func (s *Store) ReadSubShardRaw(i, j int, transpose bool) ([]byte, error) {
 }
 
 // DecodeSubShardBlob decodes a blob returned by ReadSubShardRaw into
-// fresh arrays (see DecodeSubShardInto).
+// fresh arrays (see DecodeSubShardInto): the decode an engine miss runs,
+// less the recycled arrays.
 func (s *Store) DecodeSubShardBlob(blob []byte) (*SubShard, error) {
-	return DecodeSubShardInto(nil, blob, s.meta.Weighted, IDOrder)
+	return DecodeSubShardInto(nil, blob, s.meta.Weighted)
 }
 
 // Degrees reads the degree file: out-degrees then in-degrees, each n
@@ -258,8 +259,11 @@ func (s *Store) CompressionRatio() (encoded, fixedWidth int64) {
 }
 
 // ForEachEdge streams every edge of the (forward) graph in physical
-// sub-shard order, calling fn(src, dst, weight). Unweighted stores report
-// weight 1. Iteration stops at the first error.
+// sub-shard order, calling fn(src, dst, weight): cells row-major, and
+// within a cell the destinations in count-class order — one in-edge,
+// two, three, then four or more, ascending by id within each class —
+// each with its sources ascending. Unweighted stores report weight 1.
+// Iteration stops at the first error.
 func (s *Store) ForEachEdge(fn func(src, dst uint32, w float32) error) error {
 	P := s.meta.P
 	for i := 0; i < P; i++ {

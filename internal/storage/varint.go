@@ -1,15 +1,15 @@
 package storage
 
-// Unsigned LEB128 varints, the integer encoding of format-v2 sub-shard
-// blobs (see EncodeSubShardV2). What the decoder is shaped around is the
-// measured byte-length mix of each stream of a real store (RMAT scale
-// 16 x 16, P = 12, every forward cell; TestVarintLengthMix re-measures):
+// Unsigned LEB128 varints, the integer encoding of sub-shard blobs (see
+// EncodeSubShard). What the decoder is shaped around is the measured
+// byte-length mix of each stream of a real store (RMAT scale 16 x 16,
+// P = 12, every forward cell; TestVarintLengthMix re-measures):
 //
-//	stream          1 byte   2 bytes  3 bytes  4-5 bytes
-//	dst gaps        1.000    0.000    -        -
-//	counts          0.995    0.005    -        -
-//	first sources   0.100    0.423    0.477    -
-//	source gaps     0.683    0.317    -        -
+//	stream              1 byte   2 bytes  3 bytes  4-5 bytes
+//	dst gaps (in class) 0.989    0.011    0.000    -
+//	counts − 4          0.984    0.016    0.000    -
+//	first sources       0.100    0.423    0.477    -
+//	source gaps         0.683    0.317    0.000    -
 //
 // Dst gaps and counts are one byte, but the first source of every
 // destination is a raw vertex id and a cell averages under six sources
@@ -30,11 +30,22 @@ func appendUvarint(buf []byte, v uint32) []byte {
 	return append(buf, byte(v))
 }
 
+// appendRun appends a list in the form runs decodes: vals[0], then the
+// gap to each value from the one before. vals must not descend.
+func appendRun(buf []byte, vals []uint32) []byte {
+	prev := uint32(0)
+	for _, v := range vals {
+		buf = appendUvarint(buf, v-prev)
+		prev = v
+	}
+	return buf
+}
+
 // uvarint32Slow decodes one varint of any length at offset p of b,
 // returning the value and the offset past it. A truncated,
 // uint32-overflowing or non-minimal (zero-padded) encoding returns a
 // negative offset — rejecting padding means every value has exactly one
-// accepted encoding, so any blob the v2 decoder accepts re-encodes
+// accepted encoding, so any blob the decoder accepts re-encodes
 // byte-identically.
 func uvarint32Slow(b []byte, p int) (uint32, int) {
 	var v uint32
@@ -64,18 +75,15 @@ func uvarint32Slow(b []byte, p int) (uint32, int) {
 // from b at offset p into out as running sums, and returns the offset
 // past them: negative on a truncated, zero-padded or uint32-overflowing
 // encoding or a sum past uint32. List k holds ends[k] − ends[k−1]
-// values (ends[−1] = 0); ends ascend to at most len(out). With route nil
-// list k fills out[ends[k−1]:ends[k]]. With route set — every list then
-// non-empty — it fills the next run of its count class c (one, two,
-// three, four or more values): the run starting at route[c], which
-// advances past it.
-func runs(b []byte, p int, ends []uint32, route *[NumClasses]uint32, out []uint32) int {
+// values (ends[−1] = 0) and fills out[ends[k−1]:ends[k]]; ends ascend
+// to at most len(out).
+func runs(b []byte, p int, ends []uint32, out []uint32) int {
 	var over, s uint64
 	var k, t, hi int
 	for {
 		var o uint64
 		var rest int
-		k, t, hi, s, o, rest = runs3(b[p:], ends, route, out, k, t, hi, s)
+		k, t, hi, s, o, rest = runs3(b[p:], ends, out, k, t, hi, s)
 		over |= o
 		if p = len(b) - rest; t == hi {
 			break // every list is done
@@ -104,7 +112,7 @@ func runs(b []byte, p int, ends []uint32, route *[NumClasses]uint32, out []uint3
 // sums (bits past 31: an id overflowed) and the bytes of b left.
 // Re-slicing b instead of indexing it is what lets the compiler drop
 // every bounds check in the loop.
-func runs3(b []byte, ends []uint32, route *[NumClasses]uint32, out []uint32, k, t, hi int, s uint64) (k2, t2, hi2 int, s2, over uint64, rest int) {
+func runs3(b []byte, ends []uint32, out []uint32, k, t, hi int, s uint64) (k2, t2, hi2 int, s2, over uint64, rest int) {
 	for {
 		for ; t < hi; t++ {
 			if len(b) < 4 || t >= len(out) {
@@ -131,18 +139,10 @@ func runs3(b []byte, ends []uint32, route *[NumClasses]uint32, out []uint32, k, 
 		if k == len(ends) {
 			return k, t, hi, s, over, len(b)
 		}
-		var lo uint32
-		if k > 0 {
-			lo = ends[k-1]
+		if t = 0; k > 0 {
+			t = int(ends[k-1])
 		}
-		n := ends[k] - lo
-		t = int(lo)
-		if route != nil {
-			c := min(n, NumClasses) - 1
-			t = int(route[c])
-			route[c] += n
-		}
-		hi = t + int(n)
+		hi = int(ends[k])
 		k++
 	}
 }

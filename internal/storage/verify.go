@@ -6,8 +6,9 @@ import "fmt"
 //
 //   - every sub-shard decodes and its destinations lie in interval j,
 //     sources in interval i;
-//   - destinations strictly ascend inside a sub-shard, sources ascend
-//     inside each destination's list;
+//   - destinations strictly ascend inside each count class, each run's
+//     length matches its class, no two classes list one destination,
+//     and sources ascend inside each destination's list;
 //   - per-sub-shard edge/destination counts match the meta index;
 //   - edge totals match the meta document;
 //   - the degree file agrees with the edges (forward set);
@@ -34,38 +35,22 @@ func Verify(s *Store) error {
 					i, j, ss.NumEdges(), ss.NumDsts(), info.Edges, info.Dsts)
 			}
 			// Re-encoding the decoded sub-shard must reproduce the indexed
-			// blob length exactly — a canonical-order sub-shard has one v2
+			// blob length exactly — a sub-shard in builder order has one
 			// encoding, so drift between writer and codec shows up here.
 			if info.Length > 0 {
-				if got := int64(len(EncodeSubShardV2(ss, m.Weighted))); got != info.Length {
+				if got := int64(len(EncodeSubShard(ss, m.Weighted))); got != info.Length {
 					return fmt.Errorf("storage: verify SS[%d][%d]: re-encodes to %d bytes, index says %d",
 						i, j, got, info.Length)
 				}
 			}
 			ilo, ihi := m.IntervalRange(i)
 			jlo, jhi := m.IntervalRange(j)
-			var prevDst int64 = -1
-			for k := range ss.Dsts {
-				d := ss.Dsts[k]
-				if d < jlo || d >= jhi {
-					return fmt.Errorf("storage: verify SS[%d][%d]: dst %d outside [%d,%d)", i, j, d, jlo, jhi)
-				}
-				if int64(d) <= prevDst {
-					return fmt.Errorf("storage: verify SS[%d][%d]: dsts not strictly ascending at %d", i, j, k)
-				}
-				prevDst = int64(d)
-				var prevSrc int64 = -1
-				for t := ss.Offsets[k]; t < ss.Offsets[k+1]; t++ {
-					sv := ss.Srcs[t]
-					if sv < ilo || sv >= ihi {
-						return fmt.Errorf("storage: verify SS[%d][%d]: src %d outside [%d,%d)", i, j, sv, ilo, ihi)
+			b := ss.Classes()
+			for c := range NumClasses {
+				for k := b[c]; k < b[c+1]; k++ {
+					if err := verifyDst(ss, k, c, ilo, ihi, jlo, jhi, out, in); err != nil {
+						return fmt.Errorf("storage: verify SS[%d][%d]: %w", i, j, err)
 					}
-					if int64(sv) < prevSrc {
-						return fmt.Errorf("storage: verify SS[%d][%d]: srcs of dst %d not ascending", i, j, d)
-					}
-					prevSrc = int64(sv)
-					out[sv]++
-					in[d]++
 				}
 			}
 			total += info.Edges
@@ -109,6 +94,37 @@ func Verify(s *Store) error {
 		if c != 0 {
 			return fmt.Errorf("storage: verify: interval pair %v: forward/transpose mismatch by %d edges", pair, c)
 		}
+	}
+	return nil
+}
+
+// verifyDst checks destination k of ss, of count class c: its id lies in
+// [jlo, jhi) and ascends past the class's previous one, no other class
+// lists it, its run has the class's count, and its sources lie in
+// [ilo, ihi) and ascend. It counts the run's edges into out and in.
+func verifyDst(ss *SubShard, k, c int, ilo, ihi, jlo, jhi uint32, out, in []uint64) error {
+	d, lo, hi := ss.Dsts[k], ss.Offsets[k], ss.Offsets[k+1]
+	switch b := ss.Classes(); {
+	case d < jlo || d >= jhi:
+		return fmt.Errorf("dst %d outside [%d,%d)", d, jlo, jhi)
+	case k > b[c] && d <= ss.Dsts[k-1]:
+		return fmt.Errorf("dsts of class %d not strictly ascending at %d", c+1, k)
+	case hi <= lo || classOf(int(hi-lo)) != c:
+		return fmt.Errorf("dst %d of class %d has %d in-edges", d, c+1, int(hi)-int(lo))
+	}
+	if x, _ := ss.Find(d); x != k {
+		return fmt.Errorf("dst %d listed at %d and at %d", d, x, k)
+	}
+	for t := lo; t < hi; t++ {
+		s := ss.Srcs[t]
+		if s < ilo || s >= ihi {
+			return fmt.Errorf("src %d outside [%d,%d)", s, ilo, ihi)
+		}
+		if t > lo && s < ss.Srcs[t-1] {
+			return fmt.Errorf("srcs of dst %d not ascending", d)
+		}
+		out[s]++
+		in[d]++
 	}
 	return nil
 }

@@ -26,7 +26,7 @@ type Writer struct {
 	finished  bool
 }
 
-// NewWriter creates (truncating) a store at dir, in FormatV2.
+// NewWriter creates (truncating) a store at dir, in FormatVersion.
 func NewWriter(disk *diskio.Disk, dir, name string, numVertices uint32, numEdges int64, p int, weighted bool) (*Writer, error) {
 	if p <= 0 {
 		return nil, fmt.Errorf("storage: P must be positive, got %d", p)
@@ -36,7 +36,7 @@ func NewWriter(disk *diskio.Disk, dir, name string, numVertices uint32, numEdges
 	}
 	w := &Writer{disk: disk, dir: dir, meta: Meta{
 		Magic:       MetaMagic,
-		Version:     FormatV2,
+		Version:     FormatVersion,
 		Name:        name,
 		NumVertices: numVertices,
 		NumEdges:    numEdges,
@@ -83,7 +83,7 @@ func (w *Writer) AppendSubShard(ss *SubShard) error {
 	}
 	info := SubShardInfo{Edges: int64(ss.NumEdges()), Dsts: int64(ss.NumDsts())}
 	if ss.NumDsts() > 0 {
-		blob := EncodeSubShardV2(ss, w.meta.Weighted)
+		blob := EncodeSubShard(ss, w.meta.Weighted)
 		if _, err := w.f.WriteAt(blob, w.off); err != nil {
 			return fmt.Errorf("storage: write sub-shard: %w", err)
 		}
